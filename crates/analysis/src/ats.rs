@@ -339,12 +339,12 @@ impl BatchVerdicts {
     }
 }
 
-/// A stage's view of ATS classification: the shared classifier, plus —
-/// when batching is on — the crawl's Sym-keyed [`BatchVerdicts`] column.
+/// A stage's view of ATS classification: the shared classifier, plus the
+/// crawl's Sym-keyed [`BatchVerdicts`] column when the view has one.
 /// Sym-keyed lookups answer from the column without rendering a single
-/// string; anything uncovered (canvas script URLs, extract FQDNs, batch
-/// off) falls back to the memoized classifier, so verdicts are identical
-/// either way.
+/// string; anything uncovered (canvas script URLs, extract FQDNs, views
+/// without a column) falls back to the memoized classifier, so verdicts
+/// are identical either way.
 #[derive(Clone, Copy)]
 pub struct AtsVerdicts<'a> {
     classifier: &'a AtsClassifier,

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use redlight_net::psl::HostCache;
 use serde::{Deserialize, Serialize};
 
-use crate::util::{reg, same_site};
+use crate::util::same_site;
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
@@ -92,33 +92,11 @@ pub fn detect_with_options(
     top_k: usize,
     options: SyncOptions,
 ) -> SyncReport {
-    detect_inner(crawl, ranked_sites, top_k, options, None)
-}
-
-/// [`detect_with_options`] with eTLD+1 resolutions memoized in `hosts` —
-/// the same cookie and destination domains recur across the crawl, and the
-/// stage pipeline shares `hosts` with every other stage. Identical output.
-pub fn detect_cached(
-    crawl: &CrawlRecord,
-    ranked_sites: &[String],
-    top_k: usize,
-    options: SyncOptions,
-    hosts: &HostCache,
-) -> SyncReport {
-    detect_inner(crawl, ranked_sites, top_k, options, Some(hosts))
-}
-
-fn detect_inner(
-    crawl: &CrawlRecord,
-    ranked_sites: &[String],
-    top_k: usize,
-    options: SyncOptions,
-    hosts: Option<&HostCache>,
-) -> SyncReport {
     // The detector is defined as the two-pass map/reduce run on a single
     // shard, so sharded runs reproduce it by construction.
-    let regs = regs_inner(crawl.full(), options, hosts);
-    let matches = matches_inner(crawl.full(), &regs, options, hosts);
+    let hosts = HostCache::new();
+    let regs = scan_registrations(crawl.full(), options, &hosts);
+    let matches = scan_matches(crawl.full(), &regs, options, &hosts);
     finalize(matches, ranked_sites, top_k)
 }
 
@@ -133,15 +111,6 @@ pub type SyncRegistrations = BTreeMap<String, (String, usize)>;
 pub struct SyncMatches {
     pairs: BTreeMap<SyncPair, usize>,
     sites: BTreeSet<String>,
-}
-
-/// Pass 1 over one shard: registers cookie values set during its visits.
-pub fn scan_registrations(
-    slice: CrawlSlice<'_>,
-    options: SyncOptions,
-    hosts: &HostCache,
-) -> SyncRegistrations {
-    regs_inner(slice, options, Some(hosts))
 }
 
 /// Merges per-shard registrations, keeping the globally earliest setter of
@@ -165,17 +134,6 @@ pub fn merge_registrations(
         }
     }
     out
-}
-
-/// Pass 2 over one shard: matches query values against the **merged**
-/// registrations, honouring session order via the first-set index.
-pub fn scan_matches(
-    slice: CrawlSlice<'_>,
-    regs: &SyncRegistrations,
-    options: SyncOptions,
-    hosts: &HostCache,
-) -> SyncMatches {
-    matches_inner(slice, regs, options, Some(hosts))
 }
 
 /// Merges per-shard match partials (counts add, site sets union).
@@ -207,17 +165,12 @@ pub fn finalize(matches: SyncMatches, ranked_sites: &[String], top_k: usize) -> 
     }
 }
 
-fn regs_inner(
+/// Pass 1 over one shard: registers cookie values set during its visits.
+pub fn scan_registrations(
     slice: CrawlSlice<'_>,
     options: SyncOptions,
-    hosts: Option<&HostCache>,
+    hosts: &HostCache,
 ) -> SyncRegistrations {
-    let reg_of = |host: &str| -> String {
-        match hosts {
-            Some(cache) => cache.registrable(host).to_string(),
-            None => reg(host).to_string(),
-        }
-    };
     // Cookie values observed in the session, with their owning domain and
     // first-setting visit. Values shorter than 8 chars would false-positive
     // against ordinary query values.
@@ -228,7 +181,7 @@ fn regs_inner(
             if !obs.accepted {
                 continue;
             }
-            let owner = reg_of(&obs.effective_domain);
+            let owner = hosts.registrable(&obs.effective_domain).to_string();
             if obs.cookie.value.chars().count() >= options.min_value_len {
                 out.entry(obs.cookie.value.clone())
                     .or_insert_with(|| (owner.clone(), idx));
@@ -246,18 +199,14 @@ fn regs_inner(
     out
 }
 
-fn matches_inner(
+/// Pass 2 over one shard: matches query values against the **merged**
+/// registrations, honouring session order via the first-set index.
+pub fn scan_matches(
     slice: CrawlSlice<'_>,
     regs: &SyncRegistrations,
     options: SyncOptions,
-    hosts: Option<&HostCache>,
+    hosts: &HostCache,
 ) -> SyncMatches {
-    let reg_of = |host: &str| -> String {
-        match hosts {
-            Some(cache) => cache.registrable(host).to_string(),
-            None => reg(host).to_string(),
-        }
-    };
     let mut out = SyncMatches::default();
     for (i, record) in slice.visits.iter().enumerate() {
         let idx = slice.offset + i;
@@ -291,7 +240,7 @@ fn matches_inner(
                     if *first_set > idx {
                         continue; // only set later in the session
                     }
-                    let dest = reg_of(dest_host);
+                    let dest = hosts.registrable(dest_host).to_string();
                     if same_site(owner, &dest) {
                         continue; // first-party echo, not a sync
                     }

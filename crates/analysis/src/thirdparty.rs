@@ -40,42 +40,27 @@ pub fn classify(
     request_host: &str,
     request_cert: Option<&CertSummary>,
 ) -> Party {
-    classify_inner(site_host, site_cert, request_host, request_cert, None)
+    classify_in(
+        site_host,
+        site_cert,
+        request_host,
+        request_cert,
+        &HostCache::new(),
+    )
 }
 
-/// [`classify`] with every eTLD+1 resolution answered by a shared
-/// [`HostCache`]. Identical verdicts; the cache only memoizes the pure
-/// suffix walk.
-pub fn classify_cached(
+/// [`classify`] with every eTLD+1 resolution answered by `hosts`.
+fn classify_in(
     site_host: &str,
     site_cert: Option<&CertSummary>,
     request_host: &str,
     request_cert: Option<&CertSummary>,
     hosts: &HostCache,
 ) -> Party {
-    classify_inner(
-        site_host,
-        site_cert,
-        request_host,
-        request_cert,
-        Some(hosts),
-    )
-}
-
-fn classify_inner(
-    site_host: &str,
-    site_cert: Option<&CertSummary>,
-    request_host: &str,
-    request_cert: Option<&CertSummary>,
-    hosts: Option<&HostCache>,
-) -> Party {
-    let (site_reg, request_reg) = match hosts {
-        Some(cache) => (
-            cache.registrable(site_host),
-            cache.registrable(request_host),
-        ),
-        None => (reg(site_host), reg(request_host)),
-    };
+    let (site_reg, request_reg) = (
+        hosts.registrable(site_host),
+        hosts.registrable(request_host),
+    );
     if site_reg == request_reg {
         return Party::First;
     }
@@ -134,24 +119,7 @@ impl ThirdPartyExtract {
 /// embedded frames (RTB inclusion chains); Table 7 excludes them, the main
 /// §4.2 analysis includes them.
 pub fn extract(crawl: &CrawlRecord, include_chained: bool) -> ThirdPartyExtract {
-    scan_inner(crawl.full(), include_chained, None)
-}
-
-/// [`extract`] with eTLD+1 resolutions memoized in `hosts`. Identical
-/// output.
-pub fn extract_cached(
-    crawl: &CrawlRecord,
-    include_chained: bool,
-    hosts: &HostCache,
-) -> ThirdPartyExtract {
-    scan_inner(crawl.full(), include_chained, Some(hosts))
-}
-
-/// The map side of the extraction: one shard's partial extract. Merging
-/// every shard's partial with [`merge`] reproduces the monolithic
-/// [`extract`] exactly (per-site maps and FQDN sets union cleanly).
-pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> ThirdPartyExtract {
-    scan_inner(slice, include_chained, Some(hosts))
+    scan(crawl.full(), include_chained, &HostCache::new())
 }
 
 /// The reduce side: unions per-shard partials, in shard order.
@@ -170,11 +138,11 @@ pub fn merge(parts: impl IntoIterator<Item = ThirdPartyExtract>) -> ThirdPartyEx
     out
 }
 
-fn scan_inner(
-    slice: CrawlSlice<'_>,
-    include_chained: bool,
-    hosts: Option<&HostCache>,
-) -> ThirdPartyExtract {
+/// The map side of the extraction: one shard's partial extract, with
+/// eTLD+1 resolutions memoized in `hosts`. Merging every shard's partial
+/// with [`merge`] reproduces the monolithic [`extract`] exactly (per-site
+/// maps and FQDN sets union cleanly).
+pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> ThirdPartyExtract {
     let mut out = ThirdPartyExtract::default();
     for record in slice.successful() {
         let visit = &record.visit;
@@ -207,7 +175,7 @@ fn scan_inner(
             if host == site_host {
                 continue;
             }
-            match classify_inner(
+            match classify_in(
                 site_host,
                 site_cert.as_ref(),
                 host,
@@ -271,83 +239,71 @@ impl ExtractMemo {
         }
     }
 
-    /// The extraction for `crawl`, computed at most once per key.
-    pub fn get(&self, crawl: &CrawlRecord, include_chained: bool) -> Arc<ThirdPartyExtract> {
-        let key: ExtractKey = (
-            crawl.country,
-            crawl.corpus,
-            include_chained,
-            0,
-            crawl.visits.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&key) {
-            self.hits.inc();
-            return Arc::clone(found);
-        }
-        self.misses.inc();
-        let extract = Arc::new(extract_cached(crawl, include_chained, &self.hosts));
-        let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(key).or_insert(extract))
-    }
-
-    /// One shard's partial extraction, memoized under the shard's visit
-    /// range.
-    pub fn get_shard(
-        &self,
-        slice: CrawlSlice<'_>,
-        include_chained: bool,
-    ) -> Arc<ThirdPartyExtract> {
-        let key: ExtractKey = (
-            slice.country,
-            slice.corpus,
-            include_chained,
-            slice.offset,
-            slice.offset + slice.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&key) {
-            self.hits.inc();
-            return Arc::clone(found);
-        }
-        self.misses.inc();
-        let extract = Arc::new(scan(slice, include_chained, &self.hosts));
-        let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(key).or_insert(extract))
-    }
-
-    /// The extraction for `crawl` assembled shard-by-shard: scans each of
-    /// `shards` contiguous visit ranges (memoized individually via
-    /// [`get_shard`](Self::get_shard)), merges the partials in shard order,
-    /// and caches the merged result under the whole-crawl key — so a later
-    /// [`get`](Self::get) for the same crawl is a hit and returns the exact
-    /// same value a monolithic extraction would have produced.
-    pub fn get_sharded(
+    /// The extraction for `crawl`, computed at most once per key. One
+    /// shard scans the whole crawl in one pass. More shards scan each of
+    /// the `shards` contiguous visit ranges on its own (memoized under the
+    /// range), merge the partials in shard order and cache the result under
+    /// the whole-crawl key, so later calls for the crawl hit at any shard
+    /// count and see the value a one-pass extraction produces.
+    pub fn get(
         &self,
         crawl: &CrawlRecord,
         include_chained: bool,
         shards: usize,
     ) -> Arc<ThirdPartyExtract> {
         if shards <= 1 {
-            return self.get(crawl, include_chained);
+            return self.get_slice(crawl.full(), include_chained);
         }
-        let full: ExtractKey = (
-            crawl.country,
-            crawl.corpus,
-            include_chained,
-            0,
-            crawl.visits.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&full) {
-            self.hits.inc();
-            return Arc::clone(found);
+        let key = Self::key(crawl.full(), include_chained);
+        if let Some(found) = self.lookup(&key) {
+            return found;
         }
         let parts: Vec<ThirdPartyExtract> = crawl
             .shards(shards)
             .into_iter()
-            .map(|slice| (*self.get_shard(slice, include_chained)).clone())
+            .map(|slice| (*self.get_slice(slice, include_chained)).clone())
             .collect();
-        let merged = Arc::new(merge(parts));
+        self.insert(key, merge(parts))
+    }
+
+    /// The extraction of one visit range, memoized under that range.
+    fn get_slice(&self, slice: CrawlSlice<'_>, include_chained: bool) -> Arc<ThirdPartyExtract> {
+        let key = Self::key(slice, include_chained);
+        if let Some(found) = self.lookup(&key) {
+            return found;
+        }
+        self.misses.inc();
+        self.insert(key, scan(slice, include_chained, &self.hosts))
+    }
+
+    fn key(slice: CrawlSlice<'_>, include_chained: bool) -> ExtractKey {
+        (
+            slice.country,
+            slice.corpus,
+            include_chained,
+            slice.offset,
+            slice.offset + slice.len(),
+        )
+    }
+
+    /// The memoized value under `key`, counting a hit when present.
+    fn lookup(&self, key: &ExtractKey) -> Option<Arc<ThirdPartyExtract>> {
+        let found = self
+            .map
+            .read()
+            .expect("extract memo lock")
+            .get(key)
+            .cloned();
+        if found.is_some() {
+            self.hits.inc();
+        }
+        found
+    }
+
+    /// Caches `extract` under `key` unless a racing caller got there first.
+    fn insert(&self, key: ExtractKey, extract: ThirdPartyExtract) -> Arc<ThirdPartyExtract> {
         let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(full).or_insert(merged))
+        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(extract)))
     }
 
     /// Hit/miss counters so far.

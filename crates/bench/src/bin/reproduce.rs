@@ -10,7 +10,6 @@
 //! cargo run --release -p redlight-bench --bin reproduce -- --trace out.json --metrics out.prom
 //! cargo run --release -p redlight-bench --bin reproduce -- --shards 4 --timings
 //! cargo run --release -p redlight-bench --bin reproduce -- --sites-scale 4
-//! cargo run --release -p redlight-bench --bin reproduce -- --no-batch-classify
 //! cargo run --release -p redlight-bench --bin reproduce -- --traffic 1000000
 //! ```
 //!
@@ -28,14 +27,10 @@
 //!
 //! `--shards <n>` fans the decomposable analysis stages over `n`
 //! contiguous visit-range shards (map/reduce; results are byte-identical
-//! to the monolithic run) and, with `--timings`, appends per-crawl shard
+//! to the one-shard run) and, with `--timings`, appends per-crawl shard
 //! statistics. `--sites-scale <n>` grows every world population `n`× while
 //! keeping the paper's proportions — the paper-vs-measured comparison
 //! rescales accordingly. Both reject `0`.
-//!
-//! `--batch-classify` / `--no-batch-classify` toggle the batched ATS
-//! classification pass (on by default): verdicts are byte-identical either
-//! way, the toggle only exists to time the per-request baseline.
 //!
 //! Observability exports (any of these turns journaling on; same seed ⇒
 //! byte-identical files):
@@ -152,16 +147,6 @@ fn main() {
             }
         },
     };
-    // Last occurrence wins so scripts can append an override.
-    let batch_classify = args
-        .iter()
-        .rev()
-        .find_map(|a| match a.as_str() {
-            "--batch-classify" => Some(true),
-            "--no-batch-classify" => Some(false),
-            _ => None,
-        })
-        .unwrap_or(true);
 
     let mut config = if paper_scale {
         StudyConfig::paper_scale(seed)
@@ -183,7 +168,6 @@ fn main() {
     if let Some(fault_seed) = fault_seed {
         config.net = config.net.with_fault_seed(fault_seed);
     }
-    config.batch_classify = batch_classify;
     config.world = config.world.scaled(sites_scale);
     // Counts grow with the corpus, so the paper comparison divides the
     // base world-size factor by the multiplicative growth.
@@ -240,18 +224,18 @@ fn main() {
                 crawls: crawl_timings,
                 stages: Vec::new(),
                 caches: Vec::new(),
-                shards: shard_stats(&db, shards),
+                shards: stages::shard_stats(&db, shards),
             };
             print_timings(&report, json);
         }
-        export_obs(&obs, &trace_out, &events_out, &metrics_out);
+        export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
         return;
     }
 
     if !requested.is_empty() {
         run_stages(&config, &requested, timings, json, &obs, shards);
         eprintln!("done in {:?}", t0.elapsed());
-        export_obs(&obs, &trace_out, &events_out, &metrics_out);
+        export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
         return;
     }
 
@@ -267,7 +251,7 @@ fn main() {
     if timings {
         print_timings(&results.stage_report, json);
     }
-    export_obs(&obs, &trace_out, &events_out, &metrics_out);
+    export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
 }
 
 /// `--traffic` mode: the discrete-event traffic workload instead of the
@@ -331,25 +315,13 @@ fn run_traffic_mode(
             tl.timeline.windows().len()
         );
     }
-    export_obs_with(
+    export_obs(
         &obs,
         trace_out,
         events_out,
         metrics_out,
         report.timeline.as_ref().map(|tl| &tl.timeline),
     );
-}
-
-/// Per-crawl shard statistics — only surfaced on sharded runs.
-fn shard_stats(
-    db: &redlight_crawler::db::MeasurementDb,
-    shards: usize,
-) -> Vec<redlight_core::results::ShardStat> {
-    if shards > 1 {
-        stages::shard_stats(db, shards)
-    } else {
-        Vec::new()
-    }
 }
 
 /// `--stage` mode: collect the DB once, run only the selected stages.
@@ -375,24 +347,13 @@ fn run_stages(
 
     let world = World::build(config.world.clone());
     let (db, crawl_timings) = Study::collect_db_observed(&world, config, obs);
-    let ctx = stages::AnalysisContext::build_sharded_in(&world, config, &db, &obs.metrics, shards);
-    let stage_obs = stages::StageObs {
-        trace: &obs.trace,
-        metrics: &obs.metrics,
-        parent: None,
-    };
-    let (outputs, stage_timings) = stages::run_observed(&db, &ctx, &selected, &stage_obs);
+    let (outputs, mut report, _) = Study::analyze(&world, config, &db, &selected, obs, shards);
 
     for (name, line) in outputs.summaries() {
         println!("{name:<16} {line}");
     }
     if timings {
-        let report = StageReport {
-            crawls: crawl_timings,
-            stages: stage_timings,
-            caches: ctx.cache_counters(),
-            shards: shard_stats(&db, shards),
-        };
+        report.crawls = crawl_timings;
         print_timings(&report, json);
     }
 }
@@ -406,20 +367,10 @@ fn print_timings(report: &StageReport, json: bool) {
     }
 }
 
-/// Writes whichever observability exports were requested.
+/// Writes whichever observability exports were requested. With a traffic
+/// timeline the Chrome trace also carries counter ("C") tracks for the
+/// deterministic registry metrics and the timeline's windowed series.
 fn export_obs(
-    obs: &ObsContext,
-    trace: &Option<String>,
-    events: &Option<String>,
-    metrics: &Option<String>,
-) {
-    export_obs_with(obs, trace, events, metrics, None);
-}
-
-/// [`export_obs`] plus an optional traffic timeline: the Chrome trace then
-/// carries counter ("C") tracks for the deterministic registry metrics and
-/// the timeline's windowed series.
-fn export_obs_with(
     obs: &ObsContext,
     trace: &Option<String>,
     events: &Option<String>,

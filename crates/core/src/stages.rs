@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crossbeam::thread::ScopedJoinHandle;
 use redlight_analysis::agegate::AgeGateComparison;
 use redlight_analysis::ats::{AtsClassifier, AtsVerdicts, BatchVerdicts};
 use redlight_analysis::consent::BannerBreakdown;
@@ -156,9 +157,13 @@ pub fn all_stages() -> BTreeSet<&'static str> {
 
 /// Per-crawl shard statistics for a run fanning over `shards` shards: how
 /// each crawl's visit range splits and how much interned string data its
-/// symbol table carries. Surfaced through [`StageReport`] under
-/// `reproduce --timings`, never through the deterministic summary.
+/// symbol table carries. No rows for an unsharded run. Surfaced through
+/// [`StageReport`] under `reproduce --timings`, never through the
+/// deterministic summary.
 pub fn shard_stats(db: &MeasurementDb, shards: usize) -> Vec<crate::results::ShardStat> {
+    if shards <= 1 {
+        return Vec::new();
+    }
     db.crawls()
         .iter()
         .map(|crawl| {
@@ -228,9 +233,8 @@ pub struct AnalysisContext<'a> {
     pub top: Vec<String>,
     /// EasyList + EasyPrivacy classifier (memoized; shares [`Self::hosts`]).
     pub classifier: AtsClassifier,
-    /// Per-crawl Sym-keyed batch verdict columns, computed up front when
-    /// [`StudyConfig::batch_classify`] is on (empty otherwise). Stages view
-    /// them through [`Self::ats_for`].
+    /// Per-crawl Sym-keyed batch verdict columns, one per recorded crawl,
+    /// computed up front. Stages view them through [`Self::ats_for`].
     pub ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts>,
     /// Pipeline-wide host → eTLD+1 memo, shared by the classifier, the
     /// extraction memo and every stage that resolves registrable domains.
@@ -258,26 +262,21 @@ pub struct AnalysisContext<'a> {
     /// what server-side trackers embed in cookies.
     pub client_ip: Ipv4Addr,
     /// How many contiguous visit-range shards the decomposable stages fan
-    /// their scans over. `1` (the default) is the monolithic path: every
-    /// stage consumes whole crawls exactly as before, and no shard spans
-    /// are recorded.
+    /// their scans over. At `1` (the default) every scan covers the whole
+    /// crawl on the stage's own thread, and no shard spans are recorded.
     pub shards: usize,
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Derives the shared artifacts from a collected DB.
+    /// Derives the shared artifacts from a collected DB, with the
+    /// artifacts that scan whole crawls (third-party extracts, cookie rows)
+    /// computed as `shards` per-shard partials merged in shard order. The
+    /// artifacts — and therefore everything derived from them — are
+    /// byte-identical at every shard count; only peak memory and
+    /// parallelism change.
     ///
     /// Panics if the DB lacks the Spanish porn/regular crawls — the plan
     /// produced by [`StudyConfig::crawl_plan`] always records them.
-    pub fn build(world: &'a World, config: &StudyConfig, db: &'a MeasurementDb) -> Self {
-        Self::build_in(world, config, db, &Registry::new())
-    }
-
-    /// [`build`](Self::build) with the shared artifacts that scan whole
-    /// crawls (third-party extracts, cookie rows) computed as `shards`
-    /// per-shard partials merged in shard order. The artifacts — and
-    /// therefore everything derived from them — are byte-identical to
-    /// [`build`]; only peak memory and parallelism change.
     pub fn build_sharded(
         world: &'a World,
         config: &StudyConfig,
@@ -287,21 +286,10 @@ impl<'a> AnalysisContext<'a> {
         Self::build_sharded_in(world, config, db, &Registry::new(), shards)
     }
 
-    /// [`build`](Self::build) with every shared cache (eTLD+1 hosts, ATS
-    /// verdicts, third-party extracts, the cert harvest) publishing its
-    /// hit/miss counters as `cache.<name>.{hits,misses}` into `registry`.
-    /// The derived artifacts are identical to [`build`].
-    pub fn build_in(
-        world: &'a World,
-        config: &StudyConfig,
-        db: &'a MeasurementDb,
-        registry: &Registry,
-    ) -> Self {
-        Self::build_sharded_in(world, config, db, registry, 1)
-    }
-
-    /// [`build_in`](Self::build_in) + [`build_sharded`](Self::build_sharded)
-    /// combined: registry-published caches and sharded artifact derivation.
+    /// [`build_sharded`](Self::build_sharded) with every shared cache
+    /// (eTLD+1 hosts, ATS verdicts, third-party extracts, the cert harvest)
+    /// publishing its hit/miss counters as `cache.<name>.{hits,misses}`
+    /// into `registry`.
     pub fn build_sharded_in(
         world: &'a World,
         config: &StudyConfig,
@@ -309,6 +297,7 @@ impl<'a> AnalysisContext<'a> {
         registry: &Registry,
         shards: usize,
     ) -> Self {
+        let shards = shards.max(1);
         let corpus = CorpusCompiler::new(world).compile();
         let (porn_histories, best_ranks, ranked) = ranked_corpus(world, &corpus.sanitized);
         let tier_of = popularity::tiers_from_histories(&porn_histories);
@@ -329,19 +318,17 @@ impl<'a> AnalysisContext<'a> {
         );
         // Batch classification up front: every crawl's answered requests,
         // deduplicated per distinct interned key and FQDN-grouped. The
-        // shared verdict memo ends up in the same state the per-request
-        // path would produce, so stages read identical verdicts either way.
+        // shared verdict memo ends up in the same state a per-request walk
+        // would produce, so every verdict equals the per-request one.
         let mut ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts> = BTreeMap::new();
-        if config.batch_classify {
-            for crawl in db.crawls() {
-                ats_batches
-                    .entry((crawl.country, crawl.corpus))
-                    .or_insert_with(|| classifier.classify_batch(crawl.full()));
-            }
+        for crawl in db.crawls() {
+            ats_batches
+                .entry((crawl.country, crawl.corpus))
+                .or_insert_with(|| classifier.classify_batch(crawl.full()));
         }
         let extracts = ExtractMemo::in_registry(Arc::clone(&hosts), registry);
-        let porn_extract = extracts.get_sharded(porn_es, true, shards);
-        let regular_extract = extracts.get_sharded(regular_es, true, shards);
+        let porn_extract = extracts.get(porn_es, true, shards);
+        let regular_extract = extracts.get(regular_es, true, shards);
         // Out-of-band TLS probe: connect to port 443 of any contacted FQDN
         // and read its certificate (what the paper's §4.2(3) pipeline did).
         let probe = |host: &str| -> Option<redlight_net::tls::CertSummary> {
@@ -349,8 +336,10 @@ impl<'a> AnalysisContext<'a> {
             Some((&world.cert_for_host(host)).into())
         };
         let cert_harvest = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
-        let cookie_rows = if shards <= 1 {
-            cookies::collect(porn_es)
+        // One shard is one whole-crawl scan with no merge, as in
+        // `scan_shards`.
+        let cookie_rows = if shards == 1 {
+            cookies::scan(porn_es.full())
         } else {
             cookies::merge(porn_es.shards(shards).into_iter().map(cookies::scan))
         };
@@ -381,7 +370,7 @@ impl<'a> AnalysisContext<'a> {
             cookie_rows,
             interactions_es,
             client_ip,
-            shards: shards.max(1),
+            shards,
         }
     }
 
@@ -391,14 +380,11 @@ impl<'a> AnalysisContext<'a> {
         AtsVerdicts::new(&self.classifier)
     }
 
-    /// The classification view for one crawl: batch-backed when
-    /// [`StudyConfig::batch_classify`] precomputed that crawl's column,
-    /// plain delegation otherwise.
+    /// The classification view for one crawl of the DB, backed by that
+    /// crawl's batch verdict column.
     pub fn ats_for(&self, crawl: &CrawlRecord) -> AtsVerdicts<'_> {
-        match self.ats_batches.get(&(crawl.country, crawl.corpus)) {
-            Some(batch) => AtsVerdicts::with_batch(&self.classifier, batch),
-            None => AtsVerdicts::new(&self.classifier),
-        }
+        let batch = &self.ats_batches[&(crawl.country, crawl.corpus)];
+        AtsVerdicts::with_batch(&self.classifier, batch)
     }
 
     /// Snapshot of every shared cache's hit/miss counters, in render order.
@@ -678,21 +664,6 @@ impl StageOutputs {
     }
 }
 
-/// Times one stage body; the body returns `(output, inputs, outputs)`.
-fn timed<T>(name: &'static str, body: impl FnOnce() -> (T, usize, usize)) -> (T, StageTiming) {
-    let start = Instant::now();
-    let (out, input_records, output_records) = body();
-    (
-        out,
-        StageTiming {
-            name,
-            wall: start.elapsed(),
-            input_records,
-            output_records,
-        },
-    )
-}
-
 /// Telemetry sinks for an analysis run: stage spans go into `trace` (one
 /// `analyze/<stage>` shard per stage, so concurrent wave-A stages never
 /// contend), stage counters into `metrics`.
@@ -705,8 +676,9 @@ pub struct StageObs<'t> {
     pub parent: Option<SpanLink>,
 }
 
-/// [`timed`], plus a `stage.<name>` span in a dedicated `analyze/<name>`
-/// shard and `stage.<name>.{input,output}_records` counters. Safe to call
+/// Times one stage body, which returns `(output, inputs, outputs)`, and
+/// records a `stage.<name>` span in a dedicated `analyze/<name>` shard plus
+/// `stage.<name>.{input,output}_records` counters. Safe to call
 /// concurrently from wave threads: each stage owns its shard, and the
 /// registry is lock-protected.
 fn observed<T>(
@@ -720,7 +692,14 @@ fn observed<T>(
         None => obs.trace.tracer(&shard),
     };
     tracer.open(&format!("stage.{name}"));
-    let (out, timing) = timed(name, body);
+    let start = Instant::now();
+    let (out, input_records, output_records) = body();
+    let timing = StageTiming {
+        name,
+        wall: start.elapsed(),
+        input_records,
+        output_records,
+    };
     tracer.attr("input_records", timing.input_records);
     tracer.attr("output_records", timing.output_records);
     tracer.close();
@@ -742,21 +721,29 @@ fn observed<T>(
 /// blow-up when a stage fans out over many shards.
 const MAX_SHARD_WORKERS: usize = 8;
 
-/// Fans a stage's per-shard scan over `crawl.shards(shards)` on a bounded
-/// work queue: at most [`MAX_SHARD_WORKERS`] workers pull shard indices off
-/// a shared counter, so peak memory stays O(workers × shard) rather than
-/// O(crawl). Shard `i` records a `stage.<name>.shard.NNN` span (with a
-/// `visits` attribute) in its own `analyze/<name>/shard.NNN` journal shard,
-/// parented on the same `analyze` root as the stage spans. Partials return
-/// in shard order, so a deterministic merge downstream sees the same
-/// sequence a serial scan would.
+/// Scans `crawl` for one stage and merges the partials in shard order.
+///
+/// One shard is one `scan(crawl.full())` on the calling thread: no shard
+/// span, no `shard_scans` counter, and no `merge` call — the lone partial is
+/// the result. More shards fan the scan over `crawl.shards(shards)` on a
+/// bounded work queue: at most [`MAX_SHARD_WORKERS`] workers pull shard
+/// indices off a shared counter, so peak memory stays O(workers × shard)
+/// rather than O(crawl). Shard `i` records a `stage.<name>.shard.NNN` span
+/// (with a `visits` attribute) in its own `analyze/<name>/shard.NNN` journal
+/// shard, parented on the same `analyze` root as the stage spans, and the
+/// partials reach `merge` in shard order, so a deterministic merge sees the
+/// same sequence a serial scan would.
 fn scan_shards<'c, P: Send>(
     obs: &StageObs<'_>,
     name: &str,
     crawl: &'c CrawlRecord,
     shards: usize,
     scan: impl Fn(CrawlSlice<'c>) -> P + Sync,
-) -> Vec<P> {
+    merge: impl FnOnce(Vec<P>) -> P,
+) -> P {
+    if shards == 1 {
+        return scan(crawl.full());
+    }
     let slices = crawl.shards(shards);
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, P)>> = Mutex::new(Vec::with_capacity(slices.len()));
@@ -786,7 +773,7 @@ fn scan_shards<'c, P: Send>(
         .add(slices.len() as u64);
     let mut parts = done.into_inner().expect("shard partials");
     parts.sort_by_key(|&(i, _)| i);
-    parts.into_iter().map(|(_, p)| p).collect()
+    merge(parts.into_iter().map(|(_, p)| p).collect())
 }
 
 /// Runs the selected stages (a set produced by [`expand_selection`] or
@@ -797,15 +784,13 @@ pub fn run(
     ctx: &AnalysisContext<'_>,
     selected: &BTreeSet<&'static str>,
 ) -> (StageOutputs, Vec<StageTiming>) {
-    let trace = Trace::disabled();
-    let registry = Registry::new();
     run_observed(
         db,
         ctx,
         selected,
         &StageObs {
-            trace: &trace,
-            metrics: &registry,
+            trace: &Trace::disabled(),
+            metrics: &Registry::new(),
             parent: None,
         },
     )
@@ -857,77 +842,20 @@ pub fn run_observed(
         let h_gates = want(AGE_GATES)
             .then(|| s.spawn(|_| observed(obs, AGE_GATES, || stage_age_gates(db, ctx))));
 
-        let join = "stage thread panicked";
-        if let Some(h) = h_corpus {
-            let (out, t) = h.join().expect(join);
-            outputs.corpus_summary = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_popularity {
-            let (out, t) = h.join().expect(join);
-            outputs.popularity = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_third {
-            let (out, t) = h.join().expect(join);
-            outputs.third_parties = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_orgs {
-            let (out, t) = h.join().expect(join);
-            outputs.organizations = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_cookies {
-            let (out, t) = h.join().expect(join);
-            outputs.cookies = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_sync {
-            let (out, t) = h.join().expect(join);
-            outputs.cookie_sync = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_webrtc {
-            let (out, t) = h.join().expect(join);
-            outputs.webrtc = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_https {
-            let (out, t) = h.join().expect(join);
-            outputs.https = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_malware {
-            let (out, t) = h.join().expect(join);
-            outputs.malware = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_geo {
-            let (out, t) = h.join().expect(join);
-            outputs.geo = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_banners {
-            let (out, t) = h.join().expect(join);
-            outputs.consent_banners = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_policies {
-            let (out, t) = h.join().expect(join);
-            outputs.policies = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_monetization {
-            let (out, t) = h.join().expect(join);
-            outputs.monetization = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_gates {
-            let (out, t) = h.join().expect(join);
-            outputs.age_gates = Some(out);
-            timings.push(t);
-        }
+        join(h_corpus, &mut outputs.corpus_summary, &mut timings);
+        join(h_popularity, &mut outputs.popularity, &mut timings);
+        join(h_third, &mut outputs.third_parties, &mut timings);
+        join(h_orgs, &mut outputs.organizations, &mut timings);
+        join(h_cookies, &mut outputs.cookies, &mut timings);
+        join(h_sync, &mut outputs.cookie_sync, &mut timings);
+        join(h_webrtc, &mut outputs.webrtc, &mut timings);
+        join(h_https, &mut outputs.https, &mut timings);
+        join(h_malware, &mut outputs.malware, &mut timings);
+        join(h_geo, &mut outputs.geo, &mut timings);
+        join(h_banners, &mut outputs.consent_banners, &mut timings);
+        join(h_policies, &mut outputs.policies, &mut timings);
+        join(h_monetization, &mut outputs.monetization, &mut timings);
+        join(h_gates, &mut outputs.age_gates, &mut timings);
     })
     .expect("crossbeam scope");
 
@@ -947,29 +875,10 @@ pub fn run_observed(
                 observed(obs, OWNERSHIP, || stage_ownership(ctx, docs))
             })
         });
-
-        let mut wave_b = Vec::new();
-        if let Some(h) = h_fp {
-            let (out, t) = h.join().expect("stage thread panicked");
-            wave_b.push((Some(out), None, t));
-        }
-        if let Some(h) = h_owners {
-            let (out, t) = h.join().expect("stage thread panicked");
-            wave_b.push((None, Some(out), t));
-        }
-        wave_b
+        join(h_fp, &mut outputs.fingerprinting, &mut timings);
+        join(h_owners, &mut outputs.ownership, &mut timings);
     })
-    .expect("crossbeam scope")
-    .into_iter()
-    .for_each(|(fp, owners_out, t)| {
-        if let Some(fp) = fp {
-            outputs.fingerprinting = Some(fp);
-        }
-        if let Some(o) = owners_out {
-            outputs.ownership = Some(o);
-        }
-        timings.push(t);
-    });
+    .expect("crossbeam scope");
 
     // ---- Wave C: the disclosure check (needs fingerprinting + policies). ----
     if want(DISCLOSURE) {
@@ -983,6 +892,20 @@ pub fn run_observed(
     // Report timings in paper order regardless of join order.
     timings.sort_by_key(|t| STAGES.iter().position(|s| *s == t.name));
     (outputs, timings)
+}
+
+/// Joins one wave thread (when its stage was selected) into its output slot
+/// and the timing list.
+fn join<T>(
+    handle: Option<ScopedJoinHandle<'_, (T, StageTiming)>>,
+    slot: &mut Option<T>,
+    timings: &mut Vec<StageTiming>,
+) {
+    if let Some(handle) = handle {
+        let (out, timing) = handle.join().expect("stage thread panicked");
+        *slot = Some(out);
+        timings.push(timing);
+    }
 }
 
 // ---- Stage bodies. Each returns (output, input records, output records). ----
@@ -1030,7 +953,7 @@ fn stage_organizations(
     usize,
 ) {
     // The cert harvest (crawl traffic + out-of-band TLS probe) is collected
-    // once in `AnalysisContext::build` and borrowed here.
+    // once in `AnalysisContext::build_sharded_in` and borrowed here.
     let attributor = orgs::OrgAttributor::from_harvest(&ctx.world.disconnect, &ctx.cert_harvest);
     let attribution = attributor.coverage(&ctx.porn_extract);
     let fig3_porn = attributor.prevalence(&ctx.porn_extract, ctx.porn_es.success_count());
@@ -1057,42 +980,41 @@ fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), u
 fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncReport, usize, usize) {
     let top_k = 100.min(ctx.ranked.len());
     let options = SyncOptions::default();
-    let report = if ctx.shards <= 1 {
-        sync::detect_cached(ctx.porn_es, &ctx.ranked, top_k, options, &ctx.hosts)
-    } else {
-        // Two sharded passes: register every cookie value with its globally
-        // earliest setter, then match request parameters against the merged
-        // registrations (session order is honoured via the first-set index).
-        let regs = sync::merge_registrations(scan_shards(
-            obs,
-            "cookie-sync.registrations",
-            ctx.porn_es,
-            ctx.shards,
-            |slice| sync::scan_registrations(slice, options, &ctx.hosts),
-        ));
-        let matches = sync::merge_matches(scan_shards(
-            obs,
-            "cookie-sync.matches",
-            ctx.porn_es,
-            ctx.shards,
-            |slice| sync::scan_matches(slice, &regs, options, &ctx.hosts),
-        ));
-        sync::finalize(matches, &ctx.ranked, top_k)
-    };
+    // Two passes: register every cookie value with its globally earliest
+    // setter, then match request parameters against the merged
+    // registrations (session order is honoured via the first-set index).
+    let regs = scan_shards(
+        obs,
+        "cookie-sync.registrations",
+        ctx.porn_es,
+        ctx.shards,
+        |slice| sync::scan_registrations(slice, options, &ctx.hosts),
+        sync::merge_registrations,
+    );
+    let matches = scan_shards(
+        obs,
+        "cookie-sync.matches",
+        ctx.porn_es,
+        ctx.shards,
+        |slice| sync::scan_matches(slice, &regs, options, &ctx.hosts),
+        sync::merge_matches,
+    );
+    let report = sync::finalize(matches, &ctx.ranked, top_k);
     let produced = report.pairs.len();
     (report, ctx.porn_es.success_count(), produced)
 }
 
 fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport, usize, usize) {
     let ats = ctx.ats_for(ctx.porn_es);
-    let report = if ctx.shards <= 1 {
-        webrtc::detect(ctx.porn_es, ats)
-    } else {
-        let parts = scan_shards(obs, WEBRTC, ctx.porn_es, ctx.shards, |slice| {
-            webrtc::scan(slice, ats)
-        });
-        webrtc::finalize(webrtc::merge(parts), ats)
-    };
+    let scan = scan_shards(
+        obs,
+        WEBRTC,
+        ctx.porn_es,
+        ctx.shards,
+        |slice| webrtc::scan(slice, ats),
+        webrtc::merge,
+    );
+    let report = webrtc::finalize(scan, ats);
     let produced = report.scripts.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1103,14 +1025,14 @@ fn stage_fingerprinting(
     obs: &StageObs<'_>,
 ) -> ((FingerprintReport, Vec<Table5Row>), usize, usize) {
     let ats = ctx.ats_for(ctx.porn_es);
-    let fp = if ctx.shards <= 1 {
-        fingerprint::detect(ctx.porn_es, ats)
-    } else {
-        let parts = scan_shards(obs, FINGERPRINTING, ctx.porn_es, ctx.shards, |slice| {
-            fingerprint::scan(slice, ats)
-        });
-        fingerprint::finalize(fingerprint::merge(parts))
-    };
+    let fp = fingerprint::finalize(scan_shards(
+        obs,
+        FINGERPRINTING,
+        ctx.porn_es,
+        ctx.shards,
+        |slice| fingerprint::scan(slice, ats),
+        fingerprint::merge,
+    ));
     let table5 = fingerprint::table5(
         &fp,
         rtc,
@@ -1124,28 +1046,28 @@ fn stage_fingerprinting(
 }
 
 fn stage_https(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (HttpsReport, usize, usize) {
-    let report = if ctx.shards <= 1 {
-        https::report(ctx.porn_es, &ctx.tier_of, ctx.client_ip)
-    } else {
-        let parts = scan_shards(obs, HTTPS, ctx.porn_es, ctx.shards, |slice| {
-            https::scan(slice, &ctx.tier_of, ctx.client_ip)
-        });
-        https::finalize(https::merge(parts))
-    };
+    let report = https::finalize(scan_shards(
+        obs,
+        HTTPS,
+        ctx.porn_es,
+        ctx.shards,
+        |slice| https::scan(slice, &ctx.tier_of, ctx.client_ip),
+        https::merge,
+    ));
     let produced = report.rows.len();
     (report, ctx.porn_es.visits.len(), produced)
 }
 
 fn stage_malware(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (MalwareReport, usize, usize) {
     let threat = WorldThreatFeed(ctx.world);
-    let report = if ctx.shards <= 1 {
-        malware::detect(ctx.porn_es, &threat)
-    } else {
-        let parts = scan_shards(obs, MALWARE, ctx.porn_es, ctx.shards, |slice| {
-            malware::scan(slice, &threat)
-        });
-        malware::merge(parts)
-    };
+    let report = scan_shards(
+        obs,
+        MALWARE,
+        ctx.porn_es,
+        ctx.shards,
+        |slice| malware::scan(slice, &threat),
+        malware::merge,
+    );
     let produced = report.flagged_sites.len() + report.mining_sites.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1170,7 +1092,7 @@ fn stage_geo(
                 .crawl(country, CorpusLabel::Porn)
                 .expect("per-country porn crawl recorded");
             input += crawl.visits.len();
-            let extract = ctx.extracts.get_sharded(crawl, false, ctx.shards);
+            let extract = ctx.extracts.get(crawl, false, ctx.shards);
             geo::summarize_extracted(crawl, &extract, ctx.ats_for(crawl), &threat)
         })
         .collect();
@@ -1185,30 +1107,31 @@ fn stage_consent_banners(
     ctx: &AnalysisContext<'_>,
     obs: &StageObs<'_>,
 ) -> ((BannerBreakdown, BannerBreakdown), usize, usize) {
-    let oracle = InspectionOracle::new(&ctx.world.sites);
-    let verify = |domain: &str| oracle.confirm_banner(domain);
     let breakdown = |crawl: &CrawlRecord, tag: &str| {
-        if ctx.shards <= 1 {
-            let (b, _) = consent::breakdown(crawl, &verify);
-            b
-        } else {
-            // Each worker gets its own oracle: the shared one counts its
-            // queries in a `Cell`, which must not cross shard threads.
-            let parts = scan_shards(obs, tag, crawl, ctx.shards, |slice| {
+        let (observations, rejected) = scan_shards(
+            obs,
+            tag,
+            crawl,
+            ctx.shards,
+            |slice| {
+                // Each scan gets its own oracle: an oracle counts its
+                // queries in a `Cell`, which must not cross shard threads.
                 let oracle = InspectionOracle::new(&ctx.world.sites);
-                let verify = |domain: &str| oracle.confirm_banner(domain);
-                consent::scan(slice, &verify)
-            });
-            let mut observations = Vec::new();
-            let mut rejected = 0usize;
-            for (part, part_rejected) in parts {
-                observations.extend(part);
-                rejected += part_rejected;
-            }
-            let (b, _) =
-                consent::finalize(crawl.country, crawl.success_count(), observations, rejected);
-            b
-        }
+                consent::scan(slice, &|domain: &str| oracle.confirm_banner(domain))
+            },
+            |parts| {
+                let mut observations = Vec::new();
+                let mut rejected = 0usize;
+                for (part, part_rejected) in parts {
+                    observations.extend(part);
+                    rejected += part_rejected;
+                }
+                (observations, rejected)
+            },
+        );
+        let (b, _) =
+            consent::finalize(crawl.country, crawl.success_count(), observations, rejected);
+        b
     };
     let banners_eu = breakdown(ctx.porn_es, "consent-banners.eu");
     // The paper's Table 8 contrasts the EU with the USA; without a USA

@@ -17,6 +17,8 @@
 //! [`Study::collect_db`] is the literal first half of [`Study::run_on`]:
 //! downstream consumers that only want the raw tables call it and stop.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use redlight_crawler::corpus::CorpusCompiler;
 use redlight_crawler::db::{CorpusLabel, MeasurementDb};
 use redlight_crawler::openwpm::CrawlConfig;
@@ -30,7 +32,7 @@ use redlight_obs::ObsContext;
 use redlight_websim::{World, WorldConfig};
 
 use crate::results::{StageReport, StudyResults};
-use crate::stages::{self, AnalysisContext, StageObs, GATE_COUNTRIES};
+use crate::stages::{self, AnalysisContext, StageObs, StageOutputs, GATE_COUNTRIES};
 
 /// Study parameters.
 #[derive(Debug, Clone)]
@@ -48,11 +50,6 @@ pub struct StudyConfig {
     /// metered / fault-injecting) plus the visit retry policy. The default
     /// injects nothing, so results stay byte-identical to a direct run.
     pub net: NetProfile,
-    /// Classify each crawl's requests in one batched pass (grouped by host,
-    /// deduped per distinct interned URL) instead of per request. Verdicts
-    /// are byte-identical either way; batching only changes the walk order
-    /// and lets every duplicate request hit the precomputed column.
-    pub batch_classify: bool,
 }
 
 impl StudyConfig {
@@ -64,7 +61,6 @@ impl StudyConfig {
             agegate_top_n: 50,
             max_policy_pairs: 1_300_000,
             net: NetProfile::default(),
-            batch_classify: true,
         }
     }
 
@@ -76,7 +72,6 @@ impl StudyConfig {
             agegate_top_n: 12,
             max_policy_pairs: 40_000,
             net: NetProfile::default(),
-            batch_classify: true,
         }
     }
 
@@ -88,7 +83,6 @@ impl StudyConfig {
             agegate_top_n: 8,
             max_policy_pairs: 5_000,
             net: NetProfile::default(),
-            batch_classify: true,
         }
     }
 
@@ -195,7 +189,7 @@ impl Study {
             metrics: obs.metrics.clone(),
             parent: tracer.link(),
         };
-        let (db, timings) = config.crawl_plan().execute_observed(
+        let (db, timings) = config.crawl_plan().execute(
             world,
             PlanDomains {
                 porn: &corpus.sanitized,
@@ -222,32 +216,25 @@ impl Study {
         Self::run_on_observed(world, config, &ObsContext::disabled())
     }
 
-    /// [`run_on`](Self::run_on) with the analysis layer fanned over
-    /// `shards` contiguous visit-range shards: the decomposable stages scan
-    /// per-shard partials off a bounded work queue and merge them in shard
-    /// order, so peak per-stage memory is O(shard) instead of O(crawl).
-    /// Results are byte-identical to [`run_on`] for every shard count; the
-    /// [`StageReport`] additionally carries per-crawl [`ShardStat`] rows
-    /// when `shards > 1`.
-    ///
-    /// [`ShardStat`]: crate::results::ShardStat
-    pub fn run_on_sharded(world: &World, config: &StudyConfig, shards: usize) -> StudyResults {
-        Self::run_on_sharded_observed(world, config, &ObsContext::disabled(), shards)
-    }
-
     /// [`run_on`](Self::run_on) with telemetry: the collection layer
     /// journals under a `collect` root span, the analysis layer under an
-    /// `analyze` root (one `context.build` child plus a `stage.<name>`
-    /// span per stage), and every transport/cache/stage counter lands in
-    /// `obs.metrics`. Results are byte-identical to [`run_on`].
+    /// `analyze` root (see [`analyze`](Self::analyze)), and every
+    /// transport/cache/stage counter lands in `obs.metrics`. Results are
+    /// byte-identical to [`run_on`](Self::run_on).
     pub fn run_on_observed(world: &World, config: &StudyConfig, obs: &ObsContext) -> StudyResults {
         Self::run_on_sharded_observed(world, config, obs, 1)
     }
 
-    /// [`run_on_sharded`](Self::run_on_sharded) with telemetry: sharded
-    /// stages additionally record one `stage.<name>.shard.NNN` span per
-    /// shard scan. At `shards == 1` the span layout, metrics and results
-    /// are byte-identical to [`run_on_observed`](Self::run_on_observed).
+    /// [`run_on_observed`](Self::run_on_observed) with the analysis layer
+    /// fanned over `shards` contiguous visit-range shards: the decomposable
+    /// stages scan per-shard partials off a bounded work queue and merge
+    /// them in shard order, so peak per-stage memory is O(shard) instead of
+    /// O(crawl), and each shard scan records a `stage.<name>.shard.NNN`
+    /// span. Results are byte-identical for every shard count; the
+    /// [`StageReport`] additionally carries per-crawl [`ShardStat`] rows
+    /// when `shards > 1`.
+    ///
+    /// [`ShardStat`]: crate::results::ShardStat
     pub fn run_on_sharded_observed(
         world: &World,
         config: &StudyConfig,
@@ -256,12 +243,35 @@ impl Study {
     ) -> StudyResults {
         // Layer 1: collect every crawl into the measurement DB.
         let (db, crawl_timings) = Self::collect_db_observed(world, config, obs);
-
         // Layer 2: derive shared artifacts, then run all analysis stages.
+        let (outputs, mut report, best_ranks) =
+            Self::analyze(world, config, &db, &stages::all_stages(), obs, shards);
+        // Layer 3: assemble results with the instrumentation report.
+        report.crawls = crawl_timings;
+        outputs.into_results(best_ranks, report)
+    }
+
+    /// The analysis layer over a collected DB: derives the shared
+    /// [`AnalysisContext`] and runs the `selected` stages. Journals an
+    /// `analyze` root span with one `context.build` child and one
+    /// `stage.<name>` span per selected stage, and publishes every cache and
+    /// stage counter into `obs.metrics`.
+    ///
+    /// Returns the stage outputs, a [`StageReport`] with the stage timings,
+    /// cache counters and shard statistics (its `crawls` left empty for the
+    /// caller), and the best-rank map [`StageOutputs::into_results`] takes.
+    pub fn analyze(
+        world: &World,
+        config: &StudyConfig,
+        db: &MeasurementDb,
+        selected: &BTreeSet<&'static str>,
+        obs: &ObsContext,
+        shards: usize,
+    ) -> (StageOutputs, StageReport, BTreeMap<String, u32>) {
         let mut tracer = obs.trace.tracer("analyze");
         tracer.open("analyze");
         tracer.open("context.build");
-        let ctx = AnalysisContext::build_sharded_in(world, config, &db, &obs.metrics, shards);
+        let ctx = AnalysisContext::build_sharded_in(world, config, db, &obs.metrics, shards);
         tracer.attr("corpus_sanitized", ctx.corpus.sanitized.len());
         tracer.close();
         let stage_obs = StageObs {
@@ -269,29 +279,18 @@ impl Study {
             metrics: &obs.metrics,
             parent: tracer.link(),
         };
-        let (outputs, stage_timings) =
-            stages::run_observed(&db, &ctx, &stages::all_stages(), &stage_obs);
+        let (outputs, stage_timings) = stages::run_observed(db, &ctx, selected, &stage_obs);
         tracer.attr("stages", stage_timings.len());
         tracer.close();
         tracer.finish();
 
-        // Layer 3: assemble results with the instrumentation report.
-        let best_ranks = ctx.best_ranks.clone();
-        let caches = ctx.cache_counters();
-        let shard_rows = if shards > 1 {
-            stages::shard_stats(&db, shards)
-        } else {
-            Vec::new()
+        let report = StageReport {
+            crawls: Vec::new(),
+            stages: stage_timings,
+            caches: ctx.cache_counters(),
+            shards: stages::shard_stats(db, shards),
         };
-        outputs.into_results(
-            best_ranks,
-            StageReport {
-                crawls: crawl_timings,
-                stages: stage_timings,
-                caches,
-                shards: shard_rows,
-            },
-        )
+        (outputs, report, ctx.best_ranks)
     }
 }
 

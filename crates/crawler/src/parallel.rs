@@ -14,10 +14,10 @@ use std::time::{Duration, Instant};
 
 use redlight_net::geoip::Country;
 use redlight_net::transport::{NetProfile, TransportStats};
-use redlight_obs::{Registry, SpanLink, Trace};
+use redlight_obs::{MetricsSnapshot, Registry, SpanLink, Trace, Tracer};
 use redlight_websim::World;
 
-use crate::db::{CorpusLabel, CrawlRecord, InteractionRecord};
+use crate::db::{CrawlRecord, InteractionRecord, VisitRollup};
 use crate::openwpm::{corpus_slug, CrawlConfig, OpenWpmCrawler};
 use crate::selenium::SeleniumCrawler;
 
@@ -37,7 +37,8 @@ pub struct CrawlObs {
 }
 
 impl CrawlObs {
-    /// The no-op plumbing the unobserved entry points run with.
+    /// No-op plumbing: spans are dropped and counters land in a throwaway
+    /// registry.
     pub fn disabled() -> Self {
         CrawlObs {
             trace: Trace::disabled(),
@@ -68,83 +69,38 @@ pub struct JobOutcome<R> {
     pub wall: Duration,
     /// Transport counters, when the job's profile meters.
     pub transport: Option<TransportStats>,
-    /// Document-load attempts across the job's sites.
-    pub attempts: u64,
-    /// Attempts beyond each site's first.
-    pub retries: u64,
-    /// Sites whose document never loaded (interaction jobs: unreachable
-    /// sites).
-    pub failures: u64,
+    /// Attempt, retry and failure totals across the job's sites (for
+    /// interaction jobs, failures are unreachable sites).
+    pub rollup: VisitRollup,
 }
 
 /// Runs heterogeneous OpenWPM-style crawl jobs concurrently, returning each
-/// record with its instrumentation, in job order.
-pub fn run_crawl_jobs(world: &World, jobs: &[CrawlJob<'_>]) -> Vec<JobOutcome<CrawlRecord>> {
-    run_crawl_jobs_observed(world, jobs, &CrawlObs::disabled())
-}
-
-/// [`run_crawl_jobs`] with telemetry: worker `i` records into the
-/// `collect/openwpm.II.<country>.<corpus>` shard and a scratch registry;
-/// scratch snapshots are absorbed into `obs.metrics` in job order, so the
-/// study-wide counters are deterministic for a given plan and seed.
-pub fn run_crawl_jobs_observed(
+/// record with its instrumentation, in job order. Worker `i` records into
+/// the `collect/openwpm.II.<country>.<corpus>` journal shard.
+pub fn run_crawl_jobs(
     world: &World,
     jobs: &[CrawlJob<'_>],
     obs: &CrawlObs,
 ) -> Vec<JobOutcome<CrawlRecord>> {
-    let mut slots: Vec<Option<(JobOutcome<CrawlRecord>, redlight_obs::MetricsSnapshot)>> =
-        Vec::new();
-    slots.resize_with(jobs.len(), || None);
-
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let shard = format!(
-                        "collect/openwpm.{i:02}.{}.{}",
-                        job.config.country.code().to_ascii_lowercase(),
-                        corpus_slug(job.config.corpus),
-                    );
-                    let mut tracer = match obs.parent.clone() {
-                        Some(parent) => obs.trace.tracer_under(&shard, parent),
-                        None => obs.trace.tracer(&shard),
-                    };
-                    let registry = Registry::new();
-                    let start = Instant::now();
-                    let (record, transport) = OpenWpmCrawler::new(world, job.config.clone())
-                        .with_net(job.net.clone())
-                        .crawl_observed(job.domains, &mut tracer, &registry);
-                    tracer.finish();
-                    // One pass over the visit column for all three totals.
-                    let rollup = record.rollup();
-                    let outcome = JobOutcome {
-                        wall: start.elapsed(),
-                        transport,
-                        attempts: rollup.attempts,
-                        retries: rollup.retries,
-                        failures: rollup.failures,
-                        output: record,
-                    };
-                    (outcome, registry.snapshot())
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            slots[i] = Some(handle.join().expect("crawl thread panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-
-    slots
-        .into_iter()
-        .map(|s| {
-            let (outcome, snapshot) = s.expect("filled");
-            obs.metrics.absorb(&snapshot);
-            outcome
-        })
-        .collect()
+    run_jobs(
+        jobs,
+        obs,
+        |i, job| {
+            format!(
+                "collect/openwpm.{i:02}.{}.{}",
+                job.config.country.code().to_ascii_lowercase(),
+                corpus_slug(job.config.corpus),
+            )
+        },
+        |job, tracer, registry| {
+            let (record, transport) = OpenWpmCrawler::new(world, job.config.clone())
+                .with_net(job.net.clone())
+                .crawl_observed(job.domains, tracer, registry);
+            // One pass over the visit column for all three totals.
+            let rollup = record.rollup();
+            (record, transport, rollup)
+        },
+    )
 }
 
 /// One Selenium-style interaction crawl job.
@@ -159,105 +115,84 @@ pub struct InteractionJob<'d> {
 }
 
 /// Runs interaction crawl jobs concurrently, returning each country's
-/// records with the job's instrumentation, in job order.
+/// records with the job's instrumentation, in job order. Worker `i`
+/// records into the `collect/selenium.II.<country>` journal shard.
 pub fn run_interaction_jobs(
-    world: &World,
-    jobs: &[InteractionJob<'_>],
-) -> Vec<JobOutcome<Vec<InteractionRecord>>> {
-    run_interaction_jobs_observed(world, jobs, &CrawlObs::disabled())
-}
-
-/// [`run_interaction_jobs`] with telemetry: worker `i` records into the
-/// `collect/selenium.II.<country>` shard; scratch registries are absorbed
-/// in job order, exactly like [`run_crawl_jobs_observed`].
-pub fn run_interaction_jobs_observed(
     world: &World,
     jobs: &[InteractionJob<'_>],
     obs: &CrawlObs,
 ) -> Vec<JobOutcome<Vec<InteractionRecord>>> {
-    let mut slots: Vec<
-        Option<(
-            JobOutcome<Vec<InteractionRecord>>,
-            redlight_obs::MetricsSnapshot,
-        )>,
-    > = Vec::new();
-    slots.resize_with(jobs.len(), || None);
+    run_jobs(
+        jobs,
+        obs,
+        |i, job| {
+            format!(
+                "collect/selenium.{i:02}.{}",
+                job.country.code().to_ascii_lowercase()
+            )
+        },
+        |job, tracer, registry| {
+            let crawl = SeleniumCrawler::new(world, job.country)
+                .with_net(job.net.clone())
+                .crawl_observed(job.domains, tracer, registry);
+            let rollup = VisitRollup {
+                attempts: crawl.attempts,
+                retries: crawl.retries,
+                failures: crawl.records.iter().filter(|r| !r.reachable).count() as u64,
+            };
+            (crawl.records, crawl.transport, rollup)
+        },
+    )
+}
 
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            handles.push((
-                i,
+/// The job runner behind both job shapes: one scoped thread per job,
+/// worker `i` recording into the journal shard `shard(i, job)` and its own
+/// registry as [`CrawlObs`] describes. Outcomes return in job order.
+fn run_jobs<J: Sync, R: Send>(
+    jobs: &[J],
+    obs: &CrawlObs,
+    shard: impl Fn(usize, &J) -> String + Sync,
+    crawl: impl Fn(&J, &mut Tracer, &Registry) -> (R, Option<TransportStats>, VisitRollup) + Sync,
+) -> Vec<JobOutcome<R>> {
+    let (shard, crawl) = (&shard, &crawl);
+    let finished: Vec<(JobOutcome<R>, MetricsSnapshot)> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| {
                 scope.spawn(move |_| {
-                    let shard = format!(
-                        "collect/selenium.{i:02}.{}",
-                        job.country.code().to_ascii_lowercase()
-                    );
+                    let name = shard(i, job);
                     let mut tracer = match obs.parent.clone() {
-                        Some(parent) => obs.trace.tracer_under(&shard, parent),
-                        None => obs.trace.tracer(&shard),
+                        Some(parent) => obs.trace.tracer_under(&name, parent),
+                        None => obs.trace.tracer(&name),
                     };
                     let registry = Registry::new();
                     let start = Instant::now();
-                    let crawl = SeleniumCrawler::new(world, job.country)
-                        .with_net(job.net.clone())
-                        .crawl_observed(job.domains, &mut tracer, &registry);
+                    let (output, transport, rollup) = crawl(job, &mut tracer, &registry);
                     tracer.finish();
                     let outcome = JobOutcome {
+                        output,
                         wall: start.elapsed(),
-                        transport: crawl.transport,
-                        attempts: crawl.attempts,
-                        retries: crawl.retries,
-                        failures: crawl.records.iter().filter(|r| !r.reachable).count() as u64,
-                        output: crawl.records,
+                        transport,
+                        rollup,
                     };
                     (outcome, registry.snapshot())
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            slots[i] = Some(handle.join().expect("interaction thread panicked"));
-        }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("crawl thread panicked"))
+            .collect()
     })
     .expect("crossbeam scope");
 
-    slots
+    finished
         .into_iter()
-        .map(|s| {
-            let (outcome, snapshot) = s.expect("filled");
+        .map(|(outcome, snapshot)| {
             obs.metrics.absorb(&snapshot);
             outcome
         })
-        .collect()
-}
-
-/// Runs one OpenWPM-style crawl per country concurrently over a default
-/// network, returning the records in `countries` order.
-///
-/// `store_dom_for` limits DOM retention to the countries whose crawls feed
-/// DOM-level analyses (consent banners need Spain + USA).
-pub fn crawl_countries(
-    world: &World,
-    domains: &[String],
-    countries: &[Country],
-    corpus: CorpusLabel,
-    store_dom_for: &[Country],
-) -> Vec<CrawlRecord> {
-    let jobs: Vec<CrawlJob<'_>> = countries
-        .iter()
-        .map(|&country| CrawlJob {
-            config: CrawlConfig {
-                country,
-                corpus,
-                store_dom: store_dom_for.contains(&country),
-            },
-            domains,
-            net: NetProfile::default(),
-        })
-        .collect();
-    run_crawl_jobs(world, &jobs)
-        .into_iter()
-        .map(|job| job.output)
         .collect()
 }
 
@@ -265,7 +200,35 @@ pub fn crawl_countries(
 mod tests {
     use super::*;
     use crate::corpus::CorpusCompiler;
+    use crate::db::CorpusLabel;
     use redlight_websim::WorldConfig;
+
+    /// One OpenWPM-style crawl per country over a default network, records
+    /// in `countries` order; DOM kept only for `store_dom_for`.
+    fn crawl_countries(
+        world: &World,
+        domains: &[String],
+        countries: &[Country],
+        corpus: CorpusLabel,
+        store_dom_for: &[Country],
+    ) -> Vec<CrawlRecord> {
+        let jobs: Vec<CrawlJob<'_>> = countries
+            .iter()
+            .map(|&country| CrawlJob {
+                config: CrawlConfig {
+                    country,
+                    corpus,
+                    store_dom: store_dom_for.contains(&country),
+                },
+                domains,
+                net: NetProfile::default(),
+            })
+            .collect();
+        run_crawl_jobs(world, &jobs, &CrawlObs::disabled())
+            .into_iter()
+            .map(|job| job.output)
+            .collect()
+    }
 
     #[test]
     fn parallel_crawls_match_sequential() {
@@ -352,7 +315,7 @@ mod tests {
                 net: NetProfile::default(),
             },
         ];
-        let results = run_crawl_jobs(&world, &jobs);
+        let results = run_crawl_jobs(&world, &jobs, &CrawlObs::disabled());
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].output.corpus, CorpusLabel::Porn);
         assert_eq!(results[1].output.corpus, CorpusLabel::Regular);
@@ -370,8 +333,8 @@ mod tests {
                 .map(|v| v.visit.requests.len() as u64)
                 .sum();
             assert_eq!(stats.requests, recorded);
-            assert_eq!(job.attempts, job.output.visits.len() as u64);
-            assert_eq!(job.retries, 0);
+            assert_eq!(job.rollup.attempts, job.output.visits.len() as u64);
+            assert_eq!(job.rollup.retries, 0);
         }
 
         let interactions = run_interaction_jobs(
@@ -381,6 +344,7 @@ mod tests {
                 domains: &porn,
                 net: NetProfile::default(),
             }],
+            &CrawlObs::disabled(),
         );
         assert_eq!(interactions.len(), 1);
         assert_eq!(interactions[0].output.len(), porn.len());

@@ -17,9 +17,7 @@ use redlight_websim::World;
 
 use crate::db::{CorpusLabel, MeasurementDb};
 use crate::openwpm::{corpus_slug, CrawlConfig};
-use crate::parallel::{
-    run_crawl_jobs_observed, run_interaction_jobs_observed, CrawlJob, CrawlObs, InteractionJob,
-};
+use crate::parallel::{run_crawl_jobs, run_interaction_jobs, CrawlJob, CrawlObs, InteractionJob};
 
 /// Which domain list a planned crawl sweeps. Selectors are resolved at
 /// execution time, so a plan can be built before the corpus is compiled.
@@ -113,22 +111,14 @@ impl CrawlPlan {
     /// shared [`parallel`](crate::parallel) fan-out — and records the
     /// results into a fresh [`MeasurementDb`] in plan order, returning it
     /// with one [`CrawlTiming`] per crawl.
-    pub fn execute(
-        &self,
-        world: &World,
-        domains: PlanDomains<'_>,
-    ) -> (MeasurementDb, Vec<CrawlTiming>) {
-        self.execute_observed(world, domains, &CrawlObs::disabled())
-    }
-
-    /// [`execute`](Self::execute) with telemetry: every crawl records its
-    /// span tree into a per-worker journal shard and publishes its
-    /// transport/cache counters into `obs.metrics`, plus one
-    /// `crawl.<crawler>.<country>[.<corpus>].{sites,attempts,retries,failures}`
+    ///
+    /// Every crawl records its span tree into a per-worker journal shard
+    /// and publishes its transport/cache counters into `obs.metrics`, plus
+    /// one `crawl.<crawler>.<country>[.<corpus>].{sites,attempts,retries,failures}`
     /// counter group per executed crawl — the same numbers the returned
     /// [`CrawlTiming`]s carry, so the timing rows are a view over the
-    /// registry. The db and timings are byte-identical to [`execute`].
-    pub fn execute_observed(
+    /// registry.
+    pub fn execute(
         &self,
         world: &World,
         domains: PlanDomains<'_>,
@@ -155,16 +145,16 @@ impl CrawlPlan {
 
         let mut db = MeasurementDb::new();
         let mut timings = Vec::with_capacity(crawl_jobs.len() + interaction_jobs.len());
-        for job in run_crawl_jobs_observed(world, &crawl_jobs, obs) {
+        for job in run_crawl_jobs(world, &crawl_jobs, obs) {
             let record = job.output;
             let timing = CrawlTiming {
                 crawler: "openwpm",
                 country: record.country,
                 corpus: Some(record.corpus),
                 sites: record.visits.len(),
-                attempts: job.attempts,
-                retries: job.retries,
-                failures: job.failures,
+                attempts: job.rollup.attempts,
+                retries: job.rollup.retries,
+                failures: job.rollup.failures,
                 wall: job.wall,
                 net: job.transport,
             };
@@ -172,20 +162,20 @@ impl CrawlPlan {
             timings.push(timing);
             db.push_crawl(record);
         }
-        for (spec, job) in self.interactions.iter().zip(run_interaction_jobs_observed(
-            world,
-            &interaction_jobs,
-            obs,
-        )) {
+        for (spec, job) in
+            self.interactions
+                .iter()
+                .zip(run_interaction_jobs(world, &interaction_jobs, obs))
+        {
             let records = job.output;
             let timing = CrawlTiming {
                 crawler: "selenium",
                 country: spec.country,
                 corpus: None,
                 sites: records.len(),
-                attempts: job.attempts,
-                retries: job.retries,
-                failures: job.failures,
+                attempts: job.rollup.attempts,
+                retries: job.rollup.retries,
+                failures: job.rollup.failures,
                 wall: job.wall,
                 net: job.transport,
             };
@@ -281,6 +271,7 @@ mod tests {
                 regular: &corpus.reference_regular,
                 agegate_top: &top,
             },
+            &CrawlObs::disabled(),
         );
 
         assert_eq!(db.crawls().len(), 3);
@@ -328,6 +319,7 @@ mod tests {
                 regular: &[],
                 agegate_top: &[],
             },
+            &CrawlObs::disabled(),
         );
         let direct = OpenWpmCrawler::new(&world, config).crawl(&corpus.sanitized);
         let planned = db.crawl(Country::Usa, CorpusLabel::Porn).unwrap();

@@ -4,7 +4,7 @@
 //! from per-worker shards by shard name, never by arrival order), while
 //! divergent fault seeds must visibly diverge in the retry counters.
 
-use redlight::core::stages::STAGES;
+use redlight::core::stages::{self, STAGES};
 use redlight::net::transport::NetProfile;
 use redlight::obs::ObsContext;
 use redlight::{Study, StudyConfig, World};
@@ -144,4 +144,37 @@ fn observed_results_match_unobserved_results() {
     let plain = Study::run_on(&world, &config);
     let observed = Study::run_on_observed(&world, &config, &ObsContext::new());
     assert_eq!(plain.render_summary(), observed.render_summary());
+}
+
+#[test]
+fn stage_subset_journals_the_same_analyze_tree_as_a_full_run() {
+    // What `reproduce --stage cookies` runs: collection, then the analysis
+    // layer restricted to the selection.
+    let config = StudyConfig::tiny(42);
+    let world = World::build(config.world.clone());
+    let obs = ObsContext::new();
+    let (db, _) = Study::collect_db_observed(&world, &config, &obs);
+    let selected = stages::expand_selection(&["cookies".to_string()]).expect("known stage");
+    let (outputs, report, _) = Study::analyze(&world, &config, &db, &selected, &obs, 1);
+    assert!(outputs.cookies.is_some());
+    assert_eq!(report.stages.len(), 1);
+
+    let journal = obs.trace.journal();
+    assert_eq!(journal.count_named("analyze"), 1);
+    let analyze = journal.find("analyze").expect("analyze root");
+    assert_eq!(analyze.parent, 0, "analyze is a root span");
+    for child in ["context.build", "stage.cookies"] {
+        assert_eq!(journal.count_named(child), 1, "{child} recorded once");
+        let span = journal.find(child).expect("recorded");
+        assert_eq!(span.parent, analyze.id, "{child} hangs under analyze");
+    }
+    assert_eq!(
+        journal
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("stage."))
+            .count(),
+        1,
+        "only the selected stage runs"
+    );
 }

@@ -5,7 +5,11 @@
 //!
 //! The measurement DB is collected once (collection is untouched by
 //! sharding); every property case re-runs only the analysis layer with a
-//! randomly drawn shard count and compares the rendered summary bytes.
+//! randomly drawn shard count and compares the rendered summary bytes
+//! against the one-shard run, which scans every crawl whole and never
+//! merges. The telemetry contract rides along: one shard records no
+//! shard span or `shard_scans` counter, more shards record both for every
+//! decomposable scan.
 
 use std::sync::OnceLock;
 
@@ -14,6 +18,7 @@ use proptest::prelude::*;
 use redlight::core::results::StageReport;
 use redlight::core::stages::{self, AnalysisContext};
 use redlight::crawler::db::MeasurementDb;
+use redlight::obs::ObsContext;
 use redlight::{Study, StudyConfig, World, WorldConfig};
 
 struct Seeded {
@@ -74,12 +79,13 @@ fn oversubscribed_split_still_merges_identically() {
 
 #[test]
 fn full_sharded_study_matches_monolithic_run() {
-    // End to end through `Study::run_on_sharded`, covering the sharded
-    // context build, the sharded stage runner and the shard-stat report.
+    // End to end through `Study::run_on_sharded_observed`, covering the
+    // sharded context build, the sharded stage runner and the shard-stat
+    // report.
     let config = StudyConfig::tiny(77);
     let world = World::build(WorldConfig::tiny(77));
     let mono = Study::run_on(&world, &config);
-    let sharded = Study::run_on_sharded(&world, &config, 3);
+    let sharded = Study::run_on_sharded_observed(&world, &config, &ObsContext::disabled(), 3);
     assert_eq!(mono.render_summary(), sharded.render_summary());
     // Shard stats ride along in the report (never in the summary).
     assert!(mono.stage_report.shards.is_empty());
@@ -88,5 +94,74 @@ fn full_sharded_study_matches_monolithic_run() {
         assert_eq!(stat.shards, 3.min(stat.visits.max(1)));
         assert!(stat.min_shard <= stat.max_shard);
         assert!(stat.interned_bytes > 0, "visited crawls intern domains");
+    }
+}
+
+/// Every decomposable scan, as the journal and registry name it: the two
+/// cookie-sync passes, webrtc, fingerprinting, https, malware, and the
+/// EU and USA consent-banner crawls.
+const SHARDED_SCANS: [&str; 8] = [
+    "cookie-sync.registrations",
+    "cookie-sync.matches",
+    "webrtc",
+    "fingerprinting",
+    "https",
+    "malware",
+    "consent-banners.eu",
+    "consent-banners.usa",
+];
+
+fn observed_study(shards: usize) -> ObsContext {
+    let config = StudyConfig::tiny(77);
+    let world = World::build(WorldConfig::tiny(77));
+    let obs = ObsContext::new();
+    Study::run_on_sharded_observed(&world, &config, &obs, shards);
+    obs
+}
+
+#[test]
+fn one_shard_records_no_shard_telemetry() {
+    let obs = observed_study(1);
+    let journal = obs.trace.journal();
+    let shard_spans: Vec<&str> = journal
+        .spans
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|name| name.starts_with("stage.") && name.contains(".shard."))
+        .collect();
+    assert!(
+        shard_spans.is_empty(),
+        "unexpected shard spans: {shard_spans:?}"
+    );
+    let snapshot = obs.metrics.snapshot();
+    let counters: Vec<&String> = snapshot
+        .entries
+        .keys()
+        .filter(|name| name.ends_with(".shard_scans"))
+        .collect();
+    assert!(
+        counters.is_empty(),
+        "unexpected shard counters: {counters:?}"
+    );
+}
+
+#[test]
+fn three_shards_record_spans_and_counters_for_every_scan() {
+    let obs = observed_study(3);
+    let journal = obs.trace.journal();
+    let snapshot = obs.metrics.snapshot();
+    for scan in SHARDED_SCANS {
+        let prefix = format!("stage.{scan}.shard.");
+        let spans = journal
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with(&prefix))
+            .count();
+        assert_eq!(spans, 3, "{scan} records one span per shard");
+        assert_eq!(
+            snapshot.counter(&format!("stage.{scan}.shard_scans")),
+            3,
+            "{scan} counts its shard scans"
+        );
     }
 }

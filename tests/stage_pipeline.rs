@@ -85,7 +85,7 @@ fn stage_subset_matches_full_run() {
     let full = Study::run_on(&world, &config);
 
     let (db, _) = Study::collect_db(&world, &config);
-    let ctx = AnalysisContext::build(&world, &config, &db);
+    let ctx = AnalysisContext::build_sharded(&world, &config, &db, 1);
     let selected = stages::expand_selection(&[
         "cookies".to_string(),
         "https".to_string(),

@@ -124,3 +124,20 @@ fn slo_violations_freeze_flights_into_the_journal() {
     assert!(lines.contains("\"kind\":\"latency\""));
     assert!(lines.contains("\"type\":\"flight\""));
 }
+
+#[test]
+fn tick_hook_never_changes_the_event_schedule() {
+    // Sampling only reads the registry: the kernel must deliver exactly
+    // the same events with the timeline's tick hook installed as without.
+    let config = |timeline: Option<TimelineSpec>| TrafficConfig {
+        seed: 5,
+        world: WorldConfig::tiny(11),
+        timeline,
+        ..TrafficConfig::new(600)
+    };
+    let bare = run_traffic(&config(None), &ObsContext::new());
+    let sampled = run_traffic(&config(Some(TimelineSpec::default())), &ObsContext::new());
+    assert!(sampled.timeline.is_some() && bare.timeline.is_none());
+    assert_eq!(bare.events, sampled.events);
+    assert_eq!(bare.render(), sampled.render());
+}

@@ -52,6 +52,19 @@ fn same_seed_yields_byte_identical_report_and_journal() {
 }
 
 #[test]
+fn every_session_finishes_and_p99_is_at_least_p50() {
+    let net = NetProfile::named("sim").expect("sim profile registered");
+    let (report, _) = traffic_run(5, net);
+    assert_eq!(
+        report.completed + report.failed,
+        600,
+        "every session must finish"
+    );
+    assert!(report.request_p99_us >= report.request_p50_us);
+    assert!(report.makespan > Duration::ZERO);
+}
+
+#[test]
 fn different_seeds_diverge() {
     let net = NetProfile::named("sim").expect("sim profile registered");
     let (ra, _) = traffic_run(5, net.clone());
