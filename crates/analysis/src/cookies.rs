@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use redlight_net::codec;
 use serde::{Deserialize, Serialize};
 
-use crate::ats::AtsVerdicts;
+use crate::ats::AtsClassifier;
 use crate::util::{pct, reg};
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
@@ -251,7 +251,7 @@ pub fn stats(crawl: &CrawlRecord, rows: &[CookieRow], client_ip: Ipv4Addr) -> Co
 pub fn table4(
     crawl: &CrawlRecord,
     rows: &[CookieRow],
-    ats: AtsVerdicts<'_>,
+    ats: &AtsClassifier,
     regular_third_party: &BTreeSet<String>,
     client_ip: Ipv4Addr,
     top_n: usize,

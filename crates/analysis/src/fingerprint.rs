@@ -16,8 +16,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use redlight_browser::canvas::CanvasActivity;
 use serde::{Deserialize, Serialize};
 
-use crate::ats::AtsVerdicts;
-use crate::util::pct;
+use crate::ats::AtsClassifier;
+use crate::util::{pct, reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
@@ -111,7 +111,7 @@ pub struct FingerprintScan {
 }
 
 /// Runs the detector over a crawl.
-pub fn detect(crawl: &CrawlRecord, ats: AtsVerdicts<'_>) -> FingerprintReport {
+pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> FingerprintReport {
     finalize(scan(crawl.full(), ats))
 }
 
@@ -148,7 +148,7 @@ pub fn finalize(scan: FingerprintScan) -> FingerprintReport {
 }
 
 /// The map side: runs the detector over one shard.
-pub fn scan(slice: CrawlSlice<'_>, ats: AtsVerdicts<'_>) -> FingerprintScan {
+pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
     let mut out = FingerprintScan::default();
     let FingerprintScan {
         canvas_scripts,
@@ -187,10 +187,9 @@ pub fn scan(slice: CrawlSlice<'_>, ats: AtsVerdicts<'_>) -> FingerprintScan {
             }
             if canvas_hit {
                 canvas_sites.insert(slice.name(record.domain).to_string());
-                let hosts = ats.hosts();
-                let third_party = !hosts.same_site(&id.host, page_host);
+                let third_party = !same_site(&id.host, page_host);
                 if third_party {
-                    canvas_services.insert(hosts.registrable(&id.host).to_string());
+                    canvas_services.insert(reg(&id.host).to_string());
                     third_party_scripts.insert(id.clone());
                 }
                 if let Some(u) = script_url {
@@ -238,16 +237,15 @@ pub fn table5(
     rtc: &crate::webrtc::WebRtcReport,
     porn_extract: &crate::thirdparty::ThirdPartyExtract,
     regular_extract: &crate::thirdparty::ThirdPartyExtract,
-    ats: AtsVerdicts<'_>,
+    ats: &AtsClassifier,
     top_n: usize,
 ) -> Vec<Table5Row> {
-    let hosts = ats.hosts();
     let mut domains: BTreeSet<String> = BTreeSet::new();
     for s in &fp.canvas_scripts {
-        domains.insert(hosts.registrable(&s.host).to_string());
+        domains.insert(reg(&s.host).to_string());
     }
     for s in &rtc.scripts {
-        domains.insert(hosts.registrable(&s.host).to_string());
+        domains.insert(reg(&s.host).to_string());
     }
     // Keep only third-party domains (inline/first-party hosts are porn
     // sites themselves).
@@ -258,12 +256,12 @@ pub fn table5(
             let canvas = fp
                 .canvas_scripts
                 .iter()
-                .filter(|s| hosts.registrable(&s.host) == domain)
+                .filter(|s| reg(&s.host) == domain)
                 .count();
             let webrtc = rtc
                 .scripts
                 .iter()
-                .filter(|s| hosts.registrable(&s.host) == domain)
+                .filter(|s| reg(&s.host) == domain)
                 .count();
             Table5Row {
                 presence: porn_extract.sites_with_registrable(&domain),
@@ -271,7 +269,7 @@ pub fn table5(
                 in_regular_web: regular_extract
                     .third_party_fqdns
                     .iter()
-                    .any(|f| hosts.registrable(f) == domain),
+                    .any(|f| reg(f) == domain),
                 canvas_scripts: canvas,
                 webrtc_scripts: webrtc,
                 domain,

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use redlight_net::geoip::Country;
 use serde::{Deserialize, Serialize};
 
-use crate::ats::AtsVerdicts;
+use crate::ats::AtsClassifier;
 use crate::thirdparty::{self, ThirdPartyExtract};
 use crate::ThreatFeed;
 use redlight_crawler::db::CrawlRecord;
@@ -37,18 +37,18 @@ pub struct GeoSummary {
 }
 
 /// Summarizes one country's crawl.
-pub fn summarize(crawl: &CrawlRecord, ats: AtsVerdicts<'_>, threat: &dyn ThreatFeed) -> GeoSummary {
+pub fn summarize(crawl: &CrawlRecord, ats: &AtsClassifier, threat: &dyn ThreatFeed) -> GeoSummary {
     let extract = thirdparty::extract(crawl, false);
     summarize_extracted(crawl, &extract, ats, threat)
 }
 
 /// [`summarize`] over an extraction computed elsewhere (the stage pipeline
-/// shares one memoized extraction per crawl across stages). The `extract`
-/// must come from `crawl` with `include_chained = false`.
+/// extracts over its shard split). The `extract` must come from `crawl`
+/// with `include_chained = false`.
 pub fn summarize_extracted(
     crawl: &CrawlRecord,
     extract: &ThirdPartyExtract,
-    ats: AtsVerdicts<'_>,
+    ats: &AtsClassifier,
     threat: &dyn ThreatFeed,
 ) -> GeoSummary {
     let mut fqdns: BTreeSet<String> = BTreeSet::new();

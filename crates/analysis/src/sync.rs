@@ -9,10 +9,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use redlight_net::psl::HostCache;
 use serde::{Deserialize, Serialize};
 
-use crate::util::same_site;
+use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
@@ -94,9 +93,8 @@ pub fn detect_with_options(
 ) -> SyncReport {
     // The detector is defined as the two-pass map/reduce run on a single
     // shard, so sharded runs reproduce it by construction.
-    let hosts = HostCache::new();
-    let regs = scan_registrations(crawl.full(), options, &hosts);
-    let matches = scan_matches(crawl.full(), &regs, options, &hosts);
+    let regs = scan_registrations(crawl.full(), options);
+    let matches = scan_matches(crawl.full(), &regs, options);
     finalize(matches, ranked_sites, top_k)
 }
 
@@ -166,11 +164,7 @@ pub fn finalize(matches: SyncMatches, ranked_sites: &[String], top_k: usize) -> 
 }
 
 /// Pass 1 over one shard: registers cookie values set during its visits.
-pub fn scan_registrations(
-    slice: CrawlSlice<'_>,
-    options: SyncOptions,
-    hosts: &HostCache,
-) -> SyncRegistrations {
+pub fn scan_registrations(slice: CrawlSlice<'_>, options: SyncOptions) -> SyncRegistrations {
     // Cookie values observed in the session, with their owning domain and
     // first-setting visit. Values shorter than 8 chars would false-positive
     // against ordinary query values.
@@ -181,7 +175,7 @@ pub fn scan_registrations(
             if !obs.accepted {
                 continue;
             }
-            let owner = hosts.registrable(&obs.effective_domain).to_string();
+            let owner = reg(&obs.effective_domain).to_string();
             if obs.cookie.value.chars().count() >= options.min_value_len {
                 out.entry(obs.cookie.value.clone())
                     .or_insert_with(|| (owner.clone(), idx));
@@ -205,7 +199,6 @@ pub fn scan_matches(
     slice: CrawlSlice<'_>,
     regs: &SyncRegistrations,
     options: SyncOptions,
-    hosts: &HostCache,
 ) -> SyncMatches {
     let mut out = SyncMatches::default();
     for (i, record) in slice.visits.iter().enumerate() {
@@ -240,7 +233,7 @@ pub fn scan_matches(
                     if *first_set > idx {
                         continue; // only set later in the session
                     }
-                    let dest = hosts.registrable(dest_host).to_string();
+                    let dest = reg(dest_host).to_string();
                     if same_site(owner, &dest) {
                         continue; // first-party echo, not a sync
                     }

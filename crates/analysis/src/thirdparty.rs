@@ -6,20 +6,15 @@
 //! FQDNs decides (≥ 0.7 ⇒ same entity). This groups `doublepimp.com` with
 //! `doublepimpssl.com` while separating it from `doubleclick.net`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, RwLock};
-
-use redlight_obs::{Counter, Registry};
+use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_browser::Initiator;
-use redlight_net::geoip::Country;
-use redlight_net::psl::{CacheStats, HostCache};
 use redlight_net::tls::CertSummary;
 use redlight_text::levenshtein;
 use serde::{Deserialize, Serialize};
 
 use crate::util::reg;
-use redlight_crawler::db::{CorpusLabel, CrawlRecord};
+use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
 /// Party classification of one observed FQDN relative to a host site.
@@ -40,27 +35,7 @@ pub fn classify(
     request_host: &str,
     request_cert: Option<&CertSummary>,
 ) -> Party {
-    classify_in(
-        site_host,
-        site_cert,
-        request_host,
-        request_cert,
-        &HostCache::new(),
-    )
-}
-
-/// [`classify`] with every eTLD+1 resolution answered by `hosts`.
-fn classify_in(
-    site_host: &str,
-    site_cert: Option<&CertSummary>,
-    request_host: &str,
-    request_cert: Option<&CertSummary>,
-    hosts: &HostCache,
-) -> Party {
-    let (site_reg, request_reg) = (
-        hosts.registrable(site_host),
-        hosts.registrable(request_host),
-    );
+    let (site_reg, request_reg) = (reg(site_host), reg(request_host));
     if site_reg == request_reg {
         return Party::First;
     }
@@ -119,7 +94,7 @@ impl ThirdPartyExtract {
 /// embedded frames (RTB inclusion chains); Table 7 excludes them, the main
 /// §4.2 analysis includes them.
 pub fn extract(crawl: &CrawlRecord, include_chained: bool) -> ThirdPartyExtract {
-    scan(crawl.full(), include_chained, &HostCache::new())
+    scan(crawl.full(), include_chained)
 }
 
 /// The reduce side: unions per-shard partials, in shard order.
@@ -138,11 +113,10 @@ pub fn merge(parts: impl IntoIterator<Item = ThirdPartyExtract>) -> ThirdPartyEx
     out
 }
 
-/// The map side of the extraction: one shard's partial extract, with
-/// eTLD+1 resolutions memoized in `hosts`. Merging every shard's partial
-/// with [`merge`] reproduces the monolithic [`extract`] exactly (per-site
-/// maps and FQDN sets union cleanly).
-pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> ThirdPartyExtract {
+/// The map side of the extraction: one shard's partial extract. Merging
+/// every shard's partial with [`merge`] reproduces the monolithic
+/// [`extract`] exactly (per-site maps and FQDN sets union cleanly).
+pub fn scan(slice: CrawlSlice<'_>, include_chained: bool) -> ThirdPartyExtract {
     let mut out = ThirdPartyExtract::default();
     for record in slice.successful() {
         let visit = &record.visit;
@@ -175,13 +149,7 @@ pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> 
             if host == site_host {
                 continue;
             }
-            match classify_in(
-                site_host,
-                site_cert.as_ref(),
-                host,
-                req.cert.as_ref(),
-                hosts,
-            ) {
+            match classify(site_host, site_cert.as_ref(), host, req.cert.as_ref()) {
                 Party::First => {
                     parties.first.insert(host.to_string());
                     out.first_party_fqdns.insert(host.to_string());
@@ -194,125 +162,6 @@ pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> 
         }
     }
     out
-}
-
-/// Identity of one extraction: which crawl, whether frame-chained requests
-/// were kept, and which visit range was scanned (`0..visits.len()` for the
-/// whole crawl; per-shard sub-ranges memoize shard partials).
-type ExtractKey = (Country, CorpusLabel, bool, usize, usize);
-
-/// A pipeline-wide memo of third-party extractions.
-///
-/// Several stages (ats, orgs, sync, geo, monetization) start from "the
-/// third parties of crawl X" — before this memo each re-ran [`extract`]
-/// over the same records. The memo computes each `(country, corpus,
-/// include_chained)` extraction once and hands out `Arc` clones. Concurrent
-/// stages may race on a cold key; extraction is deterministic, so both
-/// compute the same value and the duplicated work is bounded by one
-/// extraction (both count as misses).
-pub struct ExtractMemo {
-    hosts: Arc<HostCache>,
-    map: RwLock<HashMap<ExtractKey, Arc<ThirdPartyExtract>>>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl ExtractMemo {
-    /// Empty memo resolving hosts through `hosts`.
-    pub fn new(hosts: Arc<HostCache>) -> Self {
-        ExtractMemo {
-            hosts,
-            map: RwLock::new(HashMap::new()),
-            hits: Counter::new(),
-            misses: Counter::new(),
-        }
-    }
-
-    /// [`ExtractMemo::new`] publishing `cache.thirdparty-extracts.hits` /
-    /// `.misses` into `registry` ([`ExtractMemo::stats`] reads the same
-    /// cells).
-    pub fn in_registry(hosts: Arc<HostCache>, registry: &Registry) -> Self {
-        ExtractMemo {
-            hits: registry.counter("cache.thirdparty-extracts.hits"),
-            misses: registry.counter("cache.thirdparty-extracts.misses"),
-            ..Self::new(hosts)
-        }
-    }
-
-    /// The extraction for `crawl`, computed at most once per key. One
-    /// shard scans the whole crawl in one pass. More shards scan each of
-    /// the `shards` contiguous visit ranges on its own (memoized under the
-    /// range), merge the partials in shard order and cache the result under
-    /// the whole-crawl key, so later calls for the crawl hit at any shard
-    /// count and see the value a one-pass extraction produces.
-    pub fn get(
-        &self,
-        crawl: &CrawlRecord,
-        include_chained: bool,
-        shards: usize,
-    ) -> Arc<ThirdPartyExtract> {
-        if shards <= 1 {
-            return self.get_slice(crawl.full(), include_chained);
-        }
-        let key = Self::key(crawl.full(), include_chained);
-        if let Some(found) = self.lookup(&key) {
-            return found;
-        }
-        let parts: Vec<ThirdPartyExtract> = crawl
-            .shards(shards)
-            .into_iter()
-            .map(|slice| (*self.get_slice(slice, include_chained)).clone())
-            .collect();
-        self.insert(key, merge(parts))
-    }
-
-    /// The extraction of one visit range, memoized under that range.
-    fn get_slice(&self, slice: CrawlSlice<'_>, include_chained: bool) -> Arc<ThirdPartyExtract> {
-        let key = Self::key(slice, include_chained);
-        if let Some(found) = self.lookup(&key) {
-            return found;
-        }
-        self.misses.inc();
-        self.insert(key, scan(slice, include_chained, &self.hosts))
-    }
-
-    fn key(slice: CrawlSlice<'_>, include_chained: bool) -> ExtractKey {
-        (
-            slice.country,
-            slice.corpus,
-            include_chained,
-            slice.offset,
-            slice.offset + slice.len(),
-        )
-    }
-
-    /// The memoized value under `key`, counting a hit when present.
-    fn lookup(&self, key: &ExtractKey) -> Option<Arc<ThirdPartyExtract>> {
-        let found = self
-            .map
-            .read()
-            .expect("extract memo lock")
-            .get(key)
-            .cloned();
-        if found.is_some() {
-            self.hits.inc();
-        }
-        found
-    }
-
-    /// Caches `extract` under `key` unless a racing caller got there first.
-    fn insert(&self, key: ExtractKey, extract: ThirdPartyExtract) -> Arc<ThirdPartyExtract> {
-        let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(extract)))
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,9 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ats::AtsVerdicts;
+use crate::ats::AtsClassifier;
 use crate::fingerprint::ScriptId;
+use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
@@ -40,8 +41,8 @@ pub struct WebRtcScan {
 }
 
 /// Scans a crawl for WebRTC API usage.
-pub fn detect(crawl: &CrawlRecord, ats: AtsVerdicts<'_>) -> WebRtcReport {
-    finalize(scan(crawl.full(), ats), ats)
+pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> WebRtcReport {
+    finalize(scan(crawl.full()), ats)
 }
 
 /// The reduce side: set unions plus the co-occurrence sum.
@@ -58,7 +59,7 @@ pub fn merge(parts: impl IntoIterator<Item = WebRtcScan>) -> WebRtcScan {
 
 /// Classifies the (merged) services against the blocklists and assembles
 /// the report.
-pub fn finalize(scan: WebRtcScan, ats: AtsVerdicts<'_>) -> WebRtcReport {
+pub fn finalize(scan: WebRtcScan, ats: &AtsClassifier) -> WebRtcReport {
     let ats_services: BTreeSet<String> = scan
         .services
         .iter()
@@ -75,7 +76,7 @@ pub fn finalize(scan: WebRtcScan, ats: AtsVerdicts<'_>) -> WebRtcReport {
 }
 
 /// The map side: scans one shard.
-pub fn scan(slice: CrawlSlice<'_>, ats: AtsVerdicts<'_>) -> WebRtcScan {
+pub fn scan(slice: CrawlSlice<'_>) -> WebRtcScan {
     let mut scripts: BTreeSet<ScriptId> = BTreeSet::new();
     let mut sites: BTreeSet<String> = BTreeSet::new();
     let mut services: BTreeSet<String> = BTreeSet::new();
@@ -102,9 +103,8 @@ pub fn scan(slice: CrawlSlice<'_>, ats: AtsVerdicts<'_>) -> WebRtcScan {
                     path: "<inline>".to_string(),
                 },
             };
-            let hosts = ats.hosts();
-            if !hosts.same_site(&id.host, page_host) {
-                services.insert(hosts.registrable(&id.host).to_string());
+            if !same_site(&id.host, page_host) {
+                services.insert(reg(&id.host).to_string());
             }
             scripts.insert(id);
         }

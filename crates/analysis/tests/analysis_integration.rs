@@ -75,12 +75,12 @@ fn geo_summaries_reflect_country_gating() {
 
     let ru = geo::summarize(
         &crawl(&world, &corpus.sanitized, Country::Russia),
-        ats::AtsVerdicts::new(&classifier),
+        &classifier,
         &feed,
     );
     let es = geo::summarize(
         &crawl(&world, &corpus.sanitized, Country::Spain),
-        ats::AtsVerdicts::new(&classifier),
+        &classifier,
         &feed,
     );
 

@@ -9,7 +9,6 @@
 //!    coverage jump).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use redlight_analysis::ats::AtsVerdicts;
 use redlight_analysis::{cookies, fingerprint, orgs, thirdparty};
 use redlight_bench::{criterion as bench_criterion, Fixture};
 use redlight_text::levenshtein;
@@ -151,7 +150,7 @@ fn bench(c: &mut Criterion) {
     });
     let classifier = f.classifier();
     c.bench_function("ablations/fingerprint_criteria", |b| {
-        b.iter(|| fingerprint::detect(black_box(&f.porn), AtsVerdicts::new(black_box(&classifier))))
+        b.iter(|| fingerprint::detect(black_box(&f.porn), black_box(&classifier)))
     });
 }
 

@@ -1,9 +1,10 @@
-//! ATS matching engine — token-indexed `FilterSet` vs the linear-scan
-//! reference, plus the memoized `AtsClassifier` warm path.
+//! ATS matching engine — the linear-scan reference, the token-indexed
+//! `FilterSet`, and the same set with its Aho-Corasick scan prefilter
+//! built, which is the matcher `AtsClassifier` runs in the pipeline.
 //!
 //! The workload is every completed request of the Spanish porn crawl
 //! (url, page host, request host, resource kind). Before timing anything
-//! the bench asserts that the tokenized matcher agrees with
+//! the bench asserts that both indexed engines agree with
 //! [`LinearFilterSet`] on every single request, so the numbers always
 //! compare equivalent engines.
 
@@ -51,6 +52,11 @@ fn bench(c: &mut Criterion) {
     let mut indexed = FilterSet::new();
     indexed.add_list(&f.world.easylist);
     indexed.add_list(&f.world.easyprivacy);
+    // Built the way `AtsClassifier::from_lists` builds the pipeline's.
+    let mut prefiltered = FilterSet::new();
+    prefiltered.add_list(&f.world.easylist);
+    prefiltered.add_list(&f.world.easyprivacy);
+    prefiltered.build_prefilter();
     let mut linear = LinearFilterSet::new();
     linear.add_list(&f.world.easylist);
     linear.add_list(&f.world.easyprivacy);
@@ -60,10 +66,20 @@ fn bench(c: &mut Criterion) {
     let mut blocked = 0usize;
     for r in &reqs {
         let ctx = RequestContext::new(&r.page_host, &r.request_host, r.kind);
-        let a = indexed.matches(&r.url, &ctx);
-        let b = linear.matches(&r.url, &ctx);
-        assert_eq!(a, b, "engines disagree on {}", r.url);
-        if a.is_blocked() {
+        let expected = linear.matches(&r.url, &ctx);
+        assert_eq!(
+            indexed.matches(&r.url, &ctx),
+            expected,
+            "token index disagrees on {}",
+            r.url
+        );
+        assert_eq!(
+            prefiltered.matches(&r.url, &ctx),
+            expected,
+            "prefiltered index disagrees on {}",
+            r.url
+        );
+        if expected.is_blocked() {
             blocked += 1;
         }
     }
@@ -73,6 +89,9 @@ fn bench(c: &mut Criterion) {
         blocked,
         indexed.len()
     );
+    // One guard pass is one replay of the workload through the prefilter.
+    let (skipped, evaluated) = prefiltered.prefilter_stats();
+    println!("ats_match prefilter, one pass: {skipped} scan rules skipped, {evaluated} evaluated");
 
     c.bench_function("ats_match/linear_scan", |b| {
         b.iter(|| {
@@ -100,28 +119,18 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Warm memoized classifier: prime the verdict cache once, then measure
-    // the steady-state replay (the stage pipeline's second-and-later pass).
-    let classifier = f.classifier();
-    for r in &reqs {
-        classifier.is_ats_url(&r.url, &r.page_host, &r.request_host, r.kind);
-    }
-    c.bench_function("ats_match/memoized_warm", |b| {
+    c.bench_function("ats_match/token_index_prefilter", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for r in &reqs {
-                if classifier.is_ats_url(black_box(&r.url), &r.page_host, &r.request_host, r.kind) {
+                let ctx = RequestContext::new(&r.page_host, &r.request_host, r.kind);
+                if prefiltered.matches(black_box(&r.url), &ctx).is_blocked() {
                     hits += 1;
                 }
             }
             hits
         })
     });
-    let (url_stats, _) = classifier.cache_stats();
-    println!(
-        "ats_match memo: {} hits / {} misses after replay",
-        url_stats.hits, url_stats.misses
-    );
 }
 
 criterion_group! { name = benches; config = bench_criterion(); targets = bench }

@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
         &porn_extract,
         &f.regular,
         &regular_extract,
-        ats::AtsVerdicts::new(&classifier),
+        &classifier,
     );
     println!(
         "Table 2 (regenerated): porn 3rd-party {} / regular 3rd-party {} / ATS {}+{} (∩ {})",
@@ -37,7 +37,7 @@ fn bench(c: &mut Criterion) {
                 black_box(&porn_extract),
                 black_box(&f.regular),
                 black_box(&regular_extract),
-                ats::AtsVerdicts::new(black_box(&classifier)),
+                black_box(&classifier),
             )
         })
     });

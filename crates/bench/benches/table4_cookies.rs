@@ -1,7 +1,6 @@
 //! Table 4 + §5.1.1 — the HTTP-cookie pipeline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use redlight_analysis::ats::AtsVerdicts;
 use redlight_analysis::{cookies, thirdparty};
 use redlight_bench::{criterion as bench_criterion, Fixture};
 use std::hint::black_box;
@@ -29,7 +28,7 @@ fn bench(c: &mut Criterion) {
     for row in cookies::table4(
         &f.porn,
         &rows,
-        AtsVerdicts::new(&classifier),
+        &classifier,
         &regular_extract.third_party_fqdns,
         client_ip,
         5,

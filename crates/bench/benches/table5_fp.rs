@@ -1,7 +1,6 @@
 //! Table 5 + §5.1.3/§5.1.4 — fingerprinting detection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use redlight_analysis::ats::AtsVerdicts;
 use redlight_analysis::{fingerprint, thirdparty, webrtc};
 use redlight_bench::{criterion as bench_criterion, Fixture};
 use std::hint::black_box;
@@ -9,8 +8,8 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let f = Fixture::small();
     let classifier = f.classifier();
-    let fp = fingerprint::detect(&f.porn, AtsVerdicts::new(&classifier));
-    let rtc = webrtc::detect(&f.porn, AtsVerdicts::new(&classifier));
+    let fp = fingerprint::detect(&f.porn, &classifier);
+    let rtc = webrtc::detect(&f.porn, &classifier);
     println!(
         "canvas: {} scripts / {} sites / {} services; {:.0}% third-party; {:.0}% unindexed; {} decoys rejected",
         fp.canvas_scripts.len(),
@@ -32,14 +31,7 @@ fn bench(c: &mut Criterion) {
     );
     let porn_extract = thirdparty::extract(&f.porn, true);
     let regular_extract = thirdparty::extract(&f.regular, true);
-    for row in fingerprint::table5(
-        &fp,
-        &rtc,
-        &porn_extract,
-        &regular_extract,
-        AtsVerdicts::new(&classifier),
-        10,
-    ) {
+    for row in fingerprint::table5(&fp, &rtc, &porn_extract, &regular_extract, &classifier, 10) {
         println!(
             "  {:<24} {:>4} sites  canvas {:>2}  webrtc {:>2}  ats {}",
             row.domain, row.presence, row.canvas_scripts, row.webrtc_scripts, row.is_ats
@@ -47,10 +39,10 @@ fn bench(c: &mut Criterion) {
     }
 
     c.bench_function("table5/canvas_detection", |b| {
-        b.iter(|| fingerprint::detect(black_box(&f.porn), AtsVerdicts::new(black_box(&classifier))))
+        b.iter(|| fingerprint::detect(black_box(&f.porn), black_box(&classifier)))
     });
     c.bench_function("table5/webrtc_detection", |b| {
-        b.iter(|| webrtc::detect(black_box(&f.porn), AtsVerdicts::new(black_box(&classifier))))
+        b.iter(|| webrtc::detect(black_box(&f.porn), black_box(&classifier)))
     });
 }
 

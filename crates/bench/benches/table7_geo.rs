@@ -2,7 +2,6 @@
 //! bench).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use redlight_analysis::ats::AtsVerdicts;
 use redlight_analysis::{geo, ThreatFeed};
 use redlight_bench::{criterion as bench_criterion, Fixture};
 use redlight_crawler::db::CorpusLabel;
@@ -46,7 +45,7 @@ fn bench(c: &mut Criterion) {
 
     let summaries: Vec<_> = crawls
         .iter()
-        .map(|crawl| geo::summarize(crawl, AtsVerdicts::new(&classifier), &threat))
+        .map(|crawl| geo::summarize(crawl, &classifier, &threat))
         .collect();
     let regular_fqdns = redlight_analysis::thirdparty::extract(&f.regular, true).third_party_fqdns;
     let t7 = geo::table7(&summaries, &regular_fqdns);
@@ -68,13 +67,7 @@ fn bench(c: &mut Criterion) {
     );
 
     c.bench_function("table7/geo_summarize", |b| {
-        b.iter(|| {
-            geo::summarize(
-                black_box(&crawls[0]),
-                AtsVerdicts::new(black_box(&classifier)),
-                &threat,
-            )
-        })
+        b.iter(|| geo::summarize(black_box(&crawls[0]), black_box(&classifier), &threat))
     });
     c.bench_function("table7/country_comparison", |b| {
         b.iter(|| geo::table7(black_box(&summaries), black_box(&regular_fqdns)))

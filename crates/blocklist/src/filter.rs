@@ -49,24 +49,6 @@ impl<'a> RequestContext<'a> {
             kind,
         }
     }
-
-    /// Like [`RequestContext::new`], but resolves both registrable domains
-    /// through a shared [`psl::HostCache`] — the hot-path constructor used
-    /// by the ATS classifier, which builds one context per classified
-    /// request.
-    pub fn with_hosts(
-        page_host: &'a str,
-        request_host: &'a str,
-        kind: ResourceKind,
-        hosts: &psl::HostCache,
-    ) -> Self {
-        RequestContext {
-            page_host,
-            request_host,
-            third_party: !hosts.same_site(page_host, request_host),
-            kind,
-        }
-    }
 }
 
 /// Option constraints attached to a rule.
@@ -473,21 +455,6 @@ mod tests {
         assert!(f.matches("https://ads.com/t.js", &ctx("porn.site", "ads.com")));
         // Wrong page domain, even though third-party holds.
         assert!(!f.matches("https://ads.com/t.js", &ctx("other.site", "ads.com")));
-    }
-
-    #[test]
-    fn with_hosts_agrees_with_new() {
-        let cache = psl::HostCache::new();
-        for (page, req) in [
-            ("porn.site", "main.exoclick.com"),
-            ("www.exosrv.com", "sync.exosrv.com"),
-            ("a.com", "a.com"),
-        ] {
-            let plain = RequestContext::new(page, req, ResourceKind::Script);
-            let cached = RequestContext::with_hosts(page, req, ResourceKind::Script, &cache);
-            assert_eq!(plain.third_party, cached.third_party, "{page} -> {req}");
-        }
-        assert!(cache.stats().misses > 0);
     }
 
     #[test]

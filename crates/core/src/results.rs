@@ -36,14 +36,16 @@ pub struct StageTiming {
     pub output_records: usize,
 }
 
-/// Final hit/miss counters of one shared analysis cache.
+/// Final hit/miss counters of one shared analysis cache. The one row left
+/// is `ats-prefilter`, the matcher's Aho-Corasick scan prefilter: hits are
+/// scan rules it skipped, misses the scan rules it let through.
 #[derive(Debug, Clone)]
 pub struct CacheCounter {
-    /// Cache name (e.g. `etld1-hosts`, `ats-url-verdicts`).
+    /// Cache name (`ats-prefilter`).
     pub name: &'static str,
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that computed (and populated) an entry.
+    /// Lookups the cache could not answer.
     pub misses: u64,
 }
 

@@ -19,12 +19,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crossbeam::thread::ScopedJoinHandle;
 use redlight_analysis::agegate::AgeGateComparison;
-use redlight_analysis::ats::{AtsClassifier, AtsVerdicts, BatchVerdicts};
+use redlight_analysis::ats::AtsClassifier;
 use redlight_analysis::consent::BannerBreakdown;
 use redlight_analysis::cookies::{CookieRow, CookieStats, Table4Row};
 use redlight_analysis::fingerprint::{FingerprintReport, Table5Row};
@@ -37,17 +37,17 @@ use redlight_analysis::owners::OwnershipReport;
 use redlight_analysis::policies::{PolicyDoc, PolicyReport};
 use redlight_analysis::popularity::{Fig1, Table3};
 use redlight_analysis::sync::{SyncOptions, SyncReport};
-use redlight_analysis::thirdparty::{ExtractMemo, ThirdPartyExtract};
+use redlight_analysis::thirdparty::ThirdPartyExtract;
+use redlight_analysis::util::reg;
 use redlight_analysis::webrtc::WebRtcReport;
 use redlight_analysis::{
     agegate, ats, consent, cookies, fingerprint, geo, https, malware, monetization, orgs, owners,
-    policies, popularity, sync, webrtc,
+    policies, popularity, sync, thirdparty, webrtc,
 };
 use redlight_crawler::corpus::{CorpusCompiler, CorpusReport};
 use redlight_crawler::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
 use redlight_crawler::store::{shard_ranges, CrawlSlice};
 use redlight_net::geoip::Country;
-use redlight_net::psl::HostCache;
 use redlight_obs::{Registry, SpanLink, Trace};
 use redlight_rankings::{PopularityTier, RankHistory};
 use redlight_websim::oracle::InspectionOracle;
@@ -231,18 +231,9 @@ pub struct AnalysisContext<'a> {
     pub ranked: Vec<String>,
     /// The top-N most popular porn sites (§7.2 subset).
     pub top: Vec<String>,
-    /// EasyList + EasyPrivacy classifier (memoized; shares [`Self::hosts`]).
+    /// EasyList + EasyPrivacy classifier. Stages classify on demand; the
+    /// context build classifies nothing.
     pub classifier: AtsClassifier,
-    /// Per-crawl Sym-keyed batch verdict columns, one per recorded crawl,
-    /// computed up front. Stages view them through [`Self::ats_for`].
-    pub ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts>,
-    /// Pipeline-wide host → eTLD+1 memo, shared by the classifier, the
-    /// extraction memo and every stage that resolves registrable domains.
-    pub hosts: Arc<HostCache>,
-    /// Memo of third-party extractions keyed by `(country, corpus,
-    /// include_chained)` — stages needing "the third parties of crawl X"
-    /// fetch from here instead of re-extracting.
-    pub extracts: ExtractMemo,
     /// Certificates harvested once from the main crawls (plus the
     /// out-of-band TLS probe), shared by the organizations stage.
     pub cert_harvest: CertHarvest,
@@ -251,9 +242,9 @@ pub struct AnalysisContext<'a> {
     /// The Spanish regular-corpus reference crawl.
     pub regular_es: &'a CrawlRecord,
     /// Third-party extraction of the Spanish porn crawl.
-    pub porn_extract: Arc<ThirdPartyExtract>,
+    pub porn_extract: ThirdPartyExtract,
     /// Third-party extraction of the regular reference crawl.
-    pub regular_extract: Arc<ThirdPartyExtract>,
+    pub regular_extract: ThirdPartyExtract,
     /// All cookie rows of the Spanish porn crawl.
     pub cookie_rows: Vec<CookieRow>,
     /// The Spanish interaction crawl (full corpus).
@@ -286,10 +277,9 @@ impl<'a> AnalysisContext<'a> {
         Self::build_sharded_in(world, config, db, &Registry::new(), shards)
     }
 
-    /// [`build_sharded`](Self::build_sharded) with every shared cache
-    /// (eTLD+1 hosts, ATS verdicts, third-party extracts, the cert harvest)
-    /// publishing its hit/miss counters as `cache.<name>.{hits,misses}`
-    /// into `registry`.
+    /// [`build_sharded`](Self::build_sharded) with the matcher's prefilter
+    /// and the cert harvest publishing their hit/miss counters as
+    /// `cache.<name>.{hits,misses}` into `registry`.
     pub fn build_sharded_in(
         world: &'a World,
         config: &StudyConfig,
@@ -309,26 +299,10 @@ impl<'a> AnalysisContext<'a> {
         let regular_es = db
             .crawl(Country::Spain, CorpusLabel::Regular)
             .expect("Spanish regular crawl recorded");
-        let hosts = Arc::new(HostCache::in_registry(registry));
-        let classifier = ats::AtsClassifier::with_hosts_in(
-            &world.easylist,
-            &world.easyprivacy,
-            Arc::clone(&hosts),
-            registry,
-        );
-        // Batch classification up front: every crawl's answered requests,
-        // deduplicated per distinct interned key and FQDN-grouped. The
-        // shared verdict memo ends up in the same state a per-request walk
-        // would produce, so every verdict equals the per-request one.
-        let mut ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts> = BTreeMap::new();
-        for crawl in db.crawls() {
-            ats_batches
-                .entry((crawl.country, crawl.corpus))
-                .or_insert_with(|| classifier.classify_batch(crawl.full()));
-        }
-        let extracts = ExtractMemo::in_registry(Arc::clone(&hosts), registry);
-        let porn_extract = extracts.get(porn_es, true, shards);
-        let regular_extract = extracts.get(regular_es, true, shards);
+        let classifier =
+            AtsClassifier::from_lists_in(&world.easylist, &world.easyprivacy, registry);
+        let porn_extract = extract(porn_es, true, shards);
+        let regular_extract = extract(regular_es, true, shards);
         // Out-of-band TLS probe: connect to port 443 of any contacted FQDN
         // and read its certificate (what the paper's §4.2(3) pipeline did).
         let probe = |host: &str| -> Option<redlight_net::tls::CertSummary> {
@@ -359,9 +333,6 @@ impl<'a> AnalysisContext<'a> {
             ranked,
             top,
             classifier,
-            ats_batches,
-            hosts,
-            extracts,
             cert_harvest,
             porn_es,
             regular_es,
@@ -374,61 +345,35 @@ impl<'a> AnalysisContext<'a> {
         }
     }
 
-    /// A classification view with no batch column (corpus-independent
-    /// consumers like Table 2's extract filtering).
-    pub fn ats(&self) -> AtsVerdicts<'_> {
-        AtsVerdicts::new(&self.classifier)
-    }
-
-    /// The classification view for one crawl of the DB, backed by that
-    /// crawl's batch verdict column.
-    pub fn ats_for(&self, crawl: &CrawlRecord) -> AtsVerdicts<'_> {
-        let batch = &self.ats_batches[&(crawl.country, crawl.corpus)];
-        AtsVerdicts::with_batch(&self.classifier, batch)
-    }
-
-    /// Snapshot of every shared cache's hit/miss counters, in render order.
-    /// Surfaced through [`StageReport`] and `reproduce --timings`, never
-    /// through the deterministic summary.
+    /// Snapshot of every shared cache's hit/miss counters, in render order:
+    /// the matcher's Aho-Corasick prefilter, whose hits are scan rules it
+    /// skipped and misses the scan rules it let through. Surfaced through
+    /// [`StageReport`] and `reproduce --timings`, never through the
+    /// deterministic summary.
     pub fn cache_counters(&self) -> Vec<CacheCounter> {
-        let host_stats = self.hosts.stats();
-        let (url, fqdn) = self.classifier.cache_stats();
-        let prefilter = self.classifier.prefilter_stats();
-        let batch = self.classifier.batch_stats();
-        let extract_stats = self.extracts.stats();
-        vec![
-            CacheCounter {
-                name: "etld1-hosts",
-                hits: host_stats.hits,
-                misses: host_stats.misses,
-            },
-            CacheCounter {
-                name: "ats-url-verdicts",
-                hits: url.hits,
-                misses: url.misses,
-            },
-            CacheCounter {
-                name: "ats-fqdn-verdicts",
-                hits: fqdn.hits,
-                misses: fqdn.misses,
-            },
-            CacheCounter {
-                name: "ats-prefilter",
-                hits: prefilter.hits,
-                misses: prefilter.misses,
-            },
-            CacheCounter {
-                name: "ats-batch-dedup",
-                hits: batch.hits,
-                misses: batch.misses,
-            },
-            CacheCounter {
-                name: "thirdparty-extracts",
-                hits: extract_stats.hits,
-                misses: extract_stats.misses,
-            },
-        ]
+        let (skipped, evaluated) = self.classifier.prefilter_stats();
+        vec![CacheCounter {
+            name: "ats-prefilter",
+            hits: skipped,
+            misses: evaluated,
+        }]
     }
+}
+
+/// The third-party extraction of `crawl`. One shard is one whole-crawl
+/// scan with no merge, as in [`scan_shards`]; more shards scan each
+/// contiguous visit range in turn and merge the partials in shard order,
+/// which yields the same extract.
+fn extract(crawl: &CrawlRecord, include_chained: bool, shards: usize) -> ThirdPartyExtract {
+    if shards == 1 {
+        return thirdparty::scan(crawl.full(), include_chained);
+    }
+    thirdparty::merge(
+        crawl
+            .shards(shards)
+            .into_iter()
+            .map(|slice| thirdparty::scan(slice, include_chained)),
+    )
 }
 
 /// Stage outputs, one optional slot per stage — `None` when the stage was
@@ -938,7 +883,7 @@ fn stage_third_parties(ctx: &AnalysisContext<'_>) -> (ats::Table2, usize, usize)
         &ctx.porn_extract,
         ctx.regular_es,
         &ctx.regular_extract,
-        ctx.ats(),
+        &ctx.classifier,
     );
     let input = ctx.porn_es.visits.len() + ctx.regular_es.visits.len();
     let produced = table2.porn_third_party + table2.regular_third_party;
@@ -968,7 +913,7 @@ fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), u
     let table4 = cookies::table4(
         ctx.porn_es,
         &ctx.cookie_rows,
-        ctx.ats(),
+        &ctx.classifier,
         &ctx.regular_extract.third_party_fqdns,
         ctx.client_ip,
         5,
@@ -988,7 +933,7 @@ fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncRepo
         "cookie-sync.registrations",
         ctx.porn_es,
         ctx.shards,
-        |slice| sync::scan_registrations(slice, options, &ctx.hosts),
+        |slice| sync::scan_registrations(slice, options),
         sync::merge_registrations,
     );
     let matches = scan_shards(
@@ -996,7 +941,7 @@ fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncRepo
         "cookie-sync.matches",
         ctx.porn_es,
         ctx.shards,
-        |slice| sync::scan_matches(slice, &regs, options, &ctx.hosts),
+        |slice| sync::scan_matches(slice, &regs, options),
         sync::merge_matches,
     );
     let report = sync::finalize(matches, &ctx.ranked, top_k);
@@ -1005,16 +950,15 @@ fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncRepo
 }
 
 fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport, usize, usize) {
-    let ats = ctx.ats_for(ctx.porn_es);
     let scan = scan_shards(
         obs,
         WEBRTC,
         ctx.porn_es,
         ctx.shards,
-        |slice| webrtc::scan(slice, ats),
+        webrtc::scan,
         webrtc::merge,
     );
-    let report = webrtc::finalize(scan, ats);
+    let report = webrtc::finalize(scan, &ctx.classifier);
     let produced = report.scripts.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1024,13 +968,12 @@ fn stage_fingerprinting(
     rtc: &WebRtcReport,
     obs: &StageObs<'_>,
 ) -> ((FingerprintReport, Vec<Table5Row>), usize, usize) {
-    let ats = ctx.ats_for(ctx.porn_es);
     let fp = fingerprint::finalize(scan_shards(
         obs,
         FINGERPRINTING,
         ctx.porn_es,
         ctx.shards,
-        |slice| fingerprint::scan(slice, ats),
+        |slice| fingerprint::scan(slice, &ctx.classifier),
         fingerprint::merge,
     ));
     let table5 = fingerprint::table5(
@@ -1038,7 +981,7 @@ fn stage_fingerprinting(
         rtc,
         &ctx.porn_extract,
         &ctx.regular_extract,
-        ctx.ats(),
+        &ctx.classifier,
         10,
     );
     let produced = fp.canvas_scripts.len() + table5.len();
@@ -1092,8 +1035,8 @@ fn stage_geo(
                 .crawl(country, CorpusLabel::Porn)
                 .expect("per-country porn crawl recorded");
             input += crawl.visits.len();
-            let extract = ctx.extracts.get(crawl, false, ctx.shards);
-            geo::summarize_extracted(crawl, &extract, ctx.ats_for(crawl), &threat)
+            let parties = extract(crawl, false, ctx.shards);
+            geo::summarize_extracted(crawl, &parties, &ctx.classifier, &threat)
         })
         .collect();
     let table7 = geo::table7(&summaries, &ctx.regular_extract.third_party_fqdns);
@@ -1247,12 +1190,7 @@ fn stage_disclosure(
             .porn_extract
             .per_site
             .get(site)
-            .map(|p| {
-                p.third
-                    .iter()
-                    .map(|f| ctx.hosts.registrable(f).to_string())
-                    .collect()
-            })
+            .map(|p| p.third.iter().map(|f| reg(f).to_string()).collect())
             .unwrap_or_default();
         if policies::discloses_full_list(&doc.text, &observed) {
             full_list += 1;

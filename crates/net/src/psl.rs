@@ -6,16 +6,6 @@
 //! needed for the synthetic ecosystem; this embedded list covers every suffix
 //! the simulator generates plus the common multi-label suffixes that make the
 //! algorithm non-trivial (`co.uk`, `com.ru`, `xxx`, …).
-//!
-//! Because the analysis stages resolve the same hosts millions of times, the
-//! module also provides [`HostCache`] — a thread-safe host → eTLD+1 memo
-//! with hit/miss counters that the stage pipeline surfaces through
-//! `reproduce --timings`.
-
-use std::collections::HashMap;
-use std::sync::RwLock;
-
-use redlight_obs::{Counter, Registry};
 
 /// Multi-label public suffixes known to the embedded list, each expressed as
 /// the suffix string *without* a leading dot.
@@ -62,7 +52,7 @@ pub fn registrable_domain(host: &str) -> &str {
     let trimmed = host.trim_matches('.');
     if trimmed.is_empty() {
         // "." / ".." / "": nothing but separators. The empty subslice keeps
-        // the result borrowed from `host` (callers may cache byte offsets).
+        // the result borrowed from `host`.
         return trimmed;
     }
     // Byte offsets of the last three *non-empty* label starts, most recent
@@ -108,91 +98,6 @@ pub fn has_known_tld(host: &str) -> bool {
     host.rsplit('.')
         .next()
         .is_some_and(|tld| KNOWN_TLDS.contains(&tld))
-}
-
-/// A snapshot of one memo's hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute (and then populate) an entry.
-    pub misses: u64,
-}
-
-/// A thread-safe host → registrable-domain memo.
-///
-/// [`registrable_domain`] is pure but runs a suffix walk per call; the
-/// analysis stages resolve the same few thousand hosts over and over, so one
-/// shared `HostCache` per pipeline run turns almost every resolution into a
-/// hash lookup. The cache stores `(start, end)` byte offsets of the eTLD+1
-/// slice — valid because the result is always a subslice of the queried
-/// host — which lets [`HostCache::registrable`] hand back a borrow of the
-/// *caller's* string without allocating.
-///
-/// Hit/miss counters are `obs` cells: private by default, shared with a
-/// metrics registry when built via [`HostCache::in_registry`].
-#[derive(Debug, Default)]
-pub struct HostCache {
-    offsets: RwLock<HashMap<String, (u32, u32)>>,
-    hits: Counter,
-    misses: Counter,
-}
-
-impl HostCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty cache publishing `cache.etld1-hosts.hits` / `.misses` into
-    /// `registry` (the [`HostCache::stats`] view reads the same cells).
-    pub fn in_registry(registry: &Registry) -> Self {
-        HostCache {
-            offsets: RwLock::default(),
-            hits: registry.counter("cache.etld1-hosts.hits"),
-            misses: registry.counter("cache.etld1-hosts.misses"),
-        }
-    }
-
-    /// Cached [`registrable_domain`]: identical result, amortized O(1).
-    pub fn registrable<'a>(&self, host: &'a str) -> &'a str {
-        if let Some(&(start, end)) = self.offsets.read().expect("host cache lock").get(host) {
-            self.hits.inc();
-            return &host[start as usize..end as usize];
-        }
-        self.misses.inc();
-        let rd = registrable_domain(host);
-        let start = rd.as_ptr() as usize - host.as_ptr() as usize;
-        let end = start + rd.len();
-        self.offsets
-            .write()
-            .expect("host cache lock")
-            .insert(host.to_string(), (start as u32, end as u32));
-        rd
-    }
-
-    /// `true` when both hosts share a registrable domain (cached).
-    pub fn same_site(&self, a: &str, b: &str) -> bool {
-        self.registrable(a) == self.registrable(b)
-    }
-
-    /// Number of distinct hosts interned so far.
-    pub fn len(&self) -> usize {
-        self.offsets.read().expect("host cache lock").len()
-    }
-
-    /// `true` when no host has been resolved yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -255,29 +160,5 @@ mod tests {
         assert!(!is_public_suffix("example.com"));
         assert!(has_known_tld("x.party"));
         assert!(!has_known_tld("x.weirdtld"));
-    }
-
-    #[test]
-    fn host_cache_agrees_and_counts() {
-        let cache = HostCache::new();
-        assert!(cache.is_empty());
-        for host in [
-            "www.pornhub.com",
-            "a.b.example.co.uk",
-            "example.com.",
-            ".com",
-            "co.uk",
-            "tracker.weirdtld",
-        ] {
-            assert_eq!(cache.registrable(host), registrable_domain(host));
-            // Second resolution hits the memo and returns the same slice.
-            assert_eq!(cache.registrable(host), registrable_domain(host));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 6);
-        assert_eq!(stats.hits, 6);
-        assert_eq!(cache.len(), 6);
-        assert!(cache.same_site("www.pornhub.com", "cdn.pornhub.com"));
-        assert!(!cache.same_site("pornhub.com", "exoclick.com"));
     }
 }

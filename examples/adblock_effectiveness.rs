@@ -55,7 +55,7 @@ fn main() {
             .iter()
             .filter(|r| r.third_party && cookies::is_id_cookie(r))
             .count();
-        let fp = fingerprint::detect(crawl, ats::AtsVerdicts::new(&classifier));
+        let fp = fingerprint::detect(crawl, &classifier);
         let sync_report = sync::detect(crawl, &corpus.sanitized, 100);
         println!(
             "{label:<14} third-party FQDNs {:>4}   3rd-party ID cookies {:>5}   \

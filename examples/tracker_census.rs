@@ -66,7 +66,7 @@ fn main() {
         &porn_parties,
         &regular,
         &regular_parties,
-        ats::AtsVerdicts::new(&classifier),
+        &classifier,
     );
     println!(
         "ATS domains: porn {} ({:.1}% of third parties), regular {}, intersection {} — the \
@@ -110,7 +110,7 @@ fn main() {
     println!("\n{}", t.render());
 
     // The §5.1.3 coverage gap: fingerprinting scripts vs the blocklists.
-    let fp = fingerprint::detect(&porn, ats::AtsVerdicts::new(&classifier));
+    let fp = fingerprint::detect(&porn, &classifier);
     println!(
         "canvas fingerprinting: {} scripts on {} sites; {:.1}% of the scripts are NOT \
          indexed by EasyList/EasyPrivacy — blocklist users remain trackable",

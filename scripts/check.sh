@@ -102,6 +102,12 @@ assert sum(int(r["traffic.requests"]) for r in rows) == total, "CSV != JSONL"
 print(f"timeline export OK: {len(windows)} windows, {total} requests")
 PYEOF
 
+echo "==> perfbench smoke (tiny sizes of every workload, traced and untraced)"
+# Builds the benchmark of record against this tree, so a change to any API
+# it calls fails here. Its build lands in the git-ignored perfbench/target.
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --smoke --out "$OBS_DIR/perfbench"
+
 echo "==> working tree unchanged by the gate"
 STATUS_AFTER="$(tree_status)"
 if [ "$STATUS_BEFORE" != "$STATUS_AFTER" ]; then

@@ -1,23 +1,20 @@
 //! The batch-classification contract: [`classify_batch`] must agree with
 //! per-request classification on every verdict — regardless of the order
-//! the per-request path walks the requests in, the shard count the batch is
-//! computed over, and whether the classifier's verdict memo is cold or
-//! pre-warmed. The pipeline classifies through batch columns only; the
-//! per-request walk here is the oracle.
+//! the per-request path walks the requests in and the shard count the batch
+//! is computed over. The per-request walk here is the oracle.
 //!
 //! The measurement DB is collected once (collection never classifies);
-//! every property case re-classifies it both ways with fresh or shared
-//! classifiers and compares verdicts per request occurrence.
+//! every property case re-classifies it both ways with fresh classifiers
+//! and compares verdicts per request occurrence.
 //!
 //! [`classify_batch`]: redlight::analysis::ats::AtsClassifier::classify_batch
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use redlight::analysis::ats::{AtsClassifier, AtsVerdicts};
+use redlight::analysis::ats::AtsClassifier;
 use redlight::crawler::db::MeasurementDb;
-use redlight::net::psl::HostCache;
 use redlight::{Study, StudyConfig, World, WorldConfig};
 
 struct Seeded {
@@ -37,11 +34,7 @@ fn seeded() -> &'static Seeded {
 }
 
 fn classifier(world: &World) -> AtsClassifier {
-    AtsClassifier::with_hosts(
-        &world.easylist,
-        &world.easyprivacy,
-        Arc::new(HostCache::new()),
-    )
+    AtsClassifier::from_lists(&world.easylist, &world.easyprivacy)
 }
 
 /// One classifiable request occurrence: `(crawl, visit, request)` indices.
@@ -115,19 +108,11 @@ fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier, shards: usize) -> V
                     record.request_hosts[i],
                     req.kind,
                 );
-                // Exactly one shard's column covers each occurrence; resolve
-                // it through the stage-facing view to cover that path too.
-                let covering = batches
+                // Exactly one shard's column covers each occurrence.
+                let verdict = batches
                     .iter()
-                    .find(|b| b.url_verdict(key).is_some())
+                    .find_map(|b| b.url_verdict(key))
                     .expect("every occurrence is covered by its shard's batch");
-                let verdict = AtsVerdicts::with_batch(cls, covering).request_verdict(
-                    crawl.names(),
-                    record,
-                    page,
-                    i,
-                );
-                assert_eq!(Some(verdict), covering.url_verdict(key));
                 out.push(verdict);
             }
         }
@@ -138,12 +123,11 @@ fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier, shards: usize) -> V
 proptest! {
     /// Per-request verdicts are independent of walk order, and the batch
     /// path agrees with them occurrence for occurrence — for any shard
-    /// count and with both a cold and a pre-warmed classifier.
+    /// count.
     #[test]
     fn batch_agrees_with_any_per_request_order(
         shards in 1usize..=12,
         perm_seed in any::<u64>(),
-        warm in any::<bool>(),
     ) {
         let fixture = seeded();
         let occs = occurrences(&fixture.db);
@@ -173,10 +157,7 @@ proptest! {
         }
         prop_assert_eq!(&permuted, &expected, "walk order changed a verdict");
 
-        // Batch path: cold, or pre-warmed by a full per-request pass (the
-        // memo already holding every verdict must not change anything).
-        let batch_cls = if warm { permuted_cls } else { classifier(&fixture.world) };
-        let batched = batched_verdicts(&fixture.db, &batch_cls, shards);
+        let batched = batched_verdicts(&fixture.db, &classifier(&fixture.world), shards);
         prop_assert_eq!(&batched, &expected, "batch (shards={}) diverged", shards);
     }
 }

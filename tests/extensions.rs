@@ -70,10 +70,8 @@ fn blocker_cuts_listed_trackers_but_not_unlisted_fingerprinters() {
     );
 
     // …while most canvas fingerprinting survives (91 % unindexed, §5.1.3).
-    let fp_before = fingerprint::detect(&plain, ats::AtsVerdicts::new(&classifier))
-        .canvas_sites
-        .len();
-    let fp_after = fingerprint::detect(&blocked, ats::AtsVerdicts::new(&classifier))
+    let fp_before = fingerprint::detect(&plain, &classifier).canvas_sites.len();
+    let fp_after = fingerprint::detect(&blocked, &classifier)
         .canvas_sites
         .len();
     // At this reduced scale the EasyList-indexed share of FP scripts is
@@ -84,7 +82,7 @@ fn blocker_cuts_listed_trackers_but_not_unlisted_fingerprinters() {
         "fingerprinting should survive the blocker: {fp_before} -> {fp_after}"
     );
     // The unlisted fingerprinter specifically keeps running.
-    let still_fp = fingerprint::detect(&blocked, ats::AtsVerdicts::new(&classifier));
+    let still_fp = fingerprint::detect(&blocked, &classifier);
     assert!(
         still_fp
             .canvas_services

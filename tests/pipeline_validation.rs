@@ -56,7 +56,7 @@ fn corpus_compilation_has_perfect_precision_and_recall() {
 #[test]
 fn canvas_detector_has_high_precision_and_recall() {
     let f = fixture(5);
-    let report = fingerprint::detect(&f.porn_crawl, ats::AtsVerdicts::new(&f.classifier));
+    let report = fingerprint::detect(&f.porn_crawl, &f.classifier);
 
     // Ground truth: third-party services with canvas FP + first-party FP
     // sites actually crawled.
@@ -117,7 +117,7 @@ fn canvas_detector_has_high_precision_and_recall() {
 #[test]
 fn webrtc_detector_matches_ground_truth_services() {
     let f = fixture(7);
-    let report = webrtc::detect(&f.porn_crawl, ats::AtsVerdicts::new(&f.classifier));
+    let report = webrtc::detect(&f.porn_crawl, &f.classifier);
     let truth: BTreeSet<String> = f
         .world
         .services

@@ -3,6 +3,7 @@
 use redlight::core::stages::{self, AnalysisContext};
 use redlight::crawler::db::CorpusLabel;
 use redlight::net::geoip::Country;
+use redlight::obs::Registry;
 use redlight::{Study, StudyConfig, World};
 
 /// Splitting the monolith into collect + stages must not change a single
@@ -110,6 +111,26 @@ fn stage_subset_matches_full_run() {
     // Unselected stages stay empty.
     assert!(outputs.geo.is_none());
     assert!(outputs.age_gates.is_none());
+}
+
+/// Building the context classifies nothing: stages classify on demand, so
+/// every shared-cache counter still reads zero once the build returns.
+#[test]
+fn context_build_classifies_nothing() {
+    let config = StudyConfig::tiny(4242);
+    let world = World::build(config.world.clone());
+    let (db, _) = Study::collect_db(&world, &config);
+    let ctx = AnalysisContext::build_sharded_in(&world, &config, &db, &Registry::new(), 1);
+    let counters = ctx.cache_counters();
+    assert!(!counters.is_empty());
+    for counter in counters {
+        assert_eq!(
+            (counter.hits, counter.misses),
+            (0, 0),
+            "cache {} was touched by the context build",
+            counter.name
+        );
+    }
 }
 
 /// Unknown stage names are rejected with the full menu.
