@@ -44,7 +44,7 @@ pub struct BannerObservation {
 }
 
 /// Detects and classifies the banner on one page's markup.
-pub fn classify_page(html: &str) -> Option<(BannerType, String)> {
+fn classify_page(html: &str) -> Option<(BannerType, String)> {
     let doc = parser::parse(html);
     for id in style::floating_elements(&doc) {
         let text = doc.text_content(id);

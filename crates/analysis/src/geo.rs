@@ -12,7 +12,7 @@ use redlight_net::geoip::Country;
 use serde::{Deserialize, Serialize};
 
 use crate::ats::AtsClassifier;
-use crate::thirdparty::{self, ThirdPartyExtract};
+use crate::thirdparty::ThirdPartyExtract;
 use crate::ThreatFeed;
 use redlight_crawler::db::CrawlRecord;
 
@@ -36,15 +36,9 @@ pub struct GeoSummary {
     pub sites_with_malware: usize,
 }
 
-/// Summarizes one country's crawl.
-pub fn summarize(crawl: &CrawlRecord, ats: &AtsClassifier, threat: &dyn ThreatFeed) -> GeoSummary {
-    let extract = thirdparty::extract(crawl, false);
-    summarize_extracted(crawl, &extract, ats, threat)
-}
-
-/// [`summarize`] over an extraction computed elsewhere (the stage pipeline
-/// extracts over its shard split). The `extract` must come from `crawl`
-/// with `include_chained = false`.
+/// Summarizes one country's crawl from its third-party extraction (the
+/// stage pipeline extracts over its shard split). The `extract` must come
+/// from `crawl` with `include_chained = false`.
 pub fn summarize_extracted(
     crawl: &CrawlRecord,
     extract: &ThirdPartyExtract,

@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::cookies::{embeds_geo, embeds_ip};
 use crate::util::pct;
-use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
 /// One Table 6 band.
@@ -49,7 +48,7 @@ pub struct HttpsReport {
     pub clear_cookie_pct: f64,
 }
 
-/// One shard's partial HTTPS tallies — every accumulator [`report`] needs,
+/// One shard's partial HTTPS tallies — every accumulator [`finalize`] needs,
 /// keyed so that [`merge`] commutes with visit-range concatenation.
 #[derive(Debug, Clone, Default)]
 pub struct HttpsScan {
@@ -64,18 +63,10 @@ pub struct HttpsScan {
     crawled: usize,
 }
 
-/// Builds Table 6. `tier_of` maps a crawled domain to its popularity tier
-/// (from the rank analysis — observable via the toplist, not ground truth);
-/// `client_ip` feeds the sensitive-payload detection for clear-text leaks.
-pub fn report(
-    crawl: &CrawlRecord,
-    tier_of: &BTreeMap<String, PopularityTier>,
-    client_ip: Ipv4Addr,
-) -> HttpsReport {
-    finalize(scan(crawl.full(), tier_of, client_ip))
-}
-
 /// The map side: scans one shard of the crawl into an [`HttpsScan`].
+/// `tier_of` maps a crawled domain to its popularity tier (from the rank
+/// analysis — observable via the toplist, not ground truth); `client_ip`
+/// feeds the sensitive-payload detection for clear-text leaks.
 pub fn scan(
     slice: CrawlSlice<'_>,
     tier_of: &BTreeMap<String, PopularityTier>,

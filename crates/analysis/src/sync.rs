@@ -63,9 +63,9 @@ pub struct SyncOptions {
     /// `-`/`=`/`|`/`.` (both on the cookie side and inside URL parameter
     /// values). The paper deliberately does NOT do this ("to avoid
     /// introducing false positives, we do not split the cookie value by
-    /// delimiters"), so the default is off; the ablation bench turns it on
-    /// to quantify the precision cost — first-party analytics beacons start
-    /// matching immediately.
+    /// delimiters"), so the default is off; `tests/ablations.rs` turns it
+    /// on to pin the precision cost — every pair it adds leaks a site's own
+    /// first-party value.
     pub split_delimiters: bool,
 }
 

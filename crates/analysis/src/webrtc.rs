@@ -12,7 +12,6 @@ use serde::{Deserialize, Serialize};
 use crate::ats::AtsClassifier;
 use crate::fingerprint::ScriptId;
 use crate::util::{reg, same_site};
-use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
 /// Aggregated WebRTC findings.
@@ -38,11 +37,6 @@ pub struct WebRtcScan {
     sites: BTreeSet<String>,
     services: BTreeSet<String>,
     with_other: usize,
-}
-
-/// Scans a crawl for WebRTC API usage.
-pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> WebRtcReport {
-    finalize(scan(crawl.full()), ats)
 }
 
 /// The reduce side: set unions plus the co-occurrence sum.

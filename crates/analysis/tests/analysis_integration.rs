@@ -55,7 +55,8 @@ fn https_report_bounds_and_tier_partition() {
     let corpus = CorpusCompiler::new(&world).compile();
     let record = crawl(&world, &corpus.sanitized, Country::Spain);
     let tiers = popularity::tiers_from_histories(&world.rank_histories());
-    let report = https::report(&record, &tiers, std::net::Ipv4Addr::new(203, 0, 113, 77));
+    let client_ip = std::net::Ipv4Addr::new(203, 0, 113, 77);
+    let report = https::finalize(https::scan(record.full(), &tiers, client_ip));
     let site_sum: usize = report.rows.iter().map(|r| r.sites).sum();
     assert_eq!(site_sum, record.success_count());
     for row in &report.rows {
@@ -73,16 +74,12 @@ fn geo_summaries_reflect_country_gating() {
     let classifier = ats::AtsClassifier::from_lists(&world.easylist, &world.easyprivacy);
     let feed = Feed(&world);
 
-    let ru = geo::summarize(
-        &crawl(&world, &corpus.sanitized, Country::Russia),
-        &classifier,
-        &feed,
-    );
-    let es = geo::summarize(
-        &crawl(&world, &corpus.sanitized, Country::Spain),
-        &classifier,
-        &feed,
-    );
+    let summarize = |country| {
+        let record = crawl(&world, &corpus.sanitized, country);
+        let extract = thirdparty::extract(&record, false);
+        geo::summarize_extracted(&record, &extract, &classifier, &feed)
+    };
+    let (ru, es) = (summarize(Country::Russia), summarize(Country::Spain));
 
     // Russia-exclusive ATS must be observable from Russia only.
     let ru_only_fqdns: BTreeSet<&str> = world

@@ -66,10 +66,10 @@
 //!   (and enables sampling even without `--timeline`).
 
 use redlight_core::results::StageReport;
-use redlight_core::{stages, Study, StudyConfig, StudyResults};
+use redlight_core::{stages, Study, StudyConfig};
 use redlight_net::transport::{NetProfile, SimSpec};
 use redlight_obs::{ObsContext, Timeline};
-use redlight_report::paper::{self, Comparison};
+use redlight_report::paper;
 use redlight_sim::{run_traffic, TimelineSpec, TrafficConfig};
 use redlight_websim::World;
 
@@ -246,7 +246,7 @@ fn main() {
     println!("{}", results.render_summary());
     println!(
         "{}",
-        paper::render_comparisons("Paper vs measured", &comparisons(&results, scale))
+        paper::render_comparisons("Paper vs measured", &results.comparisons(scale))
     );
     if timings {
         print_timings(&results.stage_report, json);
@@ -405,241 +405,4 @@ fn write_or_die(path: &str, contents: &str) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
-}
-
-/// Builds every registered comparison. Count-type metrics are rescaled by
-/// the world-size factor; percentages are scale-free.
-pub fn comparisons(r: &StudyResults, scale: f64) -> Vec<Comparison> {
-    let org = |name: &str| {
-        r.fig3_porn
-            .iter()
-            .find(|o| o.organization == name)
-            .map(|o| o.fraction * 100.0)
-            .unwrap_or(0.0)
-    };
-    let t4 = |domain: &str| {
-        r.table4
-            .iter()
-            .find(|row| row.domain == domain)
-            .map(|row| (row.site_pct, row.ip_pct))
-            .unwrap_or((0.0, 0.0))
-    };
-    let (exosrv_pct, exosrv_ip) = t4("exosrv.com");
-    let (exoclick_pct, exoclick_ip) = t4("exoclick.com");
-    let (addthis_pct, _) = t4("addthis.com");
-    let exo_union = org("ExoClick");
-    let russia = r
-        .table7
-        .rows
-        .iter()
-        .find(|row| row.country == redlight_net::geoip::Country::Russia);
-    let spain = r
-        .table7
-        .rows
-        .iter()
-        .find(|row| row.country == redlight_net::geoip::Country::Spain);
-    let west_gate = r
-        .agegates
-        .per_country
-        .iter()
-        .find(|c| c.country == redlight_net::geoip::Country::Spain)
-        .map(|c| c.with_gate_pct)
-        .unwrap_or(0.0);
-    let ru_gate = r
-        .agegates
-        .per_country
-        .iter()
-        .find(|c| c.country == redlight_net::geoip::Country::Russia)
-        .map(|c| c.with_gate_pct)
-        .unwrap_or(0.0);
-
-    vec![
-        // §3 corpus (counts scale with the world).
-        paper::compare("corpus.candidates", r.corpus.candidates as f64 * scale),
-        paper::compare(
-            "corpus.false_positives",
-            r.corpus.false_positives as f64 * scale,
-        ),
-        paper::compare("corpus.sanitized", r.corpus.sanitized as f64 * scale),
-        paper::compare(
-            "corpus.regular_reference",
-            r.corpus.regular_reference as f64 * scale,
-        ),
-        // Fig. 1.
-        paper::compare("fig1.always_top1m_pct", r.fig1.always_top1m_pct),
-        paper::compare("fig1.always_top1k", r.fig1.always_top1k as f64 * scale),
-        // §4.1.
-        paper::compare("owners.companies", r.ownership.companies as f64),
-        paper::compare(
-            "owners.attributed_sites",
-            r.ownership.attributed_sites as f64 * scale,
-        ),
-        paper::compare("owners.unattributed_pct", r.ownership.unattributed_pct),
-        paper::compare(
-            "monetization.subscription_pct",
-            r.monetization.with_subscription_pct,
-        ),
-        paper::compare("monetization.paid_pct", r.monetization.paid_pct),
-        // Table 2.
-        paper::compare(
-            "table2.porn_crawled",
-            r.table2.porn_corpus_size as f64 * scale,
-        ),
-        paper::compare(
-            "table2.regular_crawled",
-            r.table2.regular_corpus_size as f64 * scale,
-        ),
-        paper::compare(
-            "table2.porn_third_party",
-            r.table2.porn_third_party as f64 * scale,
-        ),
-        paper::compare(
-            "table2.regular_third_party",
-            r.table2.regular_third_party as f64 * scale,
-        ),
-        paper::compare("table2.porn_ats", r.table2.porn_ats as f64 * scale),
-        paper::compare("table2.regular_ats", r.table2.regular_ats as f64 * scale),
-        paper::compare(
-            "table2.ats_intersection",
-            r.table2.ats_intersection as f64 * scale,
-        ),
-        // §4.2(3) / Fig. 3.
-        paper::compare(
-            "orgs.resolved_pct",
-            100.0 * r.attribution.resolved_fqdns as f64 / r.attribution.total_fqdns.max(1) as f64,
-        ),
-        paper::compare("orgs.companies", r.attribution.companies as f64 * scale),
-        paper::compare("fig3.alphabet_pct", org("Alphabet")),
-        paper::compare("fig3.exoclick_pct", exo_union),
-        paper::compare("fig3.cloudflare_pct", org("Cloudflare")),
-        // §5.1.1 / Table 4.
-        paper::compare("cookies.total", r.cookie_stats.total_cookies as f64 * scale),
-        paper::compare("cookies.sites_pct", r.cookie_stats.sites_with_cookies_pct),
-        paper::compare(
-            "cookies.id_cookies",
-            r.cookie_stats.id_cookies as f64 * scale,
-        ),
-        paper::compare(
-            "cookies.third_party_id",
-            r.cookie_stats.third_party_id_cookies as f64 * scale,
-        ),
-        paper::compare(
-            "cookies.third_party_domains",
-            r.cookie_stats.third_party_domains as f64 * scale,
-        ),
-        paper::compare(
-            "cookies.third_party_sites_pct",
-            r.cookie_stats.sites_with_third_party_pct,
-        ),
-        paper::compare(
-            "cookies.ip_cookies",
-            r.cookie_stats.ip_cookies as f64 * scale,
-        ),
-        paper::compare(
-            "cookies.ip_top_org_pct",
-            r.cookie_stats.ip_cookies_top_org_pct,
-        ),
-        paper::compare(
-            "cookies.geo_cookies",
-            r.cookie_stats.geo_cookies as f64 * scale,
-        ),
-        paper::compare(
-            "cookies.top100_site_pct",
-            r.cookie_stats.top100_cookie_site_pct,
-        ),
-        paper::compare("table4.exosrv_pct", exosrv_pct),
-        paper::compare("table4.exosrv_ip_pct", exosrv_ip),
-        paper::compare("table4.exoclick_pct", exoclick_pct),
-        paper::compare("table4.exoclick_ip_pct", exoclick_ip),
-        paper::compare("table4.addthis_pct", addthis_pct),
-        // §5.1.2.
-        paper::compare("sync.sites", r.sync.sites_with_sync as f64 * scale),
-        paper::compare("sync.pairs", r.sync.pairs.len() as f64 * scale),
-        paper::compare("sync.origins", r.sync.origins as f64 * scale),
-        paper::compare("sync.destinations", r.sync.destinations as f64 * scale),
-        paper::compare("sync.top100_pct", r.sync.top_sites_with_sync_pct),
-        // §5.1.3 / §5.1.4.
-        paper::compare(
-            "fp.canvas_scripts",
-            r.fingerprint.canvas_scripts.len() as f64 * scale,
-        ),
-        paper::compare(
-            "fp.canvas_sites",
-            r.fingerprint.canvas_sites.len() as f64 * scale,
-        ),
-        paper::compare(
-            "fp.canvas_services",
-            r.fingerprint.canvas_services.len() as f64,
-        ),
-        paper::compare(
-            "fp.third_party_script_pct",
-            r.fingerprint.third_party_script_pct,
-        ),
-        paper::compare("fp.unindexed_pct", r.fingerprint.unindexed_pct),
-        paper::compare("fp.font_scripts", r.fingerprint.font_scripts.len() as f64),
-        paper::compare("webrtc.scripts", r.webrtc.scripts.len() as f64 * scale),
-        paper::compare("webrtc.sites", r.webrtc.sites.len() as f64 * scale),
-        paper::compare("webrtc.services", r.webrtc.services.len() as f64),
-        paper::compare("webrtc.ats_services", r.webrtc.ats_services.len() as f64),
-        // §5.2 / Table 6.
-        paper::compare("table6.top1k_sites_pct", r.https.rows[0].sites_https_pct),
-        paper::compare("table6.to10k_sites_pct", r.https.rows[1].sites_https_pct),
-        paper::compare("table6.to100k_sites_pct", r.https.rows[2].sites_https_pct),
-        paper::compare("table6.beyond_sites_pct", r.https.rows[3].sites_https_pct),
-        paper::compare("https.not_fully_pct", r.https.not_fully_https_pct),
-        // §5.3.
-        paper::compare(
-            "malware.flagged_sites",
-            r.malware.flagged_sites.len() as f64 * scale,
-        ),
-        paper::compare(
-            "malware.flagged_services",
-            r.malware.flagged_services.len() as f64,
-        ),
-        paper::compare(
-            "malware.sites_with_flagged",
-            r.malware.sites_with_flagged_services as f64 * scale,
-        ),
-        paper::compare(
-            "malware.mining_sites",
-            r.malware.mining_sites.len() as f64 * scale,
-        ),
-        paper::compare(
-            "malware.mining_services",
-            r.malware.mining_services.len() as f64,
-        ),
-        // §6 / Table 7.
-        paper::compare(
-            "table7.spain_fqdns",
-            spain.map(|row| row.fqdns as f64 * scale).unwrap_or(0.0),
-        ),
-        paper::compare(
-            "table7.russia_fqdns",
-            russia.map(|row| row.fqdns as f64 * scale).unwrap_or(0.0),
-        ),
-        paper::compare(
-            "table7.russia_unique_ats",
-            russia
-                .map(|row| row.unique_ats as f64 * scale)
-                .unwrap_or(0.0),
-        ),
-        paper::compare("table7.total_ats", r.table7.total_ats as f64 * scale),
-        // §7.1 / Table 8.
-        paper::compare("table8.eu_total_pct", r.banners_eu.total_pct),
-        paper::compare("table8.usa_total_pct", r.banners_usa.total_pct),
-        paper::compare(
-            "table8.no_option_share_pct",
-            r.banners_eu.no_option_share_pct,
-        ),
-        // §7.2.
-        paper::compare("agegate.west_pct", west_gate),
-        paper::compare("agegate.russia_pct", ru_gate),
-        paper::compare("agegate.russia_only_pct", r.agegates.russia_only_pct),
-        paper::compare("agegate.not_in_russia_pct", r.agegates.not_in_russia_pct),
-        // §7.3.
-        paper::compare("policies.with_policy_pct", r.policies.with_policy_pct),
-        paper::compare("policies.gdpr_pct", r.policies.gdpr_pct),
-        paper::compare("policies.mean_letters", r.policies.mean_letters),
-        paper::compare("policies.similar_pairs_pct", r.policies.similar_pairs_pct),
-    ]
 }

@@ -1,11 +1,9 @@
-//! Shared fixtures for the per-table/figure benchmarks.
+//! Shared fixture for the `ats_match` and `transport` micro-benches.
 //!
-//! Every bench follows the same pattern: build the fixture once (world +
-//! crawls — the expensive, non-benchmarked part), **print the regenerated
-//! table/figure** so `cargo bench` output doubles as the reproduction
-//! record, then let Criterion time the analysis step itself.
+//! Each bench builds the fixture once (world, corpus and the Spanish porn
+//! crawl — the expensive, non-benchmarked part), then lets Criterion time
+//! the isolated kernel.
 
-use redlight_analysis::ats::AtsClassifier;
 use redlight_crawler::corpus::{CorpusCompiler, CorpusReport};
 use redlight_crawler::db::{CorpusLabel, CrawlRecord};
 use redlight_crawler::openwpm::{CrawlConfig, OpenWpmCrawler};
@@ -15,12 +13,11 @@ use redlight_websim::{World, WorldConfig};
 /// Seed shared by all benches so their outputs cross-reference.
 pub const BENCH_SEED: u64 = 2019;
 
-/// A world with compiled corpus and the two main Spanish crawls.
+/// A world with its compiled corpus and the Spanish porn crawl.
 pub struct Fixture {
     pub world: World,
     pub corpus: CorpusReport,
     pub porn: CrawlRecord,
-    pub regular: CrawlRecord,
 }
 
 impl Fixture {
@@ -46,38 +43,15 @@ impl Fixture {
             },
         )
         .crawl(&corpus.sanitized);
-        let regular = OpenWpmCrawler::new(
-            &world,
-            CrawlConfig {
-                country: Country::Spain,
-                corpus: CorpusLabel::Regular,
-                store_dom: false,
-            },
-        )
-        .crawl(&corpus.reference_regular);
         Fixture {
             world,
             corpus,
             porn,
-            regular,
         }
-    }
-
-    /// The blocklist classifier for this world.
-    pub fn classifier(&self) -> AtsClassifier {
-        AtsClassifier::from_lists(&self.world.easylist, &self.world.easyprivacy)
-    }
-
-    /// Porn domains sorted by best 2018 rank.
-    pub fn ranked_domains(&self) -> Vec<String> {
-        let histories = self.world.rank_histories();
-        let mut ranked = self.corpus.sanitized.clone();
-        ranked.sort_by_key(|d| histories.get(d).and_then(|h| h.best()).unwrap_or(u32::MAX));
-        ranked
     }
 }
 
-/// Criterion defaults tuned for heavyweight end-to-end benches.
+/// Criterion defaults shared by both benches: few samples, short windows.
 pub fn criterion() -> criterion::Criterion {
     criterion::Criterion::default()
         .sample_size(10)

@@ -1,78 +1,50 @@
-//! End-to-end shape test: run the reduced-scale study and check every
-//! headline percentage against the paper's published values (percentages
-//! are scale-invariant; absolute counts are checked proportionally).
+//! End-to-end tests: the reduced-scale study keeps the paper's headline
+//! percentages within tolerance, and its results obey the §3–§7
+//! accounting identities.
 
-use redlight::report::paper;
-use redlight::{Study, StudyConfig, StudyResults};
+use redlight::{Study, StudyConfig};
 
-fn org_pct(results: &StudyResults, org: &str) -> f64 {
-    results
-        .fig3_porn
-        .iter()
-        .find(|o| o.organization == org)
-        .map(|o| o.fraction * 100.0)
-        .unwrap_or(0.0)
-}
+/// The scale-free headline percentages the shape test holds to tolerance.
+const SHAPE_KEYS: [&str; 16] = [
+    // Fig. 1 — rank stability.
+    "fig1.always_top1m_pct",
+    // §4.1 ownership / monetization.
+    "owners.unattributed_pct",
+    "monetization.subscription_pct",
+    // Fig. 3 — organization prevalence.
+    "fig3.alphabet_pct",
+    "fig3.exoclick_pct",
+    "fig3.cloudflare_pct",
+    // §5.1.1 cookies.
+    "cookies.sites_pct",
+    "cookies.third_party_sites_pct",
+    // §5.1.3 fingerprinting script attribution.
+    "fp.third_party_script_pct",
+    // §5.2 HTTPS by tier.
+    "table6.top1k_sites_pct",
+    "table6.to10k_sites_pct",
+    "table6.to100k_sites_pct",
+    "table6.beyond_sites_pct",
+    // §7.3 policies.
+    "policies.with_policy_pct",
+    "policies.gdpr_pct",
+    "policies.similar_pairs_pct",
+];
 
 #[test]
 fn small_scale_study_matches_paper_shape() {
     let results = Study::run(StudyConfig::small(42));
-
-    let checks = vec![
-        // Fig. 1 — rank stability.
-        paper::compare("fig1.always_top1m_pct", results.fig1.always_top1m_pct),
-        // Fig. 3 — organization prevalence.
-        paper::compare("fig3.alphabet_pct", org_pct(&results, "Alphabet")),
-        paper::compare("fig3.exoclick_pct", org_pct(&results, "ExoClick")),
-        paper::compare("fig3.cloudflare_pct", org_pct(&results, "Cloudflare")),
-        // §5.1.1 cookies.
-        paper::compare(
-            "cookies.sites_pct",
-            results.cookie_stats.sites_with_cookies_pct,
-        ),
-        paper::compare(
-            "cookies.third_party_sites_pct",
-            results.cookie_stats.sites_with_third_party_pct,
-        ),
-        // §5.2 HTTPS by tier.
-        paper::compare(
-            "table6.top1k_sites_pct",
-            results.https.rows[0].sites_https_pct,
-        ),
-        paper::compare(
-            "table6.to10k_sites_pct",
-            results.https.rows[1].sites_https_pct,
-        ),
-        paper::compare(
-            "table6.to100k_sites_pct",
-            results.https.rows[2].sites_https_pct,
-        ),
-        paper::compare(
-            "table6.beyond_sites_pct",
-            results.https.rows[3].sites_https_pct,
-        ),
-        // §7.3 policies.
-        paper::compare("policies.with_policy_pct", results.policies.with_policy_pct),
-        paper::compare(
-            "policies.similar_pairs_pct",
-            results.policies.similar_pairs_pct,
-        ),
-        paper::compare("policies.gdpr_pct", results.policies.gdpr_pct),
-        // §4.1 ownership / monetization.
-        paper::compare(
-            "owners.unattributed_pct",
-            results.ownership.unattributed_pct,
-        ),
-        paper::compare(
-            "monetization.subscription_pct",
-            results.monetization.with_subscription_pct,
-        ),
-        // §5.1.3 fingerprinting script attribution.
-        paper::compare(
-            "fp.third_party_script_pct",
-            results.fingerprint.third_party_script_pct,
-        ),
-    ];
+    // Percentages ignore the world-size factor.
+    let checks: Vec<_> = results
+        .comparisons(20.0)
+        .into_iter()
+        .filter(|c| SHAPE_KEYS.contains(&c.key))
+        .collect();
+    assert_eq!(
+        checks.len(),
+        SHAPE_KEYS.len(),
+        "every shape key is compared"
+    );
 
     let failures: Vec<String> = checks
         .iter()

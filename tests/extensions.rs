@@ -2,7 +2,7 @@
 //! background items implemented beyond the core reproduction).
 
 use redlight::analysis::agegate::rta_prevalence;
-use redlight::analysis::{ats, cookies, crossborder, fingerprint, sync, thirdparty};
+use redlight::analysis::{ats, cookies, crossborder, fingerprint, thirdparty};
 use redlight::blocklist::FilterSet;
 use redlight::browser::Browser;
 use redlight::crawler::corpus::CorpusCompiler;
@@ -110,31 +110,6 @@ fn crossborder_totals_are_consistent() {
         world.hosting_country("exoclick.com"),
         world.hosting_country("exoclick.com")
     );
-}
-
-#[test]
-fn sync_delimiter_splitting_only_adds_matches() {
-    let world = World::build(WorldConfig::tiny(73));
-    let corpus = CorpusCompiler::new(&world).compile();
-    let record = crawl(&world, &corpus.sanitized, false);
-
-    let strict =
-        sync::detect_with_options(&record, &corpus.sanitized, 50, sync::SyncOptions::default());
-    let split = sync::detect_with_options(
-        &record,
-        &corpus.sanitized,
-        50,
-        sync::SyncOptions {
-            min_value_len: 8,
-            split_delimiters: true,
-        },
-    );
-    assert!(split.pairs.len() >= strict.pairs.len());
-    assert!(split.sites_with_sync >= strict.sites_with_sync);
-    // Every strict pair survives under splitting (monotonicity).
-    for pair in strict.pairs.keys() {
-        assert!(split.pairs.contains_key(pair), "lost pair {pair:?}");
-    }
 }
 
 #[test]

@@ -117,7 +117,7 @@ fn canvas_detector_has_high_precision_and_recall() {
 #[test]
 fn webrtc_detector_matches_ground_truth_services() {
     let f = fixture(7);
-    let report = webrtc::detect(&f.porn_crawl, &f.classifier);
+    let report = webrtc::finalize(webrtc::scan(f.porn_crawl.full()), &f.classifier);
     let truth: BTreeSet<String> = f
         .world
         .services
@@ -218,7 +218,7 @@ fn malware_detection_matches_threat_ground_truth() {
                 .detections(domain, self.0.truly_malicious(domain))
         }
     }
-    let report = malware::detect(&f.porn_crawl, &Feed(&f.world));
+    let report = malware::scan(f.porn_crawl.full(), &Feed(&f.world));
     // Every flagged service really is malicious ground truth.
     for d in &report.flagged_services {
         let malicious = f
