@@ -7,8 +7,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use redlight_obs::Registry;
-
 use redlight_blocklist::{FilterSet, RequestContext};
 use redlight_net::http::ResourceKind;
 use serde::{Deserialize, Serialize};
@@ -23,33 +21,19 @@ use redlight_crawler::store::{CrawlSlice, Sym};
 pub type BatchKey = (Sym, Sym, Sym, ResourceKind);
 
 /// The classifier, loaded with both lists. Every verdict is one matcher
-/// call: the matcher's own tiers (domain buckets, token buckets, the
-/// Aho-Corasick scan prefilter) are the only acceleration.
+/// call: the matcher's own tiers (domain buckets, token buckets) are the
+/// only acceleration.
 pub struct AtsClassifier {
     filters: FilterSet,
 }
 
 impl AtsClassifier {
-    /// Parses the EasyList + EasyPrivacy snapshots and compiles the
-    /// matcher's Aho-Corasick prefilter tier.
+    /// Parses the EasyList + EasyPrivacy snapshots.
     pub fn from_lists(easylist: &str, easyprivacy: &str) -> Self {
         let mut filters = FilterSet::new();
         filters.add_list(easylist);
         filters.add_list(easyprivacy);
-        filters.build_prefilter();
         AtsClassifier { filters }
-    }
-
-    /// [`AtsClassifier::from_lists`] with the prefilter's counters published
-    /// as the registry's `cache.ats-prefilter.{hits,misses}` metrics
-    /// ([`AtsClassifier::prefilter_stats`] reads the same cells).
-    pub fn from_lists_in(easylist: &str, easyprivacy: &str, registry: &Registry) -> Self {
-        let mut this = Self::from_lists(easylist, easyprivacy);
-        this.filters.set_prefilter_counters(
-            registry.counter("cache.ats-prefilter.hits"),
-            registry.counter("cache.ats-prefilter.misses"),
-        );
-        this
     }
 
     /// Full-URL matching: an actual instance of tracking.
@@ -106,12 +90,6 @@ impl AtsClassifier {
             url,
             total_requests,
         }
-    }
-
-    /// `(skipped, evaluated)` scan-rule totals of the matcher's
-    /// Aho-Corasick prefilter tier.
-    pub fn prefilter_stats(&self) -> (u64, u64) {
-        self.filters.prefilter_stats()
     }
 
     /// Number of loaded rules.

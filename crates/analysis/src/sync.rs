@@ -54,11 +54,13 @@ impl SyncReport {
     }
 }
 
+/// Minimum cookie-value length to consider (whole-value floor): shorter
+/// values would false-positive against ordinary query values.
+const MIN_VALUE_LEN: usize = 8;
+
 /// Detector knobs (DESIGN.md ablation 3).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SyncOptions {
-    /// Minimum cookie-value length to consider (whole-value floor).
-    pub min_value_len: usize,
     /// Additionally match on cookie-value *fragments* split on
     /// `-`/`=`/`|`/`.` (both on the cookie side and inside URL parameter
     /// values). The paper deliberately does NOT do this ("to avoid
@@ -69,23 +71,10 @@ pub struct SyncOptions {
     pub split_delimiters: bool,
 }
 
-impl Default for SyncOptions {
-    fn default() -> Self {
-        SyncOptions {
-            min_value_len: 8,
-            split_delimiters: false,
-        }
-    }
-}
-
-/// Detects syncing across a crawl with the paper's defaults. `ranked_sites`
-/// orders sites by best Alexa rank for the top-`top_k` statistic.
-pub fn detect(crawl: &CrawlRecord, ranked_sites: &[String], top_k: usize) -> SyncReport {
-    detect_with_options(crawl, ranked_sites, top_k, SyncOptions::default())
-}
-
-/// Detects syncing with explicit options.
-pub fn detect_with_options(
+/// Detects syncing across a crawl. `ranked_sites` orders sites by best
+/// Alexa rank for the top-`top_k` statistic; `SyncOptions::default()` is
+/// the paper's detector.
+pub fn detect(
     crawl: &CrawlRecord,
     ranked_sites: &[String],
     top_k: usize,
@@ -166,8 +155,7 @@ pub fn finalize(matches: SyncMatches, ranked_sites: &[String], top_k: usize) -> 
 /// Pass 1 over one shard: registers cookie values set during its visits.
 pub fn scan_registrations(slice: CrawlSlice<'_>, options: SyncOptions) -> SyncRegistrations {
     // Cookie values observed in the session, with their owning domain and
-    // first-setting visit. Values shorter than 8 chars would false-positive
-    // against ordinary query values.
+    // first-setting visit, from MIN_VALUE_LEN chars up.
     let mut out = SyncRegistrations::new();
     for (i, record) in slice.visits.iter().enumerate() {
         let idx = slice.offset + i;
@@ -176,13 +164,13 @@ pub fn scan_registrations(slice: CrawlSlice<'_>, options: SyncOptions) -> SyncRe
                 continue;
             }
             let owner = reg(&obs.effective_domain).to_string();
-            if obs.cookie.value.chars().count() >= options.min_value_len {
+            if obs.cookie.value.chars().count() >= MIN_VALUE_LEN {
                 out.entry(obs.cookie.value.clone())
                     .or_insert_with(|| (owner.clone(), idx));
             }
             if options.split_delimiters {
                 for fragment in obs.cookie.value.split(['-', '=', '|', '.']) {
-                    if fragment.chars().count() >= options.min_value_len {
+                    if fragment.chars().count() >= MIN_VALUE_LEN {
                         out.entry(fragment.to_string())
                             .or_insert_with(|| (owner.clone(), idx));
                     }
@@ -216,14 +204,14 @@ pub fn scan_matches(
             // rule.
             for (_, value) in req.url.query_pairs() {
                 let mut candidates: Vec<&str> = Vec::new();
-                if value.chars().count() >= options.min_value_len {
+                if value.chars().count() >= MIN_VALUE_LEN {
                     candidates.push(value.as_str());
                 }
                 if options.split_delimiters {
                     candidates.extend(
                         value
                             .split(['-', '=', '|', '.'])
-                            .filter(|f| f.chars().count() >= options.min_value_len),
+                            .filter(|f| f.chars().count() >= MIN_VALUE_LEN),
                     );
                 }
                 for candidate in candidates {
@@ -260,9 +248,11 @@ mod tests {
 
     #[test]
     fn options_default_matches_paper_rules() {
-        let o = SyncOptions::default();
-        assert_eq!(o.min_value_len, 8);
-        assert!(!o.split_delimiters, "paper: never split on delimiters");
+        assert_eq!(MIN_VALUE_LEN, 8);
+        assert!(
+            !SyncOptions::default().split_delimiters,
+            "paper: never split on delimiters"
+        );
     }
 
     #[test]

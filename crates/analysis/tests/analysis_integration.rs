@@ -149,7 +149,7 @@ fn sync_report_respects_session_causality() {
     let world = World::build(WorldConfig::tiny(59));
     let corpus = CorpusCompiler::new(&world).compile();
     let record = crawl(&world, &corpus.sanitized, Country::Spain);
-    let report = sync::detect(&record, &corpus.sanitized, 50);
+    let report = sync::detect(&record, &corpus.sanitized, 50, sync::SyncOptions::default());
     // Origins/destinations tallies match the pair set.
     let origins: BTreeSet<&str> = report.pairs.keys().map(|p| p.origin.as_str()).collect();
     let dests: BTreeSet<&str> = report

@@ -1,10 +1,10 @@
-//! ATS matching engine — the linear-scan reference, the token-indexed
-//! `FilterSet`, and the same set with its Aho-Corasick scan prefilter
-//! built, which is the matcher `AtsClassifier` runs in the pipeline.
+//! ATS matching engine — the linear-scan reference against the
+//! token-indexed `FilterSet`, the matcher `AtsClassifier` runs in the
+//! pipeline.
 //!
 //! The workload is every completed request of the Spanish porn crawl
 //! (url, page host, request host, resource kind). Before timing anything
-//! the bench asserts that both indexed engines agree with
+//! the bench asserts that the indexed engine agrees with
 //! [`LinearFilterSet`] on every single request, so the numbers always
 //! compare equivalent engines.
 
@@ -52,11 +52,6 @@ fn bench(c: &mut Criterion) {
     let mut indexed = FilterSet::new();
     indexed.add_list(&f.world.easylist);
     indexed.add_list(&f.world.easyprivacy);
-    // Built the way `AtsClassifier::from_lists` builds the pipeline's.
-    let mut prefiltered = FilterSet::new();
-    prefiltered.add_list(&f.world.easylist);
-    prefiltered.add_list(&f.world.easyprivacy);
-    prefiltered.build_prefilter();
     let mut linear = LinearFilterSet::new();
     linear.add_list(&f.world.easylist);
     linear.add_list(&f.world.easyprivacy);
@@ -73,12 +68,6 @@ fn bench(c: &mut Criterion) {
             "token index disagrees on {}",
             r.url
         );
-        assert_eq!(
-            prefiltered.matches(&r.url, &ctx),
-            expected,
-            "prefiltered index disagrees on {}",
-            r.url
-        );
         if expected.is_blocked() {
             blocked += 1;
         }
@@ -89,9 +78,6 @@ fn bench(c: &mut Criterion) {
         blocked,
         indexed.len()
     );
-    // One guard pass is one replay of the workload through the prefilter.
-    let (skipped, evaluated) = prefiltered.prefilter_stats();
-    println!("ats_match prefilter, one pass: {skipped} scan rules skipped, {evaluated} evaluated");
 
     c.bench_function("ats_match/linear_scan", |b| {
         b.iter(|| {
@@ -112,19 +98,6 @@ fn bench(c: &mut Criterion) {
             for r in &reqs {
                 let ctx = RequestContext::new(&r.page_host, &r.request_host, r.kind);
                 if indexed.matches(black_box(&r.url), &ctx).is_blocked() {
-                    hits += 1;
-                }
-            }
-            hits
-        })
-    });
-
-    c.bench_function("ats_match/token_index_prefilter", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for r in &reqs {
-                let ctx = RequestContext::new(&r.page_host, &r.request_host, r.kind);
-                if prefiltered.matches(black_box(&r.url), &ctx).is_blocked() {
                     hits += 1;
                 }
             }

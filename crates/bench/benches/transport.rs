@@ -15,6 +15,7 @@ use redlight_net::transport::{
     BrowserKind, ClientContext, FetchOutcome, NetProfile, Transport, TransportMeter,
 };
 use redlight_net::url::Url;
+use redlight_obs::Registry;
 use redlight_websim::WebServer;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -74,7 +75,7 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("transport/default_stack", |b| {
         let meter = TransportMeter::new();
-        let stack = NetProfile::default().stack(WebServer::new(&f.world), &meter);
+        let stack = NetProfile::default().stack(WebServer::new(&f.world), &meter, &Registry::new());
         b.iter(|| {
             let mut ok = 0usize;
             for r in &reqs {

@@ -22,7 +22,7 @@
 //! dependencies are pulled in automatically — and prints their one-line
 //! summaries plus timings instead of the full report. `--net-profile <name>`
 //! selects the network the crawls run over (`default`, `direct`, `flaky`,
-//! `lossy`); `--fault-seed <n>` re-seeds the profile's fault injector so a
+//! `lossy`, `sim`); `--fault-seed <n>` re-seeds the profile's fault injector so a
 //! fixed seed replays the exact same network weather.
 //!
 //! `--shards <n>` fans the decomposable analysis stages over `n`
@@ -223,7 +223,6 @@ fn main() {
             let report = StageReport {
                 crawls: crawl_timings,
                 stages: Vec::new(),
-                caches: Vec::new(),
                 shards: stages::shard_stats(&db, shards),
             };
             print_timings(&report, json);

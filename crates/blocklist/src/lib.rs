@@ -14,9 +14,8 @@
 //! anchors, wildcards, separators, `@@` exceptions, `$` options including
 //! `third-party`, resource types and `domain=`), [`matcher`] the
 //! token-indexed engine (with [`tokens`] providing the safe-substring
-//! extraction and [`prefilter`] the Aho-Corasick scan-list pruning tier),
-//! [`linear`] the retained pre-index reference matcher used by the
-//! equivalence tests and benchmarks, and [`disconnect`] the entity list.
+//! extraction), [`linear`] the retained pre-index reference matcher used by
+//! the equivalence tests and benchmarks, and [`disconnect`] the entity list.
 
 #![warn(missing_docs)]
 
@@ -24,11 +23,9 @@ pub mod disconnect;
 pub mod filter;
 pub mod linear;
 pub mod matcher;
-pub mod prefilter;
 pub mod tokens;
 
 pub use disconnect::EntityList;
 pub use filter::{Filter, FilterParseError, RequestContext};
 pub use linear::LinearFilterSet;
 pub use matcher::{FilterSet, MatchResult};
-pub use prefilter::{TokenHits, TokenPrefilter};

@@ -18,12 +18,6 @@
 //!   *safe* fixed substring of their pattern (see [`crate::tokens`]); a
 //!   lookup tokenizes the URL once and only evaluates rules sharing a
 //!   token. Rules without a safe token live in a small always-scanned list.
-//! * **Tier 3 — Aho-Corasick prefilter.** The always-scanned lists are
-//!   pruned by a multi-pattern substring scan ([`crate::prefilter`]): each
-//!   scan rule's longest alphanumeric run is a *required* substring of any
-//!   match, so one automaton pass over the URL skips every scan rule whose
-//!   required token is absent. Built on demand by
-//!   [`FilterSet::build_prefilter`].
 //!
 //! Exception rules get the same treatment (domain buckets + token buckets),
 //! with one guard: an anchored exception whose anchor *is itself* a public
@@ -40,10 +34,8 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use redlight_net::psl;
-use redlight_obs::Counter;
 
 use crate::filter::{Filter, RequestContext};
-use crate::prefilter::{TokenHits, TokenPrefilter};
 use crate::tokens;
 
 /// Outcome of matching a URL against a filter set.
@@ -85,28 +77,8 @@ pub struct FilterSet {
     /// Exception indices that must always be evaluated (no safe token, or
     /// anchored on a public suffix).
     exc_scan: Vec<u32>,
-    /// Tier-3 Aho-Corasick prefilter over the two scan lists; `None` until
-    /// [`FilterSet::build_prefilter`] runs (rules added later are not
-    /// covered, so the builder must be re-run after further `add_list`s).
-    prefilter: Option<ScanPrefilter>,
-    /// Scan-rule evaluations skipped because the required token was absent.
-    prefilter_hits: Counter,
-    /// Scan-rule evaluations the prefilter could not rule out.
-    prefilter_misses: Counter,
     /// Number of rule lines parsed.
     rule_count: usize,
-}
-
-/// The compiled tier-3 state: one automaton over all distinct required
-/// tokens plus, for each entry of the two scan lists, the token id that
-/// must occur for the rule to possibly match (`None` ⇒ always evaluate).
-#[derive(Debug, Clone, Default)]
-struct ScanPrefilter {
-    automaton: TokenPrefilter,
-    /// Parallel to `generic_scan`.
-    generic_required: Vec<Option<u32>>,
-    /// Parallel to `exc_scan`.
-    exc_required: Vec<Option<u32>>,
 }
 
 impl FilterSet {
@@ -170,55 +142,6 @@ impl FilterSet {
         }
     }
 
-    /// Compiles the tier-3 Aho-Corasick prefilter over the current
-    /// always-scan lists. Idempotent; call again after adding more rules.
-    /// Never changes verdicts — it only lets lookups skip scan rules whose
-    /// required substring is absent from the URL.
-    pub fn build_prefilter(&mut self) {
-        let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut toks: Vec<String> = Vec::new();
-        let mut required = |pattern: &str| -> Option<u32> {
-            let token = tokens::pattern_substring(pattern)?.to_ascii_lowercase();
-            Some(*ids.entry(token.clone()).or_insert_with(|| {
-                toks.push(token);
-                (toks.len() - 1) as u32
-            }))
-        };
-        let generic_required = self
-            .generic_scan
-            .iter()
-            .map(|&i| required(&self.generic[i as usize].pattern))
-            .collect();
-        let exc_required = self
-            .exc_scan
-            .iter()
-            .map(|&i| required(&self.exceptions[i as usize].pattern))
-            .collect();
-        self.prefilter = Some(ScanPrefilter {
-            automaton: TokenPrefilter::build(&toks),
-            generic_required,
-            exc_required,
-        });
-    }
-
-    /// `true` once [`FilterSet::build_prefilter`] has run.
-    pub fn has_prefilter(&self) -> bool {
-        self.prefilter.is_some()
-    }
-
-    /// Replaces the prefilter counter cells (e.g. with registry-owned
-    /// handles so the hit/miss totals surface in a metrics snapshot).
-    pub fn set_prefilter_counters(&mut self, hits: Counter, misses: Counter) {
-        self.prefilter_hits = hits;
-        self.prefilter_misses = misses;
-    }
-
-    /// `(skipped, evaluated)` scan-rule totals since construction: how many
-    /// always-scan candidates the tier-3 prefilter pruned vs let through.
-    pub fn prefilter_stats(&self) -> (u64, u64) {
-        (self.prefilter_hits.get(), self.prefilter_misses.get())
-    }
-
     /// Total number of rules (blocking + exceptions).
     pub fn len(&self) -> usize {
         self.rule_count
@@ -231,47 +154,15 @@ impl FilterSet {
 
     /// Matches a full URL in context, applying exception rules.
     pub fn matches(&self, url: &str, ctx: &RequestContext<'_>) -> MatchResult {
-        // The URL is tokenized at most once (token buckets) and run through
-        // the prefilter automaton at most once (scan lists) — both memoized
-        // across the blocking and exception passes.
+        // The URL is tokenized at most once, memoized across the blocking
+        // and exception passes.
         let mut url_tokens: Option<Vec<u64>> = None;
-        let mut scan_hits: Option<TokenHits> = None;
-        match self.first_blocking_match(url, ctx, &mut url_tokens, &mut scan_hits) {
+        match self.first_blocking_match(url, ctx, &mut url_tokens) {
             None => MatchResult::Clean,
-            Some(rule) => {
-                match self.first_exception_match(url, ctx, &mut url_tokens, &mut scan_hits) {
-                    Some(exc) => MatchResult::Excepted(exc.raw.clone()),
-                    None => MatchResult::Blocked(rule.raw.clone()),
-                }
-            }
-        }
-    }
-
-    /// The always-scan candidates of one side, pruned by the tier-3
-    /// prefilter when it has been built.
-    fn pruned_scan(
-        &self,
-        url: &str,
-        scan: &[u32],
-        side: ScanSide,
-        scan_hits: &mut Option<TokenHits>,
-    ) -> Vec<u32> {
-        match &self.prefilter {
-            None => scan.to_vec(),
-            Some(p) => {
-                let required = match side {
-                    ScanSide::Generic => &p.generic_required,
-                    ScanSide::Exception => &p.exc_required,
-                };
-                p.prune(
-                    url,
-                    scan,
-                    required,
-                    scan_hits,
-                    &self.prefilter_hits,
-                    &self.prefilter_misses,
-                )
-            }
+            Some(rule) => match self.first_exception_match(url, ctx, &mut url_tokens) {
+                Some(exc) => MatchResult::Excepted(exc.raw.clone()),
+                None => MatchResult::Blocked(rule.raw.clone()),
+            },
         }
     }
 
@@ -280,7 +171,6 @@ impl FilterSet {
         url: &str,
         ctx: &RequestContext<'_>,
         url_tokens: &mut Option<Vec<u64>>,
-        scan_hits: &mut Option<TokenHits>,
     ) -> Option<&'s Filter> {
         let key = psl::registrable_domain(ctx.request_host);
         if let Some(rules) = self.by_domain.get(key) {
@@ -291,8 +181,13 @@ impl FilterSet {
         if self.generic.is_empty() {
             return None;
         }
-        let scan = self.pruned_scan(url, &self.generic_scan, ScanSide::Generic, scan_hits);
-        let candidates = gather(url, url_tokens, scan, &self.generic_tokens, None);
+        let candidates = gather(
+            url,
+            url_tokens,
+            &self.generic_scan,
+            &self.generic_tokens,
+            None,
+        );
         candidates
             .into_iter()
             .map(|i| &self.generic[i as usize])
@@ -304,7 +199,6 @@ impl FilterSet {
         url: &str,
         ctx: &RequestContext<'_>,
         url_tokens: &mut Option<Vec<u64>>,
-        scan_hits: &mut Option<TokenHits>,
     ) -> Option<&'s Filter> {
         if self.exceptions.is_empty() {
             return None;
@@ -313,8 +207,13 @@ impl FilterSet {
             .exc_by_domain
             .get(psl::registrable_domain(ctx.request_host))
             .map(Vec::as_slice);
-        let scan = self.pruned_scan(url, &self.exc_scan, ScanSide::Exception, scan_hits);
-        let candidates = gather(url, url_tokens, scan, &self.exc_tokens, domain_bucket);
+        let candidates = gather(
+            url,
+            url_tokens,
+            &self.exc_scan,
+            &self.exc_tokens,
+            domain_bucket,
+        );
         candidates
             .into_iter()
             .map(|i| &self.exceptions[i as usize])
@@ -360,48 +259,6 @@ impl FilterSet {
     }
 }
 
-/// Which always-scan list a prune pass is working on.
-#[derive(Clone, Copy)]
-enum ScanSide {
-    Generic,
-    Exception,
-}
-
-impl ScanPrefilter {
-    /// Returns the subset of `scan` whose required token occurs in `url`,
-    /// scanning the URL through the automaton at most once per lookup
-    /// (memoized in `scan_hits`). Entries past `required`'s length — rules
-    /// added after the prefilter was built — are always kept.
-    fn prune(
-        &self,
-        url: &str,
-        scan: &[u32],
-        required: &[Option<u32>],
-        scan_hits: &mut Option<TokenHits>,
-        skipped: &Counter,
-        evaluated: &Counter,
-    ) -> Vec<u32> {
-        if scan.is_empty() {
-            return Vec::new();
-        }
-        let hits = scan_hits.get_or_insert_with(|| {
-            let mut h = TokenHits::default();
-            self.automaton.scan(url, &mut h);
-            h
-        });
-        let mut out = Vec::with_capacity(scan.len());
-        for (k, &idx) in scan.iter().enumerate() {
-            match required.get(k).copied().flatten() {
-                Some(id) if !hits.contains(id) => {}
-                _ => out.push(idx),
-            }
-        }
-        skipped.add((scan.len() - out.len()) as u64);
-        evaluated.add(out.len() as u64);
-        out
-    }
-}
-
 /// `haystack` ends with `".{needle}"` — the old `ends_with(&format!(…))`
 /// check without the per-call allocation.
 fn ends_with_dot_prefixed(haystack: &str, needle: &str) -> bool {
@@ -422,18 +279,17 @@ fn bucketable_anchor(anchor: &str) -> bool {
         && !anchor.contains("..")
 }
 
-/// Collects candidate rule indices: the (prefilter-pruned) always-scan
-/// candidates, the optional domain bucket, and every token bucket the URL's
-/// tokens hit. Sorting and deduplicating restores insertion order, which
+/// Collects candidate rule indices: the always-scan list, the optional
+/// domain bucket, and every token bucket the URL's tokens hit. Sorting and deduplicating restores insertion order, which
 /// keeps first-match-wins semantics identical to a linear scan.
 fn gather(
     url: &str,
     url_tokens: &mut Option<Vec<u64>>,
-    scan: Vec<u32>,
+    scan: &[u32],
     token_buckets: &HashMap<u64, Vec<u32>>,
     domain_bucket: Option<&[u32]>,
 ) -> Vec<u32> {
-    let mut candidates: Vec<u32> = scan;
+    let mut candidates: Vec<u32> = scan.to_vec();
     if let Some(bucket) = domain_bucket {
         candidates.extend_from_slice(bucket);
     }
@@ -650,64 +506,6 @@ example.com##.banner
             both.matches("https://x.com/track.js", &ctx("porn.site", "x.com")),
             MatchResult::Excepted(_)
         ));
-    }
-
-    #[test]
-    fn prefilter_prunes_scan_rules_without_changing_verdicts() {
-        // Two untokenizable rules land in the always-scan list; the
-        // prefilter must skip them on URLs lacking their substrings and
-        // keep every verdict identical.
-        // Built separately (not cloned): a clone would share the counter
-        // cells, and this test pins that the plain set's stay at zero.
-        let mut plain = FilterSet::new();
-        plain.add_list("*track*\n*zzqq*\n@@||co.uk^\n/pixel/\n");
-        let mut pre = FilterSet::new();
-        pre.add_list("*track*\n*zzqq*\n@@||co.uk^\n/pixel/\n");
-        pre.build_prefilter();
-        assert!(pre.has_prefilter() && !plain.has_prefilter());
-        let cases = [
-            ("https://x.com/subtracker/a", "a.com", "x.com"),
-            ("https://x.com/clean/a", "a.com", "x.com"),
-            ("https://shop.co.uk/pixel/1", "a.com", "shop.co.uk"),
-            ("https://x.com/zzqq.js", "a.com", "x.com"),
-        ];
-        for (url, page, req) in cases {
-            let c = ctx(page, req);
-            assert_eq!(pre.matches(url, &c), plain.matches(url, &c), "{url}");
-        }
-        let (skipped, evaluated) = pre.prefilter_stats();
-        assert!(skipped > 0, "some scan rule should have been pruned");
-        assert!(evaluated > 0, "some scan rule should have been evaluated");
-        assert_eq!(plain.prefilter_stats(), (0, 0));
-    }
-
-    #[test]
-    fn scan_rules_without_any_run_survive_the_prefilter() {
-        // `^` patterns have no alnum run ≥ 2 — no required token, so the
-        // prefilter must keep evaluating them.
-        let mut s = FilterSet::new();
-        s.add_list("*?*\n");
-        s.build_prefilter();
-        assert!(s
-            .matches("https://x.com/a?b=1", &ctx("a.com", "x.com"))
-            .is_blocked());
-    }
-
-    #[test]
-    fn rules_added_after_prefilter_build_are_still_evaluated() {
-        let mut s = FilterSet::new();
-        s.add_list("*track*\n");
-        s.build_prefilter();
-        s.add_list("*banner*\n");
-        // "banner" rule postdates the automaton: it must not be pruned.
-        assert!(s
-            .matches("https://x.com/mybanner9.js", &ctx("a.com", "x.com"))
-            .is_blocked());
-        // Rebuilding covers it.
-        s.build_prefilter();
-        assert!(s
-            .matches("https://x.com/mybanner9.js", &ctx("a.com", "x.com"))
-            .is_blocked());
     }
 
     /// The indexed engine and the linear reference agree on the test list.

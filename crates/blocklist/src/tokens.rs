@@ -97,35 +97,6 @@ pub fn pattern_token(pattern: &str, start_anchor: bool, end_anchor: bool) -> Opt
     best.map(hash_token)
 }
 
-/// The longest maximal alphanumeric run of `pattern` (≥ [`MIN_TOKEN_LEN`]),
-/// or `None` when the pattern has no such run.
-///
-/// Unlike [`pattern_token`], no anchoring/safety conditions apply: the run
-/// need not be maximal *in the URL*, it only has to appear as a contiguous
-/// case-insensitive substring. That weaker guarantee always holds — every
-/// literal pattern byte consumes exactly one URL byte, and neither `*` nor
-/// `^` can interrupt a literal run — which is exactly what the Aho-Corasick
-/// prefilter ([`crate::prefilter`]) needs to prune always-scan rules.
-pub fn pattern_substring(pattern: &str) -> Option<&str> {
-    let bytes = pattern.as_bytes();
-    let mut best: Option<(usize, usize)> = None;
-    let mut i = 0;
-    while i < bytes.len() {
-        if !bytes[i].is_ascii_alphanumeric() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
-            i += 1;
-        }
-        if i - start >= MIN_TOKEN_LEN && best.is_none_or(|(s, e)| i - start > e - s) {
-            best = Some((start, i));
-        }
-    }
-    best.map(|(s, e)| &pattern[s..e])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,17 +173,5 @@ mod tests {
     #[test]
     fn single_byte_runs_are_not_indexed() {
         assert_eq!(pattern_token("/a/", false, false), None);
-    }
-
-    #[test]
-    fn pattern_substring_ignores_safety() {
-        // `*ads*` has no *safe* token, but "ads" is still a required
-        // substring of any match.
-        assert_eq!(pattern_token("*ads*", false, false), None);
-        assert_eq!(pattern_substring("*ads*"), Some("ads"));
-        // Longest run wins; runs below MIN_TOKEN_LEN are skipped.
-        assert_eq!(pattern_substring("*a*banner*x*"), Some("banner"));
-        assert_eq!(pattern_substring("*a*"), None);
-        assert_eq!(pattern_substring("^^*"), None);
     }
 }

@@ -861,36 +861,13 @@ impl crate::results::StageReport {
             ));
         }
 
-        if !self.caches.is_empty() {
-            let mut caches = Table::new(
-                "Shared caches — hit/miss counters",
-                &["cache", "hits", "misses", "hit rate"],
-            )
-            .align_right(&[1, 2, 3]);
-            for c in &self.caches {
-                let total = c.hits + c.misses;
-                let rate = if total == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}%", c.hits as f64 * 100.0 / total as f64)
-                };
-                caches.row(&[
-                    c.name.to_string(),
-                    fmt_count(c.hits as usize),
-                    fmt_count(c.misses as usize),
-                    rate,
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&caches.render());
-        }
         out
     }
 }
 
 impl crate::results::StageReport {
     /// Serializes the report as JSON (`reproduce --timings --json`):
-    /// `{"crawls": [...], "stages": [...], "caches": [...]}` with wall
+    /// `{"crawls": [...], "stages": [...]}` with wall
     /// times as fixed-precision `wall_ms` floats. Hand-rolled on the
     /// [`redlight_obs::json`] helpers — no serde in the pipeline.
     pub fn to_json(&self) -> String {
@@ -949,18 +926,8 @@ impl crate::results::StageReport {
                 s.wall.as_secs_f64() * 1e3
             ));
         }
-        out.push_str("],\"caches\":[");
-        for (i, c) in self.caches.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            push_str_literal(&mut out, c.name);
-            out.push_str(&format!(",\"hits\":{},\"misses\":{}}}", c.hits, c.misses));
-        }
         out.push(']');
-        // Shard stats exist only on sharded runs; unsharded JSON is
-        // byte-identical to what earlier revisions emitted.
+        // Shard stats exist only on sharded runs.
         if !self.shards.is_empty() {
             out.push_str(",\"shards\":[");
             for (i, s) in self.shards.iter().enumerate() {

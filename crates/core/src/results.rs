@@ -36,12 +36,12 @@ pub struct StageTiming {
     pub output_records: usize,
 }
 
-/// Final hit/miss counters of one shared analysis cache. The one row left
-/// is `ats-prefilter`, the matcher's Aho-Corasick scan prefilter: hits are
-/// scan rules it skipped, misses the scan rules it let through.
+/// Final hit/miss counters of one shared analysis cache, as
+/// [`AnalysisContext::cache_counters`](crate::stages::AnalysisContext::cache_counters)
+/// reports them.
 #[derive(Debug, Clone)]
 pub struct CacheCounter {
-    /// Cache name (`ats-prefilter`).
+    /// Cache name.
     pub name: &'static str,
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -75,8 +75,8 @@ pub struct ShardStat {
 }
 
 /// Instrumentation for one pipeline run: every crawl's wall time plus every
-/// analysis stage's wall time and record counts, and the shared caches'
-/// final hit/miss counters. Carried by [`StudyResults`] and rendered by
+/// analysis stage's wall time and record counts. Carried by
+/// [`StudyResults`] and rendered by
 /// [`render_timings`](StudyResults::render_timings).
 #[derive(Debug, Clone, Default)]
 pub struct StageReport {
@@ -84,9 +84,6 @@ pub struct StageReport {
     pub crawls: Vec<CrawlTiming>,
     /// Analysis-layer timings, one per stage that ran.
     pub stages: Vec<StageTiming>,
-    /// Shared-cache counters at the end of the run (empty when the caches
-    /// were never exercised, e.g. a collection-only run).
-    pub caches: Vec<CacheCounter>,
     /// Per-crawl shard statistics — populated only on sharded runs
     /// (`--shards > 1`), so unsharded reports render unchanged.
     pub shards: Vec<ShardStat>,

@@ -44,7 +44,7 @@ use redlight_analysis::{
     agegate, ats, consent, cookies, fingerprint, geo, https, malware, monetization, orgs, owners,
     policies, popularity, sync, thirdparty, webrtc,
 };
-use redlight_crawler::corpus::{CorpusCompiler, CorpusReport};
+use redlight_crawler::corpus::CorpusReport;
 use redlight_crawler::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
 use redlight_crawler::store::{shard_ranges, CrawlSlice};
 use redlight_net::geoip::Country;
@@ -183,28 +183,19 @@ pub fn shard_stats(db: &MeasurementDb, shards: usize) -> Vec<crate::results::Sha
         .collect()
 }
 
-/// Longitudinal rank artifacts for the porn corpus: per-domain histories,
-/// best ranks, and the corpus sorted by best rank.
-pub(crate) fn ranked_corpus(
-    world: &World,
+/// Each ranked domain's best 2018 rank, and `sanitized` sorted by it
+/// (domains never ranked go last, in corpus order).
+pub(crate) fn rank_by_best(
+    histories: &BTreeMap<String, RankHistory>,
     sanitized: &[String],
-) -> (
-    BTreeMap<String, RankHistory>,
-    BTreeMap<String, u32>,
-    Vec<String>,
-) {
-    let histories_all = world.rank_histories();
-    let porn_histories: BTreeMap<String, RankHistory> = sanitized
-        .iter()
-        .filter_map(|d| histories_all.get(d).map(|h| (d.clone(), h.clone())))
-        .collect();
-    let best_ranks: BTreeMap<String, u32> = porn_histories
+) -> (BTreeMap<String, u32>, Vec<String>) {
+    let best_ranks: BTreeMap<String, u32> = histories
         .iter()
         .filter_map(|(d, h)| h.best().map(|b| (d.clone(), b)))
         .collect();
     let mut ranked: Vec<String> = sanitized.to_vec();
     ranked.sort_by_key(|d| best_ranks.get(d).copied().unwrap_or(u32::MAX));
-    (porn_histories, best_ranks, ranked)
+    (best_ranks, ranked)
 }
 
 /// Shared derived artifacts every stage can read. Built once per run from
@@ -219,10 +210,10 @@ pub struct AnalysisContext<'a> {
     pub agegate_top_n: usize,
     /// Cap on §7.3 policy pairs.
     pub max_policy_pairs: usize,
-    /// §3 corpus compilation.
-    pub corpus: CorpusReport,
-    /// Rank histories of the sanitized corpus.
-    pub porn_histories: BTreeMap<String, RankHistory>,
+    /// §3 corpus compilation, as collection recorded it in the DB.
+    pub corpus: &'a CorpusReport,
+    /// Rank histories of the sanitized corpus, from the DB.
+    pub porn_histories: &'a BTreeMap<String, RankHistory>,
     /// Per-domain popularity tier.
     pub tier_of: BTreeMap<String, PopularityTier>,
     /// Per-domain best 2018 rank.
@@ -277,9 +268,10 @@ impl<'a> AnalysisContext<'a> {
         Self::build_sharded_in(world, config, db, &Registry::new(), shards)
     }
 
-    /// [`build_sharded`](Self::build_sharded) with the matcher's prefilter
-    /// and the cert harvest publishing their hit/miss counters as
-    /// `cache.<name>.{hits,misses}` into `registry`.
+    /// [`build_sharded`](Self::build_sharded) with the cert harvest
+    /// publishing its hit/miss counters as `cache.cert-harvest.{hits,misses}`
+    /// into `registry`. The corpus and its rank histories are the DB's own:
+    /// the build compiles nothing.
     pub fn build_sharded_in(
         world: &'a World,
         config: &StudyConfig,
@@ -288,9 +280,10 @@ impl<'a> AnalysisContext<'a> {
         shards: usize,
     ) -> Self {
         let shards = shards.max(1);
-        let corpus = CorpusCompiler::new(world).compile();
-        let (porn_histories, best_ranks, ranked) = ranked_corpus(world, &corpus.sanitized);
-        let tier_of = popularity::tiers_from_histories(&porn_histories);
+        let corpus = db.corpus();
+        let porn_histories = db.rank_histories();
+        let (best_ranks, ranked) = rank_by_best(porn_histories, &corpus.sanitized);
+        let tier_of = popularity::tiers_from_histories(porn_histories);
         let top: Vec<String> = ranked.iter().take(config.agegate_top_n).cloned().collect();
 
         let porn_es = db
@@ -299,8 +292,7 @@ impl<'a> AnalysisContext<'a> {
         let regular_es = db
             .crawl(Country::Spain, CorpusLabel::Regular)
             .expect("Spanish regular crawl recorded");
-        let classifier =
-            AtsClassifier::from_lists_in(&world.easylist, &world.easyprivacy, registry);
+        let classifier = AtsClassifier::from_lists(&world.easylist, &world.easyprivacy);
         let porn_extract = extract(porn_es, true, shards);
         let regular_extract = extract(regular_es, true, shards);
         // Out-of-band TLS probe: connect to port 443 of any contacted FQDN
@@ -345,18 +337,11 @@ impl<'a> AnalysisContext<'a> {
         }
     }
 
-    /// Snapshot of every shared cache's hit/miss counters, in render order:
-    /// the matcher's Aho-Corasick prefilter, whose hits are scan rules it
-    /// skipped and misses the scan rules it let through. Surfaced through
-    /// [`StageReport`] and `reproduce --timings`, never through the
-    /// deterministic summary.
+    /// Hit/miss counters of the context's shared caches. It keeps none, so
+    /// the list is empty. The benchmark of record (`perfbench/`) is its
+    /// only caller and reads it for its `cache.<name>.hit_ratio` rows.
     pub fn cache_counters(&self) -> Vec<CacheCounter> {
-        let (skipped, evaluated) = self.classifier.prefilter_stats();
-        vec![CacheCounter {
-            name: "ats-prefilter",
-            hits: skipped,
-            misses: evaluated,
-        }]
+        Vec::new()
     }
 }
 
@@ -871,7 +856,7 @@ fn stage_corpus_summary(ctx: &AnalysisContext<'_>) -> (CorpusSummary, usize, usi
 }
 
 fn stage_popularity(ctx: &AnalysisContext<'_>) -> ((Fig1, Table3), usize, usize) {
-    let fig1 = popularity::fig1(&ctx.porn_histories);
+    let fig1 = popularity::fig1(ctx.porn_histories);
     let table3 = popularity::table3(&ctx.porn_extract, &ctx.tier_of);
     let produced = fig1.points.len() + table3.rows.len();
     ((fig1, table3), ctx.porn_histories.len(), produced)
@@ -1107,7 +1092,7 @@ fn stage_ownership(
         docs,
         ctx.porn_es,
         &ctx.world.whois,
-        &ctx.porn_histories,
+        ctx.porn_histories,
         ctx.corpus.sanitized.len(),
     );
     let input = docs.len() + ctx.porn_es.success_count();

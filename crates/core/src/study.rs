@@ -23,12 +23,11 @@ use redlight_crawler::corpus::CorpusCompiler;
 use redlight_crawler::db::{CorpusLabel, MeasurementDb};
 use redlight_crawler::openwpm::CrawlConfig;
 use redlight_crawler::parallel::CrawlObs;
-use redlight_crawler::plan::{
-    CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec, PlanDomains,
-};
+use redlight_crawler::plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec};
 use redlight_net::geoip::Country;
 use redlight_net::transport::NetProfile;
 use redlight_obs::ObsContext;
+use redlight_rankings::RankHistory;
 use redlight_websim::{World, WorldConfig};
 
 use crate::results::{StageReport, StudyResults};
@@ -156,9 +155,10 @@ pub struct Study;
 impl Study {
     /// The collection layer: compiles the corpus, derives the crawl plan
     /// and executes it, recording every OpenWPM and Selenium crawl (the
-    /// OpenWPM-SQLite stand-in) with per-crawl wall times. This is the
-    /// literal first half of [`Study::run_on`]; downstream consumers that
-    /// want to run their own analyses call it and read the tables.
+    /// OpenWPM-SQLite stand-in) with per-crawl wall times, next to the
+    /// corpus and its rank histories. This is the literal first half of
+    /// [`Study::run_on`]; downstream consumers that want to run their own
+    /// analyses call it and read the tables.
     pub fn collect_db(world: &World, config: &StudyConfig) -> (MeasurementDb, Vec<CrawlTiming>) {
         Self::collect_db_observed(world, config, &ObsContext::disabled())
     }
@@ -178,7 +178,13 @@ impl Study {
 
         tracer.open("corpus.compile");
         let corpus = CorpusCompiler::new(world).compile();
-        let (_, _, ranked) = stages::ranked_corpus(world, &corpus.sanitized);
+        let mut histories = world.rank_histories();
+        let rank_histories: BTreeMap<String, RankHistory> = corpus
+            .sanitized
+            .iter()
+            .filter_map(|d| histories.remove_entry(d))
+            .collect();
+        let (_, ranked) = stages::rank_by_best(&rank_histories, &corpus.sanitized);
         let top: Vec<String> = ranked.into_iter().take(config.agegate_top_n).collect();
         tracer.attr("candidates", corpus.candidates.len());
         tracer.attr("sanitized", corpus.sanitized.len());
@@ -189,15 +195,8 @@ impl Study {
             metrics: obs.metrics.clone(),
             parent: tracer.link(),
         };
-        let (db, timings) = config.crawl_plan().execute(
-            world,
-            PlanDomains {
-                porn: &corpus.sanitized,
-                regular: &corpus.reference_regular,
-                agegate_top: &top,
-            },
-            &crawl_obs,
-        );
+        let plan = config.crawl_plan();
+        let (db, timings) = plan.execute(world, corpus, rank_histories, &top, &crawl_obs);
         tracer.attr("crawls", timings.len());
         tracer.close();
         tracer.finish();
@@ -257,9 +256,9 @@ impl Study {
     /// `stage.<name>` span per selected stage, and publishes every cache and
     /// stage counter into `obs.metrics`.
     ///
-    /// Returns the stage outputs, a [`StageReport`] with the stage timings,
-    /// cache counters and shard statistics (its `crawls` left empty for the
-    /// caller), and the best-rank map [`StageOutputs::into_results`] takes.
+    /// Returns the stage outputs, a [`StageReport`] with the stage timings
+    /// and shard statistics (its `crawls` left empty for the caller), and
+    /// the best-rank map [`StageOutputs::into_results`] takes.
     pub fn analyze(
         world: &World,
         config: &StudyConfig,
@@ -287,7 +286,6 @@ impl Study {
         let report = StageReport {
             crawls: Vec::new(),
             stages: stage_timings,
-            caches: ctx.cache_counters(),
             shards: stages::shard_stats(db, shards),
         };
         (outputs, report, ctx.best_ranks)

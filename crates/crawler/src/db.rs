@@ -1,6 +1,11 @@
 //! The measurement database — this repository's stand-in for OpenWPM's
 //! SQLite store, plus the interaction crawler's records.
 //!
+//! Next to the crawls, the DB keeps what collection derived before the
+//! first visit: the §3 [`CorpusReport`] and the rank histories of the
+//! sanitized corpus. Analyses read both from here, so the corpus is
+//! compiled once per collection.
+//!
 //! Crawl rows are columnar: the strings a crawl observes (crawled domains,
 //! request hosts, final-URL hosts) are interned into a per-crawl
 //! [`StrTable`] at record time, so a [`SiteVisitRecord`] carries [`Sym`]
@@ -13,8 +18,10 @@ use std::time::Duration;
 
 use redlight_browser::PageVisit;
 use redlight_net::geoip::Country;
+use redlight_rankings::RankHistory;
 use serde::{Deserialize, Serialize};
 
+use crate::corpus::CorpusReport;
 use crate::store::{shard_ranges, CrawlSlice, StrTable, Sym};
 
 /// Which corpus a crawl covered.
@@ -256,8 +263,13 @@ pub struct InteractionRecord {
 ///
 /// [`push_crawl`]: MeasurementDb::push_crawl
 /// [`push_interactions`]: MeasurementDb::push_interactions
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MeasurementDb {
+    /// The §3 corpus compilation the crawls swept.
+    corpus: CorpusReport,
+    /// Daily rank series of every sanitized-corpus domain the toplist
+    /// indexed.
+    rank_histories: BTreeMap<String, RankHistory>,
     /// OpenWPM-style crawls (one per country × corpus).
     crawls: Vec<CrawlRecord>,
     /// Interaction-crawler records (one per country × site crawled
@@ -268,9 +280,26 @@ pub struct MeasurementDb {
 }
 
 impl MeasurementDb {
-    /// Empty DB.
-    pub fn new() -> Self {
-        Self::default()
+    /// A DB with no crawls yet, over a compiled corpus and the rank
+    /// histories of its sanitized domains.
+    pub fn new(corpus: CorpusReport, rank_histories: BTreeMap<String, RankHistory>) -> Self {
+        MeasurementDb {
+            corpus,
+            rank_histories,
+            crawls: Vec::new(),
+            interactions: Vec::new(),
+            crawl_index: BTreeMap::new(),
+        }
+    }
+
+    /// The §3 corpus compilation the crawls swept.
+    pub fn corpus(&self) -> &CorpusReport {
+        &self.corpus
+    }
+
+    /// Daily rank series of the sanitized corpus, keyed by domain.
+    pub fn rank_histories(&self) -> &BTreeMap<String, RankHistory> {
+        &self.rank_histories
     }
 
     /// Records a crawl and indexes it. The first record for a `(country,
@@ -351,6 +380,10 @@ mod tests {
     use super::*;
     use redlight_net::url::Url;
 
+    fn empty_db() -> MeasurementDb {
+        MeasurementDb::new(CorpusReport::default(), BTreeMap::new())
+    }
+
     fn crawl_with(country: Country, corpus: CorpusLabel, domains: &[(&str, bool)]) -> CrawlRecord {
         let mut crawl = CrawlRecord::new(country, corpus, Ipv4Addr::new(203, 0, 113, 77));
         for (d, ok) in domains {
@@ -369,7 +402,7 @@ mod tests {
 
     #[test]
     fn crawl_lookup_and_success_counting() {
-        let mut db = MeasurementDb::new();
+        let mut db = empty_db();
         db.push_crawl(crawl_with(
             Country::Spain,
             CorpusLabel::Porn,
@@ -383,7 +416,7 @@ mod tests {
 
     #[test]
     fn index_tracks_every_pair_and_first_record_wins() {
-        let mut db = MeasurementDb::new();
+        let mut db = empty_db();
         db.push_crawl(crawl_with(
             Country::Spain,
             CorpusLabel::Porn,
@@ -421,7 +454,7 @@ mod tests {
         // Regression: insertion order interleaving countries and corpora
         // must never produce duplicate countries — the projection is
         // sorted before the dedup, not inherited from insertion order.
-        let mut db = MeasurementDb::new();
+        let mut db = empty_db();
         for (country, corpus) in [
             (Country::Russia, CorpusLabel::Porn),
             (Country::Usa, CorpusLabel::Porn),

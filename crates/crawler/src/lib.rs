@@ -43,7 +43,7 @@ pub mod store;
 pub use corpus::{CorpusCompiler, CorpusReport};
 pub use db::{CrawlRecord, InteractionRecord, MeasurementDb, SiteVisitRecord, VisitRollup};
 pub use openwpm::OpenWpmCrawler;
-pub use plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec, PlanDomains};
+pub use plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec};
 pub use redlight_net::transport::{NetProfile, RetryPolicy};
 pub use selenium::{InteractionCrawl, SeleniumCrawler};
 pub use store::{CrawlSlice, StrTable, Sym};

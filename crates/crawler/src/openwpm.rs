@@ -96,9 +96,7 @@ impl<'w> OpenWpmCrawler<'w> {
         let ctx = Browser::context_for(self.world, self.config.country, BrowserKind::OpenWpm);
         let client_ip = ctx.client_ip;
         let meter = TransportMeter::in_registry(registry);
-        let transport = self
-            .net
-            .stack_in(WebServer::new(self.world), &meter, registry);
+        let transport = self.net.stack(WebServer::new(self.world), &meter, registry);
         // Under a sim profile the whole stack is rehosted on the logical
         // clock: outcomes are unchanged, but every fetch, fault stall and
         // retry backoff consumes simulated time.

@@ -7,14 +7,18 @@
 //! the compiled corpus, fans every crawl out through one code path
 //! ([`parallel`](crate::parallel)), and records it all — the Spanish main
 //! crawls, the geo sweep, the per-country age-gate crawls — into one
-//! [`MeasurementDb`], with per-crawl wall timings for the stage report.
+//! [`MeasurementDb`] next to the corpus itself, with per-crawl wall timings
+//! for the stage report.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use redlight_net::geoip::Country;
 use redlight_net::transport::{NetProfile, TransportStats};
+use redlight_rankings::RankHistory;
 use redlight_websim::World;
 
+use crate::corpus::CorpusReport;
 use crate::db::{CorpusLabel, MeasurementDb};
 use crate::openwpm::{corpus_slug, CrawlConfig};
 use crate::parallel::{run_crawl_jobs, run_interaction_jobs, CrawlJob, CrawlObs, InteractionJob};
@@ -53,27 +57,6 @@ pub struct InteractionSpec {
     pub net: NetProfile,
 }
 
-/// The concrete domain lists a plan's selectors resolve against.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanDomains<'a> {
-    /// The sanitized porn corpus.
-    pub porn: &'a [String],
-    /// The regular reference corpus.
-    pub regular: &'a [String],
-    /// The top-N porn sites by best historical rank.
-    pub agegate_top: &'a [String],
-}
-
-impl PlanDomains<'_> {
-    fn resolve(&self, sel: DomainSel) -> &[String] {
-        match sel {
-            DomainSel::Porn => self.porn,
-            DomainSel::Regular => self.regular,
-            DomainSel::AgeGateTop => self.agegate_top,
-        }
-    }
-}
-
 /// Wall time, size and network instrumentation of one executed crawl.
 #[derive(Debug, Clone)]
 pub struct CrawlTiming {
@@ -108,9 +91,11 @@ pub struct CrawlPlan {
 
 impl CrawlPlan {
     /// Executes every planned crawl — concurrently across crawls, via the
-    /// shared [`parallel`](crate::parallel) fan-out — and records the
-    /// results into a fresh [`MeasurementDb`] in plan order, returning it
-    /// with one [`CrawlTiming`] per crawl.
+    /// shared [`parallel`](crate::parallel) fan-out — over `corpus`'s
+    /// sanitized and reference lists and the `agegate_top` subset, and
+    /// records the results in plan order into a fresh [`MeasurementDb`]
+    /// that also keeps `corpus` and `rank_histories`. Returns it with one
+    /// [`CrawlTiming`] per crawl.
     ///
     /// Every crawl records its span tree into a per-worker journal shard
     /// and publishes its transport/cache counters into `obs.metrics`, plus
@@ -121,15 +106,22 @@ impl CrawlPlan {
     pub fn execute(
         &self,
         world: &World,
-        domains: PlanDomains<'_>,
+        corpus: CorpusReport,
+        rank_histories: BTreeMap<String, RankHistory>,
+        agegate_top: &[String],
         obs: &CrawlObs,
     ) -> (MeasurementDb, Vec<CrawlTiming>) {
+        let resolve = |sel: DomainSel| match sel {
+            DomainSel::Porn => &corpus.sanitized[..],
+            DomainSel::Regular => &corpus.reference_regular[..],
+            DomainSel::AgeGateTop => agegate_top,
+        };
         let crawl_jobs: Vec<CrawlJob<'_>> = self
             .openwpm
             .iter()
             .map(|spec| CrawlJob {
                 config: spec.config.clone(),
-                domains: domains.resolve(spec.domains),
+                domains: resolve(spec.domains),
                 net: spec.net.clone(),
             })
             .collect();
@@ -138,14 +130,16 @@ impl CrawlPlan {
             .iter()
             .map(|spec| InteractionJob {
                 country: spec.country,
-                domains: domains.resolve(spec.domains),
+                domains: resolve(spec.domains),
                 net: spec.net.clone(),
             })
             .collect();
+        let crawls = run_crawl_jobs(world, &crawl_jobs, obs);
+        let interactions = run_interaction_jobs(world, &interaction_jobs, obs);
 
-        let mut db = MeasurementDb::new();
-        let mut timings = Vec::with_capacity(crawl_jobs.len() + interaction_jobs.len());
-        for job in run_crawl_jobs(world, &crawl_jobs, obs) {
+        let mut db = MeasurementDb::new(corpus, rank_histories);
+        let mut timings = Vec::with_capacity(crawls.len() + interactions.len());
+        for job in crawls {
             let record = job.output;
             let timing = CrawlTiming {
                 crawler: "openwpm",
@@ -162,11 +156,7 @@ impl CrawlPlan {
             timings.push(timing);
             db.push_crawl(record);
         }
-        for (spec, job) in
-            self.interactions
-                .iter()
-                .zip(run_interaction_jobs(world, &interaction_jobs, obs))
-        {
+        for (spec, job) in self.interactions.iter().zip(interactions) {
             let records = job.output;
             let timing = CrawlTiming {
                 crawler: "selenium",
@@ -264,28 +254,20 @@ mod tests {
             ],
         };
 
-        let (db, timings) = plan.execute(
-            &world,
-            PlanDomains {
-                porn: &corpus.sanitized,
-                regular: &corpus.reference_regular,
-                agegate_top: &top,
-            },
-            &CrawlObs::disabled(),
-        );
+        let sanitized = corpus.sanitized.len();
+        let (db, timings) =
+            plan.execute(&world, corpus, BTreeMap::new(), &top, &CrawlObs::disabled());
 
         assert_eq!(db.crawls().len(), 3);
         assert_eq!(timings.len(), 5);
         assert_eq!(db.countries(), vec![Country::Spain, Country::Russia]);
         let porn_es = db.crawl(Country::Spain, CorpusLabel::Porn).unwrap();
-        assert_eq!(porn_es.visits.len(), corpus.sanitized.len());
+        assert_eq!(porn_es.visits.len(), sanitized);
+        assert_eq!(db.corpus().sanitized.len(), sanitized);
         assert!(porn_es.visits.iter().any(|v| !v.visit.dom_html.is_empty()));
         let porn_ru = db.crawl(Country::Russia, CorpusLabel::Porn).unwrap();
         assert!(porn_ru.visits.iter().all(|v| v.visit.dom_html.is_empty()));
-        assert_eq!(
-            db.interactions_in(Country::Spain).count(),
-            corpus.sanitized.len()
-        );
+        assert_eq!(db.interactions_in(Country::Spain).count(), sanitized);
         assert_eq!(db.interactions_in(Country::Uk).count(), top.len());
         assert!(timings
             .iter()
@@ -314,11 +296,9 @@ mod tests {
         };
         let (db, _) = plan.execute(
             &world,
-            PlanDomains {
-                porn: &corpus.sanitized,
-                regular: &[],
-                agegate_top: &[],
-            },
+            corpus.clone(),
+            BTreeMap::new(),
+            &[],
             &CrawlObs::disabled(),
         );
         let direct = OpenWpmCrawler::new(&world, config).crawl(&corpus.sanitized);

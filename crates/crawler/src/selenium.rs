@@ -85,9 +85,7 @@ impl<'w> SeleniumCrawler<'w> {
     ) -> InteractionCrawl {
         let ctx = Browser::context_for(self.world, self.country, BrowserKind::Selenium);
         let meter = TransportMeter::in_registry(registry);
-        let transport = self
-            .net
-            .stack_in(WebServer::new(self.world), &meter, registry);
+        let transport = self.net.stack(WebServer::new(self.world), &meter, registry);
         // Sim profiles rehost the stack on the logical clock (outcomes are
         // unchanged; retries consume their backoff as simulated time).
         let sim = self.net.sim.map(SimHandle::new);

@@ -732,29 +732,10 @@ impl NetProfile {
 
     /// Assembles the decorator stack over `inner`: faults first (closest
     /// to the wire), then the meter, so the meter observes what the
-    /// browser observes.
+    /// browser observes. Injected faults publish `registry`'s
+    /// `transport.faults_injected` counter; the meter should come from
+    /// [`TransportMeter::in_registry`] to publish its counters there too.
     pub fn stack<'a, T: Transport + 'a>(
-        &self,
-        inner: T,
-        meter: &TransportMeter,
-    ) -> Box<dyn Transport + 'a> {
-        match (self.faults, self.metered) {
-            (Some(spec), true) => Box::new(MeteredTransport::new(
-                FaultTransport::new(inner, spec, self.fault_seed),
-                meter.clone(),
-            )),
-            (Some(spec), false) => Box::new(FaultTransport::new(inner, spec, self.fault_seed)),
-            (None, true) => Box::new(MeteredTransport::new(inner, meter.clone())),
-            (None, false) => Box::new(inner),
-        }
-    }
-
-    /// [`NetProfile::stack`] with registered telemetry: the meter should
-    /// come from [`TransportMeter::in_registry`], and injected faults
-    /// additionally publish the registry's `transport.faults_injected`
-    /// counter. Stack shape and behavior are identical to
-    /// [`NetProfile::stack`].
-    pub fn stack_in<'a, T: Transport + 'a>(
         &self,
         inner: T,
         meter: &TransportMeter,
@@ -925,14 +906,14 @@ mod tests {
     #[test]
     fn default_profile_stack_is_passthrough() {
         let meter = TransportMeter::new();
-        let stack = NetProfile::default().stack(Always, &meter);
+        let stack = NetProfile::default().stack(Always, &meter, &Registry::new());
         let out = stack.fetch(&req("https://ok.example/"), &ctx());
         assert!(matches!(out, FetchOutcome::Response(r) if r.status.is_success()));
         assert!(stack.resolvable("ok.example"));
         assert_eq!(meter.snapshot().requests, 1);
         // The bare profile skips even the meter.
         let bare_meter = TransportMeter::new();
-        let bare = NetProfile::direct().stack(Always, &bare_meter);
+        let bare = NetProfile::direct().stack(Always, &bare_meter, &Registry::new());
         bare.fetch(&req("https://ok.example/"), &ctx());
         assert_eq!(bare_meter.snapshot().requests, 0);
     }

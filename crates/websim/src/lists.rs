@@ -19,9 +19,9 @@ use crate::service::{ListCoverage, ServiceCategory};
 ///
 /// The two `*…*` wildcard rules mirror real EasyList entries whose literal
 /// runs touch a wildcard: they have no *safe* token, so they land in the
-/// matcher's always-scan list and exercise its Aho-Corasick prefilter tier.
-/// Neither can match simulated traffic (no generated URL contains
-/// `interstitial` or `vast`), so every verdict is unchanged.
+/// matcher's always-scan list and are searched in every URL the generic
+/// tier sees. Neither can match simulated traffic (no generated URL
+/// contains `interstitial` or `vast`), so every verdict is unchanged.
 pub fn easylist(catalog: &Catalog) -> String {
     let mut out = String::from(
         "[Adblock Plus 2.0]\n\

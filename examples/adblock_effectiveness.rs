@@ -56,7 +56,7 @@ fn main() {
             .filter(|r| r.third_party && cookies::is_id_cookie(r))
             .count();
         let fp = fingerprint::detect(crawl, &classifier);
-        let sync_report = sync::detect(crawl, &corpus.sanitized, 100);
+        let sync_report = sync::detect(crawl, &corpus.sanitized, 100, sync::SyncOptions::default());
         println!(
             "{label:<14} third-party FQDNs {:>4}   3rd-party ID cookies {:>5}   \
              canvas-FP sites {:>3}   sync pairs {:>4}",

@@ -8,7 +8,7 @@
 //! cargo run --release --example sync_graph
 //! ```
 
-use redlight::analysis::sync;
+use redlight::analysis::sync::{self, SyncOptions};
 use redlight::browser::Browser;
 use redlight::crawler::corpus::CorpusCompiler;
 use redlight::crawler::db::{CorpusLabel, CrawlRecord};
@@ -32,7 +32,12 @@ fn main() {
         },
     )
     .crawl(&corpus.sanitized);
-    let report = sync::detect(&session_crawl, &corpus.sanitized, 100);
+    let report = sync::detect(
+        &session_crawl,
+        &corpus.sanitized,
+        100,
+        SyncOptions::default(),
+    );
     println!(
         "single session: syncing on {} sites, {} (origin → destination) pairs, \
          {} origins, {} destinations",
@@ -58,7 +63,7 @@ fn main() {
         let url = Url::parse(&format!("https://{domain}/")).expect("valid url");
         cold_crawl.push_visit(domain, fresh.visit(&url));
     }
-    let cold = sync::detect(&cold_crawl, &corpus.sanitized, 100);
+    let cold = sync::detect(&cold_crawl, &corpus.sanitized, 100, SyncOptions::default());
     println!(
         "\nrestarting the browser per visit: syncing on {} sites, {} pairs — \
          the phenomenon disappears without the shared session (§3.1)",

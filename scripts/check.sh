@@ -50,14 +50,15 @@ cargo bench -p redlight-bench --bench ats_match -- --test
 echo "==> transport bench smoke (--test mode, 1 iteration per bench)"
 cargo bench -p redlight-bench --bench transport -- --test
 
-echo "==> observability exporter smoke (collection-only, all three formats)"
+echo "==> observability exporter smoke (collection-only, all three formats + timings JSON)"
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 cargo run --release -q -p redlight-bench --bin reproduce -- \
   --collect-only --seed 11 \
   --trace "$OBS_DIR/trace.json" \
   --trace-events "$OBS_DIR/trace.jsonl" \
-  --metrics "$OBS_DIR/metrics.prom"
+  --metrics "$OBS_DIR/metrics.prom" \
+  --timings --json --shards 3 >"$OBS_DIR/timings.json"
 python3 - "$OBS_DIR" <<'PYEOF'
 import json, sys
 d = sys.argv[1]
@@ -71,7 +72,11 @@ lines = [json.loads(l) for l in open(f"{d}/trace.jsonl") if l.strip()]
 assert len(lines) == begins, f"{len(lines)} journal lines vs {begins} spans"
 prom = open(f"{d}/metrics.prom").read()
 assert "transport_requests" in prom, "metrics exposition lacks transport counters"
-print(f"exporters OK: {begins} spans, {len(prom.splitlines())} metric lines")
+timings = json.load(open(f"{d}/timings.json"))
+assert timings["crawls"], "timings JSON lists no crawls"
+assert "shards" in timings, "sharded timings JSON lacks shard stats"
+print(f"exporters OK: {begins} spans, {len(prom.splitlines())} metric lines, "
+      f"{len(timings['crawls'])} timed crawls")
 PYEOF
 
 echo "==> timeline export smoke (traffic run, JSON-lines + CSV validated)"

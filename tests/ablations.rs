@@ -127,12 +127,11 @@ fn id_cookie_floor_drops_only_four_character_ids() {
 #[test]
 fn sync_delimiter_splitting_only_adds_matches() {
     let f = fixture();
-    let detect = |options| sync::detect_with_options(&f.porn, &[], 0, options);
+    let detect = |options| sync::detect(&f.porn, &[], 0, options);
     // The detector's default is the paper's rule.
     let whole = detect(SyncOptions::default());
     let split = detect(SyncOptions {
         split_delimiters: true,
-        ..SyncOptions::default()
     });
 
     // Ground truth: registrable-domain pairs wired as `sync_to` partners.

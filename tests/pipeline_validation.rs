@@ -249,7 +249,7 @@ fn sync_detection_only_reports_real_flows() {
         .iter()
         .map(|v| f.porn_crawl.name(v.domain).to_string())
         .collect();
-    let report = sync::detect(&f.porn_crawl, &corpus, 100);
+    let report = sync::detect(&f.porn_crawl, &corpus, 100, sync::SyncOptions::default());
     // Every origin must be a domain that actually set a cookie somewhere.
     let cookie_setters: BTreeSet<String> = f
         .porn_crawl

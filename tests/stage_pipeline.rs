@@ -3,7 +3,7 @@
 use redlight::core::stages::{self, AnalysisContext};
 use redlight::crawler::db::CorpusLabel;
 use redlight::net::geoip::Country;
-use redlight::obs::Registry;
+use redlight::obs::ObsContext;
 use redlight::{Study, StudyConfig, World};
 
 /// Splitting the monolith into collect + stages must not change a single
@@ -113,24 +113,29 @@ fn stage_subset_matches_full_run() {
     assert!(outputs.age_gates.is_none());
 }
 
-/// Building the context classifies nothing: stages classify on demand, so
-/// every shared-cache counter still reads zero once the build returns.
+/// Collection compiles the corpus once and the DB keeps it: the context
+/// borrows the DB's corpus and rank histories instead of compiling its
+/// own, and an observed run journals exactly one `corpus.compile` span.
 #[test]
-fn context_build_classifies_nothing() {
+fn context_reads_the_corpus_collection_recorded() {
     let config = StudyConfig::tiny(4242);
     let world = World::build(config.world.clone());
     let (db, _) = Study::collect_db(&world, &config);
-    let ctx = AnalysisContext::build_sharded_in(&world, &config, &db, &Registry::new(), 1);
-    let counters = ctx.cache_counters();
-    assert!(!counters.is_empty());
-    for counter in counters {
-        assert_eq!(
-            (counter.hits, counter.misses),
-            (0, 0),
-            "cache {} was touched by the context build",
-            counter.name
-        );
-    }
+    let ctx = AnalysisContext::build_sharded(&world, &config, &db, 1);
+    assert!(std::ptr::eq(ctx.corpus, db.corpus()));
+    assert!(std::ptr::eq(ctx.porn_histories, db.rank_histories()));
+    assert!(!db.corpus().sanitized.is_empty());
+    assert!(ctx.cache_counters().is_empty());
+
+    let obs = ObsContext::new();
+    Study::run_on_observed(&world, &config, &obs);
+    let journal = obs.trace.journal();
+    let compiles = journal
+        .spans
+        .iter()
+        .filter(|s| s.name == "corpus.compile")
+        .count();
+    assert_eq!(compiles, 1, "one corpus compile per observed run");
 }
 
 /// Unknown stage names are rejected with the full menu.
