@@ -1,11 +1,14 @@
 //! Transport-seam overhead — the cost of the `Box<dyn Transport>`
 //! indirection the browser now fetches through, measured against calling
-//! `WebServer::handle` directly, plus the full default decorator stack
-//! (metered, no faults) the crawlers actually assemble.
+//! `WebServer::handle` directly, plus the full default stack a crawl
+//! session assembles: the metered, fault-free decorators under the
+//! `SimTransport` that charges every outcome to the session's logical
+//! clock.
 //!
-//! The seam is only acceptable if the dynamic dispatch and the metering
-//! atomics disappear into the noise of serving a request, so the three
-//! benches replay the identical request workload through each path.
+//! The seam is only acceptable if the dynamic dispatch, the metering
+//! atomics and the clock charge disappear into the noise of serving a
+//! request, so the three benches replay the identical request workload
+//! through each path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use redlight_bench::{criterion as bench_criterion, Fixture};
@@ -16,6 +19,7 @@ use redlight_net::transport::{
 };
 use redlight_net::url::Url;
 use redlight_obs::Registry;
+use redlight_sim::{SimHandle, SimTransport};
 use redlight_websim::WebServer;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -74,8 +78,12 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("transport/default_stack", |b| {
+        let net = NetProfile::default();
         let meter = TransportMeter::new();
-        let stack = NetProfile::default().stack(WebServer::new(&f.world), &meter, &Registry::new());
+        let stack = SimTransport::new(
+            net.stack(WebServer::new(&f.world), &meter, &Registry::new()),
+            SimHandle::new(net.sim),
+        );
         b.iter(|| {
             let mut ok = 0usize;
             for r in &reqs {

@@ -22,7 +22,7 @@
 //! dependencies are pulled in automatically — and prints their one-line
 //! summaries plus timings instead of the full report. `--net-profile <name>`
 //! selects the network the crawls run over (`default`, `direct`, `flaky`,
-//! `lossy`, `sim`); `--fault-seed <n>` re-seeds the profile's fault injector so a
+//! `lossy`); `--fault-seed <n>` re-seeds the profile's fault injector so a
 //! fixed seed replays the exact same network weather.
 //!
 //! `--shards <n>` fans the decomposable analysis stages over `n`
@@ -67,7 +67,7 @@
 
 use redlight_core::results::StageReport;
 use redlight_core::{stages, Study, StudyConfig};
-use redlight_net::transport::{NetProfile, SimSpec};
+use redlight_net::transport::NetProfile;
 use redlight_obs::{ObsContext, Timeline};
 use redlight_report::paper;
 use redlight_sim::{run_traffic, TimelineSpec, TrafficConfig};
@@ -269,13 +269,6 @@ fn run_traffic_mode(
     timeline_out: &Option<String>,
     timeline_window_ms: u64,
 ) {
-    let net = if config.net.sim.is_some() {
-        config.net.clone()
-    } else {
-        // The workload is meaningless without a service model; default one
-        // in while keeping the profile's faults/retries/seed.
-        config.net.clone().with_sim(SimSpec::default())
-    };
     // Timeline sampling rides along whenever something will consume it: a
     // `--timeline` file or the `--timings` sparkline summary.
     let timeline_spec = (timeline_out.is_some() || timings)
@@ -284,9 +277,8 @@ fn run_traffic_mode(
         sessions,
         seed,
         world: config.world.clone(),
-        net,
+        net: config.net.clone(),
         timeline: timeline_spec,
-        ..TrafficConfig::new(sessions)
     };
     eprintln!("simulating {sessions} visitor sessions (seed {seed})…");
     let obs = ObsContext::new();

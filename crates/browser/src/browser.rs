@@ -384,11 +384,6 @@ impl<'w> Browser<'w> {
     pub fn client(&self) -> &ClientContext {
         &self.ctx
     }
-
-    /// DNS-ish reachability of a host through the session's transport.
-    pub fn host_resolvable(&self, host: &str) -> bool {
-        self.transport.resolvable(host)
-    }
 }
 
 #[allow(clippy::large_enum_variant)] // the Ok variant is the overwhelmingly common case

@@ -18,7 +18,7 @@ use redlight_net::geoip::Country;
 use redlight_net::url::Url;
 use redlight_rankings::category::Category;
 use redlight_websim::oracle::InspectionOracle;
-use redlight_websim::server::{BrowserKind, ClientContext};
+use redlight_websim::server::BrowserKind;
 use redlight_websim::sitegen::domain_has_keyword;
 use redlight_websim::World;
 use serde::{Deserialize, Serialize};
@@ -156,11 +156,6 @@ impl<'w> CorpusCompiler<'w> {
             .filter(|d| domain_has_keyword(d))
             .collect()
     }
-}
-
-/// Convenience for the client context used by corpus crawls.
-pub fn spain_selenium(world: &World) -> ClientContext {
-    Browser::context_for(world, Country::Spain, BrowserKind::Selenium)
 }
 
 #[cfg(test)]

@@ -56,21 +56,10 @@ pub struct SiteVisitRecord {
     /// Document-load attempts spent on the site (1 = first try succeeded
     /// or no retry budget; 0 = the corpus entry never parsed into a URL).
     pub attempts: u32,
-    /// Wall time the crawler spent on this site, retries included.
+    /// Logical time the crawl session's clock spent on this site: every
+    /// fetch's modeled service time plus the retry backoff, under the
+    /// profile's `SimSpec`. Deterministic, so equal across runs.
     pub wall: Duration,
-}
-
-/// Single-pass totals over a crawl's visit column — attempts, retries and
-/// failures in one sweep (the `--timings` roll-up used to walk the visits
-/// three times for these).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VisitRollup {
-    /// Total document-load attempts across all visits.
-    pub attempts: u64,
-    /// Attempts beyond each visit's first.
-    pub retries: u64,
-    /// Visits whose document never loaded.
-    pub failures: u64,
 }
 
 /// One crawl: a country × corpus sweep with a single browser session.
@@ -202,28 +191,12 @@ impl CrawlRecord {
         self.visits.len() - self.success_count()
     }
 
-    /// Total document-load attempts across all visits.
-    pub fn total_attempts(&self) -> u64 {
-        self.visits.iter().map(|v| v.attempts as u64).sum()
-    }
-
     /// Total retries (attempts beyond each visit's first).
     pub fn total_retries(&self) -> u64 {
         self.visits
             .iter()
             .map(|v| v.attempts.saturating_sub(1) as u64)
             .sum()
-    }
-
-    /// Attempts, retries and failures in one pass over the visit column.
-    pub fn rollup(&self) -> VisitRollup {
-        let mut out = VisitRollup::default();
-        for v in &self.visits {
-            out.attempts += v.attempts as u64;
-            out.retries += v.attempts.saturating_sub(1) as u64;
-            out.failures += u64::from(!v.visit.success);
-        }
-        out
     }
 }
 
@@ -353,20 +326,6 @@ impl MeasurementDb {
         out
     }
 
-    /// A merged global string table over every crawl's per-crawl table plus
-    /// the interaction domains — the store-wide dedup view the shard stats
-    /// report.
-    pub fn global_names(&self) -> StrTable {
-        let mut out = StrTable::new();
-        for crawl in &self.crawls {
-            out.absorb(crawl.names());
-        }
-        for record in &self.interactions {
-            out.intern(&record.domain);
-        }
-        out
-    }
-
     /// Interaction records for one country.
     pub fn interactions_in(&self, country: Country) -> impl Iterator<Item = &InteractionRecord> {
         self.interactions
@@ -472,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn interning_and_rollup_single_pass() {
+    fn interning_and_visit_totals() {
         let mut crawl = crawl_with(
             Country::Spain,
             CorpusLabel::Porn,
@@ -488,11 +447,8 @@ mod tests {
         assert!(crawl.visits[0].request_urls.is_empty());
         assert_eq!(crawl.visits[0].final_host, None);
         crawl.visits[1].attempts = 3;
-        let rollup = crawl.rollup();
-        assert_eq!(rollup.attempts, crawl.total_attempts());
-        assert_eq!(rollup.retries, crawl.total_retries());
-        assert_eq!(rollup.failures, crawl.failure_count() as u64);
-        assert_eq!(rollup.failures, 1);
+        assert_eq!(crawl.total_retries(), 2);
+        assert_eq!(crawl.failure_count(), 1);
     }
 
     #[test]

@@ -17,18 +17,22 @@
 //! * [`store`] — the columnar shard store: arena-backed string interning
 //!   ([`store::StrTable`] / [`store::Sym`]) and zero-copy
 //!   [`store::CrawlSlice`] shards the map/reduce analysis streams;
-//! * [`parallel`] — a crossbeam worker pool that runs independent crawl
-//!   jobs concurrently (crawls are independent sessions; within a crawl the
-//!   session is sequential, preserving cookie-sync observability);
+//! * [`parallel`] — the telemetry plumbing of the crossbeam worker pool
+//!   that runs independent crawls concurrently (crawls are independent
+//!   sessions; within a crawl the session is sequential, preserving
+//!   cookie-sync observability);
 //! * [`plan`] — the [`CrawlPlan`](plan::CrawlPlan): every crawl a study
 //!   performs, declared as data and executed through one code path into a
-//!   [`MeasurementDb`] with per-crawl wall timings.
+//!   [`MeasurementDb`] with one [`CrawlTiming`] per crawl.
 //!
-//! Every crawl fetches through the transport seam
-//! ([`redlight_net::transport`]): its [`NetProfile`] — carried on the plan
-//! specs — assembles the stack (direct server, optional fault injection,
-//! optional metering) and sets the visit [`RetryPolicy`], so a plan fully
-//! describes the network weather it runs under.
+//! Both crawlers run on one crate-private crawl session. It fetches
+//! through the transport seam ([`redlight_net::transport`]): the crawl's
+//! [`NetProfile`] — carried on the plan specs — assembles the stack
+//! (direct server, optional fault injection, optional metering) under a
+//! logical clock and sets the visit [`RetryPolicy`], so a plan fully
+//! describes the network weather it runs under. The session's one retry
+//! loop consumes backoff on that clock and counts every crawl's attempts,
+//! retries and failed visits.
 
 #![warn(missing_docs)]
 
@@ -38,12 +42,13 @@ pub mod openwpm;
 pub mod parallel;
 pub mod plan;
 pub mod selenium;
+mod session;
 pub mod store;
 
 pub use corpus::{CorpusCompiler, CorpusReport};
-pub use db::{CrawlRecord, InteractionRecord, MeasurementDb, SiteVisitRecord, VisitRollup};
+pub use db::{CrawlRecord, InteractionRecord, MeasurementDb, SiteVisitRecord};
 pub use openwpm::OpenWpmCrawler;
 pub use plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec};
 pub use redlight_net::transport::{NetProfile, RetryPolicy};
-pub use selenium::{InteractionCrawl, SeleniumCrawler};
+pub use selenium::SeleniumCrawler;
 pub use store::{CrawlSlice, StrTable, Sym};

@@ -6,35 +6,26 @@
 //! HTTP exchange, cookie and instrumented JS call. Visits are attempted
 //! HTTPS-first with HTTP downgrade; pages may hit the 120 s timeout.
 //!
-//! The session fetches through a [`Transport`] stack assembled from the
-//! crawl's [`NetProfile`]: the direct in-process server by default,
-//! optionally wrapped in metering and deterministic fault-injection
-//! decorators. Failed document loads are retried up to the profile's
+//! The crawl runs as one crawl session: a browser fetching through the
+//! stack its [`NetProfile`] assembles — the direct in-process server by
+//! default, optionally wrapped in metering and deterministic
+//! fault-injection decorators — on a logical clock. Failed document loads
+//! are retried up to the profile's
 //! [`RetryPolicy`](redlight_net::transport::RetryPolicy) budget, with the
-//! attempt count and per-site wall time recorded on every
-//! [`SiteVisitRecord`].
-//!
-//! When the profile carries a [`SimSpec`](redlight_net::transport::SimSpec)
-//! the stack is rehosted on a simulated clock ([`SimTransport`]): visit
-//! walls become logical time, and retry backoff is *consumed* on that
-//! clock — the crawl asserts the recorded schedule equals the elapsed
-//! logical time, closing the recorded-only gap of the legacy path.
+//! attempt count and the visit's logical wall recorded on every
+//! [`SiteVisitRecord`](crate::db::SiteVisitRecord).
 
-use std::time::Instant;
+use std::time::Duration;
 
-use redlight_browser::Browser;
 use redlight_net::geoip::Country;
-use redlight_net::transport::{BrowserKind, NetProfile, Transport, TransportMeter, TransportStats};
+use redlight_net::transport::{BrowserKind, NetProfile};
 use redlight_net::url::Url;
 use redlight_obs::{Registry, Trace, Tracer};
-use redlight_sim::{SimHandle, SimTransport};
-use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
 use crate::db::{CorpusLabel, CrawlRecord};
-
-/// Sites per `visits.NNN` batch span in the crawl journal.
-pub const VISIT_BATCH: usize = 25;
+use crate::plan::CrawlTiming;
+use crate::session::{Load, Session};
 
 /// Crawl configuration.
 #[derive(Debug, Clone)]
@@ -79,37 +70,26 @@ impl<'w> OpenWpmCrawler<'w> {
             .0
     }
 
-    /// [`crawl`](Self::crawl) with telemetry, also returning the
-    /// transport-layer counters when the profile meters (`None` on bare
-    /// stacks): the crawl records a `crawl.openwpm.<country>.<corpus>` span
-    /// with one `visits.NNN` child per [`VISIT_BATCH`] sites into `tracer`,
-    /// and publishes `transport.*` counters, `transport.retries`,
-    /// `crawl.failed_visits` and the `crawl.attempts` /
-    /// `crawl.requests_per_visit` histograms into `registry`. The record is
-    /// byte-identical to [`crawl`](Self::crawl)'s.
+    /// [`crawl`](Self::crawl) with telemetry, also returning the crawl's
+    /// [`CrawlTiming`]: the crawl records a
+    /// `crawl.openwpm.<country>.<corpus>` span with one `visits.NNN` child
+    /// per 25 sites into `tracer`, and publishes `transport.*` counters,
+    /// `transport.retries`, `crawl.failed_visits` and the `crawl.attempts`
+    /// / `crawl.requests_per_visit` histograms into `registry`. The record
+    /// is byte-identical to [`crawl`](Self::crawl)'s.
     pub fn crawl_observed(
         &self,
         domains: &[String],
         tracer: &mut Tracer,
         registry: &Registry,
-    ) -> (CrawlRecord, Option<TransportStats>) {
-        let ctx = Browser::context_for(self.world, self.config.country, BrowserKind::OpenWpm);
-        let client_ip = ctx.client_ip;
-        let meter = TransportMeter::in_registry(registry);
-        let transport = self.net.stack(WebServer::new(self.world), &meter, registry);
-        // Under a sim profile the whole stack is rehosted on the logical
-        // clock: outcomes are unchanged, but every fetch, fault stall and
-        // retry backoff consumes simulated time.
-        let sim = self.net.sim.map(SimHandle::new);
-        let transport: Box<dyn Transport + '_> = match &sim {
-            Some(handle) => Box::new(SimTransport::new(transport, handle.clone())),
-            None => transport,
-        };
-        let mut browser = Browser::with_transport(transport, ctx);
-
-        let retries = registry.counter("transport.retries");
-        let failed_visits = registry.counter("crawl.failed_visits");
-        let attempts_hist = registry.histogram("crawl.attempts");
+    ) -> (CrawlRecord, CrawlTiming) {
+        let mut session = Session::open(
+            self.world,
+            self.config.country,
+            BrowserKind::OpenWpm,
+            &self.net,
+            registry,
+        );
         let requests_hist = registry.histogram("crawl.requests_per_visit");
 
         tracer.open(&format!(
@@ -120,72 +100,35 @@ impl<'w> OpenWpmCrawler<'w> {
         tracer.attr("sites", domains.len());
         tracer.attr("store_dom", self.config.store_dom);
 
+        let client_ip = session.browser().client().client_ip;
         let mut record = CrawlRecord::new(self.config.country, self.config.corpus, client_ip);
         record.visits.reserve(domains.len());
-        for (batch_idx, batch) in domains.chunks(VISIT_BATCH).enumerate() {
-            tracer.open(&format!("visits.{batch_idx:03}"));
-            let mut batch_attempts = 0u64;
-            let mut batch_failures = 0u64;
-            for domain in batch {
-                let started = Instant::now();
-                let sim_mark = sim.as_ref().map(|h| (h.now(), h.backoff_consumed()));
-                let wall = |attempts_done: u32| match (&sim, sim_mark) {
-                    // Logical wall: fetches + backoff since the visit began.
-                    // The recorded backoff schedule must equal the logical
-                    // time the retries actually consumed — the sim clock
-                    // closes the old recorded-only gap, so enforce it.
-                    (Some(h), Some((t0, b0))) => {
-                        assert_eq!(
-                            h.backoff_consumed() - b0,
-                            self.net.retry.total_backoff(attempts_done),
-                            "recorded backoff must equal logical time consumed"
-                        );
-                        h.now() - t0
-                    }
-                    _ => started.elapsed(),
-                };
-                let Ok(url) = Url::parse(&format!("https://{domain}/")) else {
-                    // A corpus entry that never parses still costs a visit
-                    // slot: dropping it here would silently shrink the crawl
-                    // and skew every per-corpus denominator downstream.
-                    record.push_visit_with(domain, unparsable_visit(), 0, wall(0));
-                    attempts_hist.record(0);
-                    requests_hist.record(0);
-                    failed_visits.inc();
-                    batch_failures += 1;
-                    continue;
-                };
-                let mut attempts = 1u32;
-                let mut visit = browser.visit(&url);
-                while !visit.success && attempts < self.net.retry.max_attempts {
-                    attempts += 1;
-                    if let Some(handle) = &sim {
-                        handle.consume_backoff(self.net.retry.backoff_before(attempts));
-                    }
-                    visit = browser.visit(&url);
-                }
-                retries.add(attempts.saturating_sub(1) as u64);
-                attempts_hist.record(attempts as u64);
-                requests_hist.record(visit.requests.len() as u64);
-                batch_attempts += attempts as u64;
-                if !visit.success {
-                    failed_visits.inc();
-                    batch_failures += 1;
-                }
-                if !self.config.store_dom {
-                    visit.dom_html = String::new();
-                }
-                record.push_visit_with(domain, visit, attempts, wall(attempts));
+        session.sweep(domains, tracer, |session, domain| {
+            let Ok(url) = Url::parse(&format!("https://{domain}/")) else {
+                // A corpus entry that never parses still costs a visit
+                // slot: dropping it here would silently shrink the crawl
+                // and skew every per-corpus denominator downstream.
+                session.skip();
+                requests_hist.record(0);
+                record.push_visit_with(domain, unparsable_visit(), 0, Duration::ZERO);
+                return;
+            };
+            let Load {
+                mut visit,
+                attempts,
+                wall,
+            } = session.load(&url);
+            requests_hist.record(visit.requests.len() as u64);
+            if !self.config.store_dom {
+                visit.dom_html = String::new();
             }
-            tracer.attr("sites", batch.len());
-            tracer.attr("attempts", batch_attempts);
-            tracer.attr("failures", batch_failures);
-            tracer.close();
-        }
+            record.push_visit_with(domain, visit, attempts, wall);
+        });
         tracer.close();
 
-        let stats = self.net.metered.then(|| meter.snapshot());
-        (record, stats)
+        let timing = session.finish(Some(self.config.corpus));
+        registry.counter("crawl.failed_visits").add(timing.failures);
+        (record, timing)
     }
 }
 

@@ -4,7 +4,7 @@
 //! sweeps as country × corpus × store-DOM triples, and Selenium-style
 //! interaction crawls as country × domain-selector pairs. The plan itself
 //! is data; [`CrawlPlan::execute`] resolves the domain selectors against
-//! the compiled corpus, fans every crawl out through one code path
+//! the compiled corpus, fans every crawl out across a thread pool
 //! ([`parallel`](crate::parallel)), and records it all — the Spanish main
 //! crawls, the geo sweep, the per-country age-gate crawls — into one
 //! [`MeasurementDb`] next to the corpus itself, with per-crawl wall timings
@@ -20,8 +20,9 @@ use redlight_websim::World;
 
 use crate::corpus::CorpusReport;
 use crate::db::{CorpusLabel, MeasurementDb};
-use crate::openwpm::{corpus_slug, CrawlConfig};
-use crate::parallel::{run_crawl_jobs, run_interaction_jobs, CrawlJob, CrawlObs, InteractionJob};
+use crate::openwpm::{corpus_slug, CrawlConfig, OpenWpmCrawler};
+use crate::parallel::{run_jobs, CrawlObs};
+use crate::selenium::SeleniumCrawler;
 
 /// Which domain list a planned crawl sweeps. Selectors are resolved at
 /// execution time, so a plan can be built before the corpus is compiled.
@@ -74,7 +75,8 @@ pub struct CrawlTiming {
     pub retries: u64,
     /// Sites whose document never loaded.
     pub failures: u64,
-    /// Wall-clock duration of the crawl.
+    /// Host wall-clock duration of the crawl (its visit walls are logical
+    /// time; this is the real time the crawl took to run).
     pub wall: Duration,
     /// Transport-layer counters, when the crawl's profile metered.
     pub net: Option<TransportStats>,
@@ -90,12 +92,11 @@ pub struct CrawlPlan {
 }
 
 impl CrawlPlan {
-    /// Executes every planned crawl — concurrently across crawls, via the
-    /// shared [`parallel`](crate::parallel) fan-out — over `corpus`'s
-    /// sanitized and reference lists and the `agegate_top` subset, and
-    /// records the results in plan order into a fresh [`MeasurementDb`]
-    /// that also keeps `corpus` and `rank_histories`. Returns it with one
-    /// [`CrawlTiming`] per crawl.
+    /// Executes every planned crawl — concurrently across crawls, one
+    /// scoped thread each — over `corpus`'s sanitized and reference lists
+    /// and the `agegate_top` subset, and records the results in plan order
+    /// into a fresh [`MeasurementDb`] that also keeps `corpus` and
+    /// `rank_histories`. Returns it with one [`CrawlTiming`] per crawl.
     ///
     /// Every crawl records its span tree into a per-worker journal shard
     /// and publishes its transport/cache counters into `obs.metrics`, plus
@@ -116,59 +117,46 @@ impl CrawlPlan {
             DomainSel::Regular => &corpus.reference_regular[..],
             DomainSel::AgeGateTop => agegate_top,
         };
-        let crawl_jobs: Vec<CrawlJob<'_>> = self
-            .openwpm
-            .iter()
-            .map(|spec| CrawlJob {
-                config: spec.config.clone(),
-                domains: resolve(spec.domains),
-                net: spec.net.clone(),
-            })
-            .collect();
-        let interaction_jobs: Vec<InteractionJob<'_>> = self
-            .interactions
-            .iter()
-            .map(|spec| InteractionJob {
-                country: spec.country,
-                domains: resolve(spec.domains),
-                net: spec.net.clone(),
-            })
-            .collect();
-        let crawls = run_crawl_jobs(world, &crawl_jobs, obs);
-        let interactions = run_interaction_jobs(world, &interaction_jobs, obs);
+        let crawls = run_jobs(
+            &self.openwpm,
+            obs,
+            |i, spec| {
+                format!(
+                    "collect/openwpm.{i:02}.{}.{}",
+                    spec.config.country.code().to_ascii_lowercase(),
+                    corpus_slug(spec.config.corpus),
+                )
+            },
+            |spec, tracer, registry| {
+                OpenWpmCrawler::new(world, spec.config.clone())
+                    .with_net(spec.net.clone())
+                    .crawl_observed(resolve(spec.domains), tracer, registry)
+            },
+        );
+        let interactions = run_jobs(
+            &self.interactions,
+            obs,
+            |i, spec| {
+                format!(
+                    "collect/selenium.{i:02}.{}",
+                    spec.country.code().to_ascii_lowercase()
+                )
+            },
+            |spec, tracer, registry| {
+                SeleniumCrawler::new(world, spec.country)
+                    .with_net(spec.net.clone())
+                    .crawl_observed(resolve(spec.domains), tracer, registry)
+            },
+        );
 
         let mut db = MeasurementDb::new(corpus, rank_histories);
         let mut timings = Vec::with_capacity(crawls.len() + interactions.len());
-        for job in crawls {
-            let record = job.output;
-            let timing = CrawlTiming {
-                crawler: "openwpm",
-                country: record.country,
-                corpus: Some(record.corpus),
-                sites: record.visits.len(),
-                attempts: job.rollup.attempts,
-                retries: job.rollup.retries,
-                failures: job.rollup.failures,
-                wall: job.wall,
-                net: job.transport,
-            };
+        for (record, timing) in crawls {
             publish_timing(obs, &timing);
             timings.push(timing);
             db.push_crawl(record);
         }
-        for (spec, job) in self.interactions.iter().zip(interactions) {
-            let records = job.output;
-            let timing = CrawlTiming {
-                crawler: "selenium",
-                country: spec.country,
-                corpus: None,
-                sites: records.len(),
-                attempts: job.rollup.attempts,
-                retries: job.rollup.retries,
-                failures: job.rollup.failures,
-                wall: job.wall,
-                net: job.transport,
-            };
+        for (records, timing) in interactions {
             publish_timing(obs, &timing);
             timings.push(timing);
             db.push_interactions(records);
@@ -269,29 +257,74 @@ mod tests {
         assert!(porn_ru.visits.iter().all(|v| v.visit.dom_html.is_empty()));
         assert_eq!(db.interactions_in(Country::Spain).count(), sanitized);
         assert_eq!(db.interactions_in(Country::Uk).count(), top.len());
-        assert!(timings
+
+        // Timings come back in plan order: the sweeps, then the
+        // interaction crawls.
+        let order: Vec<_> = timings
             .iter()
-            .filter(|t| t.crawler == "selenium")
-            .all(|t| t.corpus.is_none() && t.sites > 0));
+            .map(|t| (t.crawler, t.country, t.corpus))
+            .collect();
+        assert_eq!(
+            order,
+            vec![
+                ("openwpm", Country::Spain, Some(CorpusLabel::Porn)),
+                ("openwpm", Country::Spain, Some(CorpusLabel::Regular)),
+                ("openwpm", Country::Russia, Some(CorpusLabel::Porn)),
+                ("selenium", Country::Spain, None),
+                ("selenium", Country::Uk, None),
+            ]
+        );
+        assert!(timings.iter().all(|t| t.wall > Duration::ZERO));
+        // The default profile meters and never retries: each sweep's
+        // transport saw exactly the requests its visits recorded, one
+        // attempt per site.
+        for (crawl, t) in db.crawls().iter().zip(&timings) {
+            let recorded: u64 = crawl
+                .visits
+                .iter()
+                .map(|v| v.visit.requests.len() as u64)
+                .sum();
+            let stats = t.net.as_ref().expect("default profile meters");
+            assert_eq!(stats.requests, recorded);
+            assert_eq!(t.sites, crawl.visits.len());
+            assert_eq!(t.attempts, crawl.visits.len() as u64);
+            assert_eq!(t.retries, 0);
+            assert_eq!(t.failures, crawl.failure_count() as u64);
+        }
+        // Interaction crawls count their unreachable sites as failures.
+        for t in &timings[3..] {
+            let stats = t.net.as_ref().expect("default profile meters");
+            assert!(stats.requests > 0);
+            assert_eq!(t.attempts, t.sites as u64);
+            let unreachable = db
+                .interactions_in(t.country)
+                .filter(|r| !r.reachable)
+                .count();
+            assert_eq!(t.failures, unreachable as u64);
+        }
     }
 
     #[test]
     fn plan_execution_matches_direct_crawling() {
-        // The single code path must reproduce exactly what a hand-rolled
-        // crawler invocation records (determinism across entry points).
+        // Crawls running concurrently must record exactly what a
+        // hand-rolled sequential crawler invocation records (determinism
+        // across entry points and threads), logical walls included.
         let world = World::build(WorldConfig::tiny(82));
         let corpus = CorpusCompiler::new(&world).compile();
-        let config = CrawlConfig {
-            country: Country::Usa,
+        let config = |country| CrawlConfig {
+            country,
             corpus: CorpusLabel::Porn,
             store_dom: true,
         };
         let plan = CrawlPlan {
-            openwpm: vec![CrawlSpec {
-                config: config.clone(),
-                domains: DomainSel::Porn,
-                net: NetProfile::default(),
-            }],
+            openwpm: [Country::Spain, Country::Usa, Country::Russia]
+                .into_iter()
+                .map(|country| CrawlSpec {
+                    config: config(country),
+                    domains: DomainSel::Porn,
+                    net: NetProfile::default(),
+                })
+                .collect(),
             interactions: vec![],
         };
         let (db, _) = plan.execute(
@@ -301,7 +334,7 @@ mod tests {
             &[],
             &CrawlObs::disabled(),
         );
-        let direct = OpenWpmCrawler::new(&world, config).crawl(&corpus.sanitized);
+        let direct = OpenWpmCrawler::new(&world, config(Country::Usa)).crawl(&corpus.sanitized);
         let planned = db.crawl(Country::Usa, CorpusLabel::Porn).unwrap();
         assert_eq!(planned.client_ip, direct.client_ip);
         assert_eq!(planned.visits.len(), direct.visits.len());
@@ -310,6 +343,7 @@ mod tests {
             assert_eq!(a.visit.success, b.visit.success);
             assert_eq!(a.visit.requests.len(), b.visit.requests.len());
             assert_eq!(a.visit.dom_html, b.visit.dom_html);
+            assert_eq!(a.wall, b.wall);
         }
     }
 }

@@ -10,34 +10,20 @@
 //! monetization signals (account/premium keywords) and fetches the premium
 //! page when advertised.
 
-use redlight_browser::{Browser, Initiator};
+use redlight_browser::Initiator;
 use redlight_html::dom::Document;
 use redlight_html::{parser, query, style};
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, NetProfile, Transport, TransportMeter, TransportStats};
+use redlight_net::transport::{BrowserKind, NetProfile};
 use redlight_net::url::Url;
 use redlight_obs::{Registry, Trace, Tracer};
-use redlight_sim::{SimHandle, SimTransport};
 use redlight_text::lang;
-use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
 use crate::db::InteractionRecord;
-use crate::openwpm::VISIT_BATCH;
-
-/// One interaction crawl's output plus its network bookkeeping.
-#[derive(Debug)]
-pub struct InteractionCrawl {
-    /// One record per crawled domain, in input order.
-    pub records: Vec<InteractionRecord>,
-    /// Transport counters when the profile meters (`None` on bare stacks).
-    pub transport: Option<TransportStats>,
-    /// Landing-page load attempts across all sites.
-    pub attempts: u64,
-    /// Attempts beyond each site's first.
-    pub retries: u64,
-}
+use crate::plan::CrawlTiming;
+use crate::session::{Load, Session};
 
 /// The interaction crawler.
 pub struct SeleniumCrawler<'w> {
@@ -67,37 +53,28 @@ impl<'w> SeleniumCrawler<'w> {
     pub fn crawl(&self, domains: &[String]) -> Vec<InteractionRecord> {
         let mut tracer = Trace::disabled().tracer("crawl");
         self.crawl_observed(domains, &mut tracer, &Registry::new())
-            .records
+            .0
     }
 
-    /// [`crawl`](Self::crawl) with telemetry, keeping the transport
-    /// counters and per-crawl attempt totals alongside the records: records
-    /// a `crawl.selenium.<country>` span with `visits.NNN` batch children
-    /// into `tracer` and publishes `transport.*` counters,
-    /// `transport.retries`, `crawl.unreachable_sites` and the
-    /// `crawl.attempts` histogram into `registry`. Records are
-    /// byte-identical to [`crawl`](Self::crawl)'s.
+    /// [`crawl`](Self::crawl) with telemetry, also returning the crawl's
+    /// [`CrawlTiming`]: records a `crawl.selenium.<country>` span with
+    /// `visits.NNN` batch children into `tracer` and publishes
+    /// `transport.*` counters, `transport.retries`,
+    /// `crawl.unreachable_sites` and the `crawl.attempts` histogram into
+    /// `registry`. Records are byte-identical to [`crawl`](Self::crawl)'s.
     pub fn crawl_observed(
         &self,
         domains: &[String],
         tracer: &mut Tracer,
         registry: &Registry,
-    ) -> InteractionCrawl {
-        let ctx = Browser::context_for(self.world, self.country, BrowserKind::Selenium);
-        let meter = TransportMeter::in_registry(registry);
-        let transport = self.net.stack(WebServer::new(self.world), &meter, registry);
-        // Sim profiles rehost the stack on the logical clock (outcomes are
-        // unchanged; retries consume their backoff as simulated time).
-        let sim = self.net.sim.map(SimHandle::new);
-        let transport: Box<dyn Transport + '_> = match &sim {
-            Some(handle) => Box::new(SimTransport::new(transport, handle.clone())),
-            None => transport,
-        };
-        let mut browser = Browser::with_transport(transport, ctx);
-
-        let retry_counter = registry.counter("transport.retries");
-        let unreachable = registry.counter("crawl.unreachable_sites");
-        let attempts_hist = registry.histogram("crawl.attempts");
+    ) -> (Vec<InteractionRecord>, CrawlTiming) {
+        let mut session = Session::open(
+            self.world,
+            self.country,
+            BrowserKind::Selenium,
+            &self.net,
+            registry,
+        );
 
         tracer.open(&format!(
             "crawl.selenium.{}",
@@ -105,51 +82,23 @@ impl<'w> SeleniumCrawler<'w> {
         ));
         tracer.attr("sites", domains.len());
 
-        let mut attempts_total = 0u64;
-        let mut retries = 0u64;
         let mut records = Vec::with_capacity(domains.len());
-        for (batch_idx, batch) in domains.chunks(VISIT_BATCH).enumerate() {
-            tracer.open(&format!("visits.{batch_idx:03}"));
-            let mut batch_attempts = 0u64;
-            let mut batch_failures = 0u64;
-            for d in batch {
-                let (record, attempts) = self.crawl_site(&mut browser, d, sim.as_ref());
-                attempts_total += attempts as u64;
-                retries += attempts.saturating_sub(1) as u64;
-                retry_counter.add(attempts.saturating_sub(1) as u64);
-                attempts_hist.record(attempts as u64);
-                batch_attempts += attempts as u64;
-                if !record.reachable {
-                    unreachable.inc();
-                    batch_failures += 1;
-                }
-                records.push(record);
-            }
-            tracer.attr("sites", batch.len());
-            tracer.attr("attempts", batch_attempts);
-            tracer.attr("failures", batch_failures);
-            tracer.close();
-        }
+        session.sweep(domains, tracer, |session, domain| {
+            records.push(self.crawl_site(session, domain));
+        });
         tracer.close();
 
-        InteractionCrawl {
-            records,
-            transport: self.net.metered.then(|| meter.snapshot()),
-            attempts: attempts_total,
-            retries,
-        }
+        let timing = session.finish(None);
+        registry
+            .counter("crawl.unreachable_sites")
+            .add(timing.failures);
+        (records, timing)
     }
 
-    /// Crawls one site, returning its record with the number of
-    /// landing-page attempts spent (0 when the domain never parsed). Under
-    /// a sim profile, retry backoff is consumed on the logical clock and
-    /// checked against the recorded schedule.
-    fn crawl_site(
-        &self,
-        browser: &mut Browser<'w>,
-        domain: &str,
-        sim: Option<&SimHandle>,
-    ) -> (InteractionRecord, u32) {
+    /// Crawls one site: the landing page through the session's retry
+    /// loop, then the age gate, the policy link and the premium page. A
+    /// domain that never parses is recorded unreachable.
+    fn crawl_site(&self, session: &mut Session<'w>, domain: &str) -> InteractionRecord {
         let mut record = InteractionRecord {
             domain: domain.to_string(),
             country: self.country,
@@ -165,32 +114,18 @@ impl<'w> SeleniumCrawler<'w> {
         };
         let Ok(url) = Url::parse(&format!("https://{domain}/")) else {
             // Malformed corpus entry: recorded as unreachable, never dropped.
-            return (record, 0);
+            session.skip();
+            return record;
         };
-        let backoff_mark = sim.map(|h| h.backoff_consumed());
-        let mut attempts = 1u32;
-        let mut visit = browser.visit(&url);
-        while !visit.success && attempts < self.net.retry.max_attempts {
-            attempts += 1;
-            if let Some(handle) = sim {
-                handle.consume_backoff(self.net.retry.backoff_before(attempts));
-            }
-            visit = browser.visit(&url);
-        }
-        if let Some((handle, before)) = sim.zip(backoff_mark) {
-            assert_eq!(
-                handle.backoff_consumed() - before,
-                self.net.retry.total_backoff(attempts),
-                "recorded backoff must equal logical time consumed"
-            );
-        }
+        let Load { mut visit, .. } = session.load(&url);
         if !visit.success {
-            return (record, attempts);
+            return record;
         }
         record.reachable = true;
         let Some(mut page_url) = visit.final_url.clone() else {
-            return (record, attempts);
+            return record;
         };
+        let browser = session.browser();
         let mut doc = parser::parse(&visit.dom_html);
 
         // --- Age-gate detection & bypass. ---
@@ -260,7 +195,7 @@ impl<'w> SeleniumCrawler<'w> {
             }
         }
 
-        (record, attempts)
+        record
     }
 }
 

@@ -121,14 +121,6 @@ impl StrTable {
     pub fn iter(&self) -> impl Iterator<Item = &str> {
         (0..self.spans.len()).map(|i| self.resolve(Sym(i as u32)))
     }
-
-    /// Interns every string of `other` into `self` (the merged-global-table
-    /// construction; syms of `other` do **not** carry over).
-    pub fn absorb(&mut self, other: &StrTable) {
-        for s in other.iter() {
-            self.intern(s);
-        }
-    }
 }
 
 /// A zero-copy view over one contiguous visit range of a crawl, sharing the
@@ -243,19 +235,6 @@ mod tests {
         assert_eq!(t.lookup("exoclick.com"), Some(a));
         assert_eq!(t.lookup("never-interned.com"), None);
         assert_eq!(t.len(), 1, "lookup must not intern");
-    }
-
-    #[test]
-    fn absorb_merges_distinct_strings() {
-        let mut a = StrTable::new();
-        a.intern("x.com");
-        let mut b = StrTable::new();
-        b.intern("x.com");
-        b.intern("y.com");
-        a.absorb(&b);
-        assert_eq!(a.len(), 2);
-        let strings: Vec<&str> = a.iter().collect();
-        assert_eq!(strings, vec!["x.com", "y.com"]);
     }
 
     #[test]

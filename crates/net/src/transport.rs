@@ -19,12 +19,9 @@
 //!   request URL, resource kind, attempt number)` — no wall clock, no
 //!   global RNG — so the same seed replays the same faults, and two runs
 //!   of a study produce identical results;
-//! * meters and retry backoff are *recorded*, never slept on: the
-//!   simulated network has no latency to wait out, so the schedule is
-//!   bookkeeping for the report, not a delay. Profiles carrying a
-//!   [`SimSpec`] upgrade the schedule to *consumed* logical time on a
-//!   simulated clock (the `redlight-sim` kernel) — still never a real
-//!   sleep.
+//! * retry backoff is never slept on: every profile carries a [`SimSpec`],
+//!   and crawls run on its simulated clock (the `redlight-sim` kernel),
+//!   which *consumes* each backoff as logical time between attempts.
 //!
 //! [`WebServer`]: https://docs.rs/redlight-websim
 
@@ -33,7 +30,7 @@ use std::net::Ipv4Addr;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use redlight_obs::{Counter, Histogram, Registry, Unit};
+use redlight_obs::{Counter, Histogram, Registry, SloPolicy, Unit};
 use serde::{Deserialize, Serialize};
 
 use crate::geoip::Country;
@@ -477,12 +474,9 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
 /// Bounded visit retries with a deterministic backoff schedule.
 ///
-/// The backoff is never slept on a real wire. On legacy runs (profiles
-/// with `sim: None`) it is purely *recorded* — the synthetic web answers
-/// instantly, so the schedule exists to be reported and to stay stable
-/// across runs. Under a [`SimSpec`] profile the same schedule is *charged*
-/// to a logical clock between attempts, and the crawler asserts the time
-/// consumed equals [`RetryPolicy::total_backoff`].
+/// The backoff is never slept on a real wire: a crawl *consumes* it on the
+/// logical clock of its profile's [`SimSpec`] between attempts, and asserts
+/// the time consumed equals [`RetryPolicy::total_backoff`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total visit attempts (1 = no retries).
@@ -534,11 +528,9 @@ impl RetryPolicy {
     /// Total backoff a visit that spent `attempts` attempts schedules: the
     /// sum of [`backoff_before`](Self::backoff_before) over every attempt.
     ///
-    /// Under a simulated clock ([`SimSpec`]) the crawler *consumes* exactly
-    /// this much logical time between retries and asserts the equality, so
-    /// the recorded schedule can never silently diverge from the time the
-    /// clock actually advanced. On legacy non-sim runs (`sim: None`) the
-    /// schedule stays recorded-only: there is no clock to consume it.
+    /// The crawler *consumes* exactly this much logical time between
+    /// retries and asserts the equality, so the schedule can never
+    /// silently diverge from the time the clock actually advanced.
     pub fn total_backoff(&self, attempts: u32) -> Duration {
         (1..=attempts).map(|a| self.backoff_before(a)).sum()
     }
@@ -550,13 +542,13 @@ impl RetryPolicy {
 
 /// Parameters of the simulated-time service model, as data.
 ///
-/// When a [`NetProfile`] carries a `SimSpec`, the crawl wraps its transport
-/// stack in the `redlight-sim` crate's `SimTransport`: every fetch charges
-/// a modeled service time to a logical clock — a base cost plus a per-KiB
-/// transfer cost with deterministic ±jitter — unreachable hosts charge the
-/// connect-fail cost, stalls charge the full timeout budget, and retry
-/// backoff advances the same clock. The spec itself is plain data so `net`
-/// needs no dependency on the kernel.
+/// Every crawl wraps its [`NetProfile`]'s transport stack in the
+/// `redlight-sim` crate's `SimTransport` under the profile's `SimSpec`:
+/// every fetch charges a modeled service time to a logical clock — a base
+/// cost plus a per-KiB transfer cost with deterministic ±jitter —
+/// unreachable hosts charge the connect-fail cost, stalls charge the full
+/// timeout budget, and retry backoff advances the same clock. The spec
+/// itself is plain data so `net` needs no dependency on the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimSpec {
     /// Base per-request service time (connection + server think time).
@@ -589,56 +581,6 @@ impl Default for SimSpec {
     }
 }
 
-/// Service-level objectives declared on a [`NetProfile`], as plain data.
-///
-/// Consumers (the traffic simulator's timeline telemetry) evaluate the
-/// objectives per logical-time window: the latency objective compares the
-/// window's request p99 against `latency_p99_us`, and the error objective
-/// computes a burn rate — observed failure fraction over the allowed
-/// `error_pm` — across a short and a long lookback, alerting only when
-/// **both** burn (the classic multi-window page rule, which ignores
-/// one-window blips and long-faded incidents alike).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloSpec {
-    /// Latency objective: windowed request p99 must stay at or under this
-    /// many (logical) microseconds.
-    pub latency_p99_us: u64,
-    /// Error budget: allowed failed requests per mille.
-    pub error_pm: u32,
-    /// Short burn lookback, in windows.
-    pub short_windows: usize,
-    /// Long burn lookback, in windows.
-    pub long_windows: usize,
-    /// Burn-rate alert threshold, ×100 (200 = burning budget at 2×).
-    pub burn_threshold_x100: u64,
-}
-
-impl Default for SloSpec {
-    fn default() -> Self {
-        SloSpec {
-            latency_p99_us: 50_000,
-            error_pm: 10,
-            short_windows: 5,
-            long_windows: 30,
-            burn_threshold_x100: 200,
-        }
-    }
-}
-
-impl SloSpec {
-    /// The equivalent `obs`-layer policy, for feeding an
-    /// [`SloTracker`](redlight_obs::SloTracker).
-    pub fn policy(&self) -> redlight_obs::SloPolicy {
-        redlight_obs::SloPolicy {
-            latency_p99_us: self.latency_p99_us,
-            error_pm: self.error_pm,
-            short_windows: self.short_windows,
-            long_windows: self.long_windows,
-            burn_threshold_x100: self.burn_threshold_x100,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Profiles
 // ---------------------------------------------------------------------------
@@ -656,12 +598,11 @@ pub struct NetProfile {
     pub metered: bool,
     /// Visit retry policy.
     pub retry: RetryPolicy,
-    /// Simulated-time service model; `None` runs the legacy call-and-return
-    /// pipeline where backoff stays recorded-only.
-    pub sim: Option<SimSpec>,
-    /// Service-level objectives, `None` when the run declares no SLOs
-    /// (timeline consumers then fall back to [`SloSpec::default`]).
-    pub slo: Option<SloSpec>,
+    /// Simulated-time service model the crawl's logical clock charges.
+    pub sim: SimSpec,
+    /// Service-level objectives the traffic simulator's timeline
+    /// telemetry evaluates per window.
+    pub slo: SloPolicy,
 }
 
 impl Default for NetProfile {
@@ -671,15 +612,15 @@ impl Default for NetProfile {
             fault_seed: 0,
             metered: true,
             retry: RetryPolicy::none(),
-            sim: None,
-            slo: None,
+            sim: SimSpec::default(),
+            slo: SloPolicy::default(),
         }
     }
 }
 
 impl NetProfile {
     /// The profile names [`NetProfile::named`] accepts.
-    pub const NAMES: [&'static str; 5] = ["default", "direct", "flaky", "lossy", "sim"];
+    pub const NAMES: [&'static str; 4] = ["default", "direct", "flaky", "lossy"];
 
     /// Completely bare stack: no faults, no meter — the pre-seam pipeline.
     pub fn direct() -> Self {
@@ -689,8 +630,7 @@ impl NetProfile {
         }
     }
 
-    /// Looks up a named profile (`default`, `direct`, `flaky`, `lossy`,
-    /// `sim`).
+    /// Looks up a named profile (`default`, `direct`, `flaky`, `lossy`).
     pub fn named(name: &str) -> Option<Self> {
         match name {
             "default" => Some(NetProfile::default()),
@@ -699,20 +639,14 @@ impl NetProfile {
                 faults: Some(FaultSpec::flaky()),
                 fault_seed: 1,
                 retry: RetryPolicy::retries(3, Duration::from_millis(250), 4),
-                slo: Some(SloSpec::default()),
                 ..NetProfile::default()
             }),
             "lossy" => Some(NetProfile {
                 faults: Some(FaultSpec::lossy()),
                 fault_seed: 1,
                 retry: RetryPolicy::retries(4, Duration::from_millis(250), 4),
-                slo: Some(SloSpec::default()),
                 ..NetProfile::default()
             }),
-            // The default healthy network under a simulated clock: outcomes
-            // are byte-identical to `default`, but every fetch and every
-            // backoff advances logical time.
-            "sim" => Some(NetProfile::default().with_sim(SimSpec::default())),
             _ => None,
         }
     }
@@ -723,10 +657,10 @@ impl NetProfile {
         self
     }
 
-    /// Runs the profile under a simulated clock with the given service
-    /// model. Outcomes are unchanged; only time accounting differs.
+    /// Replaces the service model the crawl's logical clock charges.
+    /// Outcomes are unchanged; only time accounting differs.
     pub fn with_sim(mut self, spec: SimSpec) -> Self {
-        self.sim = Some(spec);
+        self.sim = spec;
         self
     }
 
@@ -949,16 +883,5 @@ mod tests {
         // The sum is exactly the per-attempt schedule, term by term.
         let by_terms: Duration = (1..=4).map(|a| p.backoff_before(a)).sum();
         assert_eq!(p.total_backoff(4), by_terms);
-    }
-
-    #[test]
-    fn sim_profile_only_changes_time_accounting() {
-        let sim = NetProfile::named("sim").unwrap();
-        assert!(sim.sim.is_some());
-        // Same stack shape as the default profile: metered, fault-free.
-        assert!(sim.faults.is_none());
-        assert!(sim.metered);
-        assert_eq!(sim.retry, RetryPolicy::none());
-        assert!(NetProfile::default().sim.is_none());
     }
 }

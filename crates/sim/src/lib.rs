@@ -1,10 +1,9 @@
 //! Deterministic discrete-event simulation for the redlight measurement
 //! pipeline.
 //!
-//! The synchronous crawl pipeline calls straight through the transport
-//! stack, so "time" was only ever recorded, never consumed. This crate
-//! adds a logical clock and an event kernel so elapsed time becomes a
-//! first-class simulated quantity:
+//! The synthetic web answers every request instantly, so a crawl has no
+//! real time to wait out. This crate adds a logical clock and an event
+//! kernel so elapsed time becomes a first-class simulated quantity:
 //!
 //! * [`queue`] — [`SimTime`] and the stable-order [`EventQueue`]
 //!   (`(time, seq)` tie-breaking, tombstone cancellation).
@@ -12,9 +11,9 @@
 //!   [`ActorSystem`] run loop.
 //! * [`service`] — the per-request [`ServiceModel`] and per-host
 //!   connection [`HostPool`]s.
-//! * [`transport`] — [`SimTransport`], rehosting the websim `WebServer`
+//! * [`transport`] — [`SimTransport`], hosting every crawl's transport
 //!   stack on the logical clock so crawler retries and fault stalls cost
-//!   real logical time, byte-identically to the synchronous path.
+//!   logical time without changing any outcome.
 //! * [`traffic`] — the million-visitor load-generator workload
 //!   ([`run_traffic`]), reporting throughput and latency percentiles
 //!   through `obs` histograms.

@@ -30,7 +30,7 @@ use std::time::Duration;
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile, SimSpec};
+use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile};
 use redlight_net::url::Url;
 use redlight_obs::{
     Counter, Gauge, Histogram, ObsContext, Registry, SloEvent, SloTracker, Timeline, Tracer,
@@ -47,6 +47,19 @@ use crate::service::{mix, HostPool, ServiceModel};
 
 /// Sub-resources kept per page template (beyond the document itself).
 const MAX_SUBS: usize = 12;
+
+/// Mean gap between session arrivals in logical nanoseconds (gaps are
+/// uniform on `[0, 2·mean)`).
+const MEAN_GAP_NS: u64 = 2_000_000;
+
+/// Sessions per tracer batch span.
+const SPAN_BATCH: u64 = 10_000;
+
+/// Flight-recorder ring capacity (recent kernel events kept).
+const FLIGHT_CAPACITY: usize = 96;
+
+/// Flight snapshots kept; later SLO trips are counted, not stored.
+const MAX_FREEZES: usize = 4;
 
 /// Draw-stream salts: each stochastic choice mixes its own salt so the
 /// streams are independent functions of `(seed, key)`.
@@ -80,29 +93,22 @@ pub struct TrafficConfig {
     pub seed: u64,
     /// The web the visitors browse.
     pub world: WorldConfig,
-    /// Network weather; `net.sim` supplies the service model (defaulted
-    /// when absent) and `net.faults` the fault mix.
+    /// Network weather: `net.sim` supplies the service model, `net.faults`
+    /// the fault mix and `net.slo` the timeline's objectives.
     pub net: NetProfile,
-    /// Mean gap between session arrivals (uniform on `[0, 2·mean)`).
-    pub mean_interarrival: Duration,
-    /// Sessions per tracer batch span.
-    pub span_batch: u64,
     /// Windowed timeline telemetry; `None` (the default) runs the bare
     /// kernel with no tick hook installed.
     pub timeline: Option<TimelineSpec>,
 }
 
 impl TrafficConfig {
-    /// Defaults: tiny world, sim profile, 2 ms mean inter-arrival,
-    /// 10k-session span batches, no timeline.
+    /// Defaults: tiny world, default profile, no timeline.
     pub fn new(sessions: u64) -> Self {
         TrafficConfig {
             sessions,
             seed: 2019,
             world: WorldConfig::tiny(2019),
-            net: NetProfile::default().with_sim(SimSpec::default()),
-            mean_interarrival: Duration::from_millis(2),
-            span_batch: 10_000,
+            net: NetProfile::default(),
             timeline: None,
         }
     }
@@ -113,29 +119,18 @@ impl TrafficConfig {
 pub struct TimelineSpec {
     /// Logical width of one timeline window.
     pub window: Duration,
-    /// Flight-recorder ring capacity (recent kernel events kept).
-    pub flight_capacity: usize,
-    /// Flight snapshots kept; later SLO trips are counted, not stored.
-    pub max_freezes: usize,
 }
 
 impl Default for TimelineSpec {
     fn default() -> Self {
-        TimelineSpec {
-            window: Duration::from_secs(1),
-            flight_capacity: 96,
-            max_freezes: 4,
-        }
+        TimelineSpec::with_window(Duration::from_secs(1))
     }
 }
 
 impl TimelineSpec {
-    /// A spec with the given window width and default flight settings.
+    /// A spec with the given window width.
     pub fn with_window(window: Duration) -> Self {
-        TimelineSpec {
-            window,
-            ..TimelineSpec::default()
-        }
+        TimelineSpec { window }
     }
 }
 
@@ -383,8 +378,6 @@ struct LoadGen {
     target: u64,
     seed: u64,
     fault_seed: u64,
-    mean_gap_ns: u64,
-    span_batch: u64,
     retry_max: u32,
     retry_backoff: Vec<Duration>,
     universe: Rc<Universe>,
@@ -536,12 +529,11 @@ impl Actor<Ev> for LoadGen {
             Ev::Arrive => {
                 let sid = self.next_session;
                 self.next_session += 1;
-                if sid.is_multiple_of(self.span_batch) {
+                if sid.is_multiple_of(SPAN_BATCH) {
                     if self.batch_open {
                         self.tracer.close();
                     }
-                    self.tracer
-                        .open(&format!("sessions.{}", sid / self.span_batch));
+                    self.tracer.open(&format!("sessions.{}", sid / SPAN_BATCH));
                     self.tracer.attr("first_session", sid);
                     self.batch_open = true;
                 }
@@ -573,8 +565,7 @@ impl Actor<Ev> for LoadGen {
                 }
                 self.send_doc(slot, 1, Duration::ZERO, out);
                 if self.next_session < self.target {
-                    let gap = draw(self.seed, salt::GAP, self.next_session)
-                        % (2 * self.mean_gap_ns).max(1);
+                    let gap = draw(self.seed, salt::GAP, self.next_session) % (2 * MEAN_GAP_NS);
                     out.send(self.me, Duration::from_nanos(gap), Ev::Arrive);
                 }
             }
@@ -893,7 +884,7 @@ pub struct TimelineReport {
     pub timeline: Timeline,
     /// Every SLO transition, in window order.
     pub slo_events: Vec<SloEvent>,
-    /// Flight snapshots frozen (≤ the spec's `max_freezes`).
+    /// Flight snapshots frozen (at most four).
     pub flight_freezes: usize,
     /// SLO trips past the snapshot cap (counted, not stored).
     pub flight_suppressed: u64,
@@ -1079,7 +1070,7 @@ impl TrafficReport {
 /// pending-event heap — finished sessions recycle their slots.
 pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
     let world = World::build(config.world.clone());
-    let spec = config.net.sim.unwrap_or_default();
+    let spec = config.net.sim;
     let universe = Rc::new(harvest(&world, config.seed));
     assert!(
         universe.total_weight > 0,
@@ -1121,7 +1112,6 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
             tl.track_gauge(&obs.metrics, name);
         }
         tl.track_histogram(&obs.metrics, "traffic.request_us");
-        let policy = config.net.slo.unwrap_or_default().policy();
         Rc::new(RefCell::new(TimelineRt {
             req_ix: tl.counter_index("traffic.requests").expect("tracked"),
             fail_ix: tl
@@ -1129,10 +1119,10 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
                 .expect("tracked"),
             lat_ix: tl.hist_index("traffic.request_us").expect("tracked"),
             tl,
-            tracker: SloTracker::new(policy),
+            tracker: SloTracker::new(config.net.slo),
             flight: Rc::new(RefCell::new(FlightRecorder::new(
-                tspec.flight_capacity,
-                tspec.max_freezes,
+                FLIGHT_CAPACITY,
+                MAX_FREEZES,
             ))),
             queue_peak: hooks.queue_peak.clone(),
             peaks: Rc::clone(&peaks),
@@ -1153,8 +1143,6 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
         target: config.sessions,
         seed: config.seed,
         fault_seed: config.net.fault_seed,
-        mean_gap_ns: config.mean_interarrival.as_nanos().max(1) as u64,
-        span_batch: config.span_batch.max(1),
         retry_max: retry.max_attempts.max(1),
         retry_backoff,
         universe: Rc::clone(&universe),
@@ -1285,6 +1273,7 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use redlight_obs::SloPolicy;
 
     fn tiny_config(sessions: u64) -> TrafficConfig {
         TrafficConfig {
@@ -1328,9 +1317,7 @@ mod tests {
     fn faulty_weather_slows_and_fails_traffic() {
         let healthy = run_traffic(&tiny_config(150), &ObsContext::new());
         let mut flaky = tiny_config(150);
-        flaky.net = NetProfile::named("flaky")
-            .unwrap()
-            .with_sim(SimSpec::default());
+        flaky.net = NetProfile::named("flaky").unwrap();
         let stormy = run_traffic(&flaky, &ObsContext::new());
         assert!(stormy.faults > 0);
         assert!(stormy.retries > 0, "doc faults must trigger retries");
@@ -1371,14 +1358,12 @@ mod tests {
     #[test]
     fn timeline_flags_slo_violations_and_freezes_flights() {
         let mut config = tiny_config(400);
-        config.net = NetProfile::named("flaky")
-            .unwrap()
-            .with_sim(SimSpec::default());
+        config.net = NetProfile::named("flaky").unwrap();
         // An unmeetable latency objective guarantees transitions.
-        config.net.slo = Some(redlight_net::transport::SloSpec {
+        config.net.slo = SloPolicy {
             latency_p99_us: 1,
-            ..Default::default()
-        });
+            ..SloPolicy::default()
+        };
         config.timeline = Some(TimelineSpec::with_window(Duration::from_millis(500)));
         let obs = ObsContext::new();
         let report = run_traffic(&config, &obs);

@@ -1,16 +1,16 @@
-//! Rehosting the synchronous fetch path on the simulated clock.
+//! Hosting the crawl fetch path on the simulated clock.
 //!
 //! [`SimTransport`] wraps a whole transport stack (server, fault injector,
 //! meter) and charges every outcome's modeled cost to a [`SimClock`]:
 //! responses cost their service time, unreachable hosts cost the connect
 //! failure, and a stall — notably the ones `FaultTransport` injects —
 //! costs the full timeout budget, so "the page load exceeded the crawler's
-//! timeout" finally *takes* that long in logical time. Outcomes pass
-//! through byte-identical, which is what makes a sim-hosted study render
-//! exactly like the synchronous one.
+//! timeout" *takes* that long in logical time. Outcomes pass through
+//! byte-identical, so the service model changes when things happen,
+//! never what.
 //!
-//! The crawler holds the cloneable [`SimHandle`] after boxing the stack
-//! into the browser, advances the clock by its retry backoff between
+//! The crawl session holds the cloneable [`SimHandle`] after boxing the
+//! stack into the browser, advances the clock by its retry backoff between
 //! attempts, and reads each visit's logical wall off the clock. A single
 //! crawl session is sequential, so the host connection limits of the spec
 //! never bind here — they shape the concurrent traffic workload

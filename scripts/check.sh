@@ -41,7 +41,7 @@ PROPTEST_CASES=64 cargo test -q -p redlight-sim --test kernel_props
 echo "==> traffic determinism (seed-pinned report, journal, logical walls)"
 cargo test -q --test traffic_determinism
 
-echo "==> sim-vs-sync equivalence (sim-hosted study byte-identical)"
+echo "==> service-model equivalence (any SimSpec renders the same study, default and flaky)"
 cargo test -q --test sim_equivalence
 
 echo "==> ats_match bench smoke (--test mode, 1 iteration per bench)"

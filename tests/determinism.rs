@@ -64,6 +64,9 @@ fn crawl_order_is_stable_within_a_session() {
     assert_eq!(a.visits.len(), b.visits.len());
     for (x, y) in a.visits.iter().zip(&b.visits) {
         assert_eq!(x.domain, y.domain);
+        // Visit walls are logical time on the session's clock, so they
+        // replay exactly too.
+        assert_eq!(x.wall, y.wall);
         assert_eq!(x.visit.requests.len(), y.visit.requests.len());
         for (rx, ry) in x.visit.requests.iter().zip(&y.visit.requests) {
             assert_eq!(rx.url, ry.url);

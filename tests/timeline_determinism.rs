@@ -6,8 +6,8 @@
 
 use std::time::Duration;
 
-use redlight::net::transport::{NetProfile, SimSpec, SloSpec};
-use redlight::obs::ObsContext;
+use redlight::net::transport::NetProfile;
+use redlight::obs::{ObsContext, SloPolicy};
 use redlight::sim::{run_traffic, TimelineSpec, TrafficConfig, TrafficReport};
 use redlight::WorldConfig;
 
@@ -31,7 +31,7 @@ fn timeline_run(
 
 #[test]
 fn same_seed_yields_byte_identical_series_files() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let window = Duration::from_millis(500);
     let (ra, _) = timeline_run(5, 0, window, net.clone());
     let (rb, _) = timeline_run(5, 0, window, net);
@@ -46,9 +46,7 @@ fn same_seed_yields_byte_identical_series_files() {
 
 #[test]
 fn different_fault_seeds_diverge() {
-    let flaky = NetProfile::named("flaky")
-        .expect("flaky profile registered")
-        .with_sim(SimSpec::default());
+    let flaky = NetProfile::named("flaky").expect("flaky profile registered");
     let window = Duration::from_millis(500);
     let (ra, _) = timeline_run(5, 1, window, flaky.clone());
     let (rb, _) = timeline_run(5, 99, window, flaky);
@@ -65,7 +63,7 @@ fn different_fault_seeds_diverge() {
 
 #[test]
 fn window_width_never_changes_the_totals() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (coarse, _) = timeline_run(5, 0, Duration::from_secs(1), net.clone());
     let (fine, _) = timeline_run(5, 0, Duration::from_millis(250), net);
     assert_eq!(coarse.requests, fine.requests, "same schedule either way");
@@ -90,14 +88,12 @@ fn window_width_never_changes_the_totals() {
 
 #[test]
 fn slo_violations_freeze_flights_into_the_journal() {
-    let mut net = NetProfile::named("flaky")
-        .expect("flaky profile registered")
-        .with_sim(SimSpec::default());
+    let mut net = NetProfile::named("flaky").expect("flaky profile registered");
     // An unmeetable latency objective guarantees at least one transition.
-    net.slo = Some(SloSpec {
+    net.slo = SloPolicy {
         latency_p99_us: 1,
-        ..SloSpec::default()
-    });
+        ..SloPolicy::default()
+    };
     let (report, obs) = timeline_run(5, 1, Duration::from_millis(500), net);
     let tl = report.timeline.as_ref().expect("timeline on");
     assert!(tl.slo_events.iter().any(|e| e.entered), "objective trips");

@@ -10,7 +10,7 @@ use redlight::crawler::db::CorpusLabel;
 use redlight::crawler::openwpm::CrawlConfig;
 use redlight::crawler::OpenWpmCrawler;
 use redlight::net::geoip::Country;
-use redlight::net::transport::{NetProfile, SimSpec};
+use redlight::net::transport::NetProfile;
 use redlight::obs::ObsContext;
 use redlight::sim::{run_traffic, TrafficConfig, TrafficReport};
 use redlight::{World, WorldConfig};
@@ -29,7 +29,7 @@ fn traffic_run(seed: u64, net: NetProfile) -> (TrafficReport, ObsContext) {
 
 #[test]
 fn same_seed_yields_byte_identical_report_and_journal() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (ra, oa) = traffic_run(5, net.clone());
     let (rb, ob) = traffic_run(5, net);
 
@@ -53,7 +53,7 @@ fn same_seed_yields_byte_identical_report_and_journal() {
 
 #[test]
 fn every_session_finishes_and_p99_is_at_least_p50() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (report, _) = traffic_run(5, net);
     assert_eq!(
         report.completed + report.failed,
@@ -66,7 +66,7 @@ fn every_session_finishes_and_p99_is_at_least_p50() {
 
 #[test]
 fn different_seeds_diverge() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (ra, _) = traffic_run(5, net.clone());
     let (rc, _) = traffic_run(6, net);
     assert_ne!(
@@ -78,10 +78,8 @@ fn different_seeds_diverge() {
 
 #[test]
 fn flaky_traffic_takes_strictly_longer_than_direct() {
-    let direct = NetProfile::named("sim").expect("sim profile registered");
-    let flaky = NetProfile::named("flaky")
-        .expect("flaky profile registered")
-        .with_sim(SimSpec::default());
+    let direct = NetProfile::default();
+    let flaky = NetProfile::named("flaky").expect("flaky profile registered");
     let (healthy, _) = traffic_run(5, direct);
     let (stormy, _) = traffic_run(5, flaky);
     assert!(stormy.faults > 0, "flaky weather must inject faults");
@@ -93,9 +91,9 @@ fn flaky_traffic_takes_strictly_longer_than_direct() {
     );
 }
 
-/// Crawls the same porn domains under a sim clock twice — once over a
-/// healthy network, once under the flaky fault plan — and compares the
-/// recorded per-visit walls, which are logical time under sim profiles.
+/// Crawls the same porn domains twice — once over a healthy network, once
+/// under the flaky fault plan — and compares the recorded per-visit walls,
+/// which are logical time on the crawl session's clock.
 #[test]
 fn flaky_crawl_walls_strictly_exceed_direct_walls() {
     let world = World::build(WorldConfig::tiny(11));
@@ -123,12 +121,8 @@ fn flaky_crawl_walls_strictly_exceed_direct_walls() {
         record.visits.iter().map(|v| v.wall).sum()
     };
 
-    let direct = crawl_wall(NetProfile::direct().with_sim(SimSpec::default()));
-    let flaky = crawl_wall(
-        NetProfile::named("flaky")
-            .expect("flaky profile registered")
-            .with_sim(SimSpec::default()),
-    );
+    let direct = crawl_wall(NetProfile::direct());
+    let flaky = crawl_wall(NetProfile::named("flaky").expect("flaky profile registered"));
     assert!(direct > Duration::ZERO, "sim walls are logical, not zero");
     assert!(
         flaky > direct,
@@ -137,6 +131,6 @@ fn flaky_crawl_walls_strictly_exceed_direct_walls() {
     );
 
     // Replay: logical walls are deterministic, unlike wall-clock timing.
-    let direct_again = crawl_wall(NetProfile::direct().with_sim(SimSpec::default()));
+    let direct_again = crawl_wall(NetProfile::direct());
     assert_eq!(direct, direct_again, "sim crawl walls must replay exactly");
 }
