@@ -16,14 +16,14 @@
 //! Prints the rendered tables/figures followed by the paper-vs-measured
 //! comparison table that EXPERIMENTS.md records. `--timings` appends the
 //! pipeline instrumentation (per-crawl and per-stage wall times with record
-//! counts, plus transport counters when the network profile meters);
+//! counts, plus per-crawl transport counters);
 //! `--timings --json` prints it as JSON instead of tables.
 //! `--stage <name>` (repeatable) runs only the named analysis stages —
 //! dependencies are pulled in automatically — and prints their one-line
 //! summaries plus timings instead of the full report. `--net-profile <name>`
-//! selects the network the crawls run over (`default`, `direct`, `flaky`,
-//! `lossy`); `--fault-seed <n>` re-seeds the profile's fault injector so a
-//! fixed seed replays the exact same network weather.
+//! selects the network the crawls run over (`default`, `flaky`, `lossy`;
+//! any other name exits 2); `--fault-seed <n>` re-seeds the profile's
+//! fault injector so a fixed seed replays the exact same network weather.
 //!
 //! `--shards <n>` fans the decomposable analysis stages over `n`
 //! contiguous visit-range shards (map/reduce; results are byte-identical

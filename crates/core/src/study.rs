@@ -45,8 +45,8 @@ pub struct StudyConfig {
     pub agegate_top_n: usize,
     /// Cap on policy pairs examined for the §7.3 similarity sweep.
     pub max_policy_pairs: usize,
-    /// Network profile every crawl runs over: transport stack (direct /
-    /// metered / fault-injecting) plus the visit retry policy. The default
+    /// Network profile every crawl runs over: transport stack (metered,
+    /// optionally fault-injecting) plus the visit retry policy. The default
     /// injects nothing, so results stay byte-identical to a direct run.
     pub net: NetProfile,
 }

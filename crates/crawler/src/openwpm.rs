@@ -7,9 +7,9 @@
 //! HTTPS-first with HTTP downgrade; pages may hit the 120 s timeout.
 //!
 //! The crawl runs as one crawl session: a browser fetching through the
-//! stack its [`NetProfile`] assembles — the direct in-process server by
-//! default, optionally wrapped in metering and deterministic
-//! fault-injection decorators — on a logical clock. Failed document loads
+//! stack its [`NetProfile`] assembles — the in-process server under a
+//! meter, optionally with a deterministic fault-injection decorator
+//! between them — on a logical clock. Failed document loads
 //! are retried up to the profile's
 //! [`RetryPolicy`](redlight_net::transport::RetryPolicy) budget, with the
 //! attempt count and the visit's logical wall recorded on every

@@ -78,7 +78,9 @@ pub struct CrawlTiming {
     /// Host wall-clock duration of the crawl (its visit walls are logical
     /// time; this is the real time the crawl took to run).
     pub wall: Duration,
-    /// Transport-layer counters, when the crawl's profile metered.
+    /// Transport-layer counters. Always `Some`, since every profile
+    /// meters; it stays an `Option` because the benchmark of record
+    /// (`perfbench/`) reads it with `filter_map`.
     pub net: Option<TransportStats>,
 }
 
@@ -284,7 +286,7 @@ mod tests {
                 .iter()
                 .map(|v| v.visit.requests.len() as u64)
                 .sum();
-            let stats = t.net.as_ref().expect("default profile meters");
+            let stats = t.net.as_ref().expect("every profile meters");
             assert_eq!(stats.requests, recorded);
             assert_eq!(t.sites, crawl.visits.len());
             assert_eq!(t.attempts, crawl.visits.len() as u64);
@@ -293,7 +295,7 @@ mod tests {
         }
         // Interaction crawls count their unreachable sites as failures.
         for t in &timings[3..] {
-            let stats = t.net.as_ref().expect("default profile meters");
+            let stats = t.net.as_ref().expect("every profile meters");
             assert!(stats.requests > 0);
             assert_eq!(t.attempts, t.sites as u64);
             let unreachable = db

@@ -36,8 +36,7 @@ pub(crate) struct Session<'w> {
     browser: Browser<'w>,
     clock: SimHandle,
     retry: RetryPolicy,
-    /// The stack's meter, kept only when the profile meters.
-    meter: Option<TransportMeter>,
+    meter: TransportMeter,
     started: Instant,
     retry_counter: Counter,
     attempts_hist: Histogram,
@@ -80,7 +79,7 @@ impl<'w> Session<'w> {
             browser: Browser::with_transport(Box::new(stack), ctx),
             clock,
             retry: net.retry.clone(),
-            meter: net.metered.then_some(meter),
+            meter,
             started,
             retry_counter: registry.counter("transport.retries"),
             attempts_hist: registry.histogram("crawl.attempts"),
@@ -166,7 +165,7 @@ impl<'w> Session<'w> {
 
     /// Closes the session into its crawl's timing: the host wall time
     /// since [`open`](Self::open), the session's counts, and the transport
-    /// counters when the profile meters.
+    /// counters.
     pub(crate) fn finish(self, corpus: Option<CorpusLabel>) -> CrawlTiming {
         let client = self.browser.client();
         CrawlTiming {
@@ -181,7 +180,7 @@ impl<'w> Session<'w> {
             retries: self.retries,
             failures: self.failures,
             wall: self.started.elapsed(),
-            net: self.meter.map(|meter| meter.snapshot()),
+            net: Some(self.meter.snapshot()),
         }
     }
 }

@@ -13,14 +13,14 @@
 //!
 //! Determinism rules:
 //!
-//! * the default profile injects nothing and the stack degenerates to the
-//!   direct server call — behavior is byte-identical to no seam at all;
+//! * the default profile injects nothing and the stack is the server under
+//!   an observational meter — behavior is byte-identical to no seam at all;
 //! * fault decisions are pure functions of `(fault seed, session nonce,
 //!   request URL, resource kind, attempt number)` — no wall clock, no
 //!   global RNG — so the same seed replays the same faults, and two runs
 //!   of a study produce identical results;
 //! * retry backoff is never slept on: every profile carries a [`SimSpec`],
-//!   and crawls run on its simulated clock (the `redlight-sim` kernel),
+//!   and crawls run on its simulated clock (`redlight-sim`'s transport),
 //!   which *consumes* each backoff as logical time between attempts.
 //!
 //! [`WebServer`]: https://docs.rs/redlight-websim
@@ -79,27 +79,17 @@ pub enum FetchOutcome {
 pub trait Transport {
     /// Performs one request.
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome;
-
-    /// DNS-ish reachability: does `host` resolve to anything at all?
-    /// (Independent of per-country blocking and scheme support.)
-    fn resolvable(&self, host: &str) -> bool;
 }
 
 impl<T: Transport + ?Sized> Transport for &T {
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         (**self).fetch(req, ctx)
     }
-    fn resolvable(&self, host: &str) -> bool {
-        (**self).resolvable(host)
-    }
 }
 
 impl<T: Transport + ?Sized> Transport for Box<T> {
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         (**self).fetch(req, ctx)
-    }
-    fn resolvable(&self, host: &str) -> bool {
-        (**self).resolvable(host)
     }
 }
 
@@ -264,10 +254,6 @@ impl<T: Transport> Transport for MeteredTransport<T> {
         }
         outcome
     }
-
-    fn resolvable(&self, host: &str) -> bool {
-        self.inner.resolvable(host)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +319,17 @@ impl FaultSpec {
             server_error_pm: 60,
             truncate_pm: 30,
             transient_attempts: 3,
+        }
+    }
+
+    /// How many attempts a fault persists for, given a uniform `draw`:
+    /// `1 + draw % transient_attempts`, or `u32::MAX` (permanent) when
+    /// `transient_attempts` is 0. Each caller supplies its own draw.
+    pub fn persistence(&self, draw: u64) -> u32 {
+        if self.transient_attempts == 0 {
+            u32::MAX
+        } else {
+            1 + (draw % self.transient_attempts as u64) as u32
         }
     }
 
@@ -421,16 +418,6 @@ impl<T: Transport> FaultTransport<T> {
         let draw = (mix(key, 0x9e37_79b9) % 1000) as u16;
         self.spec.classify(draw)
     }
-
-    /// How many attempts the fault on `key` persists for (`u32::MAX` when
-    /// faults are configured permanent).
-    fn persistence(&self, key: u64) -> u32 {
-        if self.spec.transient_attempts == 0 {
-            u32::MAX
-        } else {
-            1 + (mix(key, 0x85eb_ca6b) % self.spec.transient_attempts as u64) as u32
-        }
-    }
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
@@ -443,7 +430,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
                 *n += 1;
                 *n
             };
-            if attempt <= self.persistence(key) {
+            if attempt <= self.spec.persistence(mix(key, 0x85eb_ca6b)) {
                 self.injected.inc();
                 return match fault {
                     Fault::Dns | Fault::Reset => FetchOutcome::Unreachable,
@@ -461,10 +448,6 @@ impl<T: Transport> Transport for FaultTransport<T> {
             }
         }
         self.inner.fetch(req, ctx)
-    }
-
-    fn resolvable(&self, host: &str) -> bool {
-        self.inner.resolvable(host)
     }
 }
 
@@ -548,7 +531,7 @@ impl RetryPolicy {
 /// cost plus a per-KiB transfer cost with deterministic ±jitter —
 /// unreachable hosts charge the connect-fail cost, stalls charge the full
 /// timeout budget, and retry backoff advances the same clock. The spec
-/// itself is plain data so `net` needs no dependency on the kernel.
+/// itself is plain data so `net` needs no dependency on `redlight-sim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimSpec {
     /// Base per-request service time (connection + server think time).
@@ -586,16 +569,15 @@ impl Default for SimSpec {
 // ---------------------------------------------------------------------------
 
 /// A whole transport stack plus crawl retry behavior, as data. Carried on
-/// crawl specs so a plan fully describes the network it runs over.
-#[derive(Debug, Clone, PartialEq)]
+/// crawl specs so a plan fully describes the network it runs over. The
+/// default injects nothing and retries nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetProfile {
     /// Fault plan, `None` for a healthy network.
     pub faults: Option<FaultSpec>,
     /// Seed for the fault injector (independent of the world seed so the
     /// same web can be crawled under different weather).
     pub fault_seed: u64,
-    /// Wrap the stack in a [`MeteredTransport`] and report its counters.
-    pub metered: bool,
     /// Visit retry policy.
     pub retry: RetryPolicy,
     /// Simulated-time service model the crawl's logical clock charges.
@@ -605,36 +587,14 @@ pub struct NetProfile {
     pub slo: SloPolicy,
 }
 
-impl Default for NetProfile {
-    fn default() -> Self {
-        NetProfile {
-            faults: None,
-            fault_seed: 0,
-            metered: true,
-            retry: RetryPolicy::none(),
-            sim: SimSpec::default(),
-            slo: SloPolicy::default(),
-        }
-    }
-}
-
 impl NetProfile {
     /// The profile names [`NetProfile::named`] accepts.
-    pub const NAMES: [&'static str; 4] = ["default", "direct", "flaky", "lossy"];
+    pub const NAMES: [&'static str; 3] = ["default", "flaky", "lossy"];
 
-    /// Completely bare stack: no faults, no meter — the pre-seam pipeline.
-    pub fn direct() -> Self {
-        NetProfile {
-            metered: false,
-            ..NetProfile::default()
-        }
-    }
-
-    /// Looks up a named profile (`default`, `direct`, `flaky`, `lossy`).
+    /// Looks up a named profile (`default`, `flaky`, `lossy`).
     pub fn named(name: &str) -> Option<Self> {
         match name {
             "default" => Some(NetProfile::default()),
-            "direct" => Some(NetProfile::direct()),
             "flaky" => Some(NetProfile {
                 faults: Some(FaultSpec::flaky()),
                 fault_seed: 1,
@@ -665,8 +625,8 @@ impl NetProfile {
     }
 
     /// Assembles the decorator stack over `inner`: faults first (closest
-    /// to the wire), then the meter, so the meter observes what the
-    /// browser observes. Injected faults publish `registry`'s
+    /// to the wire, when the profile injects any), then the meter, so the
+    /// meter observes what the browser observes. Injected faults publish `registry`'s
     /// `transport.faults_injected` counter; the meter should come from
     /// [`TransportMeter::in_registry`] to publish its counters there too.
     pub fn stack<'a, T: Transport + 'a>(
@@ -675,18 +635,13 @@ impl NetProfile {
         meter: &TransportMeter,
         registry: &Registry,
     ) -> Box<dyn Transport + 'a> {
-        match (self.faults, self.metered) {
-            (Some(spec), true) => Box::new(MeteredTransport::new(
+        match self.faults {
+            Some(spec) => Box::new(MeteredTransport::new(
                 FaultTransport::new(inner, spec, self.fault_seed)
                     .with_injected_counter(registry.counter("transport.faults_injected")),
                 meter.clone(),
             )),
-            (Some(spec), false) => Box::new(
-                FaultTransport::new(inner, spec, self.fault_seed)
-                    .with_injected_counter(registry.counter("transport.faults_injected")),
-            ),
-            (None, true) => Box::new(MeteredTransport::new(inner, meter.clone())),
-            (None, false) => Box::new(inner),
+            None => Box::new(MeteredTransport::new(inner, meter.clone())),
         }
     }
 }
@@ -725,9 +680,6 @@ mod tests {
     impl Transport for Always {
         fn fetch(&self, _req: &Request, _ctx: &ClientContext) -> FetchOutcome {
             FetchOutcome::Response(Response::ok("text/html", "<html>0123456789</html>"))
-        }
-        fn resolvable(&self, _host: &str) -> bool {
-            true
         }
     }
 
@@ -843,13 +795,7 @@ mod tests {
         let stack = NetProfile::default().stack(Always, &meter, &Registry::new());
         let out = stack.fetch(&req("https://ok.example/"), &ctx());
         assert!(matches!(out, FetchOutcome::Response(r) if r.status.is_success()));
-        assert!(stack.resolvable("ok.example"));
         assert_eq!(meter.snapshot().requests, 1);
-        // The bare profile skips even the meter.
-        let bare_meter = TransportMeter::new();
-        let bare = NetProfile::direct().stack(Always, &bare_meter, &Registry::new());
-        bare.fetch(&req("https://ok.example/"), &ctx());
-        assert_eq!(bare_meter.snapshot().requests, 0);
     }
 
     #[test]

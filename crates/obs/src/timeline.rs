@@ -6,10 +6,10 @@
 //! boundary of the logical clock, closes one fixed-width window — counter
 //! deltas, instantaneous gauge values, and per-window histogram stats
 //! (count, sum, bucket-resolution p50/p95/p99 computed from the window's
-//! bucket deltas). Sampling is driven by the caller (the sim kernel's
-//! tick hook), never by wall time, so the recorded series is a pure
-//! function of the seed: same seed ⇒ byte-identical [`Timeline::json_lines`]
-//! and [`Timeline::csv`] exports.
+//! bucket deltas). Sampling is driven by the caller (the traffic event
+//! loop, before each delivery), never by wall time, so the recorded
+//! series is a pure function of the seed: same seed ⇒ byte-identical
+//! [`Timeline::json_lines`] and [`Timeline::csv`] exports.
 //!
 //! Window semantics: window `k` covers logical `[k·W, (k+1)·W)`. The
 //! driver calls [`Timeline::advance_to`] with each event's delivery time

@@ -1,4 +1,4 @@
-//! Flight recorder: a bounded ring of recent traffic-kernel events.
+//! Flight recorder: a bounded ring of recent traffic events.
 //!
 //! A million-session run delivers tens of millions of events; recording
 //! them all would drown the journal. The recorder instead keeps only the

@@ -4,12 +4,10 @@
 //! clock anywhere. [`EventQueue`] is a binary heap keyed by `(time, seq)`:
 //! the sequence number is assigned at schedule time, so two events
 //! scheduled for the same instant always deliver in schedule order and
-//! delivery order is a pure function of the schedule calls. Cancellation
-//! leaves a tombstone that [`EventQueue::pop`] silently skips — a
-//! cancelled event is never delivered.
+//! delivery order is a pure function of the schedule calls.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::Duration;
 
 /// A point in logical time: nanoseconds since simulation start.
@@ -50,10 +48,6 @@ impl SimTime {
     }
 }
 
-/// Handle to one scheduled event, usable to cancel it before delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
 /// Heap entry: ordered by `(time, seq)` so ties break by schedule order.
 #[derive(Debug)]
 struct Entry<E> {
@@ -79,16 +73,15 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The pending-event set: a stable-order binary heap with cancellation.
+/// The pending-event set: a stable-order binary heap.
 ///
-/// Determinism contract: for a fixed sequence of `schedule`/`cancel`
-/// calls, the sequence of `pop` results is identical across runs and
-/// platforms — ordering depends only on `(time, seq)`, never on heap
-/// internals, hashing, or allocation.
+/// Determinism contract: for a fixed sequence of `schedule` calls, the
+/// sequence of `pop` results is identical across runs and platforms —
+/// ordering depends only on `(time, seq)`, never on heap internals,
+/// hashing, or allocation.
 #[derive(Debug, Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -98,7 +91,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -106,77 +98,25 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` for delivery at `at`. Events at the same instant
     /// deliver in the order they were scheduled.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { at, seq, event }));
-        EventId(seq)
     }
 
-    /// Cancels a pending event. Returns `true` when the event was still
-    /// pending (it will never be delivered), `false` when it was already
-    /// delivered, cancelled, or never existed.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        // Pending iff it is still in the heap; probing the heap is O(n), so
-        // track cancellations and let `pop` discard tombstones lazily. A
-        // second cancel of the same id — or a cancel after delivery — is a
-        // no-op reported as `false`.
-        if self.cancelled.contains(&id.0) || !self.is_pending(id) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        true
-    }
-
-    fn is_pending(&self, id: EventId) -> bool {
-        self.heap.iter().any(|Reverse(e)| e.seq == id.0)
-    }
-
-    /// Delivers the next event: the pending `(time, seq)` minimum, skipping
-    /// cancelled tombstones. Panics if time would run backwards (a kernel
-    /// invariant, not a user-reachable state).
-    pub fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            assert!(
-                entry.at >= self.last_popped,
-                "event queue delivered out of order: {:?} after {:?}",
-                entry.at,
-                self.last_popped
-            );
-            self.last_popped = entry.at;
-            return Some((entry.at, EventId(entry.seq), entry.event));
-        }
-        None
-    }
-
-    /// Delivery time of the next (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
-    }
-
-    /// Whether no deliverable event remains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Delivers the next event: the pending `(time, seq)` minimum. Panics
+    /// if time would run backwards (an event scheduled before an instant
+    /// already delivered — a caller bug, not a user-reachable state).
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let Reverse(entry) = self.heap.pop()?;
+        assert!(
+            entry.at >= self.last_popped,
+            "event queue delivered out of order: {:?} after {:?}",
+            entry.at,
+            self.last_popped
+        );
+        self.last_popped = entry.at;
+        Some((entry.at, entry.event))
     }
 }
 
@@ -192,22 +132,8 @@ mod tests {
         q.schedule(t(1), "a");
         q.schedule(t(5), "c");
         q.schedule(t(0), "zero");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, _, e)| e).collect();
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["zero", "a", "b", "c"]);
-    }
-
-    #[test]
-    fn cancellation_never_delivers() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(10), 'a');
-        let b = q.schedule(SimTime::from_nanos(20), 'b');
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel reports not-pending");
-        assert_eq!(q.len(), 1);
-        let (_, id, ev) = q.pop().unwrap();
-        assert_eq!((id, ev), (b, 'b'));
-        assert!(!q.cancel(b), "cancel after delivery reports not-pending");
-        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -216,18 +142,18 @@ mod tests {
         for i in 0..100 {
             q.schedule(SimTime::from_nanos(7), i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, _, e)| e).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn peek_skips_tombstones() {
+    #[should_panic(expected = "out of order")]
+    fn scheduling_into_the_past_panics_at_delivery() {
         let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_nanos(1), 1);
-        q.schedule(SimTime::from_nanos(2), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
-        assert_eq!(q.pop().map(|(_, _, e)| e), Some(2));
+        q.schedule(SimTime::from_nanos(10), ());
+        q.pop();
+        q.schedule(SimTime::from_nanos(5), ());
+        q.pop();
     }
 
     #[test]

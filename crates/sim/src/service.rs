@@ -34,11 +34,6 @@ impl ServiceModel {
         ServiceModel { spec }
     }
 
-    /// The parameters.
-    pub fn spec(&self) -> &SimSpec {
-        &self.spec
-    }
-
     /// Service time of one successful response: `base + per_kbyte ·
     /// ⌈bytes/KiB⌉`, jittered ±`jitter_pm`‰ by a pure function of
     /// `(spec seed, uid)`.
@@ -79,7 +74,6 @@ pub struct HostPool<T> {
     limit: usize,
     in_service: usize,
     waiting: VecDeque<T>,
-    peak_waiting: usize,
 }
 
 impl<T> HostPool<T> {
@@ -89,7 +83,6 @@ impl<T> HostPool<T> {
             limit: (limit as usize).max(1),
             in_service: 0,
             waiting: VecDeque::new(),
-            peak_waiting: 0,
         }
     }
 
@@ -102,7 +95,6 @@ impl<T> HostPool<T> {
             Some(token)
         } else {
             self.waiting.push_back(token);
-            self.peak_waiting = self.peak_waiting.max(self.waiting.len());
             None
         }
     }
@@ -121,19 +113,9 @@ impl<T> HostPool<T> {
         }
     }
 
-    /// Requests currently in service.
-    pub fn in_service(&self) -> usize {
-        self.in_service
-    }
-
     /// Requests currently queued.
     pub fn waiting(&self) -> usize {
         self.waiting.len()
-    }
-
-    /// Deepest the FIFO queue has ever been.
-    pub fn peak_waiting(&self) -> usize {
-        self.peak_waiting
     }
 }
 
@@ -174,13 +156,15 @@ mod tests {
         assert_eq!(pool.admit(2), Some(2));
         assert_eq!(pool.admit(3), None);
         assert_eq!(pool.admit(4), None);
-        assert_eq!((pool.in_service(), pool.waiting()), (2, 2));
+        assert_eq!(pool.waiting(), 2);
         // Completions hand slots to waiters in arrival order.
         assert_eq!(pool.complete(), Some(3));
         assert_eq!(pool.complete(), Some(4));
+        assert_eq!(pool.waiting(), 0);
         assert_eq!(pool.complete(), None);
         assert_eq!(pool.complete(), None);
-        assert_eq!((pool.in_service(), pool.waiting()), (0, 0));
-        assert_eq!(pool.peak_waiting(), 2);
+        // Both slots are free again: the next two admit at once.
+        assert_eq!(pool.admit(5), Some(5));
+        assert_eq!(pool.admit(6), Some(6));
     }
 }

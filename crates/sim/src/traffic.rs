@@ -5,16 +5,22 @@
 //! site — a single real [`Browser`] visit through the bare [`WebServer`]
 //! yields the document plus its third-party fan-out, so the workload's
 //! request mix is the websim ecosystem's, not an invented one. It then
-//! runs two actors over the kernel:
+//! drains one [`EventQueue`] in a single loop over one state machine that
+//! owns both sides of the wire:
 //!
-//! * **LoadGen** (the client) owns every in-flight session: seeded
-//!   arrivals, a popularity-weighted site choice, one-to-three page walks
-//!   with dwell time between pages, document retries consuming real
-//!   backoff on the logical clock.
-//! * **HostFleet** (the hosts) owns one [`HostPool`] per distinct host:
-//!   connection limits, FIFO queueing, per-request service times from the
-//!   [`ServiceModel`], and fault draws from the *same* cumulative
-//!   [`FaultSpec`] distribution the synchronous `FaultTransport` uses.
+//! * the **sessions** (the clients): seeded arrivals, a
+//!   popularity-weighted site choice, one-to-three page walks with dwell
+//!   time between pages, document retries consuming real backoff on the
+//!   logical clock;
+//! * the **host pools** (the servers): one [`HostPool`] per distinct host
+//!   — connection limits, FIFO queueing, per-request service times from
+//!   the [`ServiceModel`], and fault draws from the *same* cumulative
+//!   [`FaultSpec`] distribution and persistence rule the synchronous
+//!   `FaultTransport` uses.
+//!
+//! Before handling an event the loop closes every timeline window the
+//! event's instant has reached, so a window's row covers exactly the
+//! events strictly inside it.
 //!
 //! Everything measurable flows through `obs`: counters and latency
 //! histograms on the shared [`Registry`], batch spans on the `traffic`
@@ -22,18 +28,17 @@
 //! logical, so the rendered report is byte-identical across runs of the
 //! same seed.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Duration;
 
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile};
+use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile, RetryPolicy};
 use redlight_net::url::Url;
 use redlight_obs::{
-    Counter, Gauge, Histogram, ObsContext, Registry, SloEvent, SloTracker, Timeline, Tracer,
+    Counter, Gauge, Histogram, ObsContext, Registry, SloEvent, SloPolicy, SloTracker, Timeline,
+    Trace, Tracer,
 };
 use redlight_rankings::PopularityTier;
 use redlight_report::figure::{self, Series};
@@ -41,8 +46,7 @@ use redlight_report::table::{fmt_count, Table};
 use redlight_websim::{server::WebServer, World, WorldConfig};
 
 use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
-use crate::kernel::{Actor, ActorId, ActorSystem, Outbox};
-use crate::queue::SimTime;
+use crate::queue::{EventQueue, SimTime};
 use crate::service::{mix, HostPool, ServiceModel};
 
 /// Sub-resources kept per page template (beyond the document itself).
@@ -55,7 +59,7 @@ const MEAN_GAP_NS: u64 = 2_000_000;
 /// Sessions per tracer batch span.
 const SPAN_BATCH: u64 = 10_000;
 
-/// Flight-recorder ring capacity (recent kernel events kept).
+/// Flight-recorder ring capacity (recent traffic events kept).
 const FLIGHT_CAPACITY: usize = 96;
 
 /// Flight snapshots kept; later SLO trips are counted, not stored.
@@ -96,8 +100,8 @@ pub struct TrafficConfig {
     /// Network weather: `net.sim` supplies the service model, `net.faults`
     /// the fault mix and `net.slo` the timeline's objectives.
     pub net: NetProfile,
-    /// Windowed timeline telemetry; `None` (the default) runs the bare
-    /// kernel with no tick hook installed.
+    /// Windowed timeline telemetry; `None` (the default) samples no
+    /// windows and keeps no flight ring.
     pub timeline: Option<TimelineSpec>,
 }
 
@@ -245,7 +249,8 @@ fn synth_bytes(kind: ResourceKind, h: u64) -> u32 {
     base + (mix(salt::BYTES, h) % span) as u32
 }
 
-/// One in-flight request token, passed client → fleet → back.
+/// One in-flight request token, passed from a session to its host's pool
+/// and back.
 #[derive(Debug, Clone, Copy)]
 struct Ticket {
     session: u32,
@@ -263,15 +268,15 @@ struct Ticket {
 
 /// The traffic event alphabet.
 enum Ev {
-    /// A new session arrives at the load generator.
+    /// A new session arrives.
     Arrive,
     /// A session's dwell ended; walk the next page.
     NextPage { session: u32 },
-    /// A request reaches the host fleet.
+    /// A request reaches its host.
     Request { t: Ticket },
-    /// A host finished serving (self-addressed by the fleet).
+    /// A host finished serving a request.
     Served { t: Ticket, ok: bool },
-    /// The fleet reports an outcome back to the client.
+    /// The outcome reaches the requesting session (a zero-delay hop).
     Done {
         session: u32,
         doc: bool,
@@ -280,8 +285,7 @@ enum Ev {
     },
 }
 
-/// Shared registry handles; cloned into both actors, read by the report.
-#[derive(Clone)]
+/// Registry handles the run updates and the report reads.
 struct Hooks {
     sessions: Counter,
     sessions_done: Counter,
@@ -300,7 +304,7 @@ struct Hooks {
     /// Requests currently queued behind host connection limits.
     queue_depth: Gauge,
     /// Deepest queue seen in the current timeline window (published at
-    /// window close from [`Peaks::window_peak_queue`]).
+    /// window close from [`TimelineRt::window_peak_queue`]).
     queue_peak: Gauge,
     tier_sessions: Vec<Counter>,
     tier_requests: Vec<Counter>,
@@ -348,15 +352,12 @@ impl Hooks {
     }
 }
 
-/// Concurrency peaks (single-threaded kernel state, shared via `Rc`).
+/// Concurrency peaks over the whole run.
 #[derive(Debug, Default)]
 struct Peaks {
     in_flight: u64,
     peak_in_flight: u64,
     peak_queue: usize,
-    /// Deepest queue seen since the current timeline window opened; reset
-    /// by the window sampler, untouched on bare runs.
-    window_peak_queue: usize,
 }
 
 /// One visitor session's live state.
@@ -371,52 +372,116 @@ struct SessionSlot {
     page_started: SimTime,
 }
 
-/// The client actor: owns every in-flight session.
-struct LoadGen {
-    me: ActorId,
-    fleet: ActorId,
+/// One traffic run: the pending events, every live session, every host's
+/// connection pool and fault dice, and the telemetry both sides feed.
+struct Traffic {
+    queue: EventQueue<Ev>,
+    universe: Universe,
     target: u64,
     seed: u64,
     fault_seed: u64,
-    retry_max: u32,
-    retry_backoff: Vec<Duration>,
-    universe: Rc<Universe>,
+    retry: RetryPolicy,
+    faults: Option<FaultSpec>,
+    model: ServiceModel,
     slots: Vec<SessionSlot>,
     free: Vec<u32>,
+    pools: Vec<HostPool<Ticket>>,
     next_session: u64,
     finished: u64,
     next_uid: u64,
     hooks: Hooks,
-    peaks: Rc<RefCell<Peaks>>,
+    peaks: Peaks,
     tracer: Tracer,
     batch_open: bool,
-    /// Flight ring, shared with the fleet; `None` on bare runs.
-    flight: Option<Rc<RefCell<FlightRecorder>>>,
+    /// Windowed telemetry and the flight ring; `None` on bare runs.
+    timeline: Option<TimelineRt>,
 }
 
-impl LoadGen {
-    fn flight_note(&self, at: SimTime, kind: FlightKind, slot: u32, attempt: u8) {
-        if let Some(rec) = &self.flight {
-            rec.borrow_mut().record(FlightEvent {
+impl Traffic {
+    /// Delivers every event in `(time, seq)` order, returning the instant
+    /// of the last one and how many were delivered.
+    fn run(&mut self) -> (SimTime, u64) {
+        let (mut end, mut events) = (SimTime::ZERO, 0);
+        while let Some((now, ev)) = self.queue.pop() {
+            (end, events) = (now, events + 1);
+            if let Some(rt) = &mut self.timeline {
+                rt.close_due(now.as_nanos());
+            }
+            match ev {
+                Ev::Arrive => self.arrive(now),
+                Ev::NextPage { session } => {
+                    self.slots[session as usize].page_started = now;
+                    self.send_doc(now, session, 1, Duration::ZERO);
+                }
+                Ev::Request { t } => self.request(now, t),
+                Ev::Served { t, ok } => self.served(now, t, ok),
+                Ev::Done {
+                    session,
+                    doc,
+                    ok,
+                    attempt,
+                } => self.done(now, session, doc, ok, attempt),
+            }
+        }
+        (end, events)
+    }
+
+    /// Records one event in the flight ring (`host` is `u32::MAX` for
+    /// session events); a no-op on bare runs.
+    fn flight_note(&mut self, at: SimTime, kind: FlightKind, slot: u32, host: u32, attempt: u8) {
+        if let Some(rt) = &mut self.timeline {
+            rt.flight.record(FlightEvent {
                 at,
                 kind,
                 slot,
-                host: u32::MAX,
+                host,
                 attempt,
             });
         }
     }
 
-    fn backoff_before(&self, attempt: u32) -> Duration {
-        // Materialized schedule (the policy itself lives in net); index 0
-        // is attempt 2's pause.
-        self.retry_backoff
-            .get((attempt as usize).saturating_sub(2))
-            .copied()
-            .unwrap_or_default()
+    fn arrive(&mut self, now: SimTime) {
+        let sid = self.next_session;
+        self.next_session += 1;
+        if sid.is_multiple_of(SPAN_BATCH) {
+            if self.batch_open {
+                self.tracer.close();
+            }
+            self.tracer.open(&format!("sessions.{}", sid / SPAN_BATCH));
+            self.tracer.attr("first_session", sid);
+            self.batch_open = true;
+        }
+        let w = draw(self.seed, salt::SITE, sid) % self.universe.total_weight;
+        let site = self.universe.cum_weights.partition_point(|&c| c <= w) as u32;
+        let pages = 1 + (draw(self.seed, salt::PAGES, sid) % 3) as u8;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(SessionSlot::default());
+            (self.slots.len() - 1) as u32
+        });
+        self.slots[slot as usize] = SessionSlot {
+            sid,
+            site,
+            pages_done: 0,
+            pages_total: pages,
+            pending_subs: 0,
+            started: now,
+            page_started: now,
+        };
+        self.hooks.sessions.inc();
+        self.hooks.tier_sessions[self.universe.templates[site as usize].tier as usize].inc();
+        self.hooks.in_flight.add(1);
+        self.flight_note(now, FlightKind::Arrive, slot, u32::MAX, 0);
+        self.peaks.in_flight += 1;
+        self.peaks.peak_in_flight = self.peaks.peak_in_flight.max(self.peaks.in_flight);
+        self.send_doc(now, slot, 1, Duration::ZERO);
+        if self.next_session < self.target {
+            let gap = draw(self.seed, salt::GAP, self.next_session) % (2 * MEAN_GAP_NS);
+            self.queue
+                .schedule(now.after(Duration::from_nanos(gap)), Ev::Arrive);
+        }
     }
 
-    fn send_doc(&mut self, slot: u32, attempt: u8, delay: Duration, out: &mut Outbox<'_, Ev>) {
+    fn send_doc(&mut self, now: SimTime, slot: u32, attempt: u8, delay: Duration) {
         let sess = self.slots[slot as usize];
         let t = &self.universe.templates[sess.site as usize];
         let uid = self.next_uid;
@@ -426,9 +491,8 @@ impl LoadGen {
             salt::FAULT,
             mix(sess.sid, 0x1_0000 + sess.pages_done as u64),
         );
-        out.send(
-            self.fleet,
-            delay,
+        self.queue.schedule(
+            now.after(delay),
             Ev::Request {
                 t: Ticket {
                     session: slot,
@@ -445,12 +509,10 @@ impl LoadGen {
         );
     }
 
-    fn send_subs(&mut self, slot: u32, out: &mut Outbox<'_, Ev>) -> u16 {
+    fn send_subs(&mut self, now: SimTime, slot: u32) -> u16 {
         let sess = self.slots[slot as usize];
         let t = &self.universe.templates[sess.site as usize];
-        let subs: Vec<ReqTemplate> = t.subs.clone();
-        let tier = t.tier;
-        for (i, sub) in subs.iter().enumerate() {
+        for (i, sub) in t.subs.iter().enumerate() {
             let uid = self.next_uid;
             self.next_uid += 1;
             let fkey = draw(
@@ -461,15 +523,14 @@ impl LoadGen {
                     0x2_0000 + ((sess.pages_done as u64) << 8) + i as u64,
                 ),
             );
-            out.send(
-                self.fleet,
-                Duration::ZERO,
+            self.queue.schedule(
+                now,
                 Ev::Request {
                     t: Ticket {
                         session: slot,
                         host: sub.host,
                         bytes: sub.bytes,
-                        tier,
+                        tier: t.tier,
                         doc: false,
                         attempt: 1,
                         uid,
@@ -479,10 +540,10 @@ impl LoadGen {
                 },
             );
         }
-        subs.len() as u16
+        t.subs.len() as u16
     }
 
-    fn page_done(&mut self, slot: u32, now: SimTime, out: &mut Outbox<'_, Ev>) {
+    fn page_done(&mut self, now: SimTime, slot: u32) {
         self.hooks.pages.inc();
         let sess = &mut self.slots[slot as usize];
         self.hooks
@@ -498,7 +559,8 @@ impl LoadGen {
                         mix(sess.sid, sess.pages_done as u64),
                     ) % 2_000_000_000,
                 );
-            out.send(self.me, dwell, Ev::NextPage { session: slot });
+            self.queue
+                .schedule(now.after(dwell), Ev::NextPage { session: slot });
         } else {
             self.hooks.sessions_done.inc();
             self.hooks
@@ -512,132 +574,103 @@ impl LoadGen {
         self.free.push(slot);
         self.finished += 1;
         self.hooks.in_flight.add(-1);
-        let mut peaks = self.peaks.borrow_mut();
-        peaks.in_flight -= 1;
-        drop(peaks);
+        self.peaks.in_flight -= 1;
         if self.finished == self.target && self.batch_open {
             self.tracer.attr("last_batch", true);
             self.tracer.close();
             self.batch_open = false;
         }
     }
-}
 
-impl Actor<Ev> for LoadGen {
-    fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<'_, Ev>) {
-        match event {
-            Ev::Arrive => {
-                let sid = self.next_session;
-                self.next_session += 1;
-                if sid.is_multiple_of(SPAN_BATCH) {
-                    if self.batch_open {
-                        self.tracer.close();
-                    }
-                    self.tracer.open(&format!("sessions.{}", sid / SPAN_BATCH));
-                    self.tracer.attr("first_session", sid);
-                    self.batch_open = true;
+    fn done(&mut self, now: SimTime, session: u32, doc: bool, ok: bool, attempt: u8) {
+        if doc {
+            if ok {
+                let subs = self.send_subs(now, session);
+                self.slots[session as usize].pending_subs = subs;
+                if subs == 0 {
+                    self.page_done(now, session);
                 }
-                let w = draw(self.seed, salt::SITE, sid) % self.universe.total_weight;
-                let site = self.universe.cum_weights.partition_point(|&c| c <= w) as u32;
-                let pages = 1 + (draw(self.seed, salt::PAGES, sid) % 3) as u8;
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.slots.push(SessionSlot::default());
-                    (self.slots.len() - 1) as u32
-                });
-                self.slots[slot as usize] = SessionSlot {
-                    sid,
-                    site,
-                    pages_done: 0,
-                    pages_total: pages,
-                    pending_subs: 0,
-                    started: now,
-                    page_started: now,
-                };
-                self.hooks.sessions.inc();
-                self.hooks.tier_sessions[self.universe.templates[site as usize].tier as usize]
-                    .inc();
-                self.hooks.in_flight.add(1);
-                self.flight_note(now, FlightKind::Arrive, slot, 0);
-                {
-                    let mut peaks = self.peaks.borrow_mut();
-                    peaks.in_flight += 1;
-                    peaks.peak_in_flight = peaks.peak_in_flight.max(peaks.in_flight);
-                }
-                self.send_doc(slot, 1, Duration::ZERO, out);
-                if self.next_session < self.target {
-                    let gap = draw(self.seed, salt::GAP, self.next_session) % (2 * MEAN_GAP_NS);
-                    out.send(self.me, Duration::from_nanos(gap), Ev::Arrive);
-                }
+            } else if (attempt as u32) < self.retry.max_attempts {
+                // The retry consumes its backoff as logical delay before
+                // the request is re-issued — recorded and elapsed time
+                // agree by construction.
+                let pause = self.retry.backoff_before(attempt as u32 + 1);
+                self.hooks.retries.inc();
+                self.hooks.backoff_ns.add(pause.as_nanos() as u64);
+                self.flight_note(now, FlightKind::Retry, session, u32::MAX, attempt + 1);
+                self.send_doc(now, session, attempt + 1, pause);
+            } else {
+                self.hooks.sessions_failed.inc();
+                self.flight_note(now, FlightKind::SessionFailed, session, u32::MAX, attempt);
+                self.teardown(session);
             }
-            Ev::NextPage { session } => {
-                self.slots[session as usize].page_started = now;
-                self.send_doc(session, 1, Duration::ZERO, out);
+        } else {
+            let sess = &mut self.slots[session as usize];
+            sess.pending_subs -= 1;
+            if sess.pending_subs == 0 {
+                self.page_done(now, session);
             }
-            Ev::Done {
-                session,
-                doc,
-                ok,
-                attempt,
-            } => {
-                if doc {
-                    if ok {
-                        let subs = self.send_subs(session, out);
-                        self.slots[session as usize].pending_subs = subs;
-                        if subs == 0 {
-                            self.page_done(session, now, out);
-                        }
-                    } else if (attempt as u32) < self.retry_max {
-                        // The retry consumes its backoff as logical delay
-                        // before the request is re-issued — recorded and
-                        // elapsed time agree by construction.
-                        let pause = self.backoff_before(attempt as u32 + 1);
-                        self.hooks.retries.inc();
-                        self.hooks.backoff_ns.add(pause.as_nanos() as u64);
-                        self.flight_note(now, FlightKind::Retry, session, attempt + 1);
-                        self.send_doc(session, attempt + 1, pause, out);
-                    } else {
-                        self.hooks.sessions_failed.inc();
-                        self.flight_note(now, FlightKind::SessionFailed, session, attempt);
-                        self.teardown(session);
-                    }
-                } else {
-                    let sess = &mut self.slots[session as usize];
-                    sess.pending_subs -= 1;
-                    if sess.pending_subs == 0 {
-                        self.page_done(session, now, out);
-                    }
-                }
-            }
-            Ev::Request { .. } | Ev::Served { .. } => unreachable!("fleet-addressed event"),
         }
     }
-}
 
-/// The host actor: every distinct host's connection pool and fault dice.
-struct HostFleet {
-    me: ActorId,
-    client: ActorId,
-    pools: Vec<HostPool<Ticket>>,
-    model: ServiceModel,
-    faults: Option<FaultSpec>,
-    fault_seed: u64,
-    hooks: Hooks,
-    peaks: Rc<RefCell<Peaks>>,
-    /// Flight ring, shared with the client; `None` on bare runs.
-    flight: Option<Rc<RefCell<FlightRecorder>>>,
-}
-
-impl HostFleet {
-    fn flight_note(&self, at: SimTime, kind: FlightKind, t: &Ticket) {
-        if let Some(rec) = &self.flight {
-            rec.borrow_mut().record(FlightEvent {
-                at,
-                kind,
-                slot: t.session,
-                host: t.host,
-                attempt: t.attempt,
-            });
+    fn request(&mut self, now: SimTime, mut t: Ticket) {
+        t.enqueued = now;
+        self.hooks.requests.inc();
+        self.hooks.tier_requests[t.tier as usize].inc();
+        let kind = if t.doc {
+            FlightKind::DocRequest
+        } else {
+            FlightKind::SubRequest
+        };
+        self.flight_note(now, kind, t.session, t.host, t.attempt);
+        let host = t.host as usize;
+        if let Some(admitted) = self.pools[host].admit(t) {
+            self.start(now, admitted);
+        } else {
+            self.hooks.queue_depth.add(1);
+            let depth = self.pools[host].waiting();
+            self.peaks.peak_queue = self.peaks.peak_queue.max(depth);
+            if let Some(rt) = &mut self.timeline {
+                rt.window_peak_queue = rt.window_peak_queue.max(depth);
+            }
         }
+    }
+
+    fn served(&mut self, now: SimTime, t: Ticket, ok: bool) {
+        let us = now.since(t.enqueued).as_micros() as u64;
+        self.hooks.request_us.record(us);
+        self.hooks.tier_request_us[t.tier as usize].record(us);
+        let kind = if ok {
+            FlightKind::Served
+        } else {
+            self.hooks.requests_failed.inc();
+            FlightKind::Failed
+        };
+        self.flight_note(now, kind, t.session, t.host, t.attempt);
+        if let Some(next) = self.pools[t.host as usize].complete() {
+            self.hooks.queue_depth.add(-1);
+            self.start(now, next);
+        }
+        self.queue.schedule(
+            now,
+            Ev::Done {
+                session: t.session,
+                doc: t.doc,
+                ok,
+                attempt: t.attempt,
+            },
+        );
+    }
+
+    /// Starts serving `t`: draws its outcome and schedules its completion.
+    fn start(&mut self, now: SimTime, t: Ticket) {
+        let (ok, service, faulted) = self.outcome(&t);
+        if faulted {
+            self.hooks.faults.inc();
+            self.flight_note(now, FlightKind::Fault, t.session, t.host, t.attempt);
+        }
+        self.queue
+            .schedule(now.after(service), Ev::Served { t, ok });
     }
 
     /// Decides a request's fate and its service duration. Fault identity
@@ -647,12 +680,7 @@ impl HostFleet {
         if let Some(spec) = self.faults {
             let roll = (draw(self.fault_seed, salt::FAULT, t.fkey) % 1000) as u16;
             if let Some(fault) = spec.classify(roll) {
-                let persistence = if spec.transient_attempts == 0 {
-                    u32::MAX
-                } else {
-                    1 + (draw(self.fault_seed, salt::PERSIST, t.fkey)
-                        % spec.transient_attempts as u64) as u32
-                };
+                let persistence = spec.persistence(draw(self.fault_seed, salt::PERSIST, t.fkey));
                 if (t.attempt as u32) <= persistence {
                     return match fault {
                         Fault::Dns | Fault::Reset => {
@@ -671,95 +699,68 @@ impl HostFleet {
         }
         (true, self.model.service_time(t.bytes as u64, t.uid), false)
     }
-
-    fn start(&mut self, t: Ticket, out: &mut Outbox<'_, Ev>) {
-        let (ok, service, faulted) = self.outcome(&t);
-        if faulted {
-            self.hooks.faults.inc();
-            self.flight_note(out.now(), FlightKind::Fault, &t);
-        }
-        out.send(self.me, service, Ev::Served { t, ok });
-    }
-}
-
-impl Actor<Ev> for HostFleet {
-    fn handle(&mut self, now: SimTime, event: Ev, out: &mut Outbox<'_, Ev>) {
-        match event {
-            Ev::Request { mut t } => {
-                t.enqueued = now;
-                self.hooks.requests.inc();
-                self.hooks.tier_requests[t.tier as usize].inc();
-                if self.flight.is_some() {
-                    let kind = if t.doc {
-                        FlightKind::DocRequest
-                    } else {
-                        FlightKind::SubRequest
-                    };
-                    self.flight_note(now, kind, &t);
-                }
-                let host = t.host as usize;
-                if let Some(admitted) = self.pools[host].admit(t) {
-                    self.start(admitted, out);
-                } else {
-                    self.hooks.queue_depth.add(1);
-                    let depth = self.pools[host].waiting();
-                    let mut peaks = self.peaks.borrow_mut();
-                    peaks.peak_queue = peaks.peak_queue.max(depth);
-                    peaks.window_peak_queue = peaks.window_peak_queue.max(depth);
-                }
-            }
-            Ev::Served { t, ok } => {
-                let us = now.since(t.enqueued).as_micros() as u64;
-                self.hooks.request_us.record(us);
-                self.hooks.tier_request_us[t.tier as usize].record(us);
-                if !ok {
-                    self.hooks.requests_failed.inc();
-                    self.flight_note(now, FlightKind::Failed, &t);
-                } else {
-                    self.flight_note(now, FlightKind::Served, &t);
-                }
-                if let Some(next) = self.pools[t.host as usize].complete() {
-                    self.hooks.queue_depth.add(-1);
-                    self.start(next, out);
-                }
-                out.send(
-                    self.client,
-                    Duration::ZERO,
-                    Ev::Done {
-                        session: t.session,
-                        doc: t.doc,
-                        ok,
-                        attempt: t.attempt,
-                    },
-                );
-            }
-            Ev::Arrive | Ev::NextPage { .. } | Ev::Done { .. } => {
-                unreachable!("client-addressed event")
-            }
-        }
-    }
 }
 
 /// The timeline runtime: the recorder plus SLO tracking and the flight
-/// ring, driven from the kernel tick hook.
+/// ring, sampled by the run loop.
 struct TimelineRt {
     tl: Timeline,
     tracker: SloTracker,
-    flight: Rc<RefCell<FlightRecorder>>,
+    flight: FlightRecorder,
     req_ix: usize,
     fail_ix: usize,
     lat_ix: usize,
     queue_peak: Gauge,
-    peaks: Rc<RefCell<Peaks>>,
+    /// Deepest queue seen since the current window opened.
+    window_peak_queue: usize,
 }
 
 impl TimelineRt {
+    /// Tracks the traffic series in `registry` at `spec`'s window width.
+    fn new(spec: &TimelineSpec, registry: &Registry, slo: SloPolicy, queue_peak: Gauge) -> Self {
+        let mut tl = Timeline::new(spec.window);
+        for name in [
+            "traffic.sessions",
+            "traffic.sessions_completed",
+            "traffic.sessions_failed",
+            "traffic.pages",
+            "traffic.requests",
+            "traffic.requests_failed",
+            "traffic.retries",
+            "traffic.faults_injected",
+        ] {
+            tl.track_counter(registry, name);
+        }
+        for i in 0..PopularityTier::ALL.len() {
+            tl.track_counter(registry, &format!("traffic.requests.tier{i}"));
+        }
+        for name in [
+            "traffic.in_flight",
+            "traffic.queue_depth",
+            "traffic.queue_peak",
+        ] {
+            tl.track_gauge(registry, name);
+        }
+        tl.track_histogram(registry, "traffic.request_us");
+        TimelineRt {
+            req_ix: tl.counter_index("traffic.requests").expect("tracked"),
+            fail_ix: tl
+                .counter_index("traffic.requests_failed")
+                .expect("tracked"),
+            lat_ix: tl.hist_index("traffic.request_us").expect("tracked"),
+            tl,
+            tracker: SloTracker::new(slo),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY, MAX_FREEZES),
+            queue_peak,
+            window_peak_queue: 0,
+        }
+    }
+
     /// Publishes the closing window's peak queue depth, then resets the
     /// accumulator so the next window starts from the current depth.
     fn publish_queue_peak(&mut self) {
-        let mut peaks = self.peaks.borrow_mut();
-        self.queue_peak.set(peaks.window_peak_queue as i64);
-        peaks.window_peak_queue = 0;
+        self.queue_peak.set(self.window_peak_queue as i64);
+        self.window_peak_queue = 0;
     }
 
     /// Feeds the most recent row to the SLO tracker; violations entered
@@ -776,31 +777,51 @@ impl TimelineRt {
         for i in before..self.tracker.events().len() {
             let ev = self.tracker.events()[i];
             if ev.entered {
-                self.flight.borrow_mut().freeze(
-                    ev.kind.label(),
-                    ev.window,
-                    SimTime::from_nanos(end_ns),
-                );
+                self.flight
+                    .freeze(ev.kind.label(), ev.window, SimTime::from_nanos(end_ns));
             }
         }
     }
 
-    /// Closes the next full window.
-    fn close_full_window(&mut self) {
-        self.publish_queue_peak();
-        self.tl.sample_window();
-        self.post_window();
+    /// Closes every full window that ends at or before `now_ns`, so an
+    /// event landing on a boundary counts toward the window it opens. Idle
+    /// gaps close as explicit zero rows.
+    fn close_due(&mut self, now_ns: u64) {
+        while now_ns >= self.tl.next_boundary() {
+            self.publish_queue_peak();
+            self.tl.sample_window();
+            self.post_window();
+        }
     }
 
-    /// Seals the series with the final partial window at `end_ns` (full
-    /// windows up to it were already closed by the tick hook).
-    fn finish(&mut self, end_ns: u64) {
-        while end_ns >= self.tl.next_boundary() {
-            self.close_full_window();
-        }
+    /// Seals the series with the final partial window at `end_ns`, exports
+    /// the SLO transitions and frozen flights into `trace`, and reports.
+    fn finish(mut self, end_ns: u64, trace: &Trace) -> TimelineReport {
+        self.close_due(end_ns);
         self.publish_queue_peak();
         self.tl.finish(end_ns);
         self.post_window();
+        // SLO transitions become journal spans; frozen flight snapshots
+        // attach their causal neighborhoods next to them. Both tracers are
+        // no-ops when spans are disabled.
+        let mut slo_tracer = trace.tracer("traffic.slo");
+        for ev in self.tracker.events() {
+            slo_tracer.open(&format!("slo.{}", ev.kind.label()));
+            slo_tracer.attr("window", ev.window);
+            slo_tracer.attr("entered", ev.entered);
+            slo_tracer.attr("burn_x100", ev.burn_x100);
+            slo_tracer.attr("value", ev.value);
+            slo_tracer.close();
+        }
+        slo_tracer.finish();
+        self.flight.emit_spans(trace, "traffic.flight");
+        TimelineReport {
+            window: Duration::from_nanos(self.tl.window_ns()),
+            slo_events: self.tracker.events().to_vec(),
+            flight_freezes: self.flight.snapshots().len(),
+            flight_suppressed: self.flight.suppressed(),
+            timeline: self.tl,
+        }
     }
 }
 
@@ -1070,164 +1091,67 @@ impl TrafficReport {
 /// pending-event heap — finished sessions recycle their slots.
 pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
     let world = World::build(config.world.clone());
-    let spec = config.net.sim;
-    let universe = Rc::new(harvest(&world, config.seed));
+    let universe = harvest(&world, config.seed);
     assert!(
         universe.total_weight > 0,
         "traffic universe is empty: no reachable porn site in the world"
     );
 
     let hooks = Hooks::new(&obs.metrics);
-    let peaks = Rc::new(RefCell::new(Peaks::default()));
     let mut tracer = obs.trace.tracer("traffic");
     tracer.open("traffic");
     tracer.attr("sessions", config.sessions);
     tracer.attr("sites", universe.templates.len() as u64);
     tracer.attr("hosts", universe.hosts as u64);
-
-    // Timeline runtime: tracked series, SLO tracker, flight ring. Absent
-    // on bare runs, whose kernel then has no tick hook at all.
-    let timeline_rt: Option<Rc<RefCell<TimelineRt>>> = config.timeline.as_ref().map(|tspec| {
-        let mut tl = Timeline::new(tspec.window);
-        for name in [
-            "traffic.sessions",
-            "traffic.sessions_completed",
-            "traffic.sessions_failed",
-            "traffic.pages",
-            "traffic.requests",
-            "traffic.requests_failed",
-            "traffic.retries",
-            "traffic.faults_injected",
-        ] {
-            tl.track_counter(&obs.metrics, name);
-        }
-        for i in 0..PopularityTier::ALL.len() {
-            tl.track_counter(&obs.metrics, &format!("traffic.requests.tier{i}"));
-        }
-        for name in [
-            "traffic.in_flight",
-            "traffic.queue_depth",
-            "traffic.queue_peak",
-        ] {
-            tl.track_gauge(&obs.metrics, name);
-        }
-        tl.track_histogram(&obs.metrics, "traffic.request_us");
-        Rc::new(RefCell::new(TimelineRt {
-            req_ix: tl.counter_index("traffic.requests").expect("tracked"),
-            fail_ix: tl
-                .counter_index("traffic.requests_failed")
-                .expect("tracked"),
-            lat_ix: tl.hist_index("traffic.request_us").expect("tracked"),
-            tl,
-            tracker: SloTracker::new(config.net.slo),
-            flight: Rc::new(RefCell::new(FlightRecorder::new(
-                FLIGHT_CAPACITY,
-                MAX_FREEZES,
-            ))),
-            queue_peak: hooks.queue_peak.clone(),
-            peaks: Rc::clone(&peaks),
-        }))
-    });
-    let flight_handle = timeline_rt
+    let timeline = config
+        .timeline
         .as_ref()
-        .map(|rt| Rc::clone(&rt.borrow().flight));
+        .map(|spec| TimelineRt::new(spec, &obs.metrics, config.net.slo, hooks.queue_peak.clone()));
 
-    let (client_id, fleet_id) = (ActorId(0), ActorId(1));
-    let retry = &config.net.retry;
-    let retry_backoff: Vec<Duration> = (2..=retry.max_attempts.max(1))
-        .map(|a| retry.backoff_before(a))
-        .collect();
-    let client = LoadGen {
-        me: client_id,
-        fleet: fleet_id,
+    let spec = config.net.sim;
+    let mut traffic = Traffic {
+        queue: EventQueue::new(),
+        pools: (0..universe.hosts)
+            .map(|_| HostPool::new(spec.conn_limit))
+            .collect(),
+        universe,
         target: config.sessions,
         seed: config.seed,
         fault_seed: config.net.fault_seed,
-        retry_max: retry.max_attempts.max(1),
-        retry_backoff,
-        universe: Rc::clone(&universe),
+        retry: config.net.retry.clone(),
+        faults: config.net.faults,
+        model: ServiceModel::new(spec),
         slots: Vec::new(),
         free: Vec::new(),
         next_session: 0,
         finished: 0,
         next_uid: 0,
-        hooks: hooks.clone(),
-        peaks: Rc::clone(&peaks),
+        hooks,
+        peaks: Peaks::default(),
         tracer,
         batch_open: false,
-        flight: flight_handle.clone(),
+        timeline,
     };
-    let fleet = HostFleet {
-        me: fleet_id,
-        client: client_id,
-        pools: (0..universe.hosts)
-            .map(|_| HostPool::new(spec.conn_limit))
-            .collect(),
-        model: ServiceModel::new(spec),
-        faults: config.net.faults,
-        fault_seed: config.net.fault_seed,
-        hooks: hooks.clone(),
-        peaks: Rc::clone(&peaks),
-        flight: flight_handle,
-    };
-
-    let mut sys = ActorSystem::new();
-    assert_eq!(sys.add_actor(Box::new(client)), client_id);
-    assert_eq!(sys.add_actor(Box::new(fleet)), fleet_id);
-    if let Some(rt) = &timeline_rt {
-        let rt = Rc::clone(rt);
-        // Sampling happens with the clock advanced to the event's delivery
-        // time but before dispatch, so a window's row covers exactly the
-        // events strictly inside it — deterministic in the schedule.
-        sys.set_tick_hook(move |now| {
-            let now_ns = now.as_nanos();
-            let mut rt = rt.borrow_mut();
-            while now_ns >= rt.tl.next_boundary() {
-                rt.close_full_window();
-            }
-        });
-    }
     if config.sessions > 0 {
-        sys.send(client_id, SimTime::ZERO, Ev::Arrive);
+        traffic.queue.schedule(SimTime::ZERO, Ev::Arrive);
     }
     let wall_start = std::time::Instant::now();
-    let (end, events) = sys.run();
+    let (end, events) = traffic.run();
     let wall = wall_start.elapsed();
-    drop(sys); // commits the tracer shard and releases the tick hook
 
-    let timeline = timeline_rt.map(|rt| {
-        let mut rt = Rc::try_unwrap(rt)
-            .ok()
-            .expect("tick hook dropped with the kernel")
-            .into_inner();
-        rt.finish(end.as_nanos());
-        // SLO transitions become journal spans; frozen flight snapshots
-        // attach their causal neighborhoods next to them. Both tracers are
-        // no-ops when spans are disabled.
-        let mut slo_tracer = obs.trace.tracer("traffic.slo");
-        for ev in rt.tracker.events() {
-            slo_tracer.open(&format!("slo.{}", ev.kind.label()));
-            slo_tracer.attr("window", ev.window);
-            slo_tracer.attr("entered", ev.entered);
-            slo_tracer.attr("burn_x100", ev.burn_x100);
-            slo_tracer.attr("value", ev.value);
-            slo_tracer.close();
-        }
-        slo_tracer.finish();
-        let flight = rt.flight.borrow();
-        flight.emit_spans(&obs.trace, "traffic.flight");
-        TimelineReport {
-            window: Duration::from_nanos(rt.tl.window_ns()),
-            slo_events: rt.tracker.events().to_vec(),
-            flight_freezes: flight.snapshots().len(),
-            flight_suppressed: flight.suppressed(),
-            timeline: rt.tl.clone(),
-        }
-    });
+    let Traffic {
+        universe,
+        hooks,
+        peaks,
+        tracer,
+        timeline,
+        ..
+    } = traffic;
+    tracer.finish();
+    let timeline = timeline.map(|rt| rt.finish(end.as_nanos(), &obs.trace));
 
     let request_us = hooks.request_us.snapshot();
     let page_us = hooks.page_us.snapshot();
-    let peaks = peaks.borrow();
     let tiers = PopularityTier::ALL
         .iter()
         .enumerate()
@@ -1273,7 +1197,6 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use redlight_obs::SloPolicy;
 
     fn tiny_config(sessions: u64) -> TrafficConfig {
         TrafficConfig {

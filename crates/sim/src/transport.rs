@@ -1,13 +1,13 @@
 //! Hosting the crawl fetch path on the simulated clock.
 //!
 //! [`SimTransport`] wraps a whole transport stack (server, fault injector,
-//! meter) and charges every outcome's modeled cost to a [`SimClock`]:
-//! responses cost their service time, unreachable hosts cost the connect
-//! failure, and a stall — notably the ones `FaultTransport` injects —
-//! costs the full timeout budget, so "the page load exceeded the crawler's
-//! timeout" *takes* that long in logical time. Outcomes pass through
-//! byte-identical, so the service model changes when things happen,
-//! never what.
+//! meter) and charges every outcome's modeled cost to its [`SimHandle`]'s
+//! logical clock: responses cost their service time, unreachable hosts
+//! cost the connect failure, and a stall — notably the ones
+//! `FaultTransport` injects — costs the full timeout budget, so "the page
+//! load exceeded the crawler's timeout" *takes* that long in logical time.
+//! Outcomes pass through byte-identical, so the service model changes when
+//! things happen, never what.
 //!
 //! The crawl session holds the cloneable [`SimHandle`] after boxing the
 //! stack into the browser, advances the clock by its retry backoff between
@@ -22,22 +22,20 @@ use std::time::Duration;
 use redlight_net::http::Request;
 use redlight_net::transport::{ClientContext, FetchOutcome, SimSpec, Transport};
 
-use crate::kernel::SimClock;
+use crate::queue::SimTime;
 use crate::service::ServiceModel;
 
 #[derive(Debug, Default)]
 struct HandleState {
+    now: SimTime,
     backoff_nanos: u64,
-    service_nanos: u64,
-    requests: u64,
     next_uid: u64,
 }
 
-/// Shared handle onto a [`SimTransport`]'s clock and counters. Cloning
-/// yields another view of the same simulation.
+/// Shared handle onto a [`SimTransport`]'s logical clock. Cloning yields
+/// another view of the same simulation.
 #[derive(Debug, Clone)]
 pub struct SimHandle {
-    clock: SimClock,
     model: ServiceModel,
     state: Arc<Mutex<HandleState>>,
 }
@@ -46,7 +44,6 @@ impl SimHandle {
     /// A fresh simulation at logical time zero.
     pub fn new(spec: SimSpec) -> Self {
         SimHandle {
-            clock: SimClock::new(),
             model: ServiceModel::new(spec),
             state: Arc::new(Mutex::new(HandleState::default())),
         }
@@ -54,49 +51,21 @@ impl SimHandle {
 
     /// Current logical time since the simulation started.
     pub fn now(&self) -> Duration {
-        self.clock.now().as_duration()
-    }
-
-    /// The underlying clock.
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
+        self.state.lock().expect("sim state").now.as_duration()
     }
 
     /// Consumes retry backoff: advances the clock by `d` and accounts it,
     /// so recorded schedules and elapsed logical time can be compared
     /// exactly.
     pub fn consume_backoff(&self, d: Duration) {
-        self.clock.advance(d);
-        self.state.lock().expect("sim state").backoff_nanos += d.as_nanos() as u64;
+        let mut state = self.state.lock().expect("sim state");
+        state.now = state.now.after(d);
+        state.backoff_nanos += d.as_nanos() as u64;
     }
 
     /// Total backoff consumed so far.
     pub fn backoff_consumed(&self) -> Duration {
         Duration::from_nanos(self.state.lock().expect("sim state").backoff_nanos)
-    }
-
-    /// Total service/connect/timeout time charged by fetches so far.
-    pub fn service_consumed(&self) -> Duration {
-        Duration::from_nanos(self.state.lock().expect("sim state").service_nanos)
-    }
-
-    /// Requests charged so far.
-    pub fn requests(&self) -> u64 {
-        self.state.lock().expect("sim state").requests
-    }
-
-    fn charge(&self, elapsed: Duration) {
-        self.clock.advance(elapsed);
-        let mut state = self.state.lock().expect("sim state");
-        state.service_nanos += elapsed.as_nanos() as u64;
-        state.requests += 1;
-    }
-
-    fn next_uid(&self) -> u64 {
-        let mut state = self.state.lock().expect("sim state");
-        let uid = state.next_uid;
-        state.next_uid += 1;
-        uid
     }
 }
 
@@ -118,19 +87,17 @@ impl<T: Transport> SimTransport<T> {
 impl<T: Transport> Transport for SimTransport<T> {
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         let outcome = self.inner.fetch(req, ctx);
-        let uid = self.handle.next_uid();
         let model = &self.handle.model;
+        let mut state = self.handle.state.lock().expect("sim state");
+        let uid = state.next_uid;
+        state.next_uid += 1;
         let elapsed = match &outcome {
             FetchOutcome::Response(resp) => model.service_time(resp.body.len() as u64, uid),
             FetchOutcome::Unreachable => model.connect_fail_time(uid),
             FetchOutcome::Timeout => model.timeout_time(),
         };
-        self.handle.charge(elapsed);
+        state.now = state.now.after(elapsed);
         outcome
-    }
-
-    fn resolvable(&self, host: &str) -> bool {
-        self.inner.resolvable(host)
     }
 }
 
@@ -158,9 +125,6 @@ mod tests {
                 Mode::Gone => FetchOutcome::Unreachable,
                 Mode::Stall => FetchOutcome::Timeout,
             }
-        }
-        fn resolvable(&self, _host: &str) -> bool {
-            true
         }
     }
 
@@ -200,7 +164,6 @@ mod tests {
             handle.now(),
             Duration::from_millis(2) + Duration::from_micros(40)
         );
-        assert_eq!(handle.requests(), 1);
     }
 
     #[test]
@@ -223,6 +186,5 @@ mod tests {
         handle.consume_backoff(Duration::from_millis(1000));
         assert_eq!(handle.backoff_consumed(), Duration::from_millis(1250));
         assert_eq!(handle.now(), Duration::from_millis(1250));
-        assert_eq!(handle.service_consumed(), Duration::ZERO);
     }
 }

@@ -1,69 +1,34 @@
-//! Property suite pinning the discrete-event kernel's determinism
-//! contract: delivery order is total and a pure function of the schedule
-//! program, cancelled events never deliver, and the queue drains
+//! Property suite pinning the event queue's determinism contract:
+//! delivery order is total and a pure function of the schedule program,
+//! every scheduled event delivers exactly once, and the queue drains
 //! monotonically in time.
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use redlight_sim::{Actor, ActorId, ActorSystem, EventQueue, Outbox, SimTime};
+use redlight_sim::{EventQueue, SimTime};
 
-/// One schedule program: interleaved schedules (with bounded time offsets
-/// so ties are common) and cancels of arbitrary earlier events.
-#[derive(Debug, Clone)]
-struct Program {
-    ops: Vec<(u64, bool, usize)>,
-}
-
-fn program(offsets: Vec<u64>, cancels: Vec<bool>, targets: Vec<usize>) -> Program {
-    let ops = offsets
-        .into_iter()
-        .zip(cancels)
-        .zip(targets)
-        .map(|((offset, cancel), target)| (offset, cancel, target))
-        .collect();
-    Program { ops }
-}
-
-/// Runs a program and returns `(delivery log, successfully cancelled
-/// payloads)`. The payload of each event is its op index, so logs from
-/// different runs are directly comparable.
-fn run_program(p: &Program) -> (Vec<(u64, usize)>, HashSet<usize>) {
+/// Schedules one event per offset (bounded, so ties are common) and
+/// drains the queue. The payload of each event is its schedule index, so
+/// logs from different runs are directly comparable.
+fn run_program(offsets: &[u64]) -> Vec<(u64, usize)> {
     let mut q = EventQueue::new();
-    let mut ids = Vec::new();
-    let mut cancelled = HashSet::new();
-    for (idx, &(offset, cancel, target)) in p.ops.iter().enumerate() {
-        let id = q.schedule(SimTime::from_nanos(offset), idx);
-        ids.push(id);
-        if cancel && !ids.is_empty() {
-            let victim = target % ids.len();
-            if q.cancel(ids[victim]) {
-                cancelled.insert(victim);
-            }
-        }
+    for (idx, &offset) in offsets.iter().enumerate() {
+        q.schedule(SimTime::from_nanos(offset), idx);
     }
-    let mut log = Vec::new();
-    while let Some((at, _, payload)) = q.pop() {
-        log.push((at.as_nanos(), payload));
-    }
-    (log, cancelled)
+    std::iter::from_fn(|| q.pop())
+        .map(|(at, payload)| (at.as_nanos(), payload))
+        .collect()
 }
 
 proptest! {
     #[test]
-    fn delivery_order_is_total_and_deterministic(
-        offsets in vec(0u64..40, 0..160),
-        cancels in vec(any::<bool>(), 0..160),
-        targets in vec(0usize..160, 0..160),
-    ) {
-        let p = program(offsets, cancels, targets);
-        let (log_a, cancelled_a) = run_program(&p);
-        let (log_b, cancelled_b) = run_program(&p);
+    fn delivery_order_is_total_and_deterministic(offsets in vec(0u64..40, 0..160)) {
+        let log_a = run_program(&offsets);
+        let log_b = run_program(&offsets);
         // Same program ⇒ identical event log, run to run.
         prop_assert_eq!(&log_a, &log_b);
-        prop_assert_eq!(&cancelled_a, &cancelled_b);
 
         // The order is total: time-sorted, ties strictly by schedule order
         // (the payload IS the schedule index).
@@ -78,13 +43,13 @@ proptest! {
             }
         }
 
-        // Conservation: every scheduled event is delivered exactly once or
-        // was cancelled, never both, never dropped.
+        // Conservation: every scheduled event is delivered exactly once, at
+        // the instant it was scheduled for.
         let delivered: HashSet<usize> = log_a.iter().map(|&(_, p)| p).collect();
         prop_assert_eq!(delivered.len(), log_a.len(), "duplicate delivery");
-        prop_assert_eq!(delivered.len() + cancelled_a.len(), p.ops.len());
-        for idx in &cancelled_a {
-            prop_assert!(!delivered.contains(idx), "cancelled event delivered");
+        prop_assert_eq!(delivered.len(), offsets.len(), "dropped event");
+        for &(at, idx) in &log_a {
+            prop_assert_eq!(at, offsets[idx]);
         }
     }
 
@@ -95,72 +60,26 @@ proptest! {
     ) {
         // Pops interleaved with schedules: later schedules may target times
         // earlier than pending ones, but never earlier than anything already
-        // popped (the kernel only schedules at or after `now`). Model that
-        // by clamping each offset to the last popped time.
+        // popped (the traffic loop only schedules at or after `now`). Model
+        // that by clamping each offset to the last popped time.
         let mut q = EventQueue::new();
         let mut popped = Vec::new();
         let mut floor = 0u64;
         for (i, &offset) in offsets.iter().enumerate() {
             q.schedule(SimTime::from_nanos(floor + offset), i);
             if i % pop_every == 0 {
-                if let Some((at, _, _)) = q.pop() {
+                if let Some((at, _)) = q.pop() {
                     popped.push(at.as_nanos());
                     floor = at.as_nanos();
                 }
             }
         }
-        while let Some((at, _, _)) = q.pop() {
+        while let Some((at, _)) = q.pop() {
             popped.push(at.as_nanos());
         }
         prop_assert_eq!(popped.len(), offsets.len());
         for pair in popped.windows(2) {
             prop_assert!(pair[0] <= pair[1], "pop sequence not monotone: {:?}", pair);
         }
-    }
-}
-
-/// Relay actor for the system-level property: forwards `hops` times with a
-/// per-hop delay drawn from its schedule, logging every delivery.
-struct Relay {
-    peer: ActorId,
-    delays: Vec<u64>,
-    log: std::rc::Rc<std::cell::RefCell<Vec<(u64, u32)>>>,
-}
-
-impl Actor<u32> for Relay {
-    fn handle(&mut self, now: SimTime, event: u32, out: &mut Outbox<'_, u32>) {
-        self.log.borrow_mut().push((now.as_nanos(), event));
-        if event > 0 {
-            let delay = self.delays[event as usize % self.delays.len()];
-            out.send(self.peer, Duration::from_nanos(delay), event - 1);
-        }
-    }
-}
-
-proptest! {
-    #[test]
-    fn actor_runs_replay_identically(
-        delays in vec(0u64..5_000, 1..20),
-        hops in 1u32..60,
-    ) {
-        let run = |delays: &[u64]| {
-            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let mut sys = ActorSystem::new();
-            let me = sys.next_actor_id();
-            let a = sys.add_actor(Box::new(Relay {
-                peer: me,
-                delays: delays.to_vec(),
-                log: std::rc::Rc::clone(&log),
-            }));
-            assert_eq!(a, me, "ids are assigned in registration order");
-            sys.send(a, SimTime::ZERO, hops);
-            let (end, delivered) = sys.run();
-            let events = log.borrow().clone();
-            (end.as_nanos(), delivered, events)
-        };
-        let x = run(&delays);
-        let y = run(&delays);
-        prop_assert_eq!(&x, &y, "same schedule must replay bit-for-bit");
-        prop_assert_eq!(x.1, hops as u64 + 1, "one delivery per hop plus the last");
     }
 }

@@ -39,10 +39,6 @@ impl Transport for WebServer<'_> {
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         self.handle(req, ctx)
     }
-
-    fn resolvable(&self, host: &str) -> bool {
-        self.world.resolve_host(host).is_some()
-    }
 }
 
 impl<'w> WebServer<'w> {

@@ -35,7 +35,7 @@ PROPTEST_CASES=32 cargo test -q --test shard_equivalence
 echo "==> batch classification equivalence (batched == per-request verdicts)"
 PROPTEST_CASES=64 cargo test -q --test batch_equivalence
 
-echo "==> sim kernel properties (total order, cancellation, monotone drain)"
+echo "==> sim event-queue properties (total order, monotone drain)"
 PROPTEST_CASES=64 cargo test -q -p redlight-sim --test kernel_props
 
 echo "==> traffic determinism (seed-pinned report, journal, logical walls)"

@@ -122,9 +122,9 @@ fn slo_violations_freeze_flights_into_the_journal() {
 }
 
 #[test]
-fn tick_hook_never_changes_the_event_schedule() {
-    // Sampling only reads the registry: the kernel must deliver exactly
-    // the same events with the timeline's tick hook installed as without.
+fn timeline_sampling_never_changes_the_event_schedule() {
+    // Sampling only reads the registry: the run loop must deliver exactly
+    // the same events with windows closing between them as without.
     let config = |timeline: Option<TimelineSpec>| TrafficConfig {
         seed: 5,
         world: WorldConfig::tiny(11),

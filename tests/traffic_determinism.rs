@@ -3,6 +3,10 @@
 //! metrics), diverges across seeds, and network weather costs real
 //! logical time — a flaky crawl's visit walls are strictly longer than a
 //! healthy one's on the sim clock.
+//!
+//! The rendered reports and the summed crawl walls are also pinned to
+//! recorded values, so a change to the event schedule, the service model
+//! or the fault draws fails here even when it replays consistently.
 
 use std::time::Duration;
 
@@ -14,6 +18,30 @@ use redlight::net::transport::NetProfile;
 use redlight::obs::ObsContext;
 use redlight::sim::{run_traffic, TrafficConfig, TrafficReport};
 use redlight::{World, WorldConfig};
+
+/// `render()` of the 600-session, seed-5 run on the default profile.
+const DEFAULT_REPORT: &str = "\
+== Traffic workload ==
+sessions: 600 (600 completed, 0 failed)   pages: 1,189
+requests: 12,539 (0 failed, 0 retried, 0 faults injected)
+logical makespan: 6.637 s   throughput: 90.4 sessions/s, 1889.1 requests/s
+request latency (µs): p50 4,095   p95 4,095   p99 4,095
+page load (µs):       p50 8,191   p99 8,191
+backoff consumed: 0.000 s   peak in-flight: 393 sessions   peak host queue: 0
+universe: 75 sites, 159 hosts   kernel events: 38,806
+";
+
+/// `render()` of the same run on the flaky profile.
+const FLAKY_REPORT: &str = "\
+== Traffic workload ==
+sessions: 600 (600 completed, 0 failed)   pages: 1,189
+requests: 12,700 (1,184 failed, 161 retried, 1,301 faults injected)
+logical makespan: 43.468 s   throughput: 13.8 sessions/s, 292.2 requests/s
+request latency (µs): p50 4,095   p95 16,777,215   p99 33,554,431
+page load (µs):       p50 8,388,607   p99 33,554,431
+backoff consumed: 78.500 s   peak in-flight: 504 sessions   peak host queue: 380
+universe: 75 sites, 159 hosts   kernel events: 39,289
+";
 
 fn traffic_run(seed: u64, net: NetProfile) -> (TrafficReport, ObsContext) {
     let config = TrafficConfig {
@@ -36,6 +64,7 @@ fn same_seed_yields_byte_identical_report_and_journal() {
     // The rendered latency-percentile report and the tier table are pure
     // functions of the seed.
     assert_eq!(ra.render(), rb.render());
+    assert_eq!(ra.render(), DEFAULT_REPORT);
     assert_eq!(ra.render_table(), rb.render_table());
     assert_eq!(ra.events, rb.events);
 
@@ -78,10 +107,11 @@ fn different_seeds_diverge() {
 
 #[test]
 fn flaky_traffic_takes_strictly_longer_than_direct() {
-    let direct = NetProfile::default();
     let flaky = NetProfile::named("flaky").expect("flaky profile registered");
-    let (healthy, _) = traffic_run(5, direct);
+    let (healthy, _) = traffic_run(5, NetProfile::default());
     let (stormy, _) = traffic_run(5, flaky);
+    assert_eq!(healthy.render(), DEFAULT_REPORT);
+    assert_eq!(stormy.render(), FLAKY_REPORT);
     assert!(stormy.faults > 0, "flaky weather must inject faults");
     assert!(
         stormy.makespan > healthy.makespan,
@@ -121,9 +151,15 @@ fn flaky_crawl_walls_strictly_exceed_direct_walls() {
         record.visits.iter().map(|v| v.wall).sum()
     };
 
-    let direct = crawl_wall(NetProfile::direct());
+    let direct = crawl_wall(NetProfile::default());
     let flaky = crawl_wall(NetProfile::named("flaky").expect("flaky profile registered"));
     assert!(direct > Duration::ZERO, "sim walls are logical, not zero");
+    assert_eq!(
+        direct.as_nanos(),
+        10_666_778_740,
+        "healthy crawl walls moved"
+    );
+    assert_eq!(flaky.as_nanos(), 72_139_350_680, "flaky crawl walls moved");
     assert!(
         flaky > direct,
         "fault stalls and consumed backoff must lengthen logical visit walls: \
@@ -131,6 +167,6 @@ fn flaky_crawl_walls_strictly_exceed_direct_walls() {
     );
 
     // Replay: logical walls are deterministic, unlike wall-clock timing.
-    let direct_again = crawl_wall(NetProfile::direct());
+    let direct_again = crawl_wall(NetProfile::default());
     assert_eq!(direct, direct_again, "sim crawl walls must replay exactly");
 }

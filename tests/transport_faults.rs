@@ -75,19 +75,6 @@ fn default_profile_matches_direct_browser_run() {
 }
 
 #[test]
-fn default_and_unmetered_profiles_render_identically() {
-    let a = Study::run(StudyConfig::tiny(913));
-    let mut config = StudyConfig::tiny(913);
-    config.net = NetProfile::direct();
-    let b = Study::run(config);
-    assert_eq!(
-        a.render_summary(),
-        b.render_summary(),
-        "metering must never leak into the paper tables"
-    );
-}
-
-#[test]
 fn retries_recover_transient_stalls_within_budget() {
     // Every request stalls on its first attempt (1000‰, transient after
     // one), so each document fetch in a chain — redirect hops, the
