@@ -247,7 +247,9 @@ pub fn stats(crawl: &CrawlRecord, rows: &[CookieRow], client_ip: Ipv4Addr) -> Co
     }
 }
 
-/// Builds Table 4: the top third-party ID-cookie-delivering domains.
+/// Builds Table 4: the top third-party ID-cookie-delivering domains. A
+/// domain is in the web ecosystem when some regular-crawl third-party FQDN
+/// shares its registrable domain.
 pub fn table4(
     crawl: &CrawlRecord,
     rows: &[CookieRow],
@@ -257,6 +259,7 @@ pub fn table4(
     top_n: usize,
 ) -> Vec<Table4Row> {
     let crawled = crawl.success_count();
+    let regular: BTreeSet<&str> = regular_third_party.iter().map(|f| reg(f)).collect();
     let mut per_domain: BTreeMap<&str, (BTreeSet<&str>, usize, usize)> = BTreeMap::new();
     for row in rows.iter().filter(|r| r.third_party && is_id_cookie(r)) {
         let entry = per_domain.entry(row.domain.as_str()).or_default();
@@ -272,7 +275,7 @@ pub fn table4(
             site_pct: pct(sites.len(), crawled),
             cookies,
             is_ats: ats.is_ats_fqdn(domain),
-            in_web_ecosystem: regular_third_party.iter().any(|f| reg(f) == domain),
+            in_web_ecosystem: regular.contains(domain),
             ip_pct: pct(with_ip, cookies.max(1)),
             domain: domain.to_string(),
         })

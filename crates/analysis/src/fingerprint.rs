@@ -218,7 +218,7 @@ pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
 pub struct Table5Row {
     /// Domain.
     pub domain: String,
-    /// Porn sites where the domain appears (any role).
+    /// Porn sites where some FQDN of the domain appears as a third party.
     pub presence: usize,
     /// Is ATS.
     pub is_ats: bool,
@@ -230,8 +230,21 @@ pub struct Table5Row {
     pub webrtc_scripts: usize,
 }
 
+/// Scripts per registrable domain of their serving host.
+fn scripts_by_registrable<'s>(
+    scripts: impl IntoIterator<Item = &'s ScriptId>,
+) -> BTreeMap<&'s str, usize> {
+    let mut out: BTreeMap<&str, usize> = BTreeMap::new();
+    for s in scripts {
+        *out.entry(reg(&s.host)).or_default() += 1;
+    }
+    out
+}
+
 /// Builds Table 5 from the fingerprint + WebRTC reports and third-party
-/// presence data.
+/// presence data. Each input is read once into a per-registrable-domain
+/// lookup; the rows are the registrable domains serving a canvas or WebRTC
+/// script that appear as a third party on some porn site.
 pub fn table5(
     fp: &FingerprintReport,
     rtc: &crate::webrtc::WebRtcReport,
@@ -240,40 +253,38 @@ pub fn table5(
     ats: &AtsClassifier,
     top_n: usize,
 ) -> Vec<Table5Row> {
-    let mut domains: BTreeSet<String> = BTreeSet::new();
-    for s in &fp.canvas_scripts {
-        domains.insert(reg(&s.host).to_string());
+    let canvas = scripts_by_registrable(&fp.canvas_scripts);
+    let webrtc = scripts_by_registrable(&rtc.scripts);
+    // Sites per registrable domain, counting a site once however many of
+    // the domain's FQDNs it embeds.
+    let mut presence: BTreeMap<&str, usize> = BTreeMap::new();
+    for parties in porn_extract.per_site.values() {
+        let site_regs: BTreeSet<&str> = parties.third.iter().map(|f| reg(f)).collect();
+        for d in site_regs {
+            *presence.entry(d).or_default() += 1;
+        }
     }
-    for s in &rtc.scripts {
-        domains.insert(reg(&s.host).to_string());
-    }
+    let regular: BTreeSet<&str> = regular_extract
+        .third_party_fqdns
+        .iter()
+        .map(|f| reg(f))
+        .collect();
+
+    let domains: BTreeSet<&str> = canvas.keys().chain(webrtc.keys()).copied().collect();
     // Keep only third-party domains (inline/first-party hosts are porn
     // sites themselves).
     let mut rows: Vec<Table5Row> = domains
         .into_iter()
-        .filter(|d| porn_extract.sites_with_registrable(d) > 0)
-        .map(|domain| {
-            let canvas = fp
-                .canvas_scripts
-                .iter()
-                .filter(|s| reg(&s.host) == domain)
-                .count();
-            let webrtc = rtc
-                .scripts
-                .iter()
-                .filter(|s| reg(&s.host) == domain)
-                .count();
-            Table5Row {
-                presence: porn_extract.sites_with_registrable(&domain),
-                is_ats: ats.is_ats_fqdn(&domain),
-                in_regular_web: regular_extract
-                    .third_party_fqdns
-                    .iter()
-                    .any(|f| reg(f) == domain),
-                canvas_scripts: canvas,
-                webrtc_scripts: webrtc,
-                domain,
-            }
+        .filter_map(|domain| {
+            let presence = presence.get(domain).copied()?;
+            Some(Table5Row {
+                presence,
+                is_ats: ats.is_ats_fqdn(domain),
+                in_regular_web: regular.contains(domain),
+                canvas_scripts: canvas.get(domain).copied().unwrap_or(0),
+                webrtc_scripts: webrtc.get(domain).copied().unwrap_or(0),
+                domain: domain.to_string(),
+            })
         })
         .collect();
     rows.sort_by(|a, b| b.presence.cmp(&a.presence).then(a.domain.cmp(&b.domain)));

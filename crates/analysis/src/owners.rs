@@ -79,19 +79,21 @@ pub fn head_publisher(html: &str) -> Option<String> {
 /// Runs owner discovery.
 ///
 /// * `docs` — sanitized policies (from the interaction crawl);
+/// * `model` — the TF-IDF model fitted on `docs` ([`crate::policies::fit`]);
 /// * `crawl` — the main crawl (for `<head>` markup);
 /// * `whois` — the registration database;
 /// * `histories` — per-domain rank histories (for Table 1's "most popular").
 /// * `corpus_size` — sanitized corpus size.
 pub fn discover(
     docs: &[PolicyDoc],
+    model: &TfIdfModel,
     crawl: &CrawlRecord,
     whois: &WhoisDb,
     histories: &BTreeMap<String, RankHistory>,
     corpus_size: usize,
 ) -> OwnershipReport {
+    assert_eq!(model.n_documents(), docs.len(), "model fitted on docs");
     // --- Signal 1: policy-text clusters, labeled by operator statements. --
-    let model = TfIdfModel::fit(&docs.iter().map(|d| d.text.as_str()).collect::<Vec<_>>());
     let cluster_ids = model.cluster(CLUSTER_THRESHOLD);
 
     let mut clusters: BTreeMap<usize, Vec<usize>> = BTreeMap::new();

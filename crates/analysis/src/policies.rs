@@ -115,21 +115,34 @@ pub fn collect(interactions: &[InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
     (docs, sanitized_out)
 }
 
-/// Builds the §7.3 report. `corpus_size` is the sanitized porn corpus size.
-/// `max_pairs` caps the pairwise similarity scan (sampling evenly) so small
-/// worlds and benches stay fast; pass `usize::MAX` for the full quadratic
-/// sweep.
+/// Fits the TF-IDF model over the policy texts, in `docs` order. The §7.3
+/// similarity sweep ([`report`]) and the §4.1 owner clusters
+/// ([`crate::owners::discover`]) both read this one model.
+pub fn fit(docs: &[PolicyDoc]) -> TfIdfModel {
+    TfIdfModel::fit(&docs.iter().map(|d| d.text.as_str()).collect::<Vec<_>>())
+}
+
+/// Builds the §7.3 report from `docs` and `model`, their TF-IDF model
+/// ([`fit`]). `corpus_size` is the sanitized porn corpus size.
+///
+/// `max_pairs` sets the sampling stride of the pairwise similarity scan:
+/// every `⌊pairs / max_pairs⌋`-th pair (at least every pair) is examined, so
+/// small worlds and benches stay fast. It is not a hard cap: the floored
+/// stride is 1 for every pair count below `2 × max_pairs`, so nearly twice
+/// `max_pairs` pairs can be examined. Pass `usize::MAX` for the full
+/// quadratic sweep.
 pub fn report(
     docs: &[PolicyDoc],
+    model: &TfIdfModel,
     sanitized_out: usize,
     corpus_size: usize,
     max_pairs: usize,
 ) -> PolicyReport {
+    assert_eq!(model.n_documents(), docs.len(), "model fitted on docs");
     let gdpr = docs.iter().filter(|d| d.text.contains("GDPR")).count();
     let lens: Vec<usize> = docs.iter().map(|d| d.letters).collect();
 
     // Pairwise TF-IDF similarity.
-    let model = TfIdfModel::fit(&docs.iter().map(|d| d.text.as_str()).collect::<Vec<_>>());
     let n = docs.len();
     let total_pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
     let stride = (total_pairs / max_pairs.max(1)).max(1);
@@ -212,7 +225,7 @@ mod tests {
                 letters: 900,
             },
         ];
-        let rep = report(&docs, 2, 100, usize::MAX);
+        let rep = report(&docs, &fit(&docs), 2, 100, usize::MAX);
         assert_eq!(rep.with_policy, 3);
         assert_eq!(rep.gdpr_mentions, 1);
         assert_eq!(rep.sanitized_out, 2);

@@ -72,24 +72,6 @@ pub struct ThirdPartyExtract {
     pub contacted_fqdns: BTreeSet<String>,
 }
 
-impl ThirdPartyExtract {
-    /// Sites on which `fqdn` appears as a third party.
-    pub fn sites_with(&self, fqdn: &str) -> usize {
-        self.per_site
-            .values()
-            .filter(|p| p.third.contains(fqdn))
-            .count()
-    }
-
-    /// Sites on which any FQDN of `registrable` appears as a third party.
-    pub fn sites_with_registrable(&self, registrable: &str) -> usize {
-        self.per_site
-            .values()
-            .filter(|p| p.third.iter().any(|f| reg(f) == registrable))
-            .count()
-    }
-}
-
 /// Extracts parties from a crawl. `include_chained` keeps requests caused by
 /// embedded frames (RTB inclusion chains); Table 7 excludes them, the main
 /// §4.2 analysis includes them.

@@ -7,7 +7,8 @@
 //! three dependent stages run in two follow-up waves:
 //!
 //! * `fingerprinting` needs `webrtc` (Table 5 merges both script sets);
-//! * `ownership` needs `policies` (clusters are built from policy texts);
+//! * `ownership` needs `policies` (it clusters the policy texts with the
+//!   TF-IDF model `policies` fitted);
 //! * `disclosure` needs `fingerprinting` + `policies` (the Polisis pass
 //!   ranks sites by observed tracking and reads their policies).
 //!
@@ -50,6 +51,7 @@ use redlight_crawler::store::{shard_ranges, CrawlSlice};
 use redlight_net::geoip::Country;
 use redlight_obs::{Registry, SpanLink, Trace};
 use redlight_rankings::{PopularityTier, RankHistory};
+use redlight_text::tfidf::TfIdfModel;
 use redlight_websim::oracle::InspectionOracle;
 use redlight_websim::World;
 
@@ -208,7 +210,8 @@ pub struct AnalysisContext<'a> {
     pub countries: Vec<Country>,
     /// Size of the §7.2 manually studied most-popular subset.
     pub agegate_top_n: usize,
-    /// Cap on §7.3 policy pairs.
+    /// Sampling target for the §7.3 policy pairs
+    /// ([`StudyConfig::max_policy_pairs`]).
     pub max_policy_pairs: usize,
     /// §3 corpus compilation, as collection recorded it in the DB.
     pub corpus: &'a CorpusReport,
@@ -293,22 +296,28 @@ impl<'a> AnalysisContext<'a> {
             .crawl(Country::Spain, CorpusLabel::Regular)
             .expect("Spanish regular crawl recorded");
         let classifier = AtsClassifier::from_lists(&world.easylist, &world.easyprivacy);
-        let porn_extract = extract(porn_es, true, shards);
-        let regular_extract = extract(regular_es, true, shards);
         // Out-of-band TLS probe: connect to port 443 of any contacted FQDN
         // and read its certificate (what the paper's §4.2(3) pipeline did).
         let probe = |host: &str| -> Option<redlight_net::tls::CertSummary> {
             world.resolve_host(host)?;
             Some((&world.cert_for_host(host)).into())
         };
-        let cert_harvest = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
-        // One shard is one whole-crawl scan with no merge, as in
-        // `scan_shards`.
-        let cookie_rows = if shards == 1 {
-            cookies::scan(porn_es.full())
-        } else {
-            cookies::merge(porn_es.shards(shards).into_iter().map(cookies::scan))
-        };
+        // The four whole-crawl passes read only the DB and the world, so
+        // they run concurrently; each walks its shards in order.
+        let (porn_extract, regular_extract, cookie_rows, cert_harvest) =
+            crossbeam::thread::scope(|s| {
+                let porn = s.spawn(|_| extract(porn_es, true, shards));
+                let regular = s.spawn(|_| extract(regular_es, true, shards));
+                let rows = s.spawn(|_| cookie_rows(porn_es, shards));
+                let certs = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
+                (
+                    porn.join().expect("porn extract thread"),
+                    regular.join().expect("regular extract thread"),
+                    rows.join().expect("cookie rows thread"),
+                    certs,
+                )
+            })
+            .expect("context build scope");
         let interactions_es: Vec<InteractionRecord> =
             db.interactions_in(Country::Spain).cloned().collect();
         let client_ip = porn_es.client_ip;
@@ -361,6 +370,15 @@ fn extract(crawl: &CrawlRecord, include_chained: bool, shards: usize) -> ThirdPa
     )
 }
 
+/// The cookie rows of `crawl`, with the same one-shard rule as
+/// [`extract`].
+fn cookie_rows(crawl: &CrawlRecord, shards: usize) -> Vec<CookieRow> {
+    if shards == 1 {
+        return cookies::scan(crawl.full());
+    }
+    cookies::merge(crawl.shards(shards).into_iter().map(cookies::scan))
+}
+
 /// Stage outputs, one optional slot per stage — `None` when the stage was
 /// not selected. A full run fills every slot.
 #[derive(Debug, Default)]
@@ -389,8 +407,9 @@ pub struct StageOutputs {
     pub geo: Option<(Table7, GeoMalware)>,
     /// [`CONSENT_BANNERS`]: EU and USA breakdowns.
     pub consent_banners: Option<(BannerBreakdown, BannerBreakdown)>,
-    /// [`POLICIES`]: fetched docs + §7.3 report.
-    pub policies: Option<(Vec<PolicyDoc>, PolicyReport)>,
+    /// [`POLICIES`]: fetched docs, the TF-IDF model fitted on them (which
+    /// [`OWNERSHIP`] clusters with) + §7.3 report.
+    pub policies: Option<(Vec<PolicyDoc>, TfIdfModel, PolicyReport)>,
     /// [`OWNERSHIP`]: Table 1.
     pub ownership: Option<OwnershipReport>,
     /// [`MONETIZATION`].
@@ -416,7 +435,7 @@ impl StageOutputs {
         let (fingerprint, table5) = self.fingerprinting.expect("fingerprinting stage ran");
         let (table7, geo_malware) = self.geo.expect("geo stage ran");
         let (banners_eu, banners_usa) = self.consent_banners.expect("consent-banners stage ran");
-        let (_docs, policy_report) = self.policies.expect("policies stage ran");
+        let (_docs, _model, policy_report) = self.policies.expect("policies stage ran");
         StudyResults {
             corpus: self.corpus_summary.expect("corpus-summary stage ran"),
             fig1,
@@ -550,7 +569,7 @@ impl StageOutputs {
                 ),
             ));
         }
-        if let Some((docs, report)) = &self.policies {
+        if let Some((docs, _, report)) = &self.policies {
             out.push((
                 POLICIES,
                 format!(
@@ -801,8 +820,8 @@ pub fn run_observed(
         });
         let h_owners = want(OWNERSHIP).then(|| {
             s.spawn(move |_| {
-                let (docs, _) = docs.as_ref().expect("policies ran (dependency)");
-                observed(obs, OWNERSHIP, || stage_ownership(ctx, docs))
+                let (docs, model, _) = docs.as_ref().expect("policies ran (dependency)");
+                observed(obs, OWNERSHIP, || stage_ownership(ctx, docs, model))
             })
         });
         join(h_fp, &mut outputs.fingerprinting, &mut timings);
@@ -813,7 +832,7 @@ pub fn run_observed(
     // ---- Wave C: the disclosure check (needs fingerprinting + policies). ----
     if want(DISCLOSURE) {
         let (fp, _) = outputs.fingerprinting.as_ref().expect("fingerprinting ran");
-        let (docs, _) = outputs.policies.as_ref().expect("policies ran");
+        let (docs, _, _) = outputs.policies.as_ref().expect("policies ran");
         let (out, t) = observed(obs, DISCLOSURE, || stage_disclosure(ctx, fp, docs));
         outputs.disclosure = Some(out);
         timings.push(t);
@@ -1072,24 +1091,30 @@ fn stage_consent_banners(
     ((banners_eu, banners_usa), input, 2)
 }
 
-fn stage_policies(ctx: &AnalysisContext<'_>) -> ((Vec<PolicyDoc>, PolicyReport), usize, usize) {
+fn stage_policies(
+    ctx: &AnalysisContext<'_>,
+) -> ((Vec<PolicyDoc>, TfIdfModel, PolicyReport), usize, usize) {
     let (docs, sanitized_out) = policies::collect(&ctx.interactions_es);
+    let model = policies::fit(&docs);
     let report = policies::report(
         &docs,
+        &model,
         sanitized_out,
         ctx.corpus.sanitized.len(),
         ctx.max_policy_pairs,
     );
     let produced = docs.len();
-    ((docs, report), ctx.interactions_es.len(), produced)
+    ((docs, model, report), ctx.interactions_es.len(), produced)
 }
 
 fn stage_ownership(
     ctx: &AnalysisContext<'_>,
     docs: &[PolicyDoc],
+    model: &TfIdfModel,
 ) -> (OwnershipReport, usize, usize) {
     let report = owners::discover(
         docs,
+        model,
         ctx.porn_es,
         &ctx.world.whois,
         ctx.porn_histories,

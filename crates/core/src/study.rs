@@ -43,7 +43,10 @@ pub struct StudyConfig {
     /// Size of the manually studied most-popular subset for age gates
     /// (50 in the paper; scaled for smaller worlds).
     pub agegate_top_n: usize,
-    /// Cap on policy pairs examined for the §7.3 similarity sweep.
+    /// Sampling target for the §7.3 similarity sweep: every
+    /// `⌊pairs / max_policy_pairs⌋`-th policy pair is examined. The floored
+    /// stride makes it a target, not a cap: all pairs are examined below
+    /// twice this many, so a sweep can examine nearly twice the target.
     pub max_policy_pairs: usize,
     /// Network profile every crawl runs over: transport stack (metered,
     /// optionally fault-injecting) plus the visit retry policy. The default

@@ -56,6 +56,23 @@ pub fn cosine_similarity(a: &TfIdfVector, b: &TfIdfVector) -> f64 {
     dot
 }
 
+/// The L2-normalized vector of one document's `(term id, count)` pairs,
+/// which must be sorted by term id: each weight is `count × idf`, and the
+/// norm sums the squared weights in id order.
+fn weigh(counts: Vec<(u32, u32)>, idf: &[f64]) -> TfIdfVector {
+    let mut entries: Vec<(u32, f64)> = counts
+        .into_iter()
+        .map(|(id, tf)| (id, tf as f64 * idf[id as usize]))
+        .collect();
+    let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+    if norm > 0.0 {
+        for e in &mut entries {
+            e.1 /= norm;
+        }
+    }
+    TfIdfVector { entries }
+}
+
 /// A fitted TF-IDF model over a document corpus.
 ///
 /// Build with [`TfIdfModel::fit`], then obtain per-document vectors with
@@ -69,38 +86,48 @@ pub struct TfIdfModel {
 
 impl TfIdfModel {
     /// Fits the model on `documents`, tokenizing each with
-    /// [`tokenize::words`]. IDF uses the smoothed form
+    /// [`tokenize::for_each_word`]. Term ids follow first appearance across
+    /// the documents in order. IDF uses the smoothed form
     /// `ln((1 + N) / (1 + df)) + 1`, so terms present in every document still
     /// carry a small positive weight.
     pub fn fit<S: AsRef<str>>(documents: &[S]) -> Self {
-        let tokenized: Vec<Vec<String>> = documents
-            .iter()
-            .map(|d| tokenize::words(d.as_ref()))
-            .collect();
-        Self::fit_tokenized(&tokenized)
-    }
-
-    /// Fits the model on pre-tokenized documents.
-    pub fn fit_tokenized(documents: &[Vec<String>]) -> Self {
         let n_docs = documents.len();
         let mut vocab: HashMap<String, u32> = HashMap::new();
         let mut doc_freq: Vec<u32> = Vec::new();
 
-        // First pass: vocabulary + document frequencies.
-        let mut term_counts: Vec<HashMap<u32, u32>> = Vec::with_capacity(n_docs);
+        // First pass: vocabulary, document frequencies and each document's
+        // `(term id, count)` pairs in id order. `tf` is indexed by term id
+        // and zeroed again after each document; `seen` lists the ids the
+        // current document touched.
+        let mut term_counts: Vec<Vec<(u32, u32)>> = Vec::with_capacity(n_docs);
+        let mut tf: Vec<u32> = Vec::new();
+        let mut seen: Vec<u32> = Vec::new();
+        let mut token = String::new();
         for doc in documents {
-            let mut counts: HashMap<u32, u32> = HashMap::new();
-            for term in doc {
-                let next_id = vocab.len() as u32;
-                let id = *vocab.entry(term.clone()).or_insert(next_id);
-                if id as usize == doc_freq.len() {
-                    doc_freq.push(0);
+            tokenize::for_each_word(doc.as_ref(), &mut token, |term| {
+                let id = match vocab.get(term) {
+                    Some(&id) => id,
+                    None => {
+                        let id = vocab.len() as u32;
+                        vocab.insert(term.to_owned(), id);
+                        doc_freq.push(0);
+                        tf.push(0);
+                        id
+                    }
+                };
+                if tf[id as usize] == 0 {
+                    seen.push(id);
                 }
-                *counts.entry(id).or_insert(0) += 1;
-            }
-            for &id in counts.keys() {
-                doc_freq[id as usize] += 1;
-            }
+                tf[id as usize] += 1;
+            });
+            seen.sort_unstable();
+            let counts = seen
+                .drain(..)
+                .map(|id| {
+                    doc_freq[id as usize] += 1;
+                    (id, std::mem::take(&mut tf[id as usize]))
+                })
+                .collect();
             term_counts.push(counts);
         }
 
@@ -112,20 +139,7 @@ impl TfIdfModel {
         // Second pass: weighted, normalized vectors.
         let vectors = term_counts
             .into_iter()
-            .map(|counts| {
-                let mut entries: Vec<(u32, f64)> = counts
-                    .into_iter()
-                    .map(|(id, tf)| (id, tf as f64 * idf[id as usize]))
-                    .collect();
-                entries.sort_unstable_by_key(|&(id, _)| id);
-                let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-                if norm > 0.0 {
-                    for e in &mut entries {
-                        e.1 /= norm;
-                    }
-                }
-                TfIdfVector { entries }
-            })
+            .map(|counts| weigh(counts, &idf))
             .collect();
 
         Self {
@@ -159,23 +173,14 @@ impl TfIdfModel {
     /// ignored) and returns its normalized vector.
     pub fn transform(&self, document: &str) -> TfIdfVector {
         let mut counts: HashMap<u32, u32> = HashMap::new();
-        for term in tokenize::words(document) {
-            if let Some(&id) = self.vocab.get(&term) {
+        tokenize::for_each_word(document, &mut String::new(), |term| {
+            if let Some(&id) = self.vocab.get(term) {
                 *counts.entry(id).or_insert(0) += 1;
             }
-        }
-        let mut entries: Vec<(u32, f64)> = counts
-            .into_iter()
-            .map(|(id, tf)| (id, tf as f64 * self.idf[id as usize]))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-        if norm > 0.0 {
-            for e in &mut entries {
-                e.1 /= norm;
-            }
-        }
-        TfIdfVector { entries }
+        });
+        let mut counts: Vec<(u32, u32)> = counts.into_iter().collect();
+        counts.sort_unstable_by_key(|&(id, _)| id);
+        weigh(counts, &self.idf)
     }
 
     /// Greedy single-link clustering: documents `i`, `j` end up in one
@@ -222,6 +227,109 @@ impl TfIdfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The tokenizer the fit used before it tokenized into a reused buffer:
+    /// one owned `String` per token, kept if it has at least two chars after
+    /// lowercasing.
+    fn owned_words(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut cur = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                for lc in ch.to_lowercase() {
+                    cur.push(lc);
+                }
+            } else if !cur.is_empty() {
+                if cur.chars().count() >= 2 {
+                    out.push(std::mem::take(&mut cur));
+                } else {
+                    cur.clear();
+                }
+            }
+        }
+        if cur.chars().count() >= 2 {
+            out.push(cur);
+        }
+        out
+    }
+
+    /// The fit over owned, pre-tokenized documents that [`TfIdfModel::fit`]
+    /// must match bit for bit: one count map per document, ids assigned
+    /// through `vocab.entry` on a cloned token.
+    fn fit_tokenized(documents: &[Vec<String>]) -> TfIdfModel {
+        let n_docs = documents.len();
+        let mut vocab: HashMap<String, u32> = HashMap::new();
+        let mut doc_freq: Vec<u32> = Vec::new();
+        let mut term_counts: Vec<HashMap<u32, u32>> = Vec::with_capacity(n_docs);
+        for doc in documents {
+            let mut counts: HashMap<u32, u32> = HashMap::new();
+            for term in doc {
+                let next_id = vocab.len() as u32;
+                let id = *vocab.entry(term.clone()).or_insert(next_id);
+                if id as usize == doc_freq.len() {
+                    doc_freq.push(0);
+                }
+                *counts.entry(id).or_insert(0) += 1;
+            }
+            for &id in counts.keys() {
+                doc_freq[id as usize] += 1;
+            }
+            term_counts.push(counts);
+        }
+        let idf: Vec<f64> = doc_freq
+            .iter()
+            .map(|&df| ((1.0 + n_docs as f64) / (1.0 + df as f64)).ln() + 1.0)
+            .collect();
+        let vectors = term_counts
+            .into_iter()
+            .map(|counts| {
+                let mut entries: Vec<(u32, f64)> = counts
+                    .into_iter()
+                    .map(|(id, tf)| (id, tf as f64 * idf[id as usize]))
+                    .collect();
+                entries.sort_unstable_by_key(|&(id, _)| id);
+                let norm = entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+                if norm > 0.0 {
+                    for e in &mut entries {
+                        e.1 /= norm;
+                    }
+                }
+                TfIdfVector { entries }
+            })
+            .collect();
+        TfIdfModel {
+            vocab,
+            idf,
+            vectors,
+        }
+    }
+
+    /// A model's IDF weights and vectors with every `f64` as its bits.
+    fn bits(m: &TfIdfModel) -> (Vec<u64>, Vec<Vec<(u32, u64)>>) {
+        let idf = m.idf.iter().map(|w| w.to_bits()).collect();
+        let vectors = m
+            .vectors
+            .iter()
+            .map(|v| v.iter().map(|(id, w)| (id, w.to_bits())).collect())
+            .collect();
+        (idf, vectors)
+    }
+
+    proptest! {
+        /// Mixed case, digits, `İ` (two chars once lowercased), `ß`,
+        /// single-char tokens, punctuation runs and empty documents, over a
+        /// small alphabet so terms recur within and across documents.
+        #[test]
+        fn fit_matches_owned_token_fit(docs in vec("[abAB01İß ,.!-]{0,40}", 0..8)) {
+            let fitted = TfIdfModel::fit(&docs);
+            let tokenized: Vec<Vec<String>> = docs.iter().map(|d| owned_words(d)).collect();
+            let oracle = fit_tokenized(&tokenized);
+            prop_assert_eq!(&fitted.vocab, &oracle.vocab);
+            prop_assert_eq!(bits(&fitted), bits(&oracle));
+        }
+    }
 
     #[test]
     fn identical_documents_have_similarity_one() {

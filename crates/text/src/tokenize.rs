@@ -1,32 +1,34 @@
 //! Lightweight tokenizers shared by the TF-IDF model and the keyword
 //! detectors.
 
-/// Splits `text` into lowercase word tokens.
+/// Calls `visit` with each lowercase word token of `text`, in order.
 ///
 /// A token is a maximal run of alphanumeric characters; everything else
-/// (punctuation, whitespace, markup leftovers) is a separator. Tokens shorter
-/// than two characters are dropped, matching what the study's policy
-/// similarity computation needs (single letters carry no signal).
-pub fn words(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
+/// (punctuation, whitespace, markup leftovers) is a separator. Tokens
+/// shorter than two characters after lowercasing are dropped, matching what
+/// the study's policy similarity computation needs (single letters carry no
+/// signal). Each token is lowercased into `buf`, which is reused across
+/// tokens and calls, so tokenizing allocates nothing per token.
+pub fn for_each_word(text: &str, buf: &mut String, mut visit: impl FnMut(&str)) {
+    buf.clear();
+    let mut chars = 0usize;
     for ch in text.chars() {
         if ch.is_alphanumeric() {
             for lc in ch.to_lowercase() {
-                cur.push(lc);
+                buf.push(lc);
+                chars += 1;
             }
-        } else if !cur.is_empty() {
-            if cur.chars().count() >= 2 {
-                out.push(std::mem::take(&mut cur));
-            } else {
-                cur.clear();
+        } else if chars > 0 {
+            if chars >= 2 {
+                visit(buf);
             }
+            buf.clear();
+            chars = 0;
         }
     }
-    if cur.chars().count() >= 2 {
-        out.push(cur);
+    if chars >= 2 {
+        visit(buf);
     }
-    out
 }
 
 /// Counts the number of letters (alphabetic characters) in `text`.
@@ -62,6 +64,12 @@ pub fn distinct_chars(text: &str) -> usize {
 mod tests {
     use super::*;
 
+    fn words(text: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_word(text, &mut String::new(), |w| out.push(w.to_owned()));
+        out
+    }
+
     #[test]
     fn splits_on_punctuation_and_lowercases() {
         assert_eq!(
@@ -73,6 +81,17 @@ mod tests {
     #[test]
     fn drops_single_char_tokens() {
         assert_eq!(words("a b cd"), vec!["cd"]);
+        // `İ` lowercases to two chars (`i` + U+0307), so it stays a token.
+        assert_eq!(words("İ x"), vec!["i\u{307}"]);
+    }
+
+    #[test]
+    fn reused_buffer_starts_clean() {
+        let mut buf = String::from("stale");
+        let mut out = Vec::new();
+        for_each_word("ok", &mut buf, |w| out.push(w.to_owned()));
+        for_each_word("x, yz", &mut buf, |w| out.push(w.to_owned()));
+        assert_eq!(out, vec!["ok", "yz"]);
     }
 
     #[test]

@@ -83,7 +83,8 @@ fn main() {
     // ---- Privacy policies (§7.3) + monetization (§4.1). ----
     let interactions = SeleniumCrawler::new(&world, Country::Spain).crawl(&corpus.sanitized);
     let (docs, sanitized_out) = policies::collect(&interactions);
-    let report = policies::report(&docs, sanitized_out, corpus.sanitized.len(), 50_000);
+    let model = policies::fit(&docs);
+    let report = policies::report(&docs, &model, sanitized_out, corpus.sanitized.len(), 50_000);
     println!(
         "\npolicies: {} of {} sites ({:.1}%); {} GDPR mentions; mean length {:.0} letters; \
          {:.1}% of pairs similar (TF-IDF ≥ 0.5)",

@@ -35,6 +35,10 @@ PROPTEST_CASES=32 cargo test -q --test shard_equivalence
 echo "==> batch classification equivalence (batched == per-request verdicts)"
 PROPTEST_CASES=64 cargo test -q --test batch_equivalence
 
+echo "==> analysis oracles (Table 4/5 lookups, TF-IDF fit)"
+PROPTEST_CASES=64 cargo test -q -p redlight-analysis --test table_oracles
+PROPTEST_CASES=64 cargo test -q -p redlight-text --lib tfidf::tests::fit_matches_owned_token_fit
+
 echo "==> sim event-queue properties (total order, monotone drain)"
 PROPTEST_CASES=64 cargo test -q -p redlight-sim --test kernel_props
 

@@ -32,6 +32,15 @@ fn crawl(world: &World, domains: &[String], blocker: bool) -> CrawlRecord {
     record
 }
 
+/// Sites on which `fqdn` appears as a third party.
+fn sites_with(extract: &thirdparty::ThirdPartyExtract, fqdn: &str) -> usize {
+    extract
+        .per_site
+        .values()
+        .filter(|p| p.third.contains(fqdn))
+        .count()
+}
+
 #[test]
 fn blocker_cuts_listed_trackers_but_not_unlisted_fingerprinters() {
     let world = World::build(WorldConfig::small(67));
@@ -50,7 +59,7 @@ fn blocker_cuts_listed_trackers_but_not_unlisted_fingerprinters() {
         "addthis.com",
     ] {
         assert_eq!(
-            blocked_extract.sites_with(fqdn),
+            sites_with(&blocked_extract, fqdn),
             0,
             "{fqdn} must be blocked by its ||domain^ rule"
         );
