@@ -5,7 +5,7 @@
 //! against the full request URL; counting ATS *organizations* relaxes the
 //! match to the base FQDN.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use redlight_blocklist::{FilterSet, RequestContext};
 use redlight_net::http::ResourceKind;
@@ -13,16 +13,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::thirdparty::ThirdPartyExtract;
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::{CrawlSlice, Sym};
-
-/// Interned key of one batch-classified request occurrence:
-/// `(request URL, page host, request host, resource kind)`, the first three
-/// as syms of the owning crawl's table.
-pub type BatchKey = (Sym, Sym, Sym, ResourceKind);
+use redlight_crawler::store::CrawlSlice;
 
 /// The classifier, loaded with both lists. Every verdict is one matcher
-/// call: the matcher's own tiers (domain buckets, token buckets) are the
-/// only acceleration.
+/// call: the matcher's domain buckets are the only acceleration.
 pub struct AtsClassifier {
     filters: FilterSet,
 }
@@ -55,40 +49,26 @@ impl AtsClassifier {
     }
 
     /// Classifies every answered request of a slice's successful visits,
-    /// one [`AtsClassifier::is_ats_url`] call per distinct interned
-    /// `(url, page, host, kind)` key. No analysis stage calls it; the
-    /// benchmark of record (`perfbench/`) times it.
+    /// one [`AtsClassifier::is_ats_url`] call per occurrence. No analysis
+    /// stage calls it; the benchmark of record (`perfbench/`) times it.
     pub fn classify_batch(&self, slice: CrawlSlice<'_>) -> BatchVerdicts {
-        let mut url: HashMap<BatchKey, bool> = HashMap::new();
-        let mut total_requests = 0usize;
+        let mut verdicts = Vec::new();
         for record in slice.successful() {
-            let Some(page) = record.final_host else {
+            let Some(page) = &record.visit.final_url else {
                 continue;
             };
-            for (i, req) in record.visit.requests.iter().enumerate() {
-                if req.status.is_none() {
-                    continue;
-                }
-                total_requests += 1;
-                let key = (
-                    record.request_urls[i],
-                    page,
-                    record.request_hosts[i],
+            for req in record.visit.requests.iter().filter(|r| r.status.is_some()) {
+                verdicts.push(self.is_ats_url(
+                    &req.url.without_fragment(),
+                    page.host().as_str(),
+                    req.url.host().as_str(),
                     req.kind,
-                );
-                url.entry(key).or_insert_with(|| {
-                    self.is_ats_url(
-                        slice.name(key.0),
-                        slice.name(key.1),
-                        slice.name(key.2),
-                        key.3,
-                    )
-                });
+                ));
             }
         }
         BatchVerdicts {
-            url,
-            total_requests,
+            total_requests: verdicts.len(),
+            verdicts,
         }
     }
 
@@ -98,22 +78,15 @@ impl AtsClassifier {
     }
 }
 
-/// Sym-keyed verdicts for one crawl slice, produced by
+/// Verdicts for one crawl slice, produced by
 /// [`AtsClassifier::classify_batch`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchVerdicts {
-    /// Verdict per distinct `(url, page, host, kind)` key.
-    url: HashMap<BatchKey, bool>,
-    /// Request occurrences covered (answered requests of successful visits
-    /// with a final URL).
+    /// One verdict per answered request of the slice's successful visits
+    /// with a final URL, in visit order, then request order.
+    pub verdicts: Vec<bool>,
+    /// Request occurrences covered: `verdicts.len()`.
     pub total_requests: usize,
-}
-
-impl BatchVerdicts {
-    /// The batch verdict for `key`, when covered.
-    pub fn url_verdict(&self, key: BatchKey) -> Option<bool> {
-        self.url.get(&key).copied()
-    }
 }
 
 /// Table 2: first/third-party domain counts for both corpora.
@@ -207,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_batch_matches_per_request_and_dedups() {
+    fn classify_batch_matches_per_request() {
         use redlight_browser::instrument::{Initiator, RequestRecord};
         use redlight_browser::PageVisit;
         use redlight_crawler::db::{CorpusLabel, CrawlRecord};
@@ -247,30 +220,8 @@ mod tests {
 
         let cls = AtsClassifier::from_lists("||exoclick.com^\n", "");
         let batch = cls.classify_batch(crawl.full());
+        // One verdict per answered occurrence, duplicates included.
+        assert_eq!(batch.verdicts, [true, true, false]);
         assert_eq!(batch.total_requests, 3);
-        assert_eq!(batch.url.len(), 2, "one verdict per distinct key");
-
-        // Every covered occurrence's batch verdict equals per-request string
-        // classification.
-        let record = &crawl.visits[0];
-        let page = record.final_host.unwrap();
-        for (i, r) in record.visit.requests.iter().enumerate() {
-            if r.status.is_none() {
-                continue;
-            }
-            let expect = cls.is_ats_url(
-                &r.url.without_fragment(),
-                "porn.site",
-                r.url.host().as_str(),
-                r.kind,
-            );
-            let key = (
-                record.request_urls[i],
-                page,
-                record.request_hosts[i],
-                r.kind,
-            );
-            assert_eq!(batch.url_verdict(key), Some(expect), "request {i}");
-        }
     }
 }

@@ -1,6 +1,6 @@
-//! Shared fixture for the `ats_match` and `transport` micro-benches.
+//! Shared fixture for the `transport` micro-bench.
 //!
-//! Each bench builds the fixture once (world, corpus and the Spanish porn
+//! The bench builds the fixture once (world, corpus and the Spanish porn
 //! crawl — the expensive, non-benchmarked part), then lets Criterion time
 //! the isolated kernel.
 
@@ -10,7 +10,7 @@ use redlight_crawler::openwpm::{CrawlConfig, OpenWpmCrawler};
 use redlight_net::geoip::Country;
 use redlight_websim::{World, WorldConfig};
 
-/// Seed shared by all benches so their outputs cross-reference.
+/// Seed of the bench fixture.
 pub const BENCH_SEED: u64 = 2019;
 
 /// A world with its compiled corpus and the Spanish porn crawl.
@@ -21,18 +21,9 @@ pub struct Fixture {
 }
 
 impl Fixture {
-    /// Builds the standard small-scale fixture (~340 porn sites).
-    pub fn small() -> Fixture {
-        Self::with_config(WorldConfig::small(BENCH_SEED))
-    }
-
-    /// Builds the tiny fixture for crawl-heavy benches.
+    /// Builds the tiny fixture.
     pub fn tiny() -> Fixture {
-        Self::with_config(WorldConfig::tiny(BENCH_SEED))
-    }
-
-    fn with_config(config: WorldConfig) -> Fixture {
-        let world = World::build(config);
+        let world = World::build(WorldConfig::tiny(BENCH_SEED));
         let corpus = CorpusCompiler::new(&world).compile();
         let porn = OpenWpmCrawler::new(
             &world,
@@ -51,7 +42,7 @@ impl Fixture {
     }
 }
 
-/// Criterion defaults shared by both benches: few samples, short windows.
+/// Criterion defaults for the bench: few samples, short windows.
 pub fn criterion() -> criterion::Criterion {
     criterion::Criterion::default()
         .sample_size(10)

@@ -12,20 +12,16 @@
 //!
 //! [`filter`] implements the rule syntax (domain anchors `||…^`, start/end
 //! anchors, wildcards, separators, `@@` exceptions, `$` options including
-//! `third-party`, resource types and `domain=`), [`matcher`] the
-//! token-indexed engine (with [`tokens`] providing the safe-substring
-//! extraction), [`linear`] the retained pre-index reference matcher used by
-//! the equivalence tests and benchmarks, and [`disconnect`] the entity list.
+//! `third-party`, resource types and `domain=`), [`matcher`] the rule set
+//! (domain buckets for anchored rules, one scan for the rest, one exception
+//! list), and [`disconnect`] the entity list.
 
 #![warn(missing_docs)]
 
 pub mod disconnect;
 pub mod filter;
-pub mod linear;
 pub mod matcher;
-pub mod tokens;
 
 pub use disconnect::EntityList;
 pub use filter::{Filter, FilterParseError, RequestContext};
-pub use linear::LinearFilterSet;
 pub use matcher::{FilterSet, MatchResult};

@@ -1,34 +1,30 @@
-//! Indexed filter matching over whole lists.
+//! Filter matching over whole lists.
 //!
 //! [`FilterSet`] holds parsed rules from one or more lists (EasyList +
-//! EasyPrivacy in the study) behind a two-tier index and answers:
+//! EasyPrivacy in the study) and answers:
 //!
 //! * [`FilterSet::matches`] — full-URL matching with exception handling, the
 //!   §4.2(2) classification;
 //! * [`FilterSet::matches_fqdn_relaxed`] — the paper's relaxed variant that
 //!   only considers the base FQDN, used to count ATS organizations.
 //!
-//! # Index structure
+//! # Layout
 //!
-//! * **Tier 1 — domain buckets.** Domain-anchored rules (`||anchor^…`) can
-//!   only match requests whose host sits under the anchor, so they are
-//!   bucketed by the anchor's registrable domain and looked up by the
-//!   request host's registrable domain.
-//! * **Tier 2 — token buckets.** Generic rules are bucketed by a hash of a
-//!   *safe* fixed substring of their pattern (see [`crate::tokens`]); a
-//!   lookup tokenizes the URL once and only evaluates rules sharing a
-//!   token. Rules without a safe token live in a small always-scanned list.
+//! * **Domain buckets.** A blocking rule anchored on a domain (`||anchor^…`)
+//!   can only match hosts under its anchor. When the anchor is neither a
+//!   public suffix nor malformed, every such host shares the anchor's
+//!   registrable domain, so the rule is bucketed by it and a lookup reads
+//!   the request host's bucket only.
+//! * **The scan.** Every other blocking rule — unanchored patterns, and
+//!   anchors that are public suffixes (`||co.uk^`) or malformed — sits in
+//!   one list, in insertion order, tried after the bucket.
+//! * **Exceptions.** `@@` rules sit in one list, in insertion order, tried
+//!   only once a blocking rule matched.
 //!
-//! Exception rules get the same treatment (domain buckets + token buckets),
-//! with one guard: an anchored exception whose anchor *is itself* a public
-//! suffix (`@@||co.uk^…`) covers hosts across many registrable domains, so
-//! it stays in the always-scanned list.
-//!
-//! Candidates gathered from several buckets are evaluated in insertion
-//! order, so the first matching rule — and therefore every returned
-//! [`MatchResult`] — is byte-identical to the retained linear reference
-//! matcher ([`crate::linear::LinearFilterSet`]), which the equivalence
-//! property test enforces.
+//! The first matching exception is the one a linear scan of the lists would
+//! report. The blocking rule named in [`MatchResult::Blocked`] can differ
+//! from a linear scan's, because the bucket is consulted before the scan;
+//! the verdict cannot.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -36,7 +32,6 @@ use std::collections::HashMap;
 use redlight_net::psl;
 
 use crate::filter::{Filter, RequestContext};
-use crate::tokens;
 
 /// Outcome of matching a URL against a filter set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,27 +51,16 @@ impl MatchResult {
     }
 }
 
-/// A parsed, indexed collection of filter rules.
+/// A parsed collection of filter rules.
 #[derive(Debug, Clone, Default)]
 pub struct FilterSet {
-    /// Domain-anchored blocking rules, bucketed by the anchor's registrable
-    /// domain (tier 1).
+    /// Blocking rules with a bucketable domain anchor, keyed by the
+    /// anchor's registrable domain.
     by_domain: HashMap<String, Vec<Filter>>,
-    /// Blocking rules without a domain anchor, in insertion order.
-    generic: Vec<Filter>,
-    /// Token hash → indices into `generic` (tier 2).
-    generic_tokens: HashMap<u64, Vec<u32>>,
-    /// Indices of generic rules without a safe token: always evaluated.
-    generic_scan: Vec<u32>,
-    /// Exception rules (`@@`), all of them, in insertion order.
+    /// Every other blocking rule, in insertion order.
+    scan: Vec<Filter>,
+    /// Exception rules (`@@`), in insertion order.
     exceptions: Vec<Filter>,
-    /// Anchored exceptions, bucketed by the anchor's registrable domain.
-    exc_by_domain: HashMap<String, Vec<u32>>,
-    /// Token hash → indices into `exceptions`.
-    exc_tokens: HashMap<u64, Vec<u32>>,
-    /// Exception indices that must always be evaluated (no safe token, or
-    /// anchored on a public suffix).
-    exc_scan: Vec<u32>,
     /// Number of rule lines parsed.
     rule_count: usize,
 }
@@ -100,45 +84,20 @@ impl FilterSet {
         added
     }
 
-    /// Adds one parsed filter to the appropriate index tier.
+    /// Adds one parsed filter: to its domain bucket, the scan or the
+    /// exceptions.
     pub fn add_filter(&mut self, filter: Filter) {
         self.rule_count += 1;
         if filter.exception {
-            let idx = self.exceptions.len() as u32;
-            match filter.anchor_domain.as_deref() {
-                Some(anchor) if bucketable_anchor(anchor) => {
-                    let key = psl::registrable_domain(anchor).to_string();
-                    self.exc_by_domain.entry(key).or_default().push(idx);
-                }
-                Some(_) => self.exc_scan.push(idx),
-                None => {
-                    match tokens::pattern_token(
-                        &filter.pattern,
-                        filter.start_anchor,
-                        filter.end_anchor,
-                    ) {
-                        Some(t) => self.exc_tokens.entry(t).or_default().push(idx),
-                        None => self.exc_scan.push(idx),
-                    }
-                }
-            }
             self.exceptions.push(filter);
             return;
         }
-        match &filter.anchor_domain {
-            Some(anchor) => {
+        match filter.anchor_domain.as_deref() {
+            Some(anchor) if bucketable_anchor(anchor) => {
                 let key = psl::registrable_domain(anchor).to_string();
                 self.by_domain.entry(key).or_default().push(filter);
             }
-            None => {
-                let idx = self.generic.len() as u32;
-                match tokens::pattern_token(&filter.pattern, filter.start_anchor, filter.end_anchor)
-                {
-                    Some(t) => self.generic_tokens.entry(t).or_default().push(idx),
-                    None => self.generic_scan.push(idx),
-                }
-                self.generic.push(filter);
-            }
+            _ => self.scan.push(filter),
         }
     }
 
@@ -154,77 +113,29 @@ impl FilterSet {
 
     /// Matches a full URL in context, applying exception rules.
     pub fn matches(&self, url: &str, ctx: &RequestContext<'_>) -> MatchResult {
-        // The URL is tokenized at most once, memoized across the blocking
-        // and exception passes.
-        let mut url_tokens: Option<Vec<u64>> = None;
-        match self.first_blocking_match(url, ctx, &mut url_tokens) {
-            None => MatchResult::Clean,
-            Some(rule) => match self.first_exception_match(url, ctx, &mut url_tokens) {
-                Some(exc) => MatchResult::Excepted(exc.raw.clone()),
-                None => MatchResult::Blocked(rule.raw.clone()),
-            },
-        }
-    }
-
-    fn first_blocking_match<'s>(
-        &'s self,
-        url: &str,
-        ctx: &RequestContext<'_>,
-        url_tokens: &mut Option<Vec<u64>>,
-    ) -> Option<&'s Filter> {
-        let key = psl::registrable_domain(ctx.request_host);
-        if let Some(rules) = self.by_domain.get(key) {
-            if let Some(f) = rules.iter().find(|f| f.matches(url, ctx)) {
-                return Some(f);
-            }
-        }
-        if self.generic.is_empty() {
-            return None;
-        }
-        let candidates = gather(
-            url,
-            url_tokens,
-            &self.generic_scan,
-            &self.generic_tokens,
-            None,
-        );
-        candidates
-            .into_iter()
-            .map(|i| &self.generic[i as usize])
-            .find(|f| f.matches(url, ctx))
-    }
-
-    fn first_exception_match<'s>(
-        &'s self,
-        url: &str,
-        ctx: &RequestContext<'_>,
-        url_tokens: &mut Option<Vec<u64>>,
-    ) -> Option<&'s Filter> {
-        if self.exceptions.is_empty() {
-            return None;
-        }
-        let domain_bucket = self
-            .exc_by_domain
+        let bucket = self
+            .by_domain
             .get(psl::registrable_domain(ctx.request_host))
-            .map(Vec::as_slice);
-        let candidates = gather(
-            url,
-            url_tokens,
-            &self.exc_scan,
-            &self.exc_tokens,
-            domain_bucket,
-        );
-        candidates
-            .into_iter()
-            .map(|i| &self.exceptions[i as usize])
+            .map_or(&[][..], Vec::as_slice);
+        let Some(rule) = bucket
+            .iter()
+            .chain(&self.scan)
             .find(|f| f.matches(url, ctx))
+        else {
+            return MatchResult::Clean;
+        };
+        match self.exceptions.iter().find(|f| f.matches(url, ctx)) {
+            Some(exc) => MatchResult::Excepted(exc.raw.clone()),
+            None => MatchResult::Blocked(rule.raw.clone()),
+        }
     }
 
-    /// The paper's relaxed matching: is this FQDN covered by a rule's domain
-    /// anchor? Domain-wide rules (`||anchor^` with no path) cover the anchor
-    /// and its subdomains; path rules only flag the anchored host itself —
-    /// a path rule on `cloudfront.net` marks `cloudfront.net` as ATS but
-    /// does not taint every customer's `dxxxx.cloudfront.net` bucket.
+    /// The paper's relaxed matching: is this FQDN covered by a blocking
+    /// rule's domain anchor? Domain-wide rules (`||anchor^` with no path)
+    /// cover the anchor, its subdomains and its parents; path rules only
+    /// flag the anchored host itself — a path rule on `cloudfront.net`
+    /// marks `cloudfront.net` as ATS but does not taint every customer's
+    /// `dxxxx.cloudfront.net` bucket.
     pub fn matches_fqdn_relaxed(&self, fqdn: &str) -> bool {
         // Only lowercase when the caller's FQDN actually needs it.
         let lowered: Cow<'_, str> = if fqdn.bytes().any(|b| b.is_ascii_uppercase()) {
@@ -233,29 +144,27 @@ impl FilterSet {
             Cow::Borrowed(fqdn)
         };
         let fqdn = lowered.as_ref();
-        let key = psl::registrable_domain(fqdn);
-        self.by_domain.get(key).is_some_and(|rules| {
-            rules.iter().any(|f| {
-                f.anchor_domain.as_deref().is_some_and(|anchor| {
-                    let domain_wide = f.pattern.is_empty() || f.pattern == "^";
-                    if domain_wide {
-                        fqdn == anchor
-                            || ends_with_dot_prefixed(fqdn, anchor)
-                            || ends_with_dot_prefixed(anchor, fqdn)
-                    } else {
-                        fqdn == anchor
-                    }
-                })
+        let covers = |f: &Filter| {
+            f.anchor_domain.as_deref().is_some_and(|anchor| {
+                let domain_wide = f.pattern.is_empty() || f.pattern == "^";
+                if domain_wide {
+                    fqdn == anchor
+                        || ends_with_dot_prefixed(fqdn, anchor)
+                        || ends_with_dot_prefixed(anchor, fqdn)
+                } else {
+                    fqdn == anchor
+                }
             })
-        })
-    }
-
-    /// All anchor domains in the set (used to compute list coverage).
-    pub fn anchor_domains(&self) -> impl Iterator<Item = &str> {
+        };
+        if !bucketable_anchor(fqdn) {
+            // A public suffix (`co.uk`) is the parent of anchors in many
+            // registrable domains, so no single bucket holds them all.
+            return self.by_domain.values().flatten().any(covers) || self.scan.iter().any(covers);
+        }
         self.by_domain
-            .values()
-            .flatten()
-            .filter_map(|f| f.anchor_domain.as_deref())
+            .get(psl::registrable_domain(fqdn))
+            .is_some_and(|rules| rules.iter().any(covers))
+            || self.scan.iter().any(covers)
     }
 }
 
@@ -267,53 +176,21 @@ fn ends_with_dot_prefixed(haystack: &str, needle: &str) -> bool {
         .is_some_and(|prefix| prefix.ends_with('.'))
 }
 
-/// An anchored exception may be bucketed by its anchor's registrable domain
-/// only when every matching host shares that registrable domain: true for
-/// clean, non-public-suffix anchors (`reg(sub.anchor) == reg(anchor)`),
-/// false for public suffixes (`@@||co.uk^` must cover `x.co.uk`, whose
-/// registrable domain is `x.co.uk` itself) and malformed anchors.
-fn bucketable_anchor(anchor: &str) -> bool {
-    !psl::is_public_suffix(anchor)
-        && !anchor.starts_with('.')
-        && !anchor.ends_with('.')
-        && !anchor.contains("..")
-}
-
-/// Collects candidate rule indices: the always-scan list, the optional
-/// domain bucket, and every token bucket the URL's tokens hit. Sorting and deduplicating restores insertion order, which
-/// keeps first-match-wins semantics identical to a linear scan.
-fn gather(
-    url: &str,
-    url_tokens: &mut Option<Vec<u64>>,
-    scan: &[u32],
-    token_buckets: &HashMap<u64, Vec<u32>>,
-    domain_bucket: Option<&[u32]>,
-) -> Vec<u32> {
-    let mut candidates: Vec<u32> = scan.to_vec();
-    if let Some(bucket) = domain_bucket {
-        candidates.extend_from_slice(bucket);
-    }
-    if !token_buckets.is_empty() {
-        let toks = url_tokens.get_or_insert_with(|| {
-            let mut t = Vec::with_capacity(16);
-            tokens::url_token_hashes(url, &mut t);
-            t
-        });
-        for t in toks.iter() {
-            if let Some(bucket) = token_buckets.get(t) {
-                candidates.extend_from_slice(bucket);
-            }
-        }
-    }
-    candidates.sort_unstable();
-    candidates.dedup();
-    candidates
+/// A name may key a domain bucket only when every subdomain shares its
+/// registrable domain (`reg(sub.name) == reg(name)`): true for clean,
+/// non-public-suffix names, false for public suffixes (`||co.uk^` must
+/// cover `x.co.uk`, whose registrable domain is `x.co.uk` itself) and
+/// malformed names.
+fn bucketable_anchor(name: &str) -> bool {
+    !psl::is_public_suffix(name)
+        && !name.starts_with('.')
+        && !name.ends_with('.')
+        && !name.contains("..")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linear::LinearFilterSet;
     use redlight_net::http::ResourceKind;
 
     const LIST: &str = r#"
@@ -438,9 +315,9 @@ example.com##.banner
     }
 
     #[test]
-    fn untokenizable_rules_are_still_matched() {
-        // `*track*` has no safe token (both runs touch `*`): it must land
-        // in the always-scan list and keep matching.
+    fn wildcard_rules_are_scanned() {
+        // `*track*` has no anchor to bucket by: it sits in the scan and
+        // keeps matching.
         let mut s = FilterSet::new();
         s.add_list("*track*\n");
         assert!(s
@@ -451,8 +328,8 @@ example.com##.banner
     #[test]
     fn public_suffix_anchored_exception_is_always_scanned() {
         // `@@||co.uk^` covers x.co.uk, whose registrable domain ("x.co.uk")
-        // differs from the anchor's ("co.uk") — a domain bucket would miss
-        // it, so the rule must be in the always-scan list.
+        // differs from the anchor's ("co.uk"). Exceptions are one list,
+        // scanned whole once a rule blocks, so no bucket can miss it.
         let mut s = FilterSet::new();
         s.add_list("/pixel/\n@@||co.uk^\n");
         assert_eq!(
@@ -462,13 +339,50 @@ example.com##.banner
     }
 
     #[test]
-    fn first_match_wins_across_buckets() {
-        // Two generic rules match; the earlier one must be reported even
-        // though they live in different token buckets.
+    fn first_scan_match_wins() {
+        // Two scan rules match; the earlier one is reported.
         let mut s = FilterSet::new();
         s.add_list("/zzztoken/\n/adserver/\n");
         let r = s.matches("https://x.net/adserver/zzztoken/1", &ctx("a.com", "x.net"));
         assert_eq!(r, MatchResult::Blocked("/zzztoken/".to_string()));
+    }
+
+    #[test]
+    fn public_suffix_anchor_blocks_its_subdomains() {
+        // `||co.uk^` covers shop.co.uk, whose registrable domain is
+        // shop.co.uk, not co.uk: no bucket keyed by co.uk would be read.
+        let mut s = FilterSet::new();
+        s.add_list("||co.uk^\n");
+        assert!(s
+            .matches("https://shop.co.uk/x.js", &ctx("a.com", "shop.co.uk"))
+            .is_blocked());
+    }
+
+    #[test]
+    fn public_suffix_anchor_covers_subdomains_relaxed() {
+        let mut s = FilterSet::new();
+        s.add_list("||co.uk^\n");
+        assert!(s.matches_fqdn_relaxed("shop.co.uk"));
+    }
+
+    #[test]
+    fn public_suffix_path_rule_blocks_its_subdomains() {
+        let mut s = FilterSet::new();
+        s.add_list("||com.ru/ads/\n");
+        assert!(s
+            .matches("https://x.com.ru/ads/1", &ctx("a.com", "x.com.ru"))
+            .is_blocked());
+    }
+
+    #[test]
+    fn relaxed_public_suffix_reads_every_anchor() {
+        // A domain-wide rule covers its parents, and `co.uk` is a parent
+        // of anchors in every `*.co.uk` registrable domain.
+        let mut s = FilterSet::new();
+        s.add_list("||ads.example.co.uk^\n");
+        assert!(s.matches_fqdn_relaxed("co.uk"));
+        assert!(s.matches_fqdn_relaxed("example.co.uk"));
+        assert!(!s.matches_fqdn_relaxed("other.co.uk"));
     }
 
     /// End-to-end coverage for `$domain=a.com|~b.com` page restrictions
@@ -506,45 +420,5 @@ example.com##.banner
             both.matches("https://x.com/track.js", &ctx("porn.site", "x.com")),
             MatchResult::Excepted(_)
         ));
-    }
-
-    /// The indexed engine and the linear reference agree on the test list.
-    #[test]
-    fn agrees_with_linear_reference() {
-        let mut indexed = FilterSet::new();
-        indexed.add_list(LIST);
-        let mut linear = LinearFilterSet::new();
-        linear.add_list(LIST);
-        let cases = [
-            (
-                "https://main.exoclick.com/tag.js",
-                "porn.site",
-                "main.exoclick.com",
-            ),
-            (
-                "https://exoclick.com/allowed.js",
-                "porn.site",
-                "exoclick.com",
-            ),
-            (
-                "https://sync.exosrv.com/pixel",
-                "www.exosrv.com",
-                "sync.exosrv.com",
-            ),
-            ("https://bbc.co.uk/analytics/b", "a.com", "bbc.co.uk"),
-            ("https://x.net/adserver/300.js", "a.com", "x.net"),
-            ("https://clean.cdn.com/lib.js", "porn.site", "clean.cdn.com"),
-        ];
-        for (url, page, req) in cases {
-            let c = ctx(page, req);
-            assert_eq!(indexed.matches(url, &c), linear.matches(url, &c), "{url}");
-        }
-        for fqdn in ["exoclick.com", "sync.exoclick.com", "bbc.co.uk", "x.net"] {
-            assert_eq!(
-                indexed.matches_fqdn_relaxed(fqdn),
-                linear.matches_fqdn_relaxed(fqdn),
-                "{fqdn}"
-            );
-        }
     }
 }

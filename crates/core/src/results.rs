@@ -68,7 +68,7 @@ pub struct ShardStat {
     pub min_shard: usize,
     /// Largest shard's visit count.
     pub max_shard: usize,
-    /// Interned symbols (distinct hosts/domains) in the crawl's table.
+    /// Interned symbols (distinct crawled domains) in the crawl's table.
     pub symbols: usize,
     /// Bytes of interned string data backing those symbols.
     pub interned_bytes: usize,

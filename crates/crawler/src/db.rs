@@ -6,11 +6,10 @@
 //! sanitized corpus. Analyses read both from here, so the corpus is
 //! compiled once per collection.
 //!
-//! Crawl rows are columnar: the strings a crawl observes (crawled domains,
-//! request hosts, final-URL hosts) are interned into a per-crawl
-//! [`StrTable`] at record time, so a [`SiteVisitRecord`] carries [`Sym`]
-//! ids instead of owned strings and analyses resolve names through the
-//! crawl (or any [`CrawlSlice`] of it).
+//! Crawl rows intern their crawled domain into a per-crawl [`StrTable`] at
+//! record time, so a [`SiteVisitRecord`] carries a [`Sym`] id instead of an
+//! owned string and analyses resolve it through the crawl (or any
+//! [`CrawlSlice`] of it).
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -35,24 +34,13 @@ pub enum CorpusLabel {
 
 /// One site's visit inside a crawl. Rows are appended through
 /// [`CrawlRecord::push_visit`] / [`CrawlRecord::push_visit_with`], which
-/// intern the string columns into the owning crawl's table.
+/// intern the domain into the owning crawl's table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SiteVisitRecord {
     /// The crawled domain (corpus entry), interned in the crawl's table.
     pub domain: Sym,
     /// Visit.
     pub visit: PageVisit,
-    /// The host of each request in `visit.requests`, interned in the
-    /// crawl's table (same order as the requests).
-    pub request_hosts: Vec<Sym>,
-    /// The full URL (fragment stripped — what a server and a blocklist
-    /// see) of each request in `visit.requests`, interned in the crawl's
-    /// table (same order as the requests). Batch classification keys
-    /// verdicts by these, so analyses never re-render request URLs.
-    pub request_urls: Vec<Sym>,
-    /// The final (post-redirect) document host, interned — `None` when the
-    /// document never loaded.
-    pub final_host: Option<Sym>,
     /// Document-load attempts spent on the site (1 = first try succeeded
     /// or no retry budget; 0 = the corpus entry never parsed into a URL).
     pub attempts: u32,
@@ -75,7 +63,7 @@ pub struct CrawlRecord {
     pub client_ip: Ipv4Addr,
     /// Visits.
     pub visits: Vec<SiteVisitRecord>,
-    /// The crawl's interned string table (domains + request hosts).
+    /// The crawl's interned string table (crawled domains).
     names: StrTable,
 }
 
@@ -100,8 +88,8 @@ impl CrawlRecord {
         self.push_visit_with(domain, visit, 1, Duration::ZERO);
     }
 
-    /// Appends a visit row, interning the domain and every request host
-    /// into the crawl's string table at record time.
+    /// Appends a visit row, interning the domain into the crawl's string
+    /// table at record time.
     pub fn push_visit_with(
         &mut self,
         domain: &str,
@@ -110,26 +98,9 @@ impl CrawlRecord {
         wall: Duration,
     ) {
         let domain = self.names.intern(domain);
-        let request_hosts = visit
-            .requests
-            .iter()
-            .map(|r| self.names.intern(r.url.host().as_str()))
-            .collect();
-        let request_urls = visit
-            .requests
-            .iter()
-            .map(|r| self.names.intern(&r.url.without_fragment()))
-            .collect();
-        let final_host = visit
-            .final_url
-            .as_ref()
-            .map(|u| self.names.intern(u.host().as_str()));
         self.visits.push(SiteVisitRecord {
             domain,
             visit,
-            request_hosts,
-            request_urls,
-            final_host,
             attempts,
             wall,
         });
@@ -441,57 +412,9 @@ mod tests {
         assert_eq!(crawl.visits[0].domain, crawl.visits[2].domain);
         assert_ne!(crawl.visits[0].domain, crawl.visits[1].domain);
         assert_eq!(crawl.name(crawl.visits[1].domain), "b.com");
-        // URL and final-host columns intern alongside the hosts: the test
-        // helper's visits carry no requests and no final URL, so both
-        // columns stay empty here (populated columns are pinned below).
-        assert!(crawl.visits[0].request_urls.is_empty());
-        assert_eq!(crawl.visits[0].final_host, None);
         crawl.visits[1].attempts = 3;
         assert_eq!(crawl.total_retries(), 2);
         assert_eq!(crawl.failure_count(), 1);
-    }
-
-    #[test]
-    fn request_url_and_final_host_columns_intern_at_record_time() {
-        use redlight_browser::instrument::{Initiator, RequestRecord};
-        use redlight_net::http::{Method, ResourceKind, StatusCode};
-
-        let mut crawl = CrawlRecord::new(
-            Country::Spain,
-            CorpusLabel::Porn,
-            Ipv4Addr::new(203, 0, 113, 77),
-        );
-        let req = |url: &str| RequestRecord {
-            url: Url::parse(url).unwrap(),
-            method: Method::Get,
-            kind: ResourceKind::Image,
-            referrer: None,
-            initiator: Initiator::Markup,
-            status: Some(StatusCode::OK),
-            content_type: None,
-            cert: None,
-            redirected_to: None,
-        };
-        let visit = PageVisit {
-            success: true,
-            final_url: Some(Url::parse("https://www.a.com/landing").unwrap()),
-            requests: vec![
-                req("https://t.net/px.gif?uid=1#frag"),
-                req("https://t.net/px.gif?uid=1"),
-            ],
-            ..PageVisit::failed(Url::parse("https://a.com/").unwrap(), false)
-        };
-        crawl.push_visit("a.com", visit);
-        let rec = &crawl.visits[0];
-        // Fragments are stripped before interning, so both requests share
-        // one URL sym; the column stays parallel to `visit.requests`.
-        assert_eq!(rec.request_urls.len(), 2);
-        assert_eq!(rec.request_urls[0], rec.request_urls[1]);
-        assert_eq!(
-            crawl.name(rec.request_urls[0]),
-            "https://t.net/px.gif?uid=1"
-        );
-        assert_eq!(rec.final_host.map(|s| crawl.name(s)), Some("www.a.com"));
     }
 
     #[test]

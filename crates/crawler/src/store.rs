@@ -1,9 +1,9 @@
 //! The columnar shard store underneath [`MeasurementDb`].
 //!
-//! Crawl records intern every string they observe — crawled domains,
-//! request hosts, final-URL hosts — into an arena-backed [`StrTable`] at
-//! record time, so a visit row carries a fixed-width [`Sym`] instead of an
-//! owned `String` and the analysis layer resolves names through the table.
+//! Crawl records intern their crawled domains into an arena-backed
+//! [`StrTable`] at record time, so a visit row carries a fixed-width
+//! [`Sym`] instead of an owned `String` and the analysis layer resolves
+//! names through the table.
 //! A [`CrawlSlice`] is a zero-copy view over a contiguous visit range of
 //! one crawl (sharing the crawl's table), which is the unit the map/reduce
 //! stage pipeline streams: `CrawlRecord::shards(n)` splits a crawl into `n`

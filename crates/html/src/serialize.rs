@@ -3,13 +3,6 @@
 
 use crate::dom::{Document, NodeId, NodeKind};
 
-/// Serializes the subtree rooted at `id` back to HTML.
-pub fn serialize_node(doc: &Document, id: NodeId) -> String {
-    let mut out = String::new();
-    write_node(doc, id, &mut out);
-    out
-}
-
 /// Serializes the whole document.
 pub fn serialize(doc: &Document) -> String {
     let mut out = String::new();

@@ -23,13 +23,6 @@ pub enum Scheme {
     Https,
 }
 
-impl Scheme {
-    /// `true` for HTTPS.
-    pub fn is_secure(self) -> bool {
-        matches!(self, Scheme::Https)
-    }
-}
-
 impl fmt::Display for Scheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -78,19 +78,6 @@ impl Url {
         })
     }
 
-    /// Builds a URL from parts; `path` must start with `/`.
-    pub fn from_parts(scheme: Scheme, host: Fqdn, path: &str, query: Option<&str>) -> Url {
-        debug_assert!(path.starts_with('/'));
-        Url {
-            scheme,
-            host,
-            port: None,
-            path: path.to_string(),
-            query: query.map(str::to_string),
-            fragment: None,
-        }
-    }
-
     /// Resolves `reference` against `self`: absolute URLs pass through,
     /// `//host/path` inherits the scheme, `/path` inherits scheme+host, and
     /// other strings are treated as relative paths.
@@ -205,17 +192,6 @@ impl Url {
     /// (and a blocklist) sees.
     pub fn without_fragment(&self) -> String {
         let mut s = format!("{}://{}{}", self.scheme, self.authority(), self.path);
-        if let Some(q) = &self.query {
-            s.push('?');
-            s.push_str(q);
-        }
-        s
-    }
-
-    /// `host + path (+ ?query)` — the form EasyList rules match against when
-    /// the scheme is irrelevant.
-    pub fn host_and_path(&self) -> String {
-        let mut s = format!("{}{}", self.host, self.path);
         if let Some(q) = &self.query {
             s.push('?');
             s.push_str(q);

@@ -154,11 +154,6 @@ impl TfIdfModel {
         self.vectors.len()
     }
 
-    /// Vocabulary size.
-    pub fn n_terms(&self) -> usize {
-        self.vocab.len()
-    }
-
     /// The fitted vector for document `idx` (fit order).
     pub fn vector(&self, idx: usize) -> &TfIdfVector {
         &self.vectors[idx]

@@ -18,10 +18,10 @@ use crate::service::{ListCoverage, ServiceCategory};
 /// Builds the EasyList-style text (advertising rules).
 ///
 /// The two `*…*` wildcard rules mirror real EasyList entries whose literal
-/// runs touch a wildcard: they have no *safe* token, so they land in the
-/// matcher's always-scan list and are searched in every URL the generic
-/// tier sees. Neither can match simulated traffic (no generated URL
-/// contains `interstitial` or `vast`), so every verdict is unchanged.
+/// runs touch a wildcard. Like every rule without a domain anchor, they sit
+/// in the matcher's scan and are searched in every URL that no rule of its
+/// domain bucket blocks. Neither can match simulated traffic (no generated
+/// URL contains `interstitial` or `vast`), so every verdict is unchanged.
 pub fn easylist(catalog: &Catalog) -> String {
     let mut out = String::from(
         "[Adblock Plus 2.0]\n\

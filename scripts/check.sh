@@ -21,7 +21,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> matcher equivalence (tokenized vs linear reference)"
+echo "==> matcher oracle (domain buckets vs unbucketed scan)"
 cargo test -q -p redlight-blocklist --test matcher_equivalence
 
 echo "==> transport fault matrix (determinism, passthrough, retry budget)"
@@ -47,9 +47,6 @@ cargo test -q --test traffic_determinism
 
 echo "==> service-model equivalence (any SimSpec renders the same study, default and flaky)"
 cargo test -q --test sim_equivalence
-
-echo "==> ats_match bench smoke (--test mode, 1 iteration per bench)"
-cargo bench -p redlight-bench --bench ats_match -- --test
 
 echo "==> transport bench smoke (--test mode, 1 iteration per bench)"
 cargo bench -p redlight-bench --bench transport -- --test

@@ -44,7 +44,7 @@ fn occurrences(db: &MeasurementDb) -> Vec<(usize, usize, usize)> {
     let mut out = Vec::new();
     for (c, crawl) in db.crawls().iter().enumerate() {
         for (v, record) in crawl.visits.iter().enumerate() {
-            if !record.visit.success || record.final_host.is_none() {
+            if !record.visit.success || record.visit.final_url.is_none() {
                 continue;
             }
             for (r, req) in record.visit.requests.iter().enumerate() {
@@ -79,45 +79,16 @@ fn per_request_verdict(
     )
 }
 
-/// Classifies every occurrence through per-crawl batch columns computed
-/// over `shards` slices per crawl, returning verdicts in occurrence order.
+/// Classifies every occurrence through `classify_batch` over `shards`
+/// slices per crawl, returning verdicts in occurrence order: the slices'
+/// verdict vectors, concatenated in order, cover the whole crawl exactly
+/// like one whole-crawl batch.
 fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier, shards: usize) -> Vec<bool> {
-    let mut out = Vec::new();
-    for crawl in db.crawls() {
-        // Batch per shard slice: the union of the slice columns must cover
-        // the whole crawl exactly like one whole-crawl batch.
-        let batches: Vec<_> = crawl
-            .shards(shards)
-            .into_iter()
-            .map(|slice| cls.classify_batch(slice))
-            .collect();
-        for record in &crawl.visits {
-            let Some(page) = record.final_host else {
-                continue;
-            };
-            if !record.visit.success {
-                continue;
-            }
-            for (i, req) in record.visit.requests.iter().enumerate() {
-                if req.status.is_none() {
-                    continue;
-                }
-                let key = (
-                    record.request_urls[i],
-                    page,
-                    record.request_hosts[i],
-                    req.kind,
-                );
-                // Exactly one shard's column covers each occurrence.
-                let verdict = batches
-                    .iter()
-                    .find_map(|b| b.url_verdict(key))
-                    .expect("every occurrence is covered by its shard's batch");
-                out.push(verdict);
-            }
-        }
-    }
-    out
+    db.crawls()
+        .iter()
+        .flat_map(|crawl| crawl.shards(shards))
+        .flat_map(|slice| cls.classify_batch(slice).verdicts)
+        .collect()
 }
 
 proptest! {
