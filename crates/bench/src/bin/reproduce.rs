@@ -14,7 +14,10 @@
 //! ```
 //!
 //! Prints the rendered tables/figures followed by the paper-vs-measured
-//! comparison table that EXPERIMENTS.md records. `--timings` appends the
+//! comparison table that EXPERIMENTS.md records. Every argument is checked
+//! before the world is built: `--help` prints the usage and exits 0; an
+//! unknown argument, a missing value or one that does not parse prints the
+//! problem and the usage to stderr and exits 2. `--timings` appends the
 //! pipeline instrumentation (per-crawl and per-stage wall times with record
 //! counts, plus per-crawl transport counters);
 //! `--timings --json` prints it as JSON instead of tables.
@@ -73,79 +76,180 @@ use redlight_report::paper;
 use redlight_sim::{run_traffic, TimelineSpec, TrafficConfig};
 use redlight_websim::World;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let paper_scale = args.iter().any(|a| a == "--paper");
-    let timings = args.iter().any(|a| a == "--timings");
-    let json = args.iter().any(|a| a == "--json");
-    let collect_only = args.iter().any(|a| a == "--collect-only");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2019u64);
-    let requested: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--stage")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    let net_profile = args
-        .iter()
-        .position(|a| a == "--net-profile")
-        .and_then(|i| args.get(i + 1));
-    let fault_seed: Option<u64> = args
-        .iter()
-        .position(|a| a == "--fault-seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    let path_arg = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let trace_out = path_arg("--trace");
-    let events_out = path_arg("--trace-events");
-    let metrics_out = path_arg("--metrics");
-    let timeline_out = path_arg("--timeline");
-    // Window width in logical milliseconds; absent ⇒ 1 s windows.
-    let timeline_window_ms: u64 = match args.iter().position(|a| a == "--timeline-window") {
-        None => 1_000,
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-            Some(n) if n > 0 => n,
-            _ => {
-                eprintln!("--timeline-window expects a positive millisecond count");
-                std::process::exit(2);
-            }
-        },
-    };
-    // Positive-count flags: absent ⇒ 1, `0` or unparsable ⇒ usage error.
-    let count_arg = |flag: &str| -> usize {
-        match args.iter().position(|a| a == flag) {
-            None => 1,
-            Some(i) => match args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n > 0 => n,
-                _ => {
-                    eprintln!("{flag} expects a positive integer");
-                    std::process::exit(2);
+/// Every command-line option, checked before anything runs.
+struct Args {
+    paper_scale: bool,
+    timings: bool,
+    json: bool,
+    collect_only: bool,
+    seed: u64,
+    stages: Vec<String>,
+    net: Option<NetProfile>,
+    fault_seed: Option<u64>,
+    trace_out: Option<String>,
+    events_out: Option<String>,
+    metrics_out: Option<String>,
+    timeline_out: Option<String>,
+    /// Window width in logical milliseconds.
+    timeline_window_ms: u64,
+    shards: usize,
+    sites_scale: usize,
+    /// Traffic sessions; `None` runs the study.
+    traffic: Option<u64>,
+}
+
+/// Why [`Args::parse`] stopped before a run.
+enum Stop {
+    /// `--help`: usage on stdout, exit 0.
+    Help,
+    /// An unknown argument or a value that does not parse: the problem
+    /// and usage on stderr, exit 2.
+    Bad(String),
+}
+
+impl Args {
+    /// Parses the arguments after the program name. Flags may come in any
+    /// order; a repeated flag keeps its last value, except `--stage`,
+    /// which accumulates.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, Stop> {
+        let mut parsed = Args {
+            paper_scale: false,
+            timings: false,
+            json: false,
+            collect_only: false,
+            seed: 2019,
+            stages: Vec::new(),
+            net: None,
+            fault_seed: None,
+            trace_out: None,
+            events_out: None,
+            metrics_out: None,
+            timeline_out: None,
+            timeline_window_ms: 1_000,
+            shards: 1,
+            sites_scale: 1,
+            traffic: None,
+        };
+        while let Some(flag) = args.next() {
+            let mut value = || match args.next() {
+                Some(v) if !v.starts_with("--") => Ok(v),
+                _ => Err(Stop::Bad(format!("{flag} expects a value"))),
+            };
+            match flag.as_str() {
+                "--help" => return Err(Stop::Help),
+                "--paper" => parsed.paper_scale = true,
+                "--timings" => parsed.timings = true,
+                "--json" => parsed.json = true,
+                "--collect-only" => parsed.collect_only = true,
+                "--seed" => parsed.seed = number(&flag, value()?)?,
+                "--fault-seed" => parsed.fault_seed = Some(number(&flag, value()?)?),
+                "--stage" => parsed.stages.push(value()?),
+                "--net-profile" => {
+                    let name = value()?;
+                    parsed.net = Some(NetProfile::named(&name).ok_or_else(|| {
+                        Stop::Bad(format!(
+                            "unknown net profile {name:?}; known profiles: {}",
+                            NetProfile::NAMES.join(", ")
+                        ))
+                    })?);
                 }
-            },
-        }
-    };
-    let shards = count_arg("--shards");
-    let sites_scale = count_arg("--sites-scale");
-    // `--traffic <sessions>`: absent ⇒ study mode; `0` ⇒ usage error.
-    let traffic: Option<u64> = match args.iter().position(|a| a == "--traffic") {
-        None => None,
-        Some(i) => match args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) {
-            Some(n) if n > 0 => Some(n),
-            _ => {
-                eprintln!("--traffic expects a positive session count");
-                std::process::exit(2);
+                "--trace" => parsed.trace_out = Some(value()?),
+                "--trace-events" => parsed.events_out = Some(value()?),
+                "--metrics" => parsed.metrics_out = Some(value()?),
+                "--timeline" => parsed.timeline_out = Some(value()?),
+                "--timeline-window" => {
+                    parsed.timeline_window_ms = positive(&flag, value()?, "millisecond count")?;
+                }
+                "--shards" => parsed.shards = positive(&flag, value()?, "integer")?,
+                "--sites-scale" => parsed.sites_scale = positive(&flag, value()?, "integer")?,
+                "--traffic" => parsed.traffic = Some(positive(&flag, value()?, "session count")?),
+                _ => return Err(Stop::Bad(format!("unknown argument {flag:?}"))),
             }
-        },
+        }
+        if parsed.timeline_out.is_some() && parsed.traffic.is_none() {
+            return Err(Stop::Bad("--timeline requires --traffic <sessions>".into()));
+        }
+        Ok(parsed)
+    }
+}
+
+/// `value` as an unsigned integer, or a usage error naming `flag`.
+fn number(flag: &str, value: String) -> Result<u64, Stop> {
+    value
+        .parse()
+        .map_err(|_| Stop::Bad(format!("{flag} expects an unsigned integer, got {value:?}")))
+}
+
+/// `value` as a positive `what`, or a usage error naming `flag`.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(
+    flag: &str,
+    value: String,
+    what: &str,
+) -> Result<T, Stop> {
+    match value.parse() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => Err(Stop::Bad(format!("{flag} expects a positive {what}"))),
+    }
+}
+
+fn usage() -> String {
+    format!(
+        "usage: reproduce [options]
+
+Runs the study and prints every table and figure of the paper, then the
+paper-vs-measured comparison.
+
+  --paper                  full paper scale (default: the 1/20 small scale)
+  --seed <n>               world and study seed (default 2019)
+  --sites-scale <n>        grow every world population n-fold (n >= 1)
+  --net-profile <name>     network the crawls run over: {}
+  --fault-seed <n>         re-seed the profile's fault injector
+  --shards <n>             fan the decomposable stages over n shards (n >= 1)
+  --stage <name>           run only this analysis stage and its dependencies
+                           (repeatable)
+  --collect-only           stop after the collection layer
+  --timings                append the pipeline timing tables
+  --json                   with --timings, print them as JSON
+  --trace <path>           write a Chrome trace_event JSON
+  --trace-events <path>    write the span journal as JSON lines
+  --metrics <path>         write a Prometheus text exposition
+  --traffic <sessions>     run the traffic workload instead of the study
+  --timeline <path>        with --traffic, write windowed metric series
+  --timeline-window <ms>   timeline window width (default 1000)
+  --help                   print this help
+",
+        NetProfile::NAMES.join(", ")
+    )
+}
+
+fn main() {
+    let Args {
+        paper_scale,
+        timings,
+        json,
+        collect_only,
+        seed,
+        stages: requested,
+        net,
+        fault_seed,
+        trace_out,
+        events_out,
+        metrics_out,
+        timeline_out,
+        timeline_window_ms,
+        shards,
+        sites_scale,
+        traffic,
+    } = match Args::parse(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(Stop::Help) => {
+            print!("{}", usage());
+            return;
+        }
+        Err(Stop::Bad(problem)) => {
+            eprintln!("{problem}\n\n{}", usage());
+            std::process::exit(2);
+        }
     };
 
     let mut config = if paper_scale {
@@ -153,17 +257,8 @@ fn main() {
     } else {
         StudyConfig::small(seed)
     };
-    if let Some(name) = net_profile {
-        config.net = match NetProfile::named(name) {
-            Some(profile) => profile,
-            None => {
-                eprintln!(
-                    "unknown net profile {name:?}; known profiles: {}",
-                    NetProfile::NAMES.join(", ")
-                );
-                std::process::exit(2);
-            }
-        };
+    if let Some(profile) = net {
+        config.net = profile;
     }
     if let Some(fault_seed) = fault_seed {
         config.net = config.net.with_fault_seed(fault_seed);
@@ -195,11 +290,6 @@ fn main() {
         );
         return;
     }
-    if timeline_out.is_some() {
-        eprintln!("--timeline requires --traffic <sessions>");
-        std::process::exit(2);
-    }
-
     eprintln!(
         "running the {} study (seed {seed})…",
         if paper_scale {

@@ -87,9 +87,22 @@ impl<'w> Browser<'w> {
     }
 
     /// Loads a landing page (and only the landing page), recording
-    /// everything. HTTPS is attempted first; an unreachable HTTPS endpoint
-    /// is retried over HTTP (the paper's downgrade rule, §5.2).
+    /// everything: the document through [`load_document`](Self::load_document),
+    /// then its subresources, scripts and frames.
     pub fn visit(&mut self, url: &Url) -> PageVisit {
+        let mut visit = self.load_document(url);
+        if visit.success {
+            self.load_page(&mut visit);
+        }
+        visit
+    }
+
+    /// Loads a landing page's document and nothing it references: the
+    /// DOM and screenshot of [`visit`](Self::visit), with the document
+    /// chain's requests and cookies, which are a prefix of `visit`'s.
+    /// HTTPS is attempted first; an unreachable HTTPS endpoint is retried
+    /// over HTTP (the paper's downgrade rule, §5.2).
+    pub fn load_document(&mut self, url: &Url) -> PageVisit {
         let mut visit = PageVisit::failed(url.clone(), false);
         let https_url = url.with_scheme(Scheme::Https);
 
@@ -136,12 +149,18 @@ impl<'w> Browser<'w> {
         if !response.status.is_success() {
             return visit;
         }
-        visit.final_url = Some(doc_url.clone());
+        visit.final_url = Some(doc_url);
         visit.success = true;
         visit.dom_html = response.text();
         visit.screenshot_hash = mix(hash(&visit.dom_html), self.device.render_quirk);
+        visit
+    }
 
-        // Parse and load the page.
+    /// Loads what a loaded document references: markup subresources
+    /// (scripts fetched and executed in order, frames loaded), then the
+    /// inline scripts.
+    fn load_page(&mut self, visit: &mut PageVisit) {
+        let doc_url = visit.final_url.clone().expect("a loaded document");
         let doc = parser::parse(&visit.dom_html);
 
         // Markup subresources (scripts are fetched AND executed in order).
@@ -155,22 +174,17 @@ impl<'w> Browser<'w> {
                 "iframe" => ResourceKind::Frame,
                 _ => ResourceKind::Stylesheet,
             };
-            let fetched = self.fetch_chain(
-                &mut visit,
-                &sub_url,
-                kind,
-                Some(&doc_url),
-                Initiator::Markup,
-            );
+            let fetched =
+                self.fetch_chain(visit, &sub_url, kind, Some(&doc_url), Initiator::Markup);
             let ChainResult::Ok(final_sub, resp) = fetched else {
                 continue;
             };
             match kind {
                 ResourceKind::Script if resp.content_type.contains("javascript") => {
-                    self.execute_script(&mut visit, &doc_url, Some(final_sub), &resp.text());
+                    self.execute_script(visit, &doc_url, Some(final_sub), &resp.text());
                 }
                 ResourceKind::Frame if resp.content_type.contains("html") => {
-                    self.load_frame(&mut visit, &doc_url, &final_sub, &resp.text());
+                    self.load_frame(visit, &doc_url, &final_sub, &resp.text());
                 }
                 _ => {}
             }
@@ -178,10 +192,8 @@ impl<'w> Browser<'w> {
 
         // Inline scripts.
         for body in query::inline_scripts(&doc) {
-            self.execute_script(&mut visit, &doc_url, None, &body);
+            self.execute_script(visit, &doc_url, None, &body);
         }
-
-        visit
     }
 
     /// Runs one script in the instrumented engine.
@@ -431,6 +443,44 @@ mod tests {
                 .any(|c| c.via == SetVia::Script && c.origin_host == site.domain),
             "inline script cookies missing"
         );
+    }
+
+    #[test]
+    fn load_document_agrees_with_visit_on_every_site() {
+        // Russia is the vantage some sites block; the world must hold every
+        // kind of document failure the sanitization pass has to agree on.
+        let w = world();
+        let country = Country::Russia;
+        assert!(w.sites.iter().any(|s| s.unresponsive));
+        assert!(w.sites.iter().any(|s| !s.https && !s.unresponsive));
+        assert!(w.sites.iter().any(|s| s.blocked_in.contains(&country)));
+        assert!(w.sites.iter().any(|s| s.openwpm_timeout && !s.unresponsive));
+        for kind in [BrowserKind::OpenWpm, BrowserKind::Selenium] {
+            let ctx = Browser::context_for(&w, country, kind);
+            let mut documents = Browser::new(&w, ctx.clone());
+            let mut pages = Browser::new(&w, ctx);
+            for site in &w.sites {
+                let url = Url::parse(&format!("https://{}/", site.domain)).unwrap();
+                let doc = documents.load_document(&url);
+                let page = pages.visit(&url);
+                let tag = format!("{kind:?} {}", site.domain);
+                assert_eq!(doc.success, page.success, "{tag}");
+                assert_eq!(doc.timeout, page.timeout, "{tag}");
+                assert_eq!(doc.https_downgraded, page.https_downgraded, "{tag}");
+                assert_eq!(doc.final_url, page.final_url, "{tag}");
+                assert_eq!(doc.dom_html, page.dom_html, "{tag}");
+                assert_eq!(doc.screenshot_hash, page.screenshot_hash, "{tag}");
+                assert!(doc.requests.len() <= page.requests.len(), "{tag}");
+                for (a, b) in doc.requests.iter().zip(&page.requests) {
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}");
+                }
+                assert!(doc.cookies.len() <= page.cookies.len(), "{tag}");
+                for (a, b) in doc.cookies.iter().zip(&page.cookies) {
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{tag}");
+                }
+                assert!(doc.js_calls.is_empty() && doc.canvas.is_empty(), "{tag}");
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! metrics, WebRTC, cookies), and every HTTP exchange logged — producing a
 //! [`page::PageVisit`] record equivalent to OpenWPM's `http_requests`,
 //! `javascript` and `cookies` tables for that visit.
+//! [`Browser::load_document`] is the visit's first half: the document
+//! chain, DOM and screenshot, without fetching or running anything the
+//! document references.
 
 #![warn(missing_docs)]
 

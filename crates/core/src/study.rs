@@ -168,7 +168,7 @@ impl Study {
 
     /// [`collect_db`](Self::collect_db) with telemetry: records a `collect`
     /// root span (one `corpus.compile` child, then per-crawl subtrees in
-    /// per-worker shards) into `obs.trace` and publishes every transport
+    /// per-crawl shards) into `obs.trace` and publishes every transport
     /// and crawl counter into `obs.metrics`. The db and timings are
     /// byte-identical to the unobserved path.
     pub fn collect_db_observed(

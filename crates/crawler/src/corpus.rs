@@ -11,7 +11,12 @@
 //! The keyword source introduces false positives (PornTube is porn, YouTube
 //! is not), so each candidate is crawled (DOM + screenshot) and manually
 //! inspected — here, by the [`InspectionOracle`] standing in for the
-//! authors' manual review. Unresponsive candidates are removed too.
+//! authors' manual review. Unresponsive candidates are removed too. The
+//! sanitization crawl loads each candidate's document only
+//! ([`Browser::load_document`]): the verdict reads whether it loaded, and
+//! nothing it references.
+
+use std::collections::HashSet;
 
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
@@ -68,18 +73,17 @@ impl<'w> CorpusCompiler<'w> {
         let from_keywords = self.keyword_search();
 
         // Union, preserving source order, deduplicated.
-        let mut candidates: Vec<String> = Vec::new();
-        for d in from_directories
+        let mut seen: HashSet<&str> = HashSet::new();
+        let candidates: Vec<String> = from_directories
             .iter()
-            .chain(from_adult_category.iter())
-            .chain(from_keywords.iter())
-        {
-            if !candidates.contains(d) {
-                candidates.push(d.clone());
-            }
-        }
+            .chain(&from_adult_category)
+            .chain(&from_keywords)
+            .filter(|d| seen.insert(d.as_str()))
+            .cloned()
+            .collect();
 
-        // Sanitization: crawl each candidate, manually inspect the result.
+        // Sanitization: load each candidate's document, manually inspect
+        // the result.
         let oracle = InspectionOracle::new(&self.world.sites);
         let ctx = Browser::context_for(self.world, Country::Spain, BrowserKind::Selenium);
         let mut browser = Browser::new(self.world, ctx);
@@ -87,10 +91,10 @@ impl<'w> CorpusCompiler<'w> {
         let mut false_positives = Vec::new();
         for domain in &candidates {
             let url = Url::parse(&format!("https://{domain}/")).expect("valid candidate url");
-            let visit = browser.visit(&url);
+            let document = browser.load_document(&url);
             // Unresponsive sites cannot be verified; responsive ones get a
             // DOM + screenshot and a human (oracle) verdict.
-            let keep = visit.success && oracle.is_porn_content(domain);
+            let keep = document.success && oracle.is_porn_content(domain);
             if keep {
                 sanitized.push(domain.clone());
             } else {
@@ -100,14 +104,13 @@ impl<'w> CorpusCompiler<'w> {
 
         // Reference corpus: top-10k domains that are neither sanitized porn
         // nor keyword-bearing (§3's 9,688 popular non-porn websites).
+        let porn: HashSet<&str> = sanitized.iter().map(String::as_str).collect();
         let reference_regular: Vec<String> = self
             .world
             .toplist_domains()
             .into_iter()
-            .filter(|(_, best)| *best <= 10_000)
+            .filter(|&(d, best)| best <= 10_000 && !domain_has_keyword(d) && !porn.contains(d))
             .map(|(d, _)| d.to_string())
-            .filter(|d| !domain_has_keyword(d))
-            .filter(|d| !sanitized.contains(d))
             .collect();
 
         CorpusReport {
@@ -122,23 +125,24 @@ impl<'w> CorpusCompiler<'w> {
         }
     }
 
-    /// Source 1: crawl the aggregator pages and collect their outlinks.
+    /// Source 1: load the aggregator pages and collect their outlinks.
     fn scrape_directories(&self) -> Vec<String> {
         let ctx = Browser::context_for(self.world, Country::Spain, BrowserKind::Selenium);
         let mut browser = Browser::new(self.world, ctx);
+        let mut seen = HashSet::new();
         let mut out = Vec::new();
         for dir in &self.world.directory_domains {
             let url = Url::parse(&format!("https://{dir}/")).expect("directory url");
-            let visit = browser.visit(&url);
-            if !visit.success {
+            let page = browser.load_document(&url);
+            if !page.success {
                 continue;
             }
-            let doc = redlight_html::parser::parse(&visit.dom_html);
+            let doc = redlight_html::parser::parse(&page.dom_html);
             for (_, href) in redlight_html::query::links(&doc) {
                 if let Ok(link) = Url::parse(&href) {
-                    let host = link.host().as_str().to_string();
-                    if !out.contains(&host) {
-                        out.push(host);
+                    let host = link.host().as_str();
+                    if seen.insert(host.to_string()) {
+                        out.push(host.to_string());
                     }
                 }
             }

@@ -17,10 +17,10 @@
 //! * [`store`] — the columnar shard store: arena-backed string interning
 //!   ([`store::StrTable`] / [`store::Sym`]) and zero-copy
 //!   [`store::CrawlSlice`] shards the map/reduce analysis streams;
-//! * [`parallel`] — the telemetry plumbing of the crossbeam worker pool
-//!   that runs independent crawls concurrently (crawls are independent
-//!   sessions; within a crawl the session is sequential, preserving
-//!   cookie-sync observability);
+//! * [`parallel`] — the worker pool that runs a plan's crawls, longest
+//!   first, and its telemetry plumbing (crawls are independent sessions;
+//!   within a crawl the session is sequential, preserving cookie-sync
+//!   observability);
 //! * [`plan`] — the [`CrawlPlan`](plan::CrawlPlan): every crawl a study
 //!   performs, declared as data and executed through one code path into a
 //!   [`MeasurementDb`] with one [`CrawlTiming`] per crawl.

@@ -4,11 +4,11 @@
 //! sweeps as country × corpus × store-DOM triples, and Selenium-style
 //! interaction crawls as country × domain-selector pairs. The plan itself
 //! is data; [`CrawlPlan::execute`] resolves the domain selectors against
-//! the compiled corpus, fans every crawl out across a thread pool
-//! ([`parallel`](crate::parallel)), and records it all — the Spanish main
-//! crawls, the geo sweep, the per-country age-gate crawls — into one
-//! [`MeasurementDb`] next to the corpus itself, with per-crawl wall timings
-//! for the stage report.
+//! the compiled corpus, runs every crawl on one worker pool
+//! ([`parallel`](crate::parallel)), longest domain list first, and records
+//! it all — the Spanish main crawls, the geo sweep, the per-country
+//! age-gate crawls — into one [`MeasurementDb`] next to the corpus itself,
+//! with per-crawl wall timings for the stage report.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -19,7 +19,7 @@ use redlight_rankings::RankHistory;
 use redlight_websim::World;
 
 use crate::corpus::CorpusReport;
-use crate::db::{CorpusLabel, MeasurementDb};
+use crate::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
 use crate::openwpm::{corpus_slug, CrawlConfig, OpenWpmCrawler};
 use crate::parallel::{run_jobs, CrawlObs};
 use crate::selenium::SeleniumCrawler;
@@ -75,8 +75,10 @@ pub struct CrawlTiming {
     pub retries: u64,
     /// Sites whose document never loaded.
     pub failures: u64,
-    /// Host wall-clock duration of the crawl (its visit walls are logical
-    /// time; this is the real time the crawl took to run).
+    /// Host wall-clock duration of the crawl, from its session opening on
+    /// its pool worker to its close: the time it waited in the pool's queue
+    /// is not in it. (Its visit walls are logical time; this is the real
+    /// time the crawl took to run.)
     pub wall: Duration,
     /// Transport-layer counters. Always `Some`, since every profile
     /// meters; it stays an `Option` because the benchmark of record
@@ -94,14 +96,16 @@ pub struct CrawlPlan {
 }
 
 impl CrawlPlan {
-    /// Executes every planned crawl — concurrently across crawls, one
-    /// scoped thread each — over `corpus`'s sanitized and reference lists
-    /// and the `agegate_top` subset, and records the results in plan order
+    /// Executes every planned crawl over `corpus`'s sanitized and
+    /// reference lists and the `agegate_top` subset, sweeps and
+    /// interaction crawls together on one worker pool that takes the
+    /// longest domain list first, and records the results in plan order
     /// into a fresh [`MeasurementDb`] that also keeps `corpus` and
-    /// `rank_histories`. Returns it with one [`CrawlTiming`] per crawl.
+    /// `rank_histories`. Returns it with one [`CrawlTiming`] per crawl,
+    /// sweeps first, each kind in plan order.
     ///
-    /// Every crawl records its span tree into a per-worker journal shard
-    /// and publishes its transport/cache counters into `obs.metrics`, plus
+    /// Every crawl records its span tree into its own journal shard and
+    /// publishes its transport/cache counters into `obs.metrics`, plus
     /// one `crawl.<crawler>.<country>[.<corpus>].{sites,attempts,retries,failures}`
     /// counter group per executed crawl — the same numbers the returned
     /// [`CrawlTiming`]s carry, so the timing rows are a view over the
@@ -114,57 +118,101 @@ impl CrawlPlan {
         agegate_top: &[String],
         obs: &CrawlObs,
     ) -> (MeasurementDb, Vec<CrawlTiming>) {
+        let crawled = run_jobs(
+            &self.jobs(&corpus, agegate_top),
+            obs,
+            Job::weight,
+            Job::shard,
+            |job, tracer, registry| match *job {
+                Job::Sweep(_, spec, domains) => {
+                    let (record, timing) = OpenWpmCrawler::new(world, spec.config.clone())
+                        .with_net(spec.net.clone())
+                        .crawl_observed(domains, tracer, registry);
+                    (Crawled::Sweep(record), timing)
+                }
+                Job::Interaction(_, spec, domains) => {
+                    let (records, timing) = SeleniumCrawler::new(world, spec.country)
+                        .with_net(spec.net.clone())
+                        .crawl_observed(domains, tracer, registry);
+                    (Crawled::Interactions(records), timing)
+                }
+            },
+        );
+
+        let mut db = MeasurementDb::new(corpus, rank_histories);
+        let mut timings = Vec::with_capacity(crawled.len());
+        for (crawl, timing) in crawled {
+            publish_timing(obs, &timing);
+            timings.push(timing);
+            match crawl {
+                Crawled::Sweep(record) => db.push_crawl(record),
+                Crawled::Interactions(records) => db.push_interactions(records),
+            }
+        }
+        (db, timings)
+    }
+
+    /// Every planned crawl as a pool job, in plan order: the sweeps, then
+    /// the interaction crawls, each with its domain list resolved.
+    fn jobs<'p>(&'p self, corpus: &'p CorpusReport, agegate_top: &'p [String]) -> Vec<Job<'p>> {
         let resolve = |sel: DomainSel| match sel {
             DomainSel::Porn => &corpus.sanitized[..],
             DomainSel::Regular => &corpus.reference_regular[..],
             DomainSel::AgeGateTop => agegate_top,
         };
-        let crawls = run_jobs(
-            &self.openwpm,
-            obs,
-            |i, spec| {
-                format!(
-                    "collect/openwpm.{i:02}.{}.{}",
-                    spec.config.country.code().to_ascii_lowercase(),
-                    corpus_slug(spec.config.corpus),
-                )
-            },
-            |spec, tracer, registry| {
-                OpenWpmCrawler::new(world, spec.config.clone())
-                    .with_net(spec.net.clone())
-                    .crawl_observed(resolve(spec.domains), tracer, registry)
-            },
-        );
-        let interactions = run_jobs(
-            &self.interactions,
-            obs,
-            |i, spec| {
-                format!(
-                    "collect/selenium.{i:02}.{}",
-                    spec.country.code().to_ascii_lowercase()
-                )
-            },
-            |spec, tracer, registry| {
-                SeleniumCrawler::new(world, spec.country)
-                    .with_net(spec.net.clone())
-                    .crawl_observed(resolve(spec.domains), tracer, registry)
-            },
-        );
-
-        let mut db = MeasurementDb::new(corpus, rank_histories);
-        let mut timings = Vec::with_capacity(crawls.len() + interactions.len());
-        for (record, timing) in crawls {
-            publish_timing(obs, &timing);
-            timings.push(timing);
-            db.push_crawl(record);
-        }
-        for (records, timing) in interactions {
-            publish_timing(obs, &timing);
-            timings.push(timing);
-            db.push_interactions(records);
-        }
-        (db, timings)
+        let sweeps = self
+            .openwpm
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Job::Sweep(i, spec, resolve(spec.domains)));
+        let interactions = self
+            .interactions
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| Job::Interaction(i, spec, resolve(spec.domains)));
+        sweeps.chain(interactions).collect()
     }
+}
+
+/// One planned crawl as the pool runs it: its spec, its index among the
+/// plan's crawls of its kind, and the domains it visits.
+enum Job<'p> {
+    Sweep(usize, &'p CrawlSpec, &'p [String]),
+    Interaction(usize, &'p InteractionSpec, &'p [String]),
+}
+
+impl Job<'_> {
+    /// The pool's queue key, heaviest first: the domain list's length,
+    /// then an interaction crawl before a sweep, since its visit does a
+    /// sweep's landing-page load plus the gate, policy and premium
+    /// fetches.
+    fn weight(&self) -> (usize, bool) {
+        match *self {
+            Job::Sweep(_, _, domains) => (domains.len(), false),
+            Job::Interaction(_, _, domains) => (domains.len(), true),
+        }
+    }
+
+    /// The job's journal shard, named by its kind and plan index.
+    fn shard(&self) -> String {
+        match *self {
+            Job::Sweep(i, spec, _) => format!(
+                "collect/openwpm.{i:02}.{}.{}",
+                spec.config.country.code().to_ascii_lowercase(),
+                corpus_slug(spec.config.corpus),
+            ),
+            Job::Interaction(i, spec, _) => format!(
+                "collect/selenium.{i:02}.{}",
+                spec.country.code().to_ascii_lowercase()
+            ),
+        }
+    }
+}
+
+/// What one job recorded.
+enum Crawled {
+    Sweep(CrawlRecord),
+    Interactions(Vec<InteractionRecord>),
 }
 
 /// Mirrors one crawl's [`CrawlTiming`] into per-crawl registry counters.
@@ -310,9 +358,18 @@ mod tests {
     fn plan_execution_matches_direct_crawling() {
         // Crawls running concurrently must record exactly what a
         // hand-rolled sequential crawler invocation records (determinism
-        // across entry points and threads), logical walls included.
+        // across entry points and threads), logical walls included. The
+        // interaction crawl is longer than every sweep, so the pool starts
+        // it first, ahead of its plan position.
         let world = World::build(WorldConfig::tiny(82));
         let corpus = CorpusCompiler::new(&world).compile();
+        let long: Vec<String> = corpus
+            .sanitized
+            .iter()
+            .chain(&corpus.reference_regular)
+            .cloned()
+            .collect();
+        assert!(long.len() > corpus.sanitized.len());
         let config = |country| CrawlConfig {
             country,
             corpus: CorpusLabel::Porn,
@@ -327,15 +384,20 @@ mod tests {
                     net: NetProfile::default(),
                 })
                 .collect(),
-            interactions: vec![],
+            interactions: vec![InteractionSpec {
+                country: Country::Uk,
+                domains: DomainSel::AgeGateTop,
+                net: NetProfile::default(),
+            }],
         };
-        let (db, _) = plan.execute(
+        let (db, timings) = plan.execute(
             &world,
             corpus.clone(),
             BTreeMap::new(),
-            &[],
+            &long,
             &CrawlObs::disabled(),
         );
+        assert_eq!(timings.len(), 4);
         let direct = OpenWpmCrawler::new(&world, config(Country::Usa)).crawl(&corpus.sanitized);
         let planned = db.crawl(Country::Usa, CorpusLabel::Porn).unwrap();
         assert_eq!(planned.client_ip, direct.client_ip);
@@ -347,5 +409,78 @@ mod tests {
             assert_eq!(a.visit.dom_html, b.visit.dom_html);
             assert_eq!(a.wall, b.wall);
         }
+
+        let direct = SeleniumCrawler::new(&world, Country::Uk).crawl(&long);
+        let planned: Vec<_> = db.interactions_in(Country::Uk).collect();
+        assert_eq!(planned.len(), long.len());
+        assert_eq!(planned.len(), direct.len());
+        for (a, b) in planned.into_iter().zip(&direct) {
+            assert_eq!(a.domain, b.domain);
+            assert_eq!(a.country, b.country);
+            assert_eq!(a.reachable, b.reachable);
+            assert_eq!(a.age_gate_detected, b.age_gate_detected);
+            assert_eq!(a.age_gate_bypassed, b.age_gate_bypassed);
+            assert_eq!(a.social_login_gate, b.social_login_gate);
+            assert_eq!(a.policy_url, b.policy_url);
+            assert_eq!(a.policy_text, b.policy_text);
+            assert_eq!(a.login_signal, b.login_signal);
+            assert_eq!(a.premium_signal, b.premium_signal);
+            assert_eq!(a.premium_page, b.premium_page);
+        }
+    }
+
+    #[test]
+    fn pool_queue_takes_the_longest_list_first_and_interactions_at_ties() {
+        let list = |n: usize| (0..n).map(|i| format!("site{i}.com")).collect::<Vec<_>>();
+        let corpus = CorpusReport {
+            sanitized: list(5),
+            reference_regular: list(7),
+            ..CorpusReport::default()
+        };
+        let top = list(2);
+        let sweep = |country, corpus, domains| CrawlSpec {
+            config: CrawlConfig {
+                country,
+                corpus,
+                store_dom: false,
+            },
+            domains,
+            net: NetProfile::default(),
+        };
+        let interaction = |country, domains| InteractionSpec {
+            country,
+            domains,
+            net: NetProfile::default(),
+        };
+        let plan = CrawlPlan {
+            openwpm: vec![
+                sweep(Country::Spain, CorpusLabel::Porn, DomainSel::Porn),
+                sweep(Country::Spain, CorpusLabel::Regular, DomainSel::Regular),
+                sweep(Country::Usa, CorpusLabel::Porn, DomainSel::Porn),
+                sweep(Country::Russia, CorpusLabel::Porn, DomainSel::Porn),
+            ],
+            interactions: vec![
+                interaction(Country::Uk, DomainSel::AgeGateTop),
+                interaction(Country::Spain, DomainSel::Porn),
+                interaction(Country::Russia, DomainSel::AgeGateTop),
+            ],
+        };
+        let jobs = plan.jobs(&corpus, &top);
+        let queue: Vec<String> = crate::parallel::longest_first(&jobs, Job::weight)
+            .into_iter()
+            .map(|i| jobs[i].shard())
+            .collect();
+        assert_eq!(
+            queue,
+            [
+                "collect/openwpm.01.es.regular",
+                "collect/selenium.01.es",
+                "collect/openwpm.00.es.porn",
+                "collect/openwpm.02.us.porn",
+                "collect/openwpm.03.ru.porn",
+                "collect/selenium.00.gb",
+                "collect/selenium.02.ru",
+            ]
+        );
     }
 }

@@ -80,6 +80,19 @@ print(f"exporters OK: {begins} spans, {len(prom.splitlines())} metric lines, "
       f"{len(timings['crawls'])} timed crawls")
 PYEOF
 
+echo "==> collection pool determinism (two 2x runs: stdout, journal, metrics byte-identical)"
+# The crawls run on a worker pool; which worker runs which crawl varies from
+# run to run, and nothing recorded may depend on it.
+for run in 1 2; do
+  cargo run --release -q -p redlight-bench --bin reproduce -- \
+    --sites-scale 2 --seed 7 \
+    --trace-events "$OBS_DIR/pool$run.jsonl" \
+    --metrics "$OBS_DIR/pool$run.prom" >"$OBS_DIR/pool$run.out"
+done
+cmp "$OBS_DIR/pool1.out" "$OBS_DIR/pool2.out"
+cmp "$OBS_DIR/pool1.jsonl" "$OBS_DIR/pool2.jsonl"
+cmp "$OBS_DIR/pool1.prom" "$OBS_DIR/pool2.prom"
+
 echo "==> timeline export smoke (traffic run, JSON-lines + CSV validated)"
 cargo run --release -q -p redlight-bench --bin reproduce -- \
   --traffic 2000 --seed 11 --timeline "$OBS_DIR/timeline.jsonl"
