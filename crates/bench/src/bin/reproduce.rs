@@ -16,11 +16,13 @@
 //! Prints the rendered tables/figures followed by the paper-vs-measured
 //! comparison table that EXPERIMENTS.md records. Every argument is checked
 //! before the world is built: `--help` prints the usage and exits 0; an
-//! unknown argument, a missing value or one that does not parse prints the
-//! problem and the usage to stderr and exits 2. `--timings` appends the
-//! pipeline instrumentation (per-crawl and per-stage wall times with record
-//! counts, plus per-crawl transport counters);
-//! `--timings --json` prints it as JSON instead of tables.
+//! unknown argument, a missing value, one that does not parse, or a flag
+//! that would do nothing in the chosen mode (`--json` without `--timings`,
+//! `--shards` with `--traffic`, `--fault-seed` on a profile without
+//! faults, …) prints the problem and the usage to stderr and exits 2.
+//! `--timings` appends the pipeline instrumentation (per-crawl and
+//! per-stage wall times with record counts, plus per-crawl transport
+//! counters); `--timings --json` prints it as JSON instead of tables.
 //! `--stage <name>` (repeatable) runs only the named analysis stages —
 //! dependencies are pulled in automatically — and prints their one-line
 //! summaries plus timings instead of the full report. `--net-profile <name>`
@@ -90,9 +92,10 @@ struct Args {
     events_out: Option<String>,
     metrics_out: Option<String>,
     timeline_out: Option<String>,
-    /// Window width in logical milliseconds.
-    timeline_window_ms: u64,
-    shards: usize,
+    /// Window width in logical milliseconds; `None` keeps the default.
+    timeline_window_ms: Option<u64>,
+    /// `None` runs one shard.
+    shards: Option<usize>,
     sites_scale: usize,
     /// Traffic sessions; `None` runs the study.
     traffic: Option<u64>,
@@ -110,7 +113,7 @@ enum Stop {
 impl Args {
     /// Parses the arguments after the program name. Flags may come in any
     /// order; a repeated flag keeps its last value, except `--stage`,
-    /// which accumulates.
+    /// which accumulates. A flag the chosen mode would ignore is an error.
     fn parse(mut args: impl Iterator<Item = String>) -> Result<Args, Stop> {
         let mut parsed = Args {
             paper_scale: false,
@@ -125,8 +128,8 @@ impl Args {
             events_out: None,
             metrics_out: None,
             timeline_out: None,
-            timeline_window_ms: 1_000,
-            shards: 1,
+            timeline_window_ms: None,
+            shards: None,
             sites_scale: 1,
             traffic: None,
         };
@@ -158,18 +161,55 @@ impl Args {
                 "--metrics" => parsed.metrics_out = Some(value()?),
                 "--timeline" => parsed.timeline_out = Some(value()?),
                 "--timeline-window" => {
-                    parsed.timeline_window_ms = positive(&flag, value()?, "millisecond count")?;
+                    parsed.timeline_window_ms =
+                        Some(positive(&flag, value()?, "millisecond count")?);
                 }
-                "--shards" => parsed.shards = positive(&flag, value()?, "integer")?,
+                "--shards" => parsed.shards = Some(positive(&flag, value()?, "integer")?),
                 "--sites-scale" => parsed.sites_scale = positive(&flag, value()?, "integer")?,
                 "--traffic" => parsed.traffic = Some(positive(&flag, value()?, "session count")?),
                 _ => return Err(Stop::Bad(format!("unknown argument {flag:?}"))),
             }
         }
-        if parsed.timeline_out.is_some() && parsed.traffic.is_none() {
-            return Err(Stop::Bad("--timeline requires --traffic <sessions>".into()));
+        let traffic = parsed.traffic.is_some();
+        let staged = !parsed.stages.is_empty();
+        let timeline_sampled = traffic && (parsed.timeline_out.is_some() || parsed.timings);
+        let faulty = parsed.net.as_ref().is_some_and(|net| net.faults.is_some());
+        let rules = [
+            (
+                parsed.timeline_out.is_some() && !traffic,
+                "--timeline requires --traffic <sessions>",
+            ),
+            (
+                staged && parsed.collect_only,
+                "--stage cannot be combined with --collect-only",
+            ),
+            (
+                staged && traffic,
+                "--stage cannot be combined with --traffic",
+            ),
+            (
+                parsed.collect_only && traffic,
+                "--collect-only cannot be combined with --traffic",
+            ),
+            (
+                parsed.shards.is_some() && traffic,
+                "--shards does not apply to --traffic",
+            ),
+            (parsed.json && traffic, "--json does not apply to --traffic"),
+            (parsed.json && !parsed.timings, "--json requires --timings"),
+            (
+                parsed.timeline_window_ms.is_some() && !timeline_sampled,
+                "--timeline-window requires --traffic with --timeline or --timings",
+            ),
+            (
+                parsed.fault_seed.is_some() && !faulty,
+                "--fault-seed requires a --net-profile that injects faults",
+            ),
+        ];
+        match rules.into_iter().find(|&(broken, _)| broken) {
+            Some((_, problem)) => Err(Stop::Bad(problem.into())),
+            None => Ok(parsed),
         }
-        Ok(parsed)
     }
 }
 
@@ -203,7 +243,7 @@ paper-vs-measured comparison.
   --seed <n>               world and study seed (default 2019)
   --sites-scale <n>        grow every world population n-fold (n >= 1)
   --net-profile <name>     network the crawls run over: {}
-  --fault-seed <n>         re-seed the profile's fault injector
+  --fault-seed <n>         re-seed the fault injector of a faulty profile
   --shards <n>             fan the decomposable stages over n shards (n >= 1)
   --stage <name>           run only this analysis stage and its dependencies
                            (repeatable)
@@ -215,7 +255,7 @@ paper-vs-measured comparison.
   --metrics <path>         write a Prometheus text exposition
   --traffic <sessions>     run the traffic workload instead of the study
   --timeline <path>        with --traffic, write windowed metric series
-  --timeline-window <ms>   timeline window width (default 1000)
+  --timeline-window <ms>   with --traffic, timeline window width (default 1000)
   --help                   print this help
 ",
         NetProfile::NAMES.join(", ")
@@ -251,6 +291,7 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let shards = shards.unwrap_or(1);
 
     let mut config = if paper_scale {
         StudyConfig::paper_scale(seed)
@@ -286,7 +327,7 @@ fn main() {
             &events_out,
             &metrics_out,
             &timeline_out,
-            timeline_window_ms,
+            timeline_window_ms.unwrap_or(1_000),
         );
         return;
     }

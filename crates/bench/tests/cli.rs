@@ -41,6 +41,19 @@ fn bad_arguments_exit_2_with_usage_before_any_study() {
         &["--timeline", "out.jsonl"],
         &["stray"],
         &["--timings", "--bogus-flag"],
+        // Flags that would do nothing in the mode chosen.
+        &["--collect-only", "--stage", "cookies"],
+        &["--traffic", "5", "--stage", "cookies"],
+        &["--traffic", "5", "--collect-only"],
+        &["--traffic", "5", "--shards", "4"],
+        &["--traffic", "5", "--timings", "--json"],
+        &["--json"],
+        &["--timeline-window", "500"],
+        &["--traffic", "5", "--timeline-window", "500"],
+        &["--timings", "--timeline-window", "500"],
+        &["--fault-seed", "3"],
+        &["--net-profile", "default", "--fault-seed", "3"],
+        &["--traffic", "5", "--fault-seed", "3"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

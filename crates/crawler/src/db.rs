@@ -13,7 +13,6 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::time::Duration;
 
 use redlight_browser::PageVisit;
 use redlight_net::geoip::Country;
@@ -44,10 +43,6 @@ pub struct SiteVisitRecord {
     /// Document-load attempts spent on the site (1 = first try succeeded
     /// or no retry budget; 0 = the corpus entry never parsed into a URL).
     pub attempts: u32,
-    /// Logical time the crawl session's clock spent on this site: every
-    /// fetch's modeled service time plus the retry backoff, under the
-    /// profile's `SimSpec`. Deterministic, so equal across runs.
-    pub wall: Duration,
 }
 
 /// One crawl: a country × corpus sweep with a single browser session.
@@ -82,27 +77,20 @@ impl CrawlRecord {
     }
 
     /// Appends a single-attempt visit row (the overwhelmingly common case;
-    /// retrying crawlers record attempts/wall via
+    /// retrying crawlers record attempts via
     /// [`push_visit_with`](Self::push_visit_with)).
     pub fn push_visit(&mut self, domain: &str, visit: PageVisit) {
-        self.push_visit_with(domain, visit, 1, Duration::ZERO);
+        self.push_visit_with(domain, visit, 1);
     }
 
     /// Appends a visit row, interning the domain into the crawl's string
     /// table at record time.
-    pub fn push_visit_with(
-        &mut self,
-        domain: &str,
-        visit: PageVisit,
-        attempts: u32,
-        wall: Duration,
-    ) {
+    pub fn push_visit_with(&mut self, domain: &str, visit: PageVisit, attempts: u32) {
         let domain = self.names.intern(domain);
         self.visits.push(SiteVisitRecord {
             domain,
             visit,
             attempts,
-            wall,
         });
     }
 

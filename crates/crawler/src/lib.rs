@@ -28,11 +28,11 @@
 //! Both crawlers run on one crate-private crawl session. It fetches
 //! through the transport seam ([`redlight_net::transport`]): the crawl's
 //! [`NetProfile`] — carried on the plan specs — assembles the stack (the
-//! server, optional fault injection, a meter) under a logical clock and
-//! sets the visit [`RetryPolicy`], so a plan fully describes the network
-//! weather it runs under. The session's one retry loop consumes backoff
-//! on that clock and counts every crawl's attempts, retries and failed
-//! visits.
+//! server, optional fault injection, a meter) and sets the visit
+//! [`RetryPolicy`], so a plan fully describes the network weather it runs
+//! under. The session's one retry loop counts every crawl's attempts,
+//! retries and failed visits; like the paper's crawl, it records no time
+//! per visit.
 
 #![warn(missing_docs)]
 

@@ -9,13 +9,10 @@
 //! The crawl runs as one crawl session: a browser fetching through the
 //! stack its [`NetProfile`] assembles — the in-process server under a
 //! meter, optionally with a deterministic fault-injection decorator
-//! between them — on a logical clock. Failed document loads
-//! are retried up to the profile's
+//! between them. Failed document loads are retried up to the profile's
 //! [`RetryPolicy`](redlight_net::transport::RetryPolicy) budget, with the
-//! attempt count and the visit's logical wall recorded on every
+//! attempt count recorded on every
 //! [`SiteVisitRecord`](crate::db::SiteVisitRecord).
-
-use std::time::Duration;
 
 use redlight_net::geoip::Country;
 use redlight_net::transport::{BrowserKind, NetProfile};
@@ -110,19 +107,18 @@ impl<'w> OpenWpmCrawler<'w> {
                 // and skew every per-corpus denominator downstream.
                 session.skip();
                 requests_hist.record(0);
-                record.push_visit_with(domain, unparsable_visit(), 0, Duration::ZERO);
+                record.push_visit_with(domain, unparsable_visit(), 0);
                 return;
             };
             let Load {
                 mut visit,
                 attempts,
-                wall,
             } = session.load(&url);
             requests_hist.record(visit.requests.len() as u64);
             if !self.config.store_dom {
                 visit.dom_html = String::new();
             }
-            record.push_visit_with(domain, visit, attempts, wall);
+            record.push_visit_with(domain, visit, attempts);
         });
         tracer.close();
 

@@ -3,8 +3,8 @@
 //! Crawls are independent browser sessions, so they parallelize cleanly;
 //! **within** one crawl the visits stay sequential because the paper keeps
 //! a single browser session alive to observe cookie syncing (§3.1) — which
-//! also keeps each session's transport stack (meters, fault injectors,
-//! logical clock) deterministic regardless of thread interleaving.
+//! also keeps each session's transport stack (meter, fault injector)
+//! deterministic regardless of thread interleaving.
 //!
 //! [`run_jobs`] runs a plan's crawls on one pool of
 //! [`available_parallelism`](std::thread::available_parallelism) workers,

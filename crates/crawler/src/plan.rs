@@ -77,8 +77,7 @@ pub struct CrawlTiming {
     pub failures: u64,
     /// Host wall-clock duration of the crawl, from its session opening on
     /// its pool worker to its close: the time it waited in the pool's queue
-    /// is not in it. (Its visit walls are logical time; this is the real
-    /// time the crawl took to run.)
+    /// is not in it.
     pub wall: Duration,
     /// Transport-layer counters. Always `Some`, since every profile
     /// meters; it stays an `Option` because the benchmark of record
@@ -358,9 +357,9 @@ mod tests {
     fn plan_execution_matches_direct_crawling() {
         // Crawls running concurrently must record exactly what a
         // hand-rolled sequential crawler invocation records (determinism
-        // across entry points and threads), logical walls included. The
-        // interaction crawl is longer than every sweep, so the pool starts
-        // it first, ahead of its plan position.
+        // across entry points and threads). The interaction crawl is
+        // longer than every sweep, so the pool starts it first, ahead of
+        // its plan position.
         let world = World::build(WorldConfig::tiny(82));
         let corpus = CorpusCompiler::new(&world).compile();
         let long: Vec<String> = corpus
@@ -407,7 +406,6 @@ mod tests {
             assert_eq!(a.visit.success, b.visit.success);
             assert_eq!(a.visit.requests.len(), b.visit.requests.len());
             assert_eq!(a.visit.dom_html, b.visit.dom_html);
-            assert_eq!(a.wall, b.wall);
         }
 
         let direct = SeleniumCrawler::new(&world, Country::Uk).crawl(&long);

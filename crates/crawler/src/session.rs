@@ -1,27 +1,23 @@
 //! The crawl session both crawlers drive (paper §3.1): one long-lived
-//! browser fetching through the crawl's [`NetProfile`] stack, on a logical
-//! clock.
+//! browser fetching through the crawl's [`NetProfile`] stack.
 //!
-//! [`Session::open`] assembles [`NetProfile::stack`] with [`SimTransport`]
-//! outermost, so every fetch, fault stall and retry backoff is charged to
-//! the session's simulated clock under the profile's
-//! [`SimSpec`](redlight_net::transport::SimSpec); nothing waits on a real
-//! one. [`Session::load`] is the one retry loop: it re-visits a failed
-//! document load up to the profile's [`RetryPolicy`] budget, consumes each
-//! backoff on the clock, and returns the visit with its attempts and its
-//! logical wall. The session counts sites, attempts, retries and failed
-//! visits, publishes the shared `transport.retries` counter and
-//! `crawl.attempts` histogram, and [`finish`](Session::finish)es into the
-//! crawl's [`CrawlTiming`].
+//! [`Session::open`] hands the browser [`NetProfile::stack`] (the server,
+//! optional fault injection, a meter). [`Session::load`] is the one retry
+//! loop: it re-visits a failed document load up to the profile's
+//! [`RetryPolicy`] budget and returns the visit with its attempts. Like
+//! the paper's crawl it records no time per visit, so a retry waits on no
+//! clock. The session counts sites, attempts, retries and failed visits,
+//! publishes the shared `transport.retries` counter and `crawl.attempts`
+//! histogram, and [`finish`](Session::finish)es into the crawl's
+//! [`CrawlTiming`].
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use redlight_browser::{Browser, PageVisit};
 use redlight_net::geoip::Country;
 use redlight_net::transport::{BrowserKind, NetProfile, RetryPolicy, TransportMeter};
 use redlight_net::url::Url;
 use redlight_obs::{Counter, Histogram, Registry, Tracer};
-use redlight_sim::{SimHandle, SimTransport};
 use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
@@ -34,7 +30,6 @@ const VISIT_BATCH: usize = 25;
 /// One crawl's browser session and its visit bookkeeping.
 pub(crate) struct Session<'w> {
     browser: Browser<'w>,
-    clock: SimHandle,
     retry: RetryPolicy,
     meter: TransportMeter,
     started: Instant,
@@ -52,9 +47,6 @@ pub(crate) struct Load {
     pub(crate) visit: PageVisit,
     /// Attempts spent (at least one).
     pub(crate) attempts: u32,
-    /// Logical time from the first fetch to the last outcome, backoff
-    /// included.
-    pub(crate) wall: Duration,
 }
 
 impl<'w> Session<'w> {
@@ -70,14 +62,11 @@ impl<'w> Session<'w> {
         let started = Instant::now();
         let ctx = Browser::context_for(world, country, kind);
         let meter = TransportMeter::in_registry(registry);
-        let clock = SimHandle::new(net.sim);
-        let stack = SimTransport::new(
-            net.stack(WebServer::new(world), &meter, registry),
-            clock.clone(),
-        );
         Session {
-            browser: Browser::with_transport(Box::new(stack), ctx),
-            clock,
+            browser: Browser::with_transport(
+                net.stack(WebServer::new(world), &meter, registry),
+                ctx,
+            ),
             retry: net.retry.clone(),
             meter,
             started,
@@ -96,33 +85,16 @@ impl<'w> Session<'w> {
     }
 
     /// Loads `url`, re-visiting a failed load until it succeeds or the
-    /// retry budget is spent, with each backoff consumed on the clock.
-    ///
-    /// # Panics
-    ///
-    /// If the backoff the clock consumed differs from
-    /// [`RetryPolicy::total_backoff`] for the attempts spent.
+    /// retry budget is spent.
     pub(crate) fn load(&mut self, url: &Url) -> Load {
-        let (t0, b0) = (self.clock.now(), self.clock.backoff_consumed());
         let mut attempts = 1u32;
         let mut visit = self.browser.visit(url);
         while !visit.success && attempts < self.retry.max_attempts {
             attempts += 1;
-            self.clock
-                .consume_backoff(self.retry.backoff_before(attempts));
             visit = self.browser.visit(url);
         }
-        assert_eq!(
-            self.clock.backoff_consumed() - b0,
-            self.retry.total_backoff(attempts),
-            "recorded backoff must equal logical time consumed"
-        );
         self.count(attempts, visit.success);
-        Load {
-            wall: self.clock.now() - t0,
-            visit,
-            attempts,
-        }
+        Load { visit, attempts }
     }
 
     /// Counts a corpus entry that never parsed into a URL: a failed visit

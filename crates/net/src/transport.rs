@@ -19,9 +19,9 @@
 //!   request URL, resource kind, attempt number)` — no wall clock, no
 //!   global RNG — so the same seed replays the same faults, and two runs
 //!   of a study produce identical results;
-//! * retry backoff is never slept on: every profile carries a [`SimSpec`],
-//!   and crawls run on its simulated clock (`redlight-sim`'s transport),
-//!   which *consumes* each backoff as logical time between attempts.
+//! * nothing waits on a real clock: a crawl re-visits a failed load at
+//!   once, and the retry backoff and the profile's [`SimSpec`] become time
+//!   only on the traffic workload's simulated clock (`redlight-sim`).
 //!
 //! [`WebServer`]: https://docs.rs/redlight-websim
 
@@ -457,9 +457,9 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
 /// Bounded visit retries with a deterministic backoff schedule.
 ///
-/// The backoff is never slept on a real wire: a crawl *consumes* it on the
-/// logical clock of its profile's [`SimSpec`] between attempts, and asserts
-/// the time consumed equals [`RetryPolicy::total_backoff`].
+/// The backoff is never slept on a real wire. A crawl re-visits a failed
+/// load at once and records no time; the traffic workload consumes the
+/// backoff on its logical clock between a session's attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total visit attempts (1 = no retries).
@@ -507,16 +507,6 @@ impl RetryPolicy {
         }
         d
     }
-
-    /// Total backoff a visit that spent `attempts` attempts schedules: the
-    /// sum of [`backoff_before`](Self::backoff_before) over every attempt.
-    ///
-    /// The crawler *consumes* exactly this much logical time between
-    /// retries and asserts the equality, so the schedule can never
-    /// silently diverge from the time the clock actually advanced.
-    pub fn total_backoff(&self, attempts: u32) -> Duration {
-        (1..=attempts).map(|a| self.backoff_before(a)).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -525,13 +515,13 @@ impl RetryPolicy {
 
 /// Parameters of the simulated-time service model, as data.
 ///
-/// Every crawl wraps its [`NetProfile`]'s transport stack in the
-/// `redlight-sim` crate's `SimTransport` under the profile's `SimSpec`:
-/// every fetch charges a modeled service time to a logical clock — a base
-/// cost plus a per-KiB transfer cost with deterministic ±jitter —
-/// unreachable hosts charge the connect-fail cost, stalls charge the full
-/// timeout budget, and retry backoff advances the same clock. The spec
-/// itself is plain data so `net` needs no dependency on `redlight-sim`.
+/// The `redlight-sim` traffic workload runs under its [`NetProfile`]'s
+/// `SimSpec`: every request costs a modeled service time on a logical
+/// clock — a base cost plus a per-KiB transfer cost with deterministic
+/// ±jitter — unreachable hosts cost the connect-fail time, stalls the full
+/// timeout budget, and each host serves `conn_limit` requests at once.
+/// Crawls fetch without a clock and never read the spec. It is plain data
+/// so `net` needs no dependency on `redlight-sim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimSpec {
     /// Base per-request service time (connection + server think time).
@@ -580,7 +570,8 @@ pub struct NetProfile {
     pub fault_seed: u64,
     /// Visit retry policy.
     pub retry: RetryPolicy,
-    /// Simulated-time service model the crawl's logical clock charges.
+    /// Simulated-time service model of the traffic workload (crawls run
+    /// without a clock and ignore it).
     pub sim: SimSpec,
     /// Service-level objectives the traffic simulator's timeline
     /// telemetry evaluates per window.
@@ -617,8 +608,8 @@ impl NetProfile {
         self
     }
 
-    /// Replaces the service model the crawl's logical clock charges.
-    /// Outcomes are unchanged; only time accounting differs.
+    /// Replaces the service model the traffic workload's logical clock
+    /// charges. Crawls ignore it.
     pub fn with_sim(mut self, spec: SimSpec) -> Self {
         self.sim = spec;
         self
@@ -816,18 +807,5 @@ mod tests {
         assert_eq!(p.backoff_before(3), Duration::from_millis(300));
         assert_eq!(p.backoff_before(4), Duration::from_millis(900));
         assert_eq!(RetryPolicy::none().max_attempts, 1);
-    }
-
-    #[test]
-    fn total_backoff_sums_the_schedule() {
-        let p = RetryPolicy::retries(4, Duration::from_millis(100), 3);
-        assert_eq!(p.total_backoff(0), Duration::ZERO);
-        assert_eq!(p.total_backoff(1), Duration::ZERO);
-        assert_eq!(p.total_backoff(2), Duration::from_millis(100));
-        assert_eq!(p.total_backoff(3), Duration::from_millis(400));
-        assert_eq!(p.total_backoff(4), Duration::from_millis(1300));
-        // The sum is exactly the per-attempt schedule, term by term.
-        let by_terms: Duration = (1..=4).map(|a| p.backoff_before(a)).sum();
-        assert_eq!(p.total_backoff(4), by_terms);
     }
 }

@@ -49,7 +49,7 @@ impl ServiceModel {
     }
 
     /// Time a stalled request holds the client: the full timeout budget
-    /// (no jitter — the budget is the crawler's, not the server's).
+    /// (no jitter — the budget is the client's, not the server's).
     pub fn timeout_time(&self) -> Duration {
         self.spec.timeout
     }

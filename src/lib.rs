@@ -28,8 +28,8 @@
 //! * [`analysis`] — every §3–§7 analysis;
 //! * [`blocklist`] — the Adblock-Plus filter engine + entity lists;
 //! * [`net`] / [`html`] / [`script`] / [`text`] / [`rankings`] — substrates;
-//! * [`sim`] — the discrete-event kernel, simulated transport and the
-//!   million-visitor traffic workload;
+//! * [`sim`] — simulated time for the million-visitor traffic workload:
+//!   the discrete-event queue, the service model and the workload itself;
 //! * [`report`] — table/figure rendering and paper-value comparisons.
 
 #![warn(missing_docs)]

@@ -3,35 +3,17 @@
 //! the per-request path walks the requests in and the shard count the batch
 //! is computed over. The per-request walk here is the oracle.
 //!
-//! The measurement DB is collected once (collection never classifies);
-//! every property case re-classifies it both ways with fresh classifiers
-//! and compares verdicts per request occurrence.
+//! The measurement DB is collected once (collection never classifies) and
+//! classified once in canonical order as the reference. Then, for every
+//! shard count from 1 to 12, a seeded permuted walk and the batch each
+//! re-classify it with a fresh classifier, and both are compared with the
+//! reference per request occurrence.
 //!
 //! [`classify_batch`]: redlight::analysis::ats::AtsClassifier::classify_batch
-
-use std::sync::OnceLock;
-
-use proptest::prelude::*;
 
 use redlight::analysis::ats::AtsClassifier;
 use redlight::crawler::db::MeasurementDb;
 use redlight::{Study, StudyConfig, World, WorldConfig};
-
-struct Seeded {
-    world: World,
-    db: MeasurementDb,
-}
-
-/// The seeded study, collected exactly once.
-fn seeded() -> &'static Seeded {
-    static CELL: OnceLock<Seeded> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let config = StudyConfig::tiny(4242);
-        let world = World::build(WorldConfig::tiny(4242));
-        let (db, _) = Study::collect_db(&world, &config);
-        Seeded { world, db }
-    })
-}
 
 fn classifier(world: &World) -> AtsClassifier {
     AtsClassifier::from_lists(&world.easylist, &world.easyprivacy)
@@ -91,44 +73,49 @@ fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier, shards: usize) -> V
         .collect()
 }
 
-proptest! {
-    /// Per-request verdicts are independent of walk order, and the batch
-    /// path agrees with them occurrence for occurrence — for any shard
-    /// count.
-    #[test]
-    fn batch_agrees_with_any_per_request_order(
-        shards in 1usize..=12,
-        perm_seed in any::<u64>(),
-    ) {
-        let fixture = seeded();
-        let occs = occurrences(&fixture.db);
-        prop_assert!(!occs.is_empty(), "the tiny study records classifiable requests");
+/// A deterministic Fisher-Yates permutation of `0..len` drawn from `seed`.
+fn permutation(len: usize, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    let mut state = seed | 1;
+    for i in (1..order.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        order.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    order
+}
 
-        // Deterministic Fisher-Yates permutation of the walk order from the
-        // drawn seed (proptest shrinks the seed, not the permutation).
-        let mut order: Vec<usize> = (0..occs.len()).collect();
-        let mut state = perm_seed | 1;
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            order.swap(i, (state >> 33) as usize % (i + 1));
-        }
+/// Per-request verdicts are independent of walk order, and the batch path
+/// agrees with them occurrence for occurrence — for every shard count.
+#[test]
+fn batch_agrees_with_any_per_request_order() {
+    let config = StudyConfig::tiny(4242);
+    let world = World::build(WorldConfig::tiny(4242));
+    let (db, _) = Study::collect_db(&world, &config);
+    let occs = occurrences(&db);
+    assert!(
+        !occs.is_empty(),
+        "the tiny study records classifiable requests"
+    );
 
-        // Reference: a fresh classifier walked in canonical order.
-        let reference = classifier(&fixture.world);
-        let expected: Vec<bool> = occs
-            .iter()
-            .map(|&occ| per_request_verdict(&fixture.db, &reference, occ))
-            .collect();
+    // Reference: a fresh classifier walked in canonical order.
+    let reference = classifier(&world);
+    let expected: Vec<bool> = occs
+        .iter()
+        .map(|&occ| per_request_verdict(&db, &reference, occ))
+        .collect();
 
+    for shards in 1usize..=12 {
         // Permuted per-request walk on its own fresh classifier.
-        let permuted_cls = classifier(&fixture.world);
+        let permuted_cls = classifier(&world);
         let mut permuted = vec![false; occs.len()];
-        for &i in &order {
-            permuted[i] = per_request_verdict(&fixture.db, &permuted_cls, occs[i]);
+        for i in permutation(occs.len(), 0x5eed_0000 + shards as u64) {
+            permuted[i] = per_request_verdict(&db, &permuted_cls, occs[i]);
         }
-        prop_assert_eq!(&permuted, &expected, "walk order changed a verdict");
+        assert_eq!(permuted, expected, "walk order changed a verdict");
 
-        let batched = batched_verdicts(&fixture.db, &classifier(&fixture.world), shards);
-        prop_assert_eq!(&batched, &expected, "batch (shards={}) diverged", shards);
+        let batched = batched_verdicts(&db, &classifier(&world), shards);
+        assert_eq!(batched, expected, "batch (shards={shards}) diverged");
     }
 }

@@ -1,23 +1,19 @@
-//! Determinism of the simulated-time layer: the traffic workload renders
-//! byte-identically for the same seed (report, tier table, span journal,
-//! metrics), diverges across seeds, and network weather costs real
-//! logical time — a flaky crawl's visit walls are strictly longer than a
-//! healthy one's on the sim clock.
+//! Determinism of the simulated-time layer, which only the traffic
+//! workload runs on: it renders byte-identically for the same seed
+//! (report, tier table, span journal, metrics), diverges across seeds, and
+//! network weather costs real logical time — a flaky run's makespan is
+//! strictly longer than a healthy one's.
 //!
-//! The rendered reports and the summed crawl walls are also pinned to
-//! recorded values, so a change to the event schedule, the service model
-//! or the fault draws fails here even when it replays consistently.
+//! The rendered reports are also pinned to recorded values, so a change to
+//! the event schedule, the service model or the fault draws fails here
+//! even when it replays consistently.
 
 use std::time::Duration;
 
-use redlight::crawler::db::CorpusLabel;
-use redlight::crawler::openwpm::CrawlConfig;
-use redlight::crawler::OpenWpmCrawler;
-use redlight::net::geoip::Country;
 use redlight::net::transport::NetProfile;
 use redlight::obs::ObsContext;
 use redlight::sim::{run_traffic, TrafficConfig, TrafficReport};
-use redlight::{World, WorldConfig};
+use redlight::WorldConfig;
 
 /// `render()` of the 600-session, seed-5 run on the default profile.
 const DEFAULT_REPORT: &str = "\
@@ -119,54 +115,4 @@ fn flaky_traffic_takes_strictly_longer_than_direct() {
         stormy.makespan,
         healthy.makespan
     );
-}
-
-/// Crawls the same porn domains twice — once over a healthy network, once
-/// under the flaky fault plan — and compares the recorded per-visit walls,
-/// which are logical time on the crawl session's clock.
-#[test]
-fn flaky_crawl_walls_strictly_exceed_direct_walls() {
-    let world = World::build(WorldConfig::tiny(11));
-    let domains: Vec<String> = world
-        .sites
-        .iter()
-        .filter(|s| s.is_porn() && !s.unresponsive)
-        .take(25)
-        .map(|s| s.domain.clone())
-        .collect();
-    assert!(
-        !domains.is_empty(),
-        "tiny world must have crawlable porn sites"
-    );
-
-    let crawl_wall = |net: NetProfile| -> Duration {
-        let config = CrawlConfig {
-            country: Country::Usa,
-            corpus: CorpusLabel::Porn,
-            store_dom: false,
-        };
-        let record = OpenWpmCrawler::new(&world, config)
-            .with_net(net)
-            .crawl(&domains);
-        record.visits.iter().map(|v| v.wall).sum()
-    };
-
-    let direct = crawl_wall(NetProfile::default());
-    let flaky = crawl_wall(NetProfile::named("flaky").expect("flaky profile registered"));
-    assert!(direct > Duration::ZERO, "sim walls are logical, not zero");
-    assert_eq!(
-        direct.as_nanos(),
-        10_666_778_740,
-        "healthy crawl walls moved"
-    );
-    assert_eq!(flaky.as_nanos(), 72_139_350_680, "flaky crawl walls moved");
-    assert!(
-        flaky > direct,
-        "fault stalls and consumed backoff must lengthen logical visit walls: \
-         {flaky:?} vs {direct:?}"
-    );
-
-    // Replay: logical walls are deterministic, unlike wall-clock timing.
-    let direct_again = crawl_wall(NetProfile::default());
-    assert_eq!(direct, direct_again, "sim crawl walls must replay exactly");
 }
