@@ -9,13 +9,12 @@
 use std::collections::BTreeSet;
 
 use redlight_net::geoip::Country;
-use serde::{Deserialize, Serialize};
 
 use crate::util::pct;
 use redlight_crawler::db::{CrawlRecord, InteractionRecord};
 
 /// Per-country gate statistics over the studied site set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountryGates {
     /// Vantage-point country of these records.
     pub country: Country,
@@ -32,7 +31,7 @@ pub struct CountryGates {
 }
 
 /// Cross-country comparison (the §7.2 narrative numbers).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AgeGateComparison {
     /// Per country.
     pub per_country: Vec<CountryGates>,
@@ -99,7 +98,7 @@ pub fn compare(per_country: &[Vec<InteractionRecord>]) -> AgeGateComparison {
 
 /// RTA (Restricted-To-Adults) label prevalence (§2.1): the ASACP meta tag
 /// parents' filters key on. Detected from the crawled markup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RtaReport {
     /// Sites checked.
     pub sites_checked: usize,

@@ -9,7 +9,6 @@ use std::collections::BTreeSet;
 
 use redlight_blocklist::{FilterSet, RequestContext};
 use redlight_net::http::ResourceKind;
-use serde::{Deserialize, Serialize};
 
 use crate::thirdparty::ThirdPartyExtract;
 use redlight_crawler::db::CrawlRecord;
@@ -90,7 +89,7 @@ pub struct BatchVerdicts {
 }
 
 /// Table 2: first/third-party domain counts for both corpora.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Porn corpus size.
     pub porn_corpus_size: usize,

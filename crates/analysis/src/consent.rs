@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use redlight_html::{parser, style};
 use redlight_net::geoip::Country;
 use redlight_text::lang;
-use serde::{Deserialize, Serialize};
 
 use crate::util::pct;
 use redlight_crawler::db::CrawlRecord;
@@ -20,7 +19,7 @@ use redlight_crawler::store::CrawlSlice;
 
 /// The Degeling et al. banner taxonomy as the detector can distinguish it
 /// (Slider and Checkbox require interaction, so they fold into `Others`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BannerType {
     /// Informs without offering any choice.
     NoOption,
@@ -33,7 +32,7 @@ pub enum BannerType {
 }
 
 /// One detected banner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BannerObservation {
     /// The crawled domain showing the banner.
     pub site: String,
@@ -95,7 +94,7 @@ fn classify_page(html: &str) -> Option<(BannerType, String)> {
 }
 
 /// Table 8 column for one country.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BannerBreakdown {
     /// Vantage-point country of the crawl.
     pub country: Country,

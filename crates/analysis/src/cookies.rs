@@ -10,18 +10,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use redlight_net::codec;
-use serde::{Deserialize, Serialize};
 
 use crate::ats::AtsClassifier;
 use crate::util::{pct, reg};
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
 
 /// Minimum value length for a cookie to plausibly carry a unique ID.
 pub const MIN_ID_LEN: usize = 6;
 
 /// One aggregated cookie observation: `(site, setting domain, name)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CookieRow {
     /// The crawled domain the cookie was observed on.
     pub site: String,
@@ -38,7 +36,7 @@ pub struct CookieRow {
 }
 
 /// Full §5.1.1 statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CookieStats {
     /// All distinct (site, domain, name) cookie observations.
     pub total_cookies: usize,
@@ -77,7 +75,7 @@ pub struct CookieStats {
 }
 
 /// One Table 4 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Registrable domain delivering the cookies.
     pub domain: String,
@@ -93,21 +91,15 @@ pub struct Table4Row {
     pub ip_pct: f64,
 }
 
-/// Collects deduplicated cookie rows from a crawl.
+/// Collects deduplicated cookie rows from a crawl, in visit order.
 pub fn collect(crawl: &CrawlRecord) -> Vec<CookieRow> {
-    scan(crawl.full())
-}
-
-/// The map side of [`collect`]: one shard's rows, deduplicated within the
-/// shard and emitted in visit order.
-pub fn scan(slice: CrawlSlice<'_>) -> Vec<CookieRow> {
     let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
     let mut rows = Vec::new();
-    for record in slice.successful() {
+    for record in crawl.successful() {
         let Some(final_url) = &record.visit.final_url else {
             continue;
         };
-        let site = slice.name(record.domain);
+        let site = crawl.name(record.domain);
         let site_reg = reg(final_url.host().as_str()).to_string();
         for obs in &record.visit.cookies {
             if !obs.accepted {
@@ -126,25 +118,6 @@ pub fn scan(slice: CrawlSlice<'_>) -> Vec<CookieRow> {
                 value: obs.cookie.value.clone(),
                 session: obs.cookie.is_session(),
             });
-        }
-    }
-    rows
-}
-
-/// The reduce side of [`collect`]: concatenates per-shard rows in shard
-/// order, re-applying the `(site, domain, name)` dedup across shard
-/// boundaries. Because shards are contiguous visit ranges, the merged
-/// sequence keeps first occurrences exactly where the monolithic scan
-/// put them.
-pub fn merge(parts: impl IntoIterator<Item = Vec<CookieRow>>) -> Vec<CookieRow> {
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut rows = Vec::new();
-    for part in parts {
-        for row in part {
-            let key = (row.site.clone(), row.domain.clone(), row.name.clone());
-            if seen.insert(key) {
-                rows.push(row);
-            }
         }
     }
     rows

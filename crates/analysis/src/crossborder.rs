@@ -12,7 +12,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_net::geoip::Country;
-use serde::{Deserialize, Serialize};
 
 use crate::util::{pct, reg, same_site};
 use redlight_crawler::db::CrawlRecord;
@@ -21,7 +20,7 @@ use redlight_crawler::db::CrawlRecord;
 pub type HostingResolver<'a> = &'a dyn Fn(&str) -> Country;
 
 /// Cross-border findings for one crawl.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrossBorderReport {
     /// Vantage-point country of the crawl.
     pub vantage: Country,

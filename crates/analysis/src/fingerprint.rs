@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_browser::canvas::CanvasActivity;
-use serde::{Deserialize, Serialize};
 
 use crate::ats::AtsClassifier;
 use crate::util::{pct, reg, same_site};
@@ -64,7 +63,7 @@ pub fn passes_font_criteria(activity: &CanvasActivity) -> bool {
 
 /// Identity of a fingerprinting script: its URL, or `(site, inline)` for
 /// first-party inline scripts.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ScriptId {
     /// Serving host (site itself for inline/first-party scripts).
     pub host: String,
@@ -73,7 +72,7 @@ pub struct ScriptId {
 }
 
 /// Aggregated fingerprinting findings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FingerprintReport {
     /// Distinct canvas-fingerprinting scripts.
     pub canvas_scripts: BTreeSet<ScriptId>,
@@ -214,7 +213,7 @@ pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
 }
 
 /// One Table 5 row: a third-party domain's fingerprinting footprint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table5Row {
     /// Domain.
     pub domain: String,

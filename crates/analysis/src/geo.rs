@@ -9,7 +9,6 @@
 use std::collections::BTreeSet;
 
 use redlight_net::geoip::Country;
-use serde::{Deserialize, Serialize};
 
 use crate::ats::AtsClassifier;
 use crate::thirdparty::ThirdPartyExtract;
@@ -17,7 +16,7 @@ use crate::ThreatFeed;
 use redlight_crawler::db::CrawlRecord;
 
 /// Per-country digest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeoSummary {
     /// Vantage-point country.
     pub country: Country,
@@ -36,9 +35,8 @@ pub struct GeoSummary {
     pub sites_with_malware: usize,
 }
 
-/// Summarizes one country's crawl from its third-party extraction (the
-/// stage pipeline extracts over its shard split). The `extract` must come
-/// from `crawl` with `include_chained = false`.
+/// Summarizes one country's crawl from its third-party extraction. The
+/// `extract` must come from `crawl` with `include_chained = false`.
 pub fn summarize_extracted(
     crawl: &CrawlRecord,
     extract: &ThirdPartyExtract,
@@ -87,7 +85,7 @@ pub fn summarize_extracted(
 }
 
 /// One Table 7 row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table7Row {
     /// Vantage-point country of the row.
     pub country: Country,
@@ -104,7 +102,7 @@ pub struct Table7Row {
 }
 
 /// The assembled Table 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table7 {
     /// Rows.
     pub rows: Vec<Table7Row>,
@@ -159,7 +157,7 @@ pub fn table7(summaries: &[GeoSummary], regular_fqdns: &BTreeSet<String>) -> Tab
 }
 
 /// §6.2: malicious-domain presence across countries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeoMalware {
     /// Per country: (malicious domains, porn sites with malware).
     pub per_country: Vec<(Country, usize, usize)>,

@@ -12,14 +12,13 @@ use std::net::Ipv4Addr;
 
 use redlight_net::http::Scheme;
 use redlight_rankings::PopularityTier;
-use serde::{Deserialize, Serialize};
 
 use crate::cookies::{embeds_geo, embeds_ip};
 use crate::util::pct;
 use redlight_crawler::store::CrawlSlice;
 
 /// One Table 6 band.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table6Row {
     /// Tier.
     pub tier: PopularityTier,
@@ -34,7 +33,7 @@ pub struct Table6Row {
 }
 
 /// Aggregate §5.2 numbers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HttpsReport {
     /// Rows.
     pub rows: Vec<Table6Row>,

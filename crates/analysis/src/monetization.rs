@@ -6,13 +6,11 @@
 //! keyword pass reads the premium page for paywall markers, and a manual
 //! labeling callback can override it (the paper's human inspection).
 
-use serde::{Deserialize, Serialize};
-
 use crate::util::pct;
 use redlight_crawler::db::InteractionRecord;
 
 /// Subscription label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Subscription {
     /// Content unlocks after free registration.
     Free,
@@ -36,7 +34,7 @@ pub fn paywall_heuristic(premium_page: &str) -> Subscription {
 }
 
 /// §4.1 aggregate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonetizationReport {
     /// Sites.
     pub sites: usize,

@@ -12,7 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use redlight_blocklist::EntityList;
 use redlight_net::tls::CertSummary;
 use redlight_obs::Registry;
-use serde::{Deserialize, Serialize};
 
 use crate::thirdparty::ThirdPartyExtract;
 use redlight_crawler::db::CrawlRecord;
@@ -80,7 +79,7 @@ impl CertHarvest {
 }
 
 /// How an FQDN was attributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttributionSource {
     /// Resolved through the Disconnect entity list.
     Disconnect,
@@ -213,7 +212,7 @@ fn normalize_org(org: &str) -> String {
 }
 
 /// Coverage numbers (§4.2(3)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributionStats {
     /// Total FQDNs.
     pub total_fqdns: usize,
@@ -226,7 +225,7 @@ pub struct AttributionStats {
 }
 
 /// One Fig. 3 bar.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrgPrevalence {
     /// Attributed organization label.
     pub organization: String,

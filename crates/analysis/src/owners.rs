@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use redlight_net::whois::WhoisDb;
 use redlight_rankings::RankHistory;
 use redlight_text::tfidf::TfIdfModel;
-use serde::{Deserialize, Serialize};
 
 use crate::policies::PolicyDoc;
 use redlight_crawler::db::CrawlRecord;
@@ -24,7 +23,7 @@ use redlight_crawler::db::CrawlRecord;
 pub const CLUSTER_THRESHOLD: f64 = 0.95;
 
 /// One attributed ownership cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OwnerCluster {
     /// The operating company.
     pub company: String,
@@ -35,7 +34,7 @@ pub struct OwnerCluster {
 }
 
 /// §4.1 headline numbers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OwnershipReport {
     /// Discovered clusters, largest first (Table 1).
     pub clusters: Vec<OwnerCluster>,

@@ -8,7 +8,6 @@
 
 use redlight_text::tfidf::TfIdfModel;
 use redlight_text::tokenize::{contains_ci, letter_count};
-use serde::{Deserialize, Serialize};
 
 use crate::util::pct;
 use redlight_crawler::db::InteractionRecord;
@@ -18,7 +17,7 @@ use redlight_crawler::db::InteractionRecord;
 pub const MIN_POLICY_LETTERS: usize = 600;
 
 /// One collected policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyDoc {
     /// The domain the policy belongs to.
     pub site: String,
@@ -29,7 +28,7 @@ pub struct PolicyDoc {
 }
 
 /// Polisis-style disclosure annotations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyAnnotations {
     /// Discloses cookies.
     pub discloses_cookies: bool,
@@ -66,7 +65,7 @@ pub fn discloses_full_list(text: &str, observed_third_parties: &[String]) -> boo
 }
 
 /// §7.3 aggregate report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyReport {
     /// Sites whose policy link yielded a real policy.
     pub with_policy: usize,

@@ -4,12 +4,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_rankings::{PopularityTier, RankHistory, RankStats};
-use serde::{Deserialize, Serialize};
 
 use crate::thirdparty::ThirdPartyExtract;
 
 /// One Fig. 1 point: a site with its longitudinal rank summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1Point {
     /// Domain.
     pub domain: String,
@@ -22,7 +21,7 @@ pub struct Fig1Point {
 }
 
 /// The Fig. 1 series plus its headline statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1 {
     /// Points ordered by best rank (the paper's x-axis).
     pub points: Vec<Fig1Point>,
@@ -64,7 +63,7 @@ pub fn fig1(histories: &BTreeMap<String, RankHistory>) -> Fig1 {
 }
 
 /// One Table 3 band.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3Row {
     /// Tier.
     pub tier: PopularityTier,
@@ -77,7 +76,7 @@ pub struct Table3Row {
 }
 
 /// §4.2.2 extras accompanying Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Rows.
     pub rows: Vec<Table3Row>,

@@ -9,14 +9,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 use redlight_crawler::store::CrawlSlice;
 
 /// One syncing pair of domains.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SyncPair {
     /// Registrable domain whose cookie value leaked.
     pub origin: String,
@@ -25,7 +23,7 @@ pub struct SyncPair {
 }
 
 /// Aggregated sync findings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyncReport {
     /// Porn sites on which at least one sync flow was observed.
     pub sites_with_sync: usize,

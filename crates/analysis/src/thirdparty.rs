@@ -11,14 +11,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use redlight_browser::Initiator;
 use redlight_net::tls::CertSummary;
 use redlight_text::levenshtein;
-use serde::{Deserialize, Serialize};
 
 use crate::util::reg;
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
 
 /// Party classification of one observed FQDN relative to a host site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Party {
     /// Same entity as the visited site.
     First,
@@ -51,7 +49,7 @@ pub fn classify(
 }
 
 /// Distinct parties observed on one site.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteParties {
     /// First-party FQDNs other than the site's own hostname.
     pub first: BTreeSet<String>,
@@ -60,7 +58,7 @@ pub struct SiteParties {
 }
 
 /// Corpus-wide extraction result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThirdPartyExtract {
     /// Per crawled site (keyed by corpus domain).
     pub per_site: BTreeMap<String, SiteParties>,
@@ -76,31 +74,8 @@ pub struct ThirdPartyExtract {
 /// embedded frames (RTB inclusion chains); Table 7 excludes them, the main
 /// §4.2 analysis includes them.
 pub fn extract(crawl: &CrawlRecord, include_chained: bool) -> ThirdPartyExtract {
-    scan(crawl.full(), include_chained)
-}
-
-/// The reduce side: unions per-shard partials, in shard order.
-pub fn merge(parts: impl IntoIterator<Item = ThirdPartyExtract>) -> ThirdPartyExtract {
     let mut out = ThirdPartyExtract::default();
-    for part in parts {
-        for (site, parties) in part.per_site {
-            let entry = out.per_site.entry(site).or_default();
-            entry.first.extend(parties.first);
-            entry.third.extend(parties.third);
-        }
-        out.first_party_fqdns.extend(part.first_party_fqdns);
-        out.third_party_fqdns.extend(part.third_party_fqdns);
-        out.contacted_fqdns.extend(part.contacted_fqdns);
-    }
-    out
-}
-
-/// The map side of the extraction: one shard's partial extract. Merging
-/// every shard's partial with [`merge`] reproduces the monolithic
-/// [`extract`] exactly (per-site maps and FQDN sets union cleanly).
-pub fn scan(slice: CrawlSlice<'_>, include_chained: bool) -> ThirdPartyExtract {
-    let mut out = ThirdPartyExtract::default();
-    for record in slice.successful() {
+    for record in crawl.successful() {
         let visit = &record.visit;
         let Some(final_url) = &visit.final_url else {
             continue;
@@ -115,7 +90,7 @@ pub fn scan(slice: CrawlSlice<'_>, include_chained: bool) -> ThirdPartyExtract {
 
         let parties = out
             .per_site
-            .entry(slice.name(record.domain).to_string())
+            .entry(crawl.name(record.domain).to_string())
             .or_default();
         for req in &visit.requests {
             if req.status.is_none() {

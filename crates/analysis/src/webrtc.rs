@@ -7,15 +7,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ats::AtsClassifier;
 use crate::fingerprint::ScriptId;
 use crate::util::{reg, same_site};
 use redlight_crawler::store::CrawlSlice;
 
 /// Aggregated WebRTC findings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WebRtcReport {
     /// Distinct scripts invoking WebRTC APIs.
     pub scripts: BTreeSet<ScriptId>,

@@ -33,9 +33,10 @@
 //! `--shards <n>` fans the decomposable analysis stages over `n`
 //! contiguous visit-range shards (map/reduce; results are byte-identical
 //! to the one-shard run) and, with `--timings`, appends per-crawl shard
-//! statistics. `--sites-scale <n>` grows every world population `n`× while
-//! keeping the paper's proportions — the paper-vs-measured comparison
-//! rescales accordingly. Both reject `0`.
+//! statistics; under `--collect-only` those statistics are all it changes,
+//! so there it requires `--timings`. `--sites-scale <n>` grows every world
+//! population `n`× while keeping the paper's proportions — the
+//! paper-vs-measured comparison rescales accordingly. Both reject `0`.
 //!
 //! Observability exports (any of these turns journaling on; same seed ⇒
 //! byte-identical files):
@@ -194,6 +195,10 @@ impl Args {
             (
                 parsed.shards.is_some() && traffic,
                 "--shards does not apply to --traffic",
+            ),
+            (
+                parsed.shards.is_some() && parsed.collect_only && !parsed.timings,
+                "--shards with --collect-only requires --timings",
             ),
             (parsed.json && traffic, "--json does not apply to --traffic"),
             (parsed.json && !parsed.timings, "--json requires --timings"),

@@ -46,6 +46,7 @@ fn bad_arguments_exit_2_with_usage_before_any_study() {
         &["--traffic", "5", "--stage", "cookies"],
         &["--traffic", "5", "--collect-only"],
         &["--traffic", "5", "--shards", "4"],
+        &["--collect-only", "--shards", "4"],
         &["--traffic", "5", "--timings", "--json"],
         &["--json"],
         &["--timeline-window", "500"],

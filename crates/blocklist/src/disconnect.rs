@@ -10,10 +10,9 @@
 use std::collections::HashMap;
 
 use redlight_net::psl;
-use serde::{Deserialize, Serialize};
 
 /// One organization entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entity {
     /// Organization name (e.g. "Alphabet", "Oracle").
     pub name: String,
@@ -22,7 +21,7 @@ pub struct Entity {
 }
 
 /// The entity list.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EntityList {
     entities: Vec<Entity>,
     /// registrable domain → index into `entities`.

@@ -15,8 +15,6 @@
 //! * `!` comment lines and `##`/`#@#` element-hiding rules are recognized
 //!   and skipped by the list parser in [`crate::matcher`].
 
-use serde::{Deserialize, Serialize};
-
 use redlight_net::http::ResourceKind;
 use redlight_net::psl;
 
@@ -52,7 +50,7 @@ impl<'a> RequestContext<'a> {
 }
 
 /// Option constraints attached to a rule.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterOptions {
     /// `Some(true)` = only third-party, `Some(false)` = only first-party.
     pub third_party: Option<bool>,
@@ -67,7 +65,7 @@ pub struct FilterOptions {
 }
 
 /// One parsed URL filter.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Filter {
     /// The raw rule text (for reporting).
     pub raw: String,

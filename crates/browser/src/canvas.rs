@@ -2,13 +2,11 @@
 //! fingerprinting heuristics (§5.1.3) can be evaluated, and renders
 //! device-dependent readback values.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::{hash, mix, DeviceProfile};
 
 /// Recorded canvas activity of **one script execution** (OpenWPM attributes
 /// canvas calls to the calling script).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CanvasActivity {
     /// Width.
     pub width: u32,

@@ -5,10 +5,9 @@ use redlight_net::cookie::Cookie;
 use redlight_net::http::{Method, ResourceKind, StatusCode};
 use redlight_net::tls::CertSummary;
 use redlight_net::url::Url;
-use serde::{Deserialize, Serialize};
 
 /// What caused a request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Initiator {
     /// The top-level document load (or a redirect of it).
     Document,
@@ -23,7 +22,7 @@ pub enum Initiator {
 
 /// One HTTP exchange. The owning [`crate::page::PageVisit`] provides the
 /// page context, so records stay compact at crawl scale.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RequestRecord {
     /// URL.
     pub url: Url,
@@ -46,7 +45,7 @@ pub struct RequestRecord {
 }
 
 /// How a cookie reached the jar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetVia {
     /// A `Set-Cookie` response header.
     HttpHeader,
@@ -55,7 +54,7 @@ pub enum SetVia {
 }
 
 /// One observed cookie-set event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CookieObservation {
     /// Host of the response (or page, for script cookies) that set it.
     pub origin_host: String,
@@ -73,7 +72,7 @@ pub struct CookieObservation {
 }
 
 /// One instrumented JavaScript host-API call.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JsCall {
     /// Source URL of the calling script; `None` for inline scripts.
     pub script_url: Option<Url>,

@@ -2,13 +2,12 @@
 //! database holds.
 
 use redlight_net::url::Url;
-use serde::{Deserialize, Serialize};
 
 use crate::canvas::CanvasActivity;
 use crate::instrument::{CookieObservation, JsCall, RequestRecord};
 
 /// Everything recorded while loading one landing page.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PageVisit {
     /// The URL the crawler asked for.
     pub requested_url: Url,

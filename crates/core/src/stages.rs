@@ -249,16 +249,16 @@ pub struct AnalysisContext<'a> {
     /// How many contiguous visit-range shards the decomposable stages fan
     /// their scans over. At `1` (the default) every scan covers the whole
     /// crawl on the stage's own thread, and no shard spans are recorded.
+    /// The context artifacts above are whole-crawl scans at every count.
     pub shards: usize,
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Derives the shared artifacts from a collected DB, with the
-    /// artifacts that scan whole crawls (third-party extracts, cookie rows)
-    /// computed as `shards` per-shard partials merged in shard order. The
-    /// artifacts — and therefore everything derived from them — are
-    /// byte-identical at every shard count; only peak memory and
-    /// parallelism change.
+    /// Derives the shared artifacts from a collected DB. Each artifact that
+    /// reads a crawl (third-party extracts, cookie rows, cert harvest) is
+    /// one whole-crawl scan at every shard count; `shards` only sets how
+    /// many visit-range shards the decomposable stages fan their own scans
+    /// over (see [`AnalysisContext::shards`]).
     ///
     /// Panics if the DB lacks the Spanish porn/regular crawls — the plan
     /// produced by [`StudyConfig::crawl_plan`] always records them.
@@ -274,7 +274,8 @@ impl<'a> AnalysisContext<'a> {
     /// [`build_sharded`](Self::build_sharded) with the cert harvest
     /// publishing its hit/miss counters as `cache.cert-harvest.{hits,misses}`
     /// into `registry`. The corpus and its rank histories are the DB's own:
-    /// the build compiles nothing.
+    /// the build compiles nothing, and scans each crawl it reads once,
+    /// whatever `shards` is.
     pub fn build_sharded_in(
         world: &'a World,
         config: &StudyConfig,
@@ -303,12 +304,12 @@ impl<'a> AnalysisContext<'a> {
             Some((&world.cert_for_host(host)).into())
         };
         // The four whole-crawl passes read only the DB and the world, so
-        // they run concurrently; each walks its shards in order.
+        // they run concurrently, one scan per crawl.
         let (porn_extract, regular_extract, cookie_rows, cert_harvest) =
             crossbeam::thread::scope(|s| {
-                let porn = s.spawn(|_| extract(porn_es, true, shards));
-                let regular = s.spawn(|_| extract(regular_es, true, shards));
-                let rows = s.spawn(|_| cookie_rows(porn_es, shards));
+                let porn = s.spawn(|_| thirdparty::extract(porn_es, true));
+                let regular = s.spawn(|_| thirdparty::extract(regular_es, true));
+                let rows = s.spawn(|_| cookies::collect(porn_es));
                 let certs = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
                 (
                     porn.join().expect("porn extract thread"),
@@ -352,31 +353,6 @@ impl<'a> AnalysisContext<'a> {
     pub fn cache_counters(&self) -> Vec<CacheCounter> {
         Vec::new()
     }
-}
-
-/// The third-party extraction of `crawl`. One shard is one whole-crawl
-/// scan with no merge, as in [`scan_shards`]; more shards scan each
-/// contiguous visit range in turn and merge the partials in shard order,
-/// which yields the same extract.
-fn extract(crawl: &CrawlRecord, include_chained: bool, shards: usize) -> ThirdPartyExtract {
-    if shards == 1 {
-        return thirdparty::scan(crawl.full(), include_chained);
-    }
-    thirdparty::merge(
-        crawl
-            .shards(shards)
-            .into_iter()
-            .map(|slice| thirdparty::scan(slice, include_chained)),
-    )
-}
-
-/// The cookie rows of `crawl`, with the same one-shard rule as
-/// [`extract`].
-fn cookie_rows(crawl: &CrawlRecord, shards: usize) -> Vec<CookieRow> {
-    if shards == 1 {
-        return cookies::scan(crawl.full());
-    }
-    cookies::merge(crawl.shards(shards).into_iter().map(cookies::scan))
 }
 
 /// Stage outputs, one optional slot per stage — `None` when the stage was
@@ -1039,7 +1015,7 @@ fn stage_geo(
                 .crawl(country, CorpusLabel::Porn)
                 .expect("per-country porn crawl recorded");
             input += crawl.visits.len();
-            let parties = extract(crawl, false, ctx.shards);
+            let parties = thirdparty::extract(crawl, false);
             geo::summarize_extracted(crawl, &parties, &ctx.classifier, &threat)
         })
         .collect();

@@ -26,10 +26,9 @@ use redlight_websim::oracle::InspectionOracle;
 use redlight_websim::server::BrowserKind;
 use redlight_websim::sitegen::domain_has_keyword;
 use redlight_websim::World;
-use serde::{Deserialize, Serialize};
 
 /// Result of corpus compilation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusReport {
     /// Domains from the directory aggregators (source 1).
     pub from_directories: Vec<String>,

@@ -17,13 +17,12 @@ use std::net::Ipv4Addr;
 use redlight_browser::PageVisit;
 use redlight_net::geoip::Country;
 use redlight_rankings::RankHistory;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::CorpusReport;
 use crate::store::{shard_ranges, CrawlSlice, StrTable, Sym};
 
 /// Which corpus a crawl covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CorpusLabel {
     /// The pornographic corpus.
     Porn,
@@ -34,7 +33,7 @@ pub enum CorpusLabel {
 /// One site's visit inside a crawl. Rows are appended through
 /// [`CrawlRecord::push_visit`] / [`CrawlRecord::push_visit_with`], which
 /// intern the domain into the owning crawl's table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteVisitRecord {
     /// The crawled domain (corpus entry), interned in the crawl's table.
     pub domain: Sym,
@@ -46,7 +45,7 @@ pub struct SiteVisitRecord {
 }
 
 /// One crawl: a country × corpus sweep with a single browser session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrawlRecord {
     /// Country.
     pub country: Country,
@@ -160,7 +159,7 @@ impl CrawlRecord {
 }
 
 /// What the interaction (Selenium-style) crawler observed on one site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InteractionRecord {
     /// Domain.
     pub domain: String,
@@ -195,7 +194,7 @@ pub struct InteractionRecord {
 ///
 /// [`push_crawl`]: MeasurementDb::push_crawl
 /// [`push_interactions`]: MeasurementDb::push_interactions
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeasurementDb {
     /// The §3 corpus compilation the crawls swept.
     corpus: CorpusReport,

@@ -18,7 +18,6 @@ use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 use redlight_net::geoip::Country;
-use serde::{Deserialize, Serialize};
 
 use crate::db::{CorpusLabel, SiteVisitRecord};
 
@@ -27,7 +26,7 @@ use crate::db::{CorpusLabel, SiteVisitRecord};
 /// Two `Sym`s from the *same* table are equal iff the strings are equal;
 /// comparing syms across tables is meaningless, which is why the slice and
 /// record APIs always pair a sym with its table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(u32);
 
 impl Sym {
@@ -43,7 +42,7 @@ impl Sym {
 /// the span column. Interning dedups through hash buckets with exact
 /// comparison inside the bucket, so equal strings always share one sym and
 /// a 64-bit collision can never alias two different strings.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StrTable {
     /// Concatenated string bytes.
     arena: String,

@@ -6,14 +6,12 @@
 //! verification needs ("inspect the text of the parent and grandparent
 //! elements", §3.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within its [`Document`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
 
 /// Element payload: tag name and attributes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ElementData {
     /// Tag.
     pub tag: String,
@@ -39,15 +37,10 @@ impl ElementData {
     pub fn classes(&self) -> impl Iterator<Item = &str> {
         self.attr("class").unwrap_or("").split_whitespace()
     }
-
-    /// `true` when the element has class `class`.
-    pub fn has_class(&self, class: &str) -> bool {
-        self.classes().any(|c| c == class)
-    }
 }
 
 /// What a node is.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// The synthetic document root.
     Root,
@@ -60,7 +53,7 @@ pub enum NodeKind {
 }
 
 /// One DOM node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Kind.
     pub kind: NodeKind,
@@ -71,7 +64,7 @@ pub struct Node {
 }
 
 /// A parsed HTML document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     nodes: Vec<Node>,
 }
@@ -250,8 +243,6 @@ mod tests {
             ],
         };
         assert_eq!(e.id(), Some("banner"));
-        assert!(e.has_class("cookie-notice"));
-        assert!(!e.has_class("cookie"));
         assert_eq!(e.attr("missing"), None);
     }
 }

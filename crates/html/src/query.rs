@@ -15,20 +15,6 @@ pub fn by_id(doc: &Document, id: &str) -> Option<NodeId> {
         .find(|&n| doc.element(n).and_then(|e| e.id()) == Some(id))
 }
 
-/// All elements carrying class `class`.
-pub fn by_class(doc: &Document, class: &str) -> Vec<NodeId> {
-    doc.descendants()
-        .filter(|&id| doc.element(id).is_some_and(|e| e.has_class(class)))
-        .collect()
-}
-
-/// All elements that have attribute `name` (any value).
-pub fn with_attr(doc: &Document, name: &str) -> Vec<NodeId> {
-    doc.descendants()
-        .filter(|&id| doc.element(id).is_some_and(|e| e.attr(name).is_some()))
-        .collect()
-}
-
 /// All `(element, href)` anchor pairs.
 pub fn links(doc: &Document) -> Vec<(NodeId, String)> {
     by_tag(doc, "a")
@@ -83,26 +69,6 @@ pub fn inline_scripts(doc: &Document) -> Vec<String> {
         .collect()
 }
 
-/// Elements whose subtree text contains `needle` case-insensitively, deepest
-/// matches only (an ancestor is excluded when a child already matches).
-pub fn deepest_text_matches(doc: &Document, needle: &str) -> Vec<NodeId> {
-    let lower = needle.to_lowercase();
-    let matching: Vec<NodeId> = doc
-        .descendants()
-        .filter(|&id| doc.element(id).is_some())
-        .filter(|&id| doc.text_content(id).to_lowercase().contains(&lower))
-        .collect();
-    matching
-        .iter()
-        .copied()
-        .filter(|&id| {
-            !matching
-                .iter()
-                .any(|&other| other != id && doc.ancestors(other).contains(&id))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,13 +89,11 @@ mod tests {
       </body></html>"#;
 
     #[test]
-    fn tag_id_class_queries() {
+    fn tag_and_id_queries() {
         let doc = parse(PAGE);
         assert_eq!(by_tag(&doc, "script").len(), 2);
         assert!(by_id(&doc, "overlay").is_some());
         assert!(by_id(&doc, "missing").is_none());
-        assert_eq!(by_class(&doc, "modal").len(), 1);
-        assert_eq!(with_attr(&doc, "src").len(), 3);
     }
 
     #[test]
@@ -154,20 +118,5 @@ mod tests {
         let inline = inline_scripts(&doc);
         assert_eq!(inline.len(), 1);
         assert!(inline[0].contains("cookie_set"));
-    }
-
-    #[test]
-    fn deepest_text_match_prefers_leaf_elements() {
-        let doc = parse(PAGE);
-        let hits = deepest_text_matches(&doc, "enter");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(doc.element(hits[0]).unwrap().tag, "a");
-        // Parent/grandparent chain is available for banner verification.
-        let chain = doc.ancestors(hits[0]);
-        let tags: Vec<&str> = chain
-            .iter()
-            .filter_map(|&id| doc.element(id).map(|e| e.tag.as_str()))
-            .collect();
-        assert_eq!(&tags[..2], &["p", "div"]);
     }
 }

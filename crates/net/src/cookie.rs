@@ -6,12 +6,10 @@
 //! §5.1.1 ID-cookie filter discards session cookies), `Secure` and
 //! `HttpOnly`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::NetError;
 
 /// `SameSite` attribute values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SameSite {
     /// `SameSite=Strict`.
     Strict,
@@ -22,7 +20,7 @@ pub enum SameSite {
 }
 
 /// A parsed cookie.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cookie {
     /// Name.
     pub name: String,

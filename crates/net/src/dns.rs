@@ -8,10 +8,8 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// One DNS zone entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ZoneRecord {
     /// `A` record.
     pub address: Ipv4Addr,
@@ -23,7 +21,7 @@ pub struct ZoneRecord {
 }
 
 /// An in-memory DNS database with CNAME chasing.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DnsDb {
     records: HashMap<String, ZoneRecord>,
 }

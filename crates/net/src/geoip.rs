@@ -7,10 +7,8 @@
 
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// Countries the study measures from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Country {
     /// United States vantage point.
     Usa,
@@ -70,7 +68,7 @@ impl Country {
 
 /// How the crawler reaches a country: the physical machine or a commercial
 /// VPN exit (the study used NordVPN and PrivateVPN).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AccessMethod {
     /// The physical vantage point (Spain in the paper).
     Physical,
@@ -79,7 +77,7 @@ pub enum AccessMethod {
 }
 
 /// A crawl vantage point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VantagePoint {
     /// Country.
     pub country: Country,
@@ -125,7 +123,7 @@ fn default_ip(country: Country) -> Ipv4Addr {
 }
 
 /// Approximate coordinates + network metadata a geo-IP database returns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeoInfo {
     /// Latitude.
     pub latitude: f64,
@@ -138,7 +136,7 @@ pub struct GeoInfo {
 }
 
 /// A geo-IP lookup table (MaxMind stand-in).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GeoIpDb {
     entries: Vec<(Ipv4Addr, GeoInfo)>,
 }

@@ -8,14 +8,13 @@
 use std::fmt;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::cookie::Cookie;
 use crate::tls::Certificate;
 use crate::url::Url;
 
 /// URL scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Scheme {
     /// Plain HTTP.
     Http,
@@ -33,7 +32,7 @@ impl fmt::Display for Scheme {
 }
 
 /// HTTP request method (the subset a page load uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// `GET`.
     Get,
@@ -54,7 +53,7 @@ impl fmt::Display for Method {
 }
 
 /// HTTP status code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatusCode(pub u16);
 
 impl StatusCode {
@@ -68,8 +67,6 @@ impl StatusCode {
     pub const GONE: StatusCode = StatusCode(410);
     /// Forbidden.
     pub const FORBIDDEN: StatusCode = StatusCode(403);
-    /// Server error.
-    pub const SERVER_ERROR: StatusCode = StatusCode(500);
     /// Gateway timeout.
     pub const GATEWAY_TIMEOUT: StatusCode = StatusCode(504);
 
@@ -96,7 +93,7 @@ impl fmt::Display for StatusCode {
 }
 
 /// An ordered, case-insensitive multimap of HTTP headers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
     entries: Vec<(String, String)>,
 }
@@ -155,7 +152,7 @@ impl HeaderMap {
 
 /// The resource type a request loads, as a browser would classify it
 /// (blocklist rules use this for `$script` / `$image` options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// Document.
     Document,
@@ -192,7 +189,7 @@ impl ResourceKind {
 }
 
 /// An outgoing HTTP request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Request {
     /// Method.
     pub method: Method,
@@ -240,7 +237,7 @@ impl Request {
 }
 
 /// An HTTP response.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Response {
     /// Status.
     pub status: StatusCode,
@@ -248,7 +245,6 @@ pub struct Response {
     pub headers: HeaderMap,
     /// MIME type (shortcut for the `content-type` header).
     pub content_type: String,
-    #[serde(with = "serde_bytes_b64")]
     /// Body.
     pub body: Bytes,
     /// Certificate presented by the server (HTTPS only).
@@ -326,28 +322,6 @@ impl Response {
     pub fn with_certificate(mut self, cert: Certificate) -> Response {
         self.certificate = Some(cert);
         self
-    }
-}
-
-/// Serialize `Bytes` as base64 text for the measurement DB.
-///
-/// Wired through `#[serde(with = "...")]` on `Response::body`; the vendored
-/// serde derive keeps that attribute inert, so these helpers are only
-/// reachable once a real data format is linked in.
-#[allow(dead_code)]
-mod serde_bytes_b64 {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(&crate::codec::base64_encode(b))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        let s = String::deserialize(d)?;
-        crate::codec::base64_decode(&s)
-            .map(Bytes::from)
-            .map_err(serde::de::Error::custom)
     }
 }
 

@@ -12,8 +12,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cookie::Cookie;
 use crate::http::Scheme;
 use crate::psl;
@@ -21,7 +19,7 @@ use crate::url::Url;
 
 /// A cookie as stored in the jar, with its effective domain/path and origin
 /// bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredCookie {
     /// Cookie.
     pub cookie: Cookie,
@@ -59,7 +57,7 @@ impl StoredCookie {
 }
 
 /// The jar.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CookieJar {
     /// registrable domain → cookies scoped within it.
     buckets: HashMap<String, Vec<StoredCookie>>,

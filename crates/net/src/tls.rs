@@ -9,10 +9,8 @@
 //!   142 to 4,477 FQDNs). Certificates whose subject only repeats the domain
 //!   name are deliberately *not* used for attribution (paper footnote 7).
 
-use serde::{Deserialize, Serialize};
-
 /// A distinguished name: the fields the analyses read.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistinguishedName {
     /// Common Name (usually the domain, possibly wildcarded).
     pub common_name: String,
@@ -43,7 +41,7 @@ impl DistinguishedName {
 }
 
 /// A simplified X.509 certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Certificate {
     /// Subject.
     pub subject: DistinguishedName,
@@ -125,7 +123,7 @@ fn wildcard_match(pattern: &str, host: &str) -> bool {
 
 /// A compact certificate digest stored in measurement records (the full
 /// chain is too heavy to keep for every request at crawl scale).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CertSummary {
     /// Subject common name.
     pub cn: String,

@@ -2,8 +2,8 @@
 //! requests.
 //!
 //! [`Transport`] is the one interface the measurement pipeline fetches
-//! through: the synthetic [`WebServer`] implements it directly (the
-//! `DirectTransport`), and two composable decorators ride on top —
+//! through: the synthetic [`WebServer`] implements it directly, and two
+//! composable decorators ride on top —
 //! [`MeteredTransport`] (per-request latency/byte/status counters for the
 //! stage report) and [`FaultTransport`] (seeded, deterministic injection
 //! of DNS failures, connection resets, stalls, transient 5xx responses
@@ -31,7 +31,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use redlight_obs::{Counter, Histogram, Registry, SloPolicy, Unit};
-use serde::{Deserialize, Serialize};
 
 use crate::geoip::Country;
 use crate::http::{Request, Response, StatusCode};
@@ -39,7 +38,7 @@ use crate::http::{Request, Response, StatusCode};
 /// Which crawler stack is driving the browser (the OpenWPM crawl obeys the
 /// 120 s page timeout; the Selenium crawl in the paper ran separately and
 /// reached sites the OpenWPM crawl lost to timeouts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BrowserKind {
     /// The OpenWPM-style measurement crawler (Firefox 52 profile).
     OpenWpm,
@@ -48,7 +47,7 @@ pub enum BrowserKind {
 }
 
 /// Per-session client context the server sees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientContext {
     /// Country.
     pub country: Country,

@@ -6,15 +6,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::codec::{percent_decode, percent_encode};
 use crate::error::NetError;
 use crate::host::Fqdn;
 use crate::http::Scheme;
 
 /// A parsed absolute URL.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Url {
     scheme: Scheme,
     host: Fqdn,

@@ -5,10 +5,8 @@
 //! are privacy-protected. The model captures exactly that: a registrant that
 //! is either a real organization or a redaction placeholder.
 
-use serde::{Deserialize, Serialize};
-
 /// The registrant identity exposed by a WHOIS lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Registrant {
     /// A usable organization name.
     Organization(String),
@@ -20,7 +18,7 @@ pub enum Registrant {
 }
 
 /// A WHOIS record for a registrable domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhoisRecord {
     /// Domain.
     pub domain: String,
@@ -43,7 +41,7 @@ impl WhoisRecord {
 }
 
 /// An in-memory WHOIS database.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WhoisDb {
     records: std::collections::HashMap<String, WhoisRecord>,
 }

@@ -1,12 +1,10 @@
 //! Rank statistics and the popularity tiers used across the paper's tables.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trajectory::RankHistory;
 
 /// The popularity intervals of Tables 3 and 6, keyed by a site's **highest**
 /// (best) Alexa rank throughout 2018.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PopularityTier {
     /// Best rank in 1–1,000.
     Top1k,
@@ -50,7 +48,7 @@ impl PopularityTier {
 
 /// Summary statistics over one site's rank history (the per-site series
 /// behind Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankStats {
     /// Best.
     pub best: Option<u32>,

@@ -6,7 +6,6 @@
 //! drops out of the published Alexa list.
 
 use rand::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Days in the simulated year (2018).
 pub const DAYS_IN_YEAR: usize = 365;
@@ -15,7 +14,7 @@ pub const DAYS_IN_YEAR: usize = 365;
 pub const TOPLIST_SIZE: u32 = 1_000_000;
 
 /// Parameters of the AR(1) rank model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryParams {
     /// The site's central rank (geometric mean of its daily ranks).
     pub base_rank: u32,
@@ -40,7 +39,7 @@ impl TrajectoryParams {
 }
 
 /// A site's daily rank series; `None` marks days outside the top-1M.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankHistory {
     /// Daily.
     pub daily: Vec<Option<u32>>,

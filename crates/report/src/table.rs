@@ -108,38 +108,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Renders as a GitHub-flavored markdown table.
-    pub fn render_markdown(&self) -> String {
-        let ncols = self
-            .header
-            .len()
-            .max(self.rows.iter().map(|r| r.len()).max().unwrap_or(0));
-        let cell = |cells: &[String]| -> String {
-            let body = (0..ncols)
-                .map(|i| {
-                    cells
-                        .get(i)
-                        .map(String::as_str)
-                        .unwrap_or("")
-                        .replace('|', "\\|")
-                })
-                .collect::<Vec<_>>()
-                .join(" | ");
-            format!("| {body} |")
-        };
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&cell(&self.header));
-        out.push('\n');
-        out.push_str(&format!("|{}\n", "---|".repeat(ncols)));
-        for row in &self.rows {
-            out.push_str(&cell(row));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Formats a percentage with one decimal.
 pub fn fmt_pct(value: f64) -> String {
     format!("{value:.1}%")
@@ -196,17 +164,6 @@ mod tests {
         assert_eq!(fmt_count(6843), "6,843");
         assert_eq!(fmt_count(1202312), "1,202,312");
         assert_eq!(fmt_pct(43.21), "43.2%");
-    }
-
-    #[test]
-    fn markdown_rendering_escapes_pipes() {
-        let mut t = Table::new("MD", &["a", "b"]);
-        t.row(&["x|y", "2"]);
-        let md = t.render_markdown();
-        assert!(md.starts_with("### MD"));
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("x\\|y"));
     }
 
     #[test]

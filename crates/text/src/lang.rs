@@ -7,10 +7,8 @@
 //! “Privacy”/“Policy” links in the same languages. The monetization analysis
 //! (§4.1) additionally searches for account-creation and premium keywords.
 
-use serde::{Deserialize, Serialize};
-
 /// The eight languages covered by the study's keyword matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Language {
     /// English.
     English,

@@ -6,10 +6,8 @@
 //! reference corpus of 9,688 regular websites. [`WorldConfig::small`] builds
 //! a proportionally scaled-down world for unit tests and benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters controlling world generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Master seed; every stochastic choice derives from it.
     pub seed: u64,

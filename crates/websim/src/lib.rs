@@ -33,7 +33,7 @@ pub mod world;
 
 pub use config::WorldConfig;
 pub use org::{OrgId, OrgKind, Organization};
-pub use server::{ClientContext, DirectTransport, FetchOutcome, WebServer};
+pub use server::{ClientContext, FetchOutcome, WebServer};
 pub use service::{ServiceCategory, ServiceId, ThirdPartyService};
 pub use sitegen::{Site, SiteId, SiteKind};
 pub use world::World;

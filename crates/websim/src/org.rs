@@ -7,14 +7,12 @@
 //! Fig. 3 cast: Alphabet, ExoClick, Cloudflare, Oracle, Yandex, JuicyAds,
 //! EroAdvertising, Facebook, Amazon, Acxiom and the adult-industry long tail.
 
-use serde::{Deserialize, Serialize};
-
 /// Index into the organization table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OrgId(pub u32);
 
 /// What an organization does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrgKind {
     /// Owns and operates pornographic websites.
     PornPublisher,
@@ -35,7 +33,7 @@ pub enum OrgKind {
 }
 
 /// One organization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Organization {
     /// Id.
     pub id: OrgId,
@@ -212,7 +210,7 @@ pub const PUBLISHERS: &[PublisherSpec] = &[
 ];
 
 /// The organization registry, built once per world.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OrgRegistry {
     orgs: Vec<Organization>,
 }

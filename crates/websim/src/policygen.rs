@@ -12,10 +12,9 @@
 //! cross-language pairs (and broken/short policies).
 
 use redlight_text::lang::Language;
-use serde::{Deserialize, Serialize};
 
 /// Which text skeleton a policy uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyTemplate {
     /// The owning company's shared template (index into
     /// [`crate::org::PUBLISHERS`]).
@@ -27,7 +26,7 @@ pub enum PolicyTemplate {
 }
 
 /// What the policy discloses (the Polisis-style §7.3 check).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyDisclosures {
     /// Cookies.
     pub cookies: bool,
@@ -41,7 +40,7 @@ pub struct PolicyDisclosures {
 }
 
 /// A site's privacy policy, as ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySpec {
     /// Template.
     pub template: PolicyTemplate,

@@ -25,11 +25,8 @@ use crate::service::ThirdPartyService;
 use crate::sitegen::Site;
 use crate::world::{HostEntity, World};
 
-/// The canonical [`Transport`] implementation: the in-process synthetic
-/// web, no decorators.
-pub type DirectTransport<'w> = WebServer<'w>;
-
-/// The server over a built [`World`].
+/// The server over a built [`World`]: the canonical [`Transport`]
+/// implementation, the in-process synthetic web with no decorators.
 pub struct WebServer<'w> {
     world: &'w World,
     geoip: GeoIpDb,

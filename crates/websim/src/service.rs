@@ -10,16 +10,15 @@
 //! membership) and *how it is attributable* (X.509 subject organization).
 
 use redlight_net::geoip::Country;
-use serde::{Deserialize, Serialize};
 
 use crate::org::OrgId;
 
 /// Index into the service table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServiceId(pub u32);
 
 /// What the service sells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceCategory {
     /// Advertising network / exchange.
     AdNetwork,
@@ -40,7 +39,7 @@ pub enum ServiceCategory {
 }
 
 /// HTTP-cookie behavior of a service's pixel endpoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CookieBehavior {
     /// Cookies set per visit (distinct names).
     pub cookies_per_visit: u8,
@@ -78,7 +77,7 @@ impl CookieBehavior {
 }
 
 /// Fingerprinting behavior.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FpBehavior {
     /// Serves canvas-fingerprinting scripts that satisfy the Englehardt
     /// criteria.
@@ -123,7 +122,7 @@ impl FpBehavior {
 }
 
 /// How the synthetic EasyList/EasyPrivacy cover the service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ListCoverage {
     /// Not indexed at all.
     None,
@@ -136,7 +135,7 @@ pub enum ListCoverage {
 
 /// Per-corpus, per-tier adoption probabilities, ordered
 /// `[Top1k, To10k, To100k, Beyond100k]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adoption {
     /// Porn.
     pub porn: [f64; 4],
@@ -161,7 +160,7 @@ impl Adoption {
 }
 
 /// A third-party service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThirdPartyService {
     /// Id.
     pub id: ServiceId,
@@ -221,7 +220,7 @@ impl ThirdPartyService {
 }
 
 /// A registry of services with id-based lookup.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceRegistry {
     services: Vec<ThirdPartyService>,
 }

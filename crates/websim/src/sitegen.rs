@@ -11,7 +11,6 @@ use redlight_net::geoip::Country;
 use redlight_rankings::trajectory::trajectory_with_best;
 use redlight_rankings::{PopularityTier, RankHistory, TrajectoryParams, TOPLIST_SIZE};
 use redlight_text::lang::Language;
-use serde::{Deserialize, Serialize};
 
 use crate::catalog::Catalog;
 use crate::config::WorldConfig;
@@ -20,11 +19,11 @@ use crate::policygen::PolicySpec;
 use crate::service::ServiceId;
 
 /// Index into the world's site table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u32);
 
 /// Why a keyword-named site is not actually pornographic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FalsePositiveKind {
     /// The keyword is a red herring (video portal, shop, …).
     NonPornContent,
@@ -33,7 +32,7 @@ pub enum FalsePositiveKind {
 }
 
 /// Ground-truth site type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteKind {
     /// The pornographic corpus.
     Porn,
@@ -44,7 +43,7 @@ pub enum SiteKind {
 }
 
 /// Cookie-banner taxonomy (Degeling et al., §7.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BannerType {
     /// Informs without any choice.
     NoOption,
@@ -57,7 +56,7 @@ pub enum BannerType {
 }
 
 /// A site's consent banner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BannerSpec {
     /// Kind.
     pub kind: BannerType,
@@ -66,7 +65,7 @@ pub struct BannerSpec {
 }
 
 /// Age-verification mechanism kinds (§7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgeGateKind {
     /// A warning text plus an "Enter"/"Yes" button — trivially bypassed.
     SimpleButton,
@@ -76,7 +75,7 @@ pub enum AgeGateKind {
 
 /// Per-country age-gate behavior. The paper's §7.2 variation is between
 /// Russia and everywhere else.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AgeGate {
     /// Gate shown outside Russia.
     pub default: Option<AgeGateKind>,
@@ -96,7 +95,7 @@ impl AgeGate {
 }
 
 /// One third-party deployment on a site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Deployment {
     /// Service.
     pub service: ServiceId,
@@ -108,7 +107,7 @@ pub struct Deployment {
 }
 
 /// A generated website.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Site {
     /// Id.
     pub id: SiteId,

@@ -7,8 +7,6 @@
 //! occasionally pick up 1–3 stray detections — the false-positive noise the
 //! threshold exists to suppress.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of aggregated scanners.
 pub const SCANNER_COUNT: u8 = 70;
 
@@ -16,7 +14,7 @@ pub const SCANNER_COUNT: u8 = 70;
 pub const DETECTION_THRESHOLD: u8 = 4;
 
 /// Deterministic scanner ensemble.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScannerEnsemble {
     seed: u64,
 }

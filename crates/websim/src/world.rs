@@ -73,12 +73,18 @@ pub struct World {
 impl World {
     /// Builds the world for `config` (deterministic in `config.seed`).
     pub fn build(config: WorldConfig) -> World {
+        let catalog = catalog::build(&config);
+        let pop = sitegen::generate(&config, &catalog);
+        // The filter lists and the entity list describe the catalog alone:
+        // the publisher orgs registered below never enter them.
+        let easylist = lists::easylist(&catalog);
+        let easyprivacy = lists::easyprivacy(&catalog);
+        let disconnect = lists::disconnect(&catalog);
         let Catalog {
             orgs: mut org_registry,
             services,
             ..
-        } = catalog::build(&config);
-        let pop = sitegen::generate(&config, &catalog::build(&config));
+        } = catalog;
         let mut sites = pop.sites;
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x0A55_E55E);
 
@@ -170,12 +176,6 @@ impl World {
                 },
             );
         }
-
-        // Filter lists and the entity list.
-        let cat_again = catalog::build(&config);
-        let easylist = lists::easylist(&cat_again);
-        let easyprivacy = lists::easyprivacy(&cat_again);
-        let disconnect = lists::disconnect(&cat_again);
 
         // Host index.
         let mut host_index = HashMap::new();
