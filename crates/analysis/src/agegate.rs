@@ -9,8 +9,8 @@
 use std::collections::BTreeSet;
 
 use redlight_net::geoip::Country;
+use redlight_text::stats::pct;
 
-use crate::util::pct;
 use redlight_crawler::db::{CrawlRecord, InteractionRecord};
 
 /// Per-country gate statistics over the studied site set.

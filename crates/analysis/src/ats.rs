@@ -12,7 +12,6 @@ use redlight_net::http::ResourceKind;
 
 use crate::thirdparty::ThirdPartyExtract;
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
 
 /// The classifier, loaded with both lists. Every verdict is one matcher
 /// call: the matcher's domain buckets are the only acceleration.
@@ -47,12 +46,12 @@ impl AtsClassifier {
         self.filters.matches_fqdn_relaxed(fqdn)
     }
 
-    /// Classifies every answered request of a slice's successful visits,
+    /// Classifies every answered request of a crawl's successful visits,
     /// one [`AtsClassifier::is_ats_url`] call per occurrence. No analysis
     /// stage calls it; the benchmark of record (`perfbench/`) times it.
-    pub fn classify_batch(&self, slice: CrawlSlice<'_>) -> BatchVerdicts {
+    pub fn classify_batch(&self, crawl: &CrawlRecord) -> BatchVerdicts {
         let mut verdicts = Vec::new();
-        for record in slice.successful() {
+        for record in crawl.successful() {
             let Some(page) = &record.visit.final_url else {
                 continue;
             };
@@ -77,11 +76,11 @@ impl AtsClassifier {
     }
 }
 
-/// Verdicts for one crawl slice, produced by
+/// Verdicts for one crawl, produced by
 /// [`AtsClassifier::classify_batch`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchVerdicts {
-    /// One verdict per answered request of the slice's successful visits
+    /// One verdict per answered request of the crawl's successful visits
     /// with a final URL, in visit order, then request order.
     pub verdicts: Vec<bool>,
     /// Request occurrences covered: `verdicts.len()`.

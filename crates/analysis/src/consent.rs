@@ -12,10 +12,9 @@ use std::collections::BTreeMap;
 use redlight_html::{parser, style};
 use redlight_net::geoip::Country;
 use redlight_text::lang;
+use redlight_text::stats::pct;
 
-use crate::util::pct;
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
 
 /// The Degeling et al. banner taxonomy as the detector can distinguish it
 /// (Slider and Checkbox require interaction, so they fold into `Others`).
@@ -110,31 +109,21 @@ pub struct BannerBreakdown {
     pub rejected: usize,
 }
 
-/// Scans one country's crawl. `verify` is the manual screenshot check —
-/// candidates it rejects are dropped (and counted).
+/// Scans one country's crawl into its Table 8 column plus the verified
+/// banner observations, in visit order. `verify` is the manual screenshot
+/// check — candidates it rejects are dropped (and counted).
 pub fn breakdown(
     crawl: &CrawlRecord,
     verify: &dyn Fn(&str) -> bool,
 ) -> (BannerBreakdown, Vec<BannerObservation>) {
-    let (observations, rejected) = scan(crawl.full(), verify);
-    finalize(crawl.country, crawl.success_count(), observations, rejected)
-}
-
-/// The map side: one shard's verified banner observations (in visit order)
-/// plus its rejected-candidate count. Merging = concatenating observation
-/// vectors in shard order and summing the rejects.
-pub fn scan(
-    slice: CrawlSlice<'_>,
-    verify: &dyn Fn(&str) -> bool,
-) -> (Vec<BannerObservation>, usize) {
     let mut observations = Vec::new();
     let mut rejected = 0usize;
-    for record in slice.successful() {
+    for record in crawl.successful() {
         if record.visit.dom_html.is_empty() {
             continue;
         }
         if let Some((kind, text)) = classify_page(&record.visit.dom_html) {
-            let site = slice.name(record.domain);
+            let site = crawl.name(record.domain);
             if verify(site) {
                 observations.push(BannerObservation {
                     site: site.to_string(),
@@ -146,17 +135,8 @@ pub fn scan(
             }
         }
     }
-    (observations, rejected)
-}
 
-/// The reduce side: derives the Table 8 breakdown from merged observations.
-/// `crawled` is the whole crawl's success count (the percentage base).
-pub fn finalize(
-    country: Country,
-    crawled: usize,
-    observations: Vec<BannerObservation>,
-    rejected: usize,
-) -> (BannerBreakdown, Vec<BannerObservation>) {
+    let crawled = crawl.success_count();
     let mut counts: BTreeMap<String, usize> = BTreeMap::new();
     for obs in &observations {
         *counts.entry(label(obs.kind).to_string()).or_default() += 1;
@@ -180,7 +160,7 @@ pub fn finalize(
 
     (
         BannerBreakdown {
-            country,
+            country: crawl.country,
             crawled,
             total_pct: pct(observations.len(), crawled.max(1)),
             no_option_share_pct: pct(no_option, observations.len().max(1)),

@@ -10,9 +10,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use redlight_net::codec;
+use redlight_text::stats::pct;
 
 use crate::ats::AtsClassifier;
-use crate::util::{pct, reg};
+use crate::util::reg;
 use redlight_crawler::db::CrawlRecord;
 
 /// Minimum value length for a cookie to plausibly carry a unique ID.

@@ -12,8 +12,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_net::geoip::Country;
+use redlight_text::stats::pct;
 
-use crate::util::{pct, reg, same_site};
+use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 
 /// Geo-IP view of server locations.

@@ -14,11 +14,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_browser::canvas::CanvasActivity;
+use redlight_text::stats::pct;
 
 use crate::ats::AtsClassifier;
-use crate::util::{pct, reg, same_site};
+use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
 
 /// Minimum canvas edge (px).
 pub const MIN_CANVAS_EDGE: u32 = 16;
@@ -95,72 +95,18 @@ pub struct FingerprintReport {
     pub rejected_executions: usize,
 }
 
-/// One shard's partial fingerprinting tallies: the raw sets [`detect`]
-/// accumulates, before any percentage is derived.
-#[derive(Debug, Clone, Default)]
-pub struct FingerprintScan {
-    canvas_scripts: BTreeSet<ScriptId>,
-    canvas_sites: BTreeSet<String>,
-    canvas_services: BTreeSet<String>,
-    third_party_scripts: BTreeSet<ScriptId>,
-    indexed: BTreeSet<ScriptId>,
-    font_scripts: BTreeSet<ScriptId>,
-    font_sites: BTreeSet<String>,
-    rejected: usize,
-}
-
-/// Runs the detector over a crawl.
+/// Runs the detector over a crawl's successful visits.
 pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> FingerprintReport {
-    finalize(scan(crawl.full(), ats))
-}
+    let mut canvas_scripts: BTreeSet<ScriptId> = BTreeSet::new();
+    let mut canvas_sites: BTreeSet<String> = BTreeSet::new();
+    let mut canvas_services: BTreeSet<String> = BTreeSet::new();
+    let mut third_party_scripts: BTreeSet<ScriptId> = BTreeSet::new();
+    let mut indexed: BTreeSet<ScriptId> = BTreeSet::new();
+    let mut font_scripts: BTreeSet<ScriptId> = BTreeSet::new();
+    let mut font_sites: BTreeSet<String> = BTreeSet::new();
+    let mut rejected = 0usize;
 
-/// The reduce side: set unions plus a rejected-execution sum.
-pub fn merge(parts: impl IntoIterator<Item = FingerprintScan>) -> FingerprintScan {
-    let mut out = FingerprintScan::default();
-    for part in parts {
-        out.canvas_scripts.extend(part.canvas_scripts);
-        out.canvas_sites.extend(part.canvas_sites);
-        out.canvas_services.extend(part.canvas_services);
-        out.third_party_scripts.extend(part.third_party_scripts);
-        out.indexed.extend(part.indexed);
-        out.font_scripts.extend(part.font_scripts);
-        out.font_sites.extend(part.font_sites);
-        out.rejected += part.rejected;
-    }
-    out
-}
-
-/// Derives the ratio fields from the (merged) raw tallies.
-pub fn finalize(scan: FingerprintScan) -> FingerprintReport {
-    let total = scan.canvas_scripts.len().max(1);
-    FingerprintReport {
-        third_party_script_pct: pct(scan.third_party_scripts.len(), total),
-        indexed_scripts: scan.indexed.len(),
-        unindexed_pct: pct(total - scan.indexed.len(), total),
-        canvas_scripts: scan.canvas_scripts,
-        canvas_sites: scan.canvas_sites,
-        canvas_services: scan.canvas_services,
-        font_scripts: scan.font_scripts,
-        font_sites: scan.font_sites,
-        rejected_executions: scan.rejected,
-    }
-}
-
-/// The map side: runs the detector over one shard.
-pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
-    let mut out = FingerprintScan::default();
-    let FingerprintScan {
-        canvas_scripts,
-        canvas_sites,
-        canvas_services,
-        third_party_scripts,
-        indexed,
-        font_scripts,
-        font_sites,
-        rejected,
-    } = &mut out;
-
-    for record in slice.successful() {
+    for record in crawl.successful() {
         let Some(final_url) = &record.visit.final_url else {
             continue;
         };
@@ -180,12 +126,12 @@ pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
             let font_hit = passes_font_criteria(activity);
             if !canvas_hit && !font_hit {
                 if activity.to_data_url_calls > 0 || !activity.texts.is_empty() {
-                    *rejected += 1;
+                    rejected += 1;
                 }
                 continue;
             }
             if canvas_hit {
-                canvas_sites.insert(slice.name(record.domain).to_string());
+                canvas_sites.insert(crawl.name(record.domain).to_string());
                 let third_party = !same_site(&id.host, page_host);
                 if third_party {
                     canvas_services.insert(reg(&id.host).to_string());
@@ -205,11 +151,23 @@ pub fn scan(slice: CrawlSlice<'_>, ats: &AtsClassifier) -> FingerprintScan {
             }
             if font_hit {
                 font_scripts.insert(id.clone());
-                font_sites.insert(slice.name(record.domain).to_string());
+                font_sites.insert(crawl.name(record.domain).to_string());
             }
         }
     }
-    out
+
+    let total = canvas_scripts.len().max(1);
+    FingerprintReport {
+        third_party_script_pct: pct(third_party_scripts.len(), total),
+        indexed_scripts: indexed.len(),
+        unindexed_pct: pct(total - indexed.len(), total),
+        canvas_scripts,
+        canvas_sites,
+        canvas_services,
+        font_scripts,
+        font_sites,
+        rejected_executions: rejected,
+    }
 }
 
 /// One Table 5 row: a third-party domain's fingerprinting footprint.

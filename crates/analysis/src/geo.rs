@@ -133,7 +133,7 @@ pub fn table7(summaries: &[GeoSummary], regular_fqdns: &BTreeSet<String>) -> Tab
             Table7Row {
                 country: s.country,
                 fqdns: s.fqdns.len(),
-                web_ecosystem_pct: crate::util::pct(in_regular, s.fqdns.len().max(1)),
+                web_ecosystem_pct: redlight_text::stats::pct(in_regular, s.fqdns.len().max(1)),
                 unique_fqdns: unique,
                 ats: s.ats.len(),
                 unique_ats,

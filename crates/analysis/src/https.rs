@@ -12,10 +12,10 @@ use std::net::Ipv4Addr;
 
 use redlight_net::http::Scheme;
 use redlight_rankings::PopularityTier;
+use redlight_text::stats::pct;
 
 use crate::cookies::{embeds_geo, embeds_ip};
-use crate::util::pct;
-use redlight_crawler::store::CrawlSlice;
+use redlight_crawler::db::CrawlRecord;
 
 /// One Table 6 band.
 #[derive(Debug, Clone)]
@@ -47,50 +47,30 @@ pub struct HttpsReport {
     pub clear_cookie_pct: f64,
 }
 
-/// One shard's partial HTTPS tallies — every accumulator [`finalize`] needs,
-/// keyed so that [`merge`] commutes with visit-range concatenation.
-#[derive(Debug, Clone, Default)]
-pub struct HttpsScan {
-    // Per-tier site tallies.
-    site_total: BTreeMap<PopularityTier, usize>,
-    site_https: BTreeMap<PopularityTier, usize>,
-    // Third-party FQDN → (tiers seen on, any https success).
-    tp_tiers: BTreeMap<String, BTreeSet<PopularityTier>>,
-    tp_https: BTreeMap<String, bool>,
-    not_fully: usize,
-    clear_cookies: usize,
-    crawled: usize,
-}
-
-/// The map side: scans one shard of the crawl into an [`HttpsScan`].
-/// `tier_of` maps a crawled domain to its popularity tier (from the rank
-/// analysis — observable via the toplist, not ground truth); `client_ip`
-/// feeds the sensitive-payload detection for clear-text leaks.
-pub fn scan(
-    slice: CrawlSlice<'_>,
+/// Tallies a crawl's HTTPS posture into the [`HttpsReport`]. `tier_of`
+/// maps a crawled domain to its popularity tier (from the rank analysis —
+/// observable via the toplist, not ground truth); `client_ip` feeds the
+/// sensitive-payload detection for clear-text leaks.
+pub fn report(
+    crawl: &CrawlRecord,
     tier_of: &BTreeMap<String, PopularityTier>,
     client_ip: Ipv4Addr,
-) -> HttpsScan {
-    let mut out = HttpsScan {
-        crawled: slice.success_count(),
-        ..HttpsScan::default()
-    };
-    let HttpsScan {
-        site_total,
-        site_https,
-        tp_tiers,
-        tp_https,
-        not_fully,
-        clear_cookies,
-        ..
-    } = &mut out;
+) -> HttpsReport {
+    // Per-tier site tallies.
+    let mut site_total: BTreeMap<PopularityTier, usize> = BTreeMap::new();
+    let mut site_https: BTreeMap<PopularityTier, usize> = BTreeMap::new();
+    // Third-party FQDN → (tiers seen on, any https success).
+    let mut tp_tiers: BTreeMap<String, BTreeSet<PopularityTier>> = BTreeMap::new();
+    let mut tp_https: BTreeMap<String, bool> = BTreeMap::new();
+    let mut not_fully = 0usize;
+    let mut clear_cookies = 0usize;
 
-    for record in slice.successful() {
+    for record in crawl.successful() {
         let Some(final_url) = &record.visit.final_url else {
             continue;
         };
         let tier = tier_of
-            .get(slice.name(record.domain))
+            .get(crawl.name(record.domain))
             .copied()
             .unwrap_or(PopularityTier::Beyond100k);
         *site_total.entry(tier).or_default() += 1;
@@ -123,51 +103,13 @@ pub fn scan(
                 && (embeds_ip(&c.cookie.value, client_ip) || embeds_geo(&c.cookie.value))
         });
         if !all_encrypted {
-            *not_fully += 1;
+            not_fully += 1;
             if plain_with_cookies {
-                *clear_cookies += 1;
+                clear_cookies += 1;
             }
         }
     }
-    out
-}
 
-/// The reduce side: folds per-shard partials together. Counter maps add,
-/// tier sets union, the any-HTTPS flags OR — all commutative, so the merge
-/// of any contiguous split equals the monolithic scan.
-pub fn merge(parts: impl IntoIterator<Item = HttpsScan>) -> HttpsScan {
-    let mut out = HttpsScan::default();
-    for part in parts {
-        for (tier, n) in part.site_total {
-            *out.site_total.entry(tier).or_default() += n;
-        }
-        for (tier, n) in part.site_https {
-            *out.site_https.entry(tier).or_default() += n;
-        }
-        for (fqdn, tiers) in part.tp_tiers {
-            out.tp_tiers.entry(fqdn).or_default().extend(tiers);
-        }
-        for (fqdn, https_ok) in part.tp_https {
-            *out.tp_https.entry(fqdn).or_default() |= https_ok;
-        }
-        out.not_fully += part.not_fully;
-        out.clear_cookies += part.clear_cookies;
-        out.crawled += part.crawled;
-    }
-    out
-}
-
-/// Turns the (merged) tallies into the final [`HttpsReport`].
-pub fn finalize(scan: HttpsScan) -> HttpsReport {
-    let HttpsScan {
-        site_total,
-        site_https,
-        tp_tiers,
-        tp_https,
-        not_fully,
-        clear_cookies,
-        crawled,
-    } = scan;
     let rows = PopularityTier::ALL
         .into_iter()
         .map(|tier| {
@@ -195,7 +137,7 @@ pub fn finalize(scan: HttpsScan) -> HttpsReport {
     HttpsReport {
         rows,
         not_fully_https: not_fully,
-        not_fully_https_pct: pct(not_fully, crawled.max(1)),
+        not_fully_https_pct: pct(not_fully, crawl.success_count().max(1)),
         clear_cookie_sites: clear_cookies,
         clear_cookie_pct: pct(clear_cookies, not_fully.max(1)),
     }

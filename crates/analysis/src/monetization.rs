@@ -6,8 +6,8 @@
 //! keyword pass reads the premium page for paywall markers, and a manual
 //! labeling callback can override it (the paper's human inspection).
 
-use crate::util::pct;
 use redlight_crawler::db::InteractionRecord;
+use redlight_text::stats::pct;
 
 /// Subscription label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -170,7 +170,7 @@ impl<'a> OrgAttributor<'a> {
             .map(|(organization, sites)| OrgPrevalence {
                 organization,
                 sites: sites.len(),
-                fraction: crate::util::pct(sites.len(), crawl_size) / 100.0,
+                fraction: redlight_text::stats::pct(sites.len(), crawl_size) / 100.0,
             })
             .collect();
         out.sort_by(|a, b| {

@@ -184,7 +184,7 @@ pub fn discover(
     OwnershipReport {
         companies: out.len(),
         attributed_sites: attributed,
-        unattributed_pct: crate::util::pct(
+        unattributed_pct: redlight_text::stats::pct(
             corpus_size.saturating_sub(attributed),
             corpus_size.max(1),
         ),

@@ -6,10 +6,10 @@
 //! pair, and a Polisis-style rule-based annotator extracting what each
 //! policy actually discloses.
 
+use redlight_text::stats::pct;
 use redlight_text::tfidf::TfIdfModel;
 use redlight_text::tokenize::{contains_ci, letter_count};
 
-use crate::util::pct;
 use redlight_crawler::db::InteractionRecord;
 
 /// Minimum letters for a fetched document to count as a policy (the paper

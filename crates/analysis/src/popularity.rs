@@ -55,7 +55,7 @@ pub fn fig1(histories: &BTreeMap<String, RankHistory>) -> Fig1 {
         .filter(|h| h.always_within(1_000))
         .count();
     Fig1 {
-        always_top1m_pct: crate::util::pct(always_top1m, histories.len().max(1)),
+        always_top1m_pct: redlight_text::stats::pct(always_top1m, histories.len().max(1)),
         always_top1m,
         always_top1k,
         points,
@@ -140,8 +140,8 @@ pub fn table3(extract: &ThirdPartyExtract, tier_of: &BTreeMap<String, Popularity
     Table3 {
         rows,
         in_all_tiers: in_all,
-        in_all_tiers_pct: crate::util::pct(in_all, all_fqdns.len().max(1)),
-        only_unpopular_pct: crate::util::pct(only_unpopular, all_fqdns.len().max(1)),
+        in_all_tiers_pct: redlight_text::stats::pct(in_all, all_fqdns.len().max(1)),
+        only_unpopular_pct: redlight_text::stats::pct(only_unpopular, all_fqdns.len().max(1)),
     }
 }
 

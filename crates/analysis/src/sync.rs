@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
-use redlight_crawler::store::CrawlSlice;
+use redlight_text::stats::pct;
 
 /// One syncing pair of domains.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -69,73 +69,19 @@ pub struct SyncOptions {
     pub split_delimiters: bool,
 }
 
-/// Detects syncing across a crawl. `ranked_sites` orders sites by best
-/// Alexa rank for the top-`top_k` statistic; `SyncOptions::default()` is
-/// the paper's detector.
+/// Detects syncing across a crawl in two passes: register every cookie
+/// value with its earliest setter, then match request parameters against
+/// the registrations (session order is honoured via the first-set index).
+/// `ranked_sites` orders sites by best Alexa rank for the top-`top_k`
+/// statistic; `SyncOptions::default()` is the paper's detector.
 pub fn detect(
     crawl: &CrawlRecord,
     ranked_sites: &[String],
     top_k: usize,
     options: SyncOptions,
 ) -> SyncReport {
-    // The detector is defined as the two-pass map/reduce run on a single
-    // shard, so sharded runs reproduce it by construction.
-    let regs = scan_registrations(crawl.full(), options);
-    let matches = scan_matches(crawl.full(), &regs, options);
-    finalize(matches, ranked_sites, top_k)
-}
-
-/// Pass-1 result: each qualifying cookie value (or fragment) mapped to the
-/// registrable domain that owns it and the **absolute** index of the visit
-/// that first set it. The session registers cookies visit by visit, so a
-/// value only syncs at visits at-or-after its first registration.
-pub type SyncRegistrations = BTreeMap<String, (String, usize)>;
-
-/// Pass-2 partial: sync pairs and syncing sites observed in one shard.
-#[derive(Debug, Clone, Default)]
-pub struct SyncMatches {
-    pairs: BTreeMap<SyncPair, usize>,
-    sites: BTreeSet<String>,
-}
-
-/// Merges per-shard registrations, keeping the globally earliest setter of
-/// each value (shards cover disjoint visit ranges, so indices never tie).
-pub fn merge_registrations(
-    parts: impl IntoIterator<Item = SyncRegistrations>,
-) -> SyncRegistrations {
-    let mut out = SyncRegistrations::new();
-    for part in parts {
-        for (value, (owner, idx)) in part {
-            match out.entry(value) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert((owner, idx));
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if idx < e.get().1 {
-                        e.insert((owner, idx));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Merges per-shard match partials (counts add, site sets union).
-pub fn merge_matches(parts: impl IntoIterator<Item = SyncMatches>) -> SyncMatches {
-    let mut out = SyncMatches::default();
-    for part in parts {
-        for (pair, n) in part.pairs {
-            *out.pairs.entry(pair).or_default() += n;
-        }
-        out.sites.extend(part.sites);
-    }
-    out
-}
-
-/// Builds the [`SyncReport`] from (merged) match partials.
-pub fn finalize(matches: SyncMatches, ranked_sites: &[String], top_k: usize) -> SyncReport {
-    let SyncMatches { pairs, sites } = matches;
+    let regs = registrations(crawl, options);
+    let (pairs, sites) = matches(crawl, &regs, options);
     let origins: BTreeSet<&str> = pairs.keys().map(|p| p.origin.as_str()).collect();
     let destinations: BTreeSet<&str> = pairs.keys().map(|p| p.destination.as_str()).collect();
     let top: Vec<&String> = ranked_sites.iter().take(top_k).collect();
@@ -146,17 +92,19 @@ pub fn finalize(matches: SyncMatches, ranked_sites: &[String], top_k: usize) -> 
         origins: origins.len(),
         destinations: destinations.len(),
         pairs,
-        top_sites_with_sync_pct: crate::util::pct(top_with, top.len().max(1)),
+        top_sites_with_sync_pct: pct(top_with, top.len().max(1)),
     }
 }
 
-/// Pass 1 over one shard: registers cookie values set during its visits.
-pub fn scan_registrations(slice: CrawlSlice<'_>, options: SyncOptions) -> SyncRegistrations {
+/// Pass 1: each qualifying cookie value (or fragment) mapped to the
+/// registrable domain that owns it and the index of the visit that first
+/// set it. The session registers cookies visit by visit, so a value only
+/// syncs at visits at-or-after its first registration.
+fn registrations(crawl: &CrawlRecord, options: SyncOptions) -> BTreeMap<String, (String, usize)> {
     // Cookie values observed in the session, with their owning domain and
     // first-setting visit, from MIN_VALUE_LEN chars up.
-    let mut out = SyncRegistrations::new();
-    for (i, record) in slice.visits.iter().enumerate() {
-        let idx = slice.offset + i;
+    let mut out = BTreeMap::new();
+    for (idx, record) in crawl.visits.iter().enumerate() {
         for obs in &record.visit.cookies {
             if !obs.accepted {
                 continue;
@@ -179,16 +127,17 @@ pub fn scan_registrations(slice: CrawlSlice<'_>, options: SyncOptions) -> SyncRe
     out
 }
 
-/// Pass 2 over one shard: matches query values against the **merged**
-/// registrations, honouring session order via the first-set index.
-pub fn scan_matches(
-    slice: CrawlSlice<'_>,
-    regs: &SyncRegistrations,
+/// Pass 2: matches query values against the registrations, honouring
+/// session order via the first-set index. Returns the sync pairs with
+/// their exchange counts and the sites they were observed on.
+fn matches(
+    crawl: &CrawlRecord,
+    regs: &BTreeMap<String, (String, usize)>,
     options: SyncOptions,
-) -> SyncMatches {
-    let mut out = SyncMatches::default();
-    for (i, record) in slice.visits.iter().enumerate() {
-        let idx = slice.offset + i;
+) -> (BTreeMap<SyncPair, usize>, BTreeSet<String>) {
+    let mut pairs: BTreeMap<SyncPair, usize> = BTreeMap::new();
+    let mut sites = BTreeSet::new();
+    for (idx, record) in crawl.visits.iter().enumerate() {
         let mut synced_here = false;
         for req in &record.visit.requests {
             if req.url.query().is_none() {
@@ -223,7 +172,7 @@ pub fn scan_matches(
                     if same_site(owner, &dest) {
                         continue; // first-party echo, not a sync
                     }
-                    *out.pairs
+                    *pairs
                         .entry(SyncPair {
                             origin: owner.clone(),
                             destination: dest,
@@ -234,10 +183,10 @@ pub fn scan_matches(
             }
         }
         if synced_here {
-            out.sites.insert(slice.name(record.domain).to_string());
+            sites.insert(crawl.name(record.domain).to_string());
         }
     }
-    out
+    (pairs, sites)
 }
 
 #[cfg(test)]

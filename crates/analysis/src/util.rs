@@ -12,11 +12,6 @@ pub fn same_site(a: &str, b: &str) -> bool {
     reg(a) == reg(b)
 }
 
-/// Percentage helper.
-pub fn pct(part: usize, whole: usize) -> f64 {
-    redlight_text::stats::pct(part, whole)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use crate::ats::AtsClassifier;
 use crate::fingerprint::ScriptId;
 use crate::util::{reg, same_site};
-use redlight_crawler::store::CrawlSlice;
+use redlight_crawler::db::CrawlRecord;
 
 /// Aggregated WebRTC findings.
 #[derive(Debug, Clone)]
@@ -28,53 +28,15 @@ pub struct WebRtcReport {
     pub sites_with_other_tracking: usize,
 }
 
-/// One shard's partial WebRTC tallies.
-#[derive(Debug, Clone, Default)]
-pub struct WebRtcScan {
-    scripts: BTreeSet<ScriptId>,
-    sites: BTreeSet<String>,
-    services: BTreeSet<String>,
-    with_other: usize,
-}
-
-/// The reduce side: set unions plus the co-occurrence sum.
-pub fn merge(parts: impl IntoIterator<Item = WebRtcScan>) -> WebRtcScan {
-    let mut out = WebRtcScan::default();
-    for part in parts {
-        out.scripts.extend(part.scripts);
-        out.sites.extend(part.sites);
-        out.services.extend(part.services);
-        out.with_other += part.with_other;
-    }
-    out
-}
-
-/// Classifies the (merged) services against the blocklists and assembles
-/// the report.
-pub fn finalize(scan: WebRtcScan, ats: &AtsClassifier) -> WebRtcReport {
-    let ats_services: BTreeSet<String> = scan
-        .services
-        .iter()
-        .filter(|d| ats.is_ats_fqdn(d))
-        .cloned()
-        .collect();
-    WebRtcReport {
-        scripts: scan.scripts,
-        sites: scan.sites,
-        services: scan.services,
-        ats_services,
-        sites_with_other_tracking: scan.with_other,
-    }
-}
-
-/// The map side: scans one shard.
-pub fn scan(slice: CrawlSlice<'_>) -> WebRtcScan {
+/// Scans a crawl for WebRTC use and classifies the services it finds
+/// against the blocklists.
+pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> WebRtcReport {
     let mut scripts: BTreeSet<ScriptId> = BTreeSet::new();
     let mut sites: BTreeSet<String> = BTreeSet::new();
     let mut services: BTreeSet<String> = BTreeSet::new();
     let mut with_other = 0usize;
 
-    for record in slice.successful() {
+    for record in crawl.successful() {
         let Some(final_url) = &record.visit.final_url else {
             continue;
         };
@@ -101,7 +63,7 @@ pub fn scan(slice: CrawlSlice<'_>) -> WebRtcScan {
             scripts.insert(id);
         }
         if used_here {
-            sites.insert(slice.name(record.domain).to_string());
+            sites.insert(crawl.name(record.domain).to_string());
             // "Other tracking mechanisms in conjunction": any cookie set or
             // canvas readback during the same visit.
             let other = !record.visit.cookies.is_empty()
@@ -116,10 +78,16 @@ pub fn scan(slice: CrawlSlice<'_>) -> WebRtcScan {
         }
     }
 
-    WebRtcScan {
+    let ats_services: BTreeSet<String> = services
+        .iter()
+        .filter(|d| ats.is_ats_fqdn(d))
+        .cloned()
+        .collect();
+    WebRtcReport {
         scripts,
         sites,
         services,
-        with_other,
+        ats_services,
+        sites_with_other_tracking: with_other,
     }
 }

@@ -56,7 +56,7 @@ fn https_report_bounds_and_tier_partition() {
     let record = crawl(&world, &corpus.sanitized, Country::Spain);
     let tiers = popularity::tiers_from_histories(&world.rank_histories());
     let client_ip = std::net::Ipv4Addr::new(203, 0, 113, 77);
-    let report = https::finalize(https::scan(record.full(), &tiers, client_ip));
+    let report = https::report(&record, &tiers, client_ip);
     let site_sum: usize = report.rows.iter().map(|r| r.sites).sum();
     assert_eq!(site_sum, record.success_count());
     for row in &report.rows {

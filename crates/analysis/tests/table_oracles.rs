@@ -10,12 +10,13 @@ use redlight_analysis::ats::AtsClassifier;
 use redlight_analysis::cookies::{self, CookieRow, Table4Row};
 use redlight_analysis::fingerprint::{self, FingerprintReport, ScriptId, Table5Row};
 use redlight_analysis::thirdparty::{SiteParties, ThirdPartyExtract};
-use redlight_analysis::util::{pct, reg};
+use redlight_analysis::util::reg;
 use redlight_analysis::webrtc::WebRtcReport;
 use redlight_browser::PageVisit;
 use redlight_crawler::db::{CorpusLabel, CrawlRecord};
 use redlight_net::geoip::Country;
 use redlight_net::url::Url;
+use redlight_text::stats::pct;
 
 const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 77);
 
@@ -243,9 +244,11 @@ proptest! {
         regular in vec(0..HOSTS, 0..12),
         top_n in 0..12usize,
     ) {
+        let ats = classifier();
+        // An empty crawl's report, with the canvas scripts swapped in.
         let fp = FingerprintReport {
             canvas_scripts: scripts(&canvas),
-            ..fingerprint::finalize(Default::default())
+            ..fingerprint::detect(&crawl_with(0), &ats)
         };
         let rtc = WebRtcReport {
             scripts: scripts(&rtc),
@@ -269,7 +272,6 @@ proptest! {
             third_party_fqdns: hosts(&regular),
             ..Default::default()
         };
-        let ats = classifier();
         let fast = fingerprint::table5(&fp, &rtc, &porn_extract, &regular_extract, &ats, top_n);
         let slow = linear_table5(&fp, &rtc, &porn_extract, &regular_extract, &ats, top_n);
         prop_assert_eq!(debug_rows(&fast), debug_rows(&slow));

@@ -8,7 +8,6 @@
 //! cargo run --release -p redlight-bench --bin reproduce -- --stage cookies --stage https
 //! cargo run --release -p redlight-bench --bin reproduce -- --net-profile flaky --fault-seed 7
 //! cargo run --release -p redlight-bench --bin reproduce -- --trace out.json --metrics out.prom
-//! cargo run --release -p redlight-bench --bin reproduce -- --shards 4 --timings
 //! cargo run --release -p redlight-bench --bin reproduce -- --sites-scale 4
 //! cargo run --release -p redlight-bench --bin reproduce -- --traffic 1000000
 //! ```
@@ -18,7 +17,7 @@
 //! before the world is built: `--help` prints the usage and exits 0; an
 //! unknown argument, a missing value, one that does not parse, or a flag
 //! that would do nothing in the chosen mode (`--json` without `--timings`,
-//! `--shards` with `--traffic`, `--fault-seed` on a profile without
+//! `--stage` with `--traffic`, `--fault-seed` on a profile without
 //! faults, …) prints the problem and the usage to stderr and exits 2.
 //! `--timings` appends the pipeline instrumentation (per-crawl and
 //! per-stage wall times with record counts, plus per-crawl transport
@@ -30,13 +29,9 @@
 //! any other name exits 2); `--fault-seed <n>` re-seeds the profile's
 //! fault injector so a fixed seed replays the exact same network weather.
 //!
-//! `--shards <n>` fans the decomposable analysis stages over `n`
-//! contiguous visit-range shards (map/reduce; results are byte-identical
-//! to the one-shard run) and, with `--timings`, appends per-crawl shard
-//! statistics; under `--collect-only` those statistics are all it changes,
-//! so there it requires `--timings`. `--sites-scale <n>` grows every world
-//! population `n`× while keeping the paper's proportions — the
-//! paper-vs-measured comparison rescales accordingly. Both reject `0`.
+//! `--sites-scale <n>` grows every world population `n`× while keeping the
+//! paper's proportions — the paper-vs-measured comparison rescales
+//! accordingly; it rejects `0`.
 //!
 //! Observability exports (any of these turns journaling on; same seed ⇒
 //! byte-identical files):
@@ -95,8 +90,6 @@ struct Args {
     timeline_out: Option<String>,
     /// Window width in logical milliseconds; `None` keeps the default.
     timeline_window_ms: Option<u64>,
-    /// `None` runs one shard.
-    shards: Option<usize>,
     sites_scale: usize,
     /// Traffic sessions; `None` runs the study.
     traffic: Option<u64>,
@@ -130,7 +123,6 @@ impl Args {
             metrics_out: None,
             timeline_out: None,
             timeline_window_ms: None,
-            shards: None,
             sites_scale: 1,
             traffic: None,
         };
@@ -165,7 +157,6 @@ impl Args {
                     parsed.timeline_window_ms =
                         Some(positive(&flag, value()?, "millisecond count")?);
                 }
-                "--shards" => parsed.shards = Some(positive(&flag, value()?, "integer")?),
                 "--sites-scale" => parsed.sites_scale = positive(&flag, value()?, "integer")?,
                 "--traffic" => parsed.traffic = Some(positive(&flag, value()?, "session count")?),
                 _ => return Err(Stop::Bad(format!("unknown argument {flag:?}"))),
@@ -191,14 +182,6 @@ impl Args {
             (
                 parsed.collect_only && traffic,
                 "--collect-only cannot be combined with --traffic",
-            ),
-            (
-                parsed.shards.is_some() && traffic,
-                "--shards does not apply to --traffic",
-            ),
-            (
-                parsed.shards.is_some() && parsed.collect_only && !parsed.timings,
-                "--shards with --collect-only requires --timings",
             ),
             (parsed.json && traffic, "--json does not apply to --traffic"),
             (parsed.json && !parsed.timings, "--json requires --timings"),
@@ -249,7 +232,6 @@ paper-vs-measured comparison.
   --sites-scale <n>        grow every world population n-fold (n >= 1)
   --net-profile <name>     network the crawls run over: {}
   --fault-seed <n>         re-seed the fault injector of a faulty profile
-  --shards <n>             fan the decomposable stages over n shards (n >= 1)
   --stage <name>           run only this analysis stage and its dependencies
                            (repeatable)
   --collect-only           stop after the collection layer
@@ -282,7 +264,6 @@ fn main() {
         metrics_out,
         timeline_out,
         timeline_window_ms,
-        shards,
         sites_scale,
         traffic,
     } = match Args::parse(std::env::args().skip(1)) {
@@ -296,8 +277,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let shards = shards.unwrap_or(1);
-
     let mut config = if paper_scale {
         StudyConfig::paper_scale(seed)
     } else {
@@ -359,7 +338,6 @@ fn main() {
             let report = StageReport {
                 crawls: crawl_timings,
                 stages: Vec::new(),
-                shards: stages::shard_stats(&db, shards),
             };
             print_timings(&report, json);
         }
@@ -368,14 +346,14 @@ fn main() {
     }
 
     if !requested.is_empty() {
-        run_stages(&config, &requested, timings, json, &obs, shards);
+        run_stages(&config, &requested, timings, json, &obs);
         eprintln!("done in {:?}", t0.elapsed());
         export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
         return;
     }
 
     let world = World::build(config.world.clone());
-    let results = Study::run_on_sharded_observed(&world, &config, &obs, shards);
+    let results = Study::run_on_observed(&world, &config, &obs);
     eprintln!("done in {:?}", t0.elapsed());
 
     println!("{}", results.render_summary());
@@ -458,7 +436,6 @@ fn run_stages(
     timings: bool,
     json: bool,
     obs: &ObsContext,
-    shards: usize,
 ) {
     let selected = match stages::expand_selection(requested) {
         Ok(s) => s,
@@ -474,7 +451,7 @@ fn run_stages(
 
     let world = World::build(config.world.clone());
     let (db, crawl_timings) = Study::collect_db_observed(&world, config, obs);
-    let (outputs, mut report, _) = Study::analyze(&world, config, &db, &selected, obs, shards);
+    let (outputs, mut report, _) = Study::analyze(&world, config, &db, &selected, obs);
 
     for (name, line) in outputs.summaries() {
         println!("{name:<16} {line}");

@@ -70,11 +70,6 @@ impl EntityList {
     pub fn iter(&self) -> impl Iterator<Item = &Entity> {
         self.entities.iter()
     }
-
-    /// Number of mapped domains.
-    pub fn domain_count(&self) -> usize {
-        self.index.len()
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +98,6 @@ mod tests {
     fn counts() {
         let l = sample();
         assert_eq!(l.len(), 2);
-        assert_eq!(l.domain_count(), 5);
         assert_eq!(l.iter().count(), 2);
     }
 }

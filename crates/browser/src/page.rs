@@ -51,50 +51,11 @@ impl PageVisit {
             screenshot_hash: 0,
         }
     }
-
-    /// Distinct hostnames contacted during the visit.
-    pub fn contacted_hosts(&self) -> Vec<&str> {
-        let mut hosts: Vec<&str> = self
-            .requests
-            .iter()
-            .filter(|r| r.status.is_some())
-            .map(|r| r.url.host().as_str())
-            .collect();
-        hosts.sort_unstable();
-        hosts.dedup();
-        hosts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instrument::{Initiator, RequestRecord};
-    use redlight_net::http::{Method, ResourceKind, StatusCode};
-
-    fn record(url: &str, ok: bool) -> RequestRecord {
-        RequestRecord {
-            url: Url::parse(url).unwrap(),
-            method: Method::Get,
-            kind: ResourceKind::Image,
-            referrer: None,
-            initiator: Initiator::Markup,
-            status: ok.then_some(StatusCode::OK),
-            content_type: None,
-            cert: None,
-            redirected_to: None,
-        }
-    }
-
-    #[test]
-    fn contacted_hosts_dedupes_and_skips_failures() {
-        let mut visit = PageVisit::failed(Url::parse("https://site.com/").unwrap(), false);
-        visit.requests.push(record("https://a.com/x", true));
-        visit.requests.push(record("https://a.com/y", true));
-        visit.requests.push(record("https://b.net/z", true));
-        visit.requests.push(record("https://dead.example/", false));
-        assert_eq!(visit.contacted_hosts(), vec!["a.com", "b.net"]);
-    }
 
     #[test]
     fn failed_visit_shape() {
@@ -102,6 +63,5 @@ mod tests {
         assert!(v.timeout);
         assert!(!v.success);
         assert!(v.final_url.is_none());
-        assert!(v.contacted_hosts().is_empty());
     }
 }

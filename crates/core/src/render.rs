@@ -181,7 +181,7 @@ impl StudyResults {
             "attribution: {} of {} third-party FQDNs resolved ({:.1}%); {} via Disconnect alone; {} companies\n",
             fmt_count(self.attribution.resolved_fqdns),
             fmt_count(self.attribution.total_fqdns),
-            crate::render::pct(self.attribution.resolved_fqdns, self.attribution.total_fqdns),
+            redlight_text::stats::pct(self.attribution.resolved_fqdns, self.attribution.total_fqdns),
             fmt_count(self.attribution.resolved_by_disconnect),
             fmt_count(self.attribution.companies),
         ));
@@ -824,43 +824,6 @@ impl crate::results::StageReport {
             ));
         }
 
-        if !self.shards.is_empty() {
-            let mut shards = Table::new(
-                "Sharded store — one row per crawl",
-                &[
-                    "country",
-                    "corpus",
-                    "visits",
-                    "shards",
-                    "shard sizes",
-                    "symbols",
-                    "interned KiB",
-                ],
-            )
-            .align_right(&[2, 3, 4, 5, 6]);
-            for s in &self.shards {
-                shards.row(&[
-                    format!("{:?}", s.country),
-                    format!("{:?}", s.corpus).to_lowercase(),
-                    fmt_count(s.visits),
-                    fmt_count(s.shards),
-                    format!("{}–{}", s.min_shard, s.max_shard),
-                    fmt_count(s.symbols),
-                    format!("{:.1}", s.interned_bytes as f64 / 1024.0),
-                ]);
-            }
-            let total_bytes: usize = self.shards.iter().map(|s| s.interned_bytes).sum();
-            let total_visits: usize = self.shards.iter().map(|s| s.visits).sum();
-            out.push('\n');
-            out.push_str(&shards.render());
-            out.push_str(&format!(
-                "interned string data: {:.1} KiB over {} visits ({:.1} B/visit)\n",
-                total_bytes as f64 / 1024.0,
-                fmt_count(total_visits),
-                total_bytes as f64 / total_visits.max(1) as f64,
-            ));
-        }
-
         out
     }
 }
@@ -926,27 +889,7 @@ impl crate::results::StageReport {
                 s.wall.as_secs_f64() * 1e3
             ));
         }
-        out.push(']');
-        // Shard stats exist only on sharded runs.
-        if !self.shards.is_empty() {
-            out.push_str(",\"shards\":[");
-            for (i, s) in self.shards.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"country\":");
-                push_str_literal(&mut out, s.country.code());
-                out.push_str(",\"corpus\":");
-                push_str_literal(&mut out, &format!("{:?}", s.corpus).to_lowercase());
-                out.push_str(&format!(
-                    ",\"visits\":{},\"shards\":{},\"min_shard\":{},\"max_shard\":{},\
-                     \"symbols\":{},\"interned_bytes\":{}}}",
-                    s.visits, s.shards, s.min_shard, s.max_shard, s.symbols, s.interned_bytes
-                ));
-            }
-            out.push(']');
-        }
-        out.push('}');
+        out.push_str("]}");
         out
     }
 }
@@ -961,15 +904,6 @@ fn tick(b: bool) -> String {
         "✓".to_string()
     } else {
         "-".to_string()
-    }
-}
-
-/// Local percentage helper.
-pub(crate) fn pct(part: usize, whole: usize) -> f64 {
-    if whole == 0 {
-        0.0
-    } else {
-        part as f64 / whole as f64 * 100.0
     }
 }
 

@@ -19,9 +19,7 @@ use redlight_analysis::policies::PolicyReport;
 use redlight_analysis::popularity::{Fig1, Table3};
 use redlight_analysis::sync::SyncReport;
 use redlight_analysis::webrtc::WebRtcReport;
-use redlight_crawler::db::CorpusLabel;
 use redlight_crawler::plan::CrawlTiming;
-use redlight_net::geoip::Country;
 
 /// Wall time and record counts for one named analysis stage.
 #[derive(Debug, Clone)]
@@ -49,31 +47,6 @@ pub struct CacheCounter {
     pub misses: u64,
 }
 
-/// Per-crawl shard statistics of a sharded analysis run: how the crawl's
-/// visit range splits into contiguous shards and how much interned string
-/// data its symbol table holds (hosts, URLs and domains are interned once
-/// at record time; a shard's working set is its visit range plus this
-/// shared read-only table).
-#[derive(Debug, Clone)]
-pub struct ShardStat {
-    /// Vantage-point country of the crawl.
-    pub country: Country,
-    /// Which corpus the crawl visited.
-    pub corpus: CorpusLabel,
-    /// Total visits recorded by the crawl.
-    pub visits: usize,
-    /// Number of contiguous visit-range shards.
-    pub shards: usize,
-    /// Smallest shard's visit count.
-    pub min_shard: usize,
-    /// Largest shard's visit count.
-    pub max_shard: usize,
-    /// Interned symbols (distinct crawled domains) in the crawl's table.
-    pub symbols: usize,
-    /// Bytes of interned string data backing those symbols.
-    pub interned_bytes: usize,
-}
-
 /// Instrumentation for one pipeline run: every crawl's wall time plus every
 /// analysis stage's wall time and record counts. Carried by
 /// [`StudyResults`] and rendered by
@@ -84,9 +57,6 @@ pub struct StageReport {
     pub crawls: Vec<CrawlTiming>,
     /// Analysis-layer timings, one per stage that ran.
     pub stages: Vec<StageTiming>,
-    /// Per-crawl shard statistics — populated only on sharded runs
-    /// (`--shards > 1`), so unsharded reports render unchanged.
-    pub shards: Vec<ShardStat>,
 }
 
 /// Corpus-compilation outcome (stringified from the crawler report).

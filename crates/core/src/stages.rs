@@ -19,8 +19,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use crossbeam::thread::ScopedJoinHandle;
@@ -47,7 +45,6 @@ use redlight_analysis::{
 };
 use redlight_crawler::corpus::CorpusReport;
 use redlight_crawler::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
-use redlight_crawler::store::{shard_ranges, CrawlSlice};
 use redlight_net::geoip::Country;
 use redlight_obs::{Registry, SpanLink, Trace};
 use redlight_rankings::{PopularityTier, RankHistory};
@@ -157,34 +154,6 @@ pub fn all_stages() -> BTreeSet<&'static str> {
     STAGES.iter().copied().collect()
 }
 
-/// Per-crawl shard statistics for a run fanning over `shards` shards: how
-/// each crawl's visit range splits and how much interned string data its
-/// symbol table carries. No rows for an unsharded run. Surfaced through
-/// [`StageReport`] under `reproduce --timings`, never through the
-/// deterministic summary.
-pub fn shard_stats(db: &MeasurementDb, shards: usize) -> Vec<crate::results::ShardStat> {
-    if shards <= 1 {
-        return Vec::new();
-    }
-    db.crawls()
-        .iter()
-        .map(|crawl| {
-            let ranges = shard_ranges(crawl.visits.len(), shards);
-            let sizes = ranges.iter().map(|(lo, hi)| hi - lo);
-            crate::results::ShardStat {
-                country: crawl.country,
-                corpus: crawl.corpus,
-                visits: crawl.visits.len(),
-                shards: ranges.len(),
-                min_shard: sizes.clone().min().unwrap_or(0),
-                max_shard: sizes.max().unwrap_or(0),
-                symbols: crawl.names().len(),
-                interned_bytes: crawl.names().arena_bytes(),
-            }
-        })
-        .collect()
-}
-
 /// Each ranked domain's best 2018 rank, and `sanitized` sorted by it
 /// (domains never ranked go last, in corpus order).
 pub(crate) fn rank_by_best(
@@ -246,19 +215,16 @@ pub struct AnalysisContext<'a> {
     /// The Spanish vantage point's public IP, as recorded by the crawl —
     /// what server-side trackers embed in cookies.
     pub client_ip: Ipv4Addr,
-    /// How many contiguous visit-range shards the decomposable stages fan
-    /// their scans over. At `1` (the default) every scan covers the whole
-    /// crawl on the stage's own thread, and no shard spans are recorded.
-    /// The context artifacts above are whole-crawl scans at every count.
-    pub shards: usize,
 }
 
 impl<'a> AnalysisContext<'a> {
     /// Derives the shared artifacts from a collected DB. Each artifact that
     /// reads a crawl (third-party extracts, cookie rows, cert harvest) is
-    /// one whole-crawl scan at every shard count; `shards` only sets how
-    /// many visit-range shards the decomposable stages fan their own scans
-    /// over (see [`AnalysisContext::shards`]).
+    /// one whole-crawl scan, as is every stage's own read of a crawl.
+    ///
+    /// `shards` is accepted and ignored. The benchmark of record
+    /// (`perfbench/`) is the only caller that passes more than 1, and the
+    /// argument goes when that benchmark changes.
     ///
     /// Panics if the DB lacks the Spanish porn/regular crawls — the plan
     /// produced by [`StudyConfig::crawl_plan`] always records them.
@@ -274,16 +240,15 @@ impl<'a> AnalysisContext<'a> {
     /// [`build_sharded`](Self::build_sharded) with the cert harvest
     /// publishing its hit/miss counters as `cache.cert-harvest.{hits,misses}`
     /// into `registry`. The corpus and its rank histories are the DB's own:
-    /// the build compiles nothing, and scans each crawl it reads once,
-    /// whatever `shards` is.
+    /// the build compiles nothing, and scans each crawl it reads once.
+    /// `_shards` is ignored, as in [`build_sharded`](Self::build_sharded).
     pub fn build_sharded_in(
         world: &'a World,
         config: &StudyConfig,
         db: &'a MeasurementDb,
         registry: &Registry,
-        shards: usize,
+        _shards: usize,
     ) -> Self {
-        let shards = shards.max(1);
         let corpus = db.corpus();
         let porn_histories = db.rank_histories();
         let (best_ranks, ranked) = rank_by_best(porn_histories, &corpus.sanitized);
@@ -343,7 +308,6 @@ impl<'a> AnalysisContext<'a> {
             cookie_rows,
             interactions_es,
             client_ip,
-            shards,
         }
     }
 
@@ -641,66 +605,6 @@ fn observed<T>(
     (out, timing)
 }
 
-/// Bound on concurrent per-shard scan workers within one stage. The wave
-/// threads already parallelize across stages; this caps the multiplicative
-/// blow-up when a stage fans out over many shards.
-const MAX_SHARD_WORKERS: usize = 8;
-
-/// Scans `crawl` for one stage and merges the partials in shard order.
-///
-/// One shard is one `scan(crawl.full())` on the calling thread: no shard
-/// span, no `shard_scans` counter, and no `merge` call — the lone partial is
-/// the result. More shards fan the scan over `crawl.shards(shards)` on a
-/// bounded work queue: at most [`MAX_SHARD_WORKERS`] workers pull shard
-/// indices off a shared counter, so peak memory stays O(workers × shard)
-/// rather than O(crawl). Shard `i` records a `stage.<name>.shard.NNN` span
-/// (with a `visits` attribute) in its own `analyze/<name>/shard.NNN` journal
-/// shard, parented on the same `analyze` root as the stage spans, and the
-/// partials reach `merge` in shard order, so a deterministic merge sees the
-/// same sequence a serial scan would.
-fn scan_shards<'c, P: Send>(
-    obs: &StageObs<'_>,
-    name: &str,
-    crawl: &'c CrawlRecord,
-    shards: usize,
-    scan: impl Fn(CrawlSlice<'c>) -> P + Sync,
-    merge: impl FnOnce(Vec<P>) -> P,
-) -> P {
-    if shards == 1 {
-        return scan(crawl.full());
-    }
-    let slices = crawl.shards(shards);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, P)>> = Mutex::new(Vec::with_capacity(slices.len()));
-    let workers = slices.len().clamp(1, MAX_SHARD_WORKERS);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&slice) = slices.get(i) else { break };
-                let journal = format!("analyze/{name}/shard.{i:03}");
-                let mut tracer = match &obs.parent {
-                    Some(link) => obs.trace.tracer_under(&journal, link.clone()),
-                    None => obs.trace.tracer(&journal),
-                };
-                tracer.open(&format!("stage.{name}.shard.{i:03}"));
-                tracer.attr("visits", slice.len());
-                let part = scan(slice);
-                tracer.close();
-                tracer.finish();
-                done.lock().expect("shard partials").push((i, part));
-            });
-        }
-    })
-    .expect("shard scan scope");
-    obs.metrics
-        .counter(&format!("stage.{name}.shard_scans"))
-        .add(slices.len() as u64);
-    let mut parts = done.into_inner().expect("shard partials");
-    parts.sort_by_key(|&(i, _)| i);
-    merge(parts.into_iter().map(|(_, p)| p).collect())
-}
-
 /// Runs the selected stages (a set produced by [`expand_selection`] or
 /// [`all_stages`]) in dependency waves, independent stages concurrently.
 /// Returns the outputs plus one timing per executed stage, in paper order.
@@ -749,16 +653,15 @@ pub fn run_observed(
         let h_cookies =
             want(COOKIES).then(|| s.spawn(|_| observed(obs, COOKIES, || stage_cookies(ctx))));
         let h_sync = want(COOKIE_SYNC)
-            .then(|| s.spawn(|_| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx, obs))));
+            .then(|| s.spawn(|_| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx))));
         let h_webrtc =
-            want(WEBRTC).then(|| s.spawn(|_| observed(obs, WEBRTC, || stage_webrtc(ctx, obs))));
-        let h_https =
-            want(HTTPS).then(|| s.spawn(|_| observed(obs, HTTPS, || stage_https(ctx, obs))));
+            want(WEBRTC).then(|| s.spawn(|_| observed(obs, WEBRTC, || stage_webrtc(ctx))));
+        let h_https = want(HTTPS).then(|| s.spawn(|_| observed(obs, HTTPS, || stage_https(ctx))));
         let h_malware =
-            want(MALWARE).then(|| s.spawn(|_| observed(obs, MALWARE, || stage_malware(ctx, obs))));
+            want(MALWARE).then(|| s.spawn(|_| observed(obs, MALWARE, || stage_malware(ctx))));
         let h_geo = want(GEO).then(|| s.spawn(|_| observed(obs, GEO, || stage_geo(db, ctx))));
         let h_banners = want(CONSENT_BANNERS).then(|| {
-            s.spawn(|_| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx, obs)))
+            s.spawn(|_| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx)))
         });
         let h_policies =
             want(POLICIES).then(|| s.spawn(|_| observed(obs, POLICIES, || stage_policies(ctx))));
@@ -791,7 +694,7 @@ pub fn run_observed(
         let h_fp = want(FINGERPRINTING).then(|| {
             s.spawn(move |_| {
                 let rtc = rtc.as_ref().expect("webrtc ran (dependency)");
-                observed(obs, FINGERPRINTING, || stage_fingerprinting(ctx, rtc, obs))
+                observed(obs, FINGERPRINTING, || stage_fingerprinting(ctx, rtc))
             })
         });
         let h_owners = want(OWNERSHIP).then(|| {
@@ -902,43 +805,15 @@ fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), u
     ((stats, table4), ctx.cookie_rows.len(), produced)
 }
 
-fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncReport, usize, usize) {
+fn stage_cookie_sync(ctx: &AnalysisContext<'_>) -> (SyncReport, usize, usize) {
     let top_k = 100.min(ctx.ranked.len());
-    let options = SyncOptions::default();
-    // Two passes: register every cookie value with its globally earliest
-    // setter, then match request parameters against the merged
-    // registrations (session order is honoured via the first-set index).
-    let regs = scan_shards(
-        obs,
-        "cookie-sync.registrations",
-        ctx.porn_es,
-        ctx.shards,
-        |slice| sync::scan_registrations(slice, options),
-        sync::merge_registrations,
-    );
-    let matches = scan_shards(
-        obs,
-        "cookie-sync.matches",
-        ctx.porn_es,
-        ctx.shards,
-        |slice| sync::scan_matches(slice, &regs, options),
-        sync::merge_matches,
-    );
-    let report = sync::finalize(matches, &ctx.ranked, top_k);
+    let report = sync::detect(ctx.porn_es, &ctx.ranked, top_k, SyncOptions::default());
     let produced = report.pairs.len();
     (report, ctx.porn_es.success_count(), produced)
 }
 
-fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport, usize, usize) {
-    let scan = scan_shards(
-        obs,
-        WEBRTC,
-        ctx.porn_es,
-        ctx.shards,
-        webrtc::scan,
-        webrtc::merge,
-    );
-    let report = webrtc::finalize(scan, &ctx.classifier);
+fn stage_webrtc(ctx: &AnalysisContext<'_>) -> (WebRtcReport, usize, usize) {
+    let report = webrtc::detect(ctx.porn_es, &ctx.classifier);
     let produced = report.scripts.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -946,16 +821,8 @@ fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport,
 fn stage_fingerprinting(
     ctx: &AnalysisContext<'_>,
     rtc: &WebRtcReport,
-    obs: &StageObs<'_>,
 ) -> ((FingerprintReport, Vec<Table5Row>), usize, usize) {
-    let fp = fingerprint::finalize(scan_shards(
-        obs,
-        FINGERPRINTING,
-        ctx.porn_es,
-        ctx.shards,
-        |slice| fingerprint::scan(slice, &ctx.classifier),
-        fingerprint::merge,
-    ));
+    let fp = fingerprint::detect(ctx.porn_es, &ctx.classifier);
     let table5 = fingerprint::table5(
         &fp,
         rtc,
@@ -968,29 +835,14 @@ fn stage_fingerprinting(
     ((fp, table5), ctx.porn_es.success_count(), produced)
 }
 
-fn stage_https(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (HttpsReport, usize, usize) {
-    let report = https::finalize(scan_shards(
-        obs,
-        HTTPS,
-        ctx.porn_es,
-        ctx.shards,
-        |slice| https::scan(slice, &ctx.tier_of, ctx.client_ip),
-        https::merge,
-    ));
+fn stage_https(ctx: &AnalysisContext<'_>) -> (HttpsReport, usize, usize) {
+    let report = https::report(ctx.porn_es, &ctx.tier_of, ctx.client_ip);
     let produced = report.rows.len();
     (report, ctx.porn_es.visits.len(), produced)
 }
 
-fn stage_malware(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (MalwareReport, usize, usize) {
-    let threat = WorldThreatFeed(ctx.world);
-    let report = scan_shards(
-        obs,
-        MALWARE,
-        ctx.porn_es,
-        ctx.shards,
-        |slice| malware::scan(slice, &threat),
-        malware::merge,
-    );
+fn stage_malware(ctx: &AnalysisContext<'_>) -> (MalwareReport, usize, usize) {
+    let report = malware::detect(ctx.porn_es, &WorldThreatFeed(ctx.world));
     let produced = report.flagged_sites.len() + report.mining_sites.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1028,41 +880,16 @@ fn stage_geo(
 fn stage_consent_banners(
     db: &MeasurementDb,
     ctx: &AnalysisContext<'_>,
-    obs: &StageObs<'_>,
 ) -> ((BannerBreakdown, BannerBreakdown), usize, usize) {
-    let breakdown = |crawl: &CrawlRecord, tag: &str| {
-        let (observations, rejected) = scan_shards(
-            obs,
-            tag,
-            crawl,
-            ctx.shards,
-            |slice| {
-                // Each scan gets its own oracle: an oracle counts its
-                // queries in a `Cell`, which must not cross shard threads.
-                let oracle = InspectionOracle::new(&ctx.world.sites);
-                consent::scan(slice, &|domain: &str| oracle.confirm_banner(domain))
-            },
-            |parts| {
-                let mut observations = Vec::new();
-                let mut rejected = 0usize;
-                for (part, part_rejected) in parts {
-                    observations.extend(part);
-                    rejected += part_rejected;
-                }
-                (observations, rejected)
-            },
-        );
-        let (b, _) =
-            consent::finalize(crawl.country, crawl.success_count(), observations, rejected);
-        b
-    };
-    let banners_eu = breakdown(ctx.porn_es, "consent-banners.eu");
+    let oracle = InspectionOracle::new(&ctx.world.sites);
+    let verify = |domain: &str| oracle.confirm_banner(domain);
+    let (banners_eu, _) = consent::breakdown(ctx.porn_es, &verify);
     // The paper's Table 8 contrasts the EU with the USA; without a USA
     // crawl the comparison degrades to EU-vs-EU.
     let usa_crawl = db
         .crawl(Country::Usa, CorpusLabel::Porn)
         .unwrap_or(ctx.porn_es);
-    let banners_usa = breakdown(usa_crawl, "consent-banners.usa");
+    let (banners_usa, _) = consent::breakdown(usa_crawl, &verify);
     let input = ctx.porn_es.success_count() + usa_crawl.success_count();
     ((banners_eu, banners_usa), input, 2)
 }

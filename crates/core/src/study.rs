@@ -224,30 +224,11 @@ impl Study {
     /// transport/cache/stage counter lands in `obs.metrics`. Results are
     /// byte-identical to [`run_on`](Self::run_on).
     pub fn run_on_observed(world: &World, config: &StudyConfig, obs: &ObsContext) -> StudyResults {
-        Self::run_on_sharded_observed(world, config, obs, 1)
-    }
-
-    /// [`run_on_observed`](Self::run_on_observed) with the analysis layer
-    /// fanned over `shards` contiguous visit-range shards: the decomposable
-    /// stages scan per-shard partials off a bounded work queue and merge
-    /// them in shard order, so peak per-stage memory is O(shard) instead of
-    /// O(crawl), and each shard scan records a `stage.<name>.shard.NNN`
-    /// span. Results are byte-identical for every shard count; the
-    /// [`StageReport`] additionally carries per-crawl [`ShardStat`] rows
-    /// when `shards > 1`.
-    ///
-    /// [`ShardStat`]: crate::results::ShardStat
-    pub fn run_on_sharded_observed(
-        world: &World,
-        config: &StudyConfig,
-        obs: &ObsContext,
-        shards: usize,
-    ) -> StudyResults {
         // Layer 1: collect every crawl into the measurement DB.
         let (db, crawl_timings) = Self::collect_db_observed(world, config, obs);
         // Layer 2: derive shared artifacts, then run all analysis stages.
         let (outputs, mut report, best_ranks) =
-            Self::analyze(world, config, &db, &stages::all_stages(), obs, shards);
+            Self::analyze(world, config, &db, &stages::all_stages(), obs);
         // Layer 3: assemble results with the instrumentation report.
         report.crawls = crawl_timings;
         outputs.into_results(best_ranks, report)
@@ -260,20 +241,19 @@ impl Study {
     /// stage counter into `obs.metrics`.
     ///
     /// Returns the stage outputs, a [`StageReport`] with the stage timings
-    /// and shard statistics (its `crawls` left empty for the caller), and
-    /// the best-rank map [`StageOutputs::into_results`] takes.
+    /// (its `crawls` left empty for the caller), and the best-rank map
+    /// [`StageOutputs::into_results`] takes.
     pub fn analyze(
         world: &World,
         config: &StudyConfig,
         db: &MeasurementDb,
         selected: &BTreeSet<&'static str>,
         obs: &ObsContext,
-        shards: usize,
     ) -> (StageOutputs, StageReport, BTreeMap<String, u32>) {
         let mut tracer = obs.trace.tracer("analyze");
         tracer.open("analyze");
         tracer.open("context.build");
-        let ctx = AnalysisContext::build_sharded_in(world, config, db, &obs.metrics, shards);
+        let ctx = AnalysisContext::build_sharded_in(world, config, db, &obs.metrics, 1);
         tracer.attr("corpus_sanitized", ctx.corpus.sanitized.len());
         tracer.close();
         let stage_obs = StageObs {
@@ -289,7 +269,6 @@ impl Study {
         let report = StageReport {
             crawls: Vec::new(),
             stages: stage_timings,
-            shards: stages::shard_stats(db, shards),
         };
         (outputs, report, ctx.best_ranks)
     }

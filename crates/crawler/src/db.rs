@@ -8,8 +8,7 @@
 //!
 //! Crawl rows intern their crawled domain into a per-crawl [`StrTable`] at
 //! record time, so a [`SiteVisitRecord`] carries a [`Sym`] id instead of an
-//! owned string and analyses resolve it through the crawl (or any
-//! [`CrawlSlice`] of it).
+//! owned string and analyses resolve it through the crawl.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -19,7 +18,7 @@ use redlight_net::geoip::Country;
 use redlight_rankings::RankHistory;
 
 use crate::corpus::CorpusReport;
-use crate::store::{shard_ranges, CrawlSlice, StrTable, Sym};
+use crate::store::{StrTable, Sym};
 
 /// Which corpus a crawl covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -98,40 +97,11 @@ impl CrawlRecord {
         self.names.resolve(sym)
     }
 
-    /// The crawl's interned string table.
-    pub fn names(&self) -> &StrTable {
-        &self.names
-    }
-
-    /// The whole crawl as one zero-copy slice.
-    pub fn full(&self) -> CrawlSlice<'_> {
-        CrawlSlice::new(
-            self.country,
-            self.corpus,
-            self.client_ip,
-            &self.visits,
-            0,
-            &self.names,
-        )
-    }
-
-    /// Splits the crawl into at most `n` contiguous near-equal slices (all
-    /// sharing this crawl's string table) whose in-order concatenation is
-    /// exactly [`full`](Self::full).
-    pub fn shards(&self, n: usize) -> Vec<CrawlSlice<'_>> {
-        shard_ranges(self.visits.len(), n)
-            .into_iter()
-            .map(|(lo, hi)| {
-                CrawlSlice::new(
-                    self.country,
-                    self.corpus,
-                    self.client_ip,
-                    &self.visits[lo..hi],
-                    lo,
-                    &self.names,
-                )
-            })
-            .collect()
+    /// The whole crawl. Every analysis reads a crawl whole through the
+    /// record itself; the benchmark of record (`perfbench/`) is this
+    /// method's only caller, and it stays until the benchmark changes.
+    pub fn full(&self) -> &CrawlRecord {
+        self
     }
 
     /// Visits whose document loaded successfully.
@@ -402,40 +372,5 @@ mod tests {
         crawl.visits[1].attempts = 3;
         assert_eq!(crawl.total_retries(), 2);
         assert_eq!(crawl.failure_count(), 1);
-    }
-
-    #[test]
-    fn shards_partition_the_crawl() {
-        let crawl = crawl_with(
-            Country::Spain,
-            CorpusLabel::Porn,
-            &[
-                ("a.com", true),
-                ("b.com", false),
-                ("c.com", true),
-                ("d.com", true),
-                ("e.com", false),
-            ],
-        );
-        for n in [1usize, 2, 3, 5, 9] {
-            let shards = crawl.shards(n);
-            assert_eq!(shards.len(), n.min(crawl.visits.len()));
-            let total: usize = shards.iter().map(|s| s.len()).sum();
-            assert_eq!(total, crawl.visits.len());
-            let successes: usize = shards.iter().map(|s| s.success_count()).sum();
-            assert_eq!(successes, crawl.success_count());
-            let mut expected_offset = 0;
-            for shard in &shards {
-                assert_eq!(shard.offset, expected_offset);
-                expected_offset += shard.len();
-                for v in shard.visits {
-                    // Shards resolve through the shared table.
-                    assert!(!shard.name(v.domain).is_empty());
-                }
-            }
-        }
-        let full = crawl.full();
-        assert_eq!(full.len(), 5);
-        assert_eq!(full.offset, 0);
     }
 }

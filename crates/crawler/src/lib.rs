@@ -14,9 +14,8 @@
 //!   monetization-signal collection;
 //! * [`db`] — the measurement database (the OpenWPM SQLite stand-in),
 //!   indexed by country × corpus, with per-crawl interned string tables;
-//! * [`store`] — the columnar shard store: arena-backed string interning
-//!   ([`store::StrTable`] / [`store::Sym`]) and zero-copy
-//!   [`store::CrawlSlice`] shards the map/reduce analysis streams;
+//! * [`store`] — the columnar store: arena-backed string interning
+//!   ([`store::StrTable`] / [`store::Sym`]) behind every crawl record;
 //! * [`parallel`] — the worker pool that runs a plan's crawls, longest
 //!   first, and its telemetry plumbing (crawls are independent sessions;
 //!   within a crawl the session is sequential, preserving cookie-sync
@@ -51,4 +50,4 @@ pub use openwpm::OpenWpmCrawler;
 pub use plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec};
 pub use redlight_net::transport::{NetProfile, RetryPolicy};
 pub use selenium::SeleniumCrawler;
-pub use store::{CrawlSlice, StrTable, Sym};
+pub use store::{StrTable, Sym};

@@ -50,19 +50,6 @@ impl DnsDb {
         None
     }
 
-    /// The terminal canonical name for `fqdn` after chasing CNAMEs (itself
-    /// when no alias exists or the name is unknown).
-    pub fn canonical_name(&self, fqdn: &str) -> String {
-        let mut name = fqdn.to_ascii_lowercase();
-        for _ in 0..8 {
-            match self.records.get(&name).and_then(|r| r.cname.clone()) {
-                Some(target) => name = target.to_ascii_lowercase(),
-                None => break,
-            }
-        }
-        name
-    }
-
     /// Nameservers of `fqdn`, empty when unknown.
     pub fn nameservers(&self, fqdn: &str) -> &[String] {
         self.resolve(fqdn)
@@ -121,7 +108,6 @@ mod tests {
             db.resolve("metrics.site.com").unwrap().address,
             Ipv4Addr::new(198, 51, 100, 7)
         );
-        assert_eq!(db.canonical_name("metrics.site.com"), "collect.tracker.net");
     }
 
     #[test]
@@ -151,6 +137,5 @@ mod tests {
         let db = DnsDb::new();
         assert!(db.resolve("missing.example").is_none());
         assert!(db.nameservers("missing.example").is_empty());
-        assert_eq!(db.canonical_name("missing.example"), "missing.example");
     }
 }

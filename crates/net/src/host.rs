@@ -50,20 +50,6 @@ impl Fqdn {
         self.0.split('.')
     }
 
-    /// Number of labels.
-    pub fn label_count(&self) -> usize {
-        self.0.split('.').count()
-    }
-
-    /// Returns `true` when `self` equals `other` or is a subdomain of it
-    /// (`sync.exosrv.com` is within `exosrv.com`).
-    pub fn is_subdomain_of(&self, other: &Fqdn) -> bool {
-        self.0 == other.0
-            || (self.0.len() > other.0.len()
-                && self.0.ends_with(other.0.as_str())
-                && self.0.as_bytes()[self.0.len() - other.0.len() - 1] == b'.')
-    }
-
     /// The registrable domain (eTLD+1) of this host, per the embedded public
     /// suffix list. Returns the host itself when it is already a suffix or
     /// has a single label.
@@ -93,7 +79,6 @@ mod tests {
     fn parses_and_normalizes() {
         let h = Fqdn::parse("WWW.Example.COM.").unwrap();
         assert_eq!(h.as_str(), "www.example.com");
-        assert_eq!(h.label_count(), 3);
     }
 
     #[test]
@@ -112,17 +97,6 @@ mod tests {
     fn accepts_underscore_labels() {
         // Seen in the wild for tracking beacons; browsers tolerate them.
         assert!(Fqdn::parse("_dmarc.example.com").is_ok());
-    }
-
-    #[test]
-    fn subdomain_relation() {
-        let parent = Fqdn::parse("exosrv.com").unwrap();
-        let child = Fqdn::parse("sync.exosrv.com").unwrap();
-        let other = Fqdn::parse("notexosrv.com").unwrap();
-        assert!(child.is_subdomain_of(&parent));
-        assert!(parent.is_subdomain_of(&parent));
-        assert!(!parent.is_subdomain_of(&child));
-        assert!(!other.is_subdomain_of(&parent));
     }
 
     #[test]

@@ -15,15 +15,6 @@ const MULTI_LABEL_SUFFIXES: &[&str] = &[
     "com.cn",
 ];
 
-/// Single-label suffixes (TLDs) recognized by the embedded list. Unknown
-/// TLDs are still treated as suffixes (the PSL `*` fallback rule), so the
-/// list only needs to exist for documentation and tests.
-const KNOWN_TLDS: &[&str] = &[
-    "com", "net", "org", "info", "biz", "xxx", "sex", "porn", "adult", "tv", "cc", "io", "me",
-    "ru", "uk", "de", "fr", "es", "it", "nl", "eu", "us", "ca", "in", "sg", "jp", "br", "pl", "ro",
-    "pt", "top", "party", "club", "online", "site", "live", "pro", "vip", "red",
-];
-
 /// Returns `true` when `domain` (normalized, lowercase) is exactly a public
 /// suffix.
 pub fn is_public_suffix(domain: &str) -> bool {
@@ -92,14 +83,6 @@ pub fn registrable_domain(host: &str) -> &str {
     last_two
 }
 
-/// Whether the last label of `host` is a TLD the embedded list knows about.
-/// Purely informational; extraction works for unknown TLDs too.
-pub fn has_known_tld(host: &str) -> bool {
-    host.rsplit('.')
-        .next()
-        .is_some_and(|tld| KNOWN_TLDS.contains(&tld))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +141,5 @@ mod tests {
         assert!(is_public_suffix("com"));
         assert!(is_public_suffix("co.uk"));
         assert!(!is_public_suffix("example.com"));
-        assert!(has_known_tld("x.party"));
-        assert!(!has_known_tld("x.weirdtld"));
     }
 }

@@ -637,11 +637,15 @@ impl NetProfile {
 }
 
 // ---------------------------------------------------------------------------
-// Hashing (splitmix64 finalizer + FNV-1a, local so the seam has no deps)
+// Hashing (splitmix64 finalizer + FNV-1a). The simulated web and the
+// traffic workload draw with the same two functions, on every request and
+// event, so both are `#[inline]`: without it no call from another crate is
+// inlined.
 // ---------------------------------------------------------------------------
 
 /// splitmix64-style mixer: uniform, seedable, and stable across platforms.
-fn mix(a: u64, b: u64) -> u64 {
+#[inline]
+pub fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -649,7 +653,8 @@ fn mix(a: u64, b: u64) -> u64 {
 }
 
 /// FNV-1a over bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::codec::{percent_decode, percent_encode};
+use crate::codec::percent_decode;
 use crate::error::NetError;
 use crate::host::Fqdn;
 use crate::http::Scheme;
@@ -174,18 +174,6 @@ impl Url {
             .map(|(_, v)| v)
     }
 
-    /// Returns a copy with `key=value` appended to the query
-    /// (percent-encoding both).
-    pub fn with_query_param(&self, key: &str, value: &str) -> Url {
-        let pair = format!("{}={}", percent_encode(key), percent_encode(value));
-        let mut u = self.clone();
-        u.query = Some(match &self.query {
-            Some(q) if !q.is_empty() => format!("{q}&{pair}"),
-            _ => pair,
-        });
-        u
-    }
-
     /// Scheme + host + path + query, without the fragment: what a server
     /// (and a blocklist) sees.
     pub fn without_fragment(&self) -> String {
@@ -321,16 +309,6 @@ mod tests {
         );
         assert_eq!(u.query_param("b").as_deref(), Some("hello world"));
         assert_eq!(u.query_param("zzz"), None);
-    }
-
-    #[test]
-    fn with_query_param_appends_encoded() {
-        let u = Url::parse("https://sync.net/s").unwrap();
-        let u2 = u.with_query_param("sync", "uid=42&x");
-        assert_eq!(u2.query(), Some("sync=uid%3D42%26x"));
-        assert_eq!(u2.query_param("sync").as_deref(), Some("uid=42&x"));
-        let u3 = u2.with_query_param("p", "2");
-        assert_eq!(u3.query_pairs().len(), 2);
     }
 
     #[test]

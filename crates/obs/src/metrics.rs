@@ -381,15 +381,6 @@ impl Registry {
         )
     }
 
-    /// Current value of a counter, zero if absent.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        let metrics = self.metrics.lock().expect("metrics registry poisoned");
-        match metrics.get(name) {
-            Some(Metric::Counter(c, _)) => c.get(),
-            _ => 0,
-        }
-    }
-
     /// Ordered plain-data copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let metrics = self.metrics.lock().expect("metrics registry poisoned");
@@ -565,8 +556,6 @@ mod tests {
         a.add(3);
         b.inc();
         assert_eq!(a.get(), 4);
-        assert_eq!(registry.counter_value("transport.requests"), 4);
-        assert_eq!(registry.counter_value("absent"), 0);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl CategoryService {
         self.index.insert(domain.to_ascii_lowercase(), category);
     }
 
-    /// The category of `domain`, when indexed.
-    pub fn category_of(&self, domain: &str) -> Option<Category> {
-        self.index.get(&domain.to_ascii_lowercase()).copied()
-    }
-
     /// All domains filed under `category`, sorted.
     pub fn domains_in(&self, category: Category) -> Vec<&str> {
         self.index
@@ -75,9 +70,8 @@ mod tests {
         let mut svc = CategoryService::new();
         svc.register("PornHub.com", Category::Adult);
         svc.register("bbc.co.uk", Category::News);
-        assert_eq!(svc.category_of("pornhub.com"), Some(Category::Adult));
-        assert_eq!(svc.category_of("bbc.co.uk"), Some(Category::News));
-        assert_eq!(svc.category_of("unknown.com"), None);
+        assert_eq!(svc.domains_in(Category::Adult), vec!["pornhub.com"]);
+        assert_eq!(svc.domains_in(Category::News), vec!["bbc.co.uk"]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::Duration;
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile, RetryPolicy};
+use redlight_net::transport::{fnv1a, mix, BrowserKind, Fault, FaultSpec, NetProfile, RetryPolicy};
 use redlight_net::url::Url;
 use redlight_obs::{
     Counter, Gauge, Histogram, ObsContext, Registry, SloEvent, SloPolicy, SloTracker, Timeline,
@@ -47,7 +47,7 @@ use redlight_websim::{server::WebServer, World, WorldConfig};
 
 use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
 use crate::queue::{EventQueue, SimTime};
-use crate::service::{mix, HostPool, ServiceModel};
+use crate::service::{HostPool, ServiceModel};
 
 /// Sub-resources kept per page template (beyond the document itself).
 const MAX_SUBS: usize = 12;
@@ -80,12 +80,6 @@ mod salt {
 
 fn draw(seed: u64, s: u64, key: u64) -> u64 {
     mix(mix(seed, s), key)
-}
-
-fn hash_str(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// Configuration of one traffic run.
@@ -206,7 +200,7 @@ fn harvest(world: &World, seed: u64) -> Universe {
                 host: intern(r.url.host().as_str(), &mut host_ids),
                 bytes: synth_bytes(
                     r.kind,
-                    hash_str(r.url.host().as_str()) ^ hash_str(r.url.path()),
+                    fnv1a(r.url.host().as_str().as_bytes()) ^ fnv1a(r.url.path().as_bytes()),
                 ),
             })
             .collect();

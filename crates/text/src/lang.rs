@@ -54,11 +54,6 @@ impl Language {
             Language::Romanian => "ro",
         }
     }
-
-    /// Parses an ISO-639-1 code.
-    pub fn from_code(code: &str) -> Option<Language> {
-        Language::ALL.into_iter().find(|l| l.code() == code)
-    }
 }
 
 /// Per-language keyword pack.
@@ -243,14 +238,6 @@ mod tests {
             assert!(!p.affirmative.is_empty());
             assert!(!p.privacy.is_empty());
         }
-    }
-
-    #[test]
-    fn code_roundtrip() {
-        for l in Language::ALL {
-            assert_eq!(Language::from_code(l.code()), Some(l));
-        }
-        assert_eq!(Language::from_code("zz"), None);
     }
 
     #[test]

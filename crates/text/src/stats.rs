@@ -32,16 +32,6 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     }
 }
 
-/// Integer median of a `u64` slice (lower median for even lengths).
-pub fn median_u64(values: &[u64]) -> Option<u64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut v = values.to_vec();
-    v.sort_unstable();
-    Some(v[(v.len() - 1) / 2])
-}
-
 /// Percentage `part / whole * 100`, `0.0` when `whole == 0`.
 pub fn pct(part: usize, whole: usize) -> f64 {
     if whole == 0 {
@@ -69,13 +59,6 @@ mod tests {
         assert_eq!(percentile(&v, 0.0), Some(10.0));
         assert_eq!(percentile(&v, 100.0), Some(40.0));
         assert_eq!(percentile(&v, 50.0), Some(25.0));
-    }
-
-    #[test]
-    fn median_u64_lower_for_even() {
-        assert_eq!(median_u64(&[4, 1, 3, 2]), Some(2));
-        assert_eq!(median_u64(&[5]), Some(5));
-        assert_eq!(median_u64(&[]), None);
     }
 
     #[test]

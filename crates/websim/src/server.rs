@@ -11,7 +11,7 @@ use redlight_net::cookie::Cookie;
 use redlight_net::geoip::{Country, GeoIpDb};
 use redlight_net::http::{Request, Response, Scheme, StatusCode};
 use redlight_net::psl;
-use redlight_net::transport::Transport;
+use redlight_net::transport::{fnv1a, Transport};
 use redlight_net::url::Url;
 
 // The client-facing vocabulary lives on the transport seam now; re-exported
@@ -251,7 +251,7 @@ impl<'w> WebServer<'w> {
                     .url
                     .query_param("sid")
                     .or_else(|| req.url.query_param("pid"));
-                let site_hash = hash_str(sid.as_deref().unwrap_or("unknown"));
+                let site_hash = fnv1a(sid.as_deref().unwrap_or("unknown").as_bytes());
                 // Cookie syncing: a repeat sighting of our own uid cookie
                 // triggers a redirect that leaks it to a partner (§5.1.2).
                 // Syncing is opportunistic: each service fires the redirect
@@ -287,7 +287,7 @@ impl<'w> WebServer<'w> {
             // (the §3.1 inclusion chain).
             "/frame" => {
                 let sid = req.url.query_param("sid").unwrap_or_default();
-                let site_hash = hash_str(&sid);
+                let site_hash = fnv1a(sid.as_bytes());
                 let mut html = String::from("<html><body>");
                 let partners = &svc.rtb_partners;
                 // Rotate the winning demand partner per site; a second slot
@@ -422,15 +422,6 @@ fn request_cookie(req: &Request, name: &str) -> Option<String> {
         }
     }
     None
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

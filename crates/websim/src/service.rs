@@ -256,11 +256,6 @@ impl ServiceRegistry {
             .find(|s| s.all_fqdns().any(|f| f == fqdn))
     }
 
-    /// Finds a service by label.
-    pub fn by_label(&self, label: &str) -> Option<&ThirdPartyService> {
-        self.services.iter().find(|s| s.label == label)
-    }
-
     /// All services.
     pub fn iter(&self) -> impl Iterator<Item = &ThirdPartyService> {
         self.services.iter()
@@ -315,7 +310,6 @@ mod tests {
         assert_eq!(a, ServiceId(0));
         assert_eq!(b, ServiceId(1));
         assert_eq!(reg.by_fqdn("exosrv.com").unwrap().label, "ExoClick");
-        assert_eq!(reg.by_label("JuicyAds").unwrap().id, b);
         assert!(reg.by_fqdn("missing.com").is_none());
         assert_eq!(reg.len(), 2);
     }

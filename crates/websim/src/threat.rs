@@ -7,6 +7,8 @@
 //! occasionally pick up 1–3 stray detections — the false-positive noise the
 //! threshold exists to suppress.
 
+use redlight_net::transport::fnv1a;
+
 /// Number of aggregated scanners.
 pub const SCANNER_COUNT: u8 = 70;
 
@@ -28,7 +30,7 @@ impl ScannerEnsemble {
     /// Number of scanners (of 70) that flag `domain`, given its ground-truth
     /// maliciousness. Deterministic per `(seed, domain)`.
     pub fn detections(&self, domain: &str, truly_malicious: bool) -> u8 {
-        let h = crate::content::mix(self.seed, hash_str(domain));
+        let h = crate::content::mix(self.seed, fnv1a(domain.as_bytes()));
         if truly_malicious {
             // 6..=26 detections: clearly above threshold, varying by vendor
             // coverage like real VT results.
@@ -48,15 +50,6 @@ impl ScannerEnsemble {
     pub fn is_flagged(&self, domain: &str, truly_malicious: bool) -> bool {
         self.detections(domain, truly_malicious) >= DETECTION_THRESHOLD
     }
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

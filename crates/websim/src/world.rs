@@ -10,6 +10,7 @@ use redlight_net::dns::{DnsDb, ZoneRecord};
 use redlight_net::geoip::Country;
 use redlight_net::psl;
 use redlight_net::tls::Certificate;
+use redlight_net::transport::fnv1a;
 use redlight_net::whois::{Registrant, WhoisDb, WhoisRecord};
 use redlight_rankings::category::{Category, CategoryService};
 use redlight_text::lang::Language;
@@ -270,7 +271,7 @@ impl World {
                     svc.all_fqdns()
                         .flat_map(|f| [f.to_string(), format!("*.{f}")])
                         .collect(),
-                    mix(hash_str(&svc.fqdn), 0xCE47),
+                    mix(fnv1a(svc.fqdn.as_bytes()), 0xCE47),
                 )
             }
             Some(HostEntity::Site(id)) | Some(HostEntity::SiteCdn(id)) => {
@@ -288,7 +289,7 @@ impl World {
                     &site.domain,
                     org.as_deref(),
                     vec![site.domain.clone(), format!("*.{}", site.domain)],
-                    mix(hash_str(&site.domain), 0xCE47),
+                    mix(fnv1a(site.domain.as_bytes()), 0xCE47),
                 )
             }
             Some(HostEntity::CloudHost(_)) => {
@@ -304,12 +305,15 @@ impl World {
                     &format!("*.{reg}"),
                     org,
                     vec![reg.clone()],
-                    mix(hash_str(&reg), 3),
+                    mix(fnv1a(reg.as_bytes()), 3),
                 )
             }
-            Some(HostEntity::Directory(_)) | None => {
-                Certificate::leaf(host, None, vec![host.to_string()], mix(hash_str(host), 9))
-            }
+            Some(HostEntity::Directory(_)) | None => Certificate::leaf(
+                host,
+                None,
+                vec![host.to_string()],
+                mix(fnv1a(host.as_bytes()), 9),
+            ),
         }
     }
 
@@ -353,7 +357,7 @@ impl World {
     /// with a European and regional tail; deterministic per host.
     pub fn hosting_country(&self, host: &str) -> Country {
         let reg = psl::registrable_domain(host);
-        match mix(hash_str(reg), self.config.seed ^ 0x6E0) % 100 {
+        match mix(fnv1a(reg.as_bytes()), self.config.seed ^ 0x6E0) % 100 {
             0..=54 => Country::Usa,
             55..=74 => Country::Spain, // EU data centers
             75..=84 => Country::Uk,
@@ -368,15 +372,6 @@ impl World {
         let scheme = if site.https { "https" } else { "http" };
         format!("{scheme}://{}/", site.domain)
     }
-}
-
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn ip_for(site_id: u32) -> Ipv4Addr {

@@ -19,31 +19,14 @@ echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test (workspace)"
+# Runs each contract once, among them: matcher_equivalence (domain buckets
+# vs unbucketed scan), transport_faults (fault determinism, passthrough,
+# retry budget), batch_equivalence (batched == per-request verdicts),
+# traffic_determinism (seed-pinned report and journal), the analysis
+# oracles in table_oracles and tfidf::tests::fit_matches_owned_token_fit,
+# and kernel_props (sim event-queue order). Property tests run their
+# default 256 cases.
 cargo test --workspace -q
-
-echo "==> matcher oracle (domain buckets vs unbucketed scan)"
-cargo test -q -p redlight-blocklist --test matcher_equivalence
-
-echo "==> transport fault matrix (determinism, passthrough, retry budget)"
-cargo test -q --test transport_faults
-
-echo "==> shard map/reduce equivalence (per-shard merge == monolithic)"
-# Every shard count from 1 to 24, plus an oversubscribed split; the
-# workspace run above runs the same tests, this step names the contract.
-cargo test -q --test shard_equivalence
-
-echo "==> batch classification equivalence (batched == per-request verdicts)"
-cargo test -q --test batch_equivalence
-
-echo "==> analysis oracles (Table 4/5 lookups, TF-IDF fit)"
-PROPTEST_CASES=64 cargo test -q -p redlight-analysis --test table_oracles
-PROPTEST_CASES=64 cargo test -q -p redlight-text --lib tfidf::tests::fit_matches_owned_token_fit
-
-echo "==> sim event-queue properties (total order, monotone drain)"
-PROPTEST_CASES=64 cargo test -q -p redlight-sim --test kernel_props
-
-echo "==> traffic determinism (seed-pinned report and journal)"
-cargo test -q --test traffic_determinism
 
 echo "==> observability exporter smoke (collection-only, all three formats + timings JSON)"
 OBS_DIR="$(mktemp -d)"
@@ -53,7 +36,7 @@ cargo run --release -q -p redlight-bench --bin reproduce -- \
   --trace "$OBS_DIR/trace.json" \
   --trace-events "$OBS_DIR/trace.jsonl" \
   --metrics "$OBS_DIR/metrics.prom" \
-  --timings --json --shards 3 >"$OBS_DIR/timings.json"
+  --timings --json >"$OBS_DIR/timings.json"
 python3 - "$OBS_DIR" <<'PYEOF'
 import json, sys
 d = sys.argv[1]
@@ -69,7 +52,6 @@ prom = open(f"{d}/metrics.prom").read()
 assert "transport_requests" in prom, "metrics exposition lacks transport counters"
 timings = json.load(open(f"{d}/timings.json"))
 assert timings["crawls"], "timings JSON lists no crawls"
-assert "shards" in timings, "sharded timings JSON lacks shard stats"
 print(f"exporters OK: {begins} spans, {len(prom.splitlines())} metric lines, "
       f"{len(timings['crawls'])} timed crawls")
 PYEOF

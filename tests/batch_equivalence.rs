@@ -1,13 +1,13 @@
 //! The batch-classification contract: [`classify_batch`] must agree with
 //! per-request classification on every verdict — regardless of the order
-//! the per-request path walks the requests in and the shard count the batch
-//! is computed over. The per-request walk here is the oracle.
+//! the per-request path walks the requests in. The per-request walk here is
+//! the oracle.
 //!
 //! The measurement DB is collected once (collection never classifies) and
-//! classified once in canonical order as the reference. Then, for every
-//! shard count from 1 to 12, a seeded permuted walk and the batch each
-//! re-classify it with a fresh classifier, and both are compared with the
-//! reference per request occurrence.
+//! classified once in canonical order as the reference. Twelve seeded
+//! permuted walks each re-classify it with a fresh classifier, and one
+//! whole-crawl batch per crawl classifies it on another; each is compared
+//! with the reference per request occurrence.
 //!
 //! [`classify_batch`]: redlight::analysis::ats::AtsClassifier::classify_batch
 
@@ -61,15 +61,12 @@ fn per_request_verdict(
     )
 }
 
-/// Classifies every occurrence through `classify_batch` over `shards`
-/// slices per crawl, returning verdicts in occurrence order: the slices'
-/// verdict vectors, concatenated in order, cover the whole crawl exactly
-/// like one whole-crawl batch.
-fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier, shards: usize) -> Vec<bool> {
+/// Classifies every occurrence through one `classify_batch` per crawl,
+/// returning verdicts in occurrence order.
+fn batched_verdicts(db: &MeasurementDb, cls: &AtsClassifier) -> Vec<bool> {
     db.crawls()
         .iter()
-        .flat_map(|crawl| crawl.shards(shards))
-        .flat_map(|slice| cls.classify_batch(slice).verdicts)
+        .flat_map(|crawl| cls.classify_batch(crawl).verdicts)
         .collect()
 }
 
@@ -87,7 +84,7 @@ fn permutation(len: usize, seed: u64) -> Vec<usize> {
 }
 
 /// Per-request verdicts are independent of walk order, and the batch path
-/// agrees with them occurrence for occurrence — for every shard count.
+/// agrees with them occurrence for occurrence.
 #[test]
 fn batch_agrees_with_any_per_request_order() {
     let config = StudyConfig::tiny(4242);
@@ -106,16 +103,16 @@ fn batch_agrees_with_any_per_request_order() {
         .map(|&occ| per_request_verdict(&db, &reference, occ))
         .collect();
 
-    for shards in 1usize..=12 {
+    for walk in 1u64..=12 {
         // Permuted per-request walk on its own fresh classifier.
         let permuted_cls = classifier(&world);
         let mut permuted = vec![false; occs.len()];
-        for i in permutation(occs.len(), 0x5eed_0000 + shards as u64) {
+        for i in permutation(occs.len(), 0x5eed_0000 + walk) {
             permuted[i] = per_request_verdict(&db, &permuted_cls, occs[i]);
         }
-        assert_eq!(permuted, expected, "walk order changed a verdict");
-
-        let batched = batched_verdicts(&db, &classifier(&world), shards);
-        assert_eq!(batched, expected, "batch (shards={shards}) diverged");
+        assert_eq!(permuted, expected, "walk {walk} changed a verdict");
     }
+
+    let batched = batched_verdicts(&db, &classifier(&world));
+    assert_eq!(batched, expected, "whole-crawl batch diverged");
 }
