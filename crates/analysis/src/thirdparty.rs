@@ -102,23 +102,30 @@ pub fn extract(crawl: &CrawlRecord, include_chained: bool) -> ThirdPartyExtract 
                 }
             }
             let host = req.url.host().as_str();
-            out.contacted_fqdns.insert(host.to_string());
+            insert_host(&mut out.contacted_fqdns, host);
             if host == site_host {
                 continue;
             }
             match classify(site_host, site_cert.as_ref(), host, req.cert.as_ref()) {
                 Party::First => {
-                    parties.first.insert(host.to_string());
-                    out.first_party_fqdns.insert(host.to_string());
+                    insert_host(&mut parties.first, host);
+                    insert_host(&mut out.first_party_fqdns, host);
                 }
                 Party::Third => {
-                    parties.third.insert(host.to_string());
-                    out.third_party_fqdns.insert(host.to_string());
+                    insert_host(&mut parties.third, host);
+                    insert_host(&mut out.third_party_fqdns, host);
                 }
             }
         }
     }
     out
+}
+
+/// Adds `host` to `set`, copying it only on first sight.
+fn insert_host(set: &mut BTreeSet<String>, host: &str) {
+    if !set.contains(host) {
+        set.insert(host.to_string());
+    }
 }
 
 #[cfg(test)]

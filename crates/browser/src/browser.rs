@@ -179,12 +179,14 @@ impl<'w> Browser<'w> {
             let ChainResult::Ok(final_sub, resp) = fetched else {
                 continue;
             };
+            // Bodies are read in place: the script or frame borrows them.
+            let body = || String::from_utf8_lossy(&resp.body);
             match kind {
                 ResourceKind::Script if resp.content_type.contains("javascript") => {
-                    self.execute_script(visit, &doc_url, Some(final_sub), &resp.text());
+                    self.execute_script(visit, &doc_url, Some(final_sub), &body());
                 }
                 ResourceKind::Frame if resp.content_type.contains("html") => {
-                    self.load_frame(visit, &doc_url, &final_sub, &resp.text());
+                    self.load_frame(visit, &doc_url, &final_sub, &body());
                 }
                 _ => {}
             }
@@ -225,7 +227,8 @@ impl<'w> Browser<'w> {
                 Initiator::Script(script_url.clone()),
             ) {
                 if resp.content_type.contains("html") {
-                    self.load_frame(visit, page_url, &final_url, &resp.text());
+                    let html = String::from_utf8_lossy(&resp.body);
+                    self.load_frame(visit, page_url, &final_url, &html);
                 }
             }
         }

@@ -1,6 +1,8 @@
 //! Instrumentation records — the browser's equivalent of OpenWPM's
 //! `http_requests`, `javascript` and `cookies` tables.
 
+use std::borrow::Cow;
+
 use redlight_net::cookie::Cookie;
 use redlight_net::http::{Method, ResourceKind, StatusCode};
 use redlight_net::tls::CertSummary;
@@ -74,10 +76,13 @@ pub struct CookieObservation {
 /// One instrumented JavaScript host-API call.
 #[derive(Debug, Clone)]
 pub struct JsCall {
-    /// Source URL of the calling script; `None` for inline scripts.
+    /// Source URL of the calling script, shared with the script's other
+    /// calls; `None` for inline scripts.
     pub script_url: Option<Url>,
-    /// Host function name (`canvas.fillText`, `webrtc.createDataChannel`…).
-    pub api: String,
+    /// Host function name (`canvas.fillText`, `webrtc.createDataChannel`…):
+    /// static for the functions the page implements, owned for unknown
+    /// vendor APIs.
+    pub api: Cow<'static, str>,
     /// Stringified arguments.
     pub args: Vec<String>,
 }

@@ -74,36 +74,11 @@ impl StrTable {
         sym
     }
 
-    /// The sym of `s`, when it has been interned — a read-only probe that
-    /// never grows the table.
-    pub fn lookup(&self, s: &str) -> Option<Sym> {
-        self.buckets
-            .get(&Self::hash_of(s))?
-            .iter()
-            .copied()
-            .find(|&sym| self.resolve(sym) == s)
-    }
-
     /// The string behind `sym`. Panics on a sym from another table whose
     /// index is out of range.
     pub fn resolve(&self, sym: Sym) -> &str {
         let (start, len) = self.spans[sym.index()];
         &self.arena[start as usize..(start + len) as usize]
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// All interned strings in sym order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.spans.len()).map(|i| self.resolve(Sym(i as u32)))
     }
 }
 
@@ -121,15 +96,5 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.resolve(a), "exoclick.com");
         assert_eq!(t.resolve(b), "pornsite.com");
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn lookup_probes_without_growing() {
-        let mut t = StrTable::new();
-        let a = t.intern("exoclick.com");
-        assert_eq!(t.lookup("exoclick.com"), Some(a));
-        assert_eq!(t.lookup("never-interned.com"), None);
-        assert_eq!(t.len(), 1, "lookup must not intern");
     }
 }

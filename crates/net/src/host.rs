@@ -2,16 +2,18 @@
 //!
 //! The study reasons about *FQDNs* (e.g. `sync.exosrv.com`) and their
 //! *registrable domains* / eTLD+1 (e.g. `exosrv.com`). [`Fqdn`] stores the
-//! normalized (lowercase, no trailing dot) name and offers label access;
-//! registrable-domain extraction lives in [`crate::psl`].
+//! normalized (lowercase, no trailing dot) name in a shared buffer, so
+//! cloning one never copies the text; registrable-domain extraction lives
+//! in [`crate::psl`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::NetError;
 
 /// A validated, normalized fully-qualified domain name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Fqdn(String);
+pub struct Fqdn(Arc<str>);
 
 impl Fqdn {
     /// Parses and normalizes a hostname: lowercases, strips one trailing dot,
@@ -21,8 +23,9 @@ impl Fqdn {
         if trimmed.is_empty() || trimmed.len() > 253 {
             return Err(NetError::InvalidHost(input.to_string()));
         }
-        let lower = trimmed.to_ascii_lowercase();
-        for label in lower.split('.') {
+        // Every check below ignores ASCII case, so the input is validated
+        // as given and lowercased only when it has an uppercase letter.
+        for label in trimmed.split('.') {
             if label.is_empty() || label.len() > 63 {
                 return Err(NetError::InvalidHost(input.to_string()));
             }
@@ -37,7 +40,11 @@ impl Fqdn {
                 return Err(NetError::InvalidHost(input.to_string()));
             }
         }
-        Ok(Fqdn(lower))
+        if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            Ok(Fqdn(trimmed.to_ascii_lowercase().into()))
+        } else {
+            Ok(Fqdn(trimmed.into()))
+        }
     }
 
     /// The normalized hostname.
@@ -52,9 +59,14 @@ impl Fqdn {
 
     /// The registrable domain (eTLD+1) of this host, per the embedded public
     /// suffix list. Returns the host itself when it is already a suffix or
-    /// has a single label.
+    /// has a single label, sharing its buffer.
     pub fn registrable(&self) -> Fqdn {
-        Fqdn(crate::psl::registrable_domain(&self.0).to_string())
+        let reg = crate::psl::registrable_domain(&self.0);
+        if reg.len() == self.0.len() {
+            self.clone()
+        } else {
+            Fqdn(reg.into())
+        }
     }
 }
 

@@ -109,21 +109,20 @@ impl HeaderMap {
         self.entries.push((name.to_ascii_lowercase(), value.into()));
     }
 
-    /// First value for `name` (case-insensitive).
+    /// First value for `name` (case-insensitive; stored names are
+    /// lowercase, so no lowercased copy of `name` is needed).
     pub fn get(&self, name: &str) -> Option<&str> {
-        let lower = name.to_ascii_lowercase();
         self.entries
             .iter()
-            .find(|(n, _)| *n == lower)
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 
     /// All values for `name`.
-    pub fn get_all<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a str> {
-        let lower = name.to_ascii_lowercase();
+    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
         self.entries
             .iter()
-            .filter(move |(n, _)| *n == lower)
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
 

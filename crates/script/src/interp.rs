@@ -1,8 +1,13 @@
 //! Tree-walking interpreter with a step budget.
+//!
+//! Variables live in slots numbered at parse time, and call arguments on
+//! one stack that every call shares. String `+` grows its left operand's
+//! buffer, and a string literal operand of `+` is copied straight from the
+//! program text.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
-use crate::ast::{BinOp, Expr, Program, Stmt};
+use crate::ast::{BinOp, Expr, ExprId, Program, Span, Stmt, Target};
 use crate::hostapi::HostApi;
 use crate::parser::{parse_program, ParseError};
 use crate::value::Value;
@@ -46,6 +51,10 @@ impl From<ParseError> for ScriptError {
 /// stop a runaway script within microseconds.
 pub const DEFAULT_BUDGET: u64 = 200_000;
 
+/// Extra room a string started by `+` reserves, so the usual
+/// `'a' + x + 'b' + y` chain appends without growing its buffer again.
+const CONCAT_ROOM: usize = 32;
+
 /// Parses and runs `src` against `host` with the default budget. Returns the
 /// script's `return` value (or `Null`).
 pub fn run(src: &str, host: &mut dyn HostApi) -> Result<Value, ScriptError> {
@@ -64,16 +73,18 @@ pub fn run_with_budget(
 
 /// Runs an already-parsed program.
 pub fn run_program(
-    program: &Program,
+    program: &Program<'_>,
     host: &mut dyn HostApi,
     budget: u64,
 ) -> Result<Value, ScriptError> {
     let mut interp = Interp {
-        vars: HashMap::new(),
+        prog: program,
+        slots: vec![None; program.names.len()],
+        args: Vec::new(),
         host,
         steps_left: budget,
     };
-    match interp.exec_block(&program.body)? {
+    match interp.exec_block(program.body)? {
         Flow::Return(v) => Ok(v),
         Flow::Normal => Ok(Value::Null),
     }
@@ -84,13 +95,17 @@ enum Flow {
     Return(Value),
 }
 
-struct Interp<'h> {
-    vars: HashMap<String, Value>,
+struct Interp<'p, 'a, 'h> {
+    prog: &'p Program<'a>,
+    /// Variable values by slot; `None` until first assigned.
+    slots: Vec<Option<Value>>,
+    /// Evaluated arguments of the calls in progress, innermost last.
+    args: Vec<Value>,
     host: &'h mut dyn HostApi,
     steps_left: u64,
 }
 
-impl Interp<'_> {
+impl Interp<'_, '_, '_> {
     fn tick(&mut self) -> Result<(), ScriptError> {
         if self.steps_left == 0 {
             return Err(ScriptError::BudgetExhausted);
@@ -99,8 +114,9 @@ impl Interp<'_> {
         Ok(())
     }
 
-    fn exec_block(&mut self, stmts: &[Stmt]) -> Result<Flow, ScriptError> {
-        for stmt in stmts {
+    fn exec_block(&mut self, block: Span) -> Result<Flow, ScriptError> {
+        let prog = self.prog;
+        for stmt in &prog.stmts[block.range()] {
             match self.exec_stmt(stmt)? {
                 Flow::Normal => {}
                 ret => return Ok(ret),
@@ -111,10 +127,10 @@ impl Interp<'_> {
 
     fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, ScriptError> {
         self.tick()?;
-        match stmt {
-            Stmt::Let { name, value } | Stmt::Assign { name, value } => {
+        match *stmt {
+            Stmt::Set { slot, value } => {
                 let v = self.eval(value)?;
-                self.vars.insert(name.clone(), v);
+                self.slots[slot as usize] = Some(v);
                 Ok(Flow::Normal)
             }
             Stmt::Expr(e) => {
@@ -133,7 +149,7 @@ impl Interp<'_> {
                 }
             }
             Stmt::For {
-                var,
+                slot,
                 start,
                 end,
                 body,
@@ -148,7 +164,7 @@ impl Interp<'_> {
                     .ok_or_else(|| ScriptError::Type("for range end must be int".into()))?;
                 for i in s..e {
                     self.tick()?;
-                    self.vars.insert(var.clone(), Value::Int(i));
+                    self.slots[slot as usize] = Some(Value::Int(i));
                     match self.exec_block(body)? {
                         Flow::Normal => {}
                         ret => return Ok(ret),
@@ -166,40 +182,37 @@ impl Interp<'_> {
         }
     }
 
-    fn eval(&mut self, expr: &Expr) -> Result<Value, ScriptError> {
+    fn eval(&mut self, id: ExprId) -> Result<Value, ScriptError> {
         self.tick()?;
-        match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Var(name) => self
-                .vars
-                .get(name)
-                .cloned()
-                .ok_or_else(|| ScriptError::Undefined(name.clone())),
-            Expr::Unary { negate, not, inner } => {
-                let v = self.eval(inner)?;
-                if *not {
-                    return Ok(Value::Bool(!v.truthy()));
-                }
-                if *negate {
-                    return match v {
-                        Value::Int(n) => Ok(Value::Int(-n)),
-                        other => Err(ScriptError::Type(format!("cannot negate {other}"))),
-                    };
-                }
-                Ok(v)
-            }
-            Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
+        let prog = self.prog;
+        match &prog.exprs[id as usize] {
+            Expr::Int(n) => Ok(Value::Int(*n)),
+            Expr::Bool(b) => Ok(Value::Bool(*b)),
+            Expr::Null => Ok(Value::Null),
+            Expr::Str(s) => Ok(Value::Str(String::from(&**s))),
+            Expr::Var(slot) => self.slots[*slot as usize]
+                .clone()
+                .ok_or_else(|| ScriptError::Undefined(prog.names[*slot as usize].to_string())),
+            Expr::Neg(inner) => match self.eval(*inner)? {
+                Value::Int(n) => Ok(Value::Int(n.wrapping_neg())),
+                other => Err(ScriptError::Type(format!("cannot negate {other}"))),
+            },
+            Expr::Not(inner) => Ok(Value::Bool(!self.eval(*inner)?.truthy())),
+            Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, *lhs, *rhs),
             Expr::Call { target, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
+                let base = self.args.len();
+                for arg in args.range() {
+                    let v = self.eval(arg as ExprId)?;
+                    self.args.push(v);
                 }
-                self.call(target, &vals)
+                let out = self.call(target, base);
+                self.args.truncate(base);
+                out
             }
         }
     }
 
-    fn eval_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr) -> Result<Value, ScriptError> {
+    fn eval_binary(&mut self, op: BinOp, lhs: ExprId, rhs: ExprId) -> Result<Value, ScriptError> {
         // Short-circuit logic first.
         match op {
             BinOp::And => {
@@ -216,17 +229,12 @@ impl Interp<'_> {
                 }
                 return Ok(Value::Bool(self.eval(rhs)?.truthy()));
             }
+            BinOp::Add => return self.eval_add(lhs, rhs),
             _ => {}
         }
         let l = self.eval(lhs)?;
         let r = self.eval(rhs)?;
         match op {
-            BinOp::Add => match (&l, &r) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-                // `+` with any string operand concatenates, like JS.
-                (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::Str(format!("{l}{r}"))),
-                _ => Err(ScriptError::Type(format!("cannot add {l} and {r}"))),
-            },
             BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
                 let (a, b) = match (l.as_int(), r.as_int()) {
                     (Some(a), Some(b)) => (a, b),
@@ -268,30 +276,72 @@ impl Interp<'_> {
                     _ => unreachable!(),
                 }))
             }
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+            BinOp::And | BinOp::Or | BinOp::Add => unreachable!("handled above"),
         }
     }
 
-    /// Builtins first, then the host.
-    fn call(&mut self, target: &str, args: &[Value]) -> Result<Value, ScriptError> {
+    /// `+`: integer addition, or concatenation (like JS) when either side
+    /// is a string. Each literal operand still costs its step.
+    fn eval_add(&mut self, lhs: ExprId, rhs: ExprId) -> Result<Value, ScriptError> {
+        let prog = self.prog;
+        let l = match &prog.exprs[lhs as usize] {
+            // A literal left operand starts the result's buffer.
+            Expr::Str(lit) => {
+                self.tick()?;
+                let mut s = String::with_capacity(lit.len() + CONCAT_ROOM);
+                s.push_str(lit);
+                Value::Str(s)
+            }
+            _ => self.eval(lhs)?,
+        };
+        if let Expr::Str(lit) = &prog.exprs[rhs as usize] {
+            self.tick()?;
+            return Ok(Value::Str(match l {
+                Value::Str(mut s) => {
+                    s.push_str(lit);
+                    s
+                }
+                other => format!("{other}{lit}"),
+            }));
+        }
+        let r = self.eval(rhs)?;
+        match (l, r) {
+            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(b))),
+            (Value::Str(mut s), r) => {
+                match r {
+                    Value::Str(t) => s.push_str(&t),
+                    other => write!(s, "{other}").expect("writing to a String cannot fail"),
+                }
+                Ok(Value::Str(s))
+            }
+            (l, Value::Str(t)) => Ok(Value::Str(format!("{l}{t}"))),
+            (l, r) => Err(ScriptError::Type(format!("cannot add {l} and {r}"))),
+        }
+    }
+
+    /// Builtins first, then the host. The arguments are `self.args[base..]`.
+    fn call(&mut self, target: &Target<'_>, base: usize) -> Result<Value, ScriptError> {
+        let args = &self.args[base..];
         match target {
-            "str" => Ok(Value::Str(
+            Target::Str => Ok(Value::Str(
                 args.first().map(|v| v.to_string()).unwrap_or_default(),
             )),
-            "len" => match args.first() {
+            Target::Len => match args.first() {
                 Some(Value::Str(s)) => Ok(Value::Int(s.chars().count() as i64)),
                 _ => Err(ScriptError::Type("len expects a string".into())),
             },
-            "substr" => match (args.first(), args.get(1), args.get(2)) {
+            Target::Substr => match (args.first(), args.get(1), args.get(2)) {
                 (Some(Value::Str(s)), Some(Value::Int(i)), Some(Value::Int(j))) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let i = (*i).clamp(0, chars.len() as i64) as usize;
-                    let j = (*j).clamp(i as i64, chars.len() as i64) as usize;
-                    Ok(Value::Str(chars[i..j].iter().collect()))
+                    let n = s.chars().count() as i64;
+                    let i = (*i).clamp(0, n);
+                    let j = (*j).clamp(i, n);
+                    let byte =
+                        |k: i64| s.char_indices().nth(k as usize).map_or(s.len(), |(b, _)| b);
+                    Ok(Value::Str(s[byte(i)..byte(j)].to_string()))
                 }
                 _ => Err(ScriptError::Type("substr expects (str, int, int)".into())),
             },
-            "chr" => match args.first() {
+            Target::Chr => match args.first() {
                 Some(Value::Int(n)) => Ok(Value::Str(
                     char::from_u32((*n).rem_euclid(0x110000_i64) as u32)
                         .unwrap_or('\u{fffd}')
@@ -299,7 +349,7 @@ impl Interp<'_> {
                 )),
                 _ => Err(ScriptError::Type("chr expects an int".into())),
             },
-            _ => Ok(self.host.call(target, args)),
+            Target::Host(name) => Ok(self.host.call(name, args)),
         }
     }
 }
@@ -424,6 +474,27 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, ScriptError::BudgetExhausted);
+    }
+
+    #[test]
+    fn negating_the_minimum_wraps() {
+        assert_eq!(
+            eval_return("let x = 0 - 9223372036854775807 - 1; return -x;"),
+            Value::Int(i64::MIN)
+        );
+    }
+
+    #[test]
+    fn concatenation_grows_the_left_operand() {
+        assert_eq!(
+            eval_return("let s = 'a'; s = s + 1 + '-' + null + true; return 2 + s + ('' + 3);"),
+            Value::Str("2a1-nulltrue3".into())
+        );
+        let mut h = CollectingHost::default();
+        assert_eq!(
+            run("return 1 + false;", &mut h),
+            Err(ScriptError::Type("cannot add 1 and false".into()))
+        );
     }
 
     #[test]

@@ -54,8 +54,7 @@ impl<'w> WebServer<'w> {
 
     /// Handles one request.
     pub fn handle(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
-        let host = req.url.host().as_str().to_string();
-        let Some(entity) = self.world.resolve_host(&host) else {
+        let Some(entity) = self.world.resolve_host(req.url.host().as_str()) else {
             return FetchOutcome::Unreachable;
         };
         match entity {

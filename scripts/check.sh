@@ -24,8 +24,11 @@ echo "==> cargo test (workspace)"
 # retry budget), batch_equivalence (batched == per-request verdicts),
 # traffic_determinism (seed-pinned report and journal), the analysis
 # oracles in table_oracles and tfidf::tests::fit_matches_owned_token_fit,
-# and kernel_props (sim event-queue order). Property tests run their
-# default 256 cases.
+# kernel_props (sim event-queue order), script_oracle (the slot-resolving
+# script engine vs its previous engine in tests/legacy_script, at every
+# step budget) and redlight-net's lookups (allocation-free query and
+# header lookups vs decode-everything references). Property tests run
+# their default 256 cases.
 cargo test --workspace -q
 
 echo "==> observability exporter smoke (collection-only, all three formats + timings JSON)"
