@@ -328,13 +328,14 @@ impl<'w> Browser<'w> {
                     }
                 }
             }
-            let cookies = self.jar.cookies_for(&current);
-            let mut req = Request::get(current.clone(), kind).with_cookie_header(&cookies);
+            let mut req = Request::get(current.clone(), kind);
+            if let Some(cookie) = self.cookie_header(&current) {
+                req.headers.set("cookie", cookie);
+            }
             if let Some(r) = &referrer {
                 req = req.with_referrer(r);
             }
-            req.headers
-                .set("user-agent", self.device.user_agent.clone());
+            req.headers.set("user-agent", self.device.user_agent);
 
             let outcome = self.transport.fetch(&req, &self.ctx);
             let mut record = RequestRecord {
@@ -359,8 +360,8 @@ impl<'w> Browser<'w> {
                 }
                 FetchOutcome::Response(resp) => {
                     record.status = Some(resp.status);
-                    record.content_type = Some(resp.content_type.clone());
-                    record.cert = resp.certificate.as_ref().map(Into::into);
+                    record.content_type = Some(resp.content_type);
+                    record.cert = resp.certificate.as_deref().map(Into::into);
 
                     // Store Set-Cookie headers.
                     for cookie in resp.cookies() {
@@ -393,6 +394,31 @@ impl<'w> Browser<'w> {
             }
         }
         ChainResult::Unreachable // redirect loop
+    }
+
+    /// The `Cookie` header for a request to `url`: the jar's matching
+    /// cookies as `name=value` pairs joined by `"; "`, written into one
+    /// buffer sized by a first pass over the matches; `None` when no
+    /// cookie matches.
+    fn cookie_header(&self, url: &Url) -> Option<String> {
+        let len: usize = self
+            .jar
+            .matching(url)
+            .map(|c| c.name.len() + c.value.len() + 3)
+            .sum();
+        if len == 0 {
+            return None;
+        }
+        let mut header = String::with_capacity(len);
+        for cookie in self.jar.matching(url) {
+            if !header.is_empty() {
+                header.push_str("; ");
+            }
+            header.push_str(&cookie.name);
+            header.push('=');
+            header.push_str(&cookie.value);
+        }
+        Some(header)
     }
 
     /// The session's client context.
@@ -484,6 +510,24 @@ mod tests {
                 assert!(doc.js_calls.is_empty() && doc.canvas.is_empty(), "{tag}");
             }
         }
+    }
+
+    #[test]
+    fn cookie_header_joins_the_jar_matches() {
+        let w = world();
+        let mut b = browser(&w);
+        let page = Url::parse("https://tracker.com/p").unwrap();
+        assert_eq!(b.cookie_header(&page), None);
+        b.jar.store(
+            redlight_net::Cookie::new("uid", "42").with_domain("tracker.com"),
+            &page,
+        );
+        b.jar.store(redlight_net::Cookie::new("s", "x"), &page);
+        assert_eq!(b.cookie_header(&page).as_deref(), Some("uid=42; s=x"));
+        let sub = Url::parse("https://ads.tracker.com/").unwrap();
+        assert_eq!(b.cookie_header(&sub).as_deref(), Some("uid=42"));
+        let other = Url::parse("https://other.com/").unwrap();
+        assert_eq!(b.cookie_header(&other), None);
     }
 
     #[test]

@@ -5,8 +5,8 @@ use std::net::Ipv4Addr;
 /// A browser/device identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
-    /// User agent.
-    pub user_agent: String,
+    /// User agent (a literal, sent on every request without a copy).
+    pub user_agent: &'static str,
     /// Platform.
     pub platform: String,
     /// Screen width.
@@ -26,8 +26,7 @@ impl DeviceProfile {
     /// The OpenWPM profile the study used (Firefox 52).
     pub fn openwpm_firefox52() -> Self {
         DeviceProfile {
-            user_agent: "Mozilla/5.0 (X11; Linux x86_64; rv:52.0) Gecko/20100101 Firefox/52.0"
-                .to_string(),
+            user_agent: "Mozilla/5.0 (X11; Linux x86_64; rv:52.0) Gecko/20100101 Firefox/52.0",
             platform: "Linux x86_64".to_string(),
             screen_width: 1366,
             screen_height: 768,
@@ -41,8 +40,7 @@ impl DeviceProfile {
     pub fn selenium_chrome() -> Self {
         DeviceProfile {
             user_agent: "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) \
-                         Chrome/71.0.3578.98 Safari/537.36"
-                .to_string(),
+                         Chrome/71.0.3578.98 Safari/537.36",
             platform: "Linux x86_64".to_string(),
             screen_width: 1920,
             screen_height: 1080,

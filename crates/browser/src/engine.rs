@@ -156,10 +156,9 @@ impl HostApi for PageHost<'_, '_> {
                 let wanted = Self::str_arg(args, 0);
                 self.browser
                     .jar
-                    .cookies_for(&self.page_url)
-                    .into_iter()
-                    .find(|(n, _)| *n == *wanted)
-                    .map(|(_, v)| Value::Str(v))
+                    .matching(&self.page_url)
+                    .find(|c| c.name == *wanted)
+                    .map(|c| Value::Str(c.value.clone()))
                     .unwrap_or(Value::Null)
             }
 
@@ -238,7 +237,7 @@ impl HostApi for PageHost<'_, '_> {
             "webrtc.candidate" => Value::Str(self.browser.device.local_ip.to_string()),
 
             // --- Navigator / screen entropy. ---
-            "navigator.userAgent" => Value::Str(self.browser.device.user_agent.clone()),
+            "navigator.userAgent" => Value::Str(self.browser.device.user_agent.to_string()),
             "navigator.platform" => Value::Str(self.browser.device.platform.clone()),
             "screen.width" => Value::Int(self.browser.device.screen_width as i64),
             "screen.height" => Value::Int(self.browser.device.screen_height as i64),

@@ -38,8 +38,8 @@ pub struct RequestRecord {
     pub initiator: Initiator,
     /// Response status; `None` when the host was unreachable.
     pub status: Option<StatusCode>,
-    /// Content type.
-    pub content_type: Option<String>,
+    /// Content type (the server's static string).
+    pub content_type: Option<&'static str>,
     /// Digest of the certificate the server presented (HTTPS only).
     pub cert: Option<CertSummary>,
     /// `Location` target when the response redirected.

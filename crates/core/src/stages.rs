@@ -266,7 +266,7 @@ impl<'a> AnalysisContext<'a> {
         // and read its certificate (what the paper's §4.2(3) pipeline did).
         let probe = |host: &str| -> Option<redlight_net::tls::CertSummary> {
             world.resolve_host(host)?;
-            Some((&world.cert_for_host(host)).into())
+            Some((&*world.cert_for_host(host)).into())
         };
         // The four whole-crawl passes read only the DB and the world, so
         // they run concurrently, one scan per crawl.

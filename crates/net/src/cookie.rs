@@ -114,35 +114,42 @@ impl Cookie {
         for attr in parts {
             let attr = attr.trim();
             let (key, val) = match attr.split_once('=') {
-                Some((k, v)) => (k.trim().to_ascii_lowercase(), v.trim()),
-                None => (attr.to_ascii_lowercase(), ""),
+                Some((k, v)) => (k.trim(), v.trim()),
+                None => (attr, ""),
             };
-            match key.as_str() {
-                "domain" if !val.is_empty() => {
+            // Attribute names are case-insensitive (RFC 6265 §5.2).
+            let is = |name: &str| key.eq_ignore_ascii_case(name);
+            if is("domain") {
+                if !val.is_empty() {
                     cookie.domain = Some(val.trim_start_matches('.').to_ascii_lowercase());
                 }
-                "path" if !val.is_empty() => cookie.path = Some(val.to_string()),
-                "max-age" => {
-                    if let Ok(secs) = val.parse::<i64>() {
-                        cookie.max_age = Some(secs);
-                    }
+            } else if is("path") {
+                if !val.is_empty() {
+                    cookie.path = Some(val.to_string());
                 }
-                "expires" if cookie.max_age.is_none() && !val.is_empty() => {
+            } else if is("max-age") {
+                if let Ok(secs) = val.parse::<i64>() {
+                    cookie.max_age = Some(secs);
+                }
+            } else if is("expires") {
+                if cookie.max_age.is_none() && !val.is_empty() {
                     // Keep it simple: any parseable-looking Expires makes the
                     // cookie persistent for one synthetic year.
                     cookie.max_age = Some(365 * 24 * 3600);
                 }
-                "secure" => cookie.secure = true,
-                "httponly" => cookie.http_only = true,
-                "samesite" => {
-                    cookie.same_site = match val.to_ascii_lowercase().as_str() {
-                        "strict" => Some(SameSite::Strict),
-                        "lax" => Some(SameSite::Lax),
-                        "none" => Some(SameSite::None),
-                        _ => None,
-                    };
-                }
-                _ => {}
+            } else if is("secure") {
+                cookie.secure = true;
+            } else if is("httponly") {
+                cookie.http_only = true;
+            } else if is("samesite") {
+                cookie.same_site = [
+                    ("strict", SameSite::Strict),
+                    ("lax", SameSite::Lax),
+                    ("none", SameSite::None),
+                ]
+                .into_iter()
+                .find(|(v, _)| val.eq_ignore_ascii_case(v))
+                .map(|(_, ss)| ss);
             }
         }
         Ok(cookie)
@@ -204,6 +211,17 @@ mod tests {
         assert!(c.secure && c.http_only);
         assert_eq!(c.same_site, Some(SameSite::None));
         assert!(!c.is_session());
+
+        // Attribute names and the SameSite value are case-insensitive.
+        let c = Cookie::parse_set_cookie(
+            "uid=x1y2; DOMAIN=.ExoSrv.com; PATH=/; max-AGE=31536000; SECURE; httpONLY; samesite=LAX",
+        )
+        .unwrap();
+        assert_eq!(c.domain.as_deref(), Some("exosrv.com"));
+        assert_eq!(c.path.as_deref(), Some("/"));
+        assert_eq!(c.max_age, Some(31536000));
+        assert!(c.secure && c.http_only);
+        assert_eq!(c.same_site, Some(SameSite::Lax));
     }
 
     #[test]

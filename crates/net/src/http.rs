@@ -5,9 +5,11 @@
 //! `http_responses` tables record: URL, method, referrer, headers,
 //! status, content type and body.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
-use bytes::Bytes;
+pub use bytes::Bytes;
 
 use crate::cookie::Cookie;
 use crate::tls::Certificate;
@@ -93,9 +95,25 @@ impl fmt::Display for StatusCode {
 }
 
 /// An ordered, case-insensitive multimap of HTTP headers.
+///
+/// Names and values are `Cow<'static, str>`: a literal name that is already
+/// lowercase, and a static value such as a content type or a user agent, are
+/// stored without a copy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
-    entries: Vec<(String, String)>,
+    entries: Vec<(Cow<'static, str>, Cow<'static, str>)>,
+}
+
+/// `name` in lowercase, copied only when it holds an uppercase letter.
+fn lowercase_name(name: impl Into<Cow<'static, str>>) -> Cow<'static, str> {
+    let name = name.into();
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        let mut owned = name.into_owned();
+        owned.make_ascii_lowercase();
+        Cow::Owned(owned)
+    } else {
+        name
+    }
 }
 
 impl HeaderMap {
@@ -105,8 +123,12 @@ impl HeaderMap {
     }
 
     /// Appends a header (names are stored lowercase).
-    pub fn append(&mut self, name: &str, value: impl Into<String>) {
-        self.entries.push((name.to_ascii_lowercase(), value.into()));
+    pub fn append(
+        &mut self,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Cow<'static, str>>,
+    ) {
+        self.entries.push((lowercase_name(name), value.into()));
     }
 
     /// First value for `name` (case-insensitive; stored names are
@@ -115,7 +137,7 @@ impl HeaderMap {
         self.entries
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| &**v)
     }
 
     /// All values for `name`.
@@ -123,19 +145,19 @@ impl HeaderMap {
         self.entries
             .iter()
             .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| &**v)
     }
 
     /// Replaces all values of `name` with a single value.
-    pub fn set(&mut self, name: &str, value: impl Into<String>) {
-        let lower = name.to_ascii_lowercase();
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: impl Into<Cow<'static, str>>) {
+        let lower = lowercase_name(name);
         self.entries.retain(|(n, _)| *n != lower);
         self.entries.push((lower, value.into()));
     }
 
     /// All `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|(n, v)| (&**n, &**v))
     }
 
     /// Number of header entries.
@@ -220,19 +242,6 @@ impl Request {
         self.referrer = Some(referrer.clone());
         self
     }
-
-    /// Attaches a `Cookie` header built from `pairs`.
-    pub fn with_cookie_header(mut self, pairs: &[(String, String)]) -> Request {
-        if !pairs.is_empty() {
-            let value = pairs
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join("; ");
-            self.headers.set("cookie", value);
-        }
-        self
-    }
 }
 
 /// An HTTP response.
@@ -242,24 +251,26 @@ pub struct Response {
     pub status: StatusCode,
     /// Headers.
     pub headers: HeaderMap,
-    /// MIME type (shortcut for the `content-type` header).
-    pub content_type: String,
+    /// MIME type (shortcut for the `content-type` header, which holds the
+    /// same static string).
+    pub content_type: &'static str,
     /// Body.
     pub body: Bytes,
-    /// Certificate presented by the server (HTTPS only).
-    pub certificate: Option<Certificate>,
+    /// Certificate presented by the server (HTTPS only); a site's or a
+    /// service's responses share one.
+    pub certificate: Option<Arc<Certificate>>,
 }
 
 impl Response {
     /// A 200 response with the given content type and body.
-    pub fn ok(content_type: &str, body: impl Into<Bytes>) -> Response {
+    pub fn ok(content_type: &'static str, body: impl Into<Bytes>) -> Response {
         let body = body.into();
         let mut headers = HeaderMap::new();
         headers.set("content-type", content_type);
         Response {
             status: StatusCode::OK,
             headers,
-            content_type: content_type.to_string(),
+            content_type,
             body,
             certificate: None,
         }
@@ -272,7 +283,7 @@ impl Response {
         Response {
             status: StatusCode::FOUND,
             headers,
-            content_type: String::new(),
+            content_type: "",
             body: Bytes::new(),
             certificate: None,
         }
@@ -283,15 +294,10 @@ impl Response {
         Response {
             status,
             headers: HeaderMap::new(),
-            content_type: "text/html".to_string(),
+            content_type: "text/html",
             body: Bytes::from_static(b"<html><body>error</body></html>"),
             certificate: None,
         }
-    }
-
-    /// Appends a `Set-Cookie` header.
-    pub fn add_cookie(&mut self, cookie: &Cookie) {
-        self.headers.append("set-cookie", cookie.to_set_cookie());
     }
 
     /// Parses every `Set-Cookie` header into cookies; malformed headers are
@@ -318,7 +324,7 @@ impl Response {
     }
 
     /// Sets the presented certificate (builder style).
-    pub fn with_certificate(mut self, cert: Certificate) -> Response {
+    pub fn with_certificate(mut self, cert: Arc<Certificate>) -> Response {
         self.certificate = Some(cert);
         self
     }
@@ -341,6 +347,33 @@ mod tests {
     }
 
     #[test]
+    fn literal_names_and_static_values_are_stored_without_a_copy() {
+        let mut h = HeaderMap::new();
+        h.set("user-agent", "Mozilla/5.0");
+        h.append("Content-Type", "text/html");
+        h.append(String::from("X-Mixed"), String::from("v"));
+        let [(ua, ua_value), (ct, ct_value), (mixed, mixed_value)] = &h.entries[..] else {
+            panic!("three entries: {h:?}");
+        };
+        assert!(matches!(ua, Cow::Borrowed("user-agent")));
+        assert!(matches!(ua_value, Cow::Borrowed("Mozilla/5.0")));
+        // Only a name holding an uppercase letter is lowercased (a copy).
+        assert!(matches!(ct, Cow::Owned(n) if n == "content-type"));
+        assert!(matches!(ct_value, Cow::Borrowed("text/html")));
+        assert!(matches!(mixed, Cow::Owned(n) if n == "x-mixed"));
+        assert!(matches!(mixed_value, Cow::Owned(v) if v == "v"));
+        assert_eq!(h.get("CONTENT-TYPE"), Some("text/html"));
+        assert_eq!(
+            h.iter().collect::<Vec<_>>(),
+            [
+                ("user-agent", "Mozilla/5.0"),
+                ("content-type", "text/html"),
+                ("x-mixed", "v")
+            ]
+        );
+    }
+
+    #[test]
     fn status_classification() {
         assert!(StatusCode::OK.is_success());
         assert!(StatusCode::FOUND.is_redirect());
@@ -352,11 +385,8 @@ mod tests {
     fn request_builders() {
         let url = Url::parse("https://site.com/").unwrap();
         let refr = Url::parse("https://origin.com/page").unwrap();
-        let req = Request::get(url, ResourceKind::Script)
-            .with_referrer(&refr)
-            .with_cookie_header(&[("uid".into(), "42".into()), ("s".into(), "x".into())]);
+        let req = Request::get(url, ResourceKind::Script).with_referrer(&refr);
         assert_eq!(req.headers.get("referer"), Some("https://origin.com/page"));
-        assert_eq!(req.headers.get("cookie"), Some("uid=42; s=x"));
         assert_eq!(req.referrer.as_ref().unwrap().host().as_str(), "origin.com");
     }
 
@@ -364,7 +394,7 @@ mod tests {
     fn response_roundtrips_cookies() {
         let mut resp = Response::ok("text/html", "<html></html>");
         let c = Cookie::new("uid", "abc123").with_domain("tracker.com");
-        resp.add_cookie(&c);
+        resp.headers.append("set-cookie", c.to_set_cookie());
         let parsed = resp.cookies();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].name, "uid");

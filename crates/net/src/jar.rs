@@ -17,8 +17,7 @@ use crate::http::Scheme;
 use crate::psl;
 use crate::url::Url;
 
-/// A cookie as stored in the jar, with its effective domain/path and origin
-/// bookkeeping.
+/// A cookie as stored in the jar, with its effective domain and path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredCookie {
     /// Cookie.
@@ -29,8 +28,6 @@ pub struct StoredCookie {
     pub host_only: bool,
     /// Effective path.
     pub path: String,
-    /// Hostname of the response that set the cookie.
-    pub set_by: String,
 }
 
 impl StoredCookie {
@@ -85,11 +82,11 @@ impl CookieJar {
     /// its own host or a superdomain of it (not an unrelated domain, and not
     /// a bare public suffix). Returns `false` when the cookie was rejected.
     pub fn store(&mut self, cookie: Cookie, origin: &Url) -> bool {
-        let host = origin.host().as_str().to_string();
+        let host = origin.host().as_str();
         let (domain, host_only) = match &cookie.domain {
-            None => (host.clone(), true),
+            None => (host.to_string(), true),
             Some(d) => {
-                let dom_ok = host == *d
+                let dom_ok = host == d
                     || (host.len() > d.len()
                         && host.ends_with(d.as_str())
                         && host.as_bytes()[host.len() - d.len() - 1] == b'.');
@@ -101,8 +98,12 @@ impl CookieJar {
         };
         let path = cookie.path.clone().unwrap_or_else(|| default_path(origin));
 
-        let key = psl::registrable_domain(&domain).to_string();
-        let bucket = self.buckets.entry(key).or_default();
+        // The bucket key is copied only when it opens a new bucket.
+        let key = psl::registrable_domain(&domain);
+        if !self.buckets.contains_key(key) {
+            self.buckets.insert(key.to_string(), Vec::new());
+        }
+        let bucket = self.buckets.get_mut(key).expect("bucket just ensured");
 
         // Replace an existing cookie with the same (name, domain, path).
         let before = bucket.len();
@@ -120,29 +121,26 @@ impl CookieJar {
             domain,
             host_only,
             path,
-            set_by: host,
         });
         self.count += 1;
         true
     }
 
-    /// The `(name, value)` pairs to send with a request to `url`, honoring
-    /// domain match, path match and the `Secure` flag.
-    pub fn cookies_for(&self, url: &Url) -> Vec<(String, String)> {
+    /// The cookies to send with a request to `url`, in storage order,
+    /// honoring domain match, path match and the `Secure` flag. Borrows
+    /// them from the jar: a caller copies only what it keeps.
+    pub fn matching<'a>(&'a self, url: &'a Url) -> impl Iterator<Item = &'a Cookie> + 'a {
         let host = url.host().as_str();
         let path = url.path();
         let secure = url.scheme() == Scheme::Https;
-        let key = psl::registrable_domain(host);
-        let Some(bucket) = self.buckets.get(key) else {
-            return Vec::new();
-        };
-        bucket
-            .iter()
-            .filter(|sc| sc.matches_domain(host))
-            .filter(|sc| sc.matches_path(path))
-            .filter(|sc| secure || !sc.cookie.secure)
-            .map(|sc| (sc.cookie.name.clone(), sc.cookie.value.clone()))
-            .collect()
+        self.buckets
+            .get(psl::registrable_domain(host))
+            .into_iter()
+            .flatten()
+            .filter(move |sc| {
+                sc.matches_domain(host) && sc.matches_path(path) && (secure || !sc.cookie.secure)
+            })
+            .map(|sc| &sc.cookie)
     }
 
     /// Iterates over all stored cookies.
@@ -179,8 +177,8 @@ mod tests {
     fn host_only_cookie_not_sent_to_subdomain() {
         let mut jar = CookieJar::new();
         jar.store(Cookie::new("sid", "1"), &url("https://example.com/"));
-        assert_eq!(jar.cookies_for(&url("https://example.com/x")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://sub.example.com/")).len(), 0);
+        assert_eq!(jar.matching(&url("https://example.com/x")).count(), 1);
+        assert_eq!(jar.matching(&url("https://sub.example.com/")).count(), 0);
     }
 
     #[test]
@@ -190,9 +188,9 @@ mod tests {
             Cookie::new("uid", "x").with_domain("tracker.com"),
             &url("https://sync.tracker.com/"),
         );
-        assert_eq!(jar.cookies_for(&url("https://tracker.com/")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://ads.tracker.com/")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://nottracker.com/")).len(), 0);
+        assert_eq!(jar.matching(&url("https://tracker.com/")).count(), 1);
+        assert_eq!(jar.matching(&url("https://ads.tracker.com/")).count(), 1);
+        assert_eq!(jar.matching(&url("https://nottracker.com/")).count(), 0);
     }
 
     #[test]
@@ -220,8 +218,8 @@ mod tests {
     fn secure_cookie_not_sent_over_http() {
         let mut jar = CookieJar::new();
         jar.store(Cookie::new("s", "1").secure(), &url("https://example.com/"));
-        assert_eq!(jar.cookies_for(&url("https://example.com/")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("http://example.com/")).len(), 0);
+        assert_eq!(jar.matching(&url("https://example.com/")).count(), 1);
+        assert_eq!(jar.matching(&url("http://example.com/")).count(), 0);
     }
 
     #[test]
@@ -231,10 +229,10 @@ mod tests {
             Cookie::new("p", "1").with_path("/videos"),
             &url("https://site.com/videos/page"),
         );
-        assert_eq!(jar.cookies_for(&url("https://site.com/videos")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://site.com/videos/x")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://site.com/videosX")).len(), 0);
-        assert_eq!(jar.cookies_for(&url("https://site.com/other")).len(), 0);
+        assert_eq!(jar.matching(&url("https://site.com/videos")).count(), 1);
+        assert_eq!(jar.matching(&url("https://site.com/videos/x")).count(), 1);
+        assert_eq!(jar.matching(&url("https://site.com/videosX")).count(), 0);
+        assert_eq!(jar.matching(&url("https://site.com/other")).count(), 0);
     }
 
     #[test]
@@ -256,7 +254,9 @@ mod tests {
         jar.store(Cookie::new("uid", "old"), &url("https://t.com/"));
         jar.store(Cookie::new("uid", "new"), &url("https://t.com/"));
         assert_eq!(jar.len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://t.com/"))[0].1, "new");
+        let t = url("https://t.com/");
+        let sent: Vec<&str> = jar.matching(&t).map(|c| c.value.as_str()).collect();
+        assert_eq!(sent, ["new"]);
     }
 
     #[test]
@@ -281,8 +281,8 @@ mod tests {
         }
         assert_eq!(jar.len(), 50);
         // A lookup touches only its own bucket.
-        assert_eq!(jar.cookies_for(&url("https://site7.com/")).len(), 1);
-        assert_eq!(jar.cookies_for(&url("https://unrelated.net/")).len(), 0);
+        assert_eq!(jar.matching(&url("https://site7.com/")).count(), 1);
+        assert_eq!(jar.matching(&url("https://unrelated.net/")).count(), 0);
         assert_eq!(jar.all().count(), 50);
     }
 }

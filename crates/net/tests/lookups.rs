@@ -82,9 +82,9 @@ proptest! {
         let mut map = HeaderMap::new();
         for (i, name) in names.iter().enumerate() {
             if i == setter {
-                map.set(name, format!("set{i}"));
+                map.set(name.clone(), format!("set{i}"));
             } else {
-                map.append(name, format!("v{i}"));
+                map.append(name.clone(), format!("v{i}"));
             }
         }
         let mut wanted = names.clone();

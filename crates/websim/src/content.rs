@@ -6,6 +6,8 @@
 //! geo-fenced to the EU (Table 8), and age-gated sites serve their full
 //! landing page only after the gate is passed (§7.2).
 
+use std::fmt::Write as _;
+
 use redlight_net::geoip::Country;
 use redlight_text::lang::pack;
 
@@ -42,48 +44,52 @@ pub struct RenderCtx<'a> {
     pub owner_name: Option<&'a str>,
 }
 
-/// Path of a service's script for a deployment, by category/behavior.
-/// `fp_variant` is `Some(effective_variant, indexed)` for canvas scripts.
-pub fn script_path(category: ServiceCategory, variant: u32) -> String {
-    match category {
-        ServiceCategory::Analytics => format!("/js/analytics-v{variant}.js"),
-        ServiceCategory::Cryptominer => "/miner/loader.js".to_string(),
-        _ => format!("/tag/v{variant}.js"),
-    }
-}
-
 /// Renders the landing page of `site` for `country`.
 ///
 /// `gate_passed` selects the post-age-gate variant (what the Selenium
-/// crawler sees after clicking through).
+/// crawler sees after clicking through). Everything is written straight
+/// into one buffer.
 pub fn render_landing(
     ctx: &RenderCtx<'_>,
     site: &Site,
     country: Country,
     gate_passed: bool,
 ) -> String {
+    let mut out = String::with_capacity(4096);
+    // Writing into a `String` cannot fail.
+    let _ = write_landing(&mut out, ctx, site, country, gate_passed);
+    out
+}
+
+fn write_landing(
+    out: &mut String,
+    ctx: &RenderCtx<'_>,
+    site: &Site,
+    country: Country,
+    gate_passed: bool,
+) -> std::fmt::Result {
     let lp = pack(site.language);
     let h = mix(site.id.0 as u64, 0xC0FFEE);
-    let mut out = String::with_capacity(4096);
+    let domain = &site.domain;
     out.push_str("<!DOCTYPE html><html><head>");
 
     // --- <head>: title + company template signature (§4.1 clustering). ---
     if let Some(owner) = ctx.owner_name {
         let idx = PUBLISHERS.iter().position(|p| p.name == owner).unwrap_or(0);
-        out.push_str(&format!(
+        write!(
+            out,
             "<title>{domain} — {owner} network</title>\
              <meta name=\"generator\" content=\"NetworkSuite-{idx} by {owner}\">\
              <meta name=\"theme\" content=\"corporate-template-{idx}\">\
              <meta name=\"publisher\" content=\"{owner}\">",
-            domain = site.domain,
-        ));
+        )?;
     } else {
-        out.push_str(&format!(
+        write!(
+            out,
             "<title>{domain} — free videos {h4}</title>\
              <meta name=\"generator\" content=\"indie-cms-{h4}\">",
-            domain = site.domain,
             h4 = h % 9_973,
-        ));
+        )?;
     }
     if site.rta_label {
         out.push_str("<meta name=\"RATING\" content=\"RTA-5042-1996-1400-1577-RTA\">");
@@ -100,14 +106,28 @@ pub fn render_landing(
         let s = scheme(svc.https);
         let fqdn = &svc.fqdn;
         if svc.miner {
-            out.push_str(&format!(
+            write!(
+                out,
                 "<script src=\"{s}://{fqdn}/miner/loader.js\"></script>"
-            ));
+            )?;
             continue;
         }
-        // Ordinary tag / analytics script.
-        let base = script_path(svc.category, dep.variant % 8);
-        out.push_str(&format!("<script src=\"{s}://{fqdn}{base}\"></script>"));
+        // Ordinary tag / analytics script, its path by service category.
+        let variant = dep.variant % 8;
+        match svc.category {
+            ServiceCategory::Analytics => write!(
+                out,
+                "<script src=\"{s}://{fqdn}/js/analytics-v{variant}.js\"></script>"
+            )?,
+            ServiceCategory::Cryptominer => write!(
+                out,
+                "<script src=\"{s}://{fqdn}/miner/loader.js\"></script>"
+            )?,
+            _ => write!(
+                out,
+                "<script src=\"{s}://{fqdn}/tag/v{variant}.js\"></script>"
+            )?,
+        }
         // Canvas fingerprinting variants this deployment carries.
         if dep.fp_scripts > 0 && svc.fp.canvas {
             for k in 0..dep.fp_scripts {
@@ -122,29 +142,27 @@ pub fn render_landing(
                 let indexed = (mix(eff as u64, dep.service.0 as u64) % 1000) as f64 / 1000.0
                     < svc.fp.indexed_frac;
                 let fam = if indexed { "fpx" } else { "fp" };
-                out.push_str(&format!(
+                write!(
+                    out,
                     "<script src=\"{s}://{fqdn}/{fam}/v{eff}.js\"></script>"
-                ));
+                )?;
             }
         }
         if svc.fp.font {
-            out.push_str(&format!(
-                "<script src=\"{s}://{fqdn}/font/probe.js\"></script>"
-            ));
+            write!(out, "<script src=\"{s}://{fqdn}/font/probe.js\"></script>")?;
         }
         if svc.fp.webrtc {
             let v = dep.variant % 2; // ~2 variants per WebRTC service
-            out.push_str(&format!(
-                "<script src=\"{s}://{fqdn}/rtc/v{v}.js\"></script>"
-            ));
+            write!(out, "<script src=\"{s}://{fqdn}/rtc/v{v}.js\"></script>")?;
         }
     }
 
     // Site-specific third-party cloud hosts.
     for (label, provider) in &site.cloud_hosts {
-        out.push_str(&format!(
+        write!(
+            out,
             "<script src=\"https://{label}.{provider}/lib.js\"></script>"
-        ));
+        )?;
     }
 
     // First-party bookkeeping script (inline); minimalist sites run no
@@ -152,22 +170,20 @@ pub fn render_landing(
     if !site.minimal {
         let np = (h % 8) as u8 + 3;
         let ns = (h % 4) as u8 + 2;
-        out.push_str(&format!(
-            "<script>{}</script>",
-            crate::scriptgen::first_party_script(&site.domain, np, ns)
-        ));
+        out.push_str("<script>");
+        crate::scriptgen::first_party_script(out, domain, np, ns);
+        out.push_str("</script>");
     }
     if site.first_party_canvas {
-        out.push_str(&format!(
-            "<script src=\"{page_scheme}://{}/own/fp.js\"></script>",
-            site.domain
-        ));
+        write!(
+            out,
+            "<script src=\"{page_scheme}://{domain}/own/fp.js\"></script>"
+        )?;
     }
     if site.decoy_canvas {
-        out.push_str(&format!(
-            "<script>{}</script>",
-            crate::scriptgen::decoy_canvas_script(&site.domain, site.https)
-        ));
+        out.push_str("<script>");
+        out.push_str(&crate::scriptgen::decoy_canvas_script(domain, site.https));
+        out.push_str("</script>");
     }
     out.push_str("</head><body>");
 
@@ -176,7 +192,8 @@ pub fn render_landing(
     if let (Some(kind), false) = (gate, gate_passed) {
         match kind {
             AgeGateKind::SimpleButton => {
-                out.push_str(&format!(
+                write!(
+                    out,
                     "<div id=\"age-gate\" style=\"position:fixed; z-index:9999\">\
                      <p>{warning} 18+</p>\
                      <a href=\"/?verified=1\"><button>{enter}</button></a>\
@@ -184,7 +201,7 @@ pub fn render_landing(
                      </div>",
                     warning = lp.age_warning.first().copied().unwrap_or("adults only"),
                     enter = lp.affirmative[1], // "enter"
-                ));
+                )?;
             }
             AgeGateKind::SocialLogin => {
                 out.push_str(
@@ -204,24 +221,27 @@ pub fn render_landing(
         let shown = !banner.eu_only || country.gdpr_applies();
         if shown {
             out.push_str("<div id=\"cookie-banner\" class=\"cookie-consent\" style=\"position:fixed; bottom:0\">");
-            out.push_str(&format!(
+            write!(
+                out,
                 "<span>{}</span>",
                 lp.cookie.last().copied().unwrap_or("we use cookies")
-            ));
+            )?;
             match banner.kind {
                 BannerType::NoOption => {}
                 BannerType::Confirmation => {
-                    out.push_str(&format!(
+                    write!(
+                        out,
                         "<button class=\"consent-ok\">{}</button>",
                         lp.affirmative[4] // "accept"
-                    ));
+                    )?;
                 }
                 BannerType::Binary => {
-                    out.push_str(&format!(
+                    write!(
+                        out,
                         "<button class=\"consent-ok\">{}</button>\
                          <button class=\"consent-no\">No</button>",
                         lp.affirmative[4]
-                    ));
+                    )?;
                 }
                 BannerType::Others => {
                     out.push_str(
@@ -237,12 +257,12 @@ pub fn render_landing(
     }
 
     // --- Main content. ---
-    out.push_str(&format!(
-        "<h1>{}</h1><p>Updated daily with {} new clips. Popular categories and \
+    write!(
+        out,
+        "<h1>{domain}</h1><p>Updated daily with {} new clips. Popular categories and \
          channels are listed below. All performers verified.</p>",
-        site.domain,
         10 + h % 90
-    ));
+    )?;
     // Some body text naturally contains gate-like vocabulary (the §7.2
     // false-positive hazard the parent/grandparent check must survive).
     if h.is_multiple_of(5) {
@@ -254,65 +274,61 @@ pub fn render_landing(
 
     // Monetization signals (§4.1).
     if site.login {
-        out.push_str(&format!(
+        write!(
+            out,
             "<nav><a href=\"/login\">{}</a> <a href=\"/signup\">Sign Up</a></nav>",
             lp.account.first().copied().unwrap_or("log in"),
-        ));
+        )?;
     }
     if site.premium {
-        out.push_str(&format!(
+        write!(
+            out,
             "<a class=\"upsell\" href=\"/premium\">{}</a>",
             lp.premium.first().copied().unwrap_or("premium"),
-        ));
+        )?;
     }
 
     // First-party CDN-sharded thumbnails.
     if let Some(label) = &site.cdn_label {
-        let label = if site.country_cdn {
-            format!("{label}-{}", country.code().to_lowercase())
-        } else {
-            label.clone()
-        };
         for i in 0..2 {
-            out.push_str(&format!(
-                "<img src=\"{page_scheme}://{label}.{}/thumb{i}.jpg\">",
-                site.domain
-            ));
+            write!(out, "<img src=\"{page_scheme}://{label}")?;
+            if site.country_cdn {
+                out.push('-');
+                out.extend(country.code().chars().map(|c| c.to_ascii_lowercase()));
+            }
+            write!(out, ".{domain}/thumb{i}.jpg\">")?;
         }
     } else {
-        out.push_str(&format!(
-            "<img src=\"{page_scheme}://{}/static/thumb0.jpg\">",
-            site.domain
-        ));
+        write!(
+            out,
+            "<img src=\"{page_scheme}://{domain}/static/thumb0.jpg\">"
+        )?;
     }
 
     // Federation cross-embeds (§4.1): assets republished from peer sites.
     for peer_id in &site.cross_embeds {
         let peer = &ctx.sites[peer_id.0 as usize];
-        let host = match &peer.cdn_label {
-            Some(l) => format!("{l}.{}", peer.domain),
-            None => peer.domain.clone(),
-        };
-        out.push_str(&format!(
-            "<img src=\"{}://{host}/embed/clip{}.jpg\">",
-            scheme(peer.https),
-            peer_id.0 % 7
-        ));
+        write!(out, "<img src=\"{}://", scheme(peer.https))?;
+        if let Some(l) = &peer.cdn_label {
+            write!(out, "{l}.")?;
+        }
+        write!(out, "{}/embed/clip{}.jpg\">", peer.domain, peer_id.0 % 7)?;
     }
 
     // Privacy-policy link (§7.3) — only on the full landing page.
     if let Some(policy) = &site.policy {
         if gate.is_none() || gate_passed {
-            out.push_str(&format!(
+            write!(
+                out,
                 "<footer><a href=\"{}\">{}</a></footer>",
                 policy.path,
                 policygen::policy_link_text(policy.language)
-            ));
+            )?;
         }
     }
 
     out.push_str("</body></html>");
-    out
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! cross-language pairs (and broken/short policies).
 
 use redlight_text::lang::Language;
+use redlight_text::tokenize::letter_count;
 
 /// Which text skeleton a policy uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +210,45 @@ pub fn render_policy(
     if spec.broken {
         return String::new(); // the server will answer 404 for these
     }
+    let mut out = policy_body(spec, site_domain, company, third_parties);
+    let boiler = boilerplate(spec.language);
+    let target = spec.target_letters as usize;
+
+    // Pad to the target length by cycling boilerplate paragraphs (legal
+    // documents repeat themselves; this also preserves TF-IDF mass).
+    // Non-English policies pad with their own boilerplate only, so
+    // cross-language pairs stay dissimilar (§7.3's sub-0.5 quartile).
+    // The letter count runs along: each step adds the letters of what it
+    // appends (the separating spaces are not letters).
+    let mut letters = letter_count(&out);
+    let boiler_letters = letter_count(boiler);
+    let mut cursor = 0usize;
+    while letters < target {
+        out.push(' ');
+        out.push_str(boiler);
+        letters += boiler_letters;
+        if spec.language == Language::English {
+            let section = GENERIC_SECTIONS[cursor % GENERIC_SECTIONS.len()];
+            out.push(' ');
+            out.push_str(section);
+            letters += letter_count(section);
+        }
+        cursor += 1;
+    }
+    if letters > target {
+        trim_to_letters(&mut out, target);
+    }
+    out
+}
+
+/// The policy text before padding: the template's sections, then the GDPR
+/// paragraph and the disclosures the spec carries.
+fn policy_body(
+    spec: &PolicySpec,
+    site_domain: &str,
+    company: Option<&str>,
+    third_parties: &[String],
+) -> String {
     let mut out = String::new();
     let boiler = boilerplate(spec.language);
 
@@ -286,37 +326,22 @@ pub fn render_policy(
             );
         }
     }
-
-    // Pad to the target length by cycling boilerplate paragraphs (legal
-    // documents repeat themselves; this also preserves TF-IDF mass).
-    // Non-English policies pad with their own boilerplate only, so
-    // cross-language pairs stay dissimilar (§7.3's sub-0.5 quartile).
-    let letters = |s: &str| s.chars().filter(|c| c.is_alphabetic()).count();
-    let mut cursor = 0usize;
-    while letters(&out) < spec.target_letters as usize {
-        out.push(' ');
-        out.push_str(boiler);
-        if spec.language == Language::English {
-            out.push(' ');
-            out.push_str(GENERIC_SECTIONS[cursor % GENERIC_SECTIONS.len()]);
-        }
-        cursor += 1;
-    }
-    // Short targets: trim whole words down to the target so the corpus
-    // reaches the paper's 1,088-letter minimum.
-    if letters(&out) > spec.target_letters as usize {
-        let mut acc = 0usize;
-        let mut cut = out.len();
-        for (idx, word) in out.split_word_bound_indices() {
-            acc += word.chars().filter(|c| c.is_alphabetic()).count();
-            if acc >= spec.target_letters as usize {
-                cut = idx + word.len();
-                break;
-            }
-        }
-        out.truncate(cut);
-    }
     out
+}
+
+/// Short targets: trims whole words down to `target` letters so the corpus
+/// reaches the paper's 1,088-letter minimum.
+fn trim_to_letters(out: &mut String, target: usize) {
+    let mut acc = 0usize;
+    let mut cut = out.len();
+    for (idx, word) in out.split_word_bound_indices() {
+        acc += letter_count(word);
+        if acc >= target {
+            cut = idx + word.len();
+            break;
+        }
+    }
+    out.truncate(cut);
 }
 
 /// Poor man's word-boundary iterator (whitespace splits), yielding
@@ -361,6 +386,120 @@ mod tests {
             path: policy_path(lang).to_string(),
             broken: false,
         }
+    }
+
+    /// The padding `render_policy` did before it kept a running count: it
+    /// recounts every letter of the whole text after each step, which costs
+    /// time quadratic in the policy's length. The reference the running
+    /// count must match byte for byte. A count that runs short only pads
+    /// further before the same word trim, which gives the same text unless
+    /// it lands exactly on the target; a count that runs long stops padding
+    /// early, which this catches.
+    fn render_policy_recounting(
+        spec: &PolicySpec,
+        site_domain: &str,
+        company: Option<&str>,
+        third_parties: &[String],
+    ) -> String {
+        if spec.broken {
+            return String::new();
+        }
+        let mut out = policy_body(spec, site_domain, company, third_parties);
+        let boiler = boilerplate(spec.language);
+        let target = spec.target_letters as usize;
+        let mut cursor = 0usize;
+        while letter_count(&out) < target {
+            out.push(' ');
+            out.push_str(boiler);
+            if spec.language == Language::English {
+                out.push(' ');
+                out.push_str(GENERIC_SECTIONS[cursor % GENERIC_SECTIONS.len()]);
+            }
+            cursor += 1;
+        }
+        if letter_count(&out) > target {
+            trim_to_letters(&mut out, target);
+        }
+        out
+    }
+
+    #[test]
+    fn running_letter_count_pads_like_recounting() {
+        let parties = vec!["exoclick.com".to_string(), "addthis.com".to_string()];
+        let check = |spec: &PolicySpec| {
+            let fast = render_policy(spec, "example.com", Some("MindGeek"), &parties);
+            let reference =
+                render_policy_recounting(spec, "example.com", Some("MindGeek"), &parties);
+            // Compared without `assert_eq!`, which would print both texts.
+            assert!(fast == reference, "texts differ for {spec:?}");
+            assert!(
+                letter_count(&fast) >= spec.target_letters as usize,
+                "{spec:?}"
+            );
+        };
+        let disclosures = [
+            PolicyDisclosures::default(),
+            PolicyDisclosures {
+                cookies: true,
+                ..Default::default()
+            },
+            PolicyDisclosures {
+                data_types: true,
+                ..Default::default()
+            },
+            PolicyDisclosures {
+                third_parties: true,
+                ..Default::default()
+            },
+            PolicyDisclosures {
+                third_parties: true,
+                full_third_party_list: true,
+                ..Default::default()
+            },
+        ];
+        let templates = [
+            PolicyTemplate::Company(1),
+            PolicyTemplate::Generic(5),
+            PolicyTemplate::Unique(42),
+        ];
+        // The paper's shortest policy (1,088 letters: English bodies are
+        // longer and only trim), over every combination.
+        for language in Language::ALL {
+            for template in templates {
+                for mentions_gdpr in [false, true] {
+                    for disclosures in disclosures {
+                        let mut s = spec(template, language, 1_088);
+                        s.mentions_gdpr = mentions_gdpr;
+                        s.disclosures = disclosures;
+                        check(&s);
+                    }
+                }
+            }
+        }
+        // Near the median length, every language and template, with GDPR
+        // and the full disclosures on every other template.
+        for language in Language::ALL {
+            for (i, template) in templates.into_iter().enumerate() {
+                let mut s = spec(template, language, 11_500);
+                if i % 2 == 1 {
+                    s.mentions_gdpr = true;
+                    s.disclosures = disclosures[4];
+                    s.disclosures.cookies = true;
+                    s.disclosures.data_types = true;
+                }
+                check(&s);
+            }
+        }
+        // The paper's longest policy (243,649 letters) in English, and a
+        // long one in a language that pads with its short boilerplate only
+        // (the recounting reference is quadratic: these two dominate the
+        // test's time).
+        check(&spec(
+            PolicyTemplate::Generic(3),
+            Language::English,
+            243_649,
+        ));
+        check(&spec(PolicyTemplate::Unique(7), Language::Russian, 30_000));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! variant, behavior)` so identical deployments share bytes and the
 //! "distinct scripts" counts of §5.1.3 are meaningful.
 
+use std::fmt::Write as _;
+
 use crate::service::ThirdPartyService;
 
 /// Scheme string for a service.
@@ -150,21 +152,24 @@ pub fn miner_script(svc: &ThirdPartyService) -> String {
     )
 }
 
-/// The first-party site script: session bookkeeping cookies (some
-/// persistent, some session — feeding the §5.1.1 totals).
-pub fn first_party_script(domain: &str, n_persistent: u8, n_session: u8) -> String {
-    let mut out = format!("// site core {domain}\n");
+/// The first-party site script, appended to `out` (the landing page
+/// inlines it): session bookkeeping cookies (some persistent, some
+/// session — feeding the §5.1.1 totals).
+pub fn first_party_script(out: &mut String, domain: &str, n_persistent: u8, n_session: u8) {
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "// site core {domain}");
     for i in 0..n_persistent {
-        out.push_str(&format!(
-            "document.setCookie('pref{i}', 'v' + entropy.value() + 'x{i}', 2592000);\n"
-        ));
+        let _ = writeln!(
+            out,
+            "document.setCookie('pref{i}', 'v' + entropy.value() + 'x{i}', 2592000);"
+        );
     }
     for i in 0..n_session {
-        out.push_str(&format!(
-            "document.setCookie('sess{i}', 's' + entropy.value(), 0);\n"
-        ));
+        let _ = writeln!(
+            out,
+            "document.setCookie('sess{i}', 's' + entropy.value(), 0);"
+        );
     }
-    out
 }
 
 /// A first-party canvas-fingerprinting script (the ~26 % of §5.1.3 scripts
@@ -230,7 +235,9 @@ mod tests {
         assert_parses(&font_fp_script(&s));
         assert_parses(&webrtc_script(&s, 2));
         assert_parses(&miner_script(&s));
-        assert_parses(&first_party_script("site.com", 4, 2));
+        let mut first_party = String::new();
+        first_party_script(&mut first_party, "site.com", 4, 2);
+        assert_parses(&first_party);
         assert_parses(&first_party_canvas_script("site.com", true));
     }
 

@@ -6,10 +6,11 @@
 //! cookie-synchronization redirects, RTB auction frames and privacy
 //! policies — all deterministically, with per-country behavior.
 
+use std::fmt::Write as _;
+
 use redlight_net::codec;
-use redlight_net::cookie::Cookie;
 use redlight_net::geoip::{Country, GeoIpDb};
-use redlight_net::http::{Request, Response, Scheme, StatusCode};
+use redlight_net::http::{Bytes, Request, Response, Scheme, StatusCode};
 use redlight_net::psl;
 use redlight_net::transport::{fnv1a, Transport};
 use redlight_net::url::Url;
@@ -52,38 +53,35 @@ impl<'w> WebServer<'w> {
         self.world
     }
 
-    /// Handles one request.
+    /// Handles one request. An HTTPS response presents the certificate of
+    /// the entity the host resolved to.
     pub fn handle(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         let Some(entity) = self.world.resolve_host(req.url.host().as_str()) else {
             return FetchOutcome::Unreachable;
         };
-        match entity {
+        let outcome = match entity {
             HostEntity::Site(id) => self.handle_site(&self.world.sites[id as usize], req, ctx),
             HostEntity::SiteCdn(id) => {
                 let site = &self.world.sites[id as usize];
                 if site.unresponsive || site.blocked_in.contains(&ctx.country) {
                     return FetchOutcome::Unreachable;
                 }
-                self.finish(req, Response::ok("image/jpeg", &b"\xff\xd8cdn-bytes"[..]))
+                ok("image/jpeg", b"\xff\xd8cdn-bytes")
             }
             HostEntity::Service(id) => {
                 let svc = self.world.services.get(id);
                 self.handle_service(svc, req, ctx)
             }
-            HostEntity::CloudHost(_) => self.finish(
-                req,
-                Response::ok("application/javascript", "// static lib\n"),
-            ),
-            HostEntity::Directory(idx) => self.handle_directory(idx as usize, req),
+            HostEntity::CloudHost(_) => ok("application/javascript", b"// static lib\n"),
+            HostEntity::Directory(idx) => self.handle_directory(idx as usize),
+        };
+        match outcome {
+            FetchOutcome::Response(resp) if req.url.scheme() == Scheme::Https => {
+                let cert = self.world.cert_for(Some(entity), req.url.host().as_str());
+                FetchOutcome::Response(resp.with_certificate(cert))
+            }
+            other => other,
         }
-    }
-
-    /// Scheme enforcement + certificate attachment.
-    fn finish(&self, req: &Request, mut resp: Response) -> FetchOutcome {
-        if req.url.scheme() == Scheme::Https {
-            resp = resp.with_certificate(self.world.cert_for_host(req.url.host().as_str()));
-        }
-        FetchOutcome::Response(resp)
     }
 
     /// `true` when the host does not speak HTTPS but the request asks for it.
@@ -115,19 +113,16 @@ impl<'w> WebServer<'w> {
                     owner_name: self.world.owner_name(site),
                 };
                 let html = content::render_landing(&ctx2, site, ctx.country, gate_passed);
-                self.finish(req, Response::ok("text/html", html))
+                FetchOutcome::Response(Response::ok("text/html", html))
             }
-            "/static/main.css" => self.finish(req, Response::ok("text/css", "body{margin:0}")),
+            "/static/main.css" => ok("text/css", b"body{margin:0}"),
             p if p.starts_with("/static/") || p.starts_with("/embed/") => {
-                self.finish(req, Response::ok("image/jpeg", &b"\xff\xd8img"[..]))
+                ok("image/jpeg", b"\xff\xd8img")
             }
-            "/own/fp.js" if site.first_party_canvas => self.finish(
-                req,
-                Response::ok(
-                    "application/javascript",
-                    scriptgen::first_party_canvas_script(&site.domain, site.https),
-                ),
-            ),
+            "/own/fp.js" if site.first_party_canvas => FetchOutcome::Response(Response::ok(
+                "application/javascript",
+                scriptgen::first_party_canvas_script(&site.domain, site.https),
+            )),
             "/enter" => {
                 let target = Url::parse(&format!(
                     "{}://{}/?verified=1",
@@ -135,30 +130,27 @@ impl<'w> WebServer<'w> {
                     site.domain
                 ))
                 .expect("static url");
-                self.finish(req, Response::redirect(&target))
+                FetchOutcome::Response(Response::redirect(&target))
             }
-            "/social-login" => self.finish(req, Response::error(StatusCode::FORBIDDEN)),
-            "/login" | "/signup" => self.finish(
-                req,
-                Response::ok(
-                    "text/html",
-                    "<html><body><form>Sign Up free</form></body></html>",
-                ),
+            "/social-login" => FetchOutcome::Response(Response::error(StatusCode::FORBIDDEN)),
+            "/login" | "/signup" => ok(
+                "text/html",
+                b"<html><body><form>Sign Up free</form></body></html>",
             ),
             "/premium" => {
-                let body = if site.premium_paid {
-                    "<html><body><h1>Premium</h1><p>Checkout: $29.99 / month. \
-                     Payment required to unlock full scenes.</p></body></html>"
+                let body: &'static [u8] = if site.premium_paid {
+                    b"<html><body><h1>Premium</h1><p>Checkout: $29.99 / month. \
+                      Payment required to unlock full scenes.</p></body></html>"
                 } else {
-                    "<html><body><h1>Premium</h1><p>Free registration unlocks all \
-                     content after you create an account.</p></body></html>"
+                    b"<html><body><h1>Premium</h1><p>Free registration unlocks all \
+                      content after you create an account.</p></body></html>"
                 };
-                self.finish(req, Response::ok("text/html", body))
+                ok("text/html", body)
             }
             p if site.policy.as_ref().is_some_and(|pol| pol.path == p) => {
                 let pol = site.policy.as_ref().expect("guarded");
                 if pol.broken {
-                    return self.finish(req, Response::error(StatusCode::GONE));
+                    return FetchOutcome::Response(Response::error(StatusCode::GONE));
                 }
                 let parties: Vec<String> = site
                     .deployments
@@ -171,22 +163,17 @@ impl<'w> WebServer<'w> {
                     self.world.owner_name(site),
                     &parties,
                 );
-                self.finish(
-                    req,
-                    Response::ok(
-                        "text/html",
-                        format!("<html><body><main>{text}</main></body></html>"),
-                    ),
-                )
+                FetchOutcome::Response(Response::ok(
+                    "text/html",
+                    format!("<html><body><main>{text}</main></body></html>"),
+                ))
             }
-            "/own-fp" | "/widget-metrics" => {
-                self.finish(req, Response::ok("image/gif", &b"GIF89a"[..]))
-            }
-            _ => self.finish(req, Response::error(StatusCode::NOT_FOUND)),
+            "/own-fp" | "/widget-metrics" => ok("image/gif", b"GIF89a"),
+            _ => FetchOutcome::Response(Response::error(StatusCode::NOT_FOUND)),
         }
     }
 
-    fn handle_directory(&self, idx: usize, req: &Request) -> FetchOutcome {
+    fn handle_directory(&self, idx: usize) -> FetchOutcome {
         // Each aggregator lists a slice of the directory-listed porn sites.
         let n_dirs = self.world.directory_domains.len().max(1);
         let mut html = String::from("<html><body><h1>Adult site directory</h1><ul>");
@@ -198,13 +185,14 @@ impl<'w> WebServer<'w> {
             .filter(|s| (mix(s.id.0 as u64, 0xD1) as usize) % n_dirs == idx)
         {
             let scheme = if site.https { "https" } else { "http" };
-            html.push_str(&format!(
+            let _ = write!(
+                html,
                 "<li><a href=\"{scheme}://{}/\">{}</a></li>",
                 site.domain, site.domain
-            ));
+            );
         }
         html.push_str("</ul></body></html>");
-        self.finish(req, Response::ok("text/html", html))
+        FetchOutcome::Response(Response::ok("text/html", html))
     }
 
     fn handle_service(
@@ -220,27 +208,28 @@ impl<'w> WebServer<'w> {
             return FetchOutcome::Unreachable;
         }
         let path = req.url.path();
-        let js = "application/javascript";
+        let script =
+            |body: String| FetchOutcome::Response(Response::ok("application/javascript", body));
 
         // Script families.
         if let Some(v) = path_variant(path, "/tag/v", ".js") {
-            return self.finish(req, Response::ok(js, scriptgen::tag_script(svc, v)));
+            return script(scriptgen::tag_script(svc, v));
         }
         if let Some(v) = path_variant(path, "/js/analytics-v", ".js") {
-            return self.finish(req, Response::ok(js, scriptgen::analytics_script(svc, v)));
+            return script(scriptgen::analytics_script(svc, v));
         }
         if let Some(v) = path_variant(path, "/fp/v", ".js").or(path_variant(path, "/fpx/v", ".js"))
         {
-            return self.finish(req, Response::ok(js, scriptgen::canvas_fp_script(svc, v)));
+            return script(scriptgen::canvas_fp_script(svc, v));
         }
         if path == "/font/probe.js" {
-            return self.finish(req, Response::ok(js, scriptgen::font_fp_script(svc)));
+            return script(scriptgen::font_fp_script(svc));
         }
         if let Some(v) = path_variant(path, "/rtc/v", ".js") {
-            return self.finish(req, Response::ok(js, scriptgen::webrtc_script(svc, v)));
+            return script(scriptgen::webrtc_script(svc, v));
         }
         if path == "/miner/loader.js" {
-            return self.finish(req, Response::ok(js, scriptgen::miner_script(svc)));
+            return script(scriptgen::miner_script(svc));
         }
 
         match path {
@@ -265,22 +254,22 @@ impl<'w> WebServer<'w> {
                                 if target.https { "https" } else { "http" },
                                 target.fqdn,
                                 svc.fqdn,
-                                codec::percent_encode(&uid),
+                                codec::percent_encode(uid),
                             ))
                             .expect("sync url");
                             let mut resp = Response::redirect(&turl);
                             self.set_service_cookies(svc, site_hash, ctx, &mut resp);
-                            return self.finish(req, resp);
+                            return FetchOutcome::Response(resp);
                         }
                     }
                 }
-                let mut resp = Response::ok("image/gif", &b"GIF89a"[..]);
+                let mut resp = Response::ok("image/gif", Bytes::from_static(b"GIF89a"));
                 self.set_service_cookies(svc, site_hash, ctx, &mut resp);
-                self.finish(req, resp)
+                FetchOutcome::Response(resp)
             }
             // Sync destination: the partner records the uid carried in the
             // URL; no new cookie is needed (it already has its own).
-            "/sync" => self.finish(req, Response::ok("image/gif", &b"GIF89a"[..])),
+            "/sync" => ok("image/gif", b"GIF89a"),
             // RTB auction frame: demand partners are pulled in from inside
             // the frame, so their requests carry the exchange as referrer
             // (the §3.1 inclusion chain).
@@ -300,19 +289,20 @@ impl<'w> WebServer<'w> {
                         continue;
                     }
                     let s = if p.https { "https" } else { "http" };
-                    html.push_str(&format!(
+                    let _ = write!(
+                        html,
                         "<img src=\"{s}://{}/bid?pid={sid}&slot={k}\">",
                         p.fqdn
-                    ));
+                    );
                 }
                 html.push_str("</body></html>");
-                self.finish(req, Response::ok("text/html", html))
+                FetchOutcome::Response(Response::ok("text/html", html))
             }
             // Beacon sinks.
             "/collect" | "/fp-collect" | "/rtc-collect" | "/font-collect" | "/hashrate" => {
-                self.finish(req, Response::ok("image/gif", &b"GIF89a"[..]))
+                ok("image/gif", b"GIF89a")
             }
-            _ => self.finish(req, Response::error(StatusCode::NOT_FOUND)),
+            _ => FetchOutcome::Response(Response::error(StatusCode::NOT_FOUND)),
         }
     }
 
@@ -339,7 +329,9 @@ impl<'w> WebServer<'w> {
             .find(|p| p.serves(country))
     }
 
-    /// Emits this service's `Set-Cookie` headers for a pixel hit.
+    /// Emits this service's `Set-Cookie` headers for a pixel hit, each
+    /// written straight into its header value: `name=value; Domain=…;
+    /// Path=/`, then `Max-Age` and `Secure` when they apply.
     fn set_service_cookies(
         &self,
         svc: &ThirdPartyService,
@@ -351,55 +343,73 @@ impl<'w> WebServer<'w> {
         let uid = self.uid_for(svc, ctx);
         let persistent =
             (mix(svc.id.0 as u64, site_hash) % 1_000) as f64 / 1_000.0 < behavior.id_ratio;
-        let domain = psl::registrable_domain(&svc.fqdn).to_string();
+        let domain = psl::registrable_domain(&svc.fqdn).trim_start_matches('.');
+        let max_age = if behavior.embed_geo {
+            Some(86_400)
+        } else if persistent {
+            Some(31_536_000)
+        } else {
+            None
+        };
+        let secure = svc.https && mix(svc.id.0 as u64, 0x5EC).is_multiple_of(2);
 
         for i in 0..behavior.cookies_per_visit.max(1) {
-            let name = if i == 0 {
-                "uid".to_string()
+            let mut header = String::with_capacity(64 + domain.len());
+            if i == 0 {
+                header.push_str("uid=");
             } else {
-                format!("x{i}")
-            };
+                let _ = write!(header, "x{i}=");
+            }
             // Value construction per behavior.
-            let value = if behavior.embed_geo {
+            if behavior.embed_geo {
                 let geo = self.geoip.lookup(ctx.client_ip);
                 let (lat, lon) = geo.map(|g| (g.latitude, g.longitude)).unwrap_or((0.0, 0.0));
                 let mut raw = format!("lat={lat:.1},lon={lon:.1}");
                 if behavior.geo_includes_isp {
-                    let isp = geo
-                        .and_then(|g| g.isp.clone())
-                        .unwrap_or_else(|| "unknown".into());
-                    raw.push_str(&format!(",isp={isp}"));
+                    let isp = geo.and_then(|g| g.isp.as_deref()).unwrap_or("unknown");
+                    let _ = write!(raw, ",isp={isp}");
                 }
-                codec::percent_encode(&raw)
+                header.push_str(&codec::percent_encode(&raw));
             } else {
                 let embeds_ip = (mix(site_hash ^ (i as u64) << 32, svc.id.0 as u64) % 1_000) as f64
                     / 1_000.0
                     < behavior.embed_ip_ratio;
                 if embeds_ip {
-                    codec::base64_encode(format!("ip={}&uid={uid}", ctx.client_ip).as_bytes())
+                    let raw = format!("ip={}&uid={uid}", ctx.client_ip);
+                    header.push_str(&codec::base64_encode(raw.as_bytes()));
                 } else if behavior.long_value {
                     // >1,000-char payloads, up to ~3,600 (§5.1.1).
                     let reps = 1 + ((mix(site_hash, 0x70) % 6) as usize);
-                    format!("{}{}", uid, uid.repeat(38 * reps))
+                    for _ in 0..1 + 38 * reps {
+                        header.push_str(&uid);
+                    }
                 } else {
+                    // The uid repeated, cut to the service's id length.
                     let len = behavior.id_len.max(2) as usize;
-                    let mut v = uid.repeat(len / 16 + 1);
-                    v.truncate(len);
-                    v
+                    let start = header.len();
+                    for _ in 0..len / 16 + 1 {
+                        header.push_str(&uid);
+                    }
+                    header.truncate(start + len);
                 }
-            };
-            let mut cookie = Cookie::new(name, value).with_domain(&domain).with_path("/");
-            if persistent && !behavior.embed_geo {
-                cookie = cookie.with_max_age(31_536_000);
-            } else if behavior.embed_geo {
-                cookie = cookie.with_max_age(86_400);
             }
-            if svc.https && mix(svc.id.0 as u64, 0x5EC).is_multiple_of(2) {
-                cookie = cookie.secure();
+            header.push_str("; Domain=");
+            header.extend(domain.chars().map(|c| c.to_ascii_lowercase()));
+            header.push_str("; Path=/");
+            if let Some(age) = max_age {
+                let _ = write!(header, "; Max-Age={age}");
             }
-            resp.add_cookie(&cookie);
+            if secure {
+                header.push_str("; Secure");
+            }
+            resp.headers.append("set-cookie", header);
         }
     }
+}
+
+/// A 200 response with a constant body, which it borrows.
+fn ok(content_type: &'static str, body: &'static [u8]) -> FetchOutcome {
+    FetchOutcome::Response(Response::ok(content_type, Bytes::from_static(body)))
 }
 
 /// Parses `/prefix{N}suffix` paths.
@@ -411,22 +421,21 @@ fn path_variant(path: &str, prefix: &str, suffix: &str) -> Option<u32> {
 }
 
 /// First value of a named cookie in the request's `Cookie` header.
-fn request_cookie(req: &Request, name: &str) -> Option<String> {
+fn request_cookie<'r>(req: &'r Request, name: &str) -> Option<&'r str> {
     let header = req.headers.get("cookie")?;
-    for pair in header.split("; ") {
-        if let Some((k, v)) = pair.split_once('=') {
-            if k == name {
-                return Some(v.to_string());
-            }
-        }
-    }
-    None
+    header
+        .split("; ")
+        .filter_map(|pair| pair.split_once('='))
+        .find(|(k, _)| *k == name)
+        .map(|(_, v)| v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
+    use redlight_net::cookie::Cookie;
+    use redlight_net::geoip::VantagePoint;
     use redlight_net::http::{Method, ResourceKind};
     use std::net::Ipv4Addr;
 
@@ -538,6 +547,124 @@ mod tests {
         assert_eq!(c1[0].value, r2.cookies()[0].value, "session-stable uid");
         assert_eq!(c1[0].domain.as_deref(), Some("doubleclick.net"));
         let _ = svc;
+    }
+
+    /// The `Set-Cookie` values of a pixel hit as they were produced before
+    /// the server wrote them directly: each cookie built as a [`Cookie`]
+    /// with its domain, path, max-age and secure rules, then serialized.
+    fn set_cookie_reference(
+        server: &WebServer<'_>,
+        svc: &ThirdPartyService,
+        site_hash: u64,
+        ctx: &ClientContext,
+    ) -> Vec<String> {
+        let Some(behavior) = &svc.cookies else {
+            return Vec::new();
+        };
+        let uid = server.uid_for(svc, ctx);
+        let persistent =
+            (mix(svc.id.0 as u64, site_hash) % 1_000) as f64 / 1_000.0 < behavior.id_ratio;
+        let domain = psl::registrable_domain(&svc.fqdn).to_string();
+        let mut headers = Vec::new();
+        for i in 0..behavior.cookies_per_visit.max(1) {
+            let name = if i == 0 {
+                "uid".to_string()
+            } else {
+                format!("x{i}")
+            };
+            let value = if behavior.embed_geo {
+                let geo = server.geoip.lookup(ctx.client_ip);
+                let (lat, lon) = geo.map(|g| (g.latitude, g.longitude)).unwrap_or((0.0, 0.0));
+                let mut raw = format!("lat={lat:.1},lon={lon:.1}");
+                if behavior.geo_includes_isp {
+                    let isp = geo
+                        .and_then(|g| g.isp.clone())
+                        .unwrap_or_else(|| "unknown".into());
+                    raw.push_str(&format!(",isp={isp}"));
+                }
+                codec::percent_encode(&raw)
+            } else {
+                let embeds_ip = (mix(site_hash ^ (i as u64) << 32, svc.id.0 as u64) % 1_000) as f64
+                    / 1_000.0
+                    < behavior.embed_ip_ratio;
+                if embeds_ip {
+                    codec::base64_encode(format!("ip={}&uid={uid}", ctx.client_ip).as_bytes())
+                } else if behavior.long_value {
+                    let reps = 1 + ((mix(site_hash, 0x70) % 6) as usize);
+                    format!("{}{}", uid, uid.repeat(38 * reps))
+                } else {
+                    let len = behavior.id_len.max(2) as usize;
+                    let mut v = uid.repeat(len / 16 + 1);
+                    v.truncate(len);
+                    v
+                }
+            };
+            let mut cookie = Cookie::new(name, value).with_domain(&domain).with_path("/");
+            if persistent && !behavior.embed_geo {
+                cookie = cookie.with_max_age(31_536_000);
+            } else if behavior.embed_geo {
+                cookie = cookie.with_max_age(86_400);
+            }
+            if svc.https && mix(svc.id.0 as u64, 0x5EC).is_multiple_of(2) {
+                cookie = cookie.secure();
+            }
+            headers.push(cookie.to_set_cookie());
+        }
+        headers
+    }
+
+    #[test]
+    fn pixel_set_cookie_headers_match_serialized_cookies() {
+        let w = world();
+        let server = WebServer::new(&w);
+        let vantages: Vec<ClientContext> = VantagePoint::study_default()
+            .into_iter()
+            .filter(|vp| matches!(vp.country, Country::Spain | Country::Usa))
+            .map(|vp| ClientContext {
+                country: vp.country,
+                client_ip: vp.client_ip,
+                session: mix(0x5E55, vp.country as u64),
+                browser: BrowserKind::OpenWpm,
+            })
+            .collect();
+        assert_eq!(vantages.len(), 2);
+        let (mut geo_isp, mut geo_plain, mut with_ip, mut long, mut short) =
+            (false, false, false, false, false);
+        let mut compared = 0;
+        for svc in w.services.iter().filter(|s| s.cookies.is_some()) {
+            let behavior = svc.cookies.as_ref().expect("filtered");
+            let scheme = if svc.https { "https" } else { "http" };
+            for ctx in &vantages {
+                for i in 0..40 {
+                    let sid = format!("site{i}.example");
+                    let req = get(&format!("{scheme}://{}/px?sid={sid}", svc.fqdn));
+                    let FetchOutcome::Response(resp) = server.handle(&req, ctx) else {
+                        assert!(!svc.serves(ctx.country), "{} unreachable", svc.fqdn);
+                        continue;
+                    };
+                    let got: Vec<&str> = resp.headers.get_all("set-cookie").collect();
+                    let want = set_cookie_reference(&server, svc, fnv1a(sid.as_bytes()), ctx);
+                    assert_eq!(got, want, "{} sid {sid} from {:?}", svc.fqdn, ctx.country);
+                    compared += got.len();
+                    let values = got
+                        .iter()
+                        .map(|h| h.split_once('=').expect("name=value").1)
+                        .map(|h| h.split_once(';').map_or(h, |(v, _)| v));
+                    for value in values {
+                        geo_isp |= behavior.embed_geo && behavior.geo_includes_isp;
+                        geo_plain |= behavior.embed_geo && !behavior.geo_includes_isp;
+                        with_ip |= codec::base64_decode_lossy_text(value)
+                            .is_some_and(|t| t.starts_with("ip="));
+                        long |= behavior.long_value && value.len() > 1_000;
+                        short |= behavior.id_len < 8 && value.len() == behavior.id_len as usize;
+                    }
+                }
+            }
+        }
+        assert!(compared > 1_000, "{compared} headers compared");
+        assert!(geo_isp && geo_plain, "geo cookies with and without ISP");
+        assert!(with_ip, "IP-embedding cookies");
+        assert!(long && short, "long values and short ids");
     }
 
     #[test]

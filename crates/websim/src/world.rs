@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 use rand::prelude::*;
 use redlight_blocklist::EntityList;
@@ -21,7 +22,7 @@ use crate::content::mix;
 use crate::lists;
 use crate::org::{OrgId, OrgKind, OrgRegistry, PUBLISHERS};
 use crate::policygen::{PolicyDisclosures, PolicySpec, PolicyTemplate};
-use crate::service::{ServiceId, ServiceRegistry};
+use crate::service::{ServiceId, ServiceRegistry, ThirdPartyService};
 use crate::sitegen::{self, Site, SiteKind, PUBLISHER_TAG};
 use crate::threat::ScannerEnsemble;
 
@@ -69,6 +70,11 @@ pub struct World {
     /// Publisher org ids, parallel to [`PUBLISHERS`].
     pub publisher_orgs: Vec<OrgId>,
     host_index: HashMap<String, HostEntity>,
+    /// The leaf certificate of each site (indexed by site id), which its
+    /// CDN hosts present too.
+    site_certs: Vec<Arc<Certificate>>,
+    /// The leaf certificate of each service (indexed by service id).
+    service_certs: Vec<Arc<Certificate>>,
 }
 
 impl World {
@@ -213,6 +219,17 @@ impl World {
             host_index.insert(d.clone(), HostEntity::Directory(i as u32));
         }
 
+        // Every response of a site or service presents one shared
+        // certificate, built here rather than per response.
+        let site_certs = sites
+            .iter()
+            .map(|site| Arc::new(site_certificate(site, &org_registry)))
+            .collect();
+        let service_certs = services
+            .iter()
+            .map(|svc| Arc::new(service_certificate(svc)))
+            .collect();
+
         World {
             scanners: ScannerEnsemble::new(config.seed),
             config,
@@ -228,6 +245,8 @@ impl World {
             disconnect,
             publisher_orgs,
             host_index,
+            site_certs,
+            service_certs,
         }
     }
 
@@ -261,36 +280,18 @@ impl World {
     }
 
     /// The leaf certificate a host presents over HTTPS.
-    pub fn cert_for_host(&self, host: &str) -> Certificate {
-        match self.resolve_host(host) {
-            Some(HostEntity::Service(id)) => {
-                let svc = self.services.get(id);
-                Certificate::leaf(
-                    &svc.fqdn,
-                    svc.cert_org.as_deref(),
-                    svc.all_fqdns()
-                        .flat_map(|f| [f.to_string(), format!("*.{f}")])
-                        .collect(),
-                    mix(fnv1a(svc.fqdn.as_bytes()), 0xCE47),
-                )
-            }
+    pub fn cert_for_host(&self, host: &str) -> Arc<Certificate> {
+        self.cert_for(self.resolve_host(host), host)
+    }
+
+    /// The leaf certificate `host` presents, given what it resolved to:
+    /// sites (with their CDN hosts) and services share the certificate
+    /// built with the world; cloud and directory hosts get a fresh one.
+    pub(crate) fn cert_for(&self, entity: Option<HostEntity>, host: &str) -> Arc<Certificate> {
+        match entity {
+            Some(HostEntity::Service(id)) => Arc::clone(&self.service_certs[id.0 as usize]),
             Some(HostEntity::Site(id)) | Some(HostEntity::SiteCdn(id)) => {
-                let site = &self.sites[id as usize];
-                // A quarter of owned sites carry OV certificates naming the
-                // company (one of the §4.1 attribution signals).
-                let org = site.owner.and_then(|o| {
-                    if mix(site.id.0 as u64, 0x0F).is_multiple_of(4) {
-                        Some(self.orgs.get(o).name.clone())
-                    } else {
-                        None
-                    }
-                });
-                Certificate::leaf(
-                    &site.domain,
-                    org.as_deref(),
-                    vec![site.domain.clone(), format!("*.{}", site.domain)],
-                    mix(fnv1a(site.domain.as_bytes()), 0xCE47),
-                )
+                Arc::clone(&self.site_certs[id as usize])
             }
             Some(HostEntity::CloudHost(_)) => {
                 let reg = psl::registrable_domain(host).to_string();
@@ -301,19 +302,19 @@ impl World {
                     "jscdn.net" => Some("Open JS Foundation CDN"),
                     _ => None,
                 };
-                Certificate::leaf(
+                Arc::new(Certificate::leaf(
                     &format!("*.{reg}"),
                     org,
                     vec![reg.clone()],
                     mix(fnv1a(reg.as_bytes()), 3),
-                )
+                ))
             }
-            Some(HostEntity::Directory(_)) | None => Certificate::leaf(
+            Some(HostEntity::Directory(_)) | None => Arc::new(Certificate::leaf(
                 host,
                 None,
                 vec![host.to_string()],
                 mix(fnv1a(host.as_bytes()), 9),
-            ),
+            )),
         }
     }
 
@@ -372,6 +373,35 @@ impl World {
         let scheme = if site.https { "https" } else { "http" };
         format!("{scheme}://{}/", site.domain)
     }
+}
+
+/// A service's leaf certificate: every FQDN it answers on, and their
+/// subdomains.
+fn service_certificate(svc: &ThirdPartyService) -> Certificate {
+    Certificate::leaf(
+        &svc.fqdn,
+        svc.cert_org.as_deref(),
+        svc.all_fqdns()
+            .flat_map(|f| [f.to_string(), format!("*.{f}")])
+            .collect(),
+        mix(fnv1a(svc.fqdn.as_bytes()), 0xCE47),
+    )
+}
+
+/// A site's leaf certificate, covering the apex and its CDN subdomains.
+fn site_certificate(site: &Site, orgs: &OrgRegistry) -> Certificate {
+    // A quarter of owned sites carry OV certificates naming the company
+    // (one of the §4.1 attribution signals).
+    let org = site
+        .owner
+        .filter(|_| mix(site.id.0 as u64, 0x0F).is_multiple_of(4))
+        .map(|o| orgs.get(o).name.as_str());
+    Certificate::leaf(
+        &site.domain,
+        org,
+        vec![site.domain.clone(), format!("*.{}", site.domain)],
+        mix(fnv1a(site.domain.as_bytes()), 0xCE47),
+    )
 }
 
 fn ip_for(site_id: u32) -> Ipv4Addr {
@@ -613,6 +643,10 @@ mod tests {
         let site_cert = w.cert_for_host(&site.domain);
         assert!(site_cert.covers(&site.domain));
         assert!(site_cert.covers(&format!("img.{}", site.domain)));
+        // A site and its CDN hosts present one shared certificate.
+        let cdn_cert = w.cert_for_host(&format!("img.{}", site.domain));
+        assert!(Arc::ptr_eq(&site_cert, &cdn_cert));
+        assert!(Arc::ptr_eq(&cert, &w.cert_for_host("exoclick.com")));
     }
 
     #[test]

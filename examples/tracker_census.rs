@@ -80,7 +80,7 @@ fn main() {
     // Parent-company attribution (§4.2(3)), with the out-of-band TLS probe.
     let probe = |host: &str| -> Option<redlight::net::tls::CertSummary> {
         world.resolve_host(host)?;
-        Some((&world.cert_for_host(host)).into())
+        Some((&*world.cert_for_host(host)).into())
     };
     let attributor = orgs::OrgAttributor::new(&world.disconnect, &[&porn, &regular], Some(&probe));
     let stats = attributor.coverage(&porn_parties);

@@ -59,6 +59,17 @@ print(f"exporters OK: {begins} spans, {len(prom.splitlines())} metric lines, "
       f"{len(timings['crawls'])} timed crawls")
 PYEOF
 
+echo "==> reproduce --paper stdout pinned to tests/golden/reproduce_paper.txt (release)"
+# The full-scale study, where policies are longest and certificates most
+# shared; too slow for the debug golden tests in crates/bench/tests.
+cargo run --release -q -p redlight-bench --bin reproduce -- --paper >"$OBS_DIR/paper.out"
+if ! cmp "$OBS_DIR/paper.out" tests/golden/reproduce_paper.txt; then
+  echo "reproduce --paper stdout differs from tests/golden/reproduce_paper.txt." >&2
+  echo "If the change is intended, regenerate it and list it in CHANGES.md:" >&2
+  echo "  cargo run --release -q -p redlight-bench --bin reproduce -- --paper > tests/golden/reproduce_paper.txt" >&2
+  exit 1
+fi
+
 echo "==> collection pool determinism (two 2x runs: stdout, journal, metrics byte-identical)"
 # The crawls run on a worker pool; which worker runs which crawl varies from
 # run to run, and nothing recorded may depend on it.

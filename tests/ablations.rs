@@ -240,7 +240,7 @@ fn x509_attribution_strictly_adds_to_disconnect() {
     // The pipeline's out-of-band TLS probe: the certificate a host presents.
     let probe = |host: &str| -> Option<CertSummary> {
         world.resolve_host(host)?;
-        Some((&world.cert_for_host(host)).into())
+        Some((&*world.cert_for_host(host)).into())
     };
     let cert_org = |host: &str| probe(host).and_then(|c| c.org);
     let no_certs = CertHarvest::default();

@@ -481,7 +481,9 @@ fn every_scriptgen_family_runs_alike_at_every_budget() {
         sources.push(scriptgen::miner_script(svc));
     }
     for site in &world.sites {
-        sources.push(scriptgen::first_party_script(&site.domain, 2, 1));
+        let mut first_party = String::new();
+        scriptgen::first_party_script(&mut first_party, &site.domain, 2, 1);
+        sources.push(first_party);
         sources.push(scriptgen::decoy_canvas_script(&site.domain, site.https));
         sources.push(scriptgen::first_party_canvas_script(
             &site.domain,
