@@ -45,7 +45,7 @@ pub struct AgeGateComparison {
 }
 
 /// Summarizes one country's interaction records.
-pub fn country_stats(records: &[&InteractionRecord]) -> CountryGates {
+fn country_stats(records: &[&InteractionRecord]) -> CountryGates {
     let country = records.first().map(|r| r.country).unwrap_or(Country::Spain);
     let studied = records.len();
     let gated: Vec<&&InteractionRecord> = records.iter().filter(|r| r.age_gate_detected).collect();
@@ -100,8 +100,6 @@ pub fn compare(per_country: &[Vec<InteractionRecord>]) -> AgeGateComparison {
 /// parents' filters key on. Detected from the crawled markup.
 #[derive(Debug, Clone)]
 pub struct RtaReport {
-    /// Sites checked.
-    pub sites_checked: usize,
     /// With rta label.
     pub with_rta_label: usize,
     /// With rta percentage.
@@ -132,7 +130,6 @@ pub fn rta_prevalence(crawl: &CrawlRecord) -> RtaReport {
         }
     }
     RtaReport {
-        sites_checked: checked,
         with_rta_label: with_label,
         with_rta_pct: pct(with_label, checked.max(1)),
     }
@@ -158,7 +155,6 @@ mod tests {
             social_login_gate: social,
             policy_url: None,
             policy_text: None,
-            login_signal: false,
             premium_signal: false,
             premium_page: None,
         }

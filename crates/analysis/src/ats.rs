@@ -69,11 +69,6 @@ impl AtsClassifier {
             verdicts,
         }
     }
-
-    /// Number of loaded rules.
-    pub fn rule_count(&self) -> usize {
-        self.filters.len()
-    }
 }
 
 /// Verdicts for one crawl, produced by
@@ -113,7 +108,7 @@ pub struct Table2 {
 }
 
 /// ATS FQDNs among a third-party set (relaxed matching).
-pub fn ats_fqdns<'a>(extract: &'a ThirdPartyExtract, ats: &AtsClassifier) -> BTreeSet<&'a str> {
+fn ats_fqdns<'a>(extract: &'a ThirdPartyExtract, ats: &AtsClassifier) -> BTreeSet<&'a str> {
     extract
         .third_party_fqdns
         .iter()
@@ -174,7 +169,6 @@ mod tests {
         assert!(cls.is_ats_fqdn("bbc.co.uk"));
         assert!(cls.is_ats_fqdn("metrics.io"));
         assert!(!cls.is_ats_fqdn("clean.org"));
-        assert_eq!(cls.rule_count(), 3);
     }
 
     #[test]
@@ -196,7 +190,6 @@ mod tests {
             status: ok.then_some(StatusCode::OK),
             content_type: None,
             cert: None,
-            redirected_to: None,
         };
         let mut crawl = CrawlRecord::new(
             Country::Spain,

@@ -97,8 +97,6 @@ fn classify_page(html: &str) -> Option<(BannerType, String)> {
 pub struct BannerBreakdown {
     /// Vantage-point country of the crawl.
     pub country: Country,
-    /// Successfully crawled sites (the percentage base).
-    pub crawled: usize,
     /// Percentage of crawled sites per banner type.
     pub pct_by_type: BTreeMap<String, f64>,
     /// Share of crawled sites showing any banner.
@@ -161,7 +159,6 @@ pub fn breakdown(
     (
         BannerBreakdown {
             country: crawl.country,
-            crawled,
             total_pct: pct(observations.len(), crawled.max(1)),
             no_option_share_pct: pct(no_option, observations.len().max(1)),
             pct_by_type,

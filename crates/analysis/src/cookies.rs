@@ -17,7 +17,7 @@ use crate::util::reg;
 use redlight_crawler::db::CrawlRecord;
 
 /// Minimum value length for a cookie to plausibly carry a unique ID.
-pub const MIN_ID_LEN: usize = 6;
+const MIN_ID_LEN: usize = 6;
 
 /// One aggregated cookie observation: `(site, setting domain, name)`.
 #[derive(Debug, Clone)]
@@ -139,14 +139,9 @@ pub fn embeds_ip(value: &str, client_ip: Ipv4Addr) -> bool {
 }
 
 /// Decodes a cookie value looking for coordinates (`lat=…`, `lon=…`).
-pub fn embeds_geo(value: &str) -> bool {
+pub(crate) fn embeds_geo(value: &str) -> bool {
     let decoded = codec::percent_decode(value);
     decoded.contains("lat=") && decoded.contains("lon=")
-}
-
-/// Whether the geo payload also names the network provider.
-pub fn geo_includes_isp(value: &str) -> bool {
-    codec::percent_decode(value).contains("isp=")
 }
 
 /// Computes the §5.1.1 statistics.
@@ -300,10 +295,6 @@ mod tests {
     #[test]
     fn geo_detection() {
         assert!(embeds_geo(&codec::percent_encode("lat=40.4,lon=-3.7")));
-        assert!(geo_includes_isp(&codec::percent_encode(
-            "lat=40.4,lon=-3.7,isp=Example Networks"
-        )));
         assert!(!embeds_geo("uid=12345678"));
-        assert!(!geo_includes_isp(&codec::percent_encode("lat=1,lon=2")));
     }
 }

@@ -23,8 +23,6 @@ pub type HostingResolver<'a> = &'a dyn Fn(&str) -> Country;
 /// Cross-border findings for one crawl.
 #[derive(Debug, Clone)]
 pub struct CrossBorderReport {
-    /// Vantage-point country of the crawl.
-    pub vantage: Country,
     /// Whether GDPR applies at the vantage point.
     pub gdpr_jurisdiction: bool,
     /// Successful third-party requests, total.
@@ -38,8 +36,6 @@ pub struct CrossBorderReport {
     pub leaving_pct: f64,
     /// Identifier-bearing request volume by hosting country.
     pub by_destination: BTreeMap<Country, usize>,
-    /// Distinct third-party domains receiving identifiers abroad.
-    pub foreign_identifier_domains: usize,
 }
 
 /// Countries forming the GDPR jurisdiction in this model (EU member states
@@ -59,7 +55,6 @@ pub fn report(crawl: &CrawlRecord, hosting: HostingResolver<'_>) -> CrossBorderR
     let mut identifier_bearing = 0usize;
     let mut leaving = 0usize;
     let mut by_destination: BTreeMap<Country, usize> = BTreeMap::new();
-    let mut foreign_domains: BTreeSet<String> = BTreeSet::new();
 
     for record in crawl.successful() {
         let Some(final_url) = &record.visit.final_url else {
@@ -80,8 +75,7 @@ pub fn report(crawl: &CrawlRecord, hosting: HostingResolver<'_>) -> CrossBorderR
                 continue;
             }
             third_party_requests += 1;
-            let domain = reg(host).to_string();
-            if !cookie_holders.contains(&domain) {
+            if !cookie_holders.contains(reg(host)) {
                 continue;
             }
             identifier_bearing += 1;
@@ -94,20 +88,17 @@ pub fn report(crawl: &CrawlRecord, hosting: HostingResolver<'_>) -> CrossBorderR
             };
             if crosses {
                 leaving += 1;
-                foreign_domains.insert(domain);
             }
         }
     }
 
     CrossBorderReport {
-        vantage,
         gdpr_jurisdiction: gdpr,
         third_party_requests,
         identifier_bearing,
         leaving_pct: pct(leaving, identifier_bearing.max(1)),
         leaving_jurisdiction: leaving,
         by_destination,
-        foreign_identifier_domains: foreign_domains.len(),
     }
 }
 

@@ -21,14 +21,14 @@ use crate::util::{reg, same_site};
 use redlight_crawler::db::CrawlRecord;
 
 /// Minimum canvas edge (px).
-pub const MIN_CANVAS_EDGE: u32 = 16;
+const MIN_CANVAS_EDGE: u32 = 16;
 /// Minimum `getImageData` area (px²) to count as a readback.
-pub const MIN_READBACK_AREA: u32 = 320;
+const MIN_READBACK_AREA: u32 = 320;
 /// Minimum same-text `measureText` calls for font fingerprinting.
-pub const MIN_MEASURE_CALLS: usize = 50;
+const MIN_MEASURE_CALLS: usize = 50;
 
 /// Verdict for one script execution.
-pub fn passes_canvas_criteria(activity: &CanvasActivity) -> bool {
+fn passes_canvas_criteria(activity: &CanvasActivity) -> bool {
     if activity.width < MIN_CANVAS_EDGE || activity.height < MIN_CANVAS_EDGE {
         return false;
     }
@@ -82,8 +82,6 @@ pub struct FingerprintReport {
     pub canvas_services: BTreeSet<String>,
     /// Fraction of canvas scripts delivered by third parties.
     pub third_party_script_pct: f64,
-    /// Canvas scripts whose URL matches EasyList/EasyPrivacy in full.
-    pub indexed_scripts: usize,
     /// Fraction of canvas scripts NOT indexed by the lists (the 91 %).
     pub unindexed_pct: f64,
     /// Font-fingerprinting scripts.
@@ -159,7 +157,6 @@ pub fn detect(crawl: &CrawlRecord, ats: &AtsClassifier) -> FingerprintReport {
     let total = canvas_scripts.len().max(1);
     FingerprintReport {
         third_party_script_pct: pct(third_party_scripts.len(), total),
-        indexed_scripts: indexed.len(),
         unindexed_pct: pct(total - indexed.len(), total),
         canvas_scripts,
         canvas_sites,

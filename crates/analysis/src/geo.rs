@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 use redlight_net::geoip::Country;
 
 use crate::ats::AtsClassifier;
+use crate::malware::MIN_DETECTIONS;
 use crate::thirdparty::ThirdPartyExtract;
 use crate::ThreatFeed;
 use redlight_crawler::db::CrawlRecord;
@@ -29,10 +30,11 @@ pub struct GeoSummary {
     pub fqdns: BTreeSet<String>,
     /// ATS FQDNs among them (relaxed matching).
     pub ats: BTreeSet<String>,
-    /// Malicious FQDNs per the threat feed (≥ 4 detections).
-    pub malicious_fqdns: BTreeSet<String>,
+    /// Malicious FQDNs per the threat feed (at least
+    /// [`MIN_DETECTIONS`] detections).
+    pub(crate) malicious_fqdns: BTreeSet<String>,
     /// Porn sites carrying at least one malicious domain.
-    pub sites_with_malware: usize,
+    sites_with_malware: usize,
 }
 
 /// Summarizes one country's crawl from its third-party extraction. The
@@ -55,7 +57,7 @@ pub fn summarize_extracted(
         .collect();
     let malicious: BTreeSet<String> = fqdns
         .iter()
-        .filter(|f| threat.detections(f) >= 4)
+        .filter(|f| threat.detections(f) >= MIN_DETECTIONS)
         .cloned()
         .collect();
     let sites_with_malware = extract

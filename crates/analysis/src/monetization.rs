@@ -19,7 +19,7 @@ pub enum Subscription {
 }
 
 /// Keyword-based paywall heuristic over a premium page.
-pub fn paywall_heuristic(premium_page: &str) -> Subscription {
+fn paywall_heuristic(premium_page: &str) -> Subscription {
     let lower = premium_page.to_lowercase();
     let paid = premium_page.contains('$')
         || lower.contains("payment required")
@@ -38,14 +38,8 @@ pub fn paywall_heuristic(premium_page: &str) -> Subscription {
 pub struct MonetizationReport {
     /// Sites.
     pub sites: usize,
-    /// Sites offering account creation.
-    pub with_accounts: usize,
-    /// Sites advertising subscriptions.
-    pub with_subscription: usize,
     /// With subscription percentage.
     pub with_subscription_pct: f64,
-    /// Of the subscription sites, those behind a paywall.
-    pub paid: usize,
     /// PaID percentage.
     pub paid_pct: f64,
     /// Heuristic labels the manual pass overrode.
@@ -62,7 +56,6 @@ pub fn report(
     manual_label: Option<ManualLabel<'_>>,
 ) -> MonetizationReport {
     let reachable: Vec<&InteractionRecord> = interactions.iter().filter(|r| r.reachable).collect();
-    let with_accounts = reachable.iter().filter(|r| r.login_signal).count();
     let subs: Vec<&&InteractionRecord> = reachable.iter().filter(|r| r.premium_signal).collect();
 
     let mut paid = 0usize;
@@ -89,10 +82,7 @@ pub fn report(
 
     MonetizationReport {
         sites: reachable.len(),
-        with_accounts,
-        with_subscription: subs.len(),
         with_subscription_pct: pct(subs.len(), reachable.len().max(1)),
-        paid,
         paid_pct: pct(paid, subs.len().max(1)),
         manual_overrides: overrides,
     }

@@ -34,15 +34,15 @@ impl CertHarvest {
     /// Harvests certificates from the crawls, then probes every remaining
     /// contacted FQDN with `probe` (out-of-band TLS handshake; `None` when
     /// the host has no certificate).
-    pub fn collect(crawls: &[&CrawlRecord], probe: Option<CertProbe<'_>>) -> Self {
+    pub(crate) fn collect(crawls: &[&CrawlRecord], probe: Option<CertProbe<'_>>) -> Self {
         Self::collect_in(crawls, probe, &Registry::new())
     }
 
-    /// [`CertHarvest::collect`] publishing `cache.cert-harvest.hits`
+    /// `CertHarvest::collect` publishing `cache.cert-harvest.hits`
     /// (hosts whose certificate came from crawl traffic) and
     /// `cache.cert-harvest.misses` (contacted hosts that needed the
     /// out-of-band probe) into `registry`. Harvest contents are identical
-    /// to [`CertHarvest::collect`].
+    /// to `CertHarvest::collect`.
     pub fn collect_in(
         crawls: &[&CrawlRecord],
         probe: Option<CertProbe<'_>>,
@@ -100,7 +100,7 @@ pub struct OrgAttributor<'a> {
 
 impl<'a> OrgAttributor<'a> {
     /// Builds the attributor over a private harvest (see
-    /// [`CertHarvest::collect`]).
+    /// `CertHarvest::collect`).
     pub fn new(
         disconnect: &'a EntityList,
         crawls: &[&CrawlRecord],

@@ -20,7 +20,7 @@ use redlight_crawler::db::CrawlRecord;
 
 /// Similarity threshold for candidate same-owner policy pairs (the paper
 /// keyed on coefficients at or near 1).
-pub const CLUSTER_THRESHOLD: f64 = 0.95;
+const CLUSTER_THRESHOLD: f64 = 0.95;
 
 /// One attributed ownership cluster.
 #[derive(Debug, Clone)]
@@ -50,7 +50,7 @@ pub struct OwnershipReport {
 
 /// Extracts an explicit operator statement ("operated by X.") from policy
 /// text.
-pub fn operator_statement(text: &str) -> Option<String> {
+fn operator_statement(text: &str) -> Option<String> {
     let idx = text.find("operated by ")?;
     let rest = &text[idx + "operated by ".len()..];
     let end = rest.find(['.', ',', ';'])?;
@@ -64,7 +64,7 @@ pub fn operator_statement(text: &str) -> Option<String> {
 
 /// Extracts the publisher label from `<head>` markup (meta tags naming the
 /// operating network), the head-similarity signal distilled.
-pub fn head_publisher(html: &str) -> Option<String> {
+fn head_publisher(html: &str) -> Option<String> {
     let doc = redlight_html::parser::parse(html);
     for id in redlight_html::query::by_tag(&doc, "meta") {
         let el = doc.element(id)?;

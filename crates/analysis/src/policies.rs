@@ -14,7 +14,7 @@ use redlight_crawler::db::InteractionRecord;
 
 /// Minimum letters for a fetched document to count as a policy (the paper
 /// removed 44 false positives caused by HTTP error pages).
-pub const MIN_POLICY_LETTERS: usize = 600;
+const MIN_POLICY_LETTERS: usize = 600;
 
 /// One collected policy.
 #[derive(Debug, Clone)]

@@ -80,8 +80,6 @@ pub struct Table3Row {
 pub struct Table3 {
     /// Rows.
     pub rows: Vec<Table3Row>,
-    /// Third-party FQDNs present in all four tiers.
-    pub in_all_tiers: usize,
     /// In all tiers percentage.
     pub in_all_tiers_pct: f64,
     /// Third-party FQDNs appearing only on 100k+ sites.
@@ -139,7 +137,6 @@ pub fn table3(extract: &ThirdPartyExtract, tier_of: &BTreeMap<String, Popularity
 
     Table3 {
         rows,
-        in_all_tiers: in_all,
         in_all_tiers_pct: redlight_text::stats::pct(in_all, all_fqdns.len().max(1)),
         only_unpopular_pct: redlight_text::stats::pct(only_unpopular, all_fqdns.len().max(1)),
     }

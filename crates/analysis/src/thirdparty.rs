@@ -27,7 +27,7 @@ pub enum Party {
 /// Classifies `request_host` relative to `site_host` using the paper's three
 /// signals in order: registrable-domain match, certificate identity,
 /// Levenshtein similarity ≥ 0.7.
-pub fn classify(
+pub(crate) fn classify(
     site_host: &str,
     site_cert: Option<&CertSummary>,
     request_host: &str,

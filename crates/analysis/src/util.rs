@@ -8,7 +8,7 @@ pub fn reg(host: &str) -> &str {
 }
 
 /// `true` when two hosts share a registrable domain.
-pub fn same_site(a: &str, b: &str) -> bool {
+pub(crate) fn same_site(a: &str, b: &str) -> bool {
     reg(a) == reg(b)
 }
 

@@ -11,19 +11,11 @@ use std::collections::HashMap;
 
 use redlight_net::psl;
 
-/// One organization entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Entity {
-    /// Organization name (e.g. "Alphabet", "Oracle").
-    pub name: String,
-    /// Domains the organization owns (registrable domains).
-    pub properties: Vec<String>,
-}
-
 /// The entity list.
 #[derive(Debug, Clone, Default)]
 pub struct EntityList {
-    entities: Vec<Entity>,
+    /// Organization names (e.g. "Alphabet", "Oracle"), in insertion order.
+    entities: Vec<String>,
     /// registrable domain → index into `entities`.
     index: HashMap<String, usize>,
 }
@@ -37,38 +29,17 @@ impl EntityList {
     /// Adds an organization with its owned domains.
     pub fn add(&mut self, name: &str, properties: &[&str]) {
         let idx = self.entities.len();
-        let props: Vec<String> = properties.iter().map(|p| p.to_ascii_lowercase()).collect();
-        for p in &props {
-            self.index.insert(p.clone(), idx);
+        for p in properties {
+            self.index.insert(p.to_ascii_lowercase(), idx);
         }
-        self.entities.push(Entity {
-            name: name.to_string(),
-            properties: props,
-        });
+        self.entities.push(name.to_string());
     }
 
     /// Resolves an FQDN to its owning organization, matching by registrable
     /// domain (like the Disconnect list does).
     pub fn owner_of(&self, fqdn: &str) -> Option<&str> {
         let reg = psl::registrable_domain(&fqdn.to_ascii_lowercase()).to_string();
-        self.index
-            .get(&reg)
-            .map(|&idx| self.entities[idx].name.as_str())
-    }
-
-    /// Number of organizations.
-    pub fn len(&self) -> usize {
-        self.entities.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
-    }
-
-    /// Iterates over all entities.
-    pub fn iter(&self) -> impl Iterator<Item = &Entity> {
-        self.entities.iter()
+        self.index.get(&reg).map(|&idx| self.entities[idx].as_str())
     }
 }
 
@@ -92,12 +63,5 @@ mod tests {
         assert_eq!(l.owner_of("stats.g.doubleclick.net"), Some("Alphabet"));
         assert_eq!(l.owner_of("ADDTHIS.com"), Some("Oracle"));
         assert_eq!(l.owner_of("unknown-tracker.party"), None);
-    }
-
-    #[test]
-    fn counts() {
-        let l = sample();
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.iter().count(), 2);
     }
 }

@@ -57,11 +57,11 @@ pub struct FilterOptions {
     /// Resource kinds explicitly allowed; empty = all.
     pub kinds: Vec<String>,
     /// Resource kinds explicitly excluded (`~script`).
-    pub not_kinds: Vec<String>,
+    not_kinds: Vec<String>,
     /// Page domains the rule is restricted to; empty = all.
     pub domains: Vec<String>,
     /// Page domains the rule must not apply on.
-    pub not_domains: Vec<String>,
+    not_domains: Vec<String>,
 }
 
 /// One parsed URL filter.
@@ -76,9 +76,9 @@ pub struct Filter {
     /// Pattern to match after the anchor (may contain `*` and `^`).
     pub pattern: String,
     /// `|`-anchored at the start (absolute URL prefix).
-    pub start_anchor: bool,
+    start_anchor: bool,
     /// `|`-anchored at the end.
-    pub end_anchor: bool,
+    end_anchor: bool,
     /// Options.
     pub options: FilterOptions,
 }

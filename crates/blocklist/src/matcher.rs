@@ -86,7 +86,7 @@ impl FilterSet {
 
     /// Adds one parsed filter: to its domain bucket, the scan or the
     /// exceptions.
-    pub fn add_filter(&mut self, filter: Filter) {
+    fn add_filter(&mut self, filter: Filter) {
         self.rule_count += 1;
         if filter.exception {
             self.exceptions.push(filter);

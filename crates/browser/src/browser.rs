@@ -332,9 +332,6 @@ impl<'w> Browser<'w> {
             if let Some(cookie) = self.cookie_header(&current) {
                 req.headers.set("cookie", cookie);
             }
-            if let Some(r) = &referrer {
-                req = req.with_referrer(r);
-            }
             req.headers.set("user-agent", self.device.user_agent);
 
             let outcome = self.transport.fetch(&req, &self.ctx);
@@ -347,7 +344,6 @@ impl<'w> Browser<'w> {
                 status: None,
                 content_type: None,
                 cert: None,
-                redirected_to: None,
             };
             match outcome {
                 FetchOutcome::Unreachable => {
@@ -367,7 +363,6 @@ impl<'w> Browser<'w> {
                     for cookie in resp.cookies() {
                         let accepted = self.jar.store(cookie.clone(), &current);
                         visit.cookies.push(CookieObservation {
-                            origin_host: current.host().as_str().to_string(),
                             effective_domain: cookie
                                 .domain
                                 .clone()
@@ -381,7 +376,6 @@ impl<'w> Browser<'w> {
 
                     if let Some(location) = resp.location() {
                         if let Ok(next) = current.join(location) {
-                            record.redirected_to = Some(next.clone());
                             visit.requests.push(record);
                             referrer = Some(current.clone());
                             current = next;
@@ -469,7 +463,7 @@ mod tests {
             visit
                 .cookies
                 .iter()
-                .any(|c| c.via == SetVia::Script && c.origin_host == site.domain),
+                .any(|c| c.via == SetVia::Script && c.effective_domain == site.domain),
             "inline script cookies missing"
         );
     }

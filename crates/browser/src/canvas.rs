@@ -43,7 +43,7 @@ impl CanvasActivity {
     /// Device-dependent `toDataURL` readback: same ops + same device ⇒ same
     /// value; different device ⇒ different value. That is precisely what
     /// makes canvas output a fingerprint.
-    pub fn render_data_url(&self, device: &DeviceProfile) -> String {
+    pub(crate) fn render_data_url(&self, device: &DeviceProfile) -> String {
         let mut acc = mix(
             device.render_quirk,
             (self.width as u64) << 32 | self.height as u64,

@@ -6,25 +6,25 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
     /// User agent (a literal, sent on every request without a copy).
-    pub user_agent: &'static str,
+    pub(crate) user_agent: &'static str,
     /// Platform.
     pub platform: String,
     /// Screen width.
-    pub screen_width: u32,
+    pub(crate) screen_width: u32,
     /// Screen height.
-    pub screen_height: u32,
+    pub(crate) screen_height: u32,
     /// Installed fonts (font fingerprinting measures these).
     pub fonts: Vec<String>,
     /// Private address exposed through WebRTC candidates.
-    pub local_ip: Ipv4Addr,
+    pub(crate) local_ip: Ipv4Addr,
     /// GPU/renderer quirk seed: two devices render the same canvas ops to
     /// different pixels.
-    pub render_quirk: u64,
+    pub(crate) render_quirk: u64,
 }
 
 impl DeviceProfile {
     /// The OpenWPM profile the study used (Firefox 52).
-    pub fn openwpm_firefox52() -> Self {
+    pub(crate) fn openwpm_firefox52() -> Self {
         DeviceProfile {
             user_agent: "Mozilla/5.0 (X11; Linux x86_64; rv:52.0) Gecko/20100101 Firefox/52.0",
             platform: "Linux x86_64".to_string(),
@@ -37,7 +37,7 @@ impl DeviceProfile {
     }
 
     /// The Selenium Chrome profile of the interaction crawler.
-    pub fn selenium_chrome() -> Self {
+    pub(crate) fn selenium_chrome() -> Self {
         DeviceProfile {
             user_agent: "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like Gecko) \
                          Chrome/71.0.3578.98 Safari/537.36",
@@ -52,7 +52,7 @@ impl DeviceProfile {
 
     /// Deterministic text-measurement width for a `(font, text)` pair on
     /// this device — the signal font fingerprinting integrates.
-    pub fn measure_text(&self, font: &str, text: &str) -> i64 {
+    pub(crate) fn measure_text(&self, font: &str, text: &str) -> i64 {
         let installed = self.fonts.iter().any(|f| f == font);
         let base = text.chars().count() as i64 * 7;
         if installed {

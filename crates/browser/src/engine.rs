@@ -63,7 +63,7 @@ pub struct PageHost<'a, 'w> {
 
 impl<'a, 'w> PageHost<'a, 'w> {
     /// Creates the host for one script run.
-    pub fn new(
+    pub(crate) fn new(
         browser: &'a mut Browser<'w>,
         visit: &'a mut PageVisit,
         page_url: &Url,
@@ -83,7 +83,7 @@ impl<'a, 'w> PageHost<'a, 'w> {
     }
 
     /// Takes the canvas activity accumulated by this script.
-    pub fn take_canvas(&mut self) -> CanvasActivity {
+    pub(crate) fn take_canvas(&mut self) -> CanvasActivity {
         std::mem::take(&mut self.canvas)
     }
 
@@ -143,7 +143,6 @@ impl HostApi for PageHost<'_, '_> {
                 }
                 let accepted = self.browser.jar.store(cookie.clone(), &self.page_url);
                 self.visit.cookies.push(CookieObservation {
-                    origin_host: self.page_url.host().as_str().to_string(),
                     effective_domain: self.page_url.host().as_str().to_string(),
                     cookie,
                     via: SetVia::Script,

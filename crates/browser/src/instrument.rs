@@ -32,7 +32,8 @@ pub struct RequestRecord {
     pub method: Method,
     /// Kind.
     pub kind: ResourceKind,
-    /// The `Referer` the request carried.
+    /// The referrer: the page or frame that made the request, or the URL
+    /// that redirected to it.
     pub referrer: Option<Url>,
     /// Initiator.
     pub initiator: Initiator,
@@ -42,8 +43,6 @@ pub struct RequestRecord {
     pub content_type: Option<&'static str>,
     /// Digest of the certificate the server presented (HTTPS only).
     pub cert: Option<CertSummary>,
-    /// `Location` target when the response redirected.
-    pub redirected_to: Option<Url>,
 }
 
 /// How a cookie reached the jar.
@@ -58,9 +57,8 @@ pub enum SetVia {
 /// One observed cookie-set event.
 #[derive(Debug, Clone)]
 pub struct CookieObservation {
-    /// Host of the response (or page, for script cookies) that set it.
-    pub origin_host: String,
-    /// Effective cookie domain after jar rules.
+    /// Effective cookie domain after jar rules (the page's host for script
+    /// cookies).
     pub effective_domain: String,
     /// Cookie.
     pub cookie: Cookie,

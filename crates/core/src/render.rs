@@ -10,7 +10,7 @@ use crate::results::StudyResults;
 
 impl StudyResults {
     /// §3 corpus compilation.
-    pub fn render_corpus(&self) -> String {
+    fn render_corpus(&self) -> String {
         let c = &self.corpus;
         let mut t = Table::new("Corpus compilation (paper §3)", &["source", "count"]);
         t.row(&["directory aggregators", &fmt_count(c.from_directories)]);
@@ -25,7 +25,7 @@ impl StudyResults {
     }
 
     /// Fig. 1.
-    pub fn render_fig1(&self) -> String {
+    fn render_fig1(&self) -> String {
         let best: Vec<f64> = self
             .fig1
             .points
@@ -63,7 +63,7 @@ impl StudyResults {
     }
 
     /// Table 1.
-    pub fn render_table1(&self) -> String {
+    fn render_table1(&self) -> String {
         let mut t = Table::new(
             "Table 1 — largest porn-publisher clusters",
             &["company", "# sites", "most popular site (best rank)"],
@@ -132,7 +132,7 @@ impl StudyResults {
     }
 
     /// Table 3.
-    pub fn render_table3(&self) -> String {
+    fn render_table3(&self) -> String {
         let mut t = Table::new(
             "Table 3 — third-party presence by popularity interval",
             &["interval", "porn sites", "third-party (unique)"],
@@ -157,7 +157,7 @@ impl StudyResults {
     }
 
     /// Fig. 3.
-    pub fn render_fig3(&self) -> String {
+    fn render_fig3(&self) -> String {
         let mut t = Table::new(
             "Fig. 3 — top third-party organizations",
             &["organization", "porn sites", "porn %", "regular %"],
@@ -189,7 +189,7 @@ impl StudyResults {
     }
 
     /// Table 4 + §5.1.1 statistics.
-    pub fn render_table4(&self) -> String {
+    fn render_table4(&self) -> String {
         let s = &self.cookie_stats;
         let mut t = Table::new(
             "Table 4 — top third-party domains delivering ID cookies",
@@ -244,7 +244,7 @@ impl StudyResults {
     }
 
     /// Fig. 4 + §5.1.2 statistics.
-    pub fn render_fig4(&self, min_exchanges: usize) -> String {
+    fn render_fig4(&self, min_exchanges: usize) -> String {
         let mut t = Table::new(
             "Fig. 4 — cookie syncing (heaviest pairs)",
             &["origin", "destination", "# cookies"],
@@ -270,7 +270,7 @@ impl StudyResults {
     }
 
     /// Table 5 + §5.1.3/5.1.4 statistics.
-    pub fn render_table5(&self) -> String {
+    fn render_table5(&self) -> String {
         let mut t = Table::new(
             "Table 5 — fingerprinting third parties",
             &[
@@ -323,7 +323,7 @@ impl StudyResults {
     }
 
     /// Table 6 + §5.2.
-    pub fn render_table6(&self) -> String {
+    fn render_table6(&self) -> String {
         let mut t = Table::new(
             "Table 6 — HTTPS usage",
             &[
@@ -354,7 +354,7 @@ impl StudyResults {
     }
 
     /// Table 7 + §6.
-    pub fn render_table7(&self) -> String {
+    fn render_table7(&self) -> String {
         let mut t = Table::new(
             "Table 7 — per-country comparison",
             &[
@@ -402,7 +402,7 @@ impl StudyResults {
     }
 
     /// Table 8 + §7.1.
-    pub fn render_table8(&self) -> String {
+    fn render_table8(&self) -> String {
         let mut t = Table::new(
             "Table 8 — cookie banners (EU vs USA)",
             &["type", "EU", "USA"],
@@ -442,7 +442,7 @@ impl StudyResults {
     }
 
     /// §7.2 age verification.
-    pub fn render_agegates(&self) -> String {
+    fn render_agegates(&self) -> String {
         let mut t = Table::new(
             "Age verification (paper §7.2, top-sites subset)",
             &[
@@ -475,7 +475,7 @@ impl StudyResults {
     }
 
     /// §7.3 privacy policies.
-    pub fn render_policies(&self) -> String {
+    fn render_policies(&self) -> String {
         let p = &self.policies;
         let (checked, disclosing, full) = self.disclosure_check;
         format!(

@@ -31,7 +31,7 @@ pub struct StageTiming {
     /// Records the stage read (visits, cookie rows, interaction records…).
     pub input_records: usize,
     /// Records the stage produced (table rows, detections, clusters…).
-    pub output_records: usize,
+    pub(crate) output_records: usize,
 }
 
 /// Final hit/miss counters of one shared analysis cache, as
@@ -98,7 +98,7 @@ pub struct StudyResults {
     /// Fig. 3 organization prevalence (porn side).
     pub fig3_porn: Vec<OrgPrevalence>,
     /// Fig. 3 organization prevalence (regular side, for comparison).
-    pub fig3_regular: Vec<OrgPrevalence>,
+    pub(crate) fig3_regular: Vec<OrgPrevalence>,
     /// §4.2(3) attribution coverage.
     pub attribution: AttributionStats,
     /// §5.1.1 cookies.
@@ -126,7 +126,7 @@ pub struct StudyResults {
     /// Table 8's USA column.
     pub banners_usa: BannerBreakdown,
     /// §7.2.
-    pub agegates: AgeGateComparison,
+    pub(crate) agegates: AgeGateComparison,
     /// §7.3.
     pub policies: PolicyReport,
     /// Polisis-style disclosure check over the top tracker-heavy sites:

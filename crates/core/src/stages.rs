@@ -3,7 +3,7 @@
 //! Every analysis of the paper is a *stage* — a named unit that consumes
 //! only the [`MeasurementDb`] plus the shared [`AnalysisContext`] and
 //! produces one table/figure bundle. Stages with no dependency on another
-//! stage's output run concurrently on a crossbeam scope (wave A); the
+//! stage's output run concurrently on scoped threads (wave A); the
 //! three dependent stages run in two follow-up waves:
 //!
 //! * `fingerprinting` needs `webrtc` (Table 5 merges both script sets);
@@ -19,9 +19,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::thread::ScopedJoinHandle;
 use std::time::Instant;
 
-use crossbeam::thread::ScopedJoinHandle;
 use redlight_analysis::agegate::AgeGateComparison;
 use redlight_analysis::ats::AtsClassifier;
 use redlight_analysis::consent::BannerBreakdown;
@@ -57,39 +57,39 @@ use crate::study::StudyConfig;
 use crate::WorldThreatFeed;
 
 /// §3 corpus-compilation summary.
-pub const CORPUS_SUMMARY: &str = "corpus-summary";
+const CORPUS_SUMMARY: &str = "corpus-summary";
 /// Fig. 1 + Table 3 (rank stability and tier presence).
-pub const POPULARITY: &str = "popularity";
+const POPULARITY: &str = "popularity";
 /// Table 2 (first/third-party domains).
-pub const THIRD_PARTIES: &str = "third-parties";
+const THIRD_PARTIES: &str = "third-parties";
 /// Fig. 3 + §4.2(3) attribution.
-pub const ORGANIZATIONS: &str = "organizations";
+const ORGANIZATIONS: &str = "organizations";
 /// §5.1.1 + Table 4.
-pub const COOKIES: &str = "cookies";
+const COOKIES: &str = "cookies";
 /// §5.1.2 / Fig. 4.
-pub const COOKIE_SYNC: &str = "cookie-sync";
+const COOKIE_SYNC: &str = "cookie-sync";
 /// §5.1.4.
-pub const WEBRTC: &str = "webrtc";
+const WEBRTC: &str = "webrtc";
 /// §5.1.3 + Table 5.
-pub const FINGERPRINTING: &str = "fingerprinting";
+const FINGERPRINTING: &str = "fingerprinting";
 /// §5.2 / Table 6.
-pub const HTTPS: &str = "https";
+pub(crate) const HTTPS: &str = "https";
 /// §5.3.
-pub const MALWARE: &str = "malware";
+const MALWARE: &str = "malware";
 /// §6 / Table 7 (geo sweep comparison).
-pub const GEO: &str = "geo";
+const GEO: &str = "geo";
 /// §7.1 / Table 8.
-pub const CONSENT_BANNERS: &str = "consent-banners";
+const CONSENT_BANNERS: &str = "consent-banners";
 /// §7.3 policy collection + similarity sweep.
-pub const POLICIES: &str = "policies";
+const POLICIES: &str = "policies";
 /// §4.1 / Table 1.
-pub const OWNERSHIP: &str = "ownership";
+const OWNERSHIP: &str = "ownership";
 /// §4.1 monetization.
-pub const MONETIZATION: &str = "monetization";
+const MONETIZATION: &str = "monetization";
 /// §7.2 age verification.
-pub const AGE_GATES: &str = "age-gates";
+const AGE_GATES: &str = "age-gates";
 /// §7.3 Polisis-style disclosure check.
-pub const DISCLOSURE: &str = "disclosure";
+const DISCLOSURE: &str = "disclosure";
 
 /// Every stage, in paper order.
 pub const STAGES: [&str; 17] = [
@@ -114,11 +114,11 @@ pub const STAGES: [&str; 17] = [
 
 /// The countries whose interaction crawls feed the §7.2 age-gate
 /// comparison (fixed by the paper, independent of the geo-sweep list).
-pub const GATE_COUNTRIES: [Country; 4] =
+pub(crate) const GATE_COUNTRIES: [Country; 4] =
     [Country::Usa, Country::Uk, Country::Spain, Country::Russia];
 
 /// Stages whose outputs `stage` consumes.
-pub fn dependencies(stage: &str) -> &'static [&'static str] {
+fn dependencies(stage: &str) -> &'static [&'static str] {
     match stage {
         FINGERPRINTING => &[WEBRTC],
         OWNERSHIP => &[POLICIES],
@@ -177,11 +177,9 @@ pub struct AnalysisContext<'a> {
     pub world: &'a World,
     /// Geo-sweep countries, Spain first (Table 7 row order).
     pub countries: Vec<Country>,
-    /// Size of the §7.2 manually studied most-popular subset.
-    pub agegate_top_n: usize,
     /// Sampling target for the §7.3 policy pairs
     /// ([`StudyConfig::max_policy_pairs`]).
-    pub max_policy_pairs: usize,
+    pub(crate) max_policy_pairs: usize,
     /// §3 corpus compilation, as collection recorded it in the DB.
     pub corpus: &'a CorpusReport,
     /// Rank histories of the sanitized corpus, from the DB.
@@ -199,19 +197,19 @@ pub struct AnalysisContext<'a> {
     pub classifier: AtsClassifier,
     /// Certificates harvested once from the main crawls (plus the
     /// out-of-band TLS probe), shared by the organizations stage.
-    pub cert_harvest: CertHarvest,
+    cert_harvest: CertHarvest,
     /// The main Spanish porn crawl.
     pub porn_es: &'a CrawlRecord,
     /// The Spanish regular-corpus reference crawl.
-    pub regular_es: &'a CrawlRecord,
+    regular_es: &'a CrawlRecord,
     /// Third-party extraction of the Spanish porn crawl.
     pub porn_extract: ThirdPartyExtract,
     /// Third-party extraction of the regular reference crawl.
     pub regular_extract: ThirdPartyExtract,
     /// All cookie rows of the Spanish porn crawl.
-    pub cookie_rows: Vec<CookieRow>,
+    cookie_rows: Vec<CookieRow>,
     /// The Spanish interaction crawl (full corpus).
-    pub interactions_es: Vec<InteractionRecord>,
+    interactions_es: Vec<InteractionRecord>,
     /// The Spanish vantage point's public IP, as recorded by the crawl —
     /// what server-side trackers embed in cookies.
     pub client_ip: Ipv4Addr,
@@ -227,7 +225,7 @@ impl<'a> AnalysisContext<'a> {
     /// argument goes when that benchmark changes.
     ///
     /// Panics if the DB lacks the Spanish porn/regular crawls — the plan
-    /// produced by [`StudyConfig::crawl_plan`] always records them.
+    /// produced by `StudyConfig::crawl_plan` always records them.
     pub fn build_sharded(
         world: &'a World,
         config: &StudyConfig,
@@ -270,20 +268,18 @@ impl<'a> AnalysisContext<'a> {
         };
         // The four whole-crawl passes read only the DB and the world, so
         // they run concurrently, one scan per crawl.
-        let (porn_extract, regular_extract, cookie_rows, cert_harvest) =
-            crossbeam::thread::scope(|s| {
-                let porn = s.spawn(|_| thirdparty::extract(porn_es, true));
-                let regular = s.spawn(|_| thirdparty::extract(regular_es, true));
-                let rows = s.spawn(|_| cookies::collect(porn_es));
-                let certs = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
-                (
-                    porn.join().expect("porn extract thread"),
-                    regular.join().expect("regular extract thread"),
-                    rows.join().expect("cookie rows thread"),
-                    certs,
-                )
-            })
-            .expect("context build scope");
+        let (porn_extract, regular_extract, cookie_rows, cert_harvest) = std::thread::scope(|s| {
+            let porn = s.spawn(|| thirdparty::extract(porn_es, true));
+            let regular = s.spawn(|| thirdparty::extract(regular_es, true));
+            let rows = s.spawn(|| cookies::collect(porn_es));
+            let certs = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
+            (
+                porn.join().expect("porn extract thread"),
+                regular.join().expect("regular extract thread"),
+                rows.join().expect("cookie rows thread"),
+                certs,
+            )
+        });
         let interactions_es: Vec<InteractionRecord> =
             db.interactions_in(Country::Spain).cloned().collect();
         let client_ip = porn_es.client_ip;
@@ -291,7 +287,6 @@ impl<'a> AnalysisContext<'a> {
         AnalysisContext {
             world,
             countries: config.countries.clone(),
-            agegate_top_n: config.agegate_top_n,
             max_policy_pairs: config.max_policy_pairs,
             corpus,
             porn_histories,
@@ -324,39 +319,39 @@ impl<'a> AnalysisContext<'a> {
 #[derive(Debug, Default)]
 pub struct StageOutputs {
     /// [`CORPUS_SUMMARY`].
-    pub corpus_summary: Option<CorpusSummary>,
-    /// [`POPULARITY`]: Fig. 1 + Table 3.
+    corpus_summary: Option<CorpusSummary>,
+    /// `POPULARITY`: Fig. 1 + Table 3.
     pub popularity: Option<(Fig1, Table3)>,
-    /// [`THIRD_PARTIES`]: Table 2.
+    /// `THIRD_PARTIES`: Table 2.
     pub third_parties: Option<ats::Table2>,
-    /// [`ORGANIZATIONS`]: attribution coverage + both Fig. 3 sides.
+    /// `ORGANIZATIONS`: attribution coverage + both Fig. 3 sides.
     pub organizations: Option<(AttributionStats, Vec<OrgPrevalence>, Vec<OrgPrevalence>)>,
-    /// [`COOKIES`]: §5.1.1 stats + Table 4.
+    /// `COOKIES`: §5.1.1 stats + Table 4.
     pub cookies: Option<(CookieStats, Vec<Table4Row>)>,
     /// [`COOKIE_SYNC`].
-    pub cookie_sync: Option<SyncReport>,
-    /// [`WEBRTC`].
+    cookie_sync: Option<SyncReport>,
+    /// `WEBRTC`.
     pub webrtc: Option<WebRtcReport>,
-    /// [`FINGERPRINTING`]: §5.1.3 report + Table 5.
+    /// `FINGERPRINTING`: §5.1.3 report + Table 5.
     pub fingerprinting: Option<(FingerprintReport, Vec<Table5Row>)>,
-    /// [`HTTPS`]: Table 6.
+    /// `HTTPS`: Table 6.
     pub https: Option<HttpsReport>,
-    /// [`MALWARE`].
+    /// `MALWARE`.
     pub malware: Option<MalwareReport>,
-    /// [`GEO`]: Table 7 + §6.2 malware comparison.
+    /// `GEO`: Table 7 + §6.2 malware comparison.
     pub geo: Option<(Table7, GeoMalware)>,
     /// [`CONSENT_BANNERS`]: EU and USA breakdowns.
-    pub consent_banners: Option<(BannerBreakdown, BannerBreakdown)>,
-    /// [`POLICIES`]: fetched docs, the TF-IDF model fitted on them (which
-    /// [`OWNERSHIP`] clusters with) + §7.3 report.
+    consent_banners: Option<(BannerBreakdown, BannerBreakdown)>,
+    /// `POLICIES`: fetched docs, the TF-IDF model fitted on them (which
+    /// `OWNERSHIP` clusters with) + §7.3 report.
     pub policies: Option<(Vec<PolicyDoc>, TfIdfModel, PolicyReport)>,
-    /// [`OWNERSHIP`]: Table 1.
+    /// `OWNERSHIP`: Table 1.
     pub ownership: Option<OwnershipReport>,
-    /// [`MONETIZATION`].
+    /// `MONETIZATION`.
     pub monetization: Option<MonetizationReport>,
-    /// [`AGE_GATES`].
+    /// `AGE_GATES`.
     pub age_gates: Option<AgeGateComparison>,
-    /// [`DISCLOSURE`]: `(checked, disclosing, full list)`.
+    /// `DISCLOSURE`: `(checked, disclosing, full list)`.
     pub disclosure: Option<(usize, usize, usize)>,
 }
 
@@ -641,34 +636,33 @@ pub fn run_observed(
     let want = |name: &'static str| selected.contains(name);
 
     // ---- Wave A: the 14 independent stages. ----
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let h_corpus = want(CORPUS_SUMMARY)
-            .then(|| s.spawn(|_| observed(obs, CORPUS_SUMMARY, || stage_corpus_summary(ctx))));
+            .then(|| s.spawn(|| observed(obs, CORPUS_SUMMARY, || stage_corpus_summary(ctx))));
         let h_popularity = want(POPULARITY)
-            .then(|| s.spawn(|_| observed(obs, POPULARITY, || stage_popularity(ctx))));
+            .then(|| s.spawn(|| observed(obs, POPULARITY, || stage_popularity(ctx))));
         let h_third = want(THIRD_PARTIES)
-            .then(|| s.spawn(|_| observed(obs, THIRD_PARTIES, || stage_third_parties(ctx))));
+            .then(|| s.spawn(|| observed(obs, THIRD_PARTIES, || stage_third_parties(ctx))));
         let h_orgs = want(ORGANIZATIONS)
-            .then(|| s.spawn(|_| observed(obs, ORGANIZATIONS, || stage_organizations(ctx))));
+            .then(|| s.spawn(|| observed(obs, ORGANIZATIONS, || stage_organizations(ctx))));
         let h_cookies =
-            want(COOKIES).then(|| s.spawn(|_| observed(obs, COOKIES, || stage_cookies(ctx))));
+            want(COOKIES).then(|| s.spawn(|| observed(obs, COOKIES, || stage_cookies(ctx))));
         let h_sync = want(COOKIE_SYNC)
-            .then(|| s.spawn(|_| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx))));
+            .then(|| s.spawn(|| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx))));
         let h_webrtc =
-            want(WEBRTC).then(|| s.spawn(|_| observed(obs, WEBRTC, || stage_webrtc(ctx))));
-        let h_https = want(HTTPS).then(|| s.spawn(|_| observed(obs, HTTPS, || stage_https(ctx))));
+            want(WEBRTC).then(|| s.spawn(|| observed(obs, WEBRTC, || stage_webrtc(ctx))));
+        let h_https = want(HTTPS).then(|| s.spawn(|| observed(obs, HTTPS, || stage_https(ctx))));
         let h_malware =
-            want(MALWARE).then(|| s.spawn(|_| observed(obs, MALWARE, || stage_malware(ctx))));
-        let h_geo = want(GEO).then(|| s.spawn(|_| observed(obs, GEO, || stage_geo(db, ctx))));
-        let h_banners = want(CONSENT_BANNERS).then(|| {
-            s.spawn(|_| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx)))
-        });
+            want(MALWARE).then(|| s.spawn(|| observed(obs, MALWARE, || stage_malware(ctx))));
+        let h_geo = want(GEO).then(|| s.spawn(|| observed(obs, GEO, || stage_geo(db, ctx))));
+        let h_banners = want(CONSENT_BANNERS)
+            .then(|| s.spawn(|| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx))));
         let h_policies =
-            want(POLICIES).then(|| s.spawn(|_| observed(obs, POLICIES, || stage_policies(ctx))));
+            want(POLICIES).then(|| s.spawn(|| observed(obs, POLICIES, || stage_policies(ctx))));
         let h_monetization = want(MONETIZATION)
-            .then(|| s.spawn(|_| observed(obs, MONETIZATION, || stage_monetization(ctx))));
+            .then(|| s.spawn(|| observed(obs, MONETIZATION, || stage_monetization(ctx))));
         let h_gates = want(AGE_GATES)
-            .then(|| s.spawn(|_| observed(obs, AGE_GATES, || stage_age_gates(db, ctx))));
+            .then(|| s.spawn(|| observed(obs, AGE_GATES, || stage_age_gates(db, ctx))));
 
         join(h_corpus, &mut outputs.corpus_summary, &mut timings);
         join(h_popularity, &mut outputs.popularity, &mut timings);
@@ -684,29 +678,27 @@ pub fn run_observed(
         join(h_policies, &mut outputs.policies, &mut timings);
         join(h_monetization, &mut outputs.monetization, &mut timings);
         join(h_gates, &mut outputs.age_gates, &mut timings);
-    })
-    .expect("crossbeam scope");
+    });
 
     // ---- Wave B: stages reading wave-A outputs. ----
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let rtc = &outputs.webrtc;
         let docs = &outputs.policies;
         let h_fp = want(FINGERPRINTING).then(|| {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let rtc = rtc.as_ref().expect("webrtc ran (dependency)");
                 observed(obs, FINGERPRINTING, || stage_fingerprinting(ctx, rtc))
             })
         });
         let h_owners = want(OWNERSHIP).then(|| {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let (docs, model, _) = docs.as_ref().expect("policies ran (dependency)");
                 observed(obs, OWNERSHIP, || stage_ownership(ctx, docs, model))
             })
         });
         join(h_fp, &mut outputs.fingerprinting, &mut timings);
         join(h_owners, &mut outputs.ownership, &mut timings);
-    })
-    .expect("crossbeam scope");
+    });
 
     // ---- Wave C: the disclosure check (needs fingerprinting + policies). ----
     if want(DISCLOSURE) {

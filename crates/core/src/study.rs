@@ -3,7 +3,7 @@
 //!
 //! The pipeline has three layers:
 //!
-//! 1. **Collection** — [`StudyConfig::crawl_plan`] derives a
+//! 1. **Collection** — `StudyConfig::crawl_plan` derives a
 //!    [`CrawlPlan`] (countries × corpora × store-DOM flags plus the
 //!    Selenium interaction crawls) and [`Study::collect_db`] executes it,
 //!    recording *every* crawl into a [`MeasurementDb`].
@@ -42,12 +42,12 @@ pub struct StudyConfig {
     pub countries: Vec<Country>,
     /// Size of the manually studied most-popular subset for age gates
     /// (50 in the paper; scaled for smaller worlds).
-    pub agegate_top_n: usize,
+    pub(crate) agegate_top_n: usize,
     /// Sampling target for the §7.3 similarity sweep: every
     /// `⌊pairs / max_policy_pairs⌋`-th policy pair is examined. The floored
     /// stride makes it a target, not a cap: all pairs are examined below
     /// twice this many, so a sweep can examine nearly twice the target.
-    pub max_policy_pairs: usize,
+    pub(crate) max_policy_pairs: usize,
     /// Network profile every crawl runs over: transport stack (metered,
     /// optionally fault-injecting) plus the visit retry policy. The default
     /// injects nothing, so results stay byte-identical to a direct run.
@@ -97,7 +97,7 @@ impl StudyConfig {
     /// * Selenium: the full-corpus Spanish interaction crawl (§7.3/§4.1)
     ///   plus the §7.2 age-gate crawls of the top-N set from the other
     ///   [`GATE_COUNTRIES`].
-    pub fn crawl_plan(&self) -> CrawlPlan {
+    pub(crate) fn crawl_plan(&self) -> CrawlPlan {
         let mut openwpm = vec![
             CrawlSpec {
                 config: CrawlConfig {

@@ -30,7 +30,8 @@ pub enum CorpusLabel {
 }
 
 /// One site's visit inside a crawl. Rows are appended through
-/// [`CrawlRecord::push_visit`] / [`CrawlRecord::push_visit_with`], which
+/// [`CrawlRecord::push_visit`] (or, for retried visits, its crate-private
+/// `push_visit_with`), which
 /// intern the domain into the owning crawl's table.
 #[derive(Debug, Clone)]
 pub struct SiteVisitRecord {
@@ -62,8 +63,7 @@ pub struct CrawlRecord {
 
 impl CrawlRecord {
     /// An empty crawl whose visit rows are appended through
-    /// [`push_visit`](Self::push_visit) /
-    /// [`push_visit_with`](Self::push_visit_with).
+    /// [`push_visit`](Self::push_visit) / `push_visit_with`.
     pub fn new(country: Country, corpus: CorpusLabel, client_ip: Ipv4Addr) -> Self {
         CrawlRecord {
             country,
@@ -75,15 +75,14 @@ impl CrawlRecord {
     }
 
     /// Appends a single-attempt visit row (the overwhelmingly common case;
-    /// retrying crawlers record attempts via
-    /// [`push_visit_with`](Self::push_visit_with)).
+    /// retrying crawlers record attempts via `push_visit_with`).
     pub fn push_visit(&mut self, domain: &str, visit: PageVisit) {
         self.push_visit_with(domain, visit, 1);
     }
 
     /// Appends a visit row, interning the domain into the crawl's string
     /// table at record time.
-    pub fn push_visit_with(&mut self, domain: &str, visit: PageVisit, attempts: u32) {
+    pub(crate) fn push_visit_with(&mut self, domain: &str, visit: PageVisit, attempts: u32) {
         let domain = self.names.intern(domain);
         self.visits.push(SiteVisitRecord {
             domain,
@@ -112,11 +111,6 @@ impl CrawlRecord {
     /// Number of successfully crawled sites.
     pub fn success_count(&self) -> usize {
         self.successful().count()
-    }
-
-    /// Number of visits whose document never loaded.
-    pub fn failure_count(&self) -> usize {
-        self.visits.len() - self.success_count()
     }
 
     /// Total retries (attempts beyond each visit's first).
@@ -148,8 +142,6 @@ pub struct InteractionRecord {
     /// Fetched policy text (`None` when the link 404s/errors — the §7.3
     /// false positives).
     pub policy_text: Option<String>,
-    /// Landing page text contained account-creation keywords.
-    pub login_signal: bool,
     /// Landing page text contained premium/subscription keywords.
     pub premium_signal: bool,
     /// Text of the premium page, when one was fetched.
@@ -158,12 +150,9 @@ pub struct InteractionRecord {
 
 /// The whole study's collected data.
 ///
-/// Fields are private so every insertion goes through [`push_crawl`] /
-/// [`push_interactions`] and the `(country, corpus)` lookup index can never
+/// Fields are private so every insertion goes through `push_crawl` /
+/// `push_interactions` and the `(country, corpus)` lookup index can never
 /// go stale.
-///
-/// [`push_crawl`]: MeasurementDb::push_crawl
-/// [`push_interactions`]: MeasurementDb::push_interactions
 #[derive(Debug, Clone)]
 pub struct MeasurementDb {
     /// The §3 corpus compilation the crawls swept.
@@ -183,7 +172,7 @@ pub struct MeasurementDb {
 impl MeasurementDb {
     /// A DB with no crawls yet, over a compiled corpus and the rank
     /// histories of its sanitized domains.
-    pub fn new(corpus: CorpusReport, rank_histories: BTreeMap<String, RankHistory>) -> Self {
+    pub(crate) fn new(corpus: CorpusReport, rank_histories: BTreeMap<String, RankHistory>) -> Self {
         MeasurementDb {
             corpus,
             rank_histories,
@@ -208,7 +197,7 @@ impl MeasurementDb {
     /// semantics); duplicates stay reachable through [`crawls`].
     ///
     /// [`crawls`]: MeasurementDb::crawls
-    pub fn push_crawl(&mut self, crawl: CrawlRecord) {
+    pub(crate) fn push_crawl(&mut self, crawl: CrawlRecord) {
         let key = (crawl.country, crawl.corpus);
         let idx = self.crawls.len();
         self.crawls.push(crawl);
@@ -216,7 +205,10 @@ impl MeasurementDb {
     }
 
     /// Appends interaction-crawler output.
-    pub fn push_interactions(&mut self, records: impl IntoIterator<Item = InteractionRecord>) {
+    pub(crate) fn push_interactions(
+        &mut self,
+        records: impl IntoIterator<Item = InteractionRecord>,
+    ) {
         self.interactions.extend(records);
     }
 
@@ -371,6 +363,5 @@ mod tests {
         assert_eq!(crawl.name(crawl.visits[1].domain), "b.com");
         crawl.visits[1].attempts = 3;
         assert_eq!(crawl.total_retries(), 2);
-        assert_eq!(crawl.failure_count(), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! also keeps each session's transport stack (meter, fault injector)
 //! deterministic regardless of thread interleaving.
 //!
-//! [`run_jobs`] runs a plan's crawls on one pool of
+//! `run_jobs` runs a plan's crawls on one pool of
 //! [`available_parallelism`](std::thread::available_parallelism) workers,
 //! capped at the job count, that pull from one queue. The queue holds the
 //! heaviest job first, so the longest crawl starts at once instead of
@@ -35,18 +35,6 @@ pub struct CrawlObs {
     pub parent: Option<SpanLink>,
 }
 
-impl CrawlObs {
-    /// No-op plumbing: spans are dropped and counters land in a throwaway
-    /// registry.
-    pub fn disabled() -> Self {
-        CrawlObs {
-            trace: Trace::disabled(),
-            metrics: Registry::new(),
-            parent: None,
-        }
-    }
-}
-
 /// The order the pool takes `jobs` in, as job indices: the heaviest
 /// `weight` first, equal weights in job order.
 pub(crate) fn longest_first<J, W: Ord>(jobs: &[J], weight: impl Fn(&J) -> W) -> Vec<usize> {
@@ -73,9 +61,9 @@ pub(crate) fn run_jobs<J: Sync, W: Ord, R: Send>(
     // `done`'s lock, so `Relaxed` suffices.
     let next = AtomicUsize::new(0);
     let done: Mutex<Vec<(usize, R, MetricsSnapshot)>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 while let Some(&i) = queue.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let job = &jobs[i];
                     let name = shard(job);
@@ -93,8 +81,7 @@ pub(crate) fn run_jobs<J: Sync, W: Ord, R: Send>(
                 }
             });
         }
-    })
-    .expect("crawl worker panicked");
+    });
 
     let mut finished = done.into_inner().expect("crawl outputs lock poisoned");
     finished.sort_by_key(|&(i, ..)| i);

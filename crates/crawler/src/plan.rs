@@ -240,7 +240,17 @@ mod tests {
     use super::*;
     use crate::corpus::CorpusCompiler;
     use crate::openwpm::OpenWpmCrawler;
+    use redlight_obs::{Registry, Trace};
     use redlight_websim::WorldConfig;
+
+    /// Telemetry that drops spans and counts into a throwaway registry.
+    fn no_obs() -> CrawlObs {
+        CrawlObs {
+            trace: Trace::disabled(),
+            metrics: Registry::new(),
+            parent: None,
+        }
+    }
 
     #[test]
     fn plan_records_every_crawl_with_timings() {
@@ -292,8 +302,7 @@ mod tests {
         };
 
         let sanitized = corpus.sanitized.len();
-        let (db, timings) =
-            plan.execute(&world, corpus, BTreeMap::new(), &top, &CrawlObs::disabled());
+        let (db, timings) = plan.execute(&world, corpus, BTreeMap::new(), &top, &no_obs());
 
         assert_eq!(db.crawls().len(), 3);
         assert_eq!(timings.len(), 5);
@@ -338,7 +347,8 @@ mod tests {
             assert_eq!(t.sites, crawl.visits.len());
             assert_eq!(t.attempts, crawl.visits.len() as u64);
             assert_eq!(t.retries, 0);
-            assert_eq!(t.failures, crawl.failure_count() as u64);
+            let failed = crawl.visits.len() - crawl.success_count();
+            assert_eq!(t.failures, failed as u64);
         }
         // Interaction crawls count their unreachable sites as failures.
         for t in &timings[3..] {
@@ -389,13 +399,7 @@ mod tests {
                 net: NetProfile::default(),
             }],
         };
-        let (db, timings) = plan.execute(
-            &world,
-            corpus.clone(),
-            BTreeMap::new(),
-            &long,
-            &CrawlObs::disabled(),
-        );
+        let (db, timings) = plan.execute(&world, corpus.clone(), BTreeMap::new(), &long, &no_obs());
         assert_eq!(timings.len(), 4);
         let direct = OpenWpmCrawler::new(&world, config(Country::Usa)).crawl(&corpus.sanitized);
         let planned = db.crawl(Country::Usa, CorpusLabel::Porn).unwrap();
@@ -421,7 +425,6 @@ mod tests {
             assert_eq!(a.social_login_gate, b.social_login_gate);
             assert_eq!(a.policy_url, b.policy_url);
             assert_eq!(a.policy_text, b.policy_text);
-            assert_eq!(a.login_signal, b.login_signal);
             assert_eq!(a.premium_signal, b.premium_signal);
             assert_eq!(a.premium_page, b.premium_page);
         }

@@ -44,7 +44,7 @@ impl<'w> SeleniumCrawler<'w> {
     }
 
     /// Replaces the network profile the crawl runs over.
-    pub fn with_net(mut self, net: NetProfile) -> Self {
+    pub(crate) fn with_net(mut self, net: NetProfile) -> Self {
         self.net = net;
         self
     }
@@ -62,7 +62,7 @@ impl<'w> SeleniumCrawler<'w> {
     /// `transport.*` counters, `transport.retries`,
     /// `crawl.unreachable_sites` and the `crawl.attempts` histogram into
     /// `registry`. Records are byte-identical to [`crawl`](Self::crawl)'s.
-    pub fn crawl_observed(
+    pub(crate) fn crawl_observed(
         &self,
         domains: &[String],
         tracer: &mut Tracer,
@@ -108,7 +108,6 @@ impl<'w> SeleniumCrawler<'w> {
             social_login_gate: false,
             policy_url: None,
             policy_text: None,
-            login_signal: false,
             premium_signal: false,
             premium_page: None,
         };
@@ -177,7 +176,6 @@ impl<'w> SeleniumCrawler<'w> {
 
         // --- Monetization signals (§4.1). ---
         let body_text = doc.text_content(doc.root());
-        record.login_signal = lang::matches_account(&body_text);
         record.premium_signal = lang::matches_premium(&body_text);
         if record.premium_signal {
             if let Ok(premium) = page_url.join("/premium") {

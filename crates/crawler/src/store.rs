@@ -21,7 +21,7 @@ pub struct Sym(u32);
 
 impl Sym {
     /// The table index this sym resolves through.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -44,7 +44,7 @@ pub struct StrTable {
 
 impl StrTable {
     /// Empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -56,7 +56,7 @@ impl StrTable {
 
     /// Interns `s`, returning the existing sym when the string was seen
     /// before.
-    pub fn intern(&mut self, s: &str) -> Sym {
+    pub(crate) fn intern(&mut self, s: &str) -> Sym {
         let hash = Self::hash_of(s);
         if let Some(bucket) = self.buckets.get(&hash) {
             for &sym in bucket {
@@ -76,7 +76,7 @@ impl StrTable {
 
     /// The string behind `sym`. Panics on a sym from another table whose
     /// index is out of range.
-    pub fn resolve(&self, sym: Sym) -> &str {
+    pub(crate) fn resolve(&self, sym: Sym) -> &str {
         let (start, len) = self.spans[sym.index()];
         &self.arena[start as usize..(start + len) as usize]
     }

@@ -28,13 +28,8 @@ impl ElementData {
             .map(|(_, v)| v.as_str())
     }
 
-    /// The `id` attribute.
-    pub fn id(&self) -> Option<&str> {
-        self.attr("id")
-    }
-
     /// Whitespace-separated classes.
-    pub fn classes(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn classes(&self) -> impl Iterator<Item = &str> {
         self.attr("class").unwrap_or("").split_whitespace()
     }
 }
@@ -71,7 +66,7 @@ pub struct Document {
 
 impl Document {
     /// A document containing only the root node.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Document {
             nodes: vec![Node {
                 kind: NodeKind::Root,
@@ -87,12 +82,12 @@ impl Document {
     }
 
     /// Borrows a node.
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
     }
 
     /// Appends a new node under `parent` and returns its id.
-    pub fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+    pub(crate) fn append(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             kind,
@@ -114,7 +109,7 @@ impl Document {
     }
 
     /// Parent of `id`.
-    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn parent(&self, id: NodeId) -> Option<NodeId> {
         self.nodes[id.0 as usize].parent
     }
 
@@ -242,7 +237,7 @@ mod tests {
                 ("class".into(), "fixed cookie-notice".into()),
             ],
         };
-        assert_eq!(e.id(), Some("banner"));
+        assert_eq!(e.attr("id"), Some("banner"));
         assert_eq!(e.attr("missing"), None);
     }
 }

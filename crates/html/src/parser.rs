@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn nested_structure() {
         let doc = parse("<html><body><div id='a'><p>text</p></div></body></html>");
-        let div = query::by_id(&doc, "a").unwrap();
+        let div = query::by_tag(&doc, "div")[0];
         let e = doc.element(div).unwrap();
         assert_eq!(e.tag, "div");
         assert_eq!(doc.text_content(div), "text");

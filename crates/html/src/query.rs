@@ -9,12 +9,6 @@ pub fn by_tag(doc: &Document, tag: &str) -> Vec<NodeId> {
         .collect()
 }
 
-/// First element with `id="id"`.
-pub fn by_id(doc: &Document, id: &str) -> Option<NodeId> {
-    doc.descendants()
-        .find(|&n| doc.element(n).and_then(|e| e.id()) == Some(id))
-}
-
 /// All `(element, href)` anchor pairs.
 pub fn links(doc: &Document) -> Vec<(NodeId, String)> {
     by_tag(doc, "a")
@@ -89,11 +83,9 @@ mod tests {
       </body></html>"#;
 
     #[test]
-    fn tag_and_id_queries() {
+    fn tag_queries() {
         let doc = parse(PAGE);
         assert_eq!(by_tag(&doc, "script").len(), 2);
-        assert!(by_id(&doc, "overlay").is_some());
-        assert!(by_id(&doc, "missing").is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl InlineStyle {
     }
 
     /// Value of `property`, if declared.
-    pub fn get(&self, property: &str) -> Option<&str> {
+    pub(crate) fn get(&self, property: &str) -> Option<&str> {
         self.props
             .iter()
             .rev() // later declarations win
@@ -41,12 +41,12 @@ impl InlineStyle {
     }
 
     /// Numeric `z-index`, when declared and parseable.
-    pub fn z_index(&self) -> Option<i64> {
+    fn z_index(&self) -> Option<i64> {
         self.get("z-index").and_then(|v| v.trim().parse().ok())
     }
 
     /// `true` for `position: fixed` or `position: absolute`.
-    pub fn is_positioned_overlay(&self) -> bool {
+    fn is_positioned_overlay(&self) -> bool {
         matches!(
             self.get("position").map(str::to_ascii_lowercase).as_deref(),
             Some("fixed") | Some("absolute")
@@ -59,7 +59,7 @@ const OVERLAY_CLASS_HINTS: &[&str] = &["modal", "overlay", "popup", "banner", "n
 
 /// Returns `true` when element `id` *floats* above the page: positioned
 /// overlay, large z-index, or overlay-ish class names.
-pub fn is_floating(doc: &Document, id: NodeId) -> bool {
+fn is_floating(doc: &Document, id: NodeId) -> bool {
     let Some(e) = doc.element(id) else {
         return false;
     };
@@ -119,7 +119,11 @@ mod tests {
         );
         let float_ids: Vec<String> = floating_elements(&doc)
             .iter()
-            .filter_map(|&id| doc.element(id).and_then(|e| e.id()).map(str::to_string))
+            .filter_map(|&id| {
+                doc.element(id)
+                    .and_then(|e| e.attr("id"))
+                    .map(str::to_string)
+            })
             .collect();
         assert_eq!(float_ids, vec!["a", "b", "c"]);
     }

@@ -45,7 +45,7 @@ fn is_raw_text(name: &str) -> bool {
 }
 
 /// Decodes the handful of entities that matter for keyword matching.
-pub fn decode_entities(text: &str) -> String {
+fn decode_entities(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
     while let Some(idx) = rest.find('&') {
@@ -79,7 +79,7 @@ pub fn decode_entities(text: &str) -> String {
 
 /// Tokenizes `input` into a token stream. The tokenizer is lenient: stray
 /// `<` become text, unterminated constructs consume to end of input.
-pub fn tokenize(input: &str) -> Vec<Token> {
+pub(crate) fn tokenize(input: &str) -> Vec<Token> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut pos = 0;

@@ -36,7 +36,7 @@ pub struct Cookie {
     /// Secure.
     pub secure: bool,
     /// HTTP only.
-    pub http_only: bool,
+    http_only: bool,
     /// Same site.
     pub same_site: Option<SameSite>,
 }
@@ -78,12 +78,6 @@ impl Cookie {
     /// Sets the `Secure` flag (builder).
     pub fn secure(mut self) -> Cookie {
         self.secure = true;
-        self
-    }
-
-    /// Sets the `HttpOnly` flag (builder).
-    pub fn http_only(mut self) -> Cookie {
-        self.http_only = true;
         self
     }
 

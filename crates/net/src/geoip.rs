@@ -152,7 +152,7 @@ impl GeoIpDb {
     }
 
     /// Inserts a mapping.
-    pub fn insert(&mut self, ip: Ipv4Addr, info: GeoInfo) {
+    pub(crate) fn insert(&mut self, ip: Ipv4Addr, info: GeoInfo) {
         self.entries.retain(|(a, _)| *a != ip);
         self.entries.push((ip, info));
     }

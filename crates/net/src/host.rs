@@ -18,7 +18,7 @@ pub struct Fqdn(Arc<str>);
 impl Fqdn {
     /// Parses and normalizes a hostname: lowercases, strips one trailing dot,
     /// validates label syntax (LDH rule, 1–63 chars per label, ≤ 253 total).
-    pub fn parse(input: &str) -> Result<Fqdn, NetError> {
+    pub(crate) fn parse(input: &str) -> Result<Fqdn, NetError> {
         let trimmed = input.strip_suffix('.').unwrap_or(input);
         if trimmed.is_empty() || trimmed.len() > 253 {
             return Err(NetError::InvalidHost(input.to_string()));
@@ -50,23 +50,6 @@ impl Fqdn {
     /// The normalized hostname.
     pub fn as_str(&self) -> &str {
         &self.0
-    }
-
-    /// Labels from left (most specific) to right (TLD).
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.0.split('.')
-    }
-
-    /// The registrable domain (eTLD+1) of this host, per the embedded public
-    /// suffix list. Returns the host itself when it is already a suffix or
-    /// has a single label, sharing its buffer.
-    pub fn registrable(&self) -> Fqdn {
-        let reg = crate::psl::registrable_domain(&self.0);
-        if reg.len() == self.0.len() {
-            self.clone()
-        } else {
-            Fqdn(reg.into())
-        }
     }
 }
 
@@ -109,11 +92,5 @@ mod tests {
     fn accepts_underscore_labels() {
         // Seen in the wild for tracking beacons; browsers tolerate them.
         assert!(Fqdn::parse("_dmarc.example.com").is_ok());
-    }
-
-    #[test]
-    fn registrable_domain_shortcut() {
-        let h = Fqdn::parse("img100-589.xvideos.com").unwrap();
-        assert_eq!(h.registrable().as_str(), "xvideos.com");
     }
 }

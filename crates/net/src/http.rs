@@ -2,8 +2,8 @@
 //!
 //! This is the wire-object layer the instrumented browser and the synthetic
 //! web server exchange. It mirrors what OpenWPM's `http_requests` /
-//! `http_responses` tables record: URL, method, referrer, headers,
-//! status, content type and body.
+//! `http_responses` tables record: URL, method, headers, status, content
+//! type and body (the browser's request record keeps the referrer).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -62,15 +62,13 @@ impl StatusCode {
     /// Ok.
     pub const OK: StatusCode = StatusCode(200);
     /// Found.
-    pub const FOUND: StatusCode = StatusCode(302);
+    const FOUND: StatusCode = StatusCode(302);
     /// Not found.
     pub const NOT_FOUND: StatusCode = StatusCode(404);
     /// Gone.
     pub const GONE: StatusCode = StatusCode(410);
     /// Forbidden.
     pub const FORBIDDEN: StatusCode = StatusCode(403);
-    /// Gateway timeout.
-    pub const GATEWAY_TIMEOUT: StatusCode = StatusCode(504);
 
     /// 2xx.
     pub fn is_success(self) -> bool {
@@ -159,16 +157,6 @@ impl HeaderMap {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|(n, v)| (&**n, &**v))
     }
-
-    /// Number of header entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no headers are present.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// The resource type a request loads, as a browser would classify it
@@ -218,8 +206,6 @@ pub struct Request {
     pub url: Url,
     /// Headers.
     pub headers: HeaderMap,
-    /// The `Referer` header as a parsed URL, when present.
-    pub referrer: Option<Url>,
     /// What kind of resource the browser is loading.
     pub kind: ResourceKind,
 }
@@ -231,16 +217,8 @@ impl Request {
             method: Method::Get,
             url,
             headers: HeaderMap::new(),
-            referrer: None,
             kind,
         }
-    }
-
-    /// Sets the referrer (both the typed field and the wire header).
-    pub fn with_referrer(mut self, referrer: &Url) -> Request {
-        self.headers.set("referer", referrer.without_fragment());
-        self.referrer = Some(referrer.clone());
-        self
     }
 }
 
@@ -343,7 +321,7 @@ mod tests {
         assert_eq!(h.get_all("set-cookie").count(), 2);
         h.set("set-cookie", "c=3");
         assert_eq!(h.get_all("set-cookie").count(), 1);
-        assert_eq!(h.len(), 1);
+        assert_eq!(h.iter().count(), 1);
     }
 
     #[test]
@@ -384,10 +362,11 @@ mod tests {
     #[test]
     fn request_builders() {
         let url = Url::parse("https://site.com/").unwrap();
-        let refr = Url::parse("https://origin.com/page").unwrap();
-        let req = Request::get(url, ResourceKind::Script).with_referrer(&refr);
-        assert_eq!(req.headers.get("referer"), Some("https://origin.com/page"));
-        assert_eq!(req.referrer.as_ref().unwrap().host().as_str(), "origin.com");
+        let req = Request::get(url.clone(), ResourceKind::Script);
+        assert_eq!(req.method, Method::Get);
+        assert_eq!(req.url, url);
+        assert_eq!(req.kind, ResourceKind::Script);
+        assert_eq!(req.headers.iter().count(), 0);
     }
 
     #[test]
@@ -412,7 +391,7 @@ mod tests {
     #[test]
     fn response_text_and_error_helpers() {
         assert_eq!(Response::ok("text/plain", "hello").text(), "hello");
-        let err = Response::error(StatusCode::GATEWAY_TIMEOUT);
+        let err = Response::error(StatusCode::GONE);
         assert!(err.status.is_error());
         assert!(err.cookies().is_empty());
     }

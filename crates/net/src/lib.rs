@@ -2,8 +2,8 @@
 //!
 //! The network-object model underpinning the measurement platform: URLs,
 //! hostnames and registrable domains (eTLD+1), HTTP messages, RFC 6265
-//! cookies and a cookie jar, a simplified X.509 certificate model, DNS and
-//! WHOIS records, wire codecs (base64, percent-encoding), a geo-IP table,
+//! cookies and a cookie jar, a simplified X.509 certificate model, WHOIS
+//! records, wire codecs (base64, percent-encoding), a geo-IP table,
 //! and the [`transport`] seam (the [`Transport`] trait plus its metering
 //! and fault-injection decorators) every fetch flows through.
 //!
@@ -14,7 +14,6 @@
 
 pub mod codec;
 pub mod cookie;
-pub mod dns;
 pub mod error;
 pub mod geoip;
 pub mod host;

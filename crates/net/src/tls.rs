@@ -13,7 +13,7 @@
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DistinguishedName {
     /// Common Name (usually the domain, possibly wildcarded).
-    pub common_name: String,
+    common_name: String,
     /// Organization (`O=`), when the certificate carries one (OV/EV certs).
     pub organization: Option<String>,
     /// Country (`C=`).
@@ -22,7 +22,7 @@ pub struct DistinguishedName {
 
 impl DistinguishedName {
     /// A DV-style subject: only a common name.
-    pub fn domain_only(cn: impl Into<String>) -> Self {
+    fn domain_only(cn: impl Into<String>) -> Self {
         DistinguishedName {
             common_name: cn.into(),
             organization: None,
@@ -31,7 +31,7 @@ impl DistinguishedName {
     }
 
     /// An OV/EV-style subject with an organization.
-    pub fn with_org(cn: impl Into<String>, org: impl Into<String>) -> Self {
+    fn with_org(cn: impl Into<String>, org: impl Into<String>) -> Self {
         DistinguishedName {
             common_name: cn.into(),
             organization: Some(org.into()),
@@ -46,9 +46,9 @@ pub struct Certificate {
     /// Subject.
     pub subject: DistinguishedName,
     /// Issuer.
-    pub issuer: DistinguishedName,
+    issuer: DistinguishedName,
     /// Subject Alternative Names (DNS entries, possibly wildcards).
-    pub san: Vec<String>,
+    san: Vec<String>,
     /// Serial, for identity comparisons.
     pub serial: u64,
 }
@@ -89,24 +89,6 @@ impl Certificate {
         } else {
             Some(org)
         }
-    }
-
-    /// `true` when both certificates belong to the same identity:
-    /// same serial, or same attributable organization, or either covers the
-    /// other's common name.
-    pub fn same_identity(&self, other: &Certificate) -> bool {
-        if self.serial == other.serial {
-            return true;
-        }
-        if let (Some(a), Some(b)) = (
-            self.attributable_organization(),
-            other.attributable_organization(),
-        ) {
-            if a.eq_ignore_ascii_case(b) {
-                return true;
-            }
-        }
-        self.covers(&other.subject.common_name) || other.covers(&self.subject.common_name)
     }
 }
 
@@ -205,27 +187,11 @@ mod tests {
         let c = CertSummary::from(&Certificate::leaf("*.site.com", None, vec![], 30));
         let d = CertSummary::from(&Certificate::leaf("cdn.site.com", None, vec![], 31));
         assert!(c.same_identity(&d));
+        let shared = CertSummary::from(&Certificate::leaf("x.com", None, vec![], 20));
+        let shared2 = CertSummary::from(&Certificate::leaf("y.com", None, vec![], 20));
+        assert!(shared.same_identity(&shared2)); // same serial (shared cert)
         let e = CertSummary::from(&Certificate::leaf("a.com", None, vec![], 1));
         let f = CertSummary::from(&Certificate::leaf("b.net", None, vec![], 2));
         assert!(!e.same_identity(&f));
-    }
-
-    #[test]
-    fn same_identity_via_org_and_serial_and_coverage() {
-        let a = Certificate::leaf("hd100546b.com", Some("HProfits Group"), vec![], 10);
-        let b = Certificate::leaf("bd202457b.com", Some("HProfits Group"), vec![], 11);
-        assert!(a.same_identity(&b));
-
-        let c = Certificate::leaf("x.com", None, vec![], 20);
-        let c2 = Certificate::leaf("y.com", None, vec![], 20);
-        assert!(c.same_identity(&c2)); // same serial (shared cert)
-
-        let wild = Certificate::leaf("*.site.com", None, vec![], 30);
-        let sub = Certificate::leaf("cdn.site.com", None, vec![], 31);
-        assert!(wild.same_identity(&sub));
-
-        let unrelated = Certificate::leaf("a.com", None, vec![], 40);
-        let unrelated2 = Certificate::leaf("b.net", None, vec![], 41);
-        assert!(!unrelated.same_identity(&unrelated2));
     }
 }

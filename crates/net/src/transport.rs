@@ -143,7 +143,7 @@ impl TransportStats {
 /// A shared handle onto a [`MeteredTransport`]'s counters: the crawler
 /// keeps one after boxing the stack into the browser, then snapshots it
 /// when the crawl finishes. The cells are `obs` metric handles — a plain
-/// [`TransportMeter::new`] meter counts into private cells exactly as
+/// default `TransportMeter` counts into private cells exactly as
 /// before, while [`TransportMeter::in_registry`] shares its cells with a
 /// [`Registry`] so the same counts surface in metrics exports. Either way
 /// [`TransportMeter::snapshot`] renders the familiar [`TransportStats`]
@@ -162,11 +162,6 @@ pub struct TransportMeter {
 }
 
 impl TransportMeter {
-    /// Fresh meter with all counters at zero (private, unregistered cells).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A meter whose cells are the registry's `transport.*` metrics:
     /// `transport.requests`, `transport.responses`, `transport.unreachable`,
     /// `transport.timeouts`, `transport.server_errors`,
@@ -220,7 +215,7 @@ pub struct MeteredTransport<T> {
 
 impl<T: Transport> MeteredTransport<T> {
     /// Wraps `inner`, recording into `meter`.
-    pub fn new(inner: T, meter: TransportMeter) -> Self {
+    pub(crate) fn new(inner: T, meter: TransportMeter) -> Self {
         MeteredTransport { inner, meter }
     }
 }
@@ -297,7 +292,7 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// The "flaky" preset: ~10% of requests fault, everything transient —
     /// a crawl with a retry budget of 3 recovers nearly all of it.
-    pub fn flaky() -> Self {
+    fn flaky() -> Self {
         FaultSpec {
             dns_pm: 15,
             reset_pm: 20,
@@ -310,7 +305,7 @@ impl FaultSpec {
 
     /// The "lossy" preset: ~24% of requests fault and faults persist
     /// longer, so even retried crawls visibly lose sites.
-    pub fn lossy() -> Self {
+    fn lossy() -> Self {
         FaultSpec {
             dns_pm: 40,
             reset_pm: 50,
@@ -333,7 +328,7 @@ impl FaultSpec {
     }
 
     /// Total fault probability in per-mille.
-    pub fn total_pm(&self) -> u16 {
+    fn total_pm(&self) -> u16 {
         self.dns_pm + self.reset_pm + self.stall_pm + self.server_error_pm + self.truncate_pm
     }
 
@@ -384,7 +379,7 @@ pub struct FaultTransport<T> {
 
 impl<T: Transport> FaultTransport<T> {
     /// Wraps `inner` with the given fault plan.
-    pub fn new(inner: T, spec: FaultSpec, seed: u64) -> Self {
+    pub(crate) fn new(inner: T, spec: FaultSpec, seed: u64) -> Self {
         FaultTransport {
             inner,
             spec,
@@ -396,14 +391,9 @@ impl<T: Transport> FaultTransport<T> {
 
     /// Counts injected faults into `counter` (e.g. a registry's
     /// `transport.faults_injected`) instead of a private cell.
-    pub fn with_injected_counter(mut self, counter: Counter) -> Self {
+    fn with_injected_counter(mut self, counter: Counter) -> Self {
         self.injected = counter;
         self
-    }
-
-    /// How many faults have been injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected.get()
     }
 
     /// The per-request decision key.
@@ -464,9 +454,9 @@ pub struct RetryPolicy {
     /// Total visit attempts (1 = no retries).
     pub max_attempts: u32,
     /// Backoff before the first retry.
-    pub base_backoff: Duration,
+    base_backoff: Duration,
     /// Multiplier applied per further retry.
-    pub backoff_factor: u32,
+    backoff_factor: u32,
 }
 
 impl Default for RetryPolicy {
@@ -477,7 +467,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Single attempt, no retries — the paper's crawls.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
             base_backoff: Duration::ZERO,
@@ -693,7 +683,7 @@ mod tests {
 
     #[test]
     fn meter_counts_outcomes_and_bytes() {
-        let meter = TransportMeter::new();
+        let meter = TransportMeter::default();
         let t = MeteredTransport::new(Always, meter.clone());
         for i in 0..5 {
             t.fetch(&req(&format!("https://a{i}.example/")), &ctx());
@@ -759,12 +749,13 @@ mod tests {
             truncate_pm: 0,
             transient_attempts: 0,
         };
-        let t = FaultTransport::new(Always, spec, 3);
+        let injected = Counter::new();
+        let t = FaultTransport::new(Always, spec, 3).with_injected_counter(injected.clone());
         let r = req("https://gone.example/");
         for _ in 0..6 {
             assert!(matches!(t.fetch(&r, &ctx()), FetchOutcome::Unreachable));
         }
-        assert_eq!(t.injected(), 6);
+        assert_eq!(injected.get(), 6);
     }
 
     #[test]
@@ -786,7 +777,7 @@ mod tests {
 
     #[test]
     fn default_profile_stack_is_passthrough() {
-        let meter = TransportMeter::new();
+        let meter = TransportMeter::default();
         let stack = NetProfile::default().stack(Always, &meter, &Registry::new());
         let out = stack.fetch(&req("https://ok.example/"), &ctx());
         assert!(matches!(out, FetchOutcome::Response(r) if r.status.is_success()));

@@ -120,7 +120,7 @@ impl Url {
     /// The authority (`host` or `host:port`) as a borrowing [`fmt::Display`]
     /// view — no `String` is built until the caller actually formats it,
     /// so hot paths can compare or hash without allocating.
-    pub fn authority(&self) -> Authority<'_> {
+    fn authority(&self) -> Authority<'_> {
         Authority {
             host: &self.host,
             port: self.port,
@@ -158,7 +158,7 @@ impl Url {
     }
 
     /// The fragment (without `#`), if any.
-    pub fn fragment(&self) -> Option<&str> {
+    fn fragment(&self) -> Option<&str> {
         let end = self.without_fragment_len();
         (end < self.tail.len()).then(|| &self.tail[end + 1..])
     }
@@ -217,13 +217,6 @@ impl Url {
         write!(out, "{}://{}", self.scheme, self.authority())?;
         out.write_str(&self.tail[..tail_len])
     }
-
-    /// Returns `true` when both URLs share a registrable domain (same-site in
-    /// the cookie sense).
-    pub fn same_site(&self, other: &Url) -> bool {
-        crate::psl::registrable_domain(self.host.as_str())
-            == crate::psl::registrable_domain(other.host.as_str())
-    }
 }
 
 impl fmt::Debug for Url {
@@ -240,7 +233,7 @@ impl fmt::Debug for Url {
 }
 
 /// Borrowing view of a URL's authority component, created by
-/// [`Url::authority`]. Formats as `host` or `host:port`.
+/// `Url::authority`. Formats as `host` or `host:port`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Authority<'a> {
     host: &'a Fqdn,
@@ -352,15 +345,6 @@ mod tests {
         );
         assert_eq!(u.query_param("b").as_deref(), Some("hello world"));
         assert_eq!(u.query_param("zzz"), None);
-    }
-
-    #[test]
-    fn same_site_uses_registrable_domain() {
-        let a = Url::parse("https://www.pornhub.com/").unwrap();
-        let b = Url::parse("https://cdn.pornhub.com/x.js").unwrap();
-        let c = Url::parse("https://exoclick.com/t").unwrap();
-        assert!(a.same_site(&b));
-        assert!(!a.same_site(&c));
     }
 
     #[test]

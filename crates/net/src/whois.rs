@@ -24,10 +24,6 @@ pub struct WhoisRecord {
     pub domain: String,
     /// Registrant.
     pub registrant: Registrant,
-    /// Registrar.
-    pub registrar: String,
-    /// Registration year (coarse; enough for longitudinal reasoning).
-    pub created_year: u16,
 }
 
 impl WhoisRecord {
@@ -62,16 +58,6 @@ impl WhoisDb {
     pub fn lookup(&self, domain: &str) -> Option<&WhoisRecord> {
         self.records.get(&domain.to_ascii_lowercase())
     }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -83,24 +69,18 @@ mod tests {
         let rec = WhoisRecord {
             domain: "evilangel.com".into(),
             registrant: Registrant::Organization("Gamma Entertainment".into()),
-            registrar: "ExampleRegistrar".into(),
-            created_year: 2003,
         };
         assert_eq!(rec.organization(), Some("Gamma Entertainment"));
 
         let redacted = WhoisRecord {
             domain: "shady.party".into(),
             registrant: Registrant::Redacted,
-            registrar: "PrivacyRegistrar".into(),
-            created_year: 2017,
         };
         assert_eq!(redacted.organization(), None);
 
         let addr = WhoisRecord {
             domain: "postal.com".into(),
             registrant: Registrant::AddressOnly("PO Box 1, Limassol".into()),
-            registrar: "R".into(),
-            created_year: 2010,
         };
         assert_eq!(addr.organization(), None);
     }
@@ -111,8 +91,6 @@ mod tests {
         db.insert(WhoisRecord {
             domain: "Pornhub.COM".into(),
             registrant: Registrant::Organization("MindGeek".into()),
-            registrar: "R".into(),
-            created_year: 2007,
         });
         assert!(db.lookup("pornhub.com").is_some());
         assert!(db.lookup("missing.com").is_none());

@@ -147,7 +147,7 @@ impl Journal {
     }
 
     /// Shard names in merge (= export) order.
-    pub fn shards(&self) -> Vec<String> {
+    pub(crate) fn shards(&self) -> Vec<String> {
         let mut names: Vec<String> = Vec::new();
         for span in &self.spans {
             if names.last() != Some(&span.shard) {

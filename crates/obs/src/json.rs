@@ -22,7 +22,7 @@ pub fn push_str_literal(out: &mut String, s: &str) {
 }
 
 /// Appends an [`AttrVal`] as a JSON value to `out`.
-pub fn push_attr_val(out: &mut String, v: &AttrVal) {
+fn push_attr_val(out: &mut String, v: &AttrVal) {
     match v {
         AttrVal::U64(n) => out.push_str(&n.to_string()),
         AttrVal::I64(n) => out.push_str(&n.to_string()),
@@ -32,7 +32,7 @@ pub fn push_attr_val(out: &mut String, v: &AttrVal) {
 }
 
 /// Appends an attribute list as a JSON object to `out`.
-pub fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrVal)]) {
+pub(crate) fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrVal)]) {
     out.push('{');
     for (i, (key, value)) in attrs.iter().enumerate() {
         if i > 0 {

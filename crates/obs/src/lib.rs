@@ -36,7 +36,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsSnapshot, Registry, Unit,
     HISTOGRAM_BUCKETS,
 };
-pub use span::{AttrVal, SpanLink, Trace, Tracer, DEFAULT_SHARD_CAP};
+pub use span::{AttrVal, SpanLink, Trace, Tracer};
 pub use timeline::{SloEvent, SloKind, SloPolicy, SloTracker, Timeline, WindowHist, WindowRow};
 
 /// The pair every observed entry point threads through the pipeline: a

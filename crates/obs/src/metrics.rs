@@ -73,7 +73,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A standalone (unregistered) gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Gauge::default()
     }
 
@@ -88,7 +88,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
     }
 }
@@ -199,10 +199,10 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Exact smallest observed value (`u64::MAX` sentinel when empty; use
     /// [`HistogramSnapshot::min`]).
-    pub min_raw: u64,
+    min_raw: u64,
     /// Exact largest observed value (0 when empty; use
     /// [`HistogramSnapshot::max`]).
-    pub max_raw: u64,
+    max_raw: u64,
 }
 
 impl Default for HistogramSnapshot {
@@ -252,7 +252,7 @@ impl HistogramSnapshot {
     /// a monotone histogram (`earlier` must be a previous snapshot of the
     /// same histogram). Min/max cannot be reconstructed per window, so the
     /// delta carries the empty sentinels.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let buckets = if earlier.buckets.is_empty() {
             self.buckets.clone()
         } else {

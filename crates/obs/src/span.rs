@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use crate::journal::Journal;
 
 /// Default cap on recorded spans per shard.
-pub const DEFAULT_SHARD_CAP: usize = 8_192;
+const DEFAULT_SHARD_CAP: usize = 8_192;
 
 /// Sentinel stack slot for spans dropped by the shard cap.
 const DROPPED: usize = usize::MAX;
@@ -138,7 +138,7 @@ impl Trace {
     }
 
     /// An enabled trace bounding every shard to `cap` spans.
-    pub fn with_shard_cap(cap: usize) -> Self {
+    fn with_shard_cap(cap: usize) -> Self {
         Trace {
             inner: Arc::new(TraceInner {
                 enabled: true,
@@ -162,7 +162,7 @@ impl Trace {
     }
 
     /// Whether tracers derived from this trace record spans.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled
     }
 

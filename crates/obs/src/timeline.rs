@@ -68,7 +68,7 @@ pub struct WindowHist {
 }
 
 /// One closed window of the timeline. Value vectors are parallel to the
-/// tracked-metric name lists (see [`Timeline::counter_names`] etc.).
+/// tracked-metric name lists (see `Timeline::counter_names` etc.).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowRow {
     /// Window index (0-based).
@@ -147,17 +147,17 @@ impl Timeline {
 
     /// Names of the tracked counters, in tracking order (parallel to
     /// [`WindowRow::counters`]).
-    pub fn counter_names(&self) -> Vec<&str> {
+    pub(crate) fn counter_names(&self) -> Vec<&str> {
         self.counters.iter().map(|c| c.name.as_str()).collect()
     }
 
     /// Names of the tracked gauges.
-    pub fn gauge_names(&self) -> Vec<&str> {
+    pub(crate) fn gauge_names(&self) -> Vec<&str> {
         self.gauges.iter().map(|g| g.name.as_str()).collect()
     }
 
     /// Names of the tracked histograms.
-    pub fn hist_names(&self) -> Vec<&str> {
+    pub(crate) fn hist_names(&self) -> Vec<&str> {
         self.hists.iter().map(|h| h.name.as_str()).collect()
     }
 
@@ -167,7 +167,7 @@ impl Timeline {
     }
 
     /// Position of a tracked gauge inside [`WindowRow::gauges`].
-    pub fn gauge_index(&self, name: &str) -> Option<usize> {
+    fn gauge_index(&self, name: &str) -> Option<usize> {
         self.gauges.iter().position(|g| g.name == name)
     }
 
@@ -252,7 +252,7 @@ impl Timeline {
     /// Closes every window whose boundary is at or before `now_ns`. Call
     /// with an event's delivery time *before* processing the event, so
     /// each closed window covers exactly the strictly-earlier events.
-    pub fn advance_to(&mut self, now_ns: u64) {
+    fn advance_to(&mut self, now_ns: u64) {
         while now_ns >= self.next_boundary_ns {
             self.sample_window();
         }
@@ -498,11 +498,6 @@ impl SloTracker {
         }
     }
 
-    /// The enforced policy.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     fn burn_x100(&self, lookback: usize) -> u64 {
         let take = lookback.min(self.recent.len());
         let mut good = 0u64;
@@ -564,11 +559,6 @@ impl SloTracker {
     /// Every transition recorded so far, in window order.
     pub fn events(&self) -> &[SloEvent] {
         &self.events
-    }
-
-    /// Whether either objective is currently in violation.
-    pub fn is_violating(&self) -> bool {
-        self.latency_violating || self.error_violating
     }
 }
 
@@ -662,9 +652,7 @@ mod tests {
         });
         assert_eq!(t.observe(0, 10, 0, 500), 0);
         assert_eq!(t.observe(1, 10, 0, 5_000), 1, "entered latency violation");
-        assert!(t.is_violating());
         assert_eq!(t.observe(2, 10, 0, 800), 1, "recovered");
-        assert!(!t.is_violating());
         let kinds: Vec<(SloKind, bool)> = t.events().iter().map(|e| (e.kind, e.entered)).collect();
         assert_eq!(
             kinds,
@@ -691,7 +679,6 @@ mod tests {
         // only after the second bad window.
         assert_eq!(t.observe(2, 50, 50, 0), 0, "long lookback not burning yet");
         assert_eq!(t.observe(3, 50, 50, 0), 1, "both lookbacks burning");
-        assert!(t.is_violating());
         let ev = *t.events().last().unwrap();
         assert_eq!(ev.kind, SloKind::ErrorBudget);
         assert!(ev.entered);
@@ -699,7 +686,7 @@ mod tests {
         // Recovery once the bad windows age out of the short lookback.
         t.observe(4, 100, 0, 0);
         assert_eq!(t.observe(5, 100, 0, 0), 1, "error violation cleared");
-        assert!(!t.is_violating());
+        assert!(!t.events().last().unwrap().entered);
     }
 
     #[test]
@@ -713,6 +700,6 @@ mod tests {
         });
         assert_eq!(t.observe(0, 10, 0, 0), 0);
         assert_eq!(t.observe(1, 9, 1, 0), 1);
-        assert!(t.is_violating());
+        assert!(t.events()[0].entered);
     }
 }

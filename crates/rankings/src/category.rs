@@ -49,16 +49,6 @@ impl CategoryService {
             .map(|(d, _)| d.as_str())
             .collect()
     }
-
-    /// Number of indexed domains.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// `true` when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -81,6 +71,5 @@ mod tests {
         svc.register("aaa.com", Category::Adult);
         svc.register("news.com", Category::News);
         assert_eq!(svc.domains_in(Category::Adult), vec!["aaa.com", "zzz.com"]);
-        assert_eq!(svc.len(), 3);
     }
 }

@@ -16,26 +16,12 @@ pub const TOPLIST_SIZE: u32 = 1_000_000;
 /// Parameters of the AR(1) rank model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryParams {
-    /// The site's central rank (geometric mean of its daily ranks).
-    pub base_rank: u32,
     /// AR(1) persistence in `[0, 1)`; higher ⇒ smoother trajectories.
     pub persistence: f64,
     /// Innovation standard deviation of the log-rank process.
     pub volatility: f64,
     /// Number of days to simulate.
     pub days: usize,
-}
-
-impl TrajectoryParams {
-    /// A plausible default: sticky ranks with moderate churn.
-    pub fn new(base_rank: u32) -> Self {
-        TrajectoryParams {
-            base_rank,
-            persistence: 0.9,
-            volatility: 0.25,
-            days: DAYS_IN_YEAR,
-        }
-    }
 }
 
 /// A site's daily rank series; `None` marks days outside the top-1M.
@@ -52,7 +38,7 @@ impl RankHistory {
     }
 
     /// Median of indexed-day ranks (lower median), when ever indexed.
-    pub fn median(&self) -> Option<u32> {
+    pub(crate) fn median(&self) -> Option<u32> {
         let mut present: Vec<u32> = self.daily.iter().flatten().copied().collect();
         if present.is_empty() {
             return None;
@@ -62,7 +48,7 @@ impl RankHistory {
     }
 
     /// Fraction of days the site appeared in the toplist, in `[0, 1]`.
-    pub fn presence(&self) -> f64 {
+    pub(crate) fn presence(&self) -> f64 {
         if self.daily.is_empty() {
             return 0.0;
         }
@@ -92,7 +78,7 @@ fn standard_normal(rng: &mut impl Rng) -> f64 {
 /// `base · exp(m[t])`). Exposed separately so callers can re-anchor the
 /// same noise path to a different base — e.g. pinning the realized **best**
 /// rank, which is what the paper's tables key on.
-pub fn log_multipliers(params: &TrajectoryParams, seed: u64) -> Vec<f64> {
+fn log_multipliers(params: &TrajectoryParams, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let phi = params.persistence.clamp(0.0, 0.999);
     // Start the process from its stationary distribution so day 0 is not
@@ -109,7 +95,7 @@ pub fn log_multipliers(params: &TrajectoryParams, seed: u64) -> Vec<f64> {
 
 /// Builds a history from a base rank and a multiplier path. Ranks beyond the
 /// top-1M cutoff become absent days.
-pub fn history_from_multipliers(base: f64, multipliers: &[f64]) -> RankHistory {
+fn history_from_multipliers(base: f64, multipliers: &[f64]) -> RankHistory {
     let daily = multipliers
         .iter()
         .map(|m| {
@@ -124,13 +110,6 @@ pub fn history_from_multipliers(base: f64, multipliers: &[f64]) -> RankHistory {
         })
         .collect();
     RankHistory { daily }
-}
-
-/// Simulates a daily rank trajectory around `base_rank`. Deterministic for a
-/// given `seed`.
-pub fn trajectory(params: &TrajectoryParams, seed: u64) -> RankHistory {
-    let base = params.base_rank.max(1) as f64;
-    history_from_multipliers(base, &log_multipliers(params, seed))
 }
 
 /// Simulates a trajectory whose realized **best** (lowest) rank equals
@@ -148,41 +127,35 @@ pub fn trajectory_with_best(params: &TrajectoryParams, target_best: u32, seed: u
 mod tests {
     use super::*;
 
+    /// Sticky ranks with moderate churn.
+    const STICKY: TrajectoryParams = TrajectoryParams {
+        persistence: 0.9,
+        volatility: 0.25,
+        days: DAYS_IN_YEAR,
+    };
+
     #[test]
     fn deterministic_for_same_seed() {
-        let p = TrajectoryParams::new(5_000);
-        assert_eq!(trajectory(&p, 42), trajectory(&p, 42));
-        assert_ne!(trajectory(&p, 42), trajectory(&p, 43));
+        let h = |seed| trajectory_with_best(&STICKY, 5_000, seed);
+        assert_eq!(h(42), h(42));
+        assert_ne!(h(42), h(43));
     }
 
     #[test]
     fn popular_sites_never_leave_the_list() {
-        let p = TrajectoryParams::new(100);
-        let h = trajectory(&p, 7);
-        assert!(h.always_present());
-        assert!(h.best().unwrap() <= 1_000);
+        assert!(trajectory_with_best(&STICKY, 100, 7).always_present());
     }
 
     #[test]
     fn marginal_sites_churn_in_and_out() {
         let p = TrajectoryParams {
-            base_rank: 900_000,
-            persistence: 0.9,
             volatility: 0.5,
-            days: DAYS_IN_YEAR,
+            ..STICKY
         };
-        let h = trajectory(&p, 11);
-        let presence = h.presence();
+        // Volatile enough that a best rank of 20,000 still leaves the top 1M
+        // on some days.
+        let presence = trajectory_with_best(&p, 20_000, 11).presence();
         assert!(presence > 0.05 && presence < 1.0, "presence = {presence}");
-    }
-
-    #[test]
-    fn ranks_stay_near_base_rank() {
-        let p = TrajectoryParams::new(10_000);
-        let h = trajectory(&p, 3);
-        let med = h.median().unwrap();
-        assert!((2_000..50_000).contains(&med), "median = {med}");
-        assert!(h.best().unwrap() <= med);
     }
 
     #[test]
@@ -215,10 +188,8 @@ mod tests {
     #[test]
     fn pinned_best_rank_is_exact() {
         let p = TrajectoryParams {
-            base_rank: 0, // unused by trajectory_with_best
-            persistence: 0.9,
             volatility: 0.6,
-            days: DAYS_IN_YEAR,
+            ..STICKY
         };
         for (target, seed) in [(22u32, 1u64), (5_301, 2), (122_227, 3)] {
             let h = trajectory_with_best(&p, target, seed);
@@ -227,22 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn multiplier_anchoring_matches_trajectory() {
-        let p = TrajectoryParams::new(5_000);
-        let mults = log_multipliers(&p, 9);
-        let h = history_from_multipliers(5_000.0, &mults);
-        assert_eq!(h, trajectory(&p, 9));
-    }
-
-    #[test]
     fn rank_one_floor() {
         let p = TrajectoryParams {
-            base_rank: 1,
             persistence: 0.5,
             volatility: 0.3,
             days: 50,
         };
-        let h = trajectory(&p, 5);
+        let h = history_from_multipliers(1.0, &log_multipliers(&p, 5));
         assert!(h.daily.iter().flatten().all(|&r| r >= 1));
     }
 }

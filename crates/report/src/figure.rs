@@ -20,7 +20,7 @@ impl Series {
     }
 
     /// Downsamples to at most `n` points (mean-pooled buckets).
-    pub fn downsample(&self, n: usize) -> Vec<f64> {
+    fn downsample(&self, n: usize) -> Vec<f64> {
         if self.values.is_empty() || n == 0 {
             return Vec::new();
         }
@@ -39,7 +39,7 @@ impl Series {
     }
 
     /// Unicode sparkline over ≤ `width` buckets.
-    pub fn sparkline(&self, width: usize) -> String {
+    fn sparkline(&self, width: usize) -> String {
         const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
         let pts = self.downsample(width);
         if pts.is_empty() {

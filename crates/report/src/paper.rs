@@ -18,7 +18,7 @@ pub struct Expected {
     pub tolerance: f64,
     /// The paper states this value as a lower bound ("over 30 %"): any
     /// measurement at or above `value · (1 − tolerance)` keeps the shape.
-    pub lower_bound: bool,
+    lower_bound: bool,
 }
 
 /// The full expectations registry.
@@ -590,7 +590,7 @@ pub const EXPECTED: &[Expected] = &[
 ];
 
 /// Looks up an expectation.
-pub fn expected(key: &str) -> Option<&'static Expected> {
+fn expected(key: &str) -> Option<&'static Expected> {
     EXPECTED.iter().find(|e| e.key == key)
 }
 

@@ -50,16 +50,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with column alignment.
     pub fn render(&self) -> String {
         let ncols = self
@@ -173,7 +163,5 @@ mod tests {
         t.row(&["1", "2", "3"]);
         let s = t.render();
         assert_eq!(s.lines().count(), 5);
-        assert!(!t.is_empty());
-        assert_eq!(t.len(), 2);
     }
 }

@@ -38,7 +38,7 @@ pub enum BinOp {
     Or,
 }
 
-/// Index of an expression in [`Program::exprs`].
+/// Index of an expression in `Program::exprs`.
 pub type ExprId = u32;
 
 /// Index of a variable's slot; [`Program::names`] holds its name.
@@ -56,7 +56,7 @@ pub struct Span {
 
 impl Span {
     /// The arena indices the span covers.
-    pub fn range(self) -> Range<usize> {
+    pub(crate) fn range(self) -> Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
 }
@@ -152,7 +152,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program<'a> {
     /// Every expression; nodes refer to their operands by index.
-    pub exprs: Vec<Expr<'a>>,
+    pub(crate) exprs: Vec<Expr<'a>>,
     /// Every statement; blocks are runs of consecutive statements.
     pub stmts: Vec<Stmt>,
     /// The top-level statements, in source order.

@@ -4,9 +4,9 @@
 //! them all would drown the journal. The recorder instead keeps only the
 //! last `capacity` interesting events (arrivals, requests, faults,
 //! retries, failures) in a fixed ring — O(1) per event, no allocation
-//! after warm-up — and [`FlightRecorder::freeze`] clones the ring into a
+//! after warm-up — and `FlightRecorder::freeze` clones the ring into a
 //! named snapshot whenever something trips (an SLO violation). After the
-//! run, [`FlightRecorder::emit_spans`] attaches each snapshot to the
+//! run, `FlightRecorder::emit_spans` attaches each snapshot to the
 //! journal as a `flight.freeze.N` span with one child span per ring
 //! entry, so the causal neighborhood of a timeout storm is inspectable
 //! in the trace viewer without having recorded everything.
@@ -43,7 +43,7 @@ pub enum FlightKind {
 
 impl FlightKind {
     /// Stable label used for journal span names.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FlightKind::Arrive => "arrive",
             FlightKind::DocRequest => "doc_request",
@@ -77,7 +77,7 @@ pub struct FlightEvent {
 #[derive(Debug, Clone)]
 pub struct FlightSnapshot {
     /// Why the freeze happened (e.g. `latency`, `error_budget`).
-    pub reason: &'static str,
+    reason: &'static str,
     /// Timeline window index that tripped.
     pub window: u64,
     /// Logical time of the freeze.
@@ -99,7 +99,7 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder keeping the last `capacity` events and at most
     /// `max_snapshots` freezes (later trips are counted, not stored).
-    pub fn new(capacity: usize, max_snapshots: usize) -> Self {
+    pub(crate) fn new(capacity: usize, max_snapshots: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
             capacity,
@@ -111,7 +111,7 @@ impl FlightRecorder {
     }
 
     /// Appends one event, evicting the oldest when full.
-    pub fn record(&mut self, event: FlightEvent) {
+    pub(crate) fn record(&mut self, event: FlightEvent) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
@@ -121,7 +121,7 @@ impl FlightRecorder {
     /// Freezes the current ring under `reason`. Snapshots beyond the cap
     /// are suppressed (counted only) so a flapping SLO cannot bloat the
     /// journal.
-    pub fn freeze(&mut self, reason: &'static str, window: u64, at: SimTime) {
+    pub(crate) fn freeze(&mut self, reason: &'static str, window: u64, at: SimTime) {
         if self.snapshots.len() >= self.max_snapshots {
             self.suppressed += 1;
             return;
@@ -135,19 +135,19 @@ impl FlightRecorder {
     }
 
     /// Frozen snapshots, in trip order.
-    pub fn snapshots(&self) -> &[FlightSnapshot] {
+    pub(crate) fn snapshots(&self) -> &[FlightSnapshot] {
         &self.snapshots
     }
 
     /// Trips that arrived after the snapshot cap was reached.
-    pub fn suppressed(&self) -> u64 {
+    pub(crate) fn suppressed(&self) -> u64 {
         self.suppressed
     }
 
     /// Writes every snapshot into `trace` as one shard (`shard_name`):
     /// a `flight.freeze.N` span per snapshot, one child span per ring
     /// entry carrying its logical time, slot, host and attempt.
-    pub fn emit_spans(&self, trace: &Trace, shard_name: &str) {
+    pub(crate) fn emit_spans(&self, trace: &Trace, shard_name: &str) {
         if self.snapshots.is_empty() && self.suppressed == 0 {
             return;
         }

@@ -16,7 +16,7 @@ pub struct SimTime(u64);
 
 impl SimTime {
     /// Simulation start.
-    pub const ZERO: SimTime = SimTime(0);
+    pub(crate) const ZERO: SimTime = SimTime(0);
 
     /// From raw nanoseconds.
     pub fn from_nanos(nanos: u64) -> SimTime {
@@ -29,13 +29,13 @@ impl SimTime {
     }
 
     /// As a [`Duration`] since simulation start.
-    pub fn as_duration(self) -> Duration {
+    pub(crate) fn as_duration(self) -> Duration {
         Duration::from_nanos(self.0)
     }
 
     /// This instant plus `d` (saturating; the simulation horizon is ~584
     /// logical years, far beyond any workload).
-    pub fn after(self, d: Duration) -> SimTime {
+    pub(crate) fn after(self, d: Duration) -> SimTime {
         SimTime(
             self.0
                 .saturating_add(d.as_nanos().min(u64::MAX as u128) as u64),
@@ -43,7 +43,7 @@ impl SimTime {
     }
 
     /// Logical time elapsed since `earlier` (zero when `earlier` is later).
-    pub fn since(self, earlier: SimTime) -> Duration {
+    pub(crate) fn since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 }

@@ -21,27 +21,27 @@ pub struct ServiceModel {
 
 impl ServiceModel {
     /// A model with the given parameters.
-    pub fn new(spec: SimSpec) -> Self {
+    pub(crate) fn new(spec: SimSpec) -> Self {
         ServiceModel { spec }
     }
 
     /// Service time of one successful response: `base + per_kbyte ·
     /// ⌈bytes/KiB⌉`, jittered ±`jitter_pm`‰ by a pure function of
     /// `(spec seed, uid)`.
-    pub fn service_time(&self, body_bytes: u64, uid: u64) -> Duration {
+    pub(crate) fn service_time(&self, body_bytes: u64, uid: u64) -> Duration {
         let kib = body_bytes.div_ceil(1024);
         let raw = self.spec.base_service + self.spec.per_kbyte * (kib as u32);
         self.jitter(raw, uid)
     }
 
     /// Time burned on an unreachable host (connect failure), jittered.
-    pub fn connect_fail_time(&self, uid: u64) -> Duration {
+    pub(crate) fn connect_fail_time(&self, uid: u64) -> Duration {
         self.jitter(self.spec.connect_fail, uid)
     }
 
     /// Time a stalled request holds the client: the full timeout budget
     /// (no jitter — the budget is the client's, not the server's).
-    pub fn timeout_time(&self) -> Duration {
+    pub(crate) fn timeout_time(&self) -> Duration {
         self.spec.timeout
     }
 
@@ -69,7 +69,7 @@ pub struct HostPool<T> {
 
 impl<T> HostPool<T> {
     /// A pool serving up to `limit` requests at once (`0` clamps to 1).
-    pub fn new(limit: u32) -> Self {
+    pub(crate) fn new(limit: u32) -> Self {
         HostPool {
             limit: (limit as usize).max(1),
             in_service: 0,
@@ -80,7 +80,7 @@ impl<T> HostPool<T> {
     /// Offers a request. When a connection slot is free it is taken and the
     /// token is handed back — the caller starts service now. Otherwise the
     /// token joins the FIFO queue and `None` says "wait".
-    pub fn admit(&mut self, token: T) -> Option<T> {
+    pub(crate) fn admit(&mut self, token: T) -> Option<T> {
         if self.in_service < self.limit {
             self.in_service += 1;
             Some(token)
@@ -93,7 +93,7 @@ impl<T> HostPool<T> {
     /// Completes one in-service request, freeing its slot. When a request
     /// was waiting, the slot is immediately re-taken and that token is
     /// returned — the caller starts its service now.
-    pub fn complete(&mut self) -> Option<T> {
+    pub(crate) fn complete(&mut self) -> Option<T> {
         debug_assert!(self.in_service > 0, "complete without admit");
         match self.waiting.pop_front() {
             Some(next) => Some(next),
@@ -105,7 +105,7 @@ impl<T> HostPool<T> {
     }
 
     /// Requests currently queued.
-    pub fn waiting(&self) -> usize {
+    pub(crate) fn waiting(&self) -> usize {
         self.waiting.len()
     }
 }

@@ -68,14 +68,14 @@ const MAX_FREEZES: usize = 4;
 /// Draw-stream salts: each stochastic choice mixes its own salt so the
 /// streams are independent functions of `(seed, key)`.
 mod salt {
-    pub const GAP: u64 = 0x0067_6170;
-    pub const PAGES: u64 = 0x0070_6167_6573;
-    pub const SITE: u64 = 0x7369_7465;
-    pub const DWELL: u64 = 0x0064_7765_6c6c;
-    pub const WEIGHT: u64 = 0x7765_6967_6874;
-    pub const BYTES: u64 = 0x0062_7974_6573;
-    pub const FAULT: u64 = 0x0066_6175_6c74;
-    pub const PERSIST: u64 = 0x7065_7273;
+    pub(super) const GAP: u64 = 0x0067_6170;
+    pub(super) const PAGES: u64 = 0x0070_6167_6573;
+    pub(super) const SITE: u64 = 0x7369_7465;
+    pub(super) const DWELL: u64 = 0x0064_7765_6c6c;
+    pub(super) const WEIGHT: u64 = 0x7765_6967_6874;
+    pub(super) const BYTES: u64 = 0x0062_7974_6573;
+    pub(super) const FAULT: u64 = 0x0066_6175_6c74;
+    pub(super) const PERSIST: u64 = 0x7065_7273;
 }
 
 fn draw(seed: u64, s: u64, key: u64) -> u64 {
@@ -829,7 +829,7 @@ pub struct TierRow {
     /// Requests issued on behalf of those sessions.
     pub requests: u64,
     /// Median request latency (µs, histogram bucket bound).
-    pub p50_us: u64,
+    p50_us: u64,
     /// Tail request latency (µs, histogram bucket bound).
     pub p99_us: u64,
 }
@@ -861,13 +861,13 @@ pub struct TrafficReport {
     /// Request latency percentiles (µs, inclusive bucket bounds).
     pub request_p50_us: u64,
     /// p95.
-    pub request_p95_us: u64,
+    request_p95_us: u64,
     /// p99.
     pub request_p99_us: u64,
     /// Page-load percentiles (µs).
-    pub page_p50_us: u64,
+    page_p50_us: u64,
     /// p99.
-    pub page_p99_us: u64,
+    page_p99_us: u64,
     /// Most sessions ever simultaneously in flight.
     pub peak_in_flight: u64,
     /// Deepest any host's FIFO connection queue got.
@@ -982,7 +982,7 @@ impl TimelineReport {
 
 impl TrafficReport {
     /// Completed-plus-failed sessions per logical second.
-    pub fn sessions_per_sec(&self) -> f64 {
+    fn sessions_per_sec(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();
         if secs == 0.0 {
             0.0
@@ -992,7 +992,7 @@ impl TrafficReport {
     }
 
     /// Requests per logical second.
-    pub fn requests_per_sec(&self) -> f64 {
+    fn requests_per_sec(&self) -> f64 {
         let secs = self.makespan.as_secs_f64();
         if secs == 0.0 {
             0.0

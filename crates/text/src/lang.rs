@@ -5,7 +5,8 @@
 //! — English, Spanish, French, Portuguese, Russian, Italian, German and
 //! Romanian, the most common default languages in the corpus — and for
 //! “Privacy”/“Policy” links in the same languages. The monetization analysis
-//! (§4.1) additionally searches for account-creation and premium keywords.
+//! (§4.1) additionally searches for premium keywords; the account-creation
+//! keywords label the simulated sites' login links.
 
 /// The eight languages covered by the study's keyword matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,20 +41,6 @@ impl Language {
         Language::German,
         Language::Romanian,
     ];
-
-    /// ISO-639-1 code.
-    pub fn code(self) -> &'static str {
-        match self {
-            Language::English => "en",
-            Language::Spanish => "es",
-            Language::French => "fr",
-            Language::Portuguese => "pt",
-            Language::Russian => "ru",
-            Language::Italian => "it",
-            Language::German => "de",
-            Language::Romanian => "ro",
-        }
-    }
 }
 
 /// Per-language keyword pack.
@@ -90,7 +77,7 @@ pub fn pack(language: Language) -> &'static LanguagePack {
 }
 
 /// All eight packs.
-pub fn all_packs() -> impl Iterator<Item = &'static LanguagePack> {
+fn all_packs() -> impl Iterator<Item = &'static LanguagePack> {
     Language::ALL.into_iter().map(pack)
 }
 
@@ -116,12 +103,6 @@ pub fn matches_privacy(text: &str) -> bool {
 pub fn matches_cookie(text: &str) -> bool {
     let lower = text.to_lowercase();
     all_packs().any(|p| p.cookie.iter().any(|k| lower.contains(&k.to_lowercase())))
-}
-
-/// Returns `true` when `text` contains account-creation keywords.
-pub fn matches_account(text: &str) -> bool {
-    let lower = text.to_lowercase();
-    all_packs().any(|p| p.account.iter().any(|k| lower.contains(&k.to_lowercase())))
 }
 
 /// Returns `true` when `text` contains premium/subscription keywords.
@@ -258,9 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn cookie_and_account_and_premium() {
+    fn cookie_premium_and_age_warning() {
         assert!(matches_cookie("We use cookies to improve your experience"));
-        assert!(matches_account("Sign Up for free"));
         assert!(matches_premium("Go Premium today"));
         assert!(matches_age_warning("You must be 18 years old"));
     }

@@ -11,8 +11,7 @@
 //! * [`tokenize`] — lightweight word and character tokenizers.
 //! * [`lang`] — the eight-language keyword dictionaries the Selenium-style
 //!   crawler searches for (consent buttons, privacy-policy links, §3.1).
-//! * [`stats`] — small numeric helpers (percentiles, means) shared by the
-//!   analysis crates.
+//! * [`stats`] — the percentage helper the analysis crates share.
 
 #![warn(missing_docs)]
 
@@ -24,4 +23,4 @@ pub mod tokenize;
 
 pub use lang::{Language, LanguagePack};
 pub use levenshtein::{distance, similarity};
-pub use tfidf::{cosine_similarity, TfIdfModel, TfIdfVector};
+pub use tfidf::{TfIdfModel, TfIdfVector};

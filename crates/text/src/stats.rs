@@ -1,36 +1,4 @@
-//! Small numeric helpers shared by the analysis crates.
-
-/// Arithmetic mean; `None` for an empty slice.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
-
-/// Median over a copy of `values`; `None` for an empty slice.
-pub fn median(values: &[f64]) -> Option<f64> {
-    percentile(values, 50.0)
-}
-
-/// Linear-interpolation percentile (`p` in `[0, 100]`); `None` when empty.
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN values"));
-    let rank = (p / 100.0) * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        Some(v[lo])
-    } else {
-        let frac = rank - lo as f64;
-        Some(v[lo] + (v[hi] - v[lo]) * frac)
-    }
-}
+//! The percentage helper shared by the analysis crates.
 
 /// Percentage `part / whole * 100`, `0.0` when `whole == 0`.
 pub fn pct(part: usize, whole: usize) -> f64 {
@@ -44,22 +12,6 @@ pub fn pct(part: usize, whole: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mean_and_median_basic() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), Some(2.0));
-        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(mean(&[]), None);
-        assert_eq!(median(&[]), None);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [10.0, 20.0, 30.0, 40.0];
-        assert_eq!(percentile(&v, 0.0), Some(10.0));
-        assert_eq!(percentile(&v, 100.0), Some(40.0));
-        assert_eq!(percentile(&v, 50.0), Some(25.0));
-    }
 
     #[test]
     fn pct_handles_zero_whole() {

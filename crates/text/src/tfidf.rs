@@ -27,16 +27,11 @@ impl TfIdfVector {
     pub fn nnz(&self) -> usize {
         self.entries.len()
     }
-
-    /// Iterates over `(term id, weight)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
-        self.entries.iter().copied()
-    }
 }
 
 /// Cosine similarity between two L2-normalized sparse vectors, in `[0, 1]`
 /// (weights are non-negative, so the result is never negative in practice).
-pub fn cosine_similarity(a: &TfIdfVector, b: &TfIdfVector) -> f64 {
+fn cosine_similarity(a: &TfIdfVector, b: &TfIdfVector) -> f64 {
     let mut i = 0;
     let mut j = 0;
     let mut dot = 0.0;
@@ -75,18 +70,17 @@ fn weigh(counts: Vec<(u32, u32)>, idf: &[f64]) -> TfIdfVector {
 
 /// A fitted TF-IDF model over a document corpus.
 ///
-/// Build with [`TfIdfModel::fit`], then obtain per-document vectors with
-/// [`TfIdfModel::vector`] and compare them with [`cosine_similarity`].
+/// Build with [`TfIdfModel::fit`], then compare fitted documents with
+/// [`TfIdfModel::similarity`] or read their vectors with
+/// [`TfIdfModel::vector`].
 #[derive(Debug, Clone)]
 pub struct TfIdfModel {
-    vocab: HashMap<String, u32>,
-    idf: Vec<f64>,
     vectors: Vec<TfIdfVector>,
 }
 
 impl TfIdfModel {
     /// Fits the model on `documents`, tokenizing each with
-    /// [`tokenize::for_each_word`]. Term ids follow first appearance across
+    /// `tokenize::for_each_word`. Term ids follow first appearance across
     /// the documents in order. IDF uses the smoothed form
     /// `ln((1 + N) / (1 + df)) + 1`, so terms present in every document still
     /// carry a small positive weight.
@@ -142,11 +136,7 @@ impl TfIdfModel {
             .map(|counts| weigh(counts, &idf))
             .collect();
 
-        Self {
-            vocab,
-            idf,
-            vectors,
-        }
+        Self { vectors }
     }
 
     /// Number of documents the model was fitted on.
@@ -162,20 +152,6 @@ impl TfIdfModel {
     /// Similarity between fitted documents `i` and `j`.
     pub fn similarity(&self, i: usize, j: usize) -> f64 {
         cosine_similarity(&self.vectors[i], &self.vectors[j])
-    }
-
-    /// Projects a new document into the fitted space (unknown terms are
-    /// ignored) and returns its normalized vector.
-    pub fn transform(&self, document: &str) -> TfIdfVector {
-        let mut counts: HashMap<u32, u32> = HashMap::new();
-        tokenize::for_each_word(document, &mut String::new(), |term| {
-            if let Some(&id) = self.vocab.get(term) {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        });
-        let mut counts: Vec<(u32, u32)> = counts.into_iter().collect();
-        counts.sort_unstable_by_key(|&(id, _)| id);
-        weigh(counts, &self.idf)
     }
 
     /// Greedy single-link clustering: documents `i`, `j` end up in one
@@ -294,22 +270,15 @@ mod tests {
                 TfIdfVector { entries }
             })
             .collect();
-        TfIdfModel {
-            vocab,
-            idf,
-            vectors,
-        }
+        TfIdfModel { vectors }
     }
 
-    /// A model's IDF weights and vectors with every `f64` as its bits.
-    fn bits(m: &TfIdfModel) -> (Vec<u64>, Vec<Vec<(u32, u64)>>) {
-        let idf = m.idf.iter().map(|w| w.to_bits()).collect();
-        let vectors = m
-            .vectors
+    /// A model's vectors with every weight as its bits.
+    fn bits(m: &TfIdfModel) -> Vec<Vec<(u32, u64)>> {
+        m.vectors
             .iter()
-            .map(|v| v.iter().map(|(id, w)| (id, w.to_bits())).collect())
-            .collect();
-        (idf, vectors)
+            .map(|v| v.entries.iter().map(|&(id, w)| (id, w.to_bits())).collect())
+            .collect()
     }
 
     proptest! {
@@ -321,7 +290,6 @@ mod tests {
             let fitted = TfIdfModel::fit(&docs);
             let tokenized: Vec<Vec<String>> = docs.iter().map(|d| owned_words(d)).collect();
             let oracle = fit_tokenized(&tokenized);
-            prop_assert_eq!(&fitted.vocab, &oracle.vocab);
             prop_assert_eq!(bits(&fitted), bits(&oracle));
         }
     }
@@ -354,23 +322,14 @@ mod tests {
     #[test]
     fn vectors_are_l2_normalized() {
         let m = TfIdfModel::fit(&["one two three two three three"]);
-        let norm: f64 = m.vector(0).iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
+        let norm: f64 = m
+            .vector(0)
+            .entries
+            .iter()
+            .map(|(_, w)| w * w)
+            .sum::<f64>()
+            .sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transform_matches_fitted_vector_for_same_text() {
-        let docs = ["cookie consent banner text", "privacy policy body"];
-        let m = TfIdfModel::fit(&docs);
-        let t = m.transform(docs[0]);
-        assert!((cosine_similarity(&t, m.vector(0)) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn transform_ignores_unknown_terms() {
-        let m = TfIdfModel::fit(&["known words only"]);
-        let t = m.transform("unseen vocabulary entirely");
-        assert_eq!(t.nnz(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 /// the study's policy similarity computation needs (single letters carry no
 /// signal). Each token is lowercased into `buf`, which is reused across
 /// tokens and calls, so tokenizing allocates nothing per token.
-pub fn for_each_word(text: &str, buf: &mut String, mut visit: impl FnMut(&str)) {
+pub(crate) fn for_each_word(text: &str, buf: &mut String, mut visit: impl FnMut(&str)) {
     buf.clear();
     let mut chars = 0usize;
     for ch in text.chars() {

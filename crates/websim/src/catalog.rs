@@ -31,26 +31,20 @@ pub struct Catalog {
     /// Services.
     pub services: ServiceRegistry,
     /// Long-tail adult trackers (placed explicitly on 1–5 porn sites each).
-    pub longtail_porn: Vec<ServiceId>,
+    pub(crate) longtail_porn: Vec<ServiceId>,
     /// Long-tail canvas-fingerprinting services.
-    pub longtail_fp: Vec<ServiceId>,
+    pub(crate) longtail_fp: Vec<ServiceId>,
     /// Long-tail WebRTC services.
-    pub longtail_webrtc: Vec<ServiceId>,
+    pub(crate) longtail_webrtc: Vec<ServiceId>,
     /// Long-tail malicious services (beyond the named miners).
-    pub longtail_malicious: Vec<ServiceId>,
+    pub(crate) longtail_malicious: Vec<ServiceId>,
     /// Country-exclusive ATS services per country.
-    pub country_ats: Vec<(Country, Vec<ServiceId>)>,
-    /// Regular-web long-tail trackers.
-    pub longtail_regular: Vec<ServiceId>,
-    /// Sync destination pool (hubs + destination-capable long tail).
-    pub sync_destinations: Vec<ServiceId>,
-    /// Services that appear only on unpopular (100k+) porn sites.
-    pub unpopular_only: Vec<ServiceId>,
+    pub(crate) country_ats: Vec<(Country, Vec<ServiceId>)>,
 }
 
 /// Number of country-exclusive ATS services generated per country (Table 7,
 /// "Unique Country" ATS column).
-pub const COUNTRY_UNIQUE_ATS: &[(Country, usize)] = &[
+const COUNTRY_UNIQUE_ATS: &[(Country, usize)] = &[
     (Country::Usa, 25),
     (Country::Uk, 20),
     (Country::Spain, 59),
@@ -206,7 +200,7 @@ fn long_cookie(cookies_per_visit: u8) -> CookieBehavior {
 }
 
 /// Builds the full catalog for `config`, deterministic in `config.seed`.
-pub fn build(config: &WorldConfig) -> Catalog {
+pub(crate) fn build(config: &WorldConfig) -> Catalog {
     let mut b = Builder {
         orgs: OrgRegistry::new(),
         services: ServiceRegistry::new(),
@@ -1067,7 +1061,6 @@ pub fn build(config: &WorldConfig) -> Catalog {
     // Regular-web long-tail trackers (→ 196 regular ATS; ~50 of them also
     // reach a couple of porn sites, feeding the 86-domain ATS intersection).
     let ltreg_org = b.org("(long-tail regular trackers)", OrgKind::Analytics, false);
-    let mut longtail_regular = Vec::new();
     for i in 0..config.n_regular_trackers {
         let fqdn = regular_fqdn(&mut rng, i);
         let also_porn = rng.random_bool(0.30);
@@ -1093,7 +1086,6 @@ pub fn build(config: &WorldConfig) -> Catalog {
         }
         let id = builder.build();
         b.services.get_mut(id).https = rng.random_bool(0.85);
-        longtail_regular.push(id);
     }
 
     // Silence "unused" for ids referenced only via the registry.
@@ -1135,9 +1127,6 @@ pub fn build(config: &WorldConfig) -> Catalog {
         longtail_webrtc,
         longtail_malicious,
         country_ats,
-        longtail_regular,
-        sync_destinations: destination_capable,
-        unpopular_only: vec![adultforce, zingyads],
     }
 }
 
@@ -1178,7 +1167,6 @@ mod tests {
     fn catalog_is_deterministic() {
         let c1 = build(&WorldConfig::tiny(5));
         let c2 = build(&WorldConfig::tiny(5));
-        assert_eq!(c1.services.len(), c2.services.len());
         let fqdns1: Vec<String> = c1.services.iter().map(|s| s.fqdn.clone()).collect();
         let fqdns2: Vec<String> = c2.services.iter().map(|s| s.fqdn.clone()).collect();
         assert_eq!(fqdns1, fqdns2);

@@ -12,21 +12,21 @@ pub struct WorldConfig {
     /// Master seed; every stochastic choice derives from it.
     pub seed: u64,
     /// Porn sites listed by the specialized directory/aggregator sites.
-    pub n_directory_porn: usize,
+    pub(crate) n_directory_porn: usize,
     /// Porn sites indexed by the Alexa-style *Adult* category.
     pub n_alexa_adult_porn: usize,
     /// Sites whose domain contains a porn-related keyword (true porn +
     /// false positives).
-    pub n_keyword_sites: usize,
+    n_keyword_sites: usize,
     /// Of the keyword sites, how many are false positives (non-porn content
     /// or unresponsive at crawl time).
     pub n_false_positives: usize,
     /// Regular (reference) websites drawn from the popular web.
-    pub n_regular: usize,
+    pub(crate) n_regular: usize,
     /// Long-tail tracker services specialized in the adult ecosystem.
-    pub n_longtail_trackers: usize,
+    pub(crate) n_longtail_trackers: usize,
     /// Long-tail tracker services of the regular web.
-    pub n_regular_trackers: usize,
+    pub(crate) n_regular_trackers: usize,
 }
 
 impl WorldConfig {

@@ -17,7 +17,7 @@ use crate::service::{ServiceCategory, ServiceRegistry};
 use crate::sitegen::{AgeGateKind, BannerType, Site};
 
 /// Stable tiny hash for content decisions (no RNG at serve time).
-pub fn mix(a: u64, b: u64) -> u64 {
+pub(crate) fn mix(a: u64, b: u64) -> u64 {
     let mut x = a.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ b;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -41,7 +41,7 @@ pub struct RenderCtx<'a> {
     /// Sites.
     pub sites: &'a [Site],
     /// Resolved owner company name, when the site belongs to a cluster.
-    pub owner_name: Option<&'a str>,
+    pub(crate) owner_name: Option<&'a str>,
 }
 
 /// Renders the landing page of `site` for `country`.
@@ -49,7 +49,7 @@ pub struct RenderCtx<'a> {
 /// `gate_passed` selects the post-age-gate variant (what the Selenium
 /// crawler sees after clicking through). Everything is written straight
 /// into one buffer.
-pub fn render_landing(
+pub(crate) fn render_landing(
     ctx: &RenderCtx<'_>,
     site: &Site,
     country: Country,

@@ -4,7 +4,7 @@
 //! published in the IMC'19 study. It stands in for the live web the paper
 //! crawled (see DESIGN.md, substitution table): organizations, publishers,
 //! third-party services, websites with rank trajectories, landing pages,
-//! tracker scripts, certificates, DNS/WHOIS records, per-country serving
+//! tracker scripts, certificates, WHOIS records, per-country serving
 //! behavior, and a VirusTotal-style threat-intel ensemble.
 //!
 //! The measurement pipeline (browser, crawlers, analyses) consumes **only**

@@ -22,7 +22,7 @@ use crate::service::{ListCoverage, ServiceCategory};
 /// in the matcher's scan and are searched in every URL that no rule of its
 /// domain bucket blocks. Neither can match simulated traffic (no generated
 /// URL contains `interstitial` or `vast`), so every verdict is unchanged.
-pub fn easylist(catalog: &Catalog) -> String {
+pub(crate) fn easylist(catalog: &Catalog) -> String {
     let mut out = String::from(
         "[Adblock Plus 2.0]\n\
          ! Title: Synthetic EasyList (redlight)\n\
@@ -61,7 +61,7 @@ pub fn easylist(catalog: &Catalog) -> String {
 }
 
 /// Builds the EasyPrivacy-style text (tracking/analytics rules).
-pub fn easyprivacy(catalog: &Catalog) -> String {
+pub(crate) fn easyprivacy(catalog: &Catalog) -> String {
     let mut out = String::from(
         "! Title: Synthetic EasyPrivacy (redlight)\n\
          /beacon.js\n\
@@ -92,7 +92,7 @@ pub fn easyprivacy(catalog: &Catalog) -> String {
 }
 
 /// Builds the Disconnect-style entity list (mainstream orgs only).
-pub fn disconnect(catalog: &Catalog) -> EntityList {
+pub(crate) fn disconnect(catalog: &Catalog) -> EntityList {
     let mut list = EntityList::new();
     for org in catalog.orgs.iter() {
         let fqdns: Vec<String> = catalog

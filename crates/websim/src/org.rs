@@ -43,7 +43,7 @@ pub struct Organization {
     pub kind: OrgKind,
     /// Whether the org specializes in the adult ecosystem (ExoClick,
     /// JuicyAds, …) as opposed to the regular web (Alphabet, Facebook, …).
-    pub adult_specialized: bool,
+    adult_specialized: bool,
 }
 
 /// A publisher cluster from Table 1: name, number of owned sites, and the
@@ -54,14 +54,14 @@ pub struct PublisherSpec {
     /// Sites.
     pub sites: usize,
     /// Flagship domain.
-    pub flagship_domain: &'static str,
+    pub(crate) flagship_domain: &'static str,
     /// Flagship rank.
-    pub flagship_rank: u32,
+    pub(crate) flagship_rank: u32,
 }
 
 /// Table 1 publishers plus nine smaller attributable companies (§4.1: 24
 /// companies, 286 sites in total).
-pub const PUBLISHERS: &[PublisherSpec] = &[
+pub(crate) const PUBLISHERS: &[PublisherSpec] = &[
     PublisherSpec {
         name: "Gamma Entertainment",
         sites: 65,
@@ -217,12 +217,12 @@ pub struct OrgRegistry {
 
 impl OrgRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers an organization and returns its id.
-    pub fn register(&mut self, name: &str, kind: OrgKind, adult_specialized: bool) -> OrgId {
+    pub(crate) fn register(&mut self, name: &str, kind: OrgKind, adult_specialized: bool) -> OrgId {
         let id = OrgId(self.orgs.len() as u32);
         self.orgs.push(Organization {
             id,
@@ -239,23 +239,13 @@ impl OrgRegistry {
     }
 
     /// Finds an organization by exact name.
-    pub fn by_name(&self, name: &str) -> Option<&Organization> {
+    pub(crate) fn by_name(&self, name: &str) -> Option<&Organization> {
         self.orgs.iter().find(|o| o.name == name)
     }
 
     /// All organizations.
-    pub fn iter(&self) -> impl Iterator<Item = &Organization> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Organization> {
         self.orgs.iter()
-    }
-
-    /// Number of organizations.
-    pub fn len(&self) -> usize {
-        self.orgs.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.orgs.is_empty()
     }
 }
 
@@ -286,6 +276,6 @@ mod tests {
         assert!(reg.get(a).adult_specialized);
         assert_eq!(reg.by_name("Alphabet").unwrap().id, b);
         assert_eq!(reg.by_name("Missing"), None);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.iter().count(), 2);
     }
 }

@@ -18,7 +18,7 @@ use redlight_text::tokenize::letter_count;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyTemplate {
     /// The owning company's shared template (index into
-    /// [`crate::org::PUBLISHERS`]).
+    /// `org::PUBLISHERS`).
     Company(u32),
     /// One of the dozen generic CMS templates circulating the ecosystem.
     Generic(u8),
@@ -32,12 +32,12 @@ pub struct PolicyDisclosures {
     /// Cookies.
     pub cookies: bool,
     /// Data types.
-    pub data_types: bool,
+    pub(crate) data_types: bool,
     /// Third parties.
     pub third_parties: bool,
     /// Disclosures include the complete list of embedded third parties
     /// (exactly one site in the paper).
-    pub full_third_party_list: bool,
+    pub(crate) full_third_party_list: bool,
 }
 
 /// A site's privacy policy, as ground truth.
@@ -48,11 +48,11 @@ pub struct PolicySpec {
     /// Language.
     pub language: Language,
     /// Mentions GDPR.
-    pub mentions_gdpr: bool,
+    pub(crate) mentions_gdpr: bool,
     /// Target length in letters.
-    pub target_letters: u32,
+    pub(crate) target_letters: u32,
     /// Disclosures.
-    pub disclosures: PolicyDisclosures,
+    pub(crate) disclosures: PolicyDisclosures,
     /// Link path on the site (language-dependent).
     pub path: String,
     /// The link exists but the server answers with an HTTP error — the §7.3
@@ -61,7 +61,7 @@ pub struct PolicySpec {
 }
 
 /// The policy link path for a language.
-pub fn policy_path(language: Language) -> &'static str {
+pub(crate) fn policy_path(language: Language) -> &'static str {
     match language {
         Language::English => "/privacy-policy",
         Language::Spanish => "/politica-de-privacidad",
@@ -75,7 +75,7 @@ pub fn policy_path(language: Language) -> &'static str {
 }
 
 /// The anchor text used for the policy link.
-pub fn policy_link_text(language: Language) -> &'static str {
+pub(crate) fn policy_link_text(language: Language) -> &'static str {
     match language {
         Language::English => "Privacy Policy",
         Language::Spanish => "Política de privacidad",
@@ -201,7 +201,7 @@ const GDPR_PARAGRAPH: &str =
 /// template is a company template) is embedded verbatim so same-company
 /// policies are near-identical; `third_parties` feeds the disclosure
 /// section.
-pub fn render_policy(
+pub(crate) fn render_policy(
     spec: &PolicySpec,
     site_domain: &str,
     company: Option<&str>,

@@ -1,6 +1,6 @@
 //! The simulated web's HTTP surface.
 //!
-//! [`WebServer::handle`] is the **only** door between the measurement
+//! `WebServer::handle` is the **only** door between the measurement
 //! pipeline and the synthetic internet: it serves landing pages, static
 //! assets, tracker scripts, measurement pixels (where `Set-Cookie` happens),
 //! cookie-synchronization redirects, RTB auction frames and privacy
@@ -48,14 +48,9 @@ impl<'w> WebServer<'w> {
         }
     }
 
-    /// The world being served (ground truth — tests only).
-    pub fn world(&self) -> &World {
-        self.world
-    }
-
     /// Handles one request. An HTTPS response presents the certificate of
     /// the entity the host resolved to.
-    pub fn handle(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
+    fn handle(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
         let Some(entity) = self.world.resolve_host(req.url.host().as_str()) else {
             return FetchOutcome::Unreachable;
         };
@@ -436,7 +431,7 @@ mod tests {
     use crate::config::WorldConfig;
     use redlight_net::cookie::Cookie;
     use redlight_net::geoip::VantagePoint;
-    use redlight_net::http::{Method, ResourceKind};
+    use redlight_net::http::ResourceKind;
     use std::net::Ipv4Addr;
 
     fn world() -> World {
@@ -453,13 +448,7 @@ mod tests {
     }
 
     fn get(url: &str) -> Request {
-        Request {
-            method: Method::Get,
-            url: Url::parse(url).unwrap(),
-            headers: Default::default(),
-            referrer: None,
-            kind: ResourceKind::Document,
-        }
+        Request::get(Url::parse(url).unwrap(), ResourceKind::Document)
     }
 
     fn expect_response(out: FetchOutcome) -> Response {

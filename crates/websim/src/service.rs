@@ -42,28 +42,28 @@ pub enum ServiceCategory {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CookieBehavior {
     /// Cookies set per visit (distinct names).
-    pub cookies_per_visit: u8,
+    pub(crate) cookies_per_visit: u8,
     /// Length (chars) of the opaque identifier part.
     pub id_len: u8,
     /// Fraction of this service's cookies that embed the client IP
     /// (base64-encoded payload), as ExoClick's do (§5.1.1).
-    pub embed_ip_ratio: f64,
+    pub(crate) embed_ip_ratio: f64,
     /// Stores approximate geolocation (lat/lon) in a cookie.
-    pub embed_geo: bool,
+    pub(crate) embed_geo: bool,
     /// Geo cookie additionally names the access network provider.
-    pub geo_includes_isp: bool,
+    pub(crate) geo_includes_isp: bool,
     /// Fraction of deployments that receive persistent ID cookies; the rest
     /// get session cookies only (filtered out by the §5.1.1 ID-cookie
     /// heuristic). This is how a service can be *present* on 31 % of sites
     /// while *delivering ID cookies* on 21 % (ExoSrv).
-    pub id_ratio: f64,
+    pub(crate) id_ratio: f64,
     /// Sets a >1,000-character cookie (JuicyAds/TrafficStars style).
-    pub long_value: bool,
+    pub(crate) long_value: bool,
 }
 
 impl CookieBehavior {
     /// A plain persistent uid cookie on every deployment.
-    pub fn uid(id_len: u8) -> Self {
+    pub(crate) fn uid(id_len: u8) -> Self {
         CookieBehavior {
             cookies_per_visit: 1,
             id_len,
@@ -84,17 +84,17 @@ pub struct FpBehavior {
     pub canvas: bool,
     /// Fraction of this service's deployments that actually carry the canvas
     /// script (a CDN can be on 950 sites yet fingerprint on 31).
-    pub canvas_site_fraction: f64,
+    pub(crate) canvas_site_fraction: f64,
     /// Scripts per canvas deployment: `(min, max)` inclusive. Distinct
     /// variants per site explain the paper's 41 scripts on 26 sites.
     pub canvas_scripts: (u8, u8),
     /// Size of the script-variant pool; `0` = a unique variant per site.
     /// A pool of 1 means every site gets the identical script.
-    pub canvas_pool: u8,
+    pub(crate) canvas_pool: u8,
     /// Fraction of canvas variants served from the `/fpx/` path family that
     /// the synthetic EasyList indexes (the 9 % of scripts that ARE indexed,
     /// §5.1.3 finds 91 % unindexed).
-    pub indexed_frac: f64,
+    pub(crate) indexed_frac: f64,
     /// Serves the (single) font-fingerprinting script (≥50× `measureText`).
     pub font: bool,
     /// Uses WebRTC APIs.
@@ -107,7 +107,7 @@ pub struct FpBehavior {
 
 impl FpBehavior {
     /// Canvas fingerprinting on every deployment, one variant per site.
-    pub fn canvas_everywhere(scripts: (u8, u8)) -> Self {
+    pub(crate) fn canvas_everywhere(scripts: (u8, u8)) -> Self {
         FpBehavior {
             canvas: true,
             canvas_site_fraction: 1.0,
@@ -145,7 +145,7 @@ pub struct Adoption {
 
 impl Adoption {
     /// Uniform adoption across tiers.
-    pub fn flat(porn: f64, regular: f64) -> Self {
+    pub(crate) fn flat(porn: f64, regular: f64) -> Self {
         Adoption {
             porn: [porn; 4],
             regular: [regular; 4],
@@ -154,7 +154,7 @@ impl Adoption {
 
     /// Not deployed anywhere by probability (long-tail services are placed
     /// explicitly instead).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::flat(0.0, 0.0)
     }
 }
@@ -171,7 +171,7 @@ pub struct ThirdPartyService {
     /// Primary FQDN the service serves from.
     pub fqdn: String,
     /// Additional FQDNs (e.g. `doublepimpssl.com`).
-    pub extra_fqdns: Vec<String>,
+    pub(crate) extra_fqdns: Vec<String>,
     /// Category.
     pub category: ServiceCategory,
     /// Whether the service supports HTTPS.
@@ -187,9 +187,9 @@ pub struct ThirdPartyService {
     /// Percentage of placements on which a repeat-sighting fires the sync
     /// redirect. High-reach networks match selectively (partners pay per
     /// matched user); small trackers sync everywhere they can.
-    pub sync_gate_pct: u8,
+    pub(crate) sync_gate_pct: u8,
     /// Real-time-bidding demand partners reached through iframe chains.
-    pub rtb_partners: Vec<ServiceId>,
+    pub(crate) rtb_partners: Vec<ServiceId>,
     /// Fp.
     pub fp: FpBehavior,
     /// Runs a cryptominer on the page.
@@ -197,7 +197,7 @@ pub struct ThirdPartyService {
     /// Flagged by the threat-intel ensemble.
     pub malicious: bool,
     /// List coverage.
-    pub list_coverage: ListCoverage,
+    pub(crate) list_coverage: ListCoverage,
     /// Present in the Disconnect entity list.
     pub in_disconnect: bool,
     /// X.509 subject organization, when the cert is attributable.
@@ -227,12 +227,12 @@ pub struct ServiceRegistry {
 
 impl ServiceRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds a service (its `id` field is overwritten with the slot index).
-    pub fn add(&mut self, mut service: ThirdPartyService) -> ServiceId {
+    pub(crate) fn add(&mut self, mut service: ThirdPartyService) -> ServiceId {
         let id = ServiceId(self.services.len() as u32);
         service.id = id;
         self.services.push(service);
@@ -245,7 +245,7 @@ impl ServiceRegistry {
     }
 
     /// Mutable borrow (used when wiring sync/RTB partners).
-    pub fn get_mut(&mut self, id: ServiceId) -> &mut ThirdPartyService {
+    pub(crate) fn get_mut(&mut self, id: ServiceId) -> &mut ThirdPartyService {
         &mut self.services[id.0 as usize]
     }
 
@@ -259,16 +259,6 @@ impl ServiceRegistry {
     /// All services.
     pub fn iter(&self) -> impl Iterator<Item = &ThirdPartyService> {
         self.services.iter()
-    }
-
-    /// Number of services.
-    pub fn len(&self) -> usize {
-        self.services.len()
-    }
-
-    /// `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.services.is_empty()
     }
 }
 
@@ -311,7 +301,7 @@ mod tests {
         assert_eq!(b, ServiceId(1));
         assert_eq!(reg.by_fqdn("exosrv.com").unwrap().label, "ExoClick");
         assert!(reg.by_fqdn("missing.com").is_none());
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.iter().count(), 2);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub struct BannerSpec {
     /// Kind.
     pub kind: BannerType,
     /// Shown only to EU visitors (geo-fenced consent).
-    pub eu_only: bool,
+    pub(crate) eu_only: bool,
 }
 
 /// Age-verification mechanism kinds (§7.2).
@@ -130,16 +130,16 @@ pub struct Site {
     /// Deployments.
     pub deployments: Vec<Deployment>,
     /// Porn sites whose CDN assets this site embeds (federation, §4.1).
-    pub cross_embeds: Vec<SiteId>,
+    pub(crate) cross_embeds: Vec<SiteId>,
     /// First-party CDN label (e.g. `img100-589`), when the site shards its
     /// static assets over a generated subdomain.
-    pub cdn_label: Option<String>,
+    pub(crate) cdn_label: Option<String>,
     /// The CDN label varies per country (region-localized balancing) —
     /// source of country-unique FQDNs in Table 7.
-    pub country_cdn: bool,
+    pub(crate) country_cdn: bool,
     /// Site-specific third-party cloud hosts (label, provider registrable
     /// domain), e.g. `("d8f3k2", "cloudfront.net")`.
-    pub cloud_hosts: Vec<(String, String)>,
+    pub(crate) cloud_hosts: Vec<(String, String)>,
     /// Banner.
     pub banner: Option<BannerSpec>,
     /// Age gate.
@@ -162,7 +162,7 @@ pub struct Site {
     pub decoy_canvas: bool,
     /// A minimalist site: no cookie bookkeeping and almost no third-party
     /// embeds (the ~8 % of §5.1.1 sites where no cookies appear at all).
-    pub minimal: bool,
+    pub(crate) minimal: bool,
     /// Never responds (false positives, §3).
     pub unresponsive: bool,
     /// Responds to the Selenium crawler but exceeded the OpenWPM 120 s
@@ -172,9 +172,9 @@ pub struct Site {
     /// server-side geo-blocking, §3.1).
     pub blocked_in: Vec<Country>,
     /// Listed by the specialized porn directories (§3 source 1).
-    pub in_directory: bool,
+    pub(crate) in_directory: bool,
     /// Indexed under the Alexa-style Adult category (§3 source 2).
-    pub in_alexa_adult: bool,
+    pub(crate) in_alexa_adult: bool,
     /// Carries the ASACP Restricted-To-Adults meta tag (§2.1).
     pub rta_label: bool,
 }
@@ -186,13 +186,13 @@ impl Site {
     }
 
     /// `true` when the domain contains one of the §3 search keywords.
-    pub fn has_keyword(&self) -> bool {
+    fn has_keyword(&self) -> bool {
         domain_has_keyword(&self.domain)
     }
 }
 
 /// The §3 keyword bag.
-pub const KEYWORDS: &[&str] = &["porn", "tube", "sex", "gay", "lesbian", "mature", "xxx"];
+const KEYWORDS: &[&str] = &["porn", "tube", "sex", "gay", "lesbian", "mature", "xxx"];
 
 /// Does `domain` contain a corpus keyword?
 pub fn domain_has_keyword(domain: &str) -> bool {
@@ -287,7 +287,6 @@ fn history_for(rng: &mut StdRng, target_best: u32, stable: bool, seed: u64) -> R
     };
     trajectory_with_best(
         &TrajectoryParams {
-            base_rank: target_best,
             persistence: 0.9,
             volatility,
             days: redlight_rankings::DAYS_IN_YEAR,
@@ -391,7 +390,7 @@ pub struct SitePopulation {
 }
 
 /// Generates the full site population for `config` against `catalog`.
-pub fn generate(config: &WorldConfig, catalog: &Catalog) -> SitePopulation {
+pub(crate) fn generate(config: &WorldConfig, catalog: &Catalog) -> SitePopulation {
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x517E_6E6E);
     let scale = config.sanitized_count() as f64 / 6_843.0;
     let mut sites: Vec<Site> = Vec::new();
@@ -611,7 +610,7 @@ pub fn generate(config: &WorldConfig, catalog: &Catalog) -> SitePopulation {
 /// Owner ids produced by [`generate`] carry this tag until world assembly
 /// remaps them onto real [`OrgId`]s (high bit set, low bits = index into
 /// [`PUBLISHERS`]).
-pub const PUBLISHER_TAG: u32 = 0x8000_0000;
+pub(crate) const PUBLISHER_TAG: u32 = 0x8000_0000;
 
 fn blank_site(
     id: SiteId,

@@ -2,18 +2,12 @@
 //!
 //! The paper aggregates 70 malware scanners through VirusTotal and flags a
 //! domain as potentially malicious only when **at least 4** scanners agree
-//! (§5.3). The simulated ensemble gives genuinely malicious domains a
-//! detection count comfortably above the threshold, while benign domains
-//! occasionally pick up 1–3 stray detections — the false-positive noise the
-//! threshold exists to suppress.
+//! (§5.3); the analysis applies that rule. The simulated ensemble gives
+//! genuinely malicious domains a detection count comfortably above the
+//! threshold, while benign domains occasionally pick up 1–3 stray
+//! detections — the false-positive noise the threshold exists to suppress.
 
 use redlight_net::transport::fnv1a;
-
-/// Number of aggregated scanners.
-pub const SCANNER_COUNT: u8 = 70;
-
-/// The paper's agreement threshold.
-pub const DETECTION_THRESHOLD: u8 = 4;
 
 /// Deterministic scanner ensemble.
 #[derive(Debug, Clone)]
@@ -23,7 +17,7 @@ pub struct ScannerEnsemble {
 
 impl ScannerEnsemble {
     /// Creates the ensemble for a world seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         ScannerEnsemble { seed }
     }
 
@@ -45,23 +39,21 @@ impl ScannerEnsemble {
             }
         }
     }
-
-    /// Applies the ≥4 agreement rule.
-    pub fn is_flagged(&self, domain: &str, truly_malicious: bool) -> bool {
-        self.detections(domain, truly_malicious) >= DETECTION_THRESHOLD
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's agreement threshold (§5.3), out of 70 scanners.
+    const THRESHOLD: u8 = 4;
+
     #[test]
     fn malicious_domains_cross_the_threshold() {
         let e = ScannerEnsemble::new(7);
         for d in ["itraffictrade.com", "coinhive.com", "badsite.top"] {
-            assert!(e.is_flagged(d, true), "{d}");
-            assert!(e.detections(d, true) <= SCANNER_COUNT);
+            let n = e.detections(d, true);
+            assert!((THRESHOLD..=70).contains(&n), "{d}: {n}");
         }
     }
 
@@ -69,7 +61,7 @@ mod tests {
     fn benign_domains_stay_below() {
         let e = ScannerEnsemble::new(7);
         let flagged = (0..500)
-            .filter(|i| e.is_flagged(&format!("clean{i}.com"), false))
+            .filter(|i| e.detections(&format!("clean{i}.com"), false) >= THRESHOLD)
             .count();
         assert_eq!(flagged, 0, "benign noise must stay under 4 detections");
         // But some benign domains DO have nonzero detections.

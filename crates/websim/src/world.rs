@@ -2,12 +2,10 @@
 //! certificates, filter lists and the host index together.
 
 use std::collections::HashMap;
-use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use rand::prelude::*;
 use redlight_blocklist::EntityList;
-use redlight_net::dns::{DnsDb, ZoneRecord};
 use redlight_net::geoip::Country;
 use redlight_net::psl;
 use redlight_net::tls::Certificate;
@@ -57,8 +55,6 @@ pub struct World {
     pub category_service: CategoryService,
     /// Whois.
     pub whois: WhoisDb,
-    /// Dns.
-    pub dns: DnsDb,
     /// Synthetic EasyList text (the Jan-2019 snapshot stand-in).
     pub easylist: String,
     /// Synthetic EasyPrivacy text.
@@ -67,8 +63,6 @@ pub struct World {
     pub disconnect: EntityList,
     /// Scanners.
     pub scanners: ScannerEnsemble,
-    /// Publisher org ids, parallel to [`PUBLISHERS`].
-    pub publisher_orgs: Vec<OrgId>,
     host_index: HashMap<String, HostEntity>,
     /// The leaf certificate of each site (indexed by site id), which its
     /// CDN hosts present too.
@@ -147,41 +141,7 @@ impl World {
             whois.insert(WhoisRecord {
                 domain: psl::registrable_domain(&site.domain).to_string(),
                 registrant,
-                registrar: "Example Registrar Inc.".to_string(),
-                created_year: 2004 + (mix(site.id.0 as u64, 11) % 14) as u16,
             });
-        }
-
-        // DNS: shared nameservers inside publisher clusters.
-        let mut dns = DnsDb::new();
-        for site in &sites {
-            let ns = match site.owner {
-                Some(org) => {
-                    let slug: String = org_registry
-                        .get(org)
-                        .name
-                        .to_ascii_lowercase()
-                        .chars()
-                        .filter(|c| c.is_ascii_alphanumeric())
-                        .collect();
-                    vec![
-                        format!("ns1.{slug}-infra.net"),
-                        format!("ns2.{slug}-infra.net"),
-                    ]
-                }
-                None => vec![format!(
-                    "ns{}.parked-dns.net",
-                    mix(site.id.0 as u64, 3) % 50
-                )],
-            };
-            dns.insert(
-                &site.domain,
-                ZoneRecord {
-                    address: ip_for(site.id.0),
-                    nameservers: ns,
-                    cname: None,
-                },
-            );
         }
 
         // Host index.
@@ -239,11 +199,9 @@ impl World {
             directory_domains: pop.directory_domains,
             category_service,
             whois,
-            dns,
             easylist,
             easyprivacy,
             disconnect,
-            publisher_orgs,
             host_index,
             site_certs,
             service_certs,
@@ -275,7 +233,7 @@ impl World {
     }
 
     /// Owner company name of a site, when attributed.
-    pub fn owner_name(&self, site: &Site) -> Option<&str> {
+    pub(crate) fn owner_name(&self, site: &Site) -> Option<&str> {
         site.owner.map(|o| self.orgs.get(o).name.as_str())
     }
 
@@ -401,15 +359,6 @@ fn site_certificate(site: &Site, orgs: &OrgRegistry) -> Certificate {
         org,
         vec![site.domain.clone(), format!("*.{}", site.domain)],
         mix(fnv1a(site.domain.as_bytes()), 0xCE47),
-    )
-}
-
-fn ip_for(site_id: u32) -> Ipv4Addr {
-    Ipv4Addr::new(
-        10,
-        (site_id >> 16) as u8,
-        (site_id >> 8) as u8,
-        site_id as u8,
     )
 }
 
@@ -663,7 +612,10 @@ mod tests {
     fn scanner_flags_malicious_service_domains() {
         let w = world();
         assert!(w.truly_malicious("coinhive.com"));
-        assert!(w.scanners.is_flagged("coinhive.com", true));
+        assert!(
+            w.scanners.detections("coinhive.com", true) >= 4,
+            "§5.3 rule"
+        );
         assert!(!w.truly_malicious("google-analytics.com"));
     }
 }

@@ -15,6 +15,51 @@ STATUS_BEFORE="$(tree_status)"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> public surface: every pub fn/const/static under crates/*/src is used outside its crate"
+# rustc's dead_code lint cannot see a `pub` item that only its own crate
+# (or only its unit tests) uses; this scan keeps such items `pub(crate)` or
+# private, so the lint can. A use is the item's name as a whole word in any
+# .rs file outside the crate's src/ (its src/bin targets count as outside):
+# other crates, crates/*/tests, tests/, examples/, src/ and perfbench/src.
+python3 - <<'PYEOF'
+import os, re, sys
+ident = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+item = re.compile(
+    r"\s*pub\s+(?:(?:const|unsafe|async)\s+)*fn\s+([A-Za-z_]\w*)"
+    r"|\s*pub\s+(?:const|static)\s+(?:mut\s+)?([A-Za-z_]\w*)\s*:")
+texts, words, crate_of = {}, {}, {}
+for top in ("crates", "tests", "examples", "src", "perfbench/src"):
+    for dirpath, dirnames, filenames in os.walk(top):
+        dirnames[:] = [d for d in dirnames if d != "target"]
+        for name in filenames:
+            if name.endswith(".rs"):
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    texts[path] = f.read()
+                words[path] = set(ident.findall(texts[path]))
+                parts = path.split("/")
+                if parts[0] == "crates" and parts[2] == "src" and parts[3] != "bin":
+                    crate_of[path] = parts[1]
+unused = []
+for crate in sorted(set(crate_of.values())):
+    outside = set()
+    for path in words:
+        if crate_of.get(path) != crate:
+            outside |= words[path]
+    for path in sorted(p for p, c in crate_of.items() if c == crate):
+        for lineno, line in enumerate(texts[path].splitlines(), 1):
+            m = item.match(line)
+            if m and (m.group(1) or m.group(2)) not in outside:
+                unused.append(f"{path}:{lineno} {m.group(1) or m.group(2)}")
+if unused:
+    print("\n".join(unused))
+    print(f"{len(unused)} pub item(s) above have no use outside their crate; "
+          "make each pub(crate) or private, and delete what clippy then "
+          "reports unused.", file=sys.stderr)
+    sys.exit(1)
+print(f"public surface OK: {len(crate_of)} source files scanned")
+PYEOF
+
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -181,7 +181,6 @@ proptest! {
         use redlight::rankings::trajectory::trajectory_with_best;
         use redlight::rankings::TrajectoryParams;
         let params = TrajectoryParams {
-            base_rank: best,
             persistence: 0.9,
             volatility: vol,
             days: 120,
