@@ -7,6 +7,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use redlight_core::stages::STAGES;
+
 /// Runs `reproduce` with `args`, panicking unless it succeeds, and
 /// returns its stdout.
 fn reproduce(args: &[&str]) -> Vec<u8> {
@@ -82,6 +84,17 @@ fn seed7_flaky_stdout_matches_golden() {
         &["--seed", "7", "--net-profile", "flaky"],
         "reproduce_seed7_flaky.txt",
     );
+}
+
+/// Every stage named by `--stage`, in paper order: each stage's summary
+/// line, which the full run's stdout does not print.
+#[test]
+fn seed7_every_stage_stdout_matches_golden() {
+    let mut args = vec!["--seed", "7"];
+    for stage in STAGES {
+        args.extend(["--stage", stage]);
+    }
+    assert_matches_golden(&args, "reproduce_seed7_stages.txt");
 }
 
 #[test]

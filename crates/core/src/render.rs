@@ -1,6 +1,7 @@
 //! Human-readable rendering of study results: one printable block per
 //! table/figure of the paper.
 
+use redlight_crawler::db::CorpusLabel;
 use redlight_net::geoip::Country;
 use redlight_report::figure::{self, Series};
 use redlight_report::paper::{self, Comparison};
@@ -728,14 +729,12 @@ impl crate::results::StageReport {
         )
         .align_right(&[3, 4, 5, 6, 7]);
         for c in &self.crawls {
-            let corpus = c
-                .corpus
-                .map(|l| format!("{l:?}").to_lowercase())
-                .unwrap_or_else(|| "interaction".to_string());
             crawls.row(&[
                 c.crawler.to_string(),
                 format!("{:?}", c.country),
-                corpus,
+                c.corpus
+                    .map_or("interaction", CorpusLabel::slug)
+                    .to_string(),
                 fmt_count(c.sites),
                 fmt_count(c.attempts as usize),
                 fmt_count(c.retries as usize),
@@ -792,14 +791,12 @@ impl crate::results::StageReport {
             let mut total = redlight_net::transport::TransportStats::default();
             for c in self.crawls.iter().filter(|c| c.net.is_some()) {
                 let stats = c.net.as_ref().expect("filtered");
-                let corpus = c
-                    .corpus
-                    .map(|l| format!("{l:?}").to_lowercase())
-                    .unwrap_or_else(|| "interaction".to_string());
                 transport.row(&[
                     c.crawler.to_string(),
                     format!("{:?}", c.country),
-                    corpus,
+                    c.corpus
+                        .map_or("interaction", CorpusLabel::slug)
+                        .to_string(),
                     fmt_count(stats.requests as usize),
                     fmt_count(stats.responses as usize),
                     fmt_count(stats.unreachable as usize),
@@ -847,7 +844,7 @@ impl crate::results::StageReport {
             push_str_literal(&mut out, c.country.code());
             out.push_str(",\"corpus\":");
             match c.corpus {
-                Some(l) => push_str_literal(&mut out, &format!("{l:?}").to_lowercase()),
+                Some(l) => push_str_literal(&mut out, l.slug()),
                 None => out.push_str("null"),
             }
             out.push_str(&format!(

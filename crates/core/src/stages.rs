@@ -2,15 +2,12 @@
 //!
 //! Every analysis of the paper is a *stage* — a named unit that consumes
 //! only the [`MeasurementDb`] plus the shared [`AnalysisContext`] and
-//! produces one table/figure bundle. Stages with no dependency on another
-//! stage's output run concurrently on scoped threads (wave A); the
-//! three dependent stages run in two follow-up waves:
-//!
-//! * `fingerprinting` needs `webrtc` (Table 5 merges both script sets);
-//! * `ownership` needs `policies` (it clusters the policy texts with the
-//!   TF-IDF model `policies` fitted);
-//! * `disclosure` needs `fingerprinting` + `policies` (the Polisis pass
-//!   ranks sites by observed tracking and reads their policies).
+//! produces one table/figure bundle. The private stage table, `TABLE`,
+//! declares each stage once: its name, the stages whose outputs it reads
+//! and its body. [`STAGES`], [`expand_selection`] and the schedule are read
+//! off it: [`run`] runs the selected stages in waves, each wave every
+//! stage whose dependencies ran in an earlier one, concurrently on scoped
+//! threads.
 //!
 //! Each stage reports wall time and input/output record counts through a
 //! [`StageTiming`], and a subset of stages can be run with
@@ -19,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::thread::ScopedJoinHandle;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use redlight_analysis::agegate::AgeGateComparison;
@@ -56,94 +53,85 @@ use crate::results::{CacheCounter, CorpusSummary, StageReport, StageTiming, Stud
 use crate::study::StudyConfig;
 use crate::WorldThreatFeed;
 
-/// §3 corpus-compilation summary.
-const CORPUS_SUMMARY: &str = "corpus-summary";
-/// Fig. 1 + Table 3 (rank stability and tier presence).
-const POPULARITY: &str = "popularity";
-/// Table 2 (first/third-party domains).
-const THIRD_PARTIES: &str = "third-parties";
-/// Fig. 3 + §4.2(3) attribution.
-const ORGANIZATIONS: &str = "organizations";
-/// §5.1.1 + Table 4.
-const COOKIES: &str = "cookies";
-/// §5.1.2 / Fig. 4.
-const COOKIE_SYNC: &str = "cookie-sync";
-/// §5.1.4.
-const WEBRTC: &str = "webrtc";
-/// §5.1.3 + Table 5.
-const FINGERPRINTING: &str = "fingerprinting";
-/// §5.2 / Table 6.
-pub(crate) const HTTPS: &str = "https";
-/// §5.3.
-const MALWARE: &str = "malware";
-/// §6 / Table 7 (geo sweep comparison).
-const GEO: &str = "geo";
-/// §7.1 / Table 8.
-const CONSENT_BANNERS: &str = "consent-banners";
-/// §7.3 policy collection + similarity sweep.
-const POLICIES: &str = "policies";
-/// §4.1 / Table 1.
-const OWNERSHIP: &str = "ownership";
-/// §4.1 monetization.
-const MONETIZATION: &str = "monetization";
-/// §7.2 age verification.
-const AGE_GATES: &str = "age-gates";
-/// §7.3 Polisis-style disclosure check.
-const DISCLOSURE: &str = "disclosure";
+/// One row of the stage table.
+struct Stage {
+    /// The registered name: `reproduce --stage <name>`, span `stage.<name>`.
+    name: &'static str,
+    /// The stages whose outputs the body reads, each a row above this one.
+    deps: &'static [&'static str],
+    /// Computes the stage and stores its output in its [`StageOutputs`] slot.
+    body: Body,
+}
+
+/// A stage body: reads the DB, the context and its dependencies' slots.
+type Body = fn(&MeasurementDb, &AnalysisContext<'_>, &StageOutputs) -> Ran;
+
+/// What a stage body reports: `(input records, output records, summary line)`.
+type Ran = (usize, usize, String);
+
+/// A row of the stage table.
+const fn stage(name: &'static str, deps: &'static [&'static str], body: Body) -> Stage {
+    Stage { name, deps, body }
+}
+
+/// Every stage, in paper order. Table 5 merges the canvas and WebRTC
+/// script sets, ownership clusters the policy texts with the TF-IDF model
+/// the policy sweep fitted, and the disclosure check reads both.
+const TABLE: &[Stage; 17] = &[
+    stage("corpus-summary", &[], stage_corpus_summary),
+    stage("popularity", &[], stage_popularity),
+    stage("third-parties", &[], stage_third_parties),
+    stage("organizations", &[], stage_organizations),
+    stage("cookies", &[], stage_cookies),
+    stage("cookie-sync", &[], stage_cookie_sync),
+    stage("webrtc", &[], stage_webrtc),
+    stage("fingerprinting", &["webrtc"], stage_fingerprinting),
+    stage("https", &[], stage_https),
+    stage("malware", &[], stage_malware),
+    stage("geo", &[], stage_geo),
+    stage("consent-banners", &[], stage_consent_banners),
+    stage("policies", &[], stage_policies),
+    stage("ownership", &["policies"], stage_ownership),
+    stage("monetization", &[], stage_monetization),
+    stage("age-gates", &[], stage_age_gates),
+    stage(
+        "disclosure",
+        &["fingerprinting", "policies"],
+        stage_disclosure,
+    ),
+];
 
 /// Every stage, in paper order.
-pub const STAGES: [&str; 17] = [
-    CORPUS_SUMMARY,
-    POPULARITY,
-    THIRD_PARTIES,
-    ORGANIZATIONS,
-    COOKIES,
-    COOKIE_SYNC,
-    WEBRTC,
-    FINGERPRINTING,
-    HTTPS,
-    MALWARE,
-    GEO,
-    CONSENT_BANNERS,
-    POLICIES,
-    OWNERSHIP,
-    MONETIZATION,
-    AGE_GATES,
-    DISCLOSURE,
-];
+pub const STAGES: [&str; 17] = {
+    let (mut names, mut i) = ([""; 17], 0);
+    while i < names.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
 
 /// The countries whose interaction crawls feed the §7.2 age-gate
 /// comparison (fixed by the paper, independent of the geo-sweep list).
 pub(crate) const GATE_COUNTRIES: [Country; 4] =
     [Country::Usa, Country::Uk, Country::Spain, Country::Russia];
 
-/// Stages whose outputs `stage` consumes.
-fn dependencies(stage: &str) -> &'static [&'static str] {
-    match stage {
-        FINGERPRINTING => &[WEBRTC],
-        OWNERSHIP => &[POLICIES],
-        DISCLOSURE => &[FINGERPRINTING, POLICIES],
-        _ => &[],
-    }
-}
-
 /// Resolves user-requested stage names to the closed set including every
 /// transitive dependency. Errors on unknown names.
 pub fn expand_selection(requested: &[String]) -> Result<BTreeSet<&'static str>, String> {
-    let mut queue: Vec<&'static str> = Vec::new();
+    let mut queue: Vec<&'static Stage> = Vec::new();
     for name in requested {
-        let canon = STAGES.iter().copied().find(|s| s == name).ok_or_else(|| {
+        queue.push(TABLE.iter().find(|s| s.name == name).ok_or_else(|| {
             format!(
                 "unknown stage '{name}'; expected one of: {}",
                 STAGES.join(", ")
             )
-        })?;
-        queue.push(canon);
+        })?);
     }
     let mut selected = BTreeSet::new();
     while let Some(stage) = queue.pop() {
-        if selected.insert(stage) {
-            queue.extend(dependencies(stage));
+        if selected.insert(stage.name) {
+            queue.extend(TABLE.iter().filter(|s| stage.deps.contains(&s.name)));
         }
     }
     Ok(selected)
@@ -314,45 +302,47 @@ impl<'a> AnalysisContext<'a> {
     }
 }
 
-/// Stage outputs, one optional slot per stage — `None` when the stage was
-/// not selected. A full run fills every slot.
+/// Stage outputs, one slot per stage, which the stage's body fills — empty
+/// when the stage was not selected. A full run fills every slot.
 #[derive(Debug, Default)]
 pub struct StageOutputs {
-    /// [`CORPUS_SUMMARY`].
-    corpus_summary: Option<CorpusSummary>,
-    /// `POPULARITY`: Fig. 1 + Table 3.
-    pub popularity: Option<(Fig1, Table3)>,
-    /// `THIRD_PARTIES`: Table 2.
-    pub third_parties: Option<ats::Table2>,
-    /// `ORGANIZATIONS`: attribution coverage + both Fig. 3 sides.
-    pub organizations: Option<(AttributionStats, Vec<OrgPrevalence>, Vec<OrgPrevalence>)>,
-    /// `COOKIES`: §5.1.1 stats + Table 4.
-    pub cookies: Option<(CookieStats, Vec<Table4Row>)>,
-    /// [`COOKIE_SYNC`].
-    cookie_sync: Option<SyncReport>,
-    /// `WEBRTC`.
-    pub webrtc: Option<WebRtcReport>,
-    /// `FINGERPRINTING`: §5.1.3 report + Table 5.
-    pub fingerprinting: Option<(FingerprintReport, Vec<Table5Row>)>,
-    /// `HTTPS`: Table 6.
-    pub https: Option<HttpsReport>,
-    /// `MALWARE`.
-    pub malware: Option<MalwareReport>,
-    /// `GEO`: Table 7 + §6.2 malware comparison.
-    pub geo: Option<(Table7, GeoMalware)>,
-    /// [`CONSENT_BANNERS`]: EU and USA breakdowns.
-    consent_banners: Option<(BannerBreakdown, BannerBreakdown)>,
-    /// `POLICIES`: fetched docs, the TF-IDF model fitted on them (which
-    /// `OWNERSHIP` clusters with) + §7.3 report.
-    pub policies: Option<(Vec<PolicyDoc>, TfIdfModel, PolicyReport)>,
-    /// `OWNERSHIP`: Table 1.
-    pub ownership: Option<OwnershipReport>,
-    /// `MONETIZATION`.
-    pub monetization: Option<MonetizationReport>,
-    /// `AGE_GATES`.
-    pub age_gates: Option<AgeGateComparison>,
-    /// `DISCLOSURE`: `(checked, disclosing, full list)`.
-    pub disclosure: Option<(usize, usize, usize)>,
+    /// `corpus-summary`.
+    corpus_summary: OnceLock<CorpusSummary>,
+    /// `popularity`: Fig. 1 + Table 3.
+    pub popularity: OnceLock<(Fig1, Table3)>,
+    /// `third-parties`: Table 2.
+    pub third_parties: OnceLock<ats::Table2>,
+    /// `organizations`: attribution coverage + both Fig. 3 sides.
+    pub organizations: OnceLock<(AttributionStats, Vec<OrgPrevalence>, Vec<OrgPrevalence>)>,
+    /// `cookies`: §5.1.1 stats + Table 4.
+    pub cookies: OnceLock<(CookieStats, Vec<Table4Row>)>,
+    /// `cookie-sync`.
+    cookie_sync: OnceLock<SyncReport>,
+    /// `webrtc`.
+    pub webrtc: OnceLock<WebRtcReport>,
+    /// `fingerprinting`: §5.1.3 report + Table 5.
+    pub fingerprinting: OnceLock<(FingerprintReport, Vec<Table5Row>)>,
+    /// `https`: Table 6.
+    pub https: OnceLock<HttpsReport>,
+    /// `malware`.
+    pub malware: OnceLock<MalwareReport>,
+    /// `geo`: Table 7 + §6.2 malware comparison.
+    pub geo: OnceLock<(Table7, GeoMalware)>,
+    /// `consent-banners`: EU and USA breakdowns.
+    consent_banners: OnceLock<(BannerBreakdown, BannerBreakdown)>,
+    /// `policies`: fetched docs, their TF-IDF model (`ownership` clusters
+    /// with it) + §7.3 report.
+    pub policies: OnceLock<(Vec<PolicyDoc>, TfIdfModel, PolicyReport)>,
+    /// `ownership`: Table 1.
+    pub ownership: OnceLock<OwnershipReport>,
+    /// `monetization`.
+    pub monetization: OnceLock<MonetizationReport>,
+    /// `age-gates`.
+    pub age_gates: OnceLock<AgeGateComparison>,
+    /// `disclosure`: `(checked, disclosing, full list)`.
+    pub disclosure: OnceLock<(usize, usize, usize)>,
+    /// The summary line of every stage that ran, in paper order.
+    lines: Vec<(&'static str, String)>,
 }
 
 impl StageOutputs {
@@ -363,39 +353,38 @@ impl StageOutputs {
         best_ranks: BTreeMap<String, u32>,
         stage_report: StageReport,
     ) -> StudyResults {
-        let (fig1, table3) = self.popularity.expect("popularity stage ran");
-        let (attribution, fig3_porn, fig3_regular) =
-            self.organizations.expect("organizations stage ran");
-        let (cookie_stats, table4) = self.cookies.expect("cookies stage ran");
-        let (fingerprint, table5) = self.fingerprinting.expect("fingerprinting stage ran");
-        let (table7, geo_malware) = self.geo.expect("geo stage ran");
-        let (banners_eu, banners_usa) = self.consent_banners.expect("consent-banners stage ran");
-        let (_docs, _model, policy_report) = self.policies.expect("policies stage ran");
+        let (fig1, table3) = take(self.popularity);
+        let (attribution, fig3_porn, fig3_regular) = take(self.organizations);
+        let (cookie_stats, table4) = take(self.cookies);
+        let (fingerprint, table5) = take(self.fingerprinting);
+        let (table7, geo_malware) = take(self.geo);
+        let (banners_eu, banners_usa) = take(self.consent_banners);
+        let (_docs, _model, policy_report) = take(self.policies);
         StudyResults {
-            corpus: self.corpus_summary.expect("corpus-summary stage ran"),
+            corpus: take(self.corpus_summary),
             fig1,
-            ownership: self.ownership.expect("ownership stage ran"),
-            monetization: self.monetization.expect("monetization stage ran"),
-            table2: self.third_parties.expect("third-parties stage ran"),
+            ownership: take(self.ownership),
+            monetization: take(self.monetization),
+            table2: take(self.third_parties),
             table3,
             fig3_porn,
             fig3_regular,
             attribution,
             cookie_stats,
             table4,
-            sync: self.cookie_sync.expect("cookie-sync stage ran"),
+            sync: take(self.cookie_sync),
             fingerprint,
-            webrtc: self.webrtc.expect("webrtc stage ran"),
+            webrtc: take(self.webrtc),
             table5,
-            https: self.https.expect("https stage ran"),
-            malware: self.malware.expect("malware stage ran"),
+            https: take(self.https),
+            malware: take(self.malware),
             table7,
             geo_malware,
             banners_eu,
             banners_usa,
-            agegates: self.age_gates.expect("age-gates stage ran"),
+            agegates: take(self.age_gates),
             policies: policy_report,
-            disclosure_check: self.disclosure.expect("disclosure stage ran"),
+            disclosure_check: take(self.disclosure),
             best_ranks,
             stage_report,
         }
@@ -404,152 +393,30 @@ impl StageOutputs {
     /// One-line summaries of every stage that ran, in paper order (what
     /// `reproduce --stage` prints).
     pub fn summaries(&self) -> Vec<(&'static str, String)> {
-        let mut out = Vec::new();
-        if let Some(c) = &self.corpus_summary {
-            out.push((
-                CORPUS_SUMMARY,
-                format!("{} sanitized of {} candidates", c.sanitized, c.candidates),
-            ));
-        }
-        if let Some((fig1, t3)) = &self.popularity {
-            out.push((
-                POPULARITY,
-                format!(
-                    "{} fig. 1 points, {} tier rows",
-                    fig1.points.len(),
-                    t3.rows.len()
-                ),
-            ));
-        }
-        if let Some(t2) = &self.third_parties {
-            out.push((
-                THIRD_PARTIES,
-                format!(
-                    "{} porn / {} regular third parties",
-                    t2.porn_third_party, t2.regular_third_party
-                ),
-            ));
-        }
-        if let Some((stats, porn, _)) = &self.organizations {
-            out.push((
-                ORGANIZATIONS,
-                format!(
-                    "{} organizations, {} prevalence rows",
-                    stats.companies,
-                    porn.len()
-                ),
-            ));
-        }
-        if let Some((stats, t4)) = &self.cookies {
-            out.push((
-                COOKIES,
-                format!("{} cookies, {} Table 4 rows", stats.total_cookies, t4.len()),
-            ));
-        }
-        if let Some(s) = &self.cookie_sync {
-            out.push((
-                COOKIE_SYNC,
-                format!("{} pairs on {} sites", s.pairs.len(), s.sites_with_sync),
-            ));
-        }
-        if let Some(r) = &self.webrtc {
-            out.push((
-                WEBRTC,
-                format!("{} scripts on {} sites", r.scripts.len(), r.sites.len()),
-            ));
-        }
-        if let Some((fp, t5)) = &self.fingerprinting {
-            out.push((
-                FINGERPRINTING,
-                format!(
-                    "{} canvas scripts on {} sites, {} Table 5 rows",
-                    fp.canvas_scripts.len(),
-                    fp.canvas_sites.len(),
-                    t5.len()
-                ),
-            ));
-        }
-        if let Some(h) = &self.https {
-            out.push((
-                HTTPS,
-                format!("{} sites not fully HTTPS", h.not_fully_https),
-            ));
-        }
-        if let Some(m) = &self.malware {
-            out.push((
-                MALWARE,
-                format!(
-                    "{} flagged sites, {} mining sites",
-                    m.flagged_sites.len(),
-                    m.mining_sites.len()
-                ),
-            ));
-        }
-        if let Some((t7, gm)) = &self.geo {
-            out.push((
-                GEO,
-                format!(
-                    "{} countries, {} stable malicious domains",
-                    t7.rows.len(),
-                    gm.stable_domains
-                ),
-            ));
-        }
-        if let Some((eu, usa)) = &self.consent_banners {
-            out.push((
-                CONSENT_BANNERS,
-                format!(
-                    "EU {:.1}% / USA {:.1}% bannered",
-                    eu.total_pct, usa.total_pct
-                ),
-            ));
-        }
-        if let Some((docs, _, report)) = &self.policies {
-            out.push((
-                POLICIES,
-                format!(
-                    "{} policies fetched ({:.1}% of corpus)",
-                    docs.len(),
-                    report.with_policy_pct
-                ),
-            ));
-        }
-        if let Some(o) = &self.ownership {
-            out.push((
-                OWNERSHIP,
-                format!(
-                    "{} companies over {} sites",
-                    o.companies, o.attributed_sites
-                ),
-            ));
-        }
-        if let Some(m) = &self.monetization {
-            out.push((
-                MONETIZATION,
-                format!(
-                    "{:.1}% with subscriptions, {:.1}% paid",
-                    m.with_subscription_pct, m.paid_pct
-                ),
-            ));
-        }
-        if let Some(a) = &self.age_gates {
-            out.push((
-                AGE_GATES,
-                format!("{} countries compared", a.per_country.len()),
-            ));
-        }
-        if let Some((checked, disclosing, full)) = &self.disclosure {
-            out.push((
-                DISCLOSURE,
-                format!("{disclosing}/{checked} disclosing, {full} with full list"),
-            ));
-        }
-        out
+        self.lines.clone()
     }
 }
 
+/// A full run's output of one stage. A stage that did not run panics at
+/// the caller's line, which names its slot.
+#[track_caller]
+fn take<T>(slot: OnceLock<T>) -> T {
+    slot.into_inner()
+        .expect("into_results needs every stage's output")
+}
+
+/// Stores a stage's output in its slot; the scheduler runs each stage once.
+fn put<T>(slot: &OnceLock<T>, output: T) {
+    assert!(slot.set(output).is_ok(), "a stage ran twice");
+}
+
+/// The output of a stage this one reads, which ran in an earlier wave.
+fn dep<T>(slot: &OnceLock<T>) -> &T {
+    slot.get().expect("dependencies run in an earlier wave")
+}
+
 /// Telemetry sinks for an analysis run: stage spans go into `trace` (one
-/// `analyze/<stage>` shard per stage, so concurrent wave-A stages never
+/// `analyze/<stage>` shard per stage, so the stages of a wave never
 /// contend), stage counters into `metrics`.
 pub struct StageObs<'t> {
     /// Journal the per-stage spans are recorded into.
@@ -560,16 +427,16 @@ pub struct StageObs<'t> {
     pub parent: Option<SpanLink>,
 }
 
-/// Times one stage body, which returns `(output, inputs, outputs)`, and
-/// records a `stage.<name>` span in a dedicated `analyze/<name>` shard plus
-/// `stage.<name>.{input,output}_records` counters. Safe to call
+/// Times one stage body, and records a `stage.<name>` span in a dedicated
+/// `analyze/<name>` shard plus `stage.<name>.{input,output}_records`
+/// counters. Returns the body's summary line and the timing. Safe to call
 /// concurrently from wave threads: each stage owns its shard, and the
 /// registry is lock-protected.
-fn observed<T>(
+fn observed(
     obs: &StageObs<'_>,
     name: &'static str,
-    body: impl FnOnce() -> (T, usize, usize),
-) -> (T, StageTiming) {
+    body: impl FnOnce() -> Ran,
+) -> (String, StageTiming) {
     let shard = format!("analyze/{name}");
     let mut tracer = match &obs.parent {
         Some(link) => obs.trace.tracer_under(&shard, link.clone()),
@@ -577,7 +444,7 @@ fn observed<T>(
     };
     tracer.open(&format!("stage.{name}"));
     let start = Instant::now();
-    let (out, input_records, output_records) = body();
+    let (input_records, output_records, line) = body();
     let timing = StageTiming {
         name,
         wall: start.elapsed(),
@@ -597,7 +464,7 @@ fn observed<T>(
     obs.metrics
         .histogram("stage.output_records")
         .record(timing.output_records as u64);
-    (out, timing)
+    (line, timing)
 }
 
 /// Runs the selected stages (a set produced by [`expand_selection`] or
@@ -632,127 +499,91 @@ pub fn run_observed(
     obs: &StageObs<'_>,
 ) -> (StageOutputs, Vec<StageTiming>) {
     let mut outputs = StageOutputs::default();
-    let mut timings: Vec<StageTiming> = Vec::new();
-    let want = |name: &'static str| selected.contains(name);
-
-    // ---- Wave A: the 14 independent stages. ----
-    std::thread::scope(|s| {
-        let h_corpus = want(CORPUS_SUMMARY)
-            .then(|| s.spawn(|| observed(obs, CORPUS_SUMMARY, || stage_corpus_summary(ctx))));
-        let h_popularity = want(POPULARITY)
-            .then(|| s.spawn(|| observed(obs, POPULARITY, || stage_popularity(ctx))));
-        let h_third = want(THIRD_PARTIES)
-            .then(|| s.spawn(|| observed(obs, THIRD_PARTIES, || stage_third_parties(ctx))));
-        let h_orgs = want(ORGANIZATIONS)
-            .then(|| s.spawn(|| observed(obs, ORGANIZATIONS, || stage_organizations(ctx))));
-        let h_cookies =
-            want(COOKIES).then(|| s.spawn(|| observed(obs, COOKIES, || stage_cookies(ctx))));
-        let h_sync = want(COOKIE_SYNC)
-            .then(|| s.spawn(|| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx))));
-        let h_webrtc =
-            want(WEBRTC).then(|| s.spawn(|| observed(obs, WEBRTC, || stage_webrtc(ctx))));
-        let h_https = want(HTTPS).then(|| s.spawn(|| observed(obs, HTTPS, || stage_https(ctx))));
-        let h_malware =
-            want(MALWARE).then(|| s.spawn(|| observed(obs, MALWARE, || stage_malware(ctx))));
-        let h_geo = want(GEO).then(|| s.spawn(|| observed(obs, GEO, || stage_geo(db, ctx))));
-        let h_banners = want(CONSENT_BANNERS)
-            .then(|| s.spawn(|| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx))));
-        let h_policies =
-            want(POLICIES).then(|| s.spawn(|| observed(obs, POLICIES, || stage_policies(ctx))));
-        let h_monetization = want(MONETIZATION)
-            .then(|| s.spawn(|| observed(obs, MONETIZATION, || stage_monetization(ctx))));
-        let h_gates = want(AGE_GATES)
-            .then(|| s.spawn(|| observed(obs, AGE_GATES, || stage_age_gates(db, ctx))));
-
-        join(h_corpus, &mut outputs.corpus_summary, &mut timings);
-        join(h_popularity, &mut outputs.popularity, &mut timings);
-        join(h_third, &mut outputs.third_parties, &mut timings);
-        join(h_orgs, &mut outputs.organizations, &mut timings);
-        join(h_cookies, &mut outputs.cookies, &mut timings);
-        join(h_sync, &mut outputs.cookie_sync, &mut timings);
-        join(h_webrtc, &mut outputs.webrtc, &mut timings);
-        join(h_https, &mut outputs.https, &mut timings);
-        join(h_malware, &mut outputs.malware, &mut timings);
-        join(h_geo, &mut outputs.geo, &mut timings);
-        join(h_banners, &mut outputs.consent_banners, &mut timings);
-        join(h_policies, &mut outputs.policies, &mut timings);
-        join(h_monetization, &mut outputs.monetization, &mut timings);
-        join(h_gates, &mut outputs.age_gates, &mut timings);
-    });
-
-    // ---- Wave B: stages reading wave-A outputs. ----
-    std::thread::scope(|s| {
-        let rtc = &outputs.webrtc;
-        let docs = &outputs.policies;
-        let h_fp = want(FINGERPRINTING).then(|| {
-            s.spawn(move || {
-                let rtc = rtc.as_ref().expect("webrtc ran (dependency)");
-                observed(obs, FINGERPRINTING, || stage_fingerprinting(ctx, rtc))
-            })
+    let mut done: Vec<(String, StageTiming)> = Vec::new();
+    for wave in waves(selected) {
+        let out = &outputs;
+        std::thread::scope(|s| {
+            let threads: Vec<_> = wave
+                .iter()
+                .map(|stage| {
+                    s.spawn(move || observed(obs, stage.name, || (stage.body)(db, ctx, out)))
+                })
+                .collect();
+            for thread in threads {
+                done.push(thread.join().expect("stage thread panicked"));
+            }
         });
-        let h_owners = want(OWNERSHIP).then(|| {
-            s.spawn(move || {
-                let (docs, model, _) = docs.as_ref().expect("policies ran (dependency)");
-                observed(obs, OWNERSHIP, || stage_ownership(ctx, docs, model))
-            })
-        });
-        join(h_fp, &mut outputs.fingerprinting, &mut timings);
-        join(h_owners, &mut outputs.ownership, &mut timings);
-    });
-
-    // ---- Wave C: the disclosure check (needs fingerprinting + policies). ----
-    if want(DISCLOSURE) {
-        let (fp, _) = outputs.fingerprinting.as_ref().expect("fingerprinting ran");
-        let (docs, _, _) = outputs.policies.as_ref().expect("policies ran");
-        let (out, t) = observed(obs, DISCLOSURE, || stage_disclosure(ctx, fp, docs));
-        outputs.disclosure = Some(out);
-        timings.push(t);
     }
-
-    // Report timings in paper order regardless of join order.
-    timings.sort_by_key(|t| STAGES.iter().position(|s| *s == t.name));
+    // Report in paper order regardless of wave order.
+    done.sort_by_key(|(_, t)| STAGES.iter().position(|s| *s == t.name));
+    let timings;
+    (outputs.lines, timings) = done
+        .into_iter()
+        .map(|(line, t)| ((t.name, line), t))
+        .unzip();
     (outputs, timings)
 }
 
-/// Joins one wave thread (when its stage was selected) into its output slot
-/// and the timing list.
-fn join<T>(
-    handle: Option<ScopedJoinHandle<'_, (T, StageTiming)>>,
-    slot: &mut Option<T>,
-    timings: &mut Vec<StageTiming>,
-) {
-    if let Some(handle) = handle {
-        let (out, timing) = handle.join().expect("stage thread panicked");
-        *slot = Some(out);
-        timings.push(timing);
+/// The schedule of a selection: waves of its stages in table order, each
+/// every stage whose dependencies ran in an earlier wave. Panics if a stage
+/// reads an unselected one, which [`expand_selection`] never leaves out.
+fn waves(selected: &BTreeSet<&'static str>) -> Vec<Vec<&'static Stage>> {
+    let mut pending: Vec<&'static Stage> =
+        TABLE.iter().filter(|s| selected.contains(s.name)).collect();
+    let mut done = BTreeSet::new();
+    let mut waves = Vec::new();
+    while !pending.is_empty() {
+        let (wave, blocked): (Vec<_>, Vec<_>) = pending
+            .into_iter()
+            .partition(|s| s.deps.iter().all(|d| done.contains(d)));
+        assert!(
+            !wave.is_empty(),
+            "stage {} reads {:?}, which the selection lacks",
+            blocked[0].name,
+            blocked[0].deps
+        );
+        done.extend(wave.iter().map(|s| s.name));
+        waves.push(wave);
+        pending = blocked;
     }
+    waves
 }
 
-// ---- Stage bodies. Each returns (output, input records, output records). ----
+// ---- Stage bodies: each stores its output in its slot and returns `Ran`. ----
 
-fn stage_corpus_summary(ctx: &AnalysisContext<'_>) -> (CorpusSummary, usize, usize) {
+/// §3 corpus compilation.
+fn stage_corpus_summary(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let c = &ctx.corpus;
-    let summary = CorpusSummary {
-        from_directories: c.from_directories.len(),
-        from_adult_category: c.from_adult_category.len(),
-        from_keywords: c.from_keywords.len(),
-        candidates: c.candidates.len(),
-        false_positives: c.false_positives.len(),
-        sanitized: c.sanitized.len(),
-        regular_reference: c.reference_regular.len(),
-        manual_inspections: c.manual_inspections,
-    };
-    (summary, c.candidates.len(), c.sanitized.len())
+    put(
+        &out.corpus_summary,
+        CorpusSummary {
+            from_directories: c.from_directories.len(),
+            from_adult_category: c.from_adult_category.len(),
+            from_keywords: c.from_keywords.len(),
+            candidates: c.candidates.len(),
+            false_positives: c.false_positives.len(),
+            sanitized: c.sanitized.len(),
+            regular_reference: c.reference_regular.len(),
+            manual_inspections: c.manual_inspections,
+        },
+    );
+    let (candidates, sanitized) = (c.candidates.len(), c.sanitized.len());
+    let line = format!("{sanitized} sanitized of {candidates} candidates");
+    (candidates, sanitized, line)
 }
 
-fn stage_popularity(ctx: &AnalysisContext<'_>) -> ((Fig1, Table3), usize, usize) {
+/// Fig. 1 + Table 3: rank stability and tier presence.
+fn stage_popularity(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let fig1 = popularity::fig1(ctx.porn_histories);
     let table3 = popularity::table3(&ctx.porn_extract, &ctx.tier_of);
-    let produced = fig1.points.len() + table3.rows.len();
-    ((fig1, table3), ctx.porn_histories.len(), produced)
+    let (points, rows) = (fig1.points.len(), table3.rows.len());
+    put(&out.popularity, (fig1, table3));
+    let line = format!("{points} fig. 1 points, {rows} tier rows");
+    (ctx.porn_histories.len(), points + rows, line)
 }
 
-fn stage_third_parties(ctx: &AnalysisContext<'_>) -> (ats::Table2, usize, usize) {
+/// Table 2: first- and third-party domains.
+fn stage_third_parties(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let table2 = ats::table2(
         ctx.porn_es,
         &ctx.porn_extract,
@@ -760,30 +591,30 @@ fn stage_third_parties(ctx: &AnalysisContext<'_>) -> (ats::Table2, usize, usize)
         &ctx.regular_extract,
         &ctx.classifier,
     );
+    let (porn, regular) = (table2.porn_third_party, table2.regular_third_party);
+    put(&out.third_parties, table2);
     let input = ctx.porn_es.visits.len() + ctx.regular_es.visits.len();
-    let produced = table2.porn_third_party + table2.regular_third_party;
-    (table2, input, produced)
+    let line = format!("{porn} porn / {regular} regular third parties");
+    (input, porn + regular, line)
 }
 
-fn stage_organizations(
-    ctx: &AnalysisContext<'_>,
-) -> (
-    (AttributionStats, Vec<OrgPrevalence>, Vec<OrgPrevalence>),
-    usize,
-    usize,
-) {
+/// Fig. 3 + §4.2(3) attribution.
+fn stage_organizations(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     // The cert harvest (crawl traffic + out-of-band TLS probe) is collected
     // once in `AnalysisContext::build_sharded_in` and borrowed here.
     let attributor = orgs::OrgAttributor::from_harvest(&ctx.world.disconnect, &ctx.cert_harvest);
     let attribution = attributor.coverage(&ctx.porn_extract);
     let fig3_porn = attributor.prevalence(&ctx.porn_extract, ctx.porn_es.success_count());
     let fig3_regular = attributor.prevalence(&ctx.regular_extract, ctx.regular_es.success_count());
-    let input = ctx.porn_extract.third_party_fqdns.len();
-    let produced = fig3_porn.len() + fig3_regular.len();
-    ((attribution, fig3_porn, fig3_regular), input, produced)
+    let (companies, rows) = (attribution.companies, fig3_porn.len());
+    let line = format!("{companies} organizations, {rows} prevalence rows");
+    let produced = rows + fig3_regular.len();
+    put(&out.organizations, (attribution, fig3_porn, fig3_regular));
+    (ctx.porn_extract.third_party_fqdns.len(), produced, line)
 }
 
-fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), usize, usize) {
+/// §5.1.1 + Table 4.
+fn stage_cookies(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let stats = cookies::stats(ctx.porn_es, &ctx.cookie_rows, ctx.client_ip);
     let table4 = cookies::table4(
         ctx.porn_es,
@@ -794,55 +625,69 @@ fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), u
         5,
     );
     let produced = table4.len();
-    ((stats, table4), ctx.cookie_rows.len(), produced)
+    let line = format!("{} cookies, {produced} Table 4 rows", stats.total_cookies);
+    put(&out.cookies, (stats, table4));
+    (ctx.cookie_rows.len(), produced, line)
 }
 
-fn stage_cookie_sync(ctx: &AnalysisContext<'_>) -> (SyncReport, usize, usize) {
+/// §5.1.2 / Fig. 4: cookie synchronization.
+fn stage_cookie_sync(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let top_k = 100.min(ctx.ranked.len());
     let report = sync::detect(ctx.porn_es, &ctx.ranked, top_k, SyncOptions::default());
     let produced = report.pairs.len();
-    (report, ctx.porn_es.success_count(), produced)
+    let line = format!("{produced} pairs on {} sites", report.sites_with_sync);
+    put(&out.cookie_sync, report);
+    (ctx.porn_es.success_count(), produced, line)
 }
 
-fn stage_webrtc(ctx: &AnalysisContext<'_>) -> (WebRtcReport, usize, usize) {
+/// §5.1.4: WebRTC.
+fn stage_webrtc(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let report = webrtc::detect(ctx.porn_es, &ctx.classifier);
     let produced = report.scripts.len();
-    (report, ctx.porn_es.success_count(), produced)
+    let line = format!("{produced} scripts on {} sites", report.sites.len());
+    put(&out.webrtc, report);
+    (ctx.porn_es.success_count(), produced, line)
 }
 
-fn stage_fingerprinting(
-    ctx: &AnalysisContext<'_>,
-    rtc: &WebRtcReport,
-) -> ((FingerprintReport, Vec<Table5Row>), usize, usize) {
+/// §5.1.3 + Table 5, which merges the canvas scripts with `webrtc`'s.
+fn stage_fingerprinting(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let fp = fingerprint::detect(ctx.porn_es, &ctx.classifier);
     let table5 = fingerprint::table5(
         &fp,
-        rtc,
+        dep(&out.webrtc),
         &ctx.porn_extract,
         &ctx.regular_extract,
         &ctx.classifier,
         10,
     );
-    let produced = fp.canvas_scripts.len() + table5.len();
-    ((fp, table5), ctx.porn_es.success_count(), produced)
+    let (scripts, rows) = (fp.canvas_scripts.len(), table5.len());
+    let sites = fp.canvas_sites.len();
+    let line = format!("{scripts} canvas scripts on {sites} sites, {rows} Table 5 rows");
+    let produced = scripts + rows;
+    put(&out.fingerprinting, (fp, table5));
+    (ctx.porn_es.success_count(), produced, line)
 }
 
-fn stage_https(ctx: &AnalysisContext<'_>) -> (HttpsReport, usize, usize) {
+/// §5.2 / Table 6.
+fn stage_https(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let report = https::report(ctx.porn_es, &ctx.tier_of, ctx.client_ip);
     let produced = report.rows.len();
-    (report, ctx.porn_es.visits.len(), produced)
+    let line = format!("{} sites not fully HTTPS", report.not_fully_https);
+    put(&out.https, report);
+    (ctx.porn_es.visits.len(), produced, line)
 }
 
-fn stage_malware(ctx: &AnalysisContext<'_>) -> (MalwareReport, usize, usize) {
+/// §5.3.
+fn stage_malware(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let report = malware::detect(ctx.porn_es, &WorldThreatFeed(ctx.world));
-    let produced = report.flagged_sites.len() + report.mining_sites.len();
-    (report, ctx.porn_es.success_count(), produced)
+    let (flagged, mining) = (report.flagged_sites.len(), report.mining_sites.len());
+    put(&out.malware, report);
+    let line = format!("{flagged} flagged sites, {mining} mining sites");
+    (ctx.porn_es.success_count(), flagged + mining, line)
 }
 
-fn stage_geo(
-    db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
-) -> ((Table7, GeoMalware), usize, usize) {
+/// §6 / Table 7: the geo sweep comparison.
+fn stage_geo(db: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let threat = WorldThreatFeed(ctx.world);
     let mut order = vec![Country::Spain];
     order.extend(
@@ -866,13 +711,14 @@ fn stage_geo(
     let table7 = geo::table7(&summaries, &ctx.regular_extract.third_party_fqdns);
     let geo_malware = geo::geo_malware(&summaries);
     let produced = table7.rows.len();
-    ((table7, geo_malware), input, produced)
+    let stable = geo_malware.stable_domains;
+    let line = format!("{produced} countries, {stable} stable malicious domains");
+    put(&out.geo, (table7, geo_malware));
+    (input, produced, line)
 }
 
-fn stage_consent_banners(
-    db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
-) -> ((BannerBreakdown, BannerBreakdown), usize, usize) {
+/// §7.1 / Table 8: consent banners.
+fn stage_consent_banners(db: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let oracle = InspectionOracle::new(&ctx.world.sites);
     let verify = |domain: &str| oracle.confirm_banner(domain);
     let (banners_eu, _) = consent::breakdown(ctx.porn_es, &verify);
@@ -883,12 +729,14 @@ fn stage_consent_banners(
         .unwrap_or(ctx.porn_es);
     let (banners_usa, _) = consent::breakdown(usa_crawl, &verify);
     let input = ctx.porn_es.success_count() + usa_crawl.success_count();
-    ((banners_eu, banners_usa), input, 2)
+    let (eu, usa) = (banners_eu.total_pct, banners_usa.total_pct);
+    let line = format!("EU {eu:.1}% / USA {usa:.1}% bannered");
+    put(&out.consent_banners, (banners_eu, banners_usa));
+    (input, 2, line)
 }
 
-fn stage_policies(
-    ctx: &AnalysisContext<'_>,
-) -> ((Vec<PolicyDoc>, TfIdfModel, PolicyReport), usize, usize) {
+/// §7.3 policy collection + similarity sweep.
+fn stage_policies(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let (docs, sanitized_out) = policies::collect(&ctx.interactions_es);
     let model = policies::fit(&docs);
     let report = policies::report(
@@ -899,14 +747,16 @@ fn stage_policies(
         ctx.max_policy_pairs,
     );
     let produced = docs.len();
-    ((docs, model, report), ctx.interactions_es.len(), produced)
+    let pct = report.with_policy_pct;
+    let line = format!("{produced} policies fetched ({pct:.1}% of corpus)");
+    put(&out.policies, (docs, model, report));
+    (ctx.interactions_es.len(), produced, line)
 }
 
-fn stage_ownership(
-    ctx: &AnalysisContext<'_>,
-    docs: &[PolicyDoc],
-    model: &TfIdfModel,
-) -> (OwnershipReport, usize, usize) {
+/// §4.1 / Table 1: owners, found by clustering the policy texts with the
+/// TF-IDF model `policies` fitted.
+fn stage_ownership(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
+    let (docs, model, _) = dep(&out.policies);
     let report = owners::discover(
         docs,
         model,
@@ -917,10 +767,14 @@ fn stage_ownership(
     );
     let input = docs.len() + ctx.porn_es.success_count();
     let produced = report.clusters.len();
-    (report, input, produced)
+    let (companies, sites) = (report.companies, report.attributed_sites);
+    let line = format!("{companies} companies over {sites} sites");
+    put(&out.ownership, report);
+    (input, produced, line)
 }
 
-fn stage_monetization(ctx: &AnalysisContext<'_>) -> (MonetizationReport, usize, usize) {
+/// §4.1 monetization.
+fn stage_monetization(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let oracle = InspectionOracle::new(&ctx.world.sites);
     let label = |domain: &str| {
         oracle.label_subscription(domain).map(|l| match l {
@@ -929,13 +783,14 @@ fn stage_monetization(ctx: &AnalysisContext<'_>) -> (MonetizationReport, usize, 
         })
     };
     let report = monetization::report(&ctx.interactions_es, Some(&label));
-    (report, ctx.interactions_es.len(), 1)
+    let (subscriptions, paid) = (report.with_subscription_pct, report.paid_pct);
+    let line = format!("{subscriptions:.1}% with subscriptions, {paid:.1}% paid");
+    put(&out.monetization, report);
+    (ctx.interactions_es.len(), 1, line)
 }
 
-fn stage_age_gates(
-    db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
-) -> (AgeGateComparison, usize, usize) {
+/// §7.2 age verification.
+fn stage_age_gates(db: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     let mut per_country = Vec::with_capacity(GATE_COUNTRIES.len());
     let mut input = 0usize;
     for country in GATE_COUNTRIES {
@@ -952,20 +807,18 @@ fn stage_age_gates(
     }
     let comparison = agegate::compare(&per_country);
     let produced = comparison.per_country.len();
-    (comparison, input, produced)
+    put(&out.age_gates, comparison);
+    (input, produced, format!("{produced} countries compared"))
 }
 
 /// §7.3's Polisis pass: over the `top_n` porn sites with the heaviest
 /// observed tracking (canvas fingerprinting weighs heaviest, then
 /// third-party ID cookies), how many carry a policy disclosing cookies +
 /// data types + third parties, and how many name the complete embedded
-/// third-party list. Returns `(checked, disclosing, full list)`.
-fn stage_disclosure(
-    ctx: &AnalysisContext<'_>,
-    fp: &FingerprintReport,
-    docs: &[PolicyDoc],
-) -> ((usize, usize, usize), usize, usize) {
+/// third-party list. Stores `(checked, disclosing, full list)`.
+fn stage_disclosure(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
     const TOP_N: usize = 25;
+    let ((fp, _), (docs, _, _)) = (dep(&out.fingerprinting), dep(&out.policies));
     let mut score: BTreeMap<&str, usize> = BTreeMap::new();
     for row in ctx
         .cookie_rows
@@ -1001,6 +854,51 @@ fn stage_disclosure(
             full_list += 1;
         }
     }
+    put(&out.disclosure, (checked, disclosing, full_list));
     let input = ctx.cookie_rows.len() + fp.canvas_sites.len();
-    ((checked, disclosing, full_list), input, checked)
+    let line = format!("{disclosing}/{checked} disclosing, {full_list} with full list");
+    (input, checked, line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::study::Study;
+
+    #[test]
+    fn the_full_set_runs_in_three_waves() {
+        let names: Vec<Vec<&str>> = waves(&all_stages())
+            .iter()
+            .map(|wave| wave.iter().map(|s| s.name).collect())
+            .collect();
+        let later = ["fingerprinting", "ownership", "disclosure"];
+        let first: Vec<&str> = STAGES.into_iter().filter(|s| !later.contains(s)).collect();
+        assert_eq!((first.len(), names.len()), (14, 3));
+        assert_eq!(names[0], first);
+        assert_eq!(names[1], ["fingerprinting", "ownership"]);
+        assert_eq!(names[2], ["disclosure"]);
+    }
+
+    #[test]
+    fn every_dependency_is_a_row_listed_before_it() {
+        for (at, stage) in TABLE.iter().enumerate() {
+            for dep in stage.deps {
+                assert!(
+                    STAGES[..at].contains(dep),
+                    "{} reads {dep}, which is no row above it",
+                    stage.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "stage disclosure reads [\"fingerprinting\", \"policies\"]")]
+    fn a_selection_without_its_dependencies_panics() {
+        let config = StudyConfig::tiny(5);
+        let world = World::build(config.world.clone());
+        let (db, _) = Study::collect_db(&world, &config);
+        let ctx = AnalysisContext::build_sharded(&world, &config, &db, 1);
+        run(&db, &ctx, &BTreeSet::from(["disclosure"]));
+    }
 }

@@ -8,11 +8,10 @@
 //!    Selenium interaction crawls) and [`Study::collect_db`] executes it,
 //!    recording *every* crawl into a [`MeasurementDb`].
 //! 2. **Analysis** — [`crate::stages`] derives the shared
-//!    [`AnalysisContext`](crate::stages::AnalysisContext) and runs the
-//!    named stages over the DB, independent stages concurrently.
+//!    [`AnalysisContext`] and runs the named stages over the DB,
+//!    independent stages concurrently.
 //! 3. **Reporting** — per-crawl and per-stage timings land in a
-//!    [`StageReport`](crate::results::StageReport) inside
-//!    [`StudyResults`].
+//!    [`StageReport`] inside [`StudyResults`].
 //!
 //! [`Study::collect_db`] is the literal first half of [`Study::run_on`]:
 //! downstream consumers that only want the raw tables call it and stop.

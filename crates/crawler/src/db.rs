@@ -29,6 +29,17 @@ pub enum CorpusLabel {
     Regular,
 }
 
+impl CorpusLabel {
+    /// The lowercase name journal shards, span and counter names and the
+    /// timing tables use: `"porn"` or `"regular"`.
+    pub fn slug(self) -> &'static str {
+        match self {
+            CorpusLabel::Porn => "porn",
+            CorpusLabel::Regular => "regular",
+        }
+    }
+}
+
 /// One site's visit inside a crawl. Rows are appended through
 /// [`CrawlRecord::push_visit`] (or, for retried visits, its crate-private
 /// `push_visit_with`), which

@@ -20,9 +20,9 @@
 //!   first, and its telemetry plumbing (crawls are independent sessions;
 //!   within a crawl the session is sequential, preserving cookie-sync
 //!   observability);
-//! * [`plan`] — the [`CrawlPlan`](plan::CrawlPlan): every crawl a study
-//!   performs, declared as data and executed through one code path into a
-//!   [`MeasurementDb`] with one [`CrawlTiming`] per crawl.
+//! * [`plan`] — the [`CrawlPlan`]: every crawl a study performs, declared
+//!   as data and executed through one code path into a [`MeasurementDb`]
+//!   with one [`CrawlTiming`] per crawl.
 //!
 //! Both crawlers run on one crate-private crawl session. It fetches
 //! through the transport seam ([`redlight_net::transport`]): the crawl's

@@ -92,7 +92,7 @@ impl<'w> OpenWpmCrawler<'w> {
         tracer.open(&format!(
             "crawl.openwpm.{}.{}",
             self.config.country.code().to_ascii_lowercase(),
-            corpus_slug(self.config.corpus),
+            self.config.corpus.slug(),
         ));
         tracer.attr("sites", domains.len());
         tracer.attr("store_dom", self.config.store_dom);
@@ -125,14 +125,6 @@ impl<'w> OpenWpmCrawler<'w> {
         let timing = session.finish(Some(self.config.corpus));
         registry.counter("crawl.failed_visits").add(timing.failures);
         (record, timing)
-    }
-}
-
-/// Lower-case label for span/metric names.
-pub(crate) fn corpus_slug(corpus: CorpusLabel) -> &'static str {
-    match corpus {
-        CorpusLabel::Porn => "porn",
-        CorpusLabel::Regular => "regular",
     }
 }
 

@@ -20,7 +20,7 @@ use redlight_websim::World;
 
 use crate::corpus::CorpusReport;
 use crate::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
-use crate::openwpm::{corpus_slug, CrawlConfig, OpenWpmCrawler};
+use crate::openwpm::{CrawlConfig, OpenWpmCrawler};
 use crate::parallel::{run_jobs, CrawlObs};
 use crate::selenium::SeleniumCrawler;
 
@@ -198,7 +198,7 @@ impl Job<'_> {
             Job::Sweep(i, spec, _) => format!(
                 "collect/openwpm.{i:02}.{}.{}",
                 spec.config.country.code().to_ascii_lowercase(),
-                corpus_slug(spec.config.corpus),
+                spec.config.corpus.slug(),
             ),
             Job::Interaction(i, spec, _) => format!(
                 "collect/selenium.{i:02}.{}",
@@ -223,7 +223,7 @@ fn publish_timing(obs: &CrawlObs, t: &CrawlTiming) {
     );
     if let Some(corpus) = t.corpus {
         prefix.push('.');
-        prefix.push_str(corpus_slug(corpus));
+        prefix.push_str(corpus.slug());
     }
     for (field, value) in [
         ("sites", t.sites as u64),

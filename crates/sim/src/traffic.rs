@@ -834,8 +834,8 @@ pub struct TierRow {
     pub p99_us: u64,
 }
 
-/// Everything a traffic run measured. All fields except [`wall`]
-/// (`TrafficReport::wall`) are logical and deterministic in the seed.
+/// Everything a traffic run measured. All fields except
+/// [`wall`](TrafficReport::wall) are logical and deterministic in the seed.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
     /// Sessions requested.

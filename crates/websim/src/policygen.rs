@@ -195,22 +195,25 @@ const GDPR_PARAGRAPH: &str =
      personal data and the right to data portability. The legal bases for processing are \
      consent contract performance and legitimate interest under GDPR Article 6.";
 
-/// Renders a policy's full text.
+/// Appends a policy's full text to `out` (a page being written around it;
+/// only the appended text counts towards the target length).
 ///
 /// `site_domain` individualizes the text slightly; `company` (when the
 /// template is a company template) is embedded verbatim so same-company
 /// policies are near-identical; `third_parties` feeds the disclosure
 /// section.
-pub(crate) fn render_policy(
+pub(crate) fn write_policy(
+    out: &mut String,
     spec: &PolicySpec,
     site_domain: &str,
     company: Option<&str>,
-    third_parties: &[String],
-) -> String {
+    third_parties: &[&str],
+) {
     if spec.broken {
-        return String::new(); // the server will answer 404 for these
+        return; // the server answers 410 Gone for these
     }
-    let mut out = policy_body(spec, site_domain, company, third_parties);
+    let start = out.len();
+    policy_body(out, spec, site_domain, company, third_parties);
     let boiler = boilerplate(spec.language);
     let target = spec.target_letters as usize;
 
@@ -220,7 +223,7 @@ pub(crate) fn render_policy(
     // cross-language pairs stay dissimilar (§7.3's sub-0.5 quartile).
     // The letter count runs along: each step adds the letters of what it
     // appends (the separating spaces are not letters).
-    let mut letters = letter_count(&out);
+    let mut letters = letter_count(&out[start..]);
     let boiler_letters = letter_count(boiler);
     let mut cursor = 0usize;
     while letters < target {
@@ -236,20 +239,19 @@ pub(crate) fn render_policy(
         cursor += 1;
     }
     if letters > target {
-        trim_to_letters(&mut out, target);
+        trim_to_letters(out, start, target);
     }
-    out
 }
 
-/// The policy text before padding: the template's sections, then the GDPR
-/// paragraph and the disclosures the spec carries.
+/// Appends the policy text before padding to `out`: the template's
+/// sections, then the GDPR paragraph and the disclosures the spec carries.
 fn policy_body(
+    out: &mut String,
     spec: &PolicySpec,
     site_domain: &str,
     company: Option<&str>,
-    third_parties: &[String],
-) -> String {
-    let mut out = String::new();
+    third_parties: &[&str],
+) {
     let boiler = boilerplate(spec.language);
 
     match spec.template {
@@ -326,18 +328,18 @@ fn policy_body(
             );
         }
     }
-    out
 }
 
-/// Short targets: trims whole words down to `target` letters so the corpus
-/// reaches the paper's 1,088-letter minimum.
-fn trim_to_letters(out: &mut String, target: usize) {
+/// Short targets: trims the text after byte `start` of `out` to whole
+/// words holding `target` letters, so the corpus reaches the paper's
+/// 1,088-letter minimum.
+fn trim_to_letters(out: &mut String, start: usize, target: usize) {
     let mut acc = 0usize;
     let mut cut = out.len();
-    for (idx, word) in out.split_word_bound_indices() {
+    for (idx, word) in out[start..].split_word_bound_indices() {
         acc += letter_count(word);
         if acc >= target {
-            cut = idx + word.len();
+            cut = start + idx + word.len();
             break;
         }
     }
@@ -350,7 +352,7 @@ trait SplitWords {
     fn split_word_bound_indices(&self) -> Vec<(usize, &str)>;
 }
 
-impl SplitWords for String {
+impl SplitWords for str {
     fn split_word_bound_indices(&self) -> Vec<(usize, &str)> {
         let mut out = Vec::new();
         let mut start = None;
@@ -399,12 +401,13 @@ mod tests {
         spec: &PolicySpec,
         site_domain: &str,
         company: Option<&str>,
-        third_parties: &[String],
+        third_parties: &[&str],
     ) -> String {
         if spec.broken {
             return String::new();
         }
-        let mut out = policy_body(spec, site_domain, company, third_parties);
+        let mut out = String::new();
+        policy_body(&mut out, spec, site_domain, company, third_parties);
         let boiler = boilerplate(spec.language);
         let target = spec.target_letters as usize;
         let mut cursor = 0usize;
@@ -418,14 +421,27 @@ mod tests {
             cursor += 1;
         }
         if letter_count(&out) > target {
-            trim_to_letters(&mut out, target);
+            trim_to_letters(&mut out, 0, target);
         }
         out
     }
 
+    /// A policy's text alone, written after a page's opening tags as the
+    /// server writes it (their letters must not count towards the target).
+    fn render_policy(
+        spec: &PolicySpec,
+        site_domain: &str,
+        company: Option<&str>,
+        third_parties: &[&str],
+    ) -> String {
+        let mut page = String::from("<html><body><main>");
+        write_policy(&mut page, spec, site_domain, company, third_parties);
+        page.split_off("<html><body><main>".len())
+    }
+
     #[test]
     fn running_letter_count_pads_like_recounting() {
-        let parties = vec!["exoclick.com".to_string(), "addthis.com".to_string()];
+        let parties = ["exoclick.com", "addthis.com"];
         let check = |spec: &PolicySpec| {
             let fast = render_policy(spec, "example.com", Some("MindGeek"), &parties);
             let reference =
@@ -571,8 +587,7 @@ mod tests {
         let mut s = spec(PolicyTemplate::Unique(1), Language::English, 2_000);
         s.disclosures.third_parties = true;
         s.disclosures.full_third_party_list = true;
-        let parties = vec!["exoclick.com".to_string(), "addthis.com".to_string()];
-        let text = render_policy(&s, "x.com", None, &parties);
+        let text = render_policy(&s, "x.com", None, &["exoclick.com", "addthis.com"]);
         assert!(text.contains("exoclick.com"));
         assert!(text.contains("addthis.com"));
     }

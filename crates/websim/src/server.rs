@@ -147,21 +147,21 @@ impl<'w> WebServer<'w> {
                 if pol.broken {
                     return FetchOutcome::Response(Response::error(StatusCode::GONE));
                 }
-                let parties: Vec<String> = site
+                let parties: Vec<&str> = site
                     .deployments
                     .iter()
-                    .map(|d| self.world.services.get(d.service).fqdn.clone())
+                    .map(|d| self.world.services.get(d.service).fqdn.as_str())
                     .collect();
-                let text = crate::policygen::render_policy(
+                let mut html = String::from("<html><body><main>");
+                crate::policygen::write_policy(
+                    &mut html,
                     pol,
                     &site.domain,
                     self.world.owner_name(site),
                     &parties,
                 );
-                FetchOutcome::Response(Response::ok(
-                    "text/html",
-                    format!("<html><body><main>{text}</main></body></html>"),
-                ))
+                html.push_str("</main></body></html>");
+                FetchOutcome::Response(Response::ok("text/html", html))
             }
             "/own-fp" | "/widget-metrics" => ok("image/gif", b"GIF89a"),
             _ => FetchOutcome::Response(Response::error(StatusCode::NOT_FOUND)),

@@ -63,6 +63,11 @@ PYEOF
 echo "==> cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# Catches doc links that rot: to a renamed, deleted or narrowed item, or
+# to an unresolved name.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
 echo "==> cargo test (workspace)"
 # Runs each contract once, among them: matcher_equivalence (domain buckets
 # vs unbucketed scan), transport_faults (fault determinism, passthrough,

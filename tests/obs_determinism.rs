@@ -156,7 +156,7 @@ fn stage_subset_journals_the_same_analyze_tree_as_a_full_run() {
     let (db, _) = Study::collect_db_observed(&world, &config, &obs);
     let selected = stages::expand_selection(&["cookies".to_string()]).expect("known stage");
     let (outputs, report, _) = Study::analyze(&world, &config, &db, &selected, &obs);
-    assert!(outputs.cookies.is_some());
+    assert!(outputs.cookies.get().is_some());
     assert_eq!(report.stages.len(), 1);
 
     let journal = obs.trace.journal();

@@ -100,17 +100,17 @@ fn stage_subset_matches_full_run() {
     let (outputs, timings) = stages::run(&db, &ctx, &selected);
     assert_eq!(timings.len(), selected.len());
 
-    let (cookie_stats, _) = outputs.cookies.expect("cookies ran");
+    let (cookie_stats, _) = outputs.cookies.into_inner().expect("cookies ran");
     assert_eq!(cookie_stats.total_cookies, full.cookie_stats.total_cookies);
-    let https = outputs.https.expect("https ran");
+    let https = outputs.https.into_inner().expect("https ran");
     assert_eq!(https.not_fully_https, full.https.not_fully_https);
     assert_eq!(
-        outputs.disclosure.expect("disclosure ran"),
+        outputs.disclosure.into_inner().expect("disclosure ran"),
         full.disclosure_check
     );
     // Unselected stages stay empty.
-    assert!(outputs.geo.is_none());
-    assert!(outputs.age_gates.is_none());
+    assert!(outputs.geo.get().is_none());
+    assert!(outputs.age_gates.get().is_none());
 }
 
 /// Collection compiles the corpus once and the DB keeps it: the context
