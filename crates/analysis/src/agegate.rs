@@ -60,10 +60,10 @@ fn country_stats(records: &[&InteractionRecord]) -> CountryGates {
 }
 
 /// Compares countries over the same studied domains.
-pub fn compare(per_country: &[Vec<InteractionRecord>]) -> AgeGateComparison {
+pub fn compare(per_country: &[Vec<&InteractionRecord>]) -> AgeGateComparison {
     let stats: Vec<CountryGates> = per_country
         .iter()
-        .map(|records| country_stats(&records.iter().collect::<Vec<_>>()))
+        .map(|records| country_stats(records))
         .collect();
 
     let gated_in = |country: Country| -> BTreeSet<&str> {
@@ -162,19 +162,19 @@ mod tests {
 
     #[test]
     fn comparison_detects_regional_differences() {
-        let es = vec![
+        let es = [
             rec("a.com", Country::Spain, true, true, false),
             rec("b.com", Country::Spain, true, true, false),
             rec("c.com", Country::Spain, false, false, false),
             rec("d.com", Country::Spain, false, false, false),
         ];
-        let ru = vec![
+        let ru = [
             rec("a.com", Country::Russia, true, false, true), // social login
             rec("b.com", Country::Russia, false, false, false), // gate dropped in RU
             rec("c.com", Country::Russia, true, true, false), // RU-only gate
             rec("d.com", Country::Russia, false, false, false),
         ];
-        let cmp = compare(&[es, ru]);
+        let cmp = compare(&[es.iter().collect(), ru.iter().collect()]);
         assert_eq!(cmp.per_country[0].with_gate, 2);
         assert_eq!(cmp.per_country[1].with_gate, 2);
         assert_eq!(cmp.per_country[1].social_login, 1);

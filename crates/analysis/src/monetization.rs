@@ -52,11 +52,19 @@ pub type ManualLabel<'a> = &'a dyn Fn(&str) -> Option<Subscription>;
 /// Builds the report. `manual_label` plays the paper's human labeling step;
 /// pass `None` to rely on the keyword heuristic alone.
 pub fn report(
-    interactions: &[InteractionRecord],
+    interactions: &[&InteractionRecord],
     manual_label: Option<ManualLabel<'_>>,
 ) -> MonetizationReport {
-    let reachable: Vec<&InteractionRecord> = interactions.iter().filter(|r| r.reachable).collect();
-    let subs: Vec<&&InteractionRecord> = reachable.iter().filter(|r| r.premium_signal).collect();
+    let reachable: Vec<&InteractionRecord> = interactions
+        .iter()
+        .copied()
+        .filter(|r| r.reachable)
+        .collect();
+    let subs: Vec<&InteractionRecord> = reachable
+        .iter()
+        .copied()
+        .filter(|r| r.premium_signal)
+        .collect();
 
     let mut paid = 0usize;
     let mut overrides = 0usize;

@@ -90,7 +90,7 @@ pub struct PolicyReport {
 }
 
 /// Collects sanitized policies from the interaction records.
-pub fn collect(interactions: &[InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
+pub fn collect(interactions: &[&InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
     let mut docs = Vec::new();
     let mut sanitized_out = 0usize;
     for rec in interactions {

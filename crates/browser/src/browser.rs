@@ -4,12 +4,12 @@
 use redlight_html::{parser, query};
 use redlight_net::http::{Method, Request, ResourceKind, Response, Scheme};
 use redlight_net::jar::CookieJar;
-use redlight_net::transport::{BrowserKind, ClientContext, FetchOutcome, Transport};
+use redlight_net::transport::{fnv1a, BrowserKind, ClientContext, FetchOutcome, Transport};
 use redlight_net::url::Url;
 use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
-use crate::device::{hash, mix, DeviceProfile};
+use crate::device::{mix, DeviceProfile};
 use crate::engine::PageHost;
 use crate::instrument::{CookieObservation, Initiator, RequestRecord, SetVia};
 use crate::page::PageVisit;
@@ -152,7 +152,7 @@ impl<'w> Browser<'w> {
         visit.final_url = Some(doc_url);
         visit.success = true;
         visit.dom_html = response.text();
-        visit.screenshot_hash = mix(hash(&visit.dom_html), self.device.render_quirk);
+        visit.screenshot_hash = mix(fnv1a(visit.dom_html.as_bytes()), self.device.render_quirk);
         visit
     }
 

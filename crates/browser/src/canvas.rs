@@ -2,7 +2,9 @@
 //! fingerprinting heuristics (§5.1.3) can be evaluated, and renders
 //! device-dependent readback values.
 
-use crate::device::{hash, mix, DeviceProfile};
+use redlight_net::transport::fnv1a;
+
+use crate::device::{mix, DeviceProfile};
 
 /// Recorded canvas activity of **one script execution** (OpenWPM attributes
 /// canvas calls to the calling script).
@@ -49,10 +51,10 @@ impl CanvasActivity {
             (self.width as u64) << 32 | self.height as u64,
         );
         for s in &self.fill_styles {
-            acc = mix(acc, hash(s));
+            acc = mix(acc, fnv1a(s.as_bytes()));
         }
         for t in &self.texts {
-            acc = mix(acc, hash(t));
+            acc = mix(acc, fnv1a(t.as_bytes()));
         }
         format!("data:image/png;base64,{acc:016x}")
     }

@@ -2,6 +2,8 @@
 
 use std::net::Ipv4Addr;
 
+use redlight_net::transport::fnv1a;
+
 /// A browser/device identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceProfile {
@@ -56,7 +58,7 @@ impl DeviceProfile {
         let installed = self.fonts.iter().any(|f| f == font);
         let base = text.chars().count() as i64 * 7;
         if installed {
-            base + (mix(hash(font), self.render_quirk) % 5) as i64
+            base + (mix(fnv1a(font.as_bytes()), self.render_quirk) % 5) as i64
         } else {
             base // fallback font: default metrics
         }
@@ -77,15 +79,6 @@ fn default_fonts() -> Vec<String> {
     .iter()
     .map(|s| s.to_string())
     .collect()
-}
-
-pub(crate) fn hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 pub(crate) fn mix(a: u64, b: u64) -> u64 {

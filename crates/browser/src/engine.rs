@@ -5,12 +5,13 @@ use std::borrow::Cow;
 
 use redlight_net::cookie::Cookie;
 use redlight_net::http::ResourceKind;
+use redlight_net::transport::fnv1a;
 use redlight_net::url::Url;
 use redlight_script::{HostApi, Value};
 
 use crate::browser::Browser;
 use crate::canvas::CanvasActivity;
-use crate::device::{hash, mix};
+use crate::device::mix;
 use crate::instrument::{CookieObservation, Initiator, JsCall, SetVia};
 use crate::page::PageVisit;
 
@@ -249,12 +250,12 @@ impl HostApi for PageHost<'_, '_> {
                 self.entropy_counter += 1;
                 let v = mix(
                     self.browser.ctx.session,
-                    hash(self.page_url.host().as_str()) ^ self.entropy_counter,
+                    fnv1a(self.page_url.host().as_str().as_bytes()) ^ self.entropy_counter,
                 );
                 Value::Str(format!("{v:012x}"))
             }
             "entropy.hash" => {
-                let v = hash(&Self::str_arg(args, 0));
+                let v = fnv1a(Self::str_arg(args, 0).as_bytes());
                 Value::Str(format!("{v:016x}"))
             }
 

@@ -14,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+mod paper;
 pub mod render;
 pub mod results;
 pub mod stages;

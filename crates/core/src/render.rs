@@ -2,9 +2,7 @@
 //! table/figure of the paper.
 
 use redlight_crawler::db::CorpusLabel;
-use redlight_net::geoip::Country;
 use redlight_report::figure::{self, Series};
-use redlight_report::paper::{self, Comparison};
 use redlight_report::table::{fmt_count, fmt_pct, Table};
 
 use crate::results::StudyResults;
@@ -523,181 +521,6 @@ impl StudyResults {
         .join("\n")
     }
 
-    /// One paper-vs-measured row per [`paper::EXPECTED`] key, in registry
-    /// order. `scale` is the paper's world size over this run's: counts are
-    /// multiplied by it, percentages are scale-free.
-    pub fn comparisons(&self, scale: f64) -> Vec<Comparison> {
-        let org = |name: &str| {
-            self.fig3_porn
-                .iter()
-                .find(|o| o.organization == name)
-                .map_or(0.0, |o| o.fraction * 100.0)
-        };
-        let t4 = |domain: &str| {
-            self.table4
-                .iter()
-                .find(|row| row.domain == domain)
-                .map_or((0.0, 0.0), |row| (row.site_pct, row.ip_pct))
-        };
-        let geo = |country| self.table7.rows.iter().find(|row| row.country == country);
-        let gate_pct = |country| {
-            self.agegates
-                .per_country
-                .iter()
-                .find(|c| c.country == country)
-                .map_or(0.0, |c| c.with_gate_pct)
-        };
-        let count = |n: usize| n as f64 * scale;
-        let (exosrv_pct, exosrv_ip) = t4("exosrv.com");
-        let (exoclick_pct, exoclick_ip) = t4("exoclick.com");
-        let (spain, russia) = (geo(Country::Spain), geo(Country::Russia));
-        let (corpus, t2, cookies, fp) = (
-            &self.corpus,
-            &self.table2,
-            &self.cookie_stats,
-            &self.fingerprint,
-        );
-        let (sync, webrtc, https, malware) = (&self.sync, &self.webrtc, &self.https, &self.malware);
-        let (attribution, policies) = (&self.attribution, &self.policies);
-
-        [
-            // §3 corpus.
-            ("corpus.candidates", count(corpus.candidates)),
-            ("corpus.false_positives", count(corpus.false_positives)),
-            ("corpus.sanitized", count(corpus.sanitized)),
-            ("corpus.regular_reference", count(corpus.regular_reference)),
-            // Fig. 1.
-            ("fig1.always_top1m_pct", self.fig1.always_top1m_pct),
-            ("fig1.always_top1k", count(self.fig1.always_top1k)),
-            // §4.1.
-            ("owners.companies", self.ownership.companies as f64),
-            (
-                "owners.attributed_sites",
-                count(self.ownership.attributed_sites),
-            ),
-            ("owners.unattributed_pct", self.ownership.unattributed_pct),
-            (
-                "monetization.subscription_pct",
-                self.monetization.with_subscription_pct,
-            ),
-            ("monetization.paid_pct", self.monetization.paid_pct),
-            // Table 2.
-            ("table2.porn_crawled", count(t2.porn_corpus_size)),
-            ("table2.regular_crawled", count(t2.regular_corpus_size)),
-            ("table2.porn_third_party", count(t2.porn_third_party)),
-            ("table2.regular_third_party", count(t2.regular_third_party)),
-            ("table2.porn_ats", count(t2.porn_ats)),
-            ("table2.regular_ats", count(t2.regular_ats)),
-            ("table2.ats_intersection", count(t2.ats_intersection)),
-            // §4.2(3) / Fig. 3.
-            (
-                "orgs.resolved_pct",
-                100.0 * attribution.resolved_fqdns as f64 / attribution.total_fqdns.max(1) as f64,
-            ),
-            ("orgs.companies", count(attribution.companies)),
-            ("fig3.alphabet_pct", org("Alphabet")),
-            ("fig3.exoclick_pct", org("ExoClick")),
-            ("fig3.cloudflare_pct", org("Cloudflare")),
-            // §5.1.1 / Table 4.
-            ("cookies.total", count(cookies.total_cookies)),
-            ("cookies.sites_pct", cookies.sites_with_cookies_pct),
-            ("cookies.id_cookies", count(cookies.id_cookies)),
-            (
-                "cookies.third_party_id",
-                count(cookies.third_party_id_cookies),
-            ),
-            (
-                "cookies.third_party_domains",
-                count(cookies.third_party_domains),
-            ),
-            (
-                "cookies.third_party_sites_pct",
-                cookies.sites_with_third_party_pct,
-            ),
-            ("cookies.ip_cookies", count(cookies.ip_cookies)),
-            ("cookies.ip_top_org_pct", cookies.ip_cookies_top_org_pct),
-            ("cookies.geo_cookies", count(cookies.geo_cookies)),
-            ("cookies.top100_site_pct", cookies.top100_cookie_site_pct),
-            ("table4.exosrv_pct", exosrv_pct),
-            ("table4.exosrv_ip_pct", exosrv_ip),
-            ("table4.exoclick_pct", exoclick_pct),
-            ("table4.exoclick_ip_pct", exoclick_ip),
-            ("table4.addthis_pct", t4("addthis.com").0),
-            // §5.1.2.
-            ("sync.sites", count(sync.sites_with_sync)),
-            ("sync.pairs", count(sync.pairs.len())),
-            ("sync.origins", count(sync.origins)),
-            ("sync.destinations", count(sync.destinations)),
-            ("sync.top100_pct", sync.top_sites_with_sync_pct),
-            // §5.1.3 / §5.1.4.
-            ("fp.canvas_scripts", count(fp.canvas_scripts.len())),
-            ("fp.canvas_sites", count(fp.canvas_sites.len())),
-            ("fp.canvas_services", fp.canvas_services.len() as f64),
-            ("fp.third_party_script_pct", fp.third_party_script_pct),
-            ("fp.unindexed_pct", fp.unindexed_pct),
-            ("fp.font_scripts", fp.font_scripts.len() as f64),
-            ("webrtc.scripts", count(webrtc.scripts.len())),
-            ("webrtc.sites", count(webrtc.sites.len())),
-            ("webrtc.services", webrtc.services.len() as f64),
-            ("webrtc.ats_services", webrtc.ats_services.len() as f64),
-            // §5.2 / Table 6.
-            ("table6.top1k_sites_pct", https.rows[0].sites_https_pct),
-            ("table6.to10k_sites_pct", https.rows[1].sites_https_pct),
-            ("table6.to100k_sites_pct", https.rows[2].sites_https_pct),
-            ("table6.beyond_sites_pct", https.rows[3].sites_https_pct),
-            ("https.not_fully_pct", https.not_fully_https_pct),
-            // §5.3.
-            ("malware.flagged_sites", count(malware.flagged_sites.len())),
-            (
-                "malware.flagged_services",
-                malware.flagged_services.len() as f64,
-            ),
-            (
-                "malware.sites_with_flagged",
-                count(malware.sites_with_flagged_services),
-            ),
-            ("malware.mining_sites", count(malware.mining_sites.len())),
-            (
-                "malware.mining_services",
-                malware.mining_services.len() as f64,
-            ),
-            // §6 / Table 7.
-            (
-                "table7.spain_fqdns",
-                spain.map_or(0.0, |row| count(row.fqdns)),
-            ),
-            (
-                "table7.russia_fqdns",
-                russia.map_or(0.0, |row| count(row.fqdns)),
-            ),
-            (
-                "table7.russia_unique_ats",
-                russia.map_or(0.0, |row| count(row.unique_ats)),
-            ),
-            ("table7.total_ats", count(self.table7.total_ats)),
-            // §7.1 / Table 8.
-            ("table8.eu_total_pct", self.banners_eu.total_pct),
-            ("table8.usa_total_pct", self.banners_usa.total_pct),
-            (
-                "table8.no_option_share_pct",
-                self.banners_eu.no_option_share_pct,
-            ),
-            // §7.2.
-            ("agegate.west_pct", gate_pct(Country::Spain)),
-            ("agegate.russia_pct", gate_pct(Country::Russia)),
-            ("agegate.russia_only_pct", self.agegates.russia_only_pct),
-            ("agegate.not_in_russia_pct", self.agegates.not_in_russia_pct),
-            // §7.3.
-            ("policies.with_policy_pct", policies.with_policy_pct),
-            ("policies.gdpr_pct", policies.gdpr_pct),
-            ("policies.mean_letters", policies.mean_letters),
-            ("policies.similar_pairs_pct", policies.similar_pairs_pct),
-        ]
-        .into_iter()
-        .map(|(key, measured)| paper::compare(key, measured))
-        .collect()
-    }
-
     /// Pipeline instrumentation: per-crawl and per-stage wall times with
     /// record counts (`reproduce --timings`). Kept out of
     /// [`render_summary`](Self::render_summary) so the summary stays
@@ -901,19 +724,5 @@ fn tick(b: bool) -> String {
         "✓".to_string()
     } else {
         "-".to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::{Study, StudyConfig};
-    use redlight_report::paper;
-
-    #[test]
-    fn comparisons_cover_every_expected_key_once_in_registry_order() {
-        let results = Study::run(StudyConfig::tiny(2019));
-        let compared: Vec<&str> = results.comparisons(20.0).iter().map(|c| c.key).collect();
-        let registered: Vec<&str> = paper::EXPECTED.iter().map(|e| e.key).collect();
-        assert_eq!(compared, registered);
     }
 }

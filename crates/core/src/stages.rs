@@ -196,8 +196,8 @@ pub struct AnalysisContext<'a> {
     pub regular_extract: ThirdPartyExtract,
     /// All cookie rows of the Spanish porn crawl.
     cookie_rows: Vec<CookieRow>,
-    /// The Spanish interaction crawl (full corpus).
-    interactions_es: Vec<InteractionRecord>,
+    /// The Spanish interaction crawl (full corpus), borrowed from the DB.
+    interactions_es: Vec<&'a InteractionRecord>,
     /// The Spanish vantage point's public IP, as recorded by the crawl —
     /// what server-side trackers embed in cookies.
     pub client_ip: Ipv4Addr,
@@ -268,8 +268,7 @@ impl<'a> AnalysisContext<'a> {
                 certs,
             )
         });
-        let interactions_es: Vec<InteractionRecord> =
-            db.interactions_in(Country::Spain).cloned().collect();
+        let interactions_es: Vec<&InteractionRecord> = db.interactions_in(Country::Spain).collect();
         let client_ip = porn_es.client_ip;
 
         AnalysisContext {
@@ -797,10 +796,9 @@ fn stage_age_gates(db: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOut
         // Spain's records come from the full-corpus interaction crawl,
         // filtered to the §7.2 top set; the other countries were crawled on
         // the top set directly.
-        let records: Vec<InteractionRecord> = db
+        let records: Vec<&InteractionRecord> = db
             .interactions_in(country)
             .filter(|r| ctx.top.contains(&r.domain))
-            .cloned()
             .collect();
         input += records.len();
         per_country.push(records);

@@ -1,8 +1,8 @@
 //! # redlight-report
 //!
 //! Rendering of study results: ASCII tables matching the paper's layout,
-//! textual figure series, and side-by-side comparison against the values
-//! the paper reports (for EXPERIMENTS.md).
+//! textual figure series, and paper-vs-measured comparison rows as a
+//! markdown table (for EXPERIMENTS.md).
 
 #![warn(missing_docs)]
 

@@ -1,598 +1,7 @@
-//! The paper's reported values, for side-by-side comparison.
-//!
-//! Every constant carries the table/figure/section it comes from, so
-//! EXPERIMENTS.md can print *paper vs measured* rows mechanically. Values
-//! are the published aggregates of Vallina et al., IMC'19.
-
-/// One expected value with provenance.
-#[derive(Debug, Clone, Copy)]
-pub struct Expected {
-    /// Identifier, e.g. `"table2.porn_third_party"`.
-    pub key: &'static str,
-    /// Where the paper states it.
-    pub source: &'static str,
-    /// The published value.
-    pub value: f64,
-    /// Acceptable relative deviation for a "shape holds" verdict (the
-    /// substrate is a simulator, not the authors' testbed).
-    pub tolerance: f64,
-    /// The paper states this value as a lower bound ("over 30 %"): any
-    /// measurement at or above `value · (1 − tolerance)` keeps the shape.
-    lower_bound: bool,
-}
-
-/// The full expectations registry.
-pub const EXPECTED: &[Expected] = &[
-    // §3 corpus compilation.
-    Expected {
-        key: "corpus.candidates",
-        source: "§3",
-        value: 8_099.0,
-        tolerance: 0.02,
-        lower_bound: false,
-    },
-    Expected {
-        key: "corpus.false_positives",
-        source: "§3",
-        value: 1_256.0,
-        tolerance: 0.02,
-        lower_bound: false,
-    },
-    Expected {
-        key: "corpus.sanitized",
-        source: "§3",
-        value: 6_843.0,
-        tolerance: 0.02,
-        lower_bound: false,
-    },
-    Expected {
-        key: "corpus.regular_reference",
-        source: "§3",
-        value: 9_688.0,
-        tolerance: 0.10,
-        lower_bound: false,
-    },
-    // Fig. 1.
-    Expected {
-        key: "fig1.always_top1m_pct",
-        source: "Fig. 1 / §3",
-        value: 16.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fig1.always_top1k",
-        source: "§3",
-        value: 16.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    // §4.1 ownership.
-    Expected {
-        key: "owners.companies",
-        source: "§4.1",
-        value: 24.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "owners.attributed_sites",
-        source: "§4.1",
-        value: 286.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "owners.unattributed_pct",
-        source: "§4.1",
-        value: 96.0,
-        tolerance: 0.05,
-        lower_bound: false,
-    },
-    Expected {
-        key: "monetization.subscription_pct",
-        source: "§4.1",
-        value: 14.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "monetization.paid_pct",
-        source: "§4.1",
-        value: 23.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    // Table 2.
-    Expected {
-        key: "table2.porn_crawled",
-        source: "Table 2",
-        value: 6_346.0,
-        tolerance: 0.03,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.regular_crawled",
-        source: "Table 2",
-        value: 8_511.0,
-        tolerance: 0.06,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.porn_third_party",
-        source: "Table 2",
-        value: 5_457.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.regular_third_party",
-        source: "Table 2",
-        value: 21_128.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.porn_ats",
-        source: "Table 2",
-        value: 663.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.regular_ats",
-        source: "Table 2",
-        value: 196.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table2.ats_intersection",
-        source: "Table 2",
-        value: 86.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    // §4.2 attribution.
-    Expected {
-        key: "orgs.resolved_pct",
-        source: "§4.2(3)",
-        value: 74.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    Expected {
-        key: "orgs.companies",
-        source: "§4.2(3)",
-        value: 1_014.0,
-        tolerance: 0.90,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fig3.alphabet_pct",
-        source: "Fig. 3",
-        value: 74.0,
-        tolerance: 0.15,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fig3.exoclick_pct",
-        source: "§4.2.1/Fig. 3",
-        value: 43.0,
-        tolerance: 0.20,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fig3.cloudflare_pct",
-        source: "Fig. 3",
-        value: 35.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    // §5.1.1 cookies.
-    Expected {
-        key: "cookies.total",
-        source: "§5.1.1",
-        value: 89_009.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.sites_pct",
-        source: "§5.1.1",
-        value: 92.0,
-        tolerance: 0.10,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.id_cookies",
-        source: "§5.1.1",
-        value: 51_648.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.third_party_id",
-        source: "§5.1.1",
-        value: 30_247.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.third_party_domains",
-        source: "§5.1.1",
-        value: 3_343.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.third_party_sites_pct",
-        source: "§5.1.1",
-        value: 72.0,
-        tolerance: 0.15,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.ip_cookies",
-        source: "§5.1.1",
-        value: 2_183.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.ip_top_org_pct",
-        source: "§5.1.1",
-        value: 97.0,
-        tolerance: 0.10,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.geo_cookies",
-        source: "§5.1.1",
-        value: 28.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    Expected {
-        key: "cookies.top100_site_pct",
-        source: "§5.1.1",
-        value: 30.0,
-        tolerance: 0.05,
-        lower_bound: true,
-    },
-    Expected {
-        key: "table4.exosrv_pct",
-        source: "Table 4",
-        value: 21.0,
-        tolerance: 0.20,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table4.exosrv_ip_pct",
-        source: "Table 4",
-        value: 85.0,
-        tolerance: 0.12,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table4.exoclick_pct",
-        source: "Table 4",
-        value: 14.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table4.exoclick_ip_pct",
-        source: "Table 4",
-        value: 29.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table4.addthis_pct",
-        source: "Table 4",
-        value: 17.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    // §5.1.2 syncing.
-    Expected {
-        key: "sync.sites",
-        source: "§5.1.2",
-        value: 2_867.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    Expected {
-        key: "sync.pairs",
-        source: "§5.1.2",
-        value: 4_675.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "sync.origins",
-        source: "§5.1.2",
-        value: 1_120.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "sync.destinations",
-        source: "§5.1.2",
-        value: 727.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "sync.top100_pct",
-        source: "§5.1.2",
-        value: 58.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    // §5.1.3 fingerprinting.
-    Expected {
-        key: "fp.canvas_scripts",
-        source: "§5.1.3",
-        value: 245.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fp.canvas_sites",
-        source: "§5.1.3",
-        value: 315.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fp.canvas_services",
-        source: "§5.1.3",
-        value: 49.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fp.third_party_script_pct",
-        source: "§5.1.3",
-        value: 74.0,
-        tolerance: 0.15,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fp.unindexed_pct",
-        source: "§5.1.3",
-        value: 91.0,
-        tolerance: 0.08,
-        lower_bound: false,
-    },
-    Expected {
-        key: "fp.font_scripts",
-        source: "§5.1.3",
-        value: 1.0,
-        tolerance: 0.0,
-        lower_bound: false,
-    },
-    // §5.1.4 WebRTC.
-    Expected {
-        key: "webrtc.scripts",
-        source: "§5.1.4",
-        value: 27.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "webrtc.sites",
-        source: "§5.1.4",
-        value: 177.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    Expected {
-        key: "webrtc.services",
-        source: "§5.1.4",
-        value: 13.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "webrtc.ats_services",
-        source: "§5.1.4",
-        value: 2.0,
-        tolerance: 0.55,
-        lower_bound: false,
-    },
-    // §5.2 / Table 6. The Top1k stratum is tiny (75 of 6,843 sites at paper
-    // scale, ~10 at the reduced test scale), so one site moves the
-    // percentage by whole points: the tolerance must cover single-site
-    // binomial noise at reduced scale.
-    Expected {
-        key: "table6.top1k_sites_pct",
-        source: "Table 6",
-        value: 92.0,
-        tolerance: 0.15,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table6.to10k_sites_pct",
-        source: "Table 6",
-        value: 63.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table6.to100k_sites_pct",
-        source: "Table 6",
-        value: 32.0,
-        tolerance: 0.25,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table6.beyond_sites_pct",
-        source: "Table 6",
-        value: 22.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "https.not_fully_pct",
-        source: "§5.2",
-        value: 68.0,
-        tolerance: 0.20,
-        lower_bound: false,
-    },
-    // §5.3 malware.
-    Expected {
-        key: "malware.flagged_sites",
-        source: "§5.3",
-        value: 7.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    Expected {
-        key: "malware.flagged_services",
-        source: "§5.3",
-        value: 16.0,
-        tolerance: 0.45,
-        lower_bound: false,
-    },
-    Expected {
-        key: "malware.sites_with_flagged",
-        source: "§5.3",
-        value: 41.0,
-        tolerance: 0.50,
-        lower_bound: false,
-    },
-    Expected {
-        key: "malware.mining_sites",
-        source: "§5.3",
-        value: 8.0,
-        tolerance: 0.50,
-        lower_bound: false,
-    },
-    Expected {
-        key: "malware.mining_services",
-        source: "§5.3",
-        value: 3.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    // §6 / Table 7.
-    Expected {
-        key: "table7.spain_fqdns",
-        source: "Table 7",
-        value: 5_494.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table7.russia_fqdns",
-        source: "Table 7",
-        value: 4_750.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table7.russia_unique_ats",
-        source: "Table 7",
-        value: 27.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table7.total_ats",
-        source: "Table 7",
-        value: 816.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    // §7.1 / Table 8.
-    Expected {
-        key: "table8.eu_total_pct",
-        source: "Table 8",
-        value: 4.41,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table8.usa_total_pct",
-        source: "Table 8",
-        value: 3.76,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "table8.no_option_share_pct",
-        source: "§7.1",
-        value: 32.0,
-        tolerance: 0.35,
-        lower_bound: false,
-    },
-    // §7.2 age verification.
-    Expected {
-        key: "agegate.west_pct",
-        source: "§7.2",
-        value: 20.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "agegate.russia_pct",
-        source: "§7.2",
-        value: 14.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "agegate.russia_only_pct",
-        source: "§7.2",
-        value: 8.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    Expected {
-        key: "agegate.not_in_russia_pct",
-        source: "§7.2",
-        value: 12.0,
-        tolerance: 0.60,
-        lower_bound: false,
-    },
-    // §7.3 policies.
-    Expected {
-        key: "policies.with_policy_pct",
-        source: "§7.3",
-        value: 16.0,
-        tolerance: 0.20,
-        lower_bound: false,
-    },
-    Expected {
-        key: "policies.gdpr_pct",
-        source: "§7.3",
-        value: 20.0,
-        tolerance: 0.30,
-        lower_bound: false,
-    },
-    Expected {
-        key: "policies.mean_letters",
-        source: "§7.3",
-        value: 17_159.0,
-        tolerance: 0.40,
-        lower_bound: false,
-    },
-    Expected {
-        key: "policies.similar_pairs_pct",
-        source: "§7.3",
-        value: 76.0,
-        tolerance: 0.20,
-        lower_bound: false,
-    },
-];
-
-/// Looks up an expectation.
-fn expected(key: &str) -> Option<&'static Expected> {
-    EXPECTED.iter().find(|e| e.key == key)
-}
+//! Paper-vs-measured comparison rows and their markdown rendering, the
+//! format of EXPERIMENTS.md. The findings themselves (source, paper value,
+//! tolerance, and how a run measures each) are one table in
+//! `redlight-core`, whose `StudyResults::comparisons` produces the rows.
 
 /// One measured-vs-paper comparison row.
 #[derive(Debug, Clone)]
@@ -607,26 +16,6 @@ pub struct Comparison {
     pub measured: f64,
     /// Within tolerance.
     pub within_tolerance: bool,
-}
-
-/// Compares a measurement against the registry. Unknown keys panic: every
-/// reported number must trace back to the paper.
-pub fn compare(key: &str, measured: f64) -> Comparison {
-    let exp = expected(key).unwrap_or_else(|| panic!("no expectation registered for {key}"));
-    let within = if exp.lower_bound {
-        measured >= exp.value * (1.0 - exp.tolerance)
-    } else if exp.value == 0.0 {
-        measured.abs() < 1e-9
-    } else {
-        ((measured - exp.value) / exp.value).abs() <= exp.tolerance
-    };
-    Comparison {
-        key: exp.key,
-        source: exp.source,
-        paper: exp.value,
-        measured,
-        within_tolerance: within,
-    }
 }
 
 /// Renders comparison rows as a markdown table (EXPERIMENTS.md format).
@@ -655,32 +44,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_lookup_and_tolerance() {
-        let c = compare("corpus.sanitized", 6_843.0);
-        assert!(c.within_tolerance);
-        let c2 = compare("corpus.sanitized", 5_000.0);
-        assert!(!c2.within_tolerance);
-        assert!(expected("nope").is_none());
-        // Lower-bound metrics accept anything at/above the stated floor.
-        assert!(compare("cookies.top100_site_pct", 64.0).within_tolerance);
-        assert!(compare("cookies.top100_site_pct", 31.0).within_tolerance);
-        assert!(!compare("cookies.top100_site_pct", 20.0).within_tolerance);
-    }
-
-    #[test]
-    fn all_keys_are_unique() {
-        let mut keys: Vec<&str> = EXPECTED.iter().map(|e| e.key).collect();
-        let n = keys.len();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), n, "duplicate expectation keys");
-    }
-
-    #[test]
     fn markdown_rendering() {
-        let rows = vec![compare("fig1.always_top1m_pct", 15.5)];
+        let rows = vec![Comparison {
+            key: "fig1.always_top1m_pct",
+            source: "Fig. 1 / §3",
+            paper: 16.0,
+            measured: 15.5,
+            within_tolerance: true,
+        }];
         let md = render_comparisons("Fig. 1", &rows);
-        assert!(md.contains("| `fig1.always_top1m_pct`"));
-        assert!(md.contains("✓"));
+        assert!(md.contains("| `fig1.always_top1m_pct` (Fig. 1 / §3) | 16.00000 | 15.50000 | ✓ |"));
     }
 }

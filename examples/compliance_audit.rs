@@ -56,10 +56,11 @@ fn main() {
     let mut ranked: Vec<String> = corpus.sanitized.clone();
     ranked.sort_by_key(|d| histories.get(d).and_then(|h| h.best()).unwrap_or(u32::MAX));
     let top: Vec<String> = ranked.into_iter().take(12).collect();
-    let per_country: Vec<_> = [Country::Usa, Country::Uk, Country::Spain, Country::Russia]
+    let crawls: Vec<_> = [Country::Usa, Country::Uk, Country::Spain, Country::Russia]
         .into_iter()
         .map(|c| SeleniumCrawler::new(&world, c).crawl(&top))
         .collect();
+    let per_country: Vec<Vec<_>> = crawls.iter().map(|c| c.iter().collect()).collect();
     let cmp = agegate::compare(&per_country);
     let mut t = Table::new(
         "Age verification, top sites (§7.2)",
@@ -81,7 +82,8 @@ fn main() {
     );
 
     // ---- Privacy policies (§7.3) + monetization (§4.1). ----
-    let interactions = SeleniumCrawler::new(&world, Country::Spain).crawl(&corpus.sanitized);
+    let crawl = SeleniumCrawler::new(&world, Country::Spain).crawl(&corpus.sanitized);
+    let interactions: Vec<_> = crawl.iter().collect();
     let (docs, sanitized_out) = policies::collect(&interactions);
     let model = policies::fit(&docs);
     let report = policies::report(&docs, &model, sanitized_out, corpus.sanitized.len(), 50_000);

@@ -9,6 +9,16 @@
 use redlight::report::paper;
 use redlight::{Study, StudyConfig};
 
+/// The headline percentages compared with the paper.
+const HEADLINES: [&str; 6] = [
+    "fig3.exoclick_pct",
+    "cookies.sites_pct",
+    "cookies.third_party_sites_pct",
+    "table8.eu_total_pct",
+    "policies.with_policy_pct",
+    "policies.similar_pairs_pct",
+];
+
 fn main() {
     let t0 = std::time::Instant::now();
     // A ~20×-scaled-down world: ~340 porn sites, ~480 regular sites,
@@ -19,37 +29,16 @@ fn main() {
 
     println!("{}", results.render_summary());
 
-    // Headline shape checks against the paper's published values. At this
-    // reduced scale the percentages should already line up; absolute counts
-    // scale with the world size.
-    let rows = vec![
-        paper::compare("fig3.exoclick_pct", exo_pct(&results)),
-        paper::compare(
-            "cookies.sites_pct",
-            results.cookie_stats.sites_with_cookies_pct,
-        ),
-        paper::compare(
-            "cookies.third_party_sites_pct",
-            results.cookie_stats.sites_with_third_party_pct,
-        ),
-        paper::compare("policies.with_policy_pct", results.policies.with_policy_pct),
-        paper::compare(
-            "policies.similar_pairs_pct",
-            results.policies.similar_pairs_pct,
-        ),
-        paper::compare("table8.eu_total_pct", results.banners_eu.total_pct),
-    ];
+    // Headline shape checks against the paper's published values, in paper
+    // order. At this reduced scale the percentages should already line up;
+    // absolute counts scale with the world size.
+    let rows: Vec<_> = results
+        .comparisons(20.0)
+        .into_iter()
+        .filter(|c| HEADLINES.contains(&c.key))
+        .collect();
     println!(
         "{}",
         paper::render_comparisons("Headline shape checks", &rows)
     );
-}
-
-fn exo_pct(results: &redlight::StudyResults) -> f64 {
-    results
-        .fig3_porn
-        .iter()
-        .find(|o| o.organization == "ExoClick")
-        .map(|o| o.fraction * 100.0)
-        .unwrap_or(0.0)
 }

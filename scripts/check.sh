@@ -81,6 +81,12 @@ echo "==> cargo test (workspace)"
 # their default 256 cases.
 cargo test --workspace -q
 
+echo "==> examples (each in examples/ runs once, release, stdout discarded)"
+# No test runs them, so a panic in one would otherwise go unseen.
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 echo "==> observability exporter smoke (collection-only, all three formats + timings JSON)"
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
