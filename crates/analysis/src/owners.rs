@@ -106,7 +106,7 @@ pub fn discover(
         // Label: the unique operator statement across the cluster.
         let mut labels: Vec<String> = members
             .iter()
-            .filter_map(|&i| operator_statement(&docs[i].text))
+            .filter_map(|&i| operator_statement(docs[i].text))
             .collect();
         labels.sort();
         labels.dedup();
@@ -114,8 +114,8 @@ pub fn discover(
             [company] => {
                 let entry = by_company.entry(company.clone()).or_default();
                 for &i in members {
-                    if !entry.contains(&docs[i].site) {
-                        entry.push(docs[i].site.clone());
+                    if !entry.iter().any(|d| d == docs[i].site) {
+                        entry.push(docs[i].site.to_owned());
                     }
                 }
             }

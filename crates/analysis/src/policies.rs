@@ -16,13 +16,13 @@ use redlight_crawler::db::InteractionRecord;
 /// removed 44 false positives caused by HTTP error pages).
 const MIN_POLICY_LETTERS: usize = 600;
 
-/// One collected policy.
+/// One collected policy, borrowed from its interaction record.
 #[derive(Debug, Clone)]
-pub struct PolicyDoc {
+pub struct PolicyDoc<'a> {
     /// The domain the policy belongs to.
-    pub site: String,
+    pub site: &'a str,
     /// Extracted policy text.
-    pub text: String,
+    pub text: &'a str,
     /// Length in letters (the paper's length unit).
     pub letters: usize,
 }
@@ -90,7 +90,7 @@ pub struct PolicyReport {
 }
 
 /// Collects sanitized policies from the interaction records.
-pub fn collect(interactions: &[&InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
+pub fn collect<'a>(interactions: &[&'a InteractionRecord]) -> (Vec<PolicyDoc<'a>>, usize) {
     let mut docs = Vec::new();
     let mut sanitized_out = 0usize;
     for rec in interactions {
@@ -99,8 +99,8 @@ pub fn collect(interactions: &[&InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
                 let letters = letter_count(text);
                 if letters >= MIN_POLICY_LETTERS {
                     docs.push(PolicyDoc {
-                        site: rec.domain.clone(),
-                        text: text.clone(),
+                        site: &rec.domain,
+                        text,
                         letters,
                     });
                 } else {
@@ -118,7 +118,7 @@ pub fn collect(interactions: &[&InteractionRecord]) -> (Vec<PolicyDoc>, usize) {
 /// similarity sweep ([`report`]) and the §4.1 owner clusters
 /// ([`crate::owners::discover`]) both read this one model.
 pub fn fit(docs: &[PolicyDoc]) -> TfIdfModel {
-    TfIdfModel::fit(&docs.iter().map(|d| d.text.as_str()).collect::<Vec<_>>())
+    TfIdfModel::fit(&docs.iter().map(|d| d.text).collect::<Vec<_>>())
 }
 
 /// Builds the §7.3 report from `docs` and `model`, their TF-IDF model
@@ -207,20 +207,24 @@ mod tests {
     fn report_counts_gdpr_and_similarity() {
         let boiler = "this privacy policy describes how this website collects uses stores and \
                       shares personal information about visitors including cookies analytics";
+        let (a, b) = (
+            format!("{boiler} GDPR rights apply."),
+            format!("{boiler} contact the operator."),
+        );
         let docs = vec![
             PolicyDoc {
-                site: "a.com".into(),
-                text: format!("{boiler} GDPR rights apply."),
+                site: "a.com",
+                text: &a,
                 letters: 1_200,
             },
             PolicyDoc {
-                site: "b.com".into(),
-                text: format!("{boiler} contact the operator."),
+                site: "b.com",
+                text: &b,
                 letters: 2_000,
             },
             PolicyDoc {
-                site: "c.ru".into(),
-                text: "политика конфиденциальности описывает обработку данных".into(),
+                site: "c.ru",
+                text: "политика конфиденциальности описывает обработку данных",
                 letters: 900,
             },
         ];

@@ -3,11 +3,12 @@
 //! Every analysis of the paper is a *stage* — a named unit that consumes
 //! only the [`MeasurementDb`] plus the shared [`AnalysisContext`] and
 //! produces one table/figure bundle. The private stage table, `TABLE`,
-//! declares each stage once: its name, the stages whose outputs it reads
-//! and its body. [`STAGES`], [`expand_selection`] and the schedule are read
-//! off it: [`run`] runs the selected stages in waves, each wave every
-//! stage whose dependencies ran in an earlier one, concurrently on scoped
-//! threads.
+//! declares each stage once: its name, its weight, the stages whose outputs
+//! it reads and its body. [`STAGES`], [`expand_selection`] and the job
+//! graph are read off it: [`run`] hands the selected rows to the study's
+//! worker pool ([`run_jobs`]) as jobs, the stages each reads as its edges,
+//! and a free worker takes the heaviest stage whose dependencies have
+//! finished.
 //!
 //! Each stage reports wall time and input/output record counts through a
 //! [`StageTiming`], and a subset of stages can be run with
@@ -42,8 +43,14 @@ use redlight_analysis::{
 };
 use redlight_crawler::corpus::CorpusReport;
 use redlight_crawler::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
+use redlight_crawler::parallel::run_jobs;
+/// Telemetry sinks for an analysis run, the pool's: stage spans go into
+/// `trace` (one `analyze/<stage>` shard per stage, so stages never
+/// contend), stage counters into `metrics`, and every stage span hangs
+/// under `parent` (the `analyze` span).
+pub use redlight_crawler::parallel::JobObs as StageObs;
 use redlight_net::geoip::Country;
-use redlight_obs::{Registry, SpanLink, Trace};
+use redlight_obs::{Registry, Trace};
 use redlight_rankings::{PopularityTier, RankHistory};
 use redlight_text::tfidf::TfIdfModel;
 use redlight_websim::oracle::InspectionOracle;
@@ -57,6 +64,9 @@ use crate::WorldThreatFeed;
 struct Stage {
     /// The registered name: `reproduce --stage <name>`, span `stage.<name>`.
     name: &'static str,
+    /// The pool's queue key: the stage's wall time in ms when run alone by
+    /// `reproduce --sites-scale 4 --stage <name> --timings`.
+    weight: u32,
     /// The stages whose outputs the body reads, each a row above this one.
     deps: &'static [&'static str],
     /// Computes the stage and stores its output in its [`StageOutputs`] slot.
@@ -64,38 +74,49 @@ struct Stage {
 }
 
 /// A stage body: reads the DB, the context and its dependencies' slots.
-type Body = fn(&MeasurementDb, &AnalysisContext<'_>, &StageOutputs) -> Ran;
+type Body = for<'a> fn(&MeasurementDb, &AnalysisContext<'a>, &StageOutputs<'a>) -> Ran;
 
 /// What a stage body reports: `(input records, output records, summary line)`.
 type Ran = (usize, usize, String);
 
 /// A row of the stage table.
-const fn stage(name: &'static str, deps: &'static [&'static str], body: Body) -> Stage {
-    Stage { name, deps, body }
+const fn stage(
+    name: &'static str,
+    weight: u32,
+    deps: &'static [&'static str],
+    body: Body,
+) -> Stage {
+    Stage {
+        name,
+        weight,
+        deps,
+        body,
+    }
 }
 
 /// Every stage, in paper order. Table 5 merges the canvas and WebRTC
 /// script sets, ownership clusters the policy texts with the TF-IDF model
 /// the policy sweep fitted, and the disclosure check reads both.
 const TABLE: &[Stage; 17] = &[
-    stage("corpus-summary", &[], stage_corpus_summary),
-    stage("popularity", &[], stage_popularity),
-    stage("third-parties", &[], stage_third_parties),
-    stage("organizations", &[], stage_organizations),
-    stage("cookies", &[], stage_cookies),
-    stage("cookie-sync", &[], stage_cookie_sync),
-    stage("webrtc", &[], stage_webrtc),
-    stage("fingerprinting", &["webrtc"], stage_fingerprinting),
-    stage("https", &[], stage_https),
-    stage("malware", &[], stage_malware),
-    stage("geo", &[], stage_geo),
-    stage("consent-banners", &[], stage_consent_banners),
-    stage("policies", &[], stage_policies),
-    stage("ownership", &["policies"], stage_ownership),
-    stage("monetization", &[], stage_monetization),
-    stage("age-gates", &[], stage_age_gates),
+    stage("corpus-summary", 0, &[], stage_corpus_summary),
+    stage("popularity", 11, &[], stage_popularity),
+    stage("third-parties", 2, &[], stage_third_parties),
+    stage("organizations", 19, &[], stage_organizations),
+    stage("cookies", 49, &[], stage_cookies),
+    stage("cookie-sync", 24, &[], stage_cookie_sync),
+    stage("webrtc", 1, &[], stage_webrtc),
+    stage("fingerprinting", 7, &["webrtc"], stage_fingerprinting),
+    stage("https", 23, &[], stage_https),
+    stage("malware", 6, &[], stage_malware),
+    stage("geo", 176, &[], stage_geo),
+    stage("consent-banners", 36, &[], stage_consent_banners),
+    stage("policies", 65, &[], stage_policies),
+    stage("ownership", 29, &["policies"], stage_ownership),
+    stage("monetization", 1, &[], stage_monetization),
+    stage("age-gates", 0, &[], stage_age_gates),
     stage(
         "disclosure",
+        2,
         &["fingerprinting", "policies"],
         stage_disclosure,
     ),
@@ -255,19 +276,36 @@ impl<'a> AnalysisContext<'a> {
             Some((&*world.cert_for_host(host)).into())
         };
         // The four whole-crawl passes read only the DB and the world, so
-        // they run concurrently, one scan per crawl.
-        let (porn_extract, regular_extract, cookie_rows, cert_harvest) = std::thread::scope(|s| {
-            let porn = s.spawn(|| thirdparty::extract(porn_es, true));
-            let regular = s.spawn(|| thirdparty::extract(regular_es, true));
-            let rows = s.spawn(|| cookies::collect(porn_es));
-            let certs = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
-            (
-                porn.join().expect("porn extract thread"),
-                regular.join().expect("regular extract thread"),
-                rows.join().expect("cookie rows thread"),
-                certs,
-            )
-        });
+        // they run as independent pool jobs, the scan of most visits first.
+        let scanned = run_jobs(
+            &[
+                Scan::Extract(porn_es),
+                Scan::Extract(regular_es),
+                Scan::CookieRows(porn_es),
+                Scan::Certs([porn_es, regular_es]),
+            ],
+            &StageObs {
+                trace: &Trace::disabled(),
+                metrics: registry,
+                parent: None,
+            },
+            Scan::visits,
+            |_| Vec::new(),
+            |scan| format!("context/{}", scan.name()),
+            |scan, _, registry| match *scan {
+                Scan::Extract(crawl) => Scanned::Extract(thirdparty::extract(crawl, true)),
+                Scan::CookieRows(crawl) => Scanned::CookieRows(cookies::collect(crawl)),
+                Scan::Certs(crawls) => {
+                    Scanned::Certs(CertHarvest::collect_in(&crawls, Some(&probe), registry))
+                }
+            },
+        );
+        let Ok(
+            [Scanned::Extract(porn_extract), Scanned::Extract(regular_extract), Scanned::CookieRows(cookie_rows), Scanned::Certs(cert_harvest)],
+        ) = <[Scanned; 4]>::try_from(scanned)
+        else {
+            unreachable!("each scan returns its own kind of output, in job order");
+        };
         let interactions_es: Vec<&InteractionRecord> = db.interactions_in(Country::Spain).collect();
         let client_ip = porn_es.client_ip;
 
@@ -301,10 +339,46 @@ impl<'a> AnalysisContext<'a> {
     }
 }
 
+/// One whole-crawl scan of the context build, run as a pool job.
+enum Scan<'c> {
+    /// The crawl's third parties.
+    Extract(&'c CrawlRecord),
+    /// The crawl's cookie rows.
+    CookieRows(&'c CrawlRecord),
+    /// The certificates the crawls saw, plus the out-of-band TLS probe.
+    Certs([&'c CrawlRecord; 2]),
+}
+
+impl Scan<'_> {
+    /// The pool's queue key: the visits the scan reads.
+    fn visits(&self) -> usize {
+        match self {
+            Scan::Extract(crawl) | Scan::CookieRows(crawl) => crawl.visits.len(),
+            Scan::Certs(crawls) => crawls.iter().map(|c| c.visits.len()).sum(),
+        }
+    }
+
+    /// The scan's name, for its journal shard.
+    fn name(&self) -> String {
+        match self {
+            Scan::Extract(crawl) => format!("extract.{}", crawl.corpus.slug()),
+            Scan::CookieRows(crawl) => format!("cookies.{}", crawl.corpus.slug()),
+            Scan::Certs(_) => "certs".to_owned(),
+        }
+    }
+}
+
+/// What one [`Scan`] returns.
+enum Scanned {
+    Extract(ThirdPartyExtract),
+    CookieRows(Vec<CookieRow>),
+    Certs(CertHarvest),
+}
+
 /// Stage outputs, one slot per stage, which the stage's body fills — empty
 /// when the stage was not selected. A full run fills every slot.
 #[derive(Debug, Default)]
-pub struct StageOutputs {
+pub struct StageOutputs<'a> {
     /// `corpus-summary`.
     corpus_summary: OnceLock<CorpusSummary>,
     /// `popularity`: Fig. 1 + Table 3.
@@ -329,9 +403,10 @@ pub struct StageOutputs {
     pub geo: OnceLock<(Table7, GeoMalware)>,
     /// `consent-banners`: EU and USA breakdowns.
     consent_banners: OnceLock<(BannerBreakdown, BannerBreakdown)>,
-    /// `policies`: fetched docs, their TF-IDF model (`ownership` clusters
-    /// with it) + §7.3 report.
-    pub policies: OnceLock<(Vec<PolicyDoc>, TfIdfModel, PolicyReport)>,
+    /// `policies`: fetched docs, borrowed from the DB's interaction
+    /// records, their TF-IDF model (`ownership` clusters with it) + §7.3
+    /// report.
+    pub policies: OnceLock<(Vec<PolicyDoc<'a>>, TfIdfModel, PolicyReport)>,
     /// `ownership`: Table 1.
     pub ownership: OnceLock<OwnershipReport>,
     /// `monetization`.
@@ -344,7 +419,7 @@ pub struct StageOutputs {
     lines: Vec<(&'static str, String)>,
 }
 
-impl StageOutputs {
+impl StageOutputs<'_> {
     /// Assembles a full run into [`StudyResults`]. Panics if any stage was
     /// skipped — only call after running [`all_stages`].
     pub fn into_results(
@@ -409,71 +484,22 @@ fn put<T>(slot: &OnceLock<T>, output: T) {
     assert!(slot.set(output).is_ok(), "a stage ran twice");
 }
 
-/// The output of a stage this one reads, which ran in an earlier wave.
+/// The output of a stage this one reads, which finished before this one
+/// started.
 fn dep<T>(slot: &OnceLock<T>) -> &T {
-    slot.get().expect("dependencies run in an earlier wave")
-}
-
-/// Telemetry sinks for an analysis run: stage spans go into `trace` (one
-/// `analyze/<stage>` shard per stage, so the stages of a wave never
-/// contend), stage counters into `metrics`.
-pub struct StageObs<'t> {
-    /// Journal the per-stage spans are recorded into.
-    pub trace: &'t Trace,
-    /// Registry the per-stage record counters are published into.
-    pub metrics: &'t Registry,
-    /// Parent span every stage span hangs under (the `analyze` span).
-    pub parent: Option<SpanLink>,
-}
-
-/// Times one stage body, and records a `stage.<name>` span in a dedicated
-/// `analyze/<name>` shard plus `stage.<name>.{input,output}_records`
-/// counters. Returns the body's summary line and the timing. Safe to call
-/// concurrently from wave threads: each stage owns its shard, and the
-/// registry is lock-protected.
-fn observed(
-    obs: &StageObs<'_>,
-    name: &'static str,
-    body: impl FnOnce() -> Ran,
-) -> (String, StageTiming) {
-    let shard = format!("analyze/{name}");
-    let mut tracer = match &obs.parent {
-        Some(link) => obs.trace.tracer_under(&shard, link.clone()),
-        None => obs.trace.tracer(&shard),
-    };
-    tracer.open(&format!("stage.{name}"));
-    let start = Instant::now();
-    let (input_records, output_records, line) = body();
-    let timing = StageTiming {
-        name,
-        wall: start.elapsed(),
-        input_records,
-        output_records,
-    };
-    tracer.attr("input_records", timing.input_records);
-    tracer.attr("output_records", timing.output_records);
-    tracer.close();
-    tracer.finish();
-    obs.metrics
-        .counter(&format!("stage.{name}.input_records"))
-        .add(timing.input_records as u64);
-    obs.metrics
-        .counter(&format!("stage.{name}.output_records"))
-        .add(timing.output_records as u64);
-    obs.metrics
-        .histogram("stage.output_records")
-        .record(timing.output_records as u64);
-    (line, timing)
+    slot.get()
+        .expect("a stage starts after the stages it reads have finished")
 }
 
 /// Runs the selected stages (a set produced by [`expand_selection`] or
-/// [`all_stages`]) in dependency waves, independent stages concurrently.
-/// Returns the outputs plus one timing per executed stage, in paper order.
-pub fn run(
+/// [`all_stages`]) on the worker pool, each once the stages it reads have
+/// finished. Returns the outputs plus one timing per executed stage, in
+/// paper order.
+pub fn run<'a>(
     db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
+    ctx: &AnalysisContext<'a>,
     selected: &BTreeSet<&'static str>,
-) -> (StageOutputs, Vec<StageTiming>) {
+) -> (StageOutputs<'a>, Vec<StageTiming>) {
     run_observed(
         db,
         ctx,
@@ -487,65 +513,75 @@ pub fn run(
 }
 
 /// [`run`] with telemetry: every executed stage records a `stage.<name>`
-/// span (with record-count attributes) and publishes
-/// `stage.<name>.{input,output}_records` counters plus a shared
-/// `stage.output_records` histogram. Outputs and timings are identical to
-/// [`run`].
-pub fn run_observed(
+/// span (with record-count attributes) in its own `analyze/<name>` shard
+/// and publishes `stage.<name>.{input,output}_records` counters plus a
+/// shared `stage.output_records` histogram. Outputs and timings are
+/// identical to [`run`].
+pub fn run_observed<'a>(
     db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
+    ctx: &AnalysisContext<'a>,
     selected: &BTreeSet<&'static str>,
     obs: &StageObs<'_>,
-) -> (StageOutputs, Vec<StageTiming>) {
+) -> (StageOutputs<'a>, Vec<StageTiming>) {
     let mut outputs = StageOutputs::default();
-    let mut done: Vec<(String, StageTiming)> = Vec::new();
-    for wave in waves(selected) {
-        let out = &outputs;
-        std::thread::scope(|s| {
-            let threads: Vec<_> = wave
-                .iter()
-                .map(|stage| {
-                    s.spawn(move || observed(obs, stage.name, || (stage.body)(db, ctx, out)))
-                })
-                .collect();
-            for thread in threads {
-                done.push(thread.join().expect("stage thread panicked"));
-            }
-        });
-    }
-    // Report in paper order regardless of wave order.
-    done.sort_by_key(|(_, t)| STAGES.iter().position(|s| *s == t.name));
+    let ran = run_jobs(
+        &graph(selected),
+        obs,
+        |(stage, _)| stage.weight,
+        |(_, reads)| reads.clone(),
+        |(stage, _)| format!("analyze/{}", stage.name),
+        |(stage, _), tracer, registry| {
+            let name = stage.name;
+            tracer.open(&format!("stage.{name}"));
+            let start = Instant::now();
+            let (input_records, output_records, line) = (stage.body)(db, ctx, &outputs);
+            let timing = StageTiming {
+                name,
+                wall: start.elapsed(),
+                input_records,
+                output_records,
+            };
+            tracer.attr("input_records", input_records);
+            tracer.attr("output_records", output_records);
+            tracer.close();
+            registry
+                .counter(&format!("stage.{name}.input_records"))
+                .add(input_records as u64);
+            registry
+                .counter(&format!("stage.{name}.output_records"))
+                .add(output_records as u64);
+            registry
+                .histogram("stage.output_records")
+                .record(output_records as u64);
+            ((name, line), timing)
+        },
+    );
     let timings;
-    (outputs.lines, timings) = done
-        .into_iter()
-        .map(|(line, t)| ((t.name, line), t))
-        .unzip();
+    (outputs.lines, timings) = ran.into_iter().unzip();
     (outputs, timings)
 }
 
-/// The schedule of a selection: waves of its stages in table order, each
-/// every stage whose dependencies ran in an earlier wave. Panics if a stage
-/// reads an unselected one, which [`expand_selection`] never leaves out.
-fn waves(selected: &BTreeSet<&'static str>) -> Vec<Vec<&'static Stage>> {
-    let mut pending: Vec<&'static Stage> =
-        TABLE.iter().filter(|s| selected.contains(s.name)).collect();
-    let mut done = BTreeSet::new();
-    let mut waves = Vec::new();
-    while !pending.is_empty() {
-        let (wave, blocked): (Vec<_>, Vec<_>) = pending
-            .into_iter()
-            .partition(|s| s.deps.iter().all(|d| done.contains(d)));
-        assert!(
-            !wave.is_empty(),
-            "stage {} reads {:?}, which the selection lacks",
-            blocked[0].name,
-            blocked[0].deps
-        );
-        done.extend(wave.iter().map(|s| s.name));
-        waves.push(wave);
-        pending = blocked;
-    }
-    waves
+/// The job graph of a selection: its rows in table order, each with the
+/// positions of the rows it reads. Panics if a stage reads an unselected
+/// one, which [`expand_selection`] never leaves out.
+fn graph(selected: &BTreeSet<&'static str>) -> Vec<(&'static Stage, Vec<usize>)> {
+    let rows: Vec<&'static Stage> = TABLE.iter().filter(|s| selected.contains(s.name)).collect();
+    rows.iter()
+        .map(|stage| {
+            let reads = stage
+                .deps
+                .iter()
+                .map(|dep| rows.iter().position(|s| s.name == *dep))
+                .collect::<Option<Vec<usize>>>()
+                .unwrap_or_else(|| {
+                    panic!(
+                        "stage {} reads {:?}, which the selection lacks",
+                        stage.name, stage.deps
+                    )
+                });
+            (*stage, reads)
+        })
+        .collect()
 }
 
 // ---- Stage bodies: each stores its output in its slot and returns `Ran`. ----
@@ -735,7 +771,7 @@ fn stage_consent_banners(db: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &St
 }
 
 /// §7.3 policy collection + similarity sweep.
-fn stage_policies(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOutputs) -> Ran {
+fn stage_policies<'a>(_: &MeasurementDb, ctx: &AnalysisContext<'a>, out: &StageOutputs<'a>) -> Ran {
     let (docs, sanitized_out) = policies::collect(&ctx.interactions_es);
     let model = policies::fit(&docs);
     let report = policies::report(
@@ -838,7 +874,7 @@ fn stage_disclosure(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOut
         let Some(doc) = docs.iter().find(|d| d.site == site) else {
             continue; // no policy at all: counted as non-disclosing
         };
-        let ann = policies::annotate(&doc.text);
+        let ann = policies::annotate(doc.text);
         if ann.discloses_cookies && ann.discloses_data_types && ann.discloses_third_parties {
             disclosing += 1;
         }
@@ -848,7 +884,7 @@ fn stage_disclosure(_: &MeasurementDb, ctx: &AnalysisContext<'_>, out: &StageOut
             .get(site)
             .map(|p| p.third.iter().map(|f| reg(f).to_string()).collect())
             .unwrap_or_default();
-        if policies::discloses_full_list(&doc.text, &observed) {
+        if policies::discloses_full_list(doc.text, &observed) {
             full_list += 1;
         }
     }
@@ -864,17 +900,25 @@ mod tests {
     use crate::study::Study;
 
     #[test]
-    fn the_full_set_runs_in_three_waves() {
-        let names: Vec<Vec<&str>> = waves(&all_stages())
-            .iter()
-            .map(|wave| wave.iter().map(|s| s.name).collect())
-            .collect();
-        let later = ["fingerprinting", "ownership", "disclosure"];
-        let first: Vec<&str> = STAGES.into_iter().filter(|s| !later.contains(s)).collect();
-        assert_eq!((first.len(), names.len()), (14, 3));
-        assert_eq!(names[0], first);
-        assert_eq!(names[1], ["fingerprinting", "ownership"]);
-        assert_eq!(names[2], ["disclosure"]);
+    fn the_full_set_has_exactly_the_tables_deps_as_edges() {
+        let graph = graph(&all_stages());
+        let names: Vec<&str> = graph.iter().map(|(stage, _)| stage.name).collect();
+        assert_eq!(names, STAGES);
+        let mut edges = Vec::new();
+        for (stage, reads) in &graph {
+            let read: Vec<&str> = reads.iter().map(|&at| graph[at].0.name).collect();
+            assert_eq!(read, stage.deps, "{}", stage.name);
+            edges.extend(read.into_iter().map(|dep| (stage.name, dep)));
+        }
+        assert_eq!(
+            edges,
+            [
+                ("fingerprinting", "webrtc"),
+                ("ownership", "policies"),
+                ("disclosure", "fingerprinting"),
+                ("disclosure", "policies"),
+            ]
+        );
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //!    Selenium interaction crawls) and [`Study::collect_db`] executes it,
 //!    recording *every* crawl into a [`MeasurementDb`].
 //! 2. **Analysis** — [`crate::stages`] derives the shared
-//!    [`AnalysisContext`] and runs the named stages over the DB,
-//!    independent stages concurrently.
+//!    [`AnalysisContext`] and runs the named stages over the DB.
 //! 3. **Reporting** — per-crawl and per-stage timings land in a
 //!    [`StageReport`] inside [`StudyResults`].
+//!
+//! The first two layers run on one worker pool
+//! ([`run_jobs`](redlight_crawler::parallel::run_jobs)): the crawls as
+//! jobs without edges, then the context build's scans, then the stages,
+//! each a job whose edges are the stages it reads.
 //!
 //! [`Study::collect_db`] is the literal first half of [`Study::run_on`]:
 //! downstream consumers that only want the raw tables call it and stop.
@@ -21,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use redlight_crawler::corpus::CorpusCompiler;
 use redlight_crawler::db::{CorpusLabel, MeasurementDb};
 use redlight_crawler::openwpm::CrawlConfig;
-use redlight_crawler::parallel::CrawlObs;
+use redlight_crawler::parallel::JobObs;
 use redlight_crawler::plan::{CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec};
 use redlight_net::geoip::Country;
 use redlight_net::transport::NetProfile;
@@ -30,7 +34,7 @@ use redlight_rankings::RankHistory;
 use redlight_websim::{World, WorldConfig};
 
 use crate::results::{StageReport, StudyResults};
-use crate::stages::{self, AnalysisContext, StageObs, StageOutputs, GATE_COUNTRIES};
+use crate::stages::{self, AnalysisContext, StageOutputs, GATE_COUNTRIES};
 
 /// Study parameters.
 #[derive(Debug, Clone)]
@@ -192,9 +196,9 @@ impl Study {
         tracer.attr("sanitized", corpus.sanitized.len());
         tracer.close();
 
-        let crawl_obs = CrawlObs {
-            trace: obs.trace.clone(),
-            metrics: obs.metrics.clone(),
+        let crawl_obs = JobObs {
+            trace: &obs.trace,
+            metrics: &obs.metrics,
             parent: tracer.link(),
         };
         let plan = config.crawl_plan();
@@ -242,20 +246,20 @@ impl Study {
     /// Returns the stage outputs, a [`StageReport`] with the stage timings
     /// (its `crawls` left empty for the caller), and the best-rank map
     /// [`StageOutputs::into_results`] takes.
-    pub fn analyze(
-        world: &World,
+    pub fn analyze<'a>(
+        world: &'a World,
         config: &StudyConfig,
-        db: &MeasurementDb,
+        db: &'a MeasurementDb,
         selected: &BTreeSet<&'static str>,
         obs: &ObsContext,
-    ) -> (StageOutputs, StageReport, BTreeMap<String, u32>) {
+    ) -> (StageOutputs<'a>, StageReport, BTreeMap<String, u32>) {
         let mut tracer = obs.trace.tracer("analyze");
         tracer.open("analyze");
         tracer.open("context.build");
         let ctx = AnalysisContext::build_sharded_in(world, config, db, &obs.metrics, 1);
         tracer.attr("corpus_sanitized", ctx.corpus.sanitized.len());
         tracer.close();
-        let stage_obs = StageObs {
+        let stage_obs = JobObs {
             trace: &obs.trace,
             metrics: &obs.metrics,
             parent: tracer.link(),

@@ -16,10 +16,11 @@
 //!   indexed by country × corpus, with per-crawl interned string tables;
 //! * [`store`] — the columnar store: arena-backed string interning
 //!   ([`store::StrTable`] / [`store::Sym`]) behind every crawl record;
-//! * [`parallel`] — the worker pool that runs a plan's crawls, longest
-//!   first, and its telemetry plumbing (crawls are independent sessions;
-//!   within a crawl the session is sequential, preserving cookie-sync
-//!   observability);
+//! * [`parallel`] — the study's one worker pool, which runs a job graph
+//!   heaviest ready job first, and its telemetry plumbing: a plan's crawls
+//!   (independent sessions, so no edges; within a crawl the session is
+//!   sequential, preserving cookie-sync observability), and for
+//!   `redlight-core` the analysis context's scans and stages;
 //! * [`plan`] — the [`CrawlPlan`]: every crawl a study performs, declared
 //!   as data and executed through one code path into a [`MeasurementDb`]
 //!   with one [`CrawlTiming`] per crawl.

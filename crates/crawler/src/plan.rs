@@ -21,7 +21,7 @@ use redlight_websim::World;
 use crate::corpus::CorpusReport;
 use crate::db::{CorpusLabel, CrawlRecord, InteractionRecord, MeasurementDb};
 use crate::openwpm::{CrawlConfig, OpenWpmCrawler};
-use crate::parallel::{run_jobs, CrawlObs};
+use crate::parallel::{run_jobs, JobObs};
 use crate::selenium::SeleniumCrawler;
 
 /// Which domain list a planned crawl sweeps. Selectors are resolved at
@@ -115,12 +115,13 @@ impl CrawlPlan {
         corpus: CorpusReport,
         rank_histories: BTreeMap<String, RankHistory>,
         agegate_top: &[String],
-        obs: &CrawlObs,
+        obs: &JobObs<'_>,
     ) -> (MeasurementDb, Vec<CrawlTiming>) {
         let crawled = run_jobs(
             &self.jobs(&corpus, agegate_top),
             obs,
             Job::weight,
+            |_| Vec::new(),
             Job::shard,
             |job, tracer, registry| match *job {
                 Job::Sweep(_, spec, domains) => {
@@ -215,7 +216,7 @@ enum Crawled {
 }
 
 /// Mirrors one crawl's [`CrawlTiming`] into per-crawl registry counters.
-fn publish_timing(obs: &CrawlObs, t: &CrawlTiming) {
+fn publish_timing(obs: &JobObs<'_>, t: &CrawlTiming) {
     let mut prefix = format!(
         "crawl.{}.{}",
         t.crawler,
@@ -243,13 +244,21 @@ mod tests {
     use redlight_obs::{Registry, Trace};
     use redlight_websim::WorldConfig;
 
-    /// Telemetry that drops spans and counts into a throwaway registry.
-    fn no_obs() -> CrawlObs {
-        CrawlObs {
-            trace: Trace::disabled(),
-            metrics: Registry::new(),
+    /// Executes `plan` with no rank histories and telemetry that drops
+    /// spans and counts into a throwaway registry.
+    fn execute(
+        plan: &CrawlPlan,
+        world: &World,
+        corpus: CorpusReport,
+        top: &[String],
+    ) -> (MeasurementDb, Vec<CrawlTiming>) {
+        let (trace, metrics) = (Trace::disabled(), Registry::new());
+        let obs = JobObs {
+            trace: &trace,
+            metrics: &metrics,
             parent: None,
-        }
+        };
+        plan.execute(world, corpus, BTreeMap::new(), top, &obs)
     }
 
     #[test]
@@ -302,7 +311,7 @@ mod tests {
         };
 
         let sanitized = corpus.sanitized.len();
-        let (db, timings) = plan.execute(&world, corpus, BTreeMap::new(), &top, &no_obs());
+        let (db, timings) = execute(&plan, &world, corpus, &top);
 
         assert_eq!(db.crawls().len(), 3);
         assert_eq!(timings.len(), 5);
@@ -399,7 +408,7 @@ mod tests {
                 net: NetProfile::default(),
             }],
         };
-        let (db, timings) = plan.execute(&world, corpus.clone(), BTreeMap::new(), &long, &no_obs());
+        let (db, timings) = execute(&plan, &world, corpus.clone(), &long);
         assert_eq!(timings.len(), 4);
         let direct = OpenWpmCrawler::new(&world, config(Country::Usa)).crawl(&corpus.sanitized);
         let planned = db.crawl(Country::Usa, CorpusLabel::Porn).unwrap();

@@ -20,6 +20,7 @@
 //! Wall durations are captured per span but live only in memory (for the
 //! `--timings` report); exported bytes use the journal's logical clock.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -196,27 +197,32 @@ impl Trace {
         Journal::build(&shards)
     }
 
+    /// Stores a finished shard. Panics if a shard of the same name was
+    /// committed before: names derive from job indices, and any rule for
+    /// telling two equal names apart would depend on which job finished
+    /// first. A tracer dropped while its thread unwinds keeps the earlier
+    /// shard instead, so the panic in flight is not turned into an abort.
     fn commit(&self, name: Arc<str>, link: Option<SpanLink>, spans: Vec<SpanRec>, dropped: u64) {
         if spans.is_empty() && dropped == 0 {
             return;
         }
         let mut shards = self.inner.shards.lock().expect("trace shards poisoned");
-        // Shard names are expected to be unique (derived from job indices);
-        // a collision gets a deterministic suffix rather than a panic.
-        let mut key = name.to_string();
-        let mut n = 1;
-        while shards.contains_key(&key) {
-            n += 1;
-            key = format!("{name}#{n}");
+        match shards.entry(name.to_string()) {
+            Entry::Vacant(slot) => {
+                slot.insert(Shard {
+                    link,
+                    spans,
+                    dropped,
+                });
+            }
+            Entry::Occupied(_) => {
+                drop(shards);
+                assert!(
+                    std::thread::panicking(),
+                    "trace shard {name:?} committed twice"
+                );
+            }
         }
-        shards.insert(
-            key,
-            Shard {
-                link,
-                spans,
-                dropped,
-            },
-        );
     }
 }
 
@@ -400,7 +406,8 @@ mod tests {
     }
 
     #[test]
-    fn colliding_shard_names_get_suffixes() {
+    #[should_panic(expected = "trace shard \"s\" committed twice")]
+    fn a_colliding_shard_name_panics() {
         let trace = Trace::new();
         for _ in 0..2 {
             let mut t = trace.tracer("s");
@@ -408,8 +415,22 @@ mod tests {
             t.close();
             t.finish();
         }
+    }
+
+    #[test]
+    fn a_tracer_dropped_while_unwinding_keeps_the_earlier_shard() {
+        let trace = Trace::new();
+        let mut first = trace.tracer("s");
+        first.open("kept");
+        first.finish();
+        let unwound = std::panic::catch_unwind(|| {
+            let mut second = trace.tracer("s");
+            second.open("lost");
+            panic!("the job failed");
+        });
+        assert!(unwound.is_err());
         let journal = trace.journal();
-        assert_eq!(journal.spans.len(), 2);
-        assert_eq!(journal.shards(), ["s", "s#2"]);
+        assert_eq!(journal.shards(), ["s"]);
+        assert_eq!(journal.spans[0].name, "kept");
     }
 }

@@ -126,18 +126,22 @@ if ! cmp "$OBS_DIR/paper.out" tests/golden/reproduce_paper.txt; then
   exit 1
 fi
 
-echo "==> collection pool determinism (two 2x runs: stdout, journal, metrics byte-identical)"
-# The crawls run on a worker pool; which worker runs which crawl varies from
-# run to run, and nothing recorded may depend on it.
-for run in 1 2; do
-  cargo run --release -q -p redlight-bench --bin reproduce -- \
-    --sites-scale 2 --seed 7 \
-    --trace-events "$OBS_DIR/pool$run.jsonl" \
-    --metrics "$OBS_DIR/pool$run.prom" >"$OBS_DIR/pool$run.out"
+echo "==> study pool determinism (two 2x runs per net profile: stdout, journal, metrics byte-identical)"
+# The crawls, the context build's scans and the analysis stages run on one
+# worker pool; which worker runs which job, and the order jobs finish in,
+# vary from run to run, and nothing recorded may depend on them. Under
+# flaky, retries and failed visits change the finish order too.
+for profile in default flaky; do
+  for run in 1 2; do
+    cargo run --release -q -p redlight-bench --bin reproduce -- \
+      --sites-scale 2 --seed 7 --net-profile "$profile" \
+      --trace-events "$OBS_DIR/pool-$profile$run.jsonl" \
+      --metrics "$OBS_DIR/pool-$profile$run.prom" >"$OBS_DIR/pool-$profile$run.out"
+  done
+  for kind in out jsonl prom; do
+    cmp "$OBS_DIR/pool-${profile}1.$kind" "$OBS_DIR/pool-${profile}2.$kind"
+  done
 done
-cmp "$OBS_DIR/pool1.out" "$OBS_DIR/pool2.out"
-cmp "$OBS_DIR/pool1.jsonl" "$OBS_DIR/pool2.jsonl"
-cmp "$OBS_DIR/pool1.prom" "$OBS_DIR/pool2.prom"
 
 echo "==> timeline export smoke (traffic run, JSON-lines + CSV validated)"
 cargo run --release -q -p redlight-bench --bin reproduce -- \
