@@ -45,6 +45,10 @@
 //! * `--collect-only` — stop after the collection layer (no analysis);
 //!   useful for fast smoke runs of the exporters.
 //!
+//! A tracer shard records at most 8,192 spans and counts the rest. When it
+//! cut any, the stderr line of each written trace says how many, and
+//! `--timings` adds a warning line to stderr.
+//!
 //! `--traffic <sessions>` runs the discrete-event traffic workload instead
 //! of the study: `<sessions>` seeded visitor sessions walk the world's porn
 //! sites on a simulated clock (service times, per-host connection limits,
@@ -341,14 +345,14 @@ fn main() {
             };
             print_timings(&report, json);
         }
-        export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
+        export_obs(&obs, timings, &trace_out, &events_out, &metrics_out, None);
         return;
     }
 
     if !requested.is_empty() {
         run_stages(&config, &requested, timings, json, &obs);
         eprintln!("done in {:?}", t0.elapsed());
-        export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
+        export_obs(&obs, timings, &trace_out, &events_out, &metrics_out, None);
         return;
     }
 
@@ -364,7 +368,7 @@ fn main() {
     if timings {
         print_timings(&results.stage_report, json);
     }
-    export_obs(&obs, &trace_out, &events_out, &metrics_out, None);
+    export_obs(&obs, timings, &trace_out, &events_out, &metrics_out, None);
 }
 
 /// `--traffic` mode: the discrete-event traffic workload instead of the
@@ -422,6 +426,7 @@ fn run_traffic_mode(
     }
     export_obs(
         &obs,
+        timings,
         trace_out,
         events_out,
         metrics_out,
@@ -474,8 +479,11 @@ fn print_timings(report: &StageReport, json: bool) {
 /// Writes whichever observability exports were requested. With a traffic
 /// timeline the Chrome trace also carries counter ("C") tracks for the
 /// deterministic registry metrics and the timeline's windowed series.
+/// Spans that the per-shard cap cut are named on each trace's stderr line
+/// and, under `--timings`, in a warning line.
 fn export_obs(
     obs: &ObsContext,
+    timings: bool,
     trace: &Option<String>,
     events: &Option<String>,
     metrics: &Option<String>,
@@ -485,17 +493,30 @@ fn export_obs(
         return;
     }
     let journal = obs.trace.journal();
+    let dropped = match journal.dropped {
+        0 => String::new(),
+        n => format!(", {n} dropped by the per-shard cap"),
+    };
+    if timings && journal.dropped > 0 {
+        eprintln!(
+            "warning: {} spans were dropped by the per-shard cap; the span journal is incomplete",
+            journal.dropped
+        );
+    }
     if let Some(path) = trace {
         let counters = obs.metrics.snapshot();
         write_or_die(path, &journal.chrome_trace_with(Some(&counters), timeline));
         eprintln!(
-            "wrote Chrome trace ({} spans) to {path} — load it at ui.perfetto.dev",
+            "wrote Chrome trace ({} spans{dropped}) to {path} — load it at ui.perfetto.dev",
             journal.len()
         );
     }
     if let Some(path) = events {
         write_or_die(path, &journal.json_lines());
-        eprintln!("wrote span journal ({} events) to {path}", journal.len());
+        eprintln!(
+            "wrote span journal ({} events{dropped}) to {path}",
+            journal.len()
+        );
     }
     if let Some(path) = metrics {
         let text = obs.metrics.snapshot().prometheus();

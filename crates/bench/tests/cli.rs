@@ -1,5 +1,6 @@
 //! `reproduce` checks its whole command line before it builds a world:
 //! `--help` and every bad argument end the process before a study starts.
+//! What a run could not record, it says on stderr.
 
 use std::process::{Command, Output};
 
@@ -62,4 +63,61 @@ fn bad_arguments_exit_2_with_usage_before_any_study() {
         assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
         assert!(!stderr.contains(STUDY_STARTED), "{args:?} ran a study");
     }
+}
+
+/// Runs `reproduce --traffic <sessions> --net-profile flaky --timings`
+/// with a span journal and the given timeline window, returning stdout,
+/// stderr and the number of `slo.*` spans in the journal.
+fn flaky_traffic_with_journal(sessions: &str, window_ms: &str) -> (String, String, usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "redlight-cli-{}-{sessions}-{window_ms}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).expect("create a temporary directory");
+    let journal = dir.join("journal.jsonl");
+    let out = reproduce(&[
+        "--traffic",
+        sessions,
+        "--net-profile",
+        "flaky",
+        "--timeline-window",
+        window_ms,
+        "--timings",
+        "--trace-events",
+        journal.to_str().expect("UTF-8 path"),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let spans = std::fs::read_to_string(&journal).expect("the journal was written");
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    let slo_spans = spans
+        .lines()
+        .filter(|l| l.contains("\"name\":\"slo."))
+        .count();
+    (
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap(),
+        slo_spans,
+    )
+}
+
+/// At 1 ms windows, 2,000 flaky sessions make 8,486 SLO transitions, more
+/// than the 8,192 spans the `traffic.slo` tracer shard keeps.
+#[test]
+fn spans_cut_by_the_shard_cap_are_reported() {
+    let (stdout, stderr, slo_spans) = flaky_traffic_with_journal("2000", "1");
+    assert!(stdout.contains("SLO transitions: 8486"), "{stdout}");
+    assert_eq!(slo_spans, 8_192);
+    assert!(
+        stderr.contains("wrote span journal (8507 events, 294 dropped by the per-shard cap)"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("warning: 294 spans were dropped by the per-shard cap"),
+        "{stderr}"
+    );
+
+    let (_, stderr, _) = flaky_traffic_with_journal("200", "1000");
+    assert!(stderr.contains("wrote span journal ("), "{stderr}");
+    assert!(!stderr.contains("dropped"), "nothing was cut: {stderr}");
+    assert!(!stderr.contains("warning"), "{stderr}");
 }

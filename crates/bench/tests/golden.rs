@@ -1,8 +1,9 @@
 //! `reproduce` output is pinned byte for byte to files under
-//! `tests/golden/`: stdout, and the span journal and metrics exposition the
-//! export flags write. A change to any reproduced number or recorded span
-//! fails here until the same change regenerates the file with the command
-//! the failure names, so every regeneration is a reviewed diff.
+//! `tests/golden/`: stdout, and the span journal, metrics exposition and
+//! traffic timeline the export flags write. A change to any reproduced
+//! number or recorded span fails here until the same change regenerates
+//! the file with the command the failure names, so every regeneration is
+//! a reviewed diff.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -97,49 +98,94 @@ fn seed7_every_stage_stdout_matches_golden() {
     assert_matches_golden(&args, "reproduce_seed7_stages.txt");
 }
 
+/// Runs `reproduce` with `args` plus one `flag <dir>/<file>` pair per entry
+/// of `exports`, `<dir>` a fresh temporary directory, then compares stdout
+/// with `tests/golden/<stdout>` (when given) and every file the run wrote
+/// into `<dir>` with the golden file of the same name. That includes files
+/// an export writes beside the one it was given (a `--timeline` CSV).
+fn assert_run_matches_golden(args: &[&str], exports: &[(&str, &str)], stdout: Option<&str>) {
+    let (_, first) = exports.first().expect("at least one export");
+    let dir = std::env::temp_dir().join(format!("redlight-golden-{}-{first}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create a temporary directory");
+    let with_exports = |dir: &str| -> Vec<String> {
+        let mut all: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        for (flag, file) in exports {
+            all.extend([flag.to_string(), format!("{dir}/{file}")]);
+        }
+        all
+    };
+    let run_args = with_exports(dir.to_str().expect("UTF-8 path"));
+    let got_stdout = reproduce(&run_args.iter().map(String::as_str).collect::<Vec<_>>());
+    let mut written: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("list the temporary directory")
+        .map(|entry| {
+            let path = entry.expect("a directory entry").path();
+            let name = path.file_name().expect("a file name").to_string_lossy();
+            let bytes = std::fs::read(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+            (name.into_owned(), bytes)
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    written.sort();
+    for (_, file) in exports {
+        assert!(
+            written.iter().any(|(name, _)| name == file),
+            "reproduce {args:?} did not write {file}"
+        );
+    }
+
+    let golden_args = with_exports("tests/golden");
+    let command = command_line(&golden_args.iter().map(String::as_str).collect::<Vec<_>>());
+    let target = stdout.map_or("/dev/null".to_owned(), |file| {
+        format!("tests/golden/{file}")
+    });
+    let regenerate = format!("{command} > {target}");
+    if let Some(file) = stdout {
+        assert_golden(&got_stdout, file, &format!("{command} stdout"), &regenerate);
+    }
+    for (name, bytes) in &written {
+        assert_golden(
+            bytes,
+            name,
+            &format!("the {name} of {command}"),
+            &regenerate,
+        );
+    }
+}
+
 #[test]
 fn seed7_journal_and_metrics_match_golden() {
-    const JOURNAL: &str = "reproduce_seed7_journal.jsonl";
-    const METRICS: &str = "reproduce_seed7_metrics.prom";
-    let dir = std::env::temp_dir().join(format!("redlight-golden-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create a temporary directory");
-    let path = |file: &str| dir.join(file).to_str().expect("UTF-8 path").to_owned();
-    let (journal, metrics) = (path(JOURNAL), path(METRICS));
-    reproduce(&[
-        "--seed",
-        "7",
-        "--trace-events",
-        &journal,
-        "--metrics",
-        &metrics,
-    ]);
-    let read =
-        |file: &str| std::fs::read(file).unwrap_or_else(|e| panic!("cannot read {file}: {e}"));
-    let (got_journal, got_metrics) = (read(&journal), read(&metrics));
-    std::fs::remove_dir_all(&dir).expect("remove the temporary directory");
+    assert_run_matches_golden(
+        &["--seed", "7"],
+        &[
+            ("--trace-events", "reproduce_seed7_journal.jsonl"),
+            ("--metrics", "reproduce_seed7_metrics.prom"),
+        ],
+        None,
+    );
+}
 
-    let golden = |file: &str| format!("tests/golden/{file}");
-    let regenerate = format!(
-        "{} > /dev/null",
-        command_line(&[
+/// The traffic workload under the flaky profile, with its timeline and
+/// SLO panel: stdout, the timeline's JSON lines and CSV, the span journal
+/// (batch spans, SLO transitions, frozen flights) and the metrics.
+#[test]
+fn traffic_seed11_flaky_outputs_match_golden() {
+    assert_run_matches_golden(
+        &[
+            "--traffic",
+            "2000",
             "--seed",
-            "7",
-            "--trace-events",
-            &golden(JOURNAL),
-            "--metrics",
-            &golden(METRICS),
-        ])
-    );
-    assert_golden(
-        &got_journal,
-        JOURNAL,
-        "the --seed 7 span journal",
-        &regenerate,
-    );
-    assert_golden(
-        &got_metrics,
-        METRICS,
-        "the --seed 7 metrics exposition",
-        &regenerate,
+            "11",
+            "--net-profile",
+            "flaky",
+            "--timings",
+        ],
+        &[
+            ("--timeline", "reproduce_traffic_seed11_timeline.jsonl"),
+            ("--trace-events", "reproduce_traffic_seed11_journal.jsonl"),
+            ("--metrics", "reproduce_traffic_seed11_metrics.prom"),
+        ],
+        Some("reproduce_traffic_seed11_flaky.txt"),
     );
 }

@@ -217,6 +217,29 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation into this plain copy: [`Histogram::record`]
+    /// without the atomics, for a single-threaded producer that tallies
+    /// locally and folds the tally into a shared histogram with
+    /// [`Histogram::absorb`].
+    pub fn record(&mut self, v: u64) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; HISTOGRAM_BUCKETS];
+        }
+        self.buckets[Histogram::bucket_index(v)] += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min_raw = self.min_raw.min(v);
+        self.max_raw = self.max_raw.max(v);
+    }
+
+    /// Empties this copy in place, keeping its bucket storage, so a tally
+    /// that was just absorbed can be reused without allocating.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.sum = 0;
+        self.min_raw = u64::MAX;
+        self.max_raw = 0;
+    }
+
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

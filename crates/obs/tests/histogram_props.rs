@@ -1,5 +1,6 @@
 //! Property tests for the log-2 histogram: bucket edges, shard-merge
-//! equivalence and quantile monotonicity.
+//! equivalence, plain tallies against atomic recording and quantile
+//! monotonicity.
 
 use proptest::prelude::*;
 use redlight_obs::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
@@ -42,6 +43,30 @@ proptest! {
         absorbed.absorb(&shard_a.snapshot());
         absorbed.absorb(&shard_b.snapshot());
         prop_assert_eq!(&absorbed.snapshot(), &single.snapshot());
+    }
+
+    #[test]
+    fn plain_tallies_absorbed_in_batches_equal_atomic_recording(
+        values in proptest::collection::vec(any::<u64>(), 0..128),
+        batch in 1usize..20,
+    ) {
+        // The traffic kernel's pattern: record into a plain snapshot, fold
+        // it into the shared histogram every `batch` values, clear, reuse.
+        let atomic = Histogram::new();
+        let shared = Histogram::new();
+        let mut tally = HistogramSnapshot::default();
+        for (i, &v) in values.iter().enumerate() {
+            atomic.record(v);
+            tally.record(v);
+            if (i + 1) % batch == 0 {
+                shared.absorb(&tally);
+                tally.clear();
+                prop_assert_eq!(tally.count(), 0);
+                prop_assert_eq!(tally.min(), None);
+            }
+        }
+        shared.absorb(&tally);
+        prop_assert_eq!(&shared.snapshot(), &atomic.snapshot());
     }
 
     #[test]

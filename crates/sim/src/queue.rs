@@ -1,13 +1,15 @@
 //! Logical time and the pending-event queue.
 //!
 //! [`SimTime`] is a nanosecond count since simulation start — no wall
-//! clock anywhere. [`EventQueue`] is a binary heap keyed by `(time, seq)`:
-//! the sequence number is assigned at schedule time, so two events
-//! scheduled for the same instant always deliver in schedule order and
-//! delivery order is a pure function of the schedule calls.
+//! clock anywhere. [`EventQueue`] delivers in `(time, seq)` order: the
+//! sequence number is assigned at schedule time, so two events scheduled
+//! for the same instant always deliver in schedule order and delivery
+//! order is a pure function of the schedule calls. Future events wait in a
+//! binary heap; events scheduled for the instant being delivered skip it
+//! and wait in a FIFO lane.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
 /// A point in logical time: nanoseconds since simulation start.
@@ -73,7 +75,15 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The pending-event set: a stable-order binary heap.
+/// The pending-event set: a stable-order binary heap plus a FIFO lane for
+/// the instant last delivered.
+///
+/// An event scheduled for exactly that instant (a zero-delay hop) goes to
+/// the lane instead of the heap. Heap entries at the same instant were
+/// scheduled before the instant was reached, so before every lane entry;
+/// [`EventQueue::pop`] serves them first, then the lane, then the rest of
+/// the heap. The lane is empty whenever time moves on, so it only ever
+/// holds one instant.
 ///
 /// Determinism contract: for a fixed sequence of `schedule` calls, the
 /// sequence of `pop` results is identical across runs and platforms —
@@ -82,6 +92,8 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug, Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Events for `last_popped`, in schedule order.
+    lane: VecDeque<E>,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -91,6 +103,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -99,6 +112,10 @@ impl<E> EventQueue<E> {
     /// Schedules `event` for delivery at `at`. Events at the same instant
     /// deliver in the order they were scheduled.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        if at == self.last_popped {
+            self.lane.push_back(event);
+            return;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { at, seq, event }));
@@ -108,6 +125,14 @@ impl<E> EventQueue<E> {
     /// if time would run backwards (an event scheduled before an instant
     /// already delivered — a caller bug, not a user-reachable state).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        // A heap entry before `last_popped` is a caller bug; popping it
+        // trips the assert below.
+        let heap_due = matches!(self.heap.peek(), Some(Reverse(e)) if e.at <= self.last_popped);
+        if !heap_due {
+            if let Some(event) = self.lane.pop_front() {
+                return Some((self.last_popped, event));
+            }
+        }
         let Reverse(entry) = self.heap.pop()?;
         assert!(
             entry.at >= self.last_popped,
@@ -144,6 +169,20 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn same_instant_heap_entries_precede_the_lane() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos;
+        q.schedule(t(5), "heap-1");
+        q.schedule(t(5), "heap-2");
+        q.schedule(t(6), "later");
+        assert_eq!(q.pop(), Some((t(5), "heap-1")));
+        q.schedule(t(5), "lane-1");
+        q.schedule(t(5), "lane-2");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["heap-2", "lane-1", "lane-2", "later"]);
     }
 
     #[test]

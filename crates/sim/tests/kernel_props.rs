@@ -1,7 +1,8 @@
 //! Property suite pinning the event queue's determinism contract:
 //! delivery order is total and a pure function of the schedule program,
 //! every scheduled event delivers exactly once, and the queue drains
-//! monotonically in time.
+//! monotonically in time, also when events are scheduled for the very
+//! instant being delivered.
 
 use std::collections::HashSet;
 
@@ -81,5 +82,43 @@ proptest! {
         for pair in popped.windows(2) {
             prop_assert!(pair[0] <= pair[1], "pop sequence not monotone: {:?}", pair);
         }
+    }
+
+    #[test]
+    fn interleaved_programs_deliver_in_time_then_schedule_order(
+        ops in vec(0u8..12, 0..400),
+    ) {
+        // Each op either delivers the next event (0..4) or schedules one:
+        // at the instant last delivered (4..8), which the traffic loop does
+        // for most of its events, or up to 3 ns after it (8..12), which
+        // ties with events already pending. The payload is the schedule
+        // index.
+        let mut q = EventQueue::new();
+        let mut scheduled = Vec::new();
+        let mut log = Vec::new();
+        let mut last = 0u64;
+        for op in ops {
+            match op {
+                0..4 => {
+                    if let Some((at, idx)) = q.pop() {
+                        last = at.as_nanos();
+                        log.push((last, idx));
+                    }
+                }
+                _ => {
+                    let at = last + op.saturating_sub(8) as u64;
+                    q.schedule(SimTime::from_nanos(at), scheduled.len());
+                    scheduled.push((at, scheduled.len()));
+                }
+            }
+        }
+        while let Some((at, idx)) = q.pop() {
+            log.push((at.as_nanos(), idx));
+        }
+        // No event is scheduled before the instant last delivered, so the
+        // whole log is the reference order: every event, sorted by
+        // `(time, schedule index)`.
+        scheduled.sort_unstable();
+        prop_assert_eq!(log, scheduled);
     }
 }

@@ -126,6 +126,18 @@ if ! cmp "$OBS_DIR/paper.out" tests/golden/reproduce_paper.txt; then
   exit 1
 fi
 
+echo "==> reproduce --traffic 250000 --net-profile flaky --timings stdout pinned to tests/golden/reproduce_traffic_flaky.txt (release)"
+# perfbench's traffic-flaky workload at seed 2019: the latency percentiles,
+# peaks, tier table and timeline panel at the size the benchmark times.
+cargo run --release -q -p redlight-bench --bin reproduce -- \
+  --traffic 250000 --net-profile flaky --timings >"$OBS_DIR/traffic.out"
+if ! cmp "$OBS_DIR/traffic.out" tests/golden/reproduce_traffic_flaky.txt; then
+  echo "reproduce --traffic 250000 --net-profile flaky --timings stdout differs from tests/golden/reproduce_traffic_flaky.txt." >&2
+  echo "If the change is intended, regenerate it and list it in CHANGES.md:" >&2
+  echo "  cargo run --release -q -p redlight-bench --bin reproduce -- --traffic 250000 --net-profile flaky --timings > tests/golden/reproduce_traffic_flaky.txt" >&2
+  exit 1
+fi
+
 echo "==> study pool determinism (two 2x runs per net profile: stdout, journal, metrics byte-identical)"
 # The crawls, the context build's scans and the analysis stages run on one
 # worker pool; which worker runs which job, and the order jobs finish in,
