@@ -62,13 +62,17 @@
 //! Timeline telemetry (`--traffic` only):
 //!
 //! * `--timeline <path>` — record windowed metric series over logical time
-//!   and write them as JSON lines to `<path>` plus a plot-ready CSV
-//!   sibling (`<path>` with its extension swapped for `.csv`). The file
-//!   also carries SLO transition lines and a flight-recorder summary.
+//!   and write them as JSON lines to `<path>` plus a plot-ready CSV twin
+//!   in the same directory: `<path>` with its extension set to `.csv`
+//!   (`tl.jsonl` → `tl.csv`, `run.d/tl` → `run.d/tl.csv`). A path that
+//!   already ends in `.csv` exits 2. The file also carries SLO transition
+//!   lines and a flight-recorder summary.
 //! * `--timeline-window <ms>` — window width in logical milliseconds
 //!   (default 1000).
 //! * `--timings` — additionally prints the timeline sparkline summary
 //!   (and enables sampling even without `--timeline`).
+
+use std::path::{Path, PathBuf};
 
 use redlight_core::results::StageReport;
 use redlight_core::{stages, Study, StudyConfig};
@@ -176,6 +180,14 @@ impl Args {
                 "--timeline requires --traffic <sessions>",
             ),
             (
+                parsed
+                    .timeline_out
+                    .as_deref()
+                    .is_some_and(|path| csv_twin(path) == Path::new(path)),
+                "--timeline <path> would write its CSV twin over itself; \
+                 give the JSON lines another extension",
+            ),
+            (
                 staged && parsed.collect_only,
                 "--stage cannot be combined with --collect-only",
             ),
@@ -203,6 +215,12 @@ impl Args {
             None => Ok(parsed),
         }
     }
+}
+
+/// Where `--timeline <path>` writes its CSV: beside `path`, with the
+/// extension set to `csv`.
+fn csv_twin(path: &str) -> PathBuf {
+    Path::new(path).with_extension("csv")
 }
 
 /// `value` as an unsigned integer, or a usage error naming `flag`.
@@ -245,7 +263,9 @@ paper-vs-measured comparison.
   --trace-events <path>    write the span journal as JSON lines
   --metrics <path>         write a Prometheus text exposition
   --traffic <sessions>     run the traffic workload instead of the study
-  --timeline <path>        with --traffic, write windowed metric series
+  --timeline <path>        with --traffic, write windowed metric series as
+                           JSON lines to <path> and as CSV to <path> with
+                           its extension set to .csv
   --timeline-window <ms>   with --traffic, timeline window width (default 1000)
   --help                   print this help
 ",
@@ -414,14 +434,12 @@ fn run_traffic_mode(
     }
     if let (Some(path), Some(tl)) = (timeline_out, &report.timeline) {
         write_or_die(path, &tl.json_lines());
-        let csv_path = match path.rsplit_once('.') {
-            Some((stem, _)) => format!("{stem}.csv"),
-            None => format!("{path}.csv"),
-        };
+        let csv_path = csv_twin(path);
         write_or_die(&csv_path, &tl.csv());
         eprintln!(
-            "wrote timeline ({} windows) to {path} + {csv_path}",
-            tl.timeline.windows().len()
+            "wrote timeline ({} windows) to {path} + {}",
+            tl.timeline.windows().len(),
+            csv_path.display()
         );
     }
     export_obs(
@@ -525,9 +543,10 @@ fn export_obs(
     }
 }
 
-fn write_or_die(path: &str, contents: &str) {
+fn write_or_die(path: impl AsRef<Path>, contents: &str) {
+    let path = path.as_ref();
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
+        eprintln!("cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
 }

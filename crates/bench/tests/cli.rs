@@ -55,6 +55,8 @@ fn bad_arguments_exit_2_with_usage_before_any_study() {
         &["--fault-seed", "3"],
         &["--net-profile", "default", "--fault-seed", "3"],
         &["--traffic", "5", "--fault-seed", "3"],
+        // The CSV twin of a `.csv` path would overwrite the JSON lines.
+        &["--traffic", "5", "--timeline", "out.csv"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -63,6 +65,40 @@ fn bad_arguments_exit_2_with_usage_before_any_study() {
         assert!(stderr.contains("usage: reproduce"), "{args:?}: {stderr}");
         assert!(!stderr.contains(STUDY_STARTED), "{args:?} ran a study");
     }
+}
+
+/// The CSV twin lands beside the JSON lines, even when a directory on the
+/// path has a dot in its name and the file has no extension.
+#[test]
+fn timeline_csv_twin_lands_beside_the_json_lines() {
+    let tmp = std::env::temp_dir().join(format!("redlight-cli-twin-{}", std::process::id()));
+    let run_dir = tmp.join("run.d");
+    std::fs::create_dir_all(&run_dir).expect("create a temporary directory");
+    let timeline = run_dir.join("tl");
+    let out = reproduce(&[
+        "--traffic",
+        "200",
+        "--timeline",
+        timeline.to_str().expect("UTF-8 path"),
+    ]);
+    let names = |dir: &std::path::Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list a temporary directory")
+            .map(|e| {
+                e.expect("a directory entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        names.sort();
+        names
+    };
+    let (in_tmp, in_run_dir) = (names(&tmp), names(&run_dir));
+    std::fs::remove_dir_all(&tmp).expect("remove the temporary directory");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(in_tmp, ["run.d"]);
+    assert_eq!(in_run_dir, ["tl", "tl.csv"]);
 }
 
 /// Runs `reproduce --traffic <sessions> --net-profile flaky --timings`

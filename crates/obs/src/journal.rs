@@ -206,9 +206,9 @@ impl Journal {
     /// tick 0, final value at the last span tick) so ordinary study runs
     /// see transport retries, cache hits etc. alongside the spans.
     /// With `timeline`, each closed window emits one counter event per
-    /// tracked series on pid 2 (timestamps are the windows' logical ends
-    /// in microseconds) — Perfetto renders throughput, queue-depth and
-    /// p99 curves next to the span tracks.
+    /// series (a histogram's as its p99) on pid 2 (timestamps are the
+    /// windows' logical ends in microseconds) — Perfetto renders
+    /// throughput, queue-depth and p99 curves next to the span tracks.
     pub fn chrome_trace_with(
         &self,
         counters: Option<&MetricsSnapshot>,
@@ -482,13 +482,13 @@ mod tests {
             "wall-time counters stay out of deterministic exports"
         );
 
-        let mut tl = Timeline::new(Duration::from_millis(1));
-        let c = registry.counter("transport_retries");
-        tl.track_counter(&registry, "transport_retries");
-        c.add(5);
-        tl.finish(2_000_000);
+        let mut tl = Timeline::new(Duration::from_millis(1), &["transport_retries"], &[], &[]);
+        tl.close(&[5], &[], &[]);
+        tl.finish(1_500_000, &[0], &[], &[]);
         let traced = journal.chrome_trace_with(None, Some(&tl));
         assert!(traced.contains("\"pid\":2"));
-        assert!(traced.contains("\"name\":\"transport_retries\""));
+        assert!(
+            traced.contains("\"ts\":1000,\"name\":\"transport_retries\",\"args\":{\"value\":5}")
+        );
     }
 }

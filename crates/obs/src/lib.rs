@@ -4,12 +4,16 @@
 //! tracing + metrics layer shared by the crawler, the transport stack and
 //! the analysis stages.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`Registry`] — named counters / gauges / log-2 [`Histogram`]s over
 //!   lock-free atomics. Handles are cheap clones; per-worker registries
 //!   fold into the study-wide one with [`Registry::absorb`] in job order,
 //!   so aggregate metrics are deterministic.
+//! * [`Timeline`] — windowed series over logical time. Its producer hands
+//!   it each window's row (counter deltas, gauge values, histogram
+//!   tallies), so a timeline holds no registry handle; [`SloTracker`]
+//!   turns the rows into burn-rate transitions.
 //! * [`Trace`] / [`Tracer`] — hierarchical spans recorded into per-shard
 //!   buffers (one single-threaded [`Tracer`] per worker, shard names from
 //!   job indices), merged by [`Trace::journal`] into a [`Journal`] whose

@@ -271,27 +271,6 @@ impl HistogramSnapshot {
         self.max_raw = self.max_raw.max(other.max_raw);
     }
 
-    /// The bucket-wise difference `self − earlier`, for windowed views of
-    /// a monotone histogram (`earlier` must be a previous snapshot of the
-    /// same histogram). Min/max cannot be reconstructed per window, so the
-    /// delta carries the empty sentinels.
-    pub(crate) fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets = if earlier.buckets.is_empty() {
-            self.buckets.clone()
-        } else {
-            self.buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect()
-        };
-        HistogramSnapshot {
-            buckets,
-            sum: self.sum.wrapping_sub(earlier.sum),
-            ..HistogramSnapshot::default()
-        }
-    }
-
     /// Quantile estimate: the inclusive upper bound of the first bucket at
     /// which the cumulative count reaches `q` of the total (0 when empty).
     /// Upper bounds make the estimate conservative and monotone both in `q`
@@ -684,23 +663,6 @@ mod tests {
         idle.absorb(&empty.snapshot());
         assert_eq!(idle.snapshot().min(), None);
         assert_eq!(idle.snapshot().max(), None);
-    }
-
-    #[test]
-    fn delta_since_isolates_a_window() {
-        let h = Histogram::new();
-        h.record(10);
-        let before = h.snapshot();
-        h.record(1000);
-        h.record(2000);
-        let delta = h.snapshot().delta_since(&before);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum, 3000);
-        assert_eq!(delta.quantile(0.5), 1023, "only the window's buckets");
-        // Against a default (empty) baseline the delta is the snapshot's
-        // own buckets.
-        let full = h.snapshot().delta_since(&HistogramSnapshot::default());
-        assert_eq!(full.count(), 3);
     }
 
     #[test]

@@ -1,22 +1,22 @@
 //! Windowed metric timelines over logical time, plus SLO burn tracking.
 //!
-//! A [`Timeline`] turns the registry's end-of-run aggregates into
-//! *series*: it holds cloned handles onto explicitly tracked counters,
-//! gauges and histograms and, each time the driver crosses a window
-//! boundary of the logical clock, closes one fixed-width window — counter
-//! deltas, instantaneous gauge values, and per-window histogram stats
-//! (count, sum, bucket-resolution p50/p95/p99 computed from the window's
-//! bucket deltas). Sampling is driven by the caller (the traffic event
-//! loop, before each delivery), never by wall time, so the recorded
-//! series is a pure function of the seed: same seed ⇒ byte-identical
-//! [`Timeline::json_lines`] and [`Timeline::csv`] exports.
+//! A [`Timeline`] stores the rows its producer hands it. It is created
+//! with a window width and the names of its counter, gauge and histogram
+//! series; each time the producer's logical clock crosses a window
+//! boundary, the producer closes one fixed-width window with the window's
+//! counter deltas, its gauge values at the boundary and its histogram
+//! tallies, of which the row keeps count, sum and bucket-resolution
+//! p50/p95/p99. The producer (the traffic event loop, before each
+//! delivery) decides when a window closes, never wall time, so the
+//! recorded series is a pure function of the seed: same seed ⇒
+//! byte-identical [`Timeline::json_lines`] and [`Timeline::csv`] exports.
 //!
-//! Window semantics: window `k` covers logical `[k·W, (k+1)·W)`. The
-//! driver calls [`Timeline::advance_to`] with each event's delivery time
-//! *before* dispatching it, so a closed window reflects exactly the events
-//! that happened strictly inside it; [`Timeline::finish`] closes the final
-//! partial window so the sum of per-window counter deltas always equals
-//! the final counter value, whatever the window width.
+//! Window semantics: window `k` covers logical `[k·W, (k+1)·W)`.
+//! [`Timeline::close`] closes the window ending at
+//! [`Timeline::next_boundary`], and [`Timeline::finish`] closes the final
+//! partial window and seals the series. When each row holds what happened
+//! strictly inside its window, the rows of a counter sum to its total,
+//! whatever the window width.
 //!
 //! [`SloTracker`] sits on top: fed one `(good, bad, p99)` triple per
 //! closed window, it computes the error-budget burn rate over short and
@@ -27,32 +27,10 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use crate::json;
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
+use crate::metrics::HistogramSnapshot;
 
-/// One tracked counter: its cumulative value at the last closed window is
-/// kept so each window stores a delta.
-#[derive(Debug, Clone)]
-struct TrackedCounter {
-    name: String,
-    handle: Counter,
-    prev: u64,
-}
-
-#[derive(Debug, Clone)]
-struct TrackedGauge {
-    name: String,
-    handle: Gauge,
-}
-
-#[derive(Debug, Clone)]
-struct TrackedHist {
-    name: String,
-    handle: Histogram,
-    prev: HistogramSnapshot,
-}
-
-/// Per-window view of one tracked histogram: stats of the observations
-/// recorded inside the window (bucket-delta resolution).
+/// Per-window view of one histogram series: stats of the observations
+/// recorded inside the window (bucket resolution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowHist {
     /// Observations recorded in the window.
@@ -68,7 +46,7 @@ pub struct WindowHist {
 }
 
 /// One closed window of the timeline. Value vectors are parallel to the
-/// tracked-metric name lists (see `Timeline::counter_names` etc.).
+/// series names the timeline was created with.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowRow {
     /// Window index (0-based).
@@ -77,38 +55,49 @@ pub struct WindowRow {
     /// windows this is `(index + 1) · window_ns`; the final partial window
     /// ends at the run's end time instead.
     pub end_ns: u64,
-    /// Counter deltas over the window.
+    /// Deltas of the counter series over the window.
     pub counters: Vec<u64>,
-    /// Gauge values sampled at the window boundary.
+    /// Values of the gauge series at the window's end.
     pub gauges: Vec<i64>,
     /// Per-window histogram stats.
     pub hists: Vec<WindowHist>,
 }
 
-/// A windowed recorder of registry metrics over logical time.
+/// A windowed recorder of metric series over logical time.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     window_ns: u64,
     next_boundary_ns: u64,
     finished: bool,
-    counters: Vec<TrackedCounter>,
-    gauges: Vec<TrackedGauge>,
-    hists: Vec<TrackedHist>,
+    counter_names: Vec<String>,
+    gauge_names: Vec<String>,
+    hist_names: Vec<String>,
+    /// Exact smallest and largest value of each histogram series, folded
+    /// from the windows' tallies; `None` until one holds an observation.
+    hist_minmax: Vec<Option<(u64, u64)>>,
     windows: Vec<WindowRow>,
 }
 
 impl Timeline {
     /// A timeline with fixed-width windows of `window` logical time
-    /// (clamped to ≥ 1 ns).
-    pub fn new(window: Duration) -> Timeline {
+    /// (clamped to ≥ 1 ns) whose rows hold the named `counters`, `gauges`
+    /// and `histograms`, in that order.
+    pub fn new(
+        window: Duration,
+        counters: &[&str],
+        gauges: &[&str],
+        histograms: &[&str],
+    ) -> Timeline {
         let window_ns = (window.as_nanos().min(u64::MAX as u128) as u64).max(1);
+        let owned = |names: &[&str]| names.iter().map(|n| n.to_string()).collect();
         Timeline {
             window_ns,
             next_boundary_ns: window_ns,
             finished: false,
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            hists: Vec::new(),
+            counter_names: owned(counters),
+            gauge_names: owned(gauges),
+            hist_names: owned(histograms),
+            hist_minmax: vec![None; histograms.len()],
             windows: Vec::new(),
         }
     }
@@ -118,62 +107,19 @@ impl Timeline {
         self.window_ns
     }
 
-    /// Tracks the counter named `name` (created in `registry` on first
-    /// use). Must be called before the first window closes.
-    pub fn track_counter(&mut self, registry: &Registry, name: &str) {
-        self.counters.push(TrackedCounter {
-            name: name.to_owned(),
-            handle: registry.counter(name),
-            prev: 0,
-        });
+    /// Names of the counter series, parallel to [`WindowRow::counters`].
+    pub(crate) fn counter_names(&self) -> &[String] {
+        &self.counter_names
     }
 
-    /// Tracks the gauge named `name`.
-    pub fn track_gauge(&mut self, registry: &Registry, name: &str) {
-        self.gauges.push(TrackedGauge {
-            name: name.to_owned(),
-            handle: registry.gauge(name),
-        });
+    /// Names of the gauge series.
+    pub(crate) fn gauge_names(&self) -> &[String] {
+        &self.gauge_names
     }
 
-    /// Tracks the histogram named `name`.
-    pub fn track_histogram(&mut self, registry: &Registry, name: &str) {
-        self.hists.push(TrackedHist {
-            name: name.to_owned(),
-            handle: registry.histogram(name),
-            prev: HistogramSnapshot::default(),
-        });
-    }
-
-    /// Names of the tracked counters, in tracking order (parallel to
-    /// [`WindowRow::counters`]).
-    pub(crate) fn counter_names(&self) -> Vec<&str> {
-        self.counters.iter().map(|c| c.name.as_str()).collect()
-    }
-
-    /// Names of the tracked gauges.
-    pub(crate) fn gauge_names(&self) -> Vec<&str> {
-        self.gauges.iter().map(|g| g.name.as_str()).collect()
-    }
-
-    /// Names of the tracked histograms.
-    pub(crate) fn hist_names(&self) -> Vec<&str> {
-        self.hists.iter().map(|h| h.name.as_str()).collect()
-    }
-
-    /// Position of a tracked counter inside [`WindowRow::counters`].
-    pub fn counter_index(&self, name: &str) -> Option<usize> {
-        self.counters.iter().position(|c| c.name == name)
-    }
-
-    /// Position of a tracked gauge inside [`WindowRow::gauges`].
-    fn gauge_index(&self, name: &str) -> Option<usize> {
-        self.gauges.iter().position(|g| g.name == name)
-    }
-
-    /// Position of a tracked histogram inside [`WindowRow::hists`].
-    pub fn hist_index(&self, name: &str) -> Option<usize> {
-        self.hists.iter().position(|h| h.name == name)
+    /// Names of the histogram series.
+    pub(crate) fn hist_names(&self) -> &[String] {
+        &self.hist_names
     }
 
     /// Logical time at which the next full window closes.
@@ -186,88 +132,90 @@ impl Timeline {
         &self.windows
     }
 
-    /// The per-window delta series of a tracked counter.
+    /// The per-window delta series of a counter.
     pub fn counter_series(&self, name: &str) -> Option<Vec<u64>> {
-        let ix = self.counter_index(name)?;
+        let ix = self.counter_names.iter().position(|n| n == name)?;
         Some(self.windows.iter().map(|w| w.counters[ix]).collect())
     }
 
-    /// The sampled-value series of a tracked gauge.
+    /// The end-of-window value series of a gauge.
     pub fn gauge_series(&self, name: &str) -> Option<Vec<i64>> {
-        let ix = self.gauge_index(name)?;
+        let ix = self.gauge_names.iter().position(|n| n == name)?;
         Some(self.windows.iter().map(|w| w.gauges[ix]).collect())
     }
 
-    /// The per-window stats series of a tracked histogram.
+    /// The per-window stats series of a histogram.
     pub fn hist_series(&self, name: &str) -> Option<Vec<WindowHist>> {
-        let ix = self.hist_index(name)?;
+        let ix = self.hist_names.iter().position(|n| n == name)?;
         Some(self.windows.iter().map(|w| w.hists[ix]).collect())
     }
 
-    fn snap_row(&mut self, index: u64, end_ns: u64) {
-        let counters = self
-            .counters
-            .iter_mut()
-            .map(|c| {
-                let cur = c.handle.get();
-                let delta = cur.saturating_sub(c.prev);
-                c.prev = cur;
-                delta
-            })
-            .collect();
-        let gauges = self.gauges.iter().map(|g| g.handle.get()).collect();
-        let hists = self
-            .hists
-            .iter_mut()
-            .map(|h| {
-                let cur = h.handle.snapshot();
-                let delta = cur.delta_since(&h.prev);
-                h.prev = cur;
-                WindowHist {
-                    count: delta.count(),
-                    sum: delta.sum,
-                    p50: delta.quantile(0.50),
-                    p95: delta.quantile(0.95),
-                    p99: delta.quantile(0.99),
-                }
-            })
-            .collect();
-        self.windows.push(WindowRow {
-            index,
-            end_ns,
-            counters,
-            gauges,
-            hists,
-        });
+    /// Closes the next full window, ending at [`Timeline::next_boundary`],
+    /// with its counter deltas, its gauge values and its histogram
+    /// tallies, each parallel to the names given to [`Timeline::new`].
+    pub fn close(&mut self, counters: &[u64], gauges: &[i64], hists: &[HistogramSnapshot]) {
+        let end_ns = self.next_boundary_ns;
+        self.next_boundary_ns = end_ns.saturating_add(self.window_ns);
+        self.push_row(end_ns, counters, gauges, hists);
     }
 
-    /// Closes the next full window (ending at [`Timeline::next_boundary`]).
-    pub fn sample_window(&mut self) {
-        assert!(!self.finished, "timeline already finished");
-        let end = self.next_boundary_ns;
-        self.next_boundary_ns = self.next_boundary_ns.saturating_add(self.window_ns);
-        self.snap_row(self.windows.len() as u64, end);
-    }
-
-    /// Closes every window whose boundary is at or before `now_ns`. Call
-    /// with an event's delivery time *before* processing the event, so
-    /// each closed window covers exactly the strictly-earlier events.
-    fn advance_to(&mut self, now_ns: u64) {
-        while now_ns >= self.next_boundary_ns {
-            self.sample_window();
-        }
-    }
-
-    /// Closes the final partial window `[last boundary − W, end_ns]` and
-    /// seals the timeline. Always emits a row (possibly all-zero deltas)
-    /// so the windowed sums cover the whole run.
-    pub fn finish(&mut self, end_ns: u64) {
-        if self.finished {
-            return;
-        }
-        self.advance_to(end_ns);
-        self.snap_row(self.windows.len() as u64, end_ns);
+    /// Closes the final partial window, ending at `end_ns`, like
+    /// [`Timeline::close`], and seals the series. Every full window before
+    /// `end_ns` must be closed already.
+    pub fn finish(
+        &mut self,
+        end_ns: u64,
+        counters: &[u64],
+        gauges: &[i64],
+        hists: &[HistogramSnapshot],
+    ) {
+        assert!(
+            end_ns < self.next_boundary_ns,
+            "the window ending at {} is still open",
+            self.next_boundary_ns
+        );
+        self.push_row(end_ns, counters, gauges, hists);
         self.finished = true;
+    }
+
+    fn push_row(
+        &mut self,
+        end_ns: u64,
+        counters: &[u64],
+        gauges: &[i64],
+        hists: &[HistogramSnapshot],
+    ) {
+        assert!(!self.finished, "timeline already finished");
+        assert_eq!(
+            (counters.len(), gauges.len(), hists.len()),
+            (
+                self.counter_names.len(),
+                self.gauge_names.len(),
+                self.hist_names.len()
+            ),
+            "a row holds one value per series"
+        );
+        for (minmax, h) in self.hist_minmax.iter_mut().zip(hists) {
+            if let (Some(lo), Some(hi)) = (h.min(), h.max()) {
+                *minmax = Some(minmax.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+        }
+        self.windows.push(WindowRow {
+            index: self.windows.len() as u64,
+            end_ns,
+            counters: counters.to_vec(),
+            gauges: gauges.to_vec(),
+            hists: hists
+                .iter()
+                .map(|h| WindowHist {
+                    count: h.count(),
+                    sum: h.sum,
+                    p50: h.quantile(0.50),
+                    p95: h.quantile(0.95),
+                    p99: h.quantile(0.99),
+                })
+                .collect(),
+        });
     }
 
     /// Whether [`Timeline::finish`] has sealed the series.
@@ -275,8 +223,8 @@ impl Timeline {
         self.finished
     }
 
-    /// JSON-lines export: a `meta` line (window width, tracked-metric
-    /// names, cumulative exact histogram min/max) followed by one `window`
+    /// JSON-lines export: a `meta` line (window width, series names, each
+    /// histogram's exact min/max over the whole run) followed by one `window`
     /// object per closed window. Purely logical — byte-identical across
     /// same-seed runs.
     pub fn json_lines(&self) -> String {
@@ -285,7 +233,7 @@ impl Timeline {
         out.push_str(&self.window_ns.to_string());
         out.push_str(",\"windows\":");
         out.push_str(&self.windows.len().to_string());
-        let push_names = |out: &mut String, key: &str, names: &[&str]| {
+        let push_names = |out: &mut String, key: &str, names: &[String]| {
             out.push_str(",\"");
             out.push_str(key);
             out.push_str("\":[");
@@ -297,22 +245,19 @@ impl Timeline {
             }
             out.push(']');
         };
-        push_names(&mut out, "counters", &self.counter_names());
-        push_names(&mut out, "gauges", &self.gauge_names());
-        push_names(&mut out, "histograms", &self.hist_names());
+        push_names(&mut out, "counters", &self.counter_names);
+        push_names(&mut out, "gauges", &self.gauge_names);
+        push_names(&mut out, "histograms", &self.hist_names);
         out.push_str(",\"histogram_minmax\":{");
-        for (i, h) in self.hists.iter().enumerate() {
+        for (i, (name, minmax)) in self.hist_names.iter().zip(&self.hist_minmax).enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            json::push_str_literal(&mut out, &h.name);
-            // `prev` is the latest cumulative snapshot once any window has
-            // closed; exact observed extremes, not bucket bounds.
-            match (h.prev.min(), h.prev.max()) {
-                (Some(lo), Some(hi)) => {
-                    out.push_str(&format!(":[{lo},{hi}]"));
-                }
-                _ => out.push_str(":null"),
+            json::push_str_literal(&mut out, name);
+            // Exact observed extremes, not bucket bounds.
+            match minmax {
+                Some((lo, hi)) => out.push_str(&format!(":[{lo},{hi}]")),
+                None => out.push_str(":null"),
             }
         }
         out.push_str("}}\n");
@@ -323,29 +268,29 @@ impl Timeline {
             out.push_str(",\"end_ns\":");
             out.push_str(&w.end_ns.to_string());
             out.push_str(",\"counters\":{");
-            for (i, c) in self.counters.iter().enumerate() {
+            for (i, name) in self.counter_names.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                json::push_str_literal(&mut out, &c.name);
+                json::push_str_literal(&mut out, name);
                 out.push(':');
                 out.push_str(&w.counters[i].to_string());
             }
             out.push_str("},\"gauges\":{");
-            for (i, g) in self.gauges.iter().enumerate() {
+            for (i, name) in self.gauge_names.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                json::push_str_literal(&mut out, &g.name);
+                json::push_str_literal(&mut out, name);
                 out.push(':');
                 out.push_str(&w.gauges[i].to_string());
             }
             out.push_str("},\"histograms\":{");
-            for (i, h) in self.hists.iter().enumerate() {
+            for (i, name) in self.hist_names.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                json::push_str_literal(&mut out, &h.name);
+                json::push_str_literal(&mut out, name);
                 let s = &w.hists[i];
                 out.push_str(&format!(
                     ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
@@ -361,18 +306,14 @@ impl Timeline {
     /// to `<name>.count/.sum/.p50/.p95/.p99` columns.
     pub fn csv(&self) -> String {
         let mut out = String::from("window,end_ns");
-        for c in &self.counters {
+        for name in self.counter_names.iter().chain(&self.gauge_names) {
             out.push(',');
-            out.push_str(&c.name);
+            out.push_str(name);
         }
-        for g in &self.gauges {
-            out.push(',');
-            out.push_str(&g.name);
-        }
-        for h in &self.hists {
+        for name in &self.hist_names {
             for suffix in [".count", ".sum", ".p50", ".p95", ".p99"] {
                 out.push(',');
-                out.push_str(&h.name);
+                out.push_str(name);
                 out.push_str(suffix);
             }
         }
@@ -568,24 +509,14 @@ mod tests {
 
     #[test]
     fn windows_hold_deltas_and_finish_covers_the_tail() {
-        let registry = Registry::new();
-        let c = registry.counter("ev");
-        let g = registry.gauge("depth");
-        let h = registry.histogram("lat");
-        let mut tl = Timeline::new(Duration::from_secs(1));
-        tl.track_counter(&registry, "ev");
-        tl.track_gauge(&registry, "depth");
-        tl.track_histogram(&registry, "lat");
-
-        c.add(3);
-        g.set(2);
-        h.record(10);
-        tl.advance_to(1_500_000_000); // closes window 0
-        c.add(5);
-        g.set(7);
-        h.record(100);
-        h.record(200);
-        tl.finish(1_800_000_000); // partial window 1
+        let mut tl = Timeline::new(Duration::from_secs(1), &["ev"], &["depth"], &["lat"]);
+        let mut lat = HistogramSnapshot::default();
+        lat.record(10);
+        tl.close(&[3], &[2], std::slice::from_ref(&lat));
+        lat.clear();
+        lat.record(100);
+        lat.record(200);
+        tl.finish(1_800_000_000, &[5], &[7], std::slice::from_ref(&lat)); // partial window 1
 
         let w = tl.windows();
         assert_eq!(w.len(), 2);
@@ -598,49 +529,59 @@ mod tests {
         assert_eq!(w[1].gauges, vec![7]);
         assert_eq!(w[1].hists[0].count, 2);
         assert_eq!(w[1].hists[0].sum, 300);
-        // Window-width invariance: deltas sum to the final counter.
+        assert_eq!(w[1].hists[0].p99, 255, "bucket bound of 200");
+        assert!(tl.is_finished());
         let total: u64 = tl.counter_series("ev").unwrap().iter().sum();
-        assert_eq!(total, c.get());
+        assert_eq!(total, 8);
+        // The meta row folds the windows' exact extremes.
+        let meta = tl.json_lines().lines().next().unwrap().to_owned();
+        assert!(
+            meta.contains("\"histogram_minmax\":{\"lat\":[10,200]}"),
+            "{meta}"
+        );
     }
 
     #[test]
-    fn advance_closes_every_elapsed_window() {
-        let registry = Registry::new();
-        registry.counter("ev").add(1);
-        let mut tl = Timeline::new(Duration::from_millis(100));
-        tl.track_counter(&registry, "ev");
-        // A 1-second gap crosses ten boundaries at once.
-        tl.advance_to(1_000_000_000);
-        assert_eq!(tl.windows().len(), 10);
-        assert_eq!(tl.windows()[0].counters, vec![1]);
-        assert!(tl.windows()[1..].iter().all(|w| w.counters == vec![0]));
-        // An event exactly on a boundary belongs to the *next* window.
-        assert_eq!(tl.next_boundary(), 1_100_000_000);
+    fn each_close_ends_the_next_full_window() {
+        let mut tl = Timeline::new(Duration::from_millis(100), &["ev"], &[], &["lat"]);
+        let idle = [HistogramSnapshot::default()];
+        for ev in [1, 0, 0] {
+            tl.close(&[ev], &[], &idle);
+        }
+        let ends: Vec<u64> = tl.windows().iter().map(|w| w.end_ns).collect();
+        assert_eq!(ends, vec![100_000_000, 200_000_000, 300_000_000]);
+        // An instant exactly on a boundary belongs to the *next* window.
+        assert_eq!(tl.next_boundary(), 400_000_000);
+        tl.finish(300_000_000, &[0], &[], &idle);
+        assert_eq!(tl.windows()[3].hists[0], WindowHist::default());
+        let meta = tl.json_lines().lines().next().unwrap().to_owned();
+        assert!(
+            meta.contains("\"histogram_minmax\":{\"lat\":null}"),
+            "{meta}"
+        );
     }
 
     #[test]
-    fn exports_are_pure_functions_of_the_samples() {
-        let registry = Registry::new();
-        let c = registry.counter("ev");
+    #[should_panic(expected = "still open")]
+    fn finish_leaves_no_full_window_open() {
+        let mut tl = Timeline::new(Duration::from_millis(100), &["ev"], &[], &[]);
+        tl.finish(100_000_000, &[0], &[], &[]);
+    }
+
+    #[test]
+    fn exports_are_pure_functions_of_the_rows() {
         let build = || {
-            let mut tl = Timeline::new(Duration::from_secs(1));
-            tl.track_counter(&registry, "ev");
+            let mut tl = Timeline::new(Duration::from_secs(1), &["ev"], &["depth"], &[]);
+            tl.close(&[2], &[1], &[]);
+            tl.close(&[0], &[1], &[]);
+            tl.finish(2_500_000_000, &[0], &[0], &[]);
             tl
         };
-        c.add(2);
-        let mut a = build();
-        a.advance_to(2_000_000_000);
-        a.finish(2_500_000_000);
-        let mut b = build();
-        b.advance_to(2_000_000_000);
-        b.finish(2_500_000_000);
-        // Note: b sees cumulative counts but both deltas start from 0 at
-        // construction, so the exports only agree because the counter did
-        // not move between builds — which is the point: exports depend
-        // only on the sampled values.
+        let (a, b) = (build(), build());
         assert_eq!(a.json_lines(), b.json_lines());
         assert_eq!(a.csv(), b.csv());
         assert!(a.json_lines().starts_with("{\"type\":\"meta\""));
+        assert_eq!(a.csv().lines().next(), Some("window,end_ns,ev,depth"));
         assert_eq!(a.csv().lines().count(), 1 + a.windows().len());
     }
 

@@ -12,21 +12,20 @@
 //!   popularity-weighted site choice, one-to-three page walks with dwell
 //!   time between pages, document retries consuming real backoff on the
 //!   logical clock;
-//! * the **host pools** (the servers): one [`HostPool`] per distinct host
+//! * the **host pools** (the servers): one `HostPool` per distinct host
 //!   — connection limits, FIFO queueing, per-request service times from
-//!   the [`ServiceModel`], and fault draws from the *same* cumulative
+//!   the `ServiceModel`, and fault draws from the *same* cumulative
 //!   [`FaultSpec`] distribution and persistence rule the synchronous
 //!   `FaultTransport` uses.
 //!
-//! Before handling an event the loop closes every timeline window the
-//! event's instant has reached, so a window's row covers exactly the
-//! events strictly inside it.
-//!
 //! Everything measurable flows through `obs`: counters and latency
 //! histograms on the shared [`Registry`], batch spans on the `traffic`
-//! tracer shard. The loop counts into plain tallies and adds them to the
-//! registry just before a window closes and once at the end, so no event
-//! pays for an atomic. All quantities in the final [`TrafficReport`] are
+//! tracer shard. The loop counts into plain tallies, so no event pays for
+//! an atomic. Before handling an event it closes every timeline window
+//! the event's instant has reached: the tallies since the last close are
+//! the window's row, and only then are they published to the registry,
+//! which nothing reads during the run. A run without a timeline publishes
+//! once, at the end. All quantities in the final [`TrafficReport`] are
 //! logical, so the rendered report is byte-identical across runs of the
 //! same seed.
 
@@ -40,7 +39,7 @@ use redlight_net::transport::{fnv1a, mix, BrowserKind, Fault, FaultSpec, NetProf
 use redlight_net::url::Url;
 use redlight_obs::{
     Counter, Gauge, Histogram, HistogramSnapshot, ObsContext, Registry, SloEvent, SloPolicy,
-    SloTracker, Timeline, Trace, Tracer,
+    SloTracker, Timeline, Trace, Tracer, WindowRow,
 };
 use redlight_rankings::PopularityTier;
 use redlight_report::figure::{self, Series};
@@ -281,174 +280,129 @@ enum Ev {
     },
 }
 
-/// A registry counter the kernel counts into with plain adds; the count
-/// reaches the shared cell at [`Hooks::publish`].
-struct LocalCounter {
-    cell: Counter,
-    pending: u64,
-}
+/// The counters a run tallies, by registry name. A timeline row's counter
+/// series are the first `ROW_COUNTERS`, in this order.
+const COUNTERS: [&str; 17] = [
+    "traffic.sessions",
+    "traffic.sessions_completed",
+    "traffic.sessions_failed",
+    "traffic.pages",
+    "traffic.requests",
+    "traffic.requests_failed",
+    "traffic.retries",
+    "traffic.faults_injected",
+    "traffic.requests.tier0",
+    "traffic.requests.tier1",
+    "traffic.requests.tier2",
+    "traffic.requests.tier3",
+    "traffic.backoff_logical_ns",
+    "traffic.sessions.tier0",
+    "traffic.sessions.tier1",
+    "traffic.sessions.tier2",
+    "traffic.sessions.tier3",
+];
+const ROW_COUNTERS: usize = 12;
 
-impl LocalCounter {
-    fn new(cell: Counter) -> Self {
-        LocalCounter { cell, pending: 0 }
-    }
+/// The gauges a run keeps, each a timeline series. `traffic.queue_peak`
+/// is the deepest any host's queue got when a request joined it since the
+/// window opened; only a timeline run moves it.
+const GAUGES: [&str; 3] = [
+    "traffic.in_flight",
+    "traffic.queue_depth",
+    "traffic.queue_peak",
+];
 
-    fn add(&mut self, n: u64) {
-        self.pending += n;
-    }
+/// The histograms a run records; a timeline row holds the first
+/// `ROW_HISTOGRAMS`.
+const HISTOGRAMS: [&str; 7] = [
+    "traffic.request_us",
+    "traffic.page_us",
+    "traffic.session_us",
+    "traffic.request_us.tier0",
+    "traffic.request_us.tier1",
+    "traffic.request_us.tier2",
+    "traffic.request_us.tier3",
+];
+const ROW_HISTOGRAMS: usize = 1;
 
-    fn inc(&mut self) {
-        self.add(1);
-    }
+// Positions in the tables above. A `TIER_*` position is tier 0's; tier `i`
+// is `i` past it.
+const _: () = assert!(PopularityTier::ALL.len() == 4, "one name per tier");
+const SESSIONS: usize = 0;
+const COMPLETED: usize = 1;
+const SESSIONS_FAILED: usize = 2;
+const PAGES: usize = 3;
+const REQUESTS: usize = 4;
+const REQUESTS_FAILED: usize = 5;
+const RETRIES: usize = 6;
+const FAULTS: usize = 7;
+const TIER_REQUESTS: usize = 8;
+const BACKOFF_NS: usize = 12;
+const TIER_SESSIONS: usize = 13;
+const IN_FLIGHT: usize = 0;
+const QUEUE_DEPTH: usize = 1;
+const QUEUE_PEAK: usize = 2;
+const REQUEST_US: usize = 0;
+const PAGE_US: usize = 1;
+const SESSION_US: usize = 2;
+const TIER_REQUEST_US: usize = 3;
 
-    fn publish(&mut self) {
-        if self.pending > 0 {
-            self.cell.add(std::mem::take(&mut self.pending));
-        }
-    }
-}
-
-/// A registry gauge moved by plain adds, published like [`LocalCounter`].
-struct LocalGauge {
-    cell: Gauge,
-    pending: i64,
-}
-
-impl LocalGauge {
-    fn new(cell: Gauge) -> Self {
-        LocalGauge { cell, pending: 0 }
-    }
-
-    fn add(&mut self, delta: i64) {
-        self.pending += delta;
-    }
-
-    fn publish(&mut self) {
-        if self.pending != 0 {
-            self.cell.add(std::mem::take(&mut self.pending));
-        }
-    }
-}
-
-/// A registry histogram recorded into a plain tally, published like
-/// [`LocalCounter`]. The tally is cleared in place, so a publish allocates
+/// The run's tallies and the registry cells they are published to, each
+/// parallel to its name table. The kernel counts into the plain tallies;
+/// [`Hooks::publish`] adds counts and observations to their cells and
+/// zeroes them, and sets each gauge's cell to its value. A timeline run
+/// publishes as each window closes, right after the window's row has taken
+/// the tallies; every run publishes once more at the end. Nothing reads
+/// the registry during a run, so relaxed atomics on every event would buy
 /// nothing.
-struct LocalHistogram {
-    cell: Histogram,
-    pending: HistogramSnapshot,
-}
-
-impl LocalHistogram {
-    fn new(cell: Histogram) -> Self {
-        LocalHistogram {
-            cell,
-            pending: HistogramSnapshot::default(),
-        }
-    }
-
-    fn record(&mut self, v: u64) {
-        self.pending.record(v);
-    }
-
-    fn publish(&mut self) {
-        self.cell.absorb(&self.pending);
-        self.pending.clear();
-    }
-}
-
-/// The registry metrics the run updates and the report reads. The kernel
-/// counts into plain tallies; [`Hooks::publish`] adds them to the registry
-/// just before each timeline window closes (a window's row reads the
-/// registry) and once when the loop ends. Nothing else reads the registry
-/// during a run, so relaxed atomics on every event would buy nothing.
 struct Hooks {
-    sessions: LocalCounter,
-    sessions_done: LocalCounter,
-    sessions_failed: LocalCounter,
-    pages: LocalCounter,
-    requests: LocalCounter,
-    requests_failed: LocalCounter,
-    retries: LocalCounter,
-    faults: LocalCounter,
-    backoff_ns: LocalCounter,
-    request_us: LocalHistogram,
-    page_us: LocalHistogram,
-    session_us: LocalHistogram,
-    /// Sessions currently in flight (gauge, for the timeline).
-    in_flight: LocalGauge,
-    /// Requests currently queued behind host connection limits.
-    queue_depth: LocalGauge,
-    /// Deepest queue seen in the current timeline window (published at
-    /// window close from [`TimelineRt::window_peak_queue`]).
-    queue_peak: Gauge,
-    tier_sessions: Vec<LocalCounter>,
-    tier_requests: Vec<LocalCounter>,
-    tier_request_us: Vec<LocalHistogram>,
+    /// Counts since the last publish.
+    counts: [u64; COUNTERS.len()],
+    /// Current values: a gauge's tally is the gauge itself.
+    gauges: [i64; GAUGES.len()],
+    /// Observations since the last publish.
+    hists: [HistogramSnapshot; HISTOGRAMS.len()],
+    counter_cells: [Counter; COUNTERS.len()],
+    gauge_cells: [Gauge; GAUGES.len()],
+    hist_cells: [Histogram; HISTOGRAMS.len()],
 }
 
 impl Hooks {
     fn new(registry: &Registry) -> Self {
-        let tier = |stem: &str| {
-            PopularityTier::ALL
-                .iter()
-                .enumerate()
-                .map(|(i, _)| format!("traffic.{stem}.tier{i}"))
-                .collect::<Vec<_>>()
-        };
-        let counter = |name: &str| LocalCounter::new(registry.counter(name));
-        let histogram = |name: &str| LocalHistogram::new(registry.histogram(name));
         Hooks {
-            sessions: counter("traffic.sessions"),
-            sessions_done: counter("traffic.sessions_completed"),
-            sessions_failed: counter("traffic.sessions_failed"),
-            pages: counter("traffic.pages"),
-            requests: counter("traffic.requests"),
-            requests_failed: counter("traffic.requests_failed"),
-            retries: counter("traffic.retries"),
-            faults: counter("traffic.faults_injected"),
-            backoff_ns: counter("traffic.backoff_logical_ns"),
-            request_us: histogram("traffic.request_us"),
-            page_us: histogram("traffic.page_us"),
-            session_us: histogram("traffic.session_us"),
-            in_flight: LocalGauge::new(registry.gauge("traffic.in_flight")),
-            queue_depth: LocalGauge::new(registry.gauge("traffic.queue_depth")),
-            queue_peak: registry.gauge("traffic.queue_peak"),
-            tier_sessions: tier("sessions").iter().map(|n| counter(n)).collect(),
-            tier_requests: tier("requests").iter().map(|n| counter(n)).collect(),
-            tier_request_us: tier("request_us").iter().map(|n| histogram(n)).collect(),
+            counts: [0; COUNTERS.len()],
+            gauges: [0; GAUGES.len()],
+            hists: Default::default(),
+            counter_cells: COUNTERS.map(|name| registry.counter(name)),
+            gauge_cells: GAUGES.map(|name| registry.gauge(name)),
+            hist_cells: HISTOGRAMS.map(|name| registry.histogram(name)),
         }
     }
 
-    /// Adds every pending tally to its registry cell and zeroes it.
+    /// The tallies a timeline row holds: counters, gauges, histograms.
+    fn row(&self) -> (&[u64], &[i64], &[HistogramSnapshot]) {
+        (
+            &self.counts[..ROW_COUNTERS],
+            &self.gauges,
+            &self.hists[..ROW_HISTOGRAMS],
+        )
+    }
+
+    /// Moves every tally into its registry cell.
     fn publish(&mut self) {
-        for counter in [
-            &mut self.sessions,
-            &mut self.sessions_done,
-            &mut self.sessions_failed,
-            &mut self.pages,
-            &mut self.requests,
-            &mut self.requests_failed,
-            &mut self.retries,
-            &mut self.faults,
-            &mut self.backoff_ns,
-        ]
-        .into_iter()
-        .chain(&mut self.tier_sessions)
-        .chain(&mut self.tier_requests)
-        {
-            counter.publish();
+        for (cell, n) in self.counter_cells.iter().zip(&mut self.counts) {
+            if *n > 0 {
+                cell.add(std::mem::take(n));
+            }
         }
-        self.in_flight.publish();
-        self.queue_depth.publish();
-        for histogram in [
-            &mut self.request_us,
-            &mut self.page_us,
-            &mut self.session_us,
-        ]
-        .into_iter()
-        .chain(&mut self.tier_request_us)
-        {
-            histogram.publish();
+        for (cell, &v) in self.gauge_cells.iter().zip(&self.gauges) {
+            cell.set(v);
+        }
+        for (cell, h) in self.hist_cells.iter().zip(&mut self.hists) {
+            if h.count() > 0 {
+                cell.absorb(h);
+                h.clear();
+            }
         }
     }
 }
@@ -456,7 +410,6 @@ impl Hooks {
 /// Concurrency peaks over the whole run.
 #[derive(Debug, Default)]
 struct Peaks {
-    in_flight: u64,
     peak_in_flight: u64,
     peak_queue: usize,
 }
@@ -500,17 +453,14 @@ struct Traffic {
 
 impl Traffic {
     /// Delivers every event in `(time, seq)` order, returning the instant
-    /// of the last one and how many were delivered. Every tally is in the
-    /// registry when it returns.
+    /// of the last one and how many were delivered. The tallies since the
+    /// last window close are still pending when it returns.
     fn run(&mut self) -> (SimTime, u64) {
         let (mut end, mut events) = (SimTime::ZERO, 0);
         while let Some((now, ev)) = self.queue.pop() {
             (end, events) = (now, events + 1);
             if let Some(rt) = &mut self.timeline {
-                if now.as_nanos() >= rt.tl.next_boundary() {
-                    self.hooks.publish();
-                    rt.close_due(now.as_nanos());
-                }
+                rt.close_due(now.as_nanos(), &mut self.hooks);
             }
             match ev {
                 Ev::Arrive => self.arrive(now),
@@ -528,7 +478,6 @@ impl Traffic {
                 } => self.done(now, session, doc, ok, attempt),
             }
         }
-        self.hooks.publish();
         (end, events)
     }
 
@@ -573,12 +522,13 @@ impl Traffic {
             started: now,
             page_started: now,
         };
-        self.hooks.sessions.inc();
-        self.hooks.tier_sessions[self.universe.templates[site as usize].tier as usize].inc();
-        self.hooks.in_flight.add(1);
+        let tier = self.universe.templates[site as usize].tier as usize;
+        self.hooks.counts[SESSIONS] += 1;
+        self.hooks.counts[TIER_SESSIONS + tier] += 1;
+        self.hooks.gauges[IN_FLIGHT] += 1;
+        let in_flight = self.hooks.gauges[IN_FLIGHT] as u64;
+        self.peaks.peak_in_flight = self.peaks.peak_in_flight.max(in_flight);
         self.flight_note(now, FlightKind::Arrive, slot, u32::MAX, 0);
-        self.peaks.in_flight += 1;
-        self.peaks.peak_in_flight = self.peaks.peak_in_flight.max(self.peaks.in_flight);
         self.send_doc(now, slot, 1, Duration::ZERO);
         if self.next_session < self.target {
             let gap = draw(self.seed, salt::GAP, self.next_session) % (2 * MEAN_GAP_NS);
@@ -650,11 +600,9 @@ impl Traffic {
     }
 
     fn page_done(&mut self, now: SimTime, slot: u32) {
-        self.hooks.pages.inc();
+        self.hooks.counts[PAGES] += 1;
         let sess = &mut self.slots[slot as usize];
-        self.hooks
-            .page_us
-            .record(now.since(sess.page_started).as_micros() as u64);
+        self.hooks.hists[PAGE_US].record(now.since(sess.page_started).as_micros() as u64);
         sess.pages_done += 1;
         if sess.pages_done < sess.pages_total {
             let dwell = Duration::from_secs(1)
@@ -668,10 +616,8 @@ impl Traffic {
             self.queue
                 .schedule(now.after(dwell), Ev::NextPage { session: slot });
         } else {
-            self.hooks.sessions_done.inc();
-            self.hooks
-                .session_us
-                .record(now.since(sess.started).as_micros() as u64);
+            self.hooks.counts[COMPLETED] += 1;
+            self.hooks.hists[SESSION_US].record(now.since(sess.started).as_micros() as u64);
             self.teardown(slot);
         }
     }
@@ -679,8 +625,7 @@ impl Traffic {
     fn teardown(&mut self, slot: u32) {
         self.free.push(slot);
         self.finished += 1;
-        self.hooks.in_flight.add(-1);
-        self.peaks.in_flight -= 1;
+        self.hooks.gauges[IN_FLIGHT] -= 1;
         if self.finished == self.target && self.batch_open {
             self.tracer.attr("last_batch", true);
             self.tracer.close();
@@ -701,12 +646,12 @@ impl Traffic {
                 // the request is re-issued — recorded and elapsed time
                 // agree by construction.
                 let pause = self.retry.backoff_before(attempt as u32 + 1);
-                self.hooks.retries.inc();
-                self.hooks.backoff_ns.add(pause.as_nanos() as u64);
+                self.hooks.counts[RETRIES] += 1;
+                self.hooks.counts[BACKOFF_NS] += pause.as_nanos() as u64;
                 self.flight_note(now, FlightKind::Retry, session, u32::MAX, attempt + 1);
                 self.send_doc(now, session, attempt + 1, pause);
             } else {
-                self.hooks.sessions_failed.inc();
+                self.hooks.counts[SESSIONS_FAILED] += 1;
                 self.flight_note(now, FlightKind::SessionFailed, session, u32::MAX, attempt);
                 self.teardown(session);
             }
@@ -721,8 +666,8 @@ impl Traffic {
 
     fn request(&mut self, now: SimTime, mut t: Ticket) {
         t.enqueued = now;
-        self.hooks.requests.inc();
-        self.hooks.tier_requests[t.tier as usize].inc();
+        self.hooks.counts[REQUESTS] += 1;
+        self.hooks.counts[TIER_REQUESTS + t.tier as usize] += 1;
         let kind = if t.doc {
             FlightKind::DocRequest
         } else {
@@ -733,28 +678,29 @@ impl Traffic {
         if let Some(admitted) = self.pools[host].admit(t) {
             self.start(now, admitted);
         } else {
-            self.hooks.queue_depth.add(1);
+            self.hooks.gauges[QUEUE_DEPTH] += 1;
             let depth = self.pools[host].waiting();
             self.peaks.peak_queue = self.peaks.peak_queue.max(depth);
-            if let Some(rt) = &mut self.timeline {
-                rt.window_peak_queue = rt.window_peak_queue.max(depth);
+            if self.timeline.is_some() {
+                let peak = &mut self.hooks.gauges[QUEUE_PEAK];
+                *peak = (*peak).max(depth as i64);
             }
         }
     }
 
     fn served(&mut self, now: SimTime, t: Ticket, ok: bool) {
         let us = now.since(t.enqueued).as_micros() as u64;
-        self.hooks.request_us.record(us);
-        self.hooks.tier_request_us[t.tier as usize].record(us);
+        self.hooks.hists[REQUEST_US].record(us);
+        self.hooks.hists[TIER_REQUEST_US + t.tier as usize].record(us);
         let kind = if ok {
             FlightKind::Served
         } else {
-            self.hooks.requests_failed.inc();
+            self.hooks.counts[REQUESTS_FAILED] += 1;
             FlightKind::Failed
         };
         self.flight_note(now, kind, t.session, t.host, t.attempt);
         if let Some(next) = self.pools[t.host as usize].complete() {
-            self.hooks.queue_depth.add(-1);
+            self.hooks.gauges[QUEUE_DEPTH] -= 1;
             self.start(now, next);
         }
         self.queue.schedule(
@@ -772,7 +718,7 @@ impl Traffic {
     fn start(&mut self, now: SimTime, t: Ticket) {
         let (ok, service, faulted) = self.outcome(&t);
         if faulted {
-            self.hooks.faults.inc();
+            self.hooks.counts[FAULTS] += 1;
             self.flight_note(now, FlightKind::Fault, t.session, t.host, t.attempt);
         }
         self.queue
@@ -808,104 +754,68 @@ impl Traffic {
 }
 
 /// The timeline runtime: the recorder plus SLO tracking and the flight
-/// ring, sampled by the run loop.
+/// ring, fed by the run loop.
 struct TimelineRt {
     tl: Timeline,
     tracker: SloTracker,
     flight: FlightRecorder,
-    req_ix: usize,
-    fail_ix: usize,
-    lat_ix: usize,
-    queue_peak: Gauge,
-    /// Deepest queue seen since the current window opened.
-    window_peak_queue: usize,
 }
 
 impl TimelineRt {
-    /// Tracks the traffic series in `registry` at `spec`'s window width.
-    fn new(spec: &TimelineSpec, registry: &Registry, slo: SloPolicy, queue_peak: Gauge) -> Self {
-        let mut tl = Timeline::new(spec.window);
-        for name in [
-            "traffic.sessions",
-            "traffic.sessions_completed",
-            "traffic.sessions_failed",
-            "traffic.pages",
-            "traffic.requests",
-            "traffic.requests_failed",
-            "traffic.retries",
-            "traffic.faults_injected",
-        ] {
-            tl.track_counter(registry, name);
-        }
-        for i in 0..PopularityTier::ALL.len() {
-            tl.track_counter(registry, &format!("traffic.requests.tier{i}"));
-        }
-        for name in [
-            "traffic.in_flight",
-            "traffic.queue_depth",
-            "traffic.queue_peak",
-        ] {
-            tl.track_gauge(registry, name);
-        }
-        tl.track_histogram(registry, "traffic.request_us");
+    /// A recorder of the row's series at `spec`'s window width.
+    fn new(spec: &TimelineSpec, slo: SloPolicy) -> Self {
         TimelineRt {
-            req_ix: tl.counter_index("traffic.requests").expect("tracked"),
-            fail_ix: tl
-                .counter_index("traffic.requests_failed")
-                .expect("tracked"),
-            lat_ix: tl.hist_index("traffic.request_us").expect("tracked"),
-            tl,
+            tl: Timeline::new(
+                spec.window,
+                &COUNTERS[..ROW_COUNTERS],
+                &GAUGES,
+                &HISTOGRAMS[..ROW_HISTOGRAMS],
+            ),
             tracker: SloTracker::new(slo),
             flight: FlightRecorder::new(FLIGHT_CAPACITY, MAX_FREEZES),
-            queue_peak,
-            window_peak_queue: 0,
         }
     }
 
-    /// Publishes the closing window's peak queue depth, then resets the
-    /// accumulator so the next window starts from the current depth.
-    fn publish_queue_peak(&mut self) {
-        self.queue_peak.set(self.window_peak_queue as i64);
-        self.window_peak_queue = 0;
-    }
-
-    /// Feeds the most recent row to the SLO tracker; violations entered
+    /// Feeds the row just closed to the SLO tracker; violations entered
     /// this window freeze the flight ring.
     fn post_window(&mut self) {
         let row = self.tl.windows().last().expect("a row was just closed");
-        let (window, end_ns) = (row.index, row.end_ns);
-        let total = row.counters[self.req_ix];
-        let bad = row.counters[self.fail_ix];
-        let p99 = row.hists[self.lat_ix].p99;
+        let (total, bad) = (row.counters[REQUESTS], row.counters[REQUESTS_FAILED]);
+        let p99 = row.hists[REQUEST_US].p99;
         let before = self.tracker.events().len();
         self.tracker
-            .observe(window, total.saturating_sub(bad), bad, p99);
+            .observe(row.index, total.saturating_sub(bad), bad, p99);
         for i in before..self.tracker.events().len() {
             let ev = self.tracker.events()[i];
             if ev.entered {
                 self.flight
-                    .freeze(ev.kind.label(), ev.window, SimTime::from_nanos(end_ns));
+                    .freeze(ev.kind.label(), ev.window, SimTime::from_nanos(row.end_ns));
             }
         }
     }
 
     /// Closes every full window that ends at or before `now_ns`, so an
-    /// event landing on a boundary counts toward the window it opens. Idle
-    /// gaps close as explicit zero rows.
-    fn close_due(&mut self, now_ns: u64) {
+    /// event landing on a boundary counts toward the window it opens. Each
+    /// window takes the pending tallies, which are then published, so when
+    /// one event closes several windows the later ones are idle: zero
+    /// counts and the gauges as they stand.
+    fn close_due(&mut self, now_ns: u64, hooks: &mut Hooks) {
         while now_ns >= self.tl.next_boundary() {
-            self.publish_queue_peak();
-            self.tl.sample_window();
+            let (counters, gauges, hists) = hooks.row();
+            self.tl.close(counters, gauges, hists);
+            hooks.publish();
+            // The next window's queue peak counts only its own enqueues.
+            hooks.gauges[QUEUE_PEAK] = 0;
             self.post_window();
         }
     }
 
-    /// Seals the series with the final partial window at `end_ns`, exports
-    /// the SLO transitions and frozen flights into `trace`, and reports.
-    fn finish(mut self, end_ns: u64, trace: &Trace) -> TimelineReport {
-        self.close_due(end_ns);
-        self.publish_queue_peak();
-        self.tl.finish(end_ns);
+    /// Seals the series with the final partial window at `end_ns`, which
+    /// takes the tallies still pending, exports the SLO transitions and
+    /// frozen flights into `trace`, and reports.
+    fn finish(mut self, end_ns: u64, hooks: &Hooks, trace: &Trace) -> TimelineReport {
+        let (counters, gauges, hists) = hooks.row();
+        self.tl.finish(end_ns, counters, gauges, hists);
         self.post_window();
         // SLO transitions become journal spans; frozen flight snapshots
         // attach their causal neighborhoods next to them. Both tracers are
@@ -1048,36 +958,14 @@ impl TimelineReport {
     /// Terminal sparkline summary of the headline series.
     pub fn render(&self) -> String {
         let tl = &self.timeline;
-        let as_f64 = |v: Vec<u64>| v.into_iter().map(|x| x as f64).collect::<Vec<_>>();
+        let over_rows = |name: &str, value: fn(&WindowRow) -> f64| {
+            Series::new(name, tl.windows().iter().map(value).collect())
+        };
         let series = vec![
-            Series::new(
-                "requests / window",
-                as_f64(tl.counter_series("traffic.requests").unwrap_or_default()),
-            ),
-            Series::new(
-                "request p99 (µs)",
-                tl.hist_series("traffic.request_us")
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|h| h.p99 as f64)
-                    .collect(),
-            ),
-            Series::new(
-                "in-flight sessions",
-                tl.gauge_series("traffic.in_flight")
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|&v| v as f64)
-                    .collect(),
-            ),
-            Series::new(
-                "peak host queue",
-                tl.gauge_series("traffic.queue_peak")
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|&v| v as f64)
-                    .collect(),
-            ),
+            over_rows("requests / window", |w| w.counters[REQUESTS] as f64),
+            over_rows("request p99 (µs)", |w| w.hists[REQUEST_US].p99 as f64),
+            over_rows("in-flight sessions", |w| w.gauges[IN_FLIGHT] as f64),
+            over_rows("peak host queue", |w| w.gauges[QUEUE_PEAK] as f64),
         ];
         let mut out = figure::render("Timeline", &series, 64);
         out.push_str(&format!(
@@ -1217,7 +1105,7 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
     let timeline = config
         .timeline
         .as_ref()
-        .map(|spec| TimelineRt::new(spec, &obs.metrics, config.net.slo, hooks.queue_peak.clone()));
+        .map(|spec| TimelineRt::new(spec, config.net.slo));
 
     let spec = config.net.sim;
     let mut traffic = Traffic {
@@ -1252,26 +1140,29 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
 
     let Traffic {
         universe,
-        hooks,
+        mut hooks,
         peaks,
         tracer,
         timeline,
         ..
     } = traffic;
     tracer.finish();
-    let timeline = timeline.map(|rt| rt.finish(end.as_nanos(), &obs.trace));
+    let timeline = timeline.map(|rt| rt.finish(end.as_nanos(), &hooks, &obs.trace));
+    // Every tally reaches the registry, and the report reads it there.
+    hooks.publish();
 
-    let request_us = hooks.request_us.cell.snapshot();
-    let page_us = hooks.page_us.cell.snapshot();
+    let total = |i: usize| hooks.counter_cells[i].get();
+    let request_us = hooks.hist_cells[REQUEST_US].snapshot();
+    let page_us = hooks.hist_cells[PAGE_US].snapshot();
     let tiers = PopularityTier::ALL
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let snap = hooks.tier_request_us[i].cell.snapshot();
+            let snap = hooks.hist_cells[TIER_REQUEST_US + i].snapshot();
             TierRow {
                 label: t.label().to_owned(),
-                sessions: hooks.tier_sessions[i].cell.get(),
-                requests: hooks.tier_requests[i].cell.get(),
+                sessions: total(TIER_SESSIONS + i),
+                requests: total(TIER_REQUESTS + i),
                 p50_us: snap.quantile(0.50),
                 p99_us: snap.quantile(0.99),
             }
@@ -1280,15 +1171,15 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
 
     TrafficReport {
         sessions: config.sessions,
-        completed: hooks.sessions_done.cell.get(),
-        failed: hooks.sessions_failed.cell.get(),
-        pages: hooks.pages.cell.get(),
-        requests: hooks.requests.cell.get(),
-        failed_requests: hooks.requests_failed.cell.get(),
-        retries: hooks.retries.cell.get(),
-        faults: hooks.faults.cell.get(),
+        completed: total(COMPLETED),
+        failed: total(SESSIONS_FAILED),
+        pages: total(PAGES),
+        requests: total(REQUESTS),
+        failed_requests: total(REQUESTS_FAILED),
+        retries: total(RETRIES),
+        faults: total(FAULTS),
         makespan: end.as_duration(),
-        backoff: Duration::from_nanos(hooks.backoff_ns.cell.get()),
+        backoff: Duration::from_nanos(total(BACKOFF_NS)),
         request_p50_us: request_us.quantile(0.50),
         request_p95_us: request_us.quantile(0.95),
         request_p99_us: request_us.quantile(0.99),

@@ -126,15 +126,28 @@ if ! cmp "$OBS_DIR/paper.out" tests/golden/reproduce_paper.txt; then
   exit 1
 fi
 
-echo "==> reproduce --traffic 250000 --net-profile flaky --timings stdout pinned to tests/golden/reproduce_traffic_flaky.txt (release)"
+echo "==> reproduce --traffic 250000 --net-profile flaky --timings stdout pinned to tests/golden/reproduce_traffic_flaky.txt, its exports to tests/golden/reproduce_traffic_flaky_exports.sha256 (release)"
 # perfbench's traffic-flaky workload at seed 2019: the latency percentiles,
 # peaks, tier table and timeline panel at the size the benchmark times.
+# The export flags leave stdout as it is. Their five files (17,780 window
+# rows, 2,218 SLO transitions, the Chrome counter tracks; 52 MB together)
+# are too large to commit, so their SHA-256 digests are pinned instead.
 cargo run --release -q -p redlight-bench --bin reproduce -- \
-  --traffic 250000 --net-profile flaky --timings >"$OBS_DIR/traffic.out"
+  --traffic 250000 --net-profile flaky --timings \
+  --timeline "$OBS_DIR/flaky-timeline.jsonl" --trace "$OBS_DIR/flaky-trace.json" \
+  --trace-events "$OBS_DIR/flaky-journal.jsonl" --metrics "$OBS_DIR/flaky-metrics.prom" \
+  >"$OBS_DIR/traffic.out"
 if ! cmp "$OBS_DIR/traffic.out" tests/golden/reproduce_traffic_flaky.txt; then
   echo "reproduce --traffic 250000 --net-profile flaky --timings stdout differs from tests/golden/reproduce_traffic_flaky.txt." >&2
   echo "If the change is intended, regenerate it and list it in CHANGES.md:" >&2
   echo "  cargo run --release -q -p redlight-bench --bin reproduce -- --traffic 250000 --net-profile flaky --timings > tests/golden/reproduce_traffic_flaky.txt" >&2
+  exit 1
+fi
+DIGESTS="$PWD/tests/golden/reproduce_traffic_flaky_exports.sha256"
+if ! (cd "$OBS_DIR" && sha256sum -c --quiet "$DIGESTS"); then
+  echo "the exports of reproduce --traffic 250000 --net-profile flaky --timings differ from tests/golden/reproduce_traffic_flaky_exports.sha256." >&2
+  echo "If the change is intended, regenerate it and list it in CHANGES.md:" >&2
+  echo '  d=$(mktemp -d) && cargo run --release -q -p redlight-bench --bin reproduce -- --traffic 250000 --net-profile flaky --timings --timeline $d/flaky-timeline.jsonl --trace $d/flaky-trace.json --trace-events $d/flaky-journal.jsonl --metrics $d/flaky-metrics.prom >/dev/null && (cd $d && sha256sum flaky-timeline.jsonl flaky-timeline.csv flaky-trace.json flaky-journal.jsonl flaky-metrics.prom) > tests/golden/reproduce_traffic_flaky_exports.sha256' >&2
   exit 1
 fi
 

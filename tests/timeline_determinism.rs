@@ -1,13 +1,14 @@
 //! Determinism of the timeline telemetry: same seed ⇒ byte-identical
 //! JSON-lines and CSV series; different fault seeds ⇒ the series diverge;
 //! window-width invariance (the per-window counter deltas always sum to
-//! the final counters, whatever the width); and SLO violations reach the
-//! journal together with their frozen flight snapshots.
+//! the final counters, whatever the width); the rows add up to what the
+//! registry holds at the end; and SLO violations reach the journal
+//! together with their frozen flight snapshots.
 
 use std::time::Duration;
 
 use redlight::net::transport::NetProfile;
-use redlight::obs::{ObsContext, SloPolicy};
+use redlight::obs::{MetricValue, MetricsSnapshot, ObsContext, SloPolicy};
 use redlight::sim::{run_traffic, TimelineSpec, TrafficConfig, TrafficReport};
 use redlight::WorldConfig;
 
@@ -86,6 +87,90 @@ fn window_width_never_changes_the_totals() {
     );
 }
 
+/// Every series of a flaky run's timeline against the registry the run
+/// published to. The windows are narrow, so most close without a request
+/// and many events close several at once.
+#[test]
+fn timeline_rows_add_up_to_the_registry() {
+    let config = |timeline: Option<TimelineSpec>| TrafficConfig {
+        seed: 5,
+        world: WorldConfig::tiny(11),
+        net: NetProfile::named("flaky").expect("flaky profile registered"),
+        timeline,
+        ..TrafficConfig::new(600)
+    };
+    let obs = ObsContext::new();
+    let window = TimelineSpec::with_window(Duration::from_millis(7));
+    let report = run_traffic(&config(Some(window)), &obs);
+    let tl = &report.timeline.as_ref().expect("timeline on").timeline;
+    let requests = tl.counter_series("traffic.requests").expect("a series");
+    let idle = requests.iter().filter(|&&n| n == 0).count();
+    assert!(
+        idle * 2 > requests.len(),
+        "{idle} of {} windows without a request",
+        requests.len()
+    );
+
+    let registry = obs.metrics.snapshot();
+    let (mut counters, mut gauges) = (0, 0);
+    for (name, value) in &registry.entries {
+        match value {
+            MetricValue::Counter { value, .. } => {
+                if let Some(series) = tl.counter_series(name) {
+                    assert_eq!(series.iter().sum::<u64>(), *value, "{name}");
+                    counters += 1;
+                }
+            }
+            MetricValue::Gauge { value } => {
+                if let Some(series) = tl.gauge_series(name) {
+                    assert_eq!(series.last(), Some(value), "{name} in the last row");
+                    gauges += 1;
+                }
+            }
+            MetricValue::Histogram { .. } => {}
+        }
+    }
+    let row = &tl.windows()[0];
+    assert_eq!(
+        counters,
+        row.counters.len(),
+        "a counter series without a counter"
+    );
+    assert_eq!(gauges, row.gauges.len(), "a gauge series without a gauge");
+
+    let Some(MetricValue::Histogram { snap, .. }) = registry.entries.get("traffic.request_us")
+    else {
+        panic!("traffic.request_us is a registry histogram");
+    };
+    let windows = tl.hist_series("traffic.request_us").expect("a series");
+    assert_eq!(windows.iter().map(|w| w.count).sum::<u64>(), snap.count());
+    assert_eq!(windows.iter().map(|w| w.sum).sum::<u64>(), snap.sum);
+    let (lo, hi) = (snap.min().expect("requests"), snap.max().expect("requests"));
+    let json = tl.json_lines();
+    let meta = json.lines().next().expect("a meta row");
+    assert!(
+        meta.contains(&format!(
+            "\"histogram_minmax\":{{\"traffic.request_us\":[{lo},{hi}]}}"
+        )),
+        "{meta}"
+    );
+
+    // Only a timeline run moves the per-window queue peak.
+    let bare_obs = ObsContext::new();
+    run_traffic(&config(None), &bare_obs);
+    let without_peak = |obs: &ObsContext| -> (MetricsSnapshot, MetricValue) {
+        let mut det = obs.metrics.snapshot().deterministic();
+        let peak = det
+            .entries
+            .remove("traffic.queue_peak")
+            .expect("registered");
+        (det, peak)
+    };
+    let ((sampled, _), (bare, bare_peak)) = (without_peak(&obs), without_peak(&bare_obs));
+    assert_eq!(sampled, bare);
+    assert_eq!(bare_peak, MetricValue::Gauge { value: 0 });
+}
+
 #[test]
 fn slo_violations_freeze_flights_into_the_journal() {
     let mut net = NetProfile::named("flaky").expect("flaky profile registered");
@@ -123,8 +208,9 @@ fn slo_violations_freeze_flights_into_the_journal() {
 
 #[test]
 fn timeline_sampling_never_changes_the_event_schedule() {
-    // Sampling only reads the registry: the run loop must deliver exactly
-    // the same events with windows closing between them as without.
+    // A window close only copies and publishes the kernel's tallies: the
+    // run loop must deliver exactly the same events with windows closing
+    // between them as without.
     let config = |timeline: Option<TimelineSpec>| TrafficConfig {
         seed: 5,
         world: WorldConfig::tiny(11),
